@@ -101,6 +101,70 @@ def l2_normalize_rows(x, eps=1e-12):
     return out
 
 
+class Segments:
+    """A flat id list cut into segments ``ids[o_i : o_i + counts[i]]``,
+    ``o_i = sum(counts[:i])``, laid out longest first (``order``): column
+    j, the j-th id of every segment longer than j, lines up with a prefix
+    of that order, so pooling is one vectorized step per position and
+    visits each segment's ids in list order."""
+
+    def __init__(self, ids, counts, reduce="mean"):
+        if reduce not in ("mean", "max"):
+            raise ValueError(f"unknown segment reduce {reduce!r}")
+        self.reduce = reduce
+        self.ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        self.counts = np.asarray(counts, dtype=np.intp).reshape(-1)
+        if (self.counts < 0).any() or self.counts.sum() != self.ids.size:
+            raise ValueError(f"segment counts (sum {self.counts.sum()}) must "
+                             f"be >= 0 and cover the {self.ids.size} ids")
+        self.order = np.argsort(-self.counts, kind="stable")
+        longer = self.counts.size - np.cumsum(
+            np.bincount(self.counts, minlength=1))[:-1]
+        starts = (np.cumsum(self.counts) - self.counts)[self.order]
+        self.columns = [self.ids[starts[:k] + j] for j, k in enumerate(longer)]
+        self.inverse_counts = 1.0 / np.maximum(self.counts, 1)[:, None]
+        self.readers = None     # transposed layout, built on first backward
+
+    def pool(self, table, reduce="sum"):
+        """Row i: the sum (or max) of segment i's table rows, 0 if empty."""
+        acc = np.zeros((self.counts.size, table.shape[1]))
+        for j, col in enumerate(self.columns):
+            head = acc[: col.size]
+            if j == 0:
+                head[...] = table[col]
+            elif reduce == "max":
+                np.maximum(head, table[col], out=head)
+            else:
+                head += table[col]
+        out = np.empty_like(acc)
+        out[self.order] = acc
+        return out
+
+    def forward(self, table):
+        if self.reduce == "max":
+            return self.pool(table, "max")
+        return self.pool(table) * self.inverse_counts
+
+    def backward(self, table, pooled, adj):
+        """Gradient w.r.t. ``table``: ``adj / count`` into every row a
+        segment read (mean), or ``adj`` into its first maximal entry (max)."""
+        if self.reduce == "mean":
+            if self.readers is None:
+                by_id = np.argsort(self.ids, kind="stable")
+                self.readers = Segments(
+                    np.repeat(np.arange(self.counts.size), self.counts)[by_id],
+                    np.bincount(self.ids, minlength=table.shape[0]))
+            return self.readers.pool(adj * self.inverse_counts)
+        best, adj = pooled[self.order], adj[self.order]
+        open_ = np.ones(best.shape, dtype=bool)
+        grad = np.zeros_like(table)
+        for col in self.columns:
+            hit = open_[: col.size] & (table[col] == best[: col.size])
+            open_[: col.size] &= ~hit
+            np.add.at(grad, col, np.where(hit, adj[: col.size], 0.0))
+        return grad
+
+
 class Tape:
     """Computation graph builder, evaluator and differentiator."""
 
@@ -219,6 +283,16 @@ class Tape:
         """Multiply row i of matrix ``a`` by scalar ``v[i]``."""
         return self._append("scale_rows", (a, v))
 
+    def segment_mean(self, table, ids, counts, reduce="mean"):
+        """Row i pools ``table[ids[o_i : o_i + counts[i]]]`` (see
+        :class:`Segments`); empty segments give zero rows. The mean sums in
+        list order, then multiplies by ``1 / count`` (chained ``add`` nodes
+        and a ``scale``, bit for bit); its gradient is one scatter of
+        ``adjoint / count``. ``"max"`` routes to the first maximal entry.
+        """
+        return self._append("segment_mean", (table,),
+                            aux=Segments(ids, counts, reduce))
+
     # -------------------------------------------------------------- evaluation
 
     def _err(self, node, msg):
@@ -320,25 +394,35 @@ class Tape:
             if a.ndim != 2 or v.ndim != 1 or a.shape[0] != v.shape[0]:
                 raise self._err(node, f"scale_rows shapes {a.shape}, {v.shape}")
             return a * v[:, None]
+        if op == "segment_mean":
+            if vals[0].ndim != 2:
+                raise self._err(node, f"segment table of shape {vals[0].shape}")
+            return node.aux.forward(vals[0])
         raise self._err(node, "unknown op")
 
     # ------------------------------------------------------------------- backward
 
-    def backward(self, loss):
+    def backward(self, loss, adjoint=None):
         """Accumulate gradients of a scalar loss node into ``self.grads``.
 
+        Any node can seed the pass with a given ``adjoint`` of its shape,
+        e.g. one another tape computed for a leaf fed from its value.
         Adjoints are propagated in reverse topological order. Parameter
         gradients accumulate across calls until :meth:`zero_grad`.
         Returns the current parameter-gradient mapping.
         """
         if loss.value is None:
             raise ValueError("run forward() before backward()")
-        if int(np.prod(loss.value.shape)) != 1:
+        if adjoint is None and loss.value.size != 1:
             raise ValueError(
                 f"loss node {loss.idx} is not scalar (shape {loss.value.shape})")
+        if adjoint is not None and np.shape(adjoint) != loss.value.shape:
+            raise ValueError(f"adjoint shape {np.shape(adjoint)} does not "
+                             f"match node {loss.idx} shape {loss.value.shape}")
         for node in self.nodes:
             node.adjoint = None
-        loss.adjoint = np.ones_like(loss.value)
+        loss.adjoint = np.ones_like(loss.value) if adjoint is None \
+            else _as_f64(adjoint)
         for node in reversed(self.nodes[: loss.idx + 1]):
             adj = node.adjoint
             if adj is None:
@@ -425,6 +509,8 @@ class Tape:
         if op == "scale_rows":
             a, v = vals
             return [adj * v[:, None], (adj * a).sum(axis=1)]
+        if op == "segment_mean":
+            return [node.aux.backward(vals[0], node.value, adj)]
         raise self._err(node, "unknown op in backward")
 
     @staticmethod
@@ -443,12 +529,6 @@ class Tape:
 
     def zero_grad(self):
         self.grads = {}
-
-    def value(self, node):
-        return node.value
-
-    def grad(self, name):
-        return self.grads.get(name)
 
 
 def finite_difference_check(tape, loss, param_name, epsilon=1e-6, feeds=None):

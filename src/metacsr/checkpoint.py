@@ -11,13 +11,19 @@ produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .params import ModelConfig, ModelParams
+from .graph import INHERENT
+from .params import ModelConfig, ModelParams, init_model
 
 HEADER = b"METACSR-CKPT v1\n"
+CONFIG_KEYS = ("dim", "diffusion_depth", "neighbor_cap", "aggregator",
+               "scorer", "use_diffusion", "use_sequence", "untie_directions",
+               "t_min", "t_max")
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]):
@@ -34,23 +40,30 @@ def write_tensors(path, tensors: dict[str, np.ndarray]):
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
+    """Every tensor in a checkpoint file, as float64 arrays; a malformed
+    file raises ValueError naming the file and the problem."""
     tensors: dict[str, np.ndarray] = {}
     with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.readline() != HEADER:
             raise ValueError(f"{path}: not a METACSR-CKPT v1 file")
-        while True:
-            line = fh.readline()
-            if not line:
-                break
-            fields = line.decode("ascii").split()
-            name, ndim = fields[0], int(fields[1])
-            shape = tuple(int(d) for d in fields[2:2 + ndim])
-            count = int(np.prod(shape)) if shape else 1
-            payload = fh.read(count * 4)
-            if len(payload) != count * 4:
+        while line := fh.readline():
+            try:
+                name, ndim, *dims = line.decode("ascii").split()
+                shape = tuple(int(d) for d in dims)
+                if not line.endswith(b"\n") or int(ndim) != len(shape) or \
+                        min(shape, default=0) < 0:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: garbled tensor header "
+                                 f"{line[:80]!r}") from None
+            if name in tensors:
+                raise ValueError(f"{path}: tensor {name!r} appears twice")
+            nbytes = 4 * math.prod(shape)
+            if nbytes > size - fh.tell():
                 raise ValueError(f"{path}: truncated payload for {name!r}")
-            arr = np.frombuffer(payload, dtype="<f4", count=count)
-            tensors[name] = arr.reshape(shape).astype(np.float64)
+            payload = np.frombuffer(fh.read(nbytes), dtype="<f4")
+            tensors[name] = payload.reshape(shape).astype(np.float64)
     return tensors
 
 
@@ -69,44 +82,57 @@ def save_model(path, params: ModelParams, adam_state=None):
             tensors[f"state/v/{name}"] = value
         tensors["state/step"] = np.asarray(float(adam_state.step))
     write_tensors(path, tensors)
-    cfg = params.config
-    meta = {
-        "dim": cfg.dim, "diffusion_depth": cfg.diffusion_depth,
-        "neighbor_cap": cfg.neighbor_cap, "aggregator": cfg.aggregator,
-        "scorer": cfg.scorer, "use_diffusion": cfg.use_diffusion,
-        "use_sequence": cfg.use_sequence,
-        "untie_directions": cfg.untie_directions,
-        "t_min": cfg.t_min, "t_max": cfg.t_max,
-        "n_entities": params.n_entities,
-    }
+    meta = {k: getattr(params.config, k) for k in CONFIG_KEYS}
+    meta["n_entities"] = params.n_entities
     with Path(str(path) + ".meta.json").open("w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path):
-    """Returns (ModelParams, raw state tensors or None)."""
+    """Returns (ModelParams, raw state tensors or None). theta1 and theta2
+    must hold the tensors and shapes :func:`init_model` gives the sidecar's
+    config and entity count, or ValueError names the file and the tensor."""
     tensors = read_tensors(path)
     meta_path = Path(str(path) + ".meta.json")
     config = ModelConfig()
+    n_entities = None
     if meta_path.exists():
-        with meta_path.open("r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        config = ModelConfig(**{k: meta[k] for k in (
-            "dim", "diffusion_depth", "neighbor_cap", "aggregator", "scorer",
-            "use_diffusion", "use_sequence", "untie_directions",
-            "t_min", "t_max")})
-    theta1 = {}
-    theta2 = {}
-    state = {}
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            config = ModelConfig(**{k: meta[k] for k in CONFIG_KEYS})
+            n_entities = int(meta["n_entities"])
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{meta_path}: bad sidecar ({err!r})") from None
+    parts = {"theta1": {}, "theta2": {}, "state": {}}
     for name, value in tensors.items():
-        if name.startswith("theta1/"):
-            theta1[name[len("theta1/"):]] = value
-        elif name.startswith("theta2/"):
-            theta2[name[len("theta2/"):]] = value
-        elif name.startswith("state/"):
-            state[name[len("state/"):]] = value
-        else:
+        prefix, _, rest = name.partition("/")
+        if prefix not in parts or not rest:
             raise ValueError(f"{path}: unknown tensor prefix in {name!r}")
-    params = ModelParams(theta1=theta1, theta2=theta2, config=config)
-    return params, (state or None)
+        parts[prefix][rest] = value
+    inherent = np.atleast_1d(parts["theta1"].get(INHERENT, ()))
+    n_rows = len(inherent)      # read from the file, so bounded by its size
+    try:
+        expected = init_model(n_rows, config, np.random.default_rng(0))
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: config does not describe a model "
+                         f"({err})") from None
+    for part in ("theta1", "theta2"):
+        want = getattr(expected, part)
+        got = parts[part]
+        for name in sorted(set(want) | set(got)):
+            if name not in got:
+                raise ValueError(f"{path}: missing tensor {part}/{name}")
+            if name not in want:
+                raise ValueError(f"{path}: unexpected tensor {part}/{name}")
+            if got[name].shape != want[name].shape:
+                raise ValueError(
+                    f"{path}: tensor {part}/{name} has shape "
+                    f"{got[name].shape}, the config gives {want[name].shape}")
+    if n_entities not in (None, n_rows):
+        raise ValueError(f"{path}: tensor theta1/{INHERENT} has shape "
+                         f"{inherent.shape}, the sidecar says {n_entities} "
+                         "entities")
+    params = ModelParams(theta1=parts["theta1"], theta2=parts["theta2"],
+                         config=config)
+    return params, (parts["state"] or None)

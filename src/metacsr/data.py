@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -222,21 +222,23 @@ def build_eval_candidates(history, n_catalog, n_neg, rng):
     Negatives are distinct items the user never interacted with,
     deterministic given the rng. Returns (positive, negatives).
     """
-    seen = set(history)
-    positive = history[-1]
-    available = n_catalog - len(seen)
-    if available < n_neg:
-        raise ValueError(f"catalog of {n_catalog} items leaves only "
-                         f"{available} negatives, need {n_neg}")
-    negatives = []
+    return history[-1], sample_negatives(set(history), n_catalog, n_neg, rng)
+
+
+def sample_negatives(positives, n_items, k, rng):
+    """k distinct item ids outside ``positives``, in draw order."""
+    if n_items - len(positives) < k:
+        raise ValueError(f"catalog of {n_items} items leaves only "
+                         f"{n_items - len(positives)} negatives, need {k}")
+    out = []
     chosen = set()
-    while len(negatives) < n_neg:
-        draw = int(rng.integers(0, n_catalog))
-        if draw in seen or draw in chosen:
+    while len(out) < k:
+        draw = int(rng.integers(0, n_items))
+        if draw in positives or draw in chosen:
             continue
         chosen.add(draw)
-        negatives.append(draw)
-    return positive, negatives
+        out.append(draw)
+    return out
 
 
 # ---------------------------------------------------------------- synthetic
@@ -366,10 +368,6 @@ class Dataset:
     seed: int
     extras: dict = field(default_factory=dict)
 
-    @property
-    def catalog(self) -> int:
-        return self.n_items
-
 
 def write_dataset_dir(out_dir, dataset, user_map=None, item_map=None):
     out = Path(out_dir)
@@ -384,19 +382,12 @@ def write_dataset_dir(out_dir, dataset, user_map=None, item_map=None):
             if mapping:
                 for raw in sorted(mapping):
                     fh.write(f"{raw}\t{mapping[raw]}\n")
-    spec = dataset.split_spec
     payload = {
         "regular": sorted(dataset.regular),
         "new": sorted(dataset.new),
         "n_items": dataset.n_items,
         "seed": dataset.seed,
-        "split_spec": {
-            "regular_fraction": spec.regular_fraction,
-            "new_user_max_kept": spec.new_user_max_kept,
-            "rating_threshold": spec.rating_threshold,
-            "mode": spec.mode,
-            "count_range": list(spec.count_range),
-        },
+        "split_spec": asdict(dataset.split_spec),
     }
     payload.update(dataset.extras)
     with (out / "split.json").open("w", encoding="utf-8") as fh:
@@ -420,12 +411,8 @@ def read_dataset_dir(path) -> Dataset:
     for user, rows in histories.items():
         items = [item for _, item in sorted(rows)]
         (regular if user in regular_ids else new)[user] = items
-    sp = info["split_spec"]
-    spec = SplitSpec(regular_fraction=sp["regular_fraction"],
-                     new_user_max_kept=sp["new_user_max_kept"],
-                     rating_threshold=sp["rating_threshold"],
-                     mode=sp["mode"],
-                     count_range=tuple(sp["count_range"]))
+    spec = SplitSpec(**{**info["split_spec"], "count_range": tuple(
+        info["split_spec"]["count_range"])})
     extras = {k: v for k, v in info.items()
               if k not in ("regular", "new", "n_items", "seed", "split_spec")}
     return Dataset(regular=regular, new=new, n_items=info["n_items"],

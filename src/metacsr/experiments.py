@@ -286,23 +286,30 @@ ABLATION_VARIANTS = {
 }
 
 
-def run_ablate(config: RunConfig, max_steps=None) -> Path:
-    """Train and cold-evaluate the four architecture variants."""
+def _run_variants(config, variants, max_steps):
+    """Prepare, train and cold-evaluate each (key, output subdirectory,
+    config overrides) variant of ``config``; returns (key, AUC, MAP) rows."""
     from .config import resolve_config
 
     rows = []
-    base = config.to_dict()
-    for name, overrides in ABLATION_VARIANTS.items():
-        variant = resolve_config(base, overrides)
-        variant.out_dir = str(Path(config.out_dir) / "ablation" / name)
+    for key, subdir, overrides in variants:
+        variant = resolve_config(config.to_dict(), overrides)
+        variant.out_dir = str(Path(config.out_dir) / subdir)
         run_prepare(variant)
         run_train(variant, max_steps=max_steps, quiet=True)
         report_path = run_evaluate(variant, tag="cold")
         report = json.loads(report_path.read_text(encoding="utf-8"))
-        rows.append((name, report["auc"], report["map"]))
-        log.info("ablation %s: AUC %.4f", name, report["auc"])
-    out = _out(config)
-    path = out / "ablation.csv"
+        rows.append((key, report["auc"], report["map"]))
+        log.info("variant %s: AUC %.4f", subdir, report["auc"])
+    return rows
+
+
+def run_ablate(config: RunConfig, max_steps=None) -> Path:
+    """Train and cold-evaluate the four architecture variants."""
+    rows = _run_variants(config, [(name, f"ablation/{name}", overrides)
+                                  for name, overrides
+                                  in ABLATION_VARIANTS.items()], max_steps)
+    path = _out(config) / "ablation.csv"
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config.core_hash()}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -317,37 +324,18 @@ def run_ablate(config: RunConfig, max_steps=None) -> Path:
 
 def run_sweep_fraction(config: RunConfig, fractions=None, max_steps=None):
     """Cold-start quality as the training-user share grows (10% steps)."""
-    from .config import resolve_config
-
     fractions = fractions or [round(0.1 * k, 1) for k in range(1, 11)]
-    rows = []
-    for fraction in fractions:
-        variant = resolve_config(config.to_dict(),
-                                 {"train_fraction": fraction})
-        variant.out_dir = str(Path(config.out_dir) / "fraction"
-                              / f"{int(fraction * 100):03d}")
-        run_prepare(variant)
-        run_train(variant, max_steps=max_steps, quiet=True)
-        report_path = run_evaluate(variant, tag="cold")
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        rows.append((fraction, report["auc"], report["map"]))
+    rows = _run_variants(config, [
+        (f, f"fraction/{int(f * 100):03d}", {"train_fraction": f})
+        for f in fractions], max_steps)
     return _sweep_csv(config, "fraction_sweep.csv", "fraction", rows)
 
 
 def run_sweep_length(config: RunConfig, lengths=(5, 10, 15, 20, 25),
                      max_steps=None):
     """Cold-start quality across maximum window lengths."""
-    from .config import resolve_config
-
-    rows = []
-    for t_max in lengths:
-        variant = resolve_config(config.to_dict(), {"model.t_max": t_max})
-        variant.out_dir = str(Path(config.out_dir) / "length" / f"{t_max:02d}")
-        run_prepare(variant)
-        run_train(variant, max_steps=max_steps, quiet=True)
-        report_path = run_evaluate(variant, tag="cold")
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        rows.append((t_max, report["auc"], report["map"]))
+    rows = _run_variants(config, [(t, f"length/{t:02d}", {"model.t_max": t})
+                                  for t in lengths], max_steps)
     return _sweep_csv(config, "length_sweep.csv", "t_max", rows)
 
 

@@ -9,6 +9,7 @@ propagates information across multi-hop neighborhoods.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,22 +108,18 @@ def init_diffusion_params(n_entities, dim, depth, rng) -> dict[str, np.ndarray]:
     return params
 
 
-def build_convolve(tape, inherent_row, neighbor_rows, latent_w, latent_b,
-                   merge_w, merge_b):
-    """One convolution for one entity, as tape nodes.
+def build_layer(tape, features, inherent, ids, counts, latent_w, latent_b,
+                merge_w, merge_b, aggregator="mean"):
+    """One convolution for every row of ``inherent``, as tape nodes.
 
-    ``inherent_row`` is a (1, d) node; ``neighbor_rows`` a (k, d) node or
-    None when the entity is isolated (aggregate treated as the zero vector).
-    Returns the (1, d) normalized output node.
+    Row i pools ``features[ids[o_i : o_i + counts[i]]]`` (mean or max, zero
+    when empty) in one :meth:`Tape.segment_mean`, projects the pool to a
+    latent vector, merges it with inherent row i and L2-normalizes.
     """
-    if neighbor_rows is None:
-        d = latent_b  # (d,) param node gives us the width
-        pooled = tape.scale(tape.reshape(d, (1, -1)), 0.0)
-    else:
-        pooled = tape.reshape(tape.mean_axis(neighbor_rows, 0), (1, -1))
+    pooled = tape.segment_mean(features, ids, counts, reduce=aggregator)
     latent = tape.relu(tape.add(tape.matmul(pooled, tape.transpose(latent_w)),
                                 latent_b))
-    merged = tape.concat([inherent_row, latent], axis=1)
+    merged = tape.concat([inherent, latent], axis=1)
     fused = tape.relu(tape.add(tape.matmul(merged, tape.transpose(merge_w)),
                                merge_b))
     return tape.l2norm(fused)
@@ -130,25 +127,17 @@ def build_convolve(tape, inherent_row, neighbor_rows, latent_w, latent_b,
 
 def convolve(inherent, neighbor_feats, latent_w, latent_b, merge_w, merge_b,
              aggregator="mean"):
-    """Value-level single-entity convolution (see :func:`build_convolve`).
-
-    ``aggregator`` is "mean" (default) or "max". Empty neighborhoods
-    aggregate to the zero vector.
-    """
-    inherent = np.asarray(inherent, dtype=np.float64)
-    if len(neighbor_feats) == 0:
-        pooled = np.zeros_like(inherent)
-    else:
-        stack = np.asarray(neighbor_feats, dtype=np.float64)
-        pooled = stack.max(axis=0) if aggregator == "max" else stack.mean(axis=0)
+    """Value-level single-entity convolution: :func:`build_layer` at n=1.
+    ``aggregator`` is "mean" or "max"; no neighbors pool to zero."""
+    inherent = np.asarray(inherent, dtype=np.float64).reshape(1, -1)
+    neighbors = np.asarray(neighbor_feats, dtype=np.float64).reshape(
+        -1, inherent.shape[1])
     tape = Tape()
-    out = build_convolve(
-        tape,
-        tape.reshape(tape.leaf("inherent", inherent), (1, -1)),
-        tape.reshape(tape.leaf("pooled", pooled), (1, -1)),
-        tape.leaf("lw", latent_w), tape.leaf("lb", latent_b),
-        tape.leaf("mw", merge_w), tape.leaf("mb", merge_b),
-    )
+    out = build_layer(
+        tape, tape.leaf("neighbors", neighbors), tape.leaf("inherent", inherent),
+        np.arange(len(neighbors)), [len(neighbors)], *map(
+            tape.leaf, ("lw", "lb", "mw", "mb"),
+            (latent_w, latent_b, merge_w, merge_b)), aggregator)
     tape.forward()
     return out.value[0]
 
@@ -157,73 +146,32 @@ def build_diffusion(tape, graph, plan, param_nodes, depth, aggregator="mean"):
     """Stacked convolutions over all entities, as tape nodes.
 
     Layer k consumes layer k-1 outputs (layer 0 is the inherent table) and
-    updates every entity synchronously. Entities are processed in groups of
-    equal sampled-neighbor count so each group is a handful of batched
-    matrix nodes; a final gather restores entity order. Returns the
-    (|V|, d) diffused matrix node.
+    updates every entity synchronously with one :func:`build_layer`, whose
+    segment op pools each entity's neighbors in ``plan[k]`` order. The
+    node count is O(depth), whatever the graph size or neighbor cap.
+    Returns the (|V|, d) diffused matrix node, rows in entity order.
     """
-    n = graph.n_entities
-    features = param_nodes[INHERENT]
-    inherent = features
+    inherent = param_nodes[INHERENT]
+    features = inherent
     for layer in range(depth):
-        lw = param_nodes[LATENT_W.format(layer=layer)]
-        lb = param_nodes[LATENT_B.format(layer=layer)]
-        mw = param_nodes[MERGE_W.format(layer=layer)]
-        mb = param_nodes[MERGE_B.format(layer=layer)]
         samples = plan[layer]
-        by_count: dict[int, list[int]] = {}
-        for e in range(n):
-            by_count.setdefault(len(samples[e]), []).append(e)
-        group_nodes = []
-        order = []
-        for count in sorted(by_count):
-            entities = by_count[count]
-            order.extend(entities)
-            if count == 0:
-                pooled = tape.scale(tape.lookup(inherent, entities), 0.0)
-            else:
-                cols = [tape.lookup(features, [samples[e][j] for e in entities])
-                        for j in range(count)]
-                acc = cols[0]
-                for col in cols[1:]:
-                    acc = tape.add(acc, col)
-                if aggregator == "max":
-                    pooled = _rowwise_max(tape, cols)
-                else:
-                    pooled = tape.scale(acc, 1.0 / count)
-            latent = tape.relu(tape.add(
-                tape.matmul(pooled, tape.transpose(lw)), lb))
-            merged = tape.concat([tape.lookup(inherent, entities), latent],
-                                 axis=1)
-            fused = tape.relu(tape.add(
-                tape.matmul(merged, tape.transpose(mw)), mb))
-            group_nodes.append(tape.l2norm(fused))
-        stacked = group_nodes[0] if len(group_nodes) == 1 else tape.concat(
-            group_nodes, axis=0)
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[np.asarray(order, dtype=np.intp)] = np.arange(n)
-        features = tape.lookup(stacked, inverse)
+        ids = np.fromiter(itertools.chain.from_iterable(samples),
+                          dtype=np.intp)
+        counts = np.fromiter(map(len, samples), dtype=np.intp,
+                             count=graph.n_entities)
+        features = build_layer(
+            tape, features, inherent, ids, counts,
+            *(param_nodes[name.format(layer=layer)]
+              for name in (LATENT_W, LATENT_B, MERGE_W, MERGE_B)),
+            aggregator)
     return features
-
-
-def _rowwise_max(tape, cols):
-    # max(a, b) = a + relu(b - a), folded across the column nodes
-    acc = cols[0]
-    for col in cols[1:]:
-        acc = tape.add(acc, tape.relu(tape.add(col, tape.neg(acc))))
-    return acc
 
 
 @dataclass
 class EmbeddingTable:
-    """Inherent and diffused feature matrices over the entity index space."""
+    """Diffused feature matrix over the entity index space."""
 
-    inherent: np.ndarray
     diffused: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.inherent.shape[1]
 
 
 def diffuse_all(graph, params, depth, cap, rng, aggregator="mean"):
@@ -239,5 +187,4 @@ def diffuse_all(graph, params, depth, cap, rng, aggregator="mean"):
     nodes = {name: tape.param(name, value) for name, value in params.items()}
     out = build_diffusion(tape, graph, plan, nodes, depth, aggregator)
     tape.forward()
-    return EmbeddingTable(inherent=params[INHERENT].copy(),
-                          diffused=out.value.copy())
+    return EmbeddingTable(diffused=out.value)

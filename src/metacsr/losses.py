@@ -19,6 +19,7 @@ import numpy as np
 from . import graph as gr
 from . import sequence as seq
 from .autodiff import Tape
+from .data import sample_negatives
 
 log = logging.getLogger(__name__)
 
@@ -29,21 +30,6 @@ def pairwise_loss(p_pos, p_negs) -> float:
         raise ValueError("need at least one negative")
     diffs = np.asarray([p_pos - p for p in p_negs], dtype=np.float64)
     return float(np.logaddexp(0.0, -diffs).mean())
-
-
-def sample_negatives(positives, n_items, k, rng):
-    """k distinct item ids outside the user's positive set."""
-    if n_items - len(positives) < k:
-        raise ValueError("catalog too small for negative sampling")
-    out = []
-    chosen = set()
-    while len(out) < k:
-        draw = int(rng.integers(0, n_items))
-        if draw in positives or draw in chosen:
-            continue
-        chosen.add(draw)
-        out.append(draw)
-    return out
 
 
 @dataclass
@@ -88,11 +74,8 @@ def _grouped_attention(tape, embeds, theta2, n_seq, t_len, direction):
 
 def _block_mean(tape, rows, n_seq, t_len):
     """Mean over each sequence's block of t_len consecutive rows."""
-    acc = None
-    for n in range(t_len):
-        picked = tape.lookup(rows, np.arange(n_seq) * t_len + n)
-        acc = picked if acc is None else tape.add(acc, picked)
-    return tape.scale(acc, 1.0 / t_len)
+    return tape.segment_mean(rows, np.arange(n_seq * t_len),
+                             np.full(n_seq, t_len))
 
 
 def _grouped_preferences(tape, item_features, group, theta2, use_sequence):
@@ -211,25 +194,21 @@ def item_feature_node(tape, graph_, theta1_nodes, config, plan=None,
 
 
 def build_model_loss(graph_, params, sequences, k_neg, rng, user_positives,
-                     plan=None, cached_features=None, theta2_override=None,
-                     tape=None):
+                     plan=None, cached_features=None):
     """Complete loss graph from raw parameters.
 
     Returns (tape, loss node, BatchInfo). theta1 enters only when no cached
-    feature table is supplied. ``theta2_override`` substitutes adapted
-    sequence weights without touching ``params``.
+    feature table is supplied.
     """
-    tape = tape or Tape()
+    tape = Tape()
     config = params.config
-    theta2_values = theta2_override if theta2_override is not None \
-        else params.theta2
     if cached_features is None:
         theta1_nodes = {name: tape.param(name, value)
                         for name, value in params.theta1.items()}
     else:
         theta1_nodes = {}
     theta2_nodes = {name: tape.param(name, value)
-                    for name, value in theta2_values.items()}
+                    for name, value in params.theta2.items()}
     features = item_feature_node(tape, graph_, theta1_nodes, config,
                                  plan=plan, cached=cached_features)
     loss, info = build_batch_loss(

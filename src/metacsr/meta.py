@@ -174,25 +174,31 @@ class LossTape:
                                         for k, v in self.tape.grads.items()}
 
 
-def inner_adapt(params, support, cfg, features, rng, user_positives,
-                n_items) -> dict[str, np.ndarray]:
-    """SGD-adapt theta2 on a support set; theta1 and ``params`` untouched.
-
-    ``features`` is the frozen item-feature table computed from theta1 once
-    per task batch. Returns the adapted copy of theta2.
-    """
+def sgd_theta2(params, support, features, cfg, rng, user_positives,
+               n_items, steps, lr) -> dict[str, np.ndarray]:
+    """``steps`` SGD updates of a copy of theta2 on support sequences
+    against a frozen item-feature table; theta1 and ``params`` untouched."""
     theta2 = {k: v.copy() for k, v in params.theta2.items()}
-    if cfg.inner_lr == 0.0 or not support:
+    if steps == 0 or not support:
         return theta2
     tape = LossTape.over_features(features, theta2, support, cfg, rng,
                                   user_positives, n_items, params.config)
-    for _ in range(cfg.inner_steps):
+    for _ in range(steps):
         _, grads = tape.loss_and_grads(theta2)
         for name in theta2:
             g = grads.get(name)
             if g is not None:
-                theta2[name] = theta2[name] - cfg.inner_lr * g
+                theta2[name] = theta2[name] - lr * g
     return theta2
+
+
+def inner_adapt(params, support, cfg, features, rng, user_positives,
+                n_items) -> dict[str, np.ndarray]:
+    """Meta-training adaptation: ``cfg.inner_steps`` SGD steps on a task's
+    support set against the table computed from theta1 once per step."""
+    steps = cfg.inner_steps if cfg.inner_lr else 0
+    return sgd_theta2(params, support, features, cfg, rng, user_positives,
+                      n_items, steps, cfg.inner_lr)
 
 
 def exact_meta_grads(theta2, support_grads, query_grads, inner_lr,
@@ -236,6 +242,7 @@ class MetaTrainer:
         self.adam = AdamState()
         self._plan = None
         self._features = None
+        self._feature_pass = None      # (tape, item-feature node)
         self._theta1_live = True
 
     def _rng(self, kind, step, task=None):
@@ -251,32 +258,27 @@ class MetaTrainer:
 
         Diffusion is rebuilt every ``diffusion_refresh`` steps; in between,
         the cached table is reused and theta1 only moves through weight
-        decay (the stale-feature trade-off is the point of the cache).
+        decay (the stale-feature trade-off is the point of the cache). A
+        rebuilt table keeps its tape for :meth:`_first_order_grads`.
         """
         config = self.params.config
-        refresh_due = self._features is None or \
-            step % max(1, self.cfg.diffusion_refresh) == 0
+        refresh_due = self._features is None or not config.use_diffusion \
+            or step % max(1, self.cfg.diffusion_refresh) == 0
         if refresh_due:
-            rng = self._rng("neighbor-plan", step)
             if config.use_diffusion:
                 self._plan = gr.sample_neighbor_plan(
                     self.graph, config.neighbor_cap, config.diffusion_depth,
-                    rng)
-                self._features = self._features_from_plan(self._plan)
-            else:
-                self._features = losses.cached_item_features(
-                    self.graph, self.params, rng)
-        self._theta1_live = refresh_due or not config.use_diffusion
+                    self._rng("neighbor-plan", step))
+            tape = Tape()
+            nodes = {name: tape.param(name, value)
+                     for name, value in self.params.theta1.items()}
+            out = losses.item_feature_node(tape, self.graph, nodes, config,
+                                           plan=self._plan)
+            tape.forward()
+            self._feature_pass = (tape, out)
+            self._features = out.value
+        self._theta1_live = refresh_due
         return self._features
-
-    def _features_from_plan(self, plan):
-        tape = Tape()
-        nodes = {name: tape.param(name, value)
-                 for name, value in self.params.theta1.items()}
-        out = losses.item_feature_node(tape, self.graph, nodes,
-                                       self.params.config, plan=plan)
-        tape.forward()
-        return out.value.copy()
 
     def sample_tasks(self, step=0):
         config = self.params.config
@@ -313,15 +315,15 @@ class MetaTrainer:
         return loss / len(tasks)
 
     def _first_order_grads(self, tasks, adapted, step):
+        """Summed query loss and its gradients at the adapted weights.
+
+        The item features enter as a leaf. When theta1 is live, the leaf's
+        gradient is pushed back through the kept feature tape: the theta1
+        gradients of one tape holding diffusion and losses, bit for bit.
+        """
         config = self.params.config
         tape = Tape()
-        if config.use_diffusion and not self._theta1_live:
-            features = tape.constant(self._features)
-        else:
-            theta1_nodes = {name: tape.param(name, value)
-                            for name, value in self.params.theta1.items()}
-            features = losses.item_feature_node(
-                tape, self.graph, theta1_nodes, config, plan=self._plan)
+        features = tape.leaf("item_features", self._features)
         total = None
         for t, (task, theta2) in enumerate(zip(tasks, adapted)):
             nodes = {name: tape.param(f"task{t}/{name}", value)
@@ -334,8 +336,11 @@ class MetaTrainer:
             total = task_loss if total is None else tape.add(total, task_loss)
         tape.forward()
         tape.backward(total)
-        g1 = {name: tape.grads[name] for name in self.params.theta1
-              if name in tape.grads}
+        g1 = {}
+        if self._theta1_live:
+            feature_tape, out = self._feature_pass
+            self._feature_pass = None
+            g1 = feature_tape.backward(out, features.adjoint)
         g2 = {}
         for t in range(len(tasks)):
             for name in self.params.theta2:
@@ -430,21 +435,10 @@ def meta_train(graph_, histories, params, cfg, seed, max_steps=None,
 
 def fine_tune_theta2(params, support, features, cfg, rng, user_positives,
                      n_items, steps) -> dict[str, np.ndarray]:
-    """Meta-test adaptation: ``steps`` SGD updates of theta2 on a new
-    user's support sequences against frozen features."""
-    theta2 = {k: v.copy() for k, v in params.theta2.items()}
-    if steps == 0 or not support:
-        return theta2
-    tape = LossTape.over_features(features, theta2, support, cfg, rng,
-                                  user_positives, n_items, params.config)
-    lr = cfg.adaptation_lr
-    for _ in range(steps):
-        _, grads = tape.loss_and_grads(theta2)
-        for name in theta2:
-            g = grads.get(name)
-            if g is not None:
-                theta2[name] = theta2[name] - lr * g
-    return theta2
+    """Meta-test adaptation: ``steps`` SGD updates on a new user's support
+    sequences at ``cfg.adaptation_lr``."""
+    return sgd_theta2(params, support, features, cfg, rng, user_positives,
+                      n_items, steps, cfg.adaptation_lr)
 
 
 def preference_vector(params, theta2, features, scoring_window):

@@ -28,7 +28,6 @@ COMBINE_B = "seq.combine_b"       # d
 SCORER_HIDDEN_W = "scorer.hidden_w"  # d x 2d, only for the MLP scorer
 SCORER_HIDDEN_B = "scorer.hidden_b"  # d
 SCORER_OUT_W = "scorer.out_w"        # 1 x d
-SEQ_PARAM_NAMES = (ATT_SCORE_W, ATT_SRC_W, ATT_DST_W, COMBINE_W, COMBINE_B)
 
 
 @dataclass(frozen=True)
@@ -136,27 +135,26 @@ def _param_nodes(tape, params):
     return {name: tape.leaf(name, value) for name, value in params.items()}
 
 
+def _attention(seq_embeds, params, bias):
+    tape = Tape()
+    out, att = build_attention(
+        tape, tape.leaf("e", np.asarray(seq_embeds, dtype=np.float64)),
+        _param_nodes(tape, params), np.asarray(bias))
+    tape.forward()
+    return out.value.copy(), att.value.copy()
+
+
 def masked_self_attention(seq_embeds, params, bias):
     """Value-level attention pass: (T, d) embeddings -> (T, d) outputs.
 
     ``bias`` is a (T, T) matrix indexed [m, n]; -inf marks masked pairs.
     """
-    seq_embeds = np.asarray(seq_embeds, dtype=np.float64)
-    tape = Tape()
-    out, _ = build_attention(tape, tape.leaf("e", seq_embeds),
-                             _param_nodes(tape, params), np.asarray(bias))
-    tape.forward()
-    return out.value.copy()
+    return _attention(seq_embeds, params, bias)[0]
 
 
 def attention_weights(seq_embeds, params, bias):
     """Attention distributions, one row per target position n."""
-    seq_embeds = np.asarray(seq_embeds, dtype=np.float64)
-    tape = Tape()
-    _, att = build_attention(tape, tape.leaf("e", seq_embeds),
-                             _param_nodes(tape, params), np.asarray(bias))
-    tape.forward()
-    return att.value.copy()
+    return _attention(seq_embeds, params, bias)[1]
 
 
 def encode_preference(fw_out, bw_out, params):

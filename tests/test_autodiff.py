@@ -163,6 +163,11 @@ def _op_case(name, rng):
     elif name == "scale_rows":
         a = t.param("p", rng.normal(size=(4, 3)))
         out = t.scale_rows(a, t.leaf("v", rng.normal(size=4)))
+    elif name in ("segment_mean", "segment_max"):
+        a = t.param("p", rng.normal(size=(6, 3)))
+        # repeated ids within and across segments, and an empty segment
+        out = t.segment_mean(a, [0, 2, 2, 5, 1, 2], [3, 0, 2, 1],
+                             reduce=name[len("segment_"):])
     elif name == "sum":
         a = t.param("p", rng.normal(size=(3, 2)))
         return t, t.sum(a)
@@ -182,7 +187,7 @@ ALL_OPS = [
     "matmul", "add_same", "add_bias_rows", "mul", "concat", "relu",
     "sigmoid", "softplus", "exp", "log", "neg", "mean_axis", "l2norm",
     "lookup", "masked_softmax_rows", "scale", "transpose", "reshape",
-    "scale_rows", "sum",
+    "scale_rows", "segment_mean", "segment_max", "sum",
 ]
 
 
@@ -281,3 +286,75 @@ def test_forward_reruns_with_new_param_binding():
 def test_stable_sigmoid_extremes():
     np.testing.assert_allclose(stable_sigmoid(np.array([800.0])), [1.0])
     np.testing.assert_allclose(stable_sigmoid(np.array([-800.0])), [0.0])
+
+
+def test_segment_mean_equals_chained_add_and_scale_bit_for_bit():
+    rng = np.random.default_rng(5)
+    table = rng.normal(size=(40, 7))
+    counts = rng.integers(0, 7, size=25)
+    counts[3] = 0
+    ids = rng.integers(0, 40, size=int(counts.sum()))
+    t = Tape()
+    node = t.leaf("table", table)
+    pooled = t.segment_mean(node, ids, counts)
+    chained = []
+    start = 0
+    for count in counts:
+        if count == 0:
+            chained.append(None)
+            continue
+        acc = t.lookup(node, int(ids[start]))
+        for j in range(1, count):
+            acc = t.add(acc, t.lookup(node, int(ids[start + j])))
+        chained.append(t.scale(acc, 1.0 / count))
+        start += count
+    t.forward()
+    for i, row in enumerate(chained):
+        want = np.zeros(7) if row is None else row.value
+        assert np.array_equal(pooled.value[i], want), i
+
+
+def test_segment_max_gradient_goes_to_first_maximal_neighbor():
+    t = Tape()
+    table = t.param("p", [[1.0, 5.0], [3.0, 5.0], [3.0, 0.0]])
+    pooled = t.segment_mean(table, [0, 1, 2], [3], reduce="max")
+    loss = t.sum(pooled)
+    t.forward()
+    np.testing.assert_array_equal(pooled.value, [[3.0, 5.0]])
+    t.backward(loss)
+    np.testing.assert_array_equal(t.grads["p"],
+                                  [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+def test_segment_mean_rejects_counts_that_do_not_cover_ids():
+    t = Tape()
+    table = t.leaf("x", np.ones((3, 2)))
+    with pytest.raises(ValueError, match="counts"):
+        t.segment_mean(table, [0, 1, 2], [1, 1])
+    with pytest.raises(ValueError, match="reduce"):
+        t.segment_mean(table, [0], [1], reduce="sum")
+
+
+def test_backward_from_non_scalar_node_with_given_adjoint():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(4, 2))
+    weights = rng.normal(size=(3, 2))
+
+    def grads(seeded):
+        t = Tape()
+        p = t.param("p", np.arange(12.0).reshape(3, 4) / 10 - 0.5)
+        out = t.relu(t.matmul(p, t.leaf("x", x)))
+        loss = t.sum(t.mul(out, t.constant(weights)))
+        t.forward()
+        if seeded:
+            t.backward(out, weights)
+        else:
+            t.backward(loss)
+        return t.grads["p"]
+
+    np.testing.assert_array_equal(grads(True), grads(False))
+    t = Tape()
+    y = t.relu(t.param("p", [1.0, 2.0]))
+    t.forward()
+    with pytest.raises(ValueError, match="shape"):
+        t.backward(y, np.ones(3))

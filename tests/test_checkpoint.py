@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from metacsr import checkpoint as ckpt
 from metacsr import graph as gr
@@ -95,3 +97,79 @@ def test_adam_state_optional(tmp_path):
     ckpt.save_model(path, params)
     _, state = ckpt.load_model(path)
     assert state is None
+
+
+def _saved_model(tmp_path, name="m.ckpt"):
+    g = gr.build_interaction_graph([(0, 0), (1, 1)], 2, 3)
+    params = init_model(g.n_entities, ModelConfig(dim=3, diffusion_depth=1),
+                        np.random.default_rng(4))
+    path = tmp_path / name
+    ckpt.save_model(path, params)
+    return path
+
+
+@pytest.mark.parametrize("partition", ["theta1", "theta2"])
+def test_load_rejects_missing_partition_tensor(tmp_path, partition):
+    path = _saved_model(tmp_path)
+    tensors = ckpt.read_tensors(path)
+    dropped = sorted(n for n in tensors if n.startswith(partition + "/"))[0]
+    del tensors[dropped]
+    ckpt.write_tensors(path, tensors)
+    with pytest.raises(ValueError, match="missing") as err:
+        ckpt.load_model(path)
+    assert dropped.split("/", 1)[1] in str(err.value)
+
+
+@pytest.mark.parametrize("name", [f"theta1/{gr.INHERENT}",   # one entity
+                                  "theta2/seq.combine_w"])  # one row
+def test_load_rejects_shape_that_disagrees_with_config(tmp_path, name):
+    path = _saved_model(tmp_path)
+    tensors = ckpt.read_tensors(path)
+    tensors[name] = tensors[name][:-1]
+    ckpt.write_tensors(path, tensors)
+    with pytest.raises(ValueError, match=f"{name} has shape"):
+        ckpt.load_model(path)
+
+
+@pytest.mark.parametrize("header", [b"\n", b"   \n", b"w\n", b"w x 2\n",
+                                    b"w 2 3\n", b"w 1 -4\n", b"w 1 2",
+                                    b"\xff\xfe 1 2\n"])
+def test_read_rejects_blank_or_garbled_header(tmp_path, header):
+    path = tmp_path / "h.ckpt"
+    path.write_bytes(ckpt.HEADER + header + b"\0" * 8)
+    with pytest.raises(ValueError, match="header"):
+        ckpt.read_tensors(path)
+
+
+def test_read_rejects_shape_larger_than_file(tmp_path):
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(ckpt.HEADER + b"w 2 99999999999 99999999999\n" + b"\0")
+    with pytest.raises(ValueError, match="truncated"):
+        ckpt.read_tensors(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cut=st.integers(min_value=0, max_value=10 ** 6),
+       edits=st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6),
+                                st.integers(min_value=0, max_value=255)),
+                      max_size=4))
+def test_load_fails_only_with_value_error_naming_the_file(tmp_path, cut,
+                                                          edits):
+    path = _saved_model(tmp_path, "fuzz.ckpt")
+    raw = bytearray(path.read_bytes())
+    for pos, byte in edits:
+        raw[pos % len(raw)] = byte
+    path.write_bytes(bytes(raw[:cut % (len(raw) + 1)]))
+    try:
+        params, _ = ckpt.load_model(path)
+    except ValueError as err:
+        assert str(path) in str(err)
+    else:
+        expected = init_model(params.n_entities, params.config,
+                              np.random.default_rng(0))
+        for part in ("theta1", "theta2"):
+            got = getattr(params, part)
+            want = getattr(expected, part)
+            assert {k: v.shape for k, v in got.items()} == \
+                {k: v.shape for k, v in want.items()}

@@ -253,3 +253,25 @@ def test_convolve_stack_gradient_finite_differences():
         rng.normal(size=(g.n_entities, 4)))))
     for name in params:
         assert finite_difference_check(tape, loss, name, 1e-6) < 1e-4, name
+
+
+def _diffusion_node_count(n_users, n_items, depth, seed=0):
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(n_users)), int(rng.integers(n_items)))
+             for _ in range(6 * (n_users + n_items))}
+    g = gr.build_interaction_graph(sorted(edges), n_users, n_items)
+    params = gr.init_diffusion_params(g.n_entities, 4, depth, rng)
+    plan = gr.sample_neighbor_plan(g, 5, depth, rng)
+    tape = Tape()
+    nodes = {k: tape.param(k, v) for k, v in params.items()}
+    before = len(tape.nodes)
+    gr.build_diffusion(tape, g, plan, nodes, depth)
+    return len(tape.nodes) - before
+
+
+def test_diffusion_node_count_per_layer_independent_of_graph_size():
+    small = [_diffusion_node_count(120, 80, depth) for depth in (1, 2)]
+    large = [_diffusion_node_count(1200, 800, depth) for depth in (1, 2)]
+    assert small == large
+    assert small[1] == 2 * small[0]
+

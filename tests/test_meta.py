@@ -3,6 +3,7 @@ import pytest
 
 from metacsr import graph as gr
 from metacsr import losses, meta
+from metacsr.autodiff import Tape
 from metacsr.data import BehaviorSequence, SyntheticWorldSpec, generate_synthetic_world, synthetic_split
 from metacsr.params import ModelConfig, init_model
 
@@ -426,3 +427,59 @@ def test_candidate_list_size_101(tiny_world):
     positive, negs = build_eval_candidates(list(range(12)), 500, 100,
                                            np.random.default_rng(0))
     assert len([positive] + negs) == 101
+
+
+# ------------------------------------------------- one diffusion per step
+
+
+def test_outer_step_runs_diffusion_once(tiny_world, monkeypatch):
+    world, regular, new, graph = tiny_world
+    params = fresh_params(graph)
+    trainer = meta.MetaTrainer(graph, regular, params, small_cfg(), seed=5)
+    builds = []
+    original = gr.build_diffusion
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "build_diffusion", counted)
+    for step in range(3):
+        trainer.outer_update(trainer.sample_tasks(step), step)
+    assert len(builds) == 3
+
+
+def test_theta1_grads_through_kept_feature_tape_equal_single_tape(tiny_world):
+    world, regular, new, graph = tiny_world
+    config = ModelConfig(dim=6, diffusion_depth=2, neighbor_cap=4,
+                         t_min=2, t_max=6)
+    params = init_model(graph.n_entities, config, np.random.default_rng(3))
+    cfg = small_cfg(inner_lr=0.01)
+    trainer = meta.MetaTrainer(graph, regular, params, cfg, seed=5)
+    features = trainer._refresh_features(0)
+    tasks = trainer.sample_tasks(0)
+    adapted = [meta.inner_adapt(params, task.support, cfg, features,
+                                trainer._rng("support-neg", 0, t),
+                                trainer.user_positives, graph.n_items)
+               for t, task in enumerate(tasks)]
+    loss, g1, g2 = trainer._first_order_grads(tasks, adapted, 0)
+
+    # reference: diffusion and every task's query loss on one tape
+    tape = Tape()
+    theta1 = {k: tape.param(k, v) for k, v in params.theta1.items()}
+    items = losses.item_feature_node(tape, graph, theta1, config,
+                                     plan=trainer._plan)
+    total = None
+    for t, (task, theta2) in enumerate(zip(tasks, adapted)):
+        nodes = {k: tape.param(f"task{t}/{k}", v) for k, v in theta2.items()}
+        task_loss, _ = losses.build_batch_loss(
+            tape, items, nodes, list(task.query), cfg.k_neg,
+            trainer._rng("query-neg", 0, t), trainer.user_positives,
+            graph.n_items, t_min=config.t_min)
+        total = task_loss if total is None else tape.add(total, task_loss)
+    tape.forward()
+    tape.backward(total)
+    assert loss == float(total.value)
+    assert set(g1) == set(params.theta1)
+    for name in params.theta1:
+        assert np.array_equal(g1[name], tape.grads[name]), name
