@@ -108,10 +108,7 @@ class Segments:
     of that order, so pooling is one vectorized step per position and
     visits each segment's ids in list order."""
 
-    def __init__(self, ids, counts, reduce="mean"):
-        if reduce not in ("mean", "max"):
-            raise ValueError(f"unknown segment reduce {reduce!r}")
-        self.reduce = reduce
+    def __init__(self, ids, counts):
         self.ids = np.asarray(ids, dtype=np.intp).reshape(-1)
         self.counts = np.asarray(counts, dtype=np.intp).reshape(-1)
         if (self.counts < 0).any() or self.counts.sum() != self.ids.size:
@@ -125,15 +122,13 @@ class Segments:
         self.inverse_counts = 1.0 / np.maximum(self.counts, 1)[:, None]
         self.readers = None     # transposed layout, built on first backward
 
-    def pool(self, table, reduce="sum"):
-        """Row i: the sum (or max) of segment i's table rows, 0 if empty."""
+    def pool(self, table):
+        """Row i: the sum of segment i's table rows, 0 if empty."""
         acc = np.zeros((self.counts.size, table.shape[1]))
         for j, col in enumerate(self.columns):
             head = acc[: col.size]
             if j == 0:
                 head[...] = table[col]
-            elif reduce == "max":
-                np.maximum(head, table[col], out=head)
             else:
                 head += table[col]
         out = np.empty_like(acc)
@@ -141,28 +136,17 @@ class Segments:
         return out
 
     def forward(self, table):
-        if self.reduce == "max":
-            return self.pool(table, "max")
         return self.pool(table) * self.inverse_counts
 
-    def backward(self, table, pooled, adj):
+    def backward(self, table, adj):
         """Gradient w.r.t. ``table``: ``adj / count`` into every row a
-        segment read (mean), or ``adj`` into its first maximal entry (max)."""
-        if self.reduce == "mean":
-            if self.readers is None:
-                by_id = np.argsort(self.ids, kind="stable")
-                self.readers = Segments(
-                    np.repeat(np.arange(self.counts.size), self.counts)[by_id],
-                    np.bincount(self.ids, minlength=table.shape[0]))
-            return self.readers.pool(adj * self.inverse_counts)
-        best, adj = pooled[self.order], adj[self.order]
-        open_ = np.ones(best.shape, dtype=bool)
-        grad = np.zeros_like(table)
-        for col in self.columns:
-            hit = open_[: col.size] & (table[col] == best[: col.size])
-            open_[: col.size] &= ~hit
-            np.add.at(grad, col, np.where(hit, adj[: col.size], 0.0))
-        return grad
+        segment read."""
+        if self.readers is None:
+            by_id = np.argsort(self.ids, kind="stable")
+            self.readers = Segments(
+                np.repeat(np.arange(self.counts.size), self.counts)[by_id],
+                np.bincount(self.ids, minlength=table.shape[0]))
+        return self.readers.pool(adj * self.inverse_counts)
 
 
 class Tape:
@@ -283,15 +267,15 @@ class Tape:
         """Multiply row i of matrix ``a`` by scalar ``v[i]``."""
         return self._append("scale_rows", (a, v))
 
-    def segment_mean(self, table, ids, counts, reduce="mean"):
-        """Row i pools ``table[ids[o_i : o_i + counts[i]]]`` (see
-        :class:`Segments`); empty segments give zero rows. The mean sums in
-        list order, then multiplies by ``1 / count`` (chained ``add`` nodes
-        and a ``scale``, bit for bit); its gradient is one scatter of
-        ``adjoint / count``. ``"max"`` routes to the first maximal entry.
+    def segment_mean(self, table, ids, counts):
+        """Row i is the mean of ``table[ids[o_i : o_i + counts[i]]]`` (see
+        :class:`Segments`); empty segments give zero rows. It sums in list
+        order, then multiplies by ``1 / count`` (chained ``add`` nodes and
+        a ``scale``, bit for bit); its gradient is one scatter of
+        ``adjoint / count``.
         """
         return self._append("segment_mean", (table,),
-                            aux=Segments(ids, counts, reduce))
+                            aux=Segments(ids, counts))
 
     # -------------------------------------------------------------- evaluation
 
@@ -510,7 +494,7 @@ class Tape:
             a, v = vals
             return [adj * v[:, None], (adj * a).sum(axis=1)]
         if op == "segment_mean":
-            return [node.aux.backward(vals[0], node.value, adj)]
+            return [node.aux.backward(vals[0], adj)]
         raise self._err(node, "unknown op in backward")
 
     @staticmethod

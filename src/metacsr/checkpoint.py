@@ -21,9 +21,11 @@ from .graph import INHERENT
 from .params import ModelConfig, ModelParams, init_model
 
 HEADER = b"METACSR-CKPT v1\n"
-CONFIG_KEYS = ("dim", "diffusion_depth", "neighbor_cap", "aggregator",
-               "scorer", "use_diffusion", "use_sequence", "untie_directions",
-               "t_min", "t_max")
+CONFIG_KEYS = ("dim", "diffusion_depth", "neighbor_cap", "use_diffusion",
+               "use_sequence", "t_min", "t_max")
+# every key a sidecar may hold; experiments.run_train adds the last two
+SIDECAR_KEYS = frozenset(CONFIG_KEYS) | {"n_entities", "config_hash",
+                                         "train_mode"}
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]):
@@ -92,7 +94,8 @@ def save_model(path, params: ModelParams, adam_state=None):
 def load_model(path):
     """Returns (ModelParams, raw state tensors or None). theta1 and theta2
     must hold the tensors and shapes :func:`init_model` gives the sidecar's
-    config and entity count, or ValueError names the file and the tensor."""
+    config and entity count, or ValueError names the file and the tensor;
+    a sidecar key outside ``SIDECAR_KEYS`` is a ValueError too."""
     tensors = read_tensors(path)
     meta_path = Path(str(path) + ".meta.json")
     config = ModelConfig()
@@ -100,6 +103,9 @@ def load_model(path):
     if meta_path.exists():
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            unknown = sorted(set(meta) - SIDECAR_KEYS)
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
             config = ModelConfig(**{k: meta[k] for k in CONFIG_KEYS})
             n_entities = int(meta["n_entities"])
         except (KeyError, TypeError, ValueError) as err:

@@ -3,7 +3,8 @@ and echoed verbatim into every artifact.
 
 Two profiles bundle sensible defaults: "desk" (d=32, capped outer steps,
 CI-friendly) and "full" (d=128, the full-scale settings). Flags win over
-the config file; both funnel through :func:`apply_overrides`.
+the config file; both go through one key check, so an unknown key in
+either raises ValueError.
 
 The *core hash* covers everything that determines the trained model and
 its evaluation data (seed, data, model, meta, train_mode, train_fraction)
@@ -133,33 +134,44 @@ def resolve_config(file_dict=None, overrides=None) -> RunConfig:
     for dotted, value in PROFILES[profile].items():
         section, name = dotted.split(".")
         merged[section][name] = value
-    _deep_update(merged, file_dict)
+    for dotted, value in _leaves(file_dict):
+        target, name = _field(merged, dotted)
+        target[name] = value
     apply_overrides(merged, overrides)
     config = RunConfig.from_dict(merged)
     config.validate()
     return config
 
 
-def _deep_update(base: dict, extra: dict):
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
+def _leaves(tree: dict, prefix=""):
+    """(dotted key, value) for every non-dict value of a nested dict."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
         else:
-            base[key] = value
+            yield f"{prefix}{key}", value
+
+
+def _field(merged: dict, dotted: str):
+    """(dict, key) holding the config field ``dotted``; ValueError when
+    the config has no such field or ``dotted`` names a whole section."""
+    target = merged
+    *sections, name = dotted.split(".")
+    for part in sections:
+        target = target.get(part)
+        if not isinstance(target, dict):
+            raise ValueError(f"unknown config key {dotted!r}")
+    if name not in target:
+        raise ValueError(f"unknown config key {dotted!r}")
+    if isinstance(target[name], dict):
+        raise ValueError(f"config key {dotted!r} is a section, not a value")
+    return target, name
 
 
 def apply_overrides(merged: dict, overrides: dict) -> dict:
     """Apply ``section.key=value`` overrides onto the merged config dict."""
     for dotted, value in overrides.items():
-        target = merged
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in target or not isinstance(target[part], dict):
-                raise ValueError(f"unknown config key {dotted!r}")
-            target = target[part]
-        name = parts[-1]
-        if name not in target:
-            raise ValueError(f"unknown config key {dotted!r}")
+        target, name = _field(merged, dotted)
         target[name] = _coerce(value, target[name])
     return merged
 

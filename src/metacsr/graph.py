@@ -109,14 +109,14 @@ def init_diffusion_params(n_entities, dim, depth, rng) -> dict[str, np.ndarray]:
 
 
 def build_layer(tape, features, inherent, ids, counts, latent_w, latent_b,
-                merge_w, merge_b, aggregator="mean"):
+                merge_w, merge_b):
     """One convolution for every row of ``inherent``, as tape nodes.
 
-    Row i pools ``features[ids[o_i : o_i + counts[i]]]`` (mean or max, zero
-    when empty) in one :meth:`Tape.segment_mean`, projects the pool to a
-    latent vector, merges it with inherent row i and L2-normalizes.
+    Row i mean-pools ``features[ids[o_i : o_i + counts[i]]]`` (zero when
+    empty) in one :meth:`Tape.segment_mean`, projects the pool to a latent
+    vector, merges it with inherent row i and L2-normalizes.
     """
-    pooled = tape.segment_mean(features, ids, counts, reduce=aggregator)
+    pooled = tape.segment_mean(features, ids, counts)
     latent = tape.relu(tape.add(tape.matmul(pooled, tape.transpose(latent_w)),
                                 latent_b))
     merged = tape.concat([inherent, latent], axis=1)
@@ -125,10 +125,9 @@ def build_layer(tape, features, inherent, ids, counts, latent_w, latent_b,
     return tape.l2norm(fused)
 
 
-def convolve(inherent, neighbor_feats, latent_w, latent_b, merge_w, merge_b,
-             aggregator="mean"):
+def convolve(inherent, neighbor_feats, latent_w, latent_b, merge_w, merge_b):
     """Value-level single-entity convolution: :func:`build_layer` at n=1.
-    ``aggregator`` is "mean" or "max"; no neighbors pool to zero."""
+    No neighbors pool to zero."""
     inherent = np.asarray(inherent, dtype=np.float64).reshape(1, -1)
     neighbors = np.asarray(neighbor_feats, dtype=np.float64).reshape(
         -1, inherent.shape[1])
@@ -137,12 +136,12 @@ def convolve(inherent, neighbor_feats, latent_w, latent_b, merge_w, merge_b,
         tape, tape.leaf("neighbors", neighbors), tape.leaf("inherent", inherent),
         np.arange(len(neighbors)), [len(neighbors)], *map(
             tape.leaf, ("lw", "lb", "mw", "mb"),
-            (latent_w, latent_b, merge_w, merge_b)), aggregator)
+            (latent_w, latent_b, merge_w, merge_b)))
     tape.forward()
     return out.value[0]
 
 
-def build_diffusion(tape, graph, plan, param_nodes, depth, aggregator="mean"):
+def build_diffusion(tape, graph, plan, param_nodes, depth):
     """Stacked convolutions over all entities, as tape nodes.
 
     Layer k consumes layer k-1 outputs (layer 0 is the inherent table) and
@@ -162,8 +161,7 @@ def build_diffusion(tape, graph, plan, param_nodes, depth, aggregator="mean"):
         features = build_layer(
             tape, features, inherent, ids, counts,
             *(param_nodes[name.format(layer=layer)]
-              for name in (LATENT_W, LATENT_B, MERGE_W, MERGE_B)),
-            aggregator)
+              for name in (LATENT_W, LATENT_B, MERGE_W, MERGE_B)))
     return features
 
 
@@ -174,7 +172,7 @@ class EmbeddingTable:
     diffused: np.ndarray
 
 
-def diffuse_all(graph, params, depth, cap, rng, aggregator="mean"):
+def diffuse_all(graph, params, depth, cap, rng):
     """Value-level diffusion pass: returns an :class:`EmbeddingTable`.
 
     Deterministic given the rng state (neighbor sampling is the only
@@ -185,6 +183,6 @@ def diffuse_all(graph, params, depth, cap, rng, aggregator="mean"):
     plan = sample_neighbor_plan(graph, cap, depth, rng)
     tape = Tape()
     nodes = {name: tape.param(name, value) for name, value in params.items()}
-    out = build_diffusion(tape, graph, plan, nodes, depth, aggregator)
+    out = build_diffusion(tape, graph, plan, nodes, depth)
     tape.forward()
     return EmbeddingTable(diffused=out.value)

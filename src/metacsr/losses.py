@@ -48,9 +48,8 @@ def _grouped_attention(tape, embeds, theta2, n_seq, t_len, direction):
     blocks. Returns the (n_seq * t_len, d) per-position output node, rows
     in (sequence, position) order.
     """
-    src_w, dst_w = seq._direction_weights(theta2, direction)
-    srcs = tape.matmul(embeds, tape.transpose(src_w))
-    dsts = tape.matmul(embeds, tape.transpose(dst_w))
+    srcs = tape.matmul(embeds, tape.transpose(theta2[seq.ATT_SRC_W]))
+    dsts = tape.matmul(embeds, tape.transpose(theta2[seq.ATT_DST_W]))
     base = np.repeat(np.arange(n_seq) * t_len, t_len * t_len)
     pair_m = base + np.tile(np.tile(np.arange(t_len), t_len), n_seq)
     pair_n = base + np.tile(np.repeat(np.arange(t_len), t_len), n_seq)
@@ -99,19 +98,10 @@ def _scores(tape, prefs, item_features, cand_ids, rep_seq, theta2):
     """Engagement probabilities for candidate rows against their sequences."""
     cands = tape.lookup(item_features, np.asarray(cand_ids))
     prefs_rep = tape.lookup(prefs, np.asarray(rep_seq))
-    if seq.SCORER_HIDDEN_W in theta2:
-        both = tape.concat([prefs_rep, cands], axis=1)
-        hidden = tape.relu(tape.add(
-            tape.matmul(both, tape.transpose(theta2[seq.SCORER_HIDDEN_W])),
-            theta2[seq.SCORER_HIDDEN_B]))
-        logits = tape.reshape(
-            tape.matmul(hidden, tape.transpose(theta2[seq.SCORER_OUT_W])),
-            (len(cand_ids),))
-    else:
-        dim = theta2[seq.COMBINE_B].value.shape[0]
-        # row dot products via mean * d, avoiding a per-row reduction op
-        logits = tape.scale(tape.mean_axis(tape.mul(cands, prefs_rep), 1), dim)
-    return tape.sigmoid(logits)
+    dim = theta2[seq.COMBINE_B].value.shape[0]
+    # row dot products via mean * d, avoiding a per-row reduction op
+    return tape.sigmoid(
+        tape.scale(tape.mean_axis(tape.mul(cands, prefs_rep), 1), dim))
 
 
 def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
@@ -189,7 +179,7 @@ def item_feature_node(tape, graph_, theta1_nodes, config, plan=None,
     if plan is None:
         raise ValueError("diffusion requires a neighbor plan")
     diffused = gr.build_diffusion(tape, graph_, plan, theta1_nodes,
-                                  config.diffusion_depth, config.aggregator)
+                                  config.diffusion_depth)
     return tape.lookup(diffused, item_rows)
 
 
@@ -224,5 +214,5 @@ def cached_item_features(graph_, params, rng):
     if not config.use_diffusion:
         return params.theta1[gr.INHERENT][graph_.n_users:].copy()
     table = gr.diffuse_all(graph_, params.theta1, config.diffusion_depth,
-                           config.neighbor_cap, rng, config.aggregator)
+                           config.neighbor_cap, rng)
     return table.diffused[graph_.n_users:].copy()

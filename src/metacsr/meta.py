@@ -1,7 +1,7 @@
 """Episodic meta-training and meta-test adaptation.
 
 Training alternates an inner loop and an outer loop. The inner loop adapts
-only the sequence/scorer weights (theta2) to each task's support set with
+only the sequence-encoder weights (theta2) to each task's support set with
 plain SGD; the entity embeddings and diffusion weights (theta1) are shared
 across users and stay frozen during adaptation. The outer loop evaluates
 each task's query set at its adapted weights and applies one Adam step with
@@ -50,7 +50,6 @@ class MetaConfig:
     plateau_windows: int = 5
     window_steps: int = 20
     plateau_tol: float = 1e-4
-    diffusion_refresh: int = 1      # rebuild diffusion every N outer steps
     fine_tune_steps: int = 5
     fine_tune_lr: float | None = None
 
@@ -243,7 +242,6 @@ class MetaTrainer:
         self._plan = None
         self._features = None
         self._feature_pass = None      # (tape, item-feature node)
-        self._theta1_live = True
 
     def _rng(self, kind, step, task=None):
         """Per-(phase, step, task) stream so gradient modes and execution
@@ -256,28 +254,22 @@ class MetaTrainer:
     def _refresh_features(self, step):
         """Item-feature table for the inner loops of this outer step.
 
-        Diffusion is rebuilt every ``diffusion_refresh`` steps; in between,
-        the cached table is reused and theta1 only moves through weight
-        decay (the stale-feature trade-off is the point of the cache). A
-        rebuilt table keeps its tape for :meth:`_first_order_grads`.
+        Diffusion runs once per step, with a fresh neighbor plan, and the
+        table keeps its tape for :meth:`_first_order_grads`.
         """
         config = self.params.config
-        refresh_due = self._features is None or not config.use_diffusion \
-            or step % max(1, self.cfg.diffusion_refresh) == 0
-        if refresh_due:
-            if config.use_diffusion:
-                self._plan = gr.sample_neighbor_plan(
-                    self.graph, config.neighbor_cap, config.diffusion_depth,
-                    self._rng("neighbor-plan", step))
-            tape = Tape()
-            nodes = {name: tape.param(name, value)
-                     for name, value in self.params.theta1.items()}
-            out = losses.item_feature_node(tape, self.graph, nodes, config,
-                                           plan=self._plan)
-            tape.forward()
-            self._feature_pass = (tape, out)
-            self._features = out.value
-        self._theta1_live = refresh_due
+        if config.use_diffusion:
+            self._plan = gr.sample_neighbor_plan(
+                self.graph, config.neighbor_cap, config.diffusion_depth,
+                self._rng("neighbor-plan", step))
+        tape = Tape()
+        nodes = {name: tape.param(name, value)
+                 for name, value in self.params.theta1.items()}
+        out = losses.item_feature_node(tape, self.graph, nodes, config,
+                                       plan=self._plan)
+        tape.forward()
+        self._feature_pass = (tape, out)
+        self._features = out.value
         return self._features
 
     def sample_tasks(self, step=0):
@@ -317,9 +309,9 @@ class MetaTrainer:
     def _first_order_grads(self, tasks, adapted, step):
         """Summed query loss and its gradients at the adapted weights.
 
-        The item features enter as a leaf. When theta1 is live, the leaf's
-        gradient is pushed back through the kept feature tape: the theta1
-        gradients of one tape holding diffusion and losses, bit for bit.
+        The item features enter as a leaf, whose gradient is pushed back
+        through the kept feature tape: the theta1 gradients of one tape
+        holding diffusion and losses, bit for bit.
         """
         config = self.params.config
         tape = Tape()
@@ -336,11 +328,9 @@ class MetaTrainer:
             total = task_loss if total is None else tape.add(total, task_loss)
         tape.forward()
         tape.backward(total)
-        g1 = {}
-        if self._theta1_live:
-            feature_tape, out = self._feature_pass
-            self._feature_pass = None
-            g1 = feature_tape.backward(out, features.adjoint)
+        feature_tape, out = self._feature_pass
+        self._feature_pass = None
+        g1 = feature_tape.backward(out, features.adjoint)
         g2 = {}
         for t in range(len(tasks)):
             for name in self.params.theta2:
@@ -463,6 +453,6 @@ def fine_tune_and_predict(params, support, scoring_window, candidates,
     theta2 = fine_tune_theta2(params, list(support), features, cfg, rng,
                               positives, features.shape[0], steps)
     s_u = preference_vector(params, theta2, features, scoring_window)
-    scores = seq.score_candidates(s_u, features[list(candidates)], theta2)
+    scores = seq.score_candidates(s_u, features[list(candidates)])
     ranked = sorted(zip(candidates, scores), key=lambda p: (-p[1], p[0]))
     return [(int(item), float(value)) for item, value in ranked]

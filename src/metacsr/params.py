@@ -2,7 +2,8 @@
 
 theta1 holds everything the inner loop must never touch: the inherent
 entity embeddings and the per-layer diffusion weights. theta2 holds the
-sequence-encoder and scorer weights, the only tensors adapted per task.
+sequence-encoder weights, the only tensors adapted per task (the scorer
+is an inner product and has none).
 The partition is total and disjoint by construction and checked on load.
 """
 
@@ -20,11 +21,8 @@ class ModelConfig:
     dim: int = 32
     diffusion_depth: int = 2
     neighbor_cap: int = 50
-    aggregator: str = "mean"
-    scorer: str = "dot"
     use_diffusion: bool = True     # off: inherent embeddings feed the encoder
     use_sequence: bool = True      # off: preference = mean of window embeddings
-    untie_directions: bool = False
     t_min: int = 2
     t_max: int = 10
 
@@ -33,10 +31,6 @@ class ModelConfig:
             raise ValueError("model dimensions must be positive")
         if self.t_min < 2 or self.t_max < self.t_min:
             raise ValueError("need 2 <= t_min <= t_max")
-        if self.aggregator not in ("mean", "max"):
-            raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        if self.scorer not in ("dot", "mlp"):
-            raise ValueError(f"unknown scorer {self.scorer!r}")
 
 
 @dataclass
@@ -78,7 +72,5 @@ def init_model(n_entities, config, rng) -> ModelParams:
     config.validate()
     theta1 = graph.init_diffusion_params(
         n_entities, config.dim, config.diffusion_depth, rng)
-    theta2 = sequence.init_seq_params(
-        config.dim, rng, untie_directions=config.untie_directions,
-        scorer=config.scorer)
+    theta2 = sequence.init_seq_params(config.dim, rng)
     return ModelParams(theta1=theta1, theta2=theta2, config=config)

@@ -21,13 +21,8 @@ from .autodiff import Tape, stable_sigmoid
 ATT_SCORE_W = "seq.att_score_w"   # d x 1
 ATT_SRC_W = "seq.att_src_w"       # d x d, applied to the attended source e_m
 ATT_DST_W = "seq.att_dst_w"       # d x d, applied to the target position e_n
-ATT_SRC_W_BW = "seq.att_src_w_bw"  # only when directions are untied
-ATT_DST_W_BW = "seq.att_dst_w_bw"
 COMBINE_W = "seq.combine_w"       # d x 2d
 COMBINE_B = "seq.combine_b"       # d
-SCORER_HIDDEN_W = "scorer.hidden_w"  # d x 2d, only for the MLP scorer
-SCORER_HIDDEN_B = "scorer.hidden_b"  # d
-SCORER_OUT_W = "scorer.out_w"        # 1 x d
 
 
 @dataclass(frozen=True)
@@ -48,10 +43,9 @@ def position_bias(length: int) -> PositionBias:
     return PositionBias(forward=fw, backward=bw)
 
 
-def init_seq_params(dim, rng, untie_directions=False,
-                    scorer="dot") -> dict[str, np.ndarray]:
+def init_seq_params(dim, rng) -> dict[str, np.ndarray]:
     bound = 1.0 / np.sqrt(dim)
-    params = {
+    return {
         ATT_SCORE_W: rng.uniform(-bound, bound, size=(dim, 1)),
         ATT_SRC_W: rng.uniform(-bound, bound, size=(dim, dim)),
         ATT_DST_W: rng.uniform(-bound, bound, size=(dim, dim)),
@@ -59,26 +53,9 @@ def init_seq_params(dim, rng, untie_directions=False,
                                size=(dim, 2 * dim)),
         COMBINE_B: np.zeros(dim),
     }
-    if untie_directions:
-        params[ATT_SRC_W_BW] = rng.uniform(-bound, bound, size=(dim, dim))
-        params[ATT_DST_W_BW] = rng.uniform(-bound, bound, size=(dim, dim))
-    if scorer == "mlp":
-        wide = 1.0 / np.sqrt(2 * dim)
-        params[SCORER_HIDDEN_W] = rng.uniform(-wide, wide, size=(dim, 2 * dim))
-        params[SCORER_HIDDEN_B] = np.zeros(dim)
-        params[SCORER_OUT_W] = rng.uniform(-bound, bound, size=(1, dim))
-    elif scorer != "dot":
-        raise ValueError(f"unknown scorer {scorer!r}")
-    return params
 
 
-def _direction_weights(params, direction):
-    if direction == "bw" and ATT_SRC_W_BW in params:
-        return params[ATT_SRC_W_BW], params[ATT_DST_W_BW]
-    return params[ATT_SRC_W], params[ATT_DST_W]
-
-
-def build_attention(tape, embeds, params, bias, direction="fw"):
+def build_attention(tape, embeds, params, bias):
     """Masked self-attention over one (T, d) embedding node.
 
     ``bias`` is the (T, T) numpy mask for this direction, indexed [m, n].
@@ -87,9 +64,9 @@ def build_attention(tape, embeds, params, bias, direction="fw"):
     Returns the (T, d) output node.
     """
     t_len = bias.shape[0]
-    src_w, dst_w = _direction_weights(params, direction)
-    srcs = tape.matmul(embeds, tape.transpose(src_w))  # row m: src_w @ e_m
-    dsts = tape.matmul(embeds, tape.transpose(dst_w))  # row n: dst_w @ e_n
+    # row m of srcs is src_w @ e_m, row n of dsts is dst_w @ e_n
+    srcs = tape.matmul(embeds, tape.transpose(params[ATT_SRC_W]))
+    dsts = tape.matmul(embeds, tape.transpose(params[ATT_DST_W]))
     pair_m = np.tile(np.arange(t_len), t_len)            # m fastest
     pair_n = np.repeat(np.arange(t_len), t_len)
     hidden = tape.sigmoid(tape.add(tape.lookup(srcs, pair_m),
@@ -112,22 +89,13 @@ def build_preference(tape, fw_out, bw_out, params):
 def build_sequence_encoder(tape, embeds, params, t_len):
     """Full per-sequence encoder: embeddings node -> preference node."""
     bias = position_bias(t_len)
-    fw, _ = build_attention(tape, embeds, params, bias.forward, "fw")
-    bw, _ = build_attention(tape, embeds, params, bias.backward, "bw")
+    fw, _ = build_attention(tape, embeds, params, bias.forward)
+    bw, _ = build_attention(tape, embeds, params, bias.backward)
     return build_preference(tape, fw, bw, params)
 
 
-def build_score(tape, preference, item_embed, params):
-    """Engagement probability node: sigmoid of the scoring function.
-
-    Inner product by default; when MLP scorer weights are present, a
-    ReLU-hidden two-layer head over [s_u; i] produces the logit instead.
-    """
-    if SCORER_HIDDEN_W in params:
-        both = tape.concat([preference, item_embed], axis=0)
-        hidden = tape.relu(tape.add(tape.matmul(params[SCORER_HIDDEN_W], both),
-                                    params[SCORER_HIDDEN_B]))
-        return tape.sigmoid(tape.sum(tape.matmul(params[SCORER_OUT_W], hidden)))
+def build_score(tape, preference, item_embed):
+    """Engagement probability node: sigmoid of the inner product."""
     return tape.sigmoid(tape.sum(tape.mul(preference, item_embed)))
 
 
@@ -178,29 +146,17 @@ def encode_sequence(seq_embeds, params):
     return node.value.copy()
 
 
-def score(preference, item_embed, params=None):
+def score(preference, item_embed):
     """Engagement probability in (0, 1) for one (preference, item) pair."""
     preference = np.asarray(preference, dtype=np.float64)
     item_embed = np.asarray(item_embed, dtype=np.float64)
     if preference.shape != item_embed.shape:
         raise ValueError("preference and item embedding dimensions differ")
-    if params and SCORER_HIDDEN_W in params:
-        both = np.concatenate([preference, item_embed])
-        hidden = np.maximum(params[SCORER_HIDDEN_W] @ both
-                            + params[SCORER_HIDDEN_B], 0.0)
-        return float(stable_sigmoid(np.asarray(params[SCORER_OUT_W] @ hidden))[0])
     return float(stable_sigmoid(np.asarray(preference @ item_embed)))
 
 
-def score_candidates(preference, item_embeds, params=None):
+def score_candidates(preference, item_embeds):
     """Vectorized :func:`score` over the rows of a candidate matrix."""
     preference = np.asarray(preference, dtype=np.float64)
     item_embeds = np.asarray(item_embeds, dtype=np.float64)
-    if params and SCORER_HIDDEN_W in params:
-        both = np.concatenate(
-            [np.broadcast_to(preference, item_embeds.shape), item_embeds],
-            axis=1)
-        hidden = np.maximum(both @ params[SCORER_HIDDEN_W].T
-                            + params[SCORER_HIDDEN_B], 0.0)
-        return stable_sigmoid(hidden @ params[SCORER_OUT_W].ravel())
     return stable_sigmoid(item_embeds @ preference)

@@ -163,11 +163,10 @@ def _op_case(name, rng):
     elif name == "scale_rows":
         a = t.param("p", rng.normal(size=(4, 3)))
         out = t.scale_rows(a, t.leaf("v", rng.normal(size=4)))
-    elif name in ("segment_mean", "segment_max"):
+    elif name == "segment_mean":
         a = t.param("p", rng.normal(size=(6, 3)))
         # repeated ids within and across segments, and an empty segment
-        out = t.segment_mean(a, [0, 2, 2, 5, 1, 2], [3, 0, 2, 1],
-                             reduce=name[len("segment_"):])
+        out = t.segment_mean(a, [0, 2, 2, 5, 1, 2], [3, 0, 2, 1])
     elif name == "sum":
         a = t.param("p", rng.normal(size=(3, 2)))
         return t, t.sum(a)
@@ -187,7 +186,7 @@ ALL_OPS = [
     "matmul", "add_same", "add_bias_rows", "mul", "concat", "relu",
     "sigmoid", "softplus", "exp", "log", "neg", "mean_axis", "l2norm",
     "lookup", "masked_softmax_rows", "scale", "transpose", "reshape",
-    "scale_rows", "segment_mean", "segment_max", "sum",
+    "scale_rows", "segment_mean", "sum",
 ]
 
 
@@ -314,25 +313,11 @@ def test_segment_mean_equals_chained_add_and_scale_bit_for_bit():
         assert np.array_equal(pooled.value[i], want), i
 
 
-def test_segment_max_gradient_goes_to_first_maximal_neighbor():
-    t = Tape()
-    table = t.param("p", [[1.0, 5.0], [3.0, 5.0], [3.0, 0.0]])
-    pooled = t.segment_mean(table, [0, 1, 2], [3], reduce="max")
-    loss = t.sum(pooled)
-    t.forward()
-    np.testing.assert_array_equal(pooled.value, [[3.0, 5.0]])
-    t.backward(loss)
-    np.testing.assert_array_equal(t.grads["p"],
-                                  [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
-
-
 def test_segment_mean_rejects_counts_that_do_not_cover_ids():
     t = Tape()
     table = t.leaf("x", np.ones((3, 2)))
     with pytest.raises(ValueError, match="counts"):
         t.segment_mean(table, [0, 1, 2], [1, 1])
-    with pytest.raises(ValueError, match="reduce"):
-        t.segment_mean(table, [0], [1], reduce="sum")
 
 
 def test_backward_from_non_scalar_node_with_given_adjoint():

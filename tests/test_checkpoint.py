@@ -1,4 +1,6 @@
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +131,21 @@ def test_load_rejects_shape_that_disagrees_with_config(tmp_path, name):
     ckpt.write_tensors(path, tensors)
     with pytest.raises(ValueError, match=f"{name} has shape"):
         ckpt.load_model(path)
+
+
+@pytest.mark.parametrize("key", ["aggregator", "scorer", "untie_directions",
+                                 "banana"])
+def test_load_rejects_unknown_sidecar_key(tmp_path, key):
+    path = _saved_model(tmp_path)
+    sidecar = Path(str(path) + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    meta.update(config_hash="0" * 16, train_mode="meta")  # run_train adds
+    sidecar.write_text(json.dumps(meta))
+    ckpt.load_model(path)
+    sidecar.write_text(json.dumps({**meta, key: "max"}))
+    with pytest.raises(ValueError, match=key) as err:
+        ckpt.load_model(path)
+    assert str(sidecar) in str(err.value)
 
 
 @pytest.mark.parametrize("header", [b"\n", b"   \n", b"w\n", b"w x 2\n",

@@ -69,6 +69,18 @@ def test_config_validation_rejects_bad_values(tmp_path):
         resolve_config(None, {"model.banana": "1"})
 
 
+@pytest.mark.parametrize("key", ["model.aggregator", "meta.diffusion_refresh",
+                                 "data.synthetic.banana", "banana", "meta"])
+def test_config_file_rejects_unknown_keys_like_flags(key):
+    file_dict = 3
+    for part in reversed(key.split(".")):
+        file_dict = {part: file_dict}
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        resolve_config(file_dict, {})
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        resolve_config(None, {key: "1"})
+
+
 def test_prepare_is_idempotent(tmp_path):
     config = tiny_config(tmp_path / "run")
     path = experiments.run_prepare(config)

@@ -223,24 +223,6 @@ def test_identical_inherent_and_neighborhood_give_identical_embeddings():
     np.testing.assert_array_equal(table.diffused[0], table.diffused[1])
 
 
-def test_max_aggregator_available():
-    rng = np.random.default_rng(11)
-    g, params = _small_world(rng, depth=1)
-    mean_t = gr.diffuse_all(g, params, 1, 10, np.random.default_rng(0))
-    max_t = gr.diffuse_all(g, params, 1, 10, np.random.default_rng(0),
-                           aggregator="max")
-    assert not np.allclose(mean_t.diffused, max_t.diffused)
-    e = 1  # degree-2 user: oracle with max pooling
-    nbrs = np.array([params[gr.INHERENT][nb] for nb in g.neighbors(e)])
-    expected = gr.convolve(params[gr.INHERENT][e], list(nbrs),
-                           params[gr.LATENT_W.format(layer=0)],
-                           params[gr.LATENT_B.format(layer=0)],
-                           params[gr.MERGE_W.format(layer=0)],
-                           params[gr.MERGE_B.format(layer=0)],
-                           aggregator="max")
-    np.testing.assert_allclose(max_t.diffused[e], expected, rtol=1e-10)
-
-
 def test_convolve_stack_gradient_finite_differences():
     g = gr.build_interaction_graph([(0, 0), (1, 0)], 2, 1)  # 3-node graph
     rng = np.random.default_rng(12)

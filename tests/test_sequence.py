@@ -166,37 +166,6 @@ def test_score_candidates_vectorizes():
                                rtol=1e-12)
 
 
-def test_mlp_scorer_paths_agree():
-    rng = np.random.default_rng(12)
-    params = seq.init_seq_params(4, rng, scorer="mlp")
-    s_u = rng.normal(size=4)
-    item = rng.normal(size=4)
-    tape = Tape()
-    node = seq.build_score(tape, tape.leaf("s", s_u), tape.leaf("i", item),
-                           {k: tape.leaf(k, v) for k, v in params.items()})
-    tape.forward()
-    assert seq.score(s_u, item, params) == pytest.approx(float(node.value))
-    np.testing.assert_allclose(
-        seq.score_candidates(s_u, item[None, :], params),
-        [seq.score(s_u, item, params)], rtol=1e-12)
-
-
-def test_untied_directions_use_separate_weights():
-    rng = np.random.default_rng(13)
-    params = seq.init_seq_params(4, rng, untie_directions=True)
-    embeds = rng.normal(size=(3, 4))
-    pb = seq.position_bias(3)
-    tape = Tape()
-    nodes = {k: tape.leaf(k, v) for k, v in params.items()}
-    e = tape.leaf("e", embeds)
-    bw_out, _ = seq.build_attention(tape, e, nodes, pb.backward, "bw")
-    tape.forward()
-    tied = seq.masked_self_attention(embeds, {
-        k: v for k, v in params.items()
-        if k not in (seq.ATT_SRC_W_BW, seq.ATT_DST_W_BW)}, pb.backward)
-    assert not np.allclose(bw_out.value, tied)
-
-
 def test_encoder_gradient_finite_differences():
     rng = np.random.default_rng(14)
     dim, t_len = 4, 4
