@@ -2,8 +2,8 @@
 
 Popularity ranks by global training-interaction counts. BPR-MF learns user
 and item factors with SGD on sampled (user, positive, negative) triples;
-cold users, which have no learned factor, are represented by the mean item
-factor of their observed behaviors. The joint trainer fits the full
+users it never trained (cold users) are represented by the mean item factor
+of their behaviors before the held-out one. The joint trainer fits the full
 metaCSR architecture with plain Adam mini-batches (no episodes, no inner
 loop), which is the "without meta-learning" ablation arm.
 """
@@ -43,16 +43,16 @@ class PopularityModel:
 class BprMfModel:
     user_factors: np.ndarray
     item_factors: np.ndarray
-
-    def score_user_vector(self, vector, candidates):
-        return self.item_factors[candidates] @ vector
+    trained_users: frozenset
 
     def rank(self, user, history, candidates):
-        if 0 <= user < self.user_factors.shape[0]:
+        """``history`` ends with the held-out positive, which the cold-user
+        fallback leaves out."""
+        if user in self.trained_users:
             vector = self.user_factors[user]
         else:
-            vector = self.item_factors[history].mean(axis=0)
-        scores = self.score_user_vector(vector, np.asarray(candidates))
+            vector = self.item_factors[history[:-1]].mean(axis=0)
+        scores = self.item_factors[np.asarray(candidates)] @ vector
         scored = list(zip(candidates, scores.tolist()))
         return sorted(scored, key=lambda p: (-p[1], p[0]))
 
@@ -96,7 +96,8 @@ def train_bpr(histories, n_users, n_items, rng, dim=32, epochs=20,
                 x = user_factors[user] @ (item_factors[pos] - item_factors[neg])
                 values.append(float(np.logaddexp(0.0, -x)))
             loss_probe(float(np.mean(values)))
-    return BprMfModel(user_factors=user_factors, item_factors=item_factors)
+    return BprMfModel(user_factors=user_factors, item_factors=item_factors,
+                      trained_users=frozenset(u for u, _ in pairs))
 
 
 def joint_train(graph_, histories, params, cfg, seed, max_steps=None,

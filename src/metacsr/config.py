@@ -44,6 +44,8 @@ class DataConfig:
             raise ValueError(f"unknown data source {self.source!r}")
         if self.source != "synthetic" and not self.path:
             raise ValueError(f"data source {self.source!r} needs a path")
+        if self.path is not None and not isinstance(self.path, str):
+            raise ValueError(f"data.path must be a string, not {self.path!r}")
         if self.eval_negatives < 1:
             raise ValueError("eval_negatives must be >= 1")
 

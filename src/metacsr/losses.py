@@ -5,8 +5,8 @@ The per-pair loss is the numerically safe BPR form
 mean-reduced over each sequence's sampled negatives and then over the
 batch. ``build_batch_loss`` assembles sequence encoding and scoring for a
 whole batch on one tape, grouping sequences of equal length so the node
-count stays small; ``build_model_loss`` prepends the diffusion stack (or a
-cached feature table) to produce the complete graph from raw parameters.
+count stays small; ``build_model_loss`` prepends the diffusion stack to
+produce the complete graph from raw parameters.
 """
 
 from __future__ import annotations
@@ -41,42 +41,6 @@ class BatchInfo:
     negatives: list[list[int]] = field(default_factory=list)
 
 
-def _grouped_attention(tape, embeds, theta2, n_seq, t_len, direction):
-    """Attention outputs for n_seq stacked sequences of equal length.
-
-    ``embeds`` holds the sequences' item embeddings as consecutive row
-    blocks. Returns the (n_seq * t_len, d) per-position output node, rows
-    in (sequence, position) order.
-    """
-    srcs = tape.matmul(embeds, tape.transpose(theta2[seq.ATT_SRC_W]))
-    dsts = tape.matmul(embeds, tape.transpose(theta2[seq.ATT_DST_W]))
-    base = np.repeat(np.arange(n_seq) * t_len, t_len * t_len)
-    pair_m = base + np.tile(np.tile(np.arange(t_len), t_len), n_seq)
-    pair_n = base + np.tile(np.repeat(np.arange(t_len), t_len), n_seq)
-    hidden = tape.sigmoid(tape.add(tape.lookup(srcs, pair_m),
-                                   tape.lookup(dsts, pair_n)))
-    content = tape.reshape(tape.matmul(hidden, theta2[seq.ATT_SCORE_W]),
-                           (n_seq * t_len, t_len))
-    bias = seq.position_bias(t_len)
-    mask = bias.forward if direction == "fw" else bias.backward
-    logits = tape.add(content, tape.constant(np.tile(mask.T, (n_seq, 1))))
-    att = tape.masked_softmax_rows(logits)
-    att_cols = tape.transpose(att)
-    out = None
-    row_seq = np.repeat(np.arange(n_seq), t_len)
-    for m in range(t_len):
-        sources = tape.lookup(embeds, row_seq * t_len + m)
-        weighted = tape.scale_rows(sources, tape.lookup(att_cols, m))
-        out = weighted if out is None else tape.add(out, weighted)
-    return out
-
-
-def _block_mean(tape, rows, n_seq, t_len):
-    """Mean over each sequence's block of t_len consecutive rows."""
-    return tape.segment_mean(rows, np.arange(n_seq * t_len),
-                             np.full(n_seq, t_len))
-
-
 def _grouped_preferences(tape, item_features, group, theta2, use_sequence):
     """(n_seq, d) preference matrix node for equal-length sequences."""
     t_len = len(group[0].items)
@@ -84,14 +48,8 @@ def _grouped_preferences(tape, item_features, group, theta2, use_sequence):
     all_ids = np.asarray([it for s in group for it in s.items])
     embeds = tape.lookup(item_features, all_ids)
     if not use_sequence:
-        return _block_mean(tape, embeds, n_seq, t_len)
-    fw = _grouped_attention(tape, embeds, theta2, n_seq, t_len, "fw")
-    bw = _grouped_attention(tape, embeds, theta2, n_seq, t_len, "bw")
-    pooled = tape.concat([_block_mean(tape, fw, n_seq, t_len),
-                          _block_mean(tape, bw, n_seq, t_len)], axis=1)
-    return tape.relu(tape.add(
-        tape.matmul(pooled, tape.transpose(theta2[seq.COMBINE_W])),
-        theta2[seq.COMBINE_B]))
+        return seq.block_mean(tape, embeds, n_seq, t_len)
+    return seq.build_sequence_encoder(tape, embeds, theta2, n_seq, t_len)
 
 
 def _scores(tape, prefs, item_features, cand_ids, rep_seq, theta2):
@@ -163,16 +121,9 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
     return tape.mean_axis(all_pairs, 0), info
 
 
-def item_feature_node(tape, graph_, theta1_nodes, config, plan=None,
-                      cached=None):
-    """Item-rows feature node: diffusion output, inherent table, or a cache.
-
-    ``cached`` (a concrete (n_items, d) array) wins when given; otherwise
-    the diffusion subgraph (or the raw inherent table when diffusion is
-    ablated) is built so gradients reach theta1.
-    """
-    if cached is not None:
-        return tape.constant(cached)
+def item_feature_node(tape, graph_, theta1_nodes, config, plan=None):
+    """Item-rows feature node: the diffusion output, or the raw inherent
+    table when diffusion is ablated; either way gradients reach theta1."""
     item_rows = np.arange(graph_.n_users, graph_.n_entities)
     if not config.use_diffusion:
         return tape.lookup(theta1_nodes[gr.INHERENT], item_rows)
@@ -184,23 +135,19 @@ def item_feature_node(tape, graph_, theta1_nodes, config, plan=None,
 
 
 def build_model_loss(graph_, params, sequences, k_neg, rng, user_positives,
-                     plan=None, cached_features=None):
+                     plan=None):
     """Complete loss graph from raw parameters.
 
-    Returns (tape, loss node, BatchInfo). theta1 enters only when no cached
-    feature table is supplied.
+    Returns (tape, loss node, BatchInfo).
     """
     tape = Tape()
     config = params.config
-    if cached_features is None:
-        theta1_nodes = {name: tape.param(name, value)
-                        for name, value in params.theta1.items()}
-    else:
-        theta1_nodes = {}
+    theta1_nodes = {name: tape.param(name, value)
+                    for name, value in params.theta1.items()}
     theta2_nodes = {name: tape.param(name, value)
                     for name, value in params.theta2.items()}
     features = item_feature_node(tape, graph_, theta1_nodes, config,
-                                 plan=plan, cached=cached_features)
+                                 plan=plan)
     loss, info = build_batch_loss(
         tape, features, theta2_nodes, sequences, k_neg, rng, user_positives,
         n_items=graph_.n_items, t_min=config.t_min,

@@ -17,6 +17,7 @@ a single inner step, and makes the first-order approximation auditable.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,12 @@ class MetaConfig:
         if min(self.task_batch, self.n_way, self.k_support, self.k_query,
                self.k_neg, self.inner_steps) < 1:
             raise ValueError("episode sizes must be positive")
+        lr = self.fine_tune_lr
+        if lr is not None and (isinstance(lr, bool)
+                               or not isinstance(lr, numbers.Real)
+                               or not np.isfinite(lr) or lr < 0):
+            raise ValueError("meta.fine_tune_lr must be null or a finite "
+                             f"number >= 0, not {lr!r}")
 
     @property
     def adaptation_lr(self) -> float:

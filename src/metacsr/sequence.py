@@ -55,48 +55,62 @@ def init_seq_params(dim, rng) -> dict[str, np.ndarray]:
     }
 
 
-def build_attention(tape, embeds, params, bias):
-    """Masked self-attention over one (T, d) embedding node.
+def build_attention(tape, embeds, params, n_seq, bias):
+    """Masked self-attention over n_seq stacked sequences of equal length.
 
-    ``bias`` is the (T, T) numpy mask for this direction, indexed [m, n].
-    Internally logits are laid out with one row per target position n so a
-    row softmax yields each position's distribution over sources m.
-    Returns the (T, d) output node.
+    ``embeds`` holds the sequences' item embeddings as consecutive blocks
+    of T rows; ``bias`` is the (T, T) numpy mask for this direction,
+    indexed [m, n]. Logits are laid out with one row per (sequence, target
+    position n), so a row softmax yields each position's distribution over
+    sources m. Returns the (n_seq * T, d) output node, rows in (sequence,
+    position) order, and the (n_seq * T, T) attention node.
     """
     t_len = bias.shape[0]
     # row m of srcs is src_w @ e_m, row n of dsts is dst_w @ e_n
     srcs = tape.matmul(embeds, tape.transpose(params[ATT_SRC_W]))
     dsts = tape.matmul(embeds, tape.transpose(params[ATT_DST_W]))
-    pair_m = np.tile(np.arange(t_len), t_len)            # m fastest
-    pair_n = np.repeat(np.arange(t_len), t_len)
+    base = np.repeat(np.arange(n_seq) * t_len, t_len * t_len)
+    # pairs in (sequence, n, m) order, m fastest
+    pair_m = base + np.tile(np.tile(np.arange(t_len), t_len), n_seq)
+    pair_n = base + np.tile(np.repeat(np.arange(t_len), t_len), n_seq)
     hidden = tape.sigmoid(tape.add(tape.lookup(srcs, pair_m),
                                    tape.lookup(dsts, pair_n)))
-    content = tape.matmul(hidden, params[ATT_SCORE_W])   # (T*T, 1)
-    logits = tape.add(tape.reshape(content, (t_len, t_len)),
-                      tape.constant(bias.T))             # row n, col m
+    content = tape.reshape(tape.matmul(hidden, params[ATT_SCORE_W]),
+                           (n_seq * t_len, t_len))
+    logits = tape.add(content, tape.constant(np.tile(bias.T, (n_seq, 1))))
     att = tape.masked_softmax_rows(logits)
-    return tape.matmul(att, embeds), att
+    att_cols = tape.transpose(att)
+    out = None
+    row_seq = np.repeat(np.arange(n_seq), t_len)
+    for m in range(t_len):
+        sources = tape.lookup(embeds, row_seq * t_len + m)
+        weighted = tape.scale_rows(sources, tape.lookup(att_cols, m))
+        out = weighted if out is None else tape.add(out, weighted)
+    return out, att
 
 
-def build_preference(tape, fw_out, bw_out, params):
-    """Mean-pool both directions, concatenate, project: the (d,) s_u node."""
-    pooled = tape.concat([tape.mean_axis(fw_out, 0), tape.mean_axis(bw_out, 0)],
-                         axis=0)
-    return tape.relu(tape.add(tape.matmul(params[COMBINE_W], pooled),
-                              params[COMBINE_B]))
+def block_mean(tape, rows, n_seq, t_len):
+    """Mean over each sequence's block of t_len consecutive rows."""
+    return tape.segment_mean(rows, np.arange(n_seq * t_len),
+                             np.full(n_seq, t_len))
 
 
-def build_sequence_encoder(tape, embeds, params, t_len):
-    """Full per-sequence encoder: embeddings node -> preference node."""
+def build_preference(tape, fw, bw, params, n_seq, t_len):
+    """Mean-pool both directions per sequence, concatenate, project: the
+    (n_seq, d) preference node."""
+    pooled = tape.concat([block_mean(tape, fw, n_seq, t_len),
+                          block_mean(tape, bw, n_seq, t_len)], axis=1)
+    return tape.relu(tape.add(
+        tape.matmul(pooled, tape.transpose(params[COMBINE_W])),
+        params[COMBINE_B]))
+
+
+def build_sequence_encoder(tape, embeds, params, n_seq, t_len):
+    """Full encoder: stacked embeddings node -> (n_seq, d) preference node."""
     bias = position_bias(t_len)
-    fw, _ = build_attention(tape, embeds, params, bias.forward)
-    bw, _ = build_attention(tape, embeds, params, bias.backward)
-    return build_preference(tape, fw, bw, params)
-
-
-def build_score(tape, preference, item_embed):
-    """Engagement probability node: sigmoid of the inner product."""
-    return tape.sigmoid(tape.sum(tape.mul(preference, item_embed)))
+    fw, _ = build_attention(tape, embeds, params, n_seq, bias.forward)
+    bw, _ = build_attention(tape, embeds, params, n_seq, bias.backward)
+    return build_preference(tape, fw, bw, params, n_seq, t_len)
 
 
 def _param_nodes(tape, params):
@@ -107,7 +121,7 @@ def _attention(seq_embeds, params, bias):
     tape = Tape()
     out, att = build_attention(
         tape, tape.leaf("e", np.asarray(seq_embeds, dtype=np.float64)),
-        _param_nodes(tape, params), np.asarray(bias))
+        _param_nodes(tape, params), 1, np.asarray(bias))
     tape.forward()
     return out.value.copy(), att.value.copy()
 
@@ -130,9 +144,9 @@ def encode_preference(fw_out, bw_out, params):
     tape = Tape()
     node = build_preference(tape, tape.leaf("fw", np.asarray(fw_out, float)),
                             tape.leaf("bw", np.asarray(bw_out, float)),
-                            _param_nodes(tape, params))
+                            _param_nodes(tape, params), 1, len(fw_out))
     tape.forward()
-    return node.value.copy()
+    return node.value[0].copy()
 
 
 def encode_sequence(seq_embeds, params):
@@ -140,10 +154,10 @@ def encode_sequence(seq_embeds, params):
     seq_embeds = np.asarray(seq_embeds, dtype=np.float64)
     tape = Tape()
     node = build_sequence_encoder(tape, tape.leaf("e", seq_embeds),
-                                  _param_nodes(tape, params),
+                                  _param_nodes(tape, params), 1,
                                   seq_embeds.shape[0])
     tape.forward()
-    return node.value.copy()
+    return node.value[0].copy()
 
 
 def score(preference, item_embed):

@@ -1,10 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from metacsr import baselines, graph as gr, losses, meta
-from metacsr.data import SyntheticWorldSpec, generate_synthetic_world, synthetic_split
+from metacsr.data import (SplitSpec, SyntheticWorldSpec,
+                          generate_synthetic_world, parse_interactions,
+                          split_users, synthetic_split)
 from metacsr.evaluation import ModelScorer, evaluate_model
 from metacsr.params import ModelConfig, init_model
+from metacsr.seeding import component_rng
+
+FIXTURE = Path(__file__).parent / "fixtures" / "ml1m_500.dat"
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +72,45 @@ def test_bpr_cold_user_scores_via_mean_item_factors(world_data):
         [(c, float(model.item_factors[c] @ vector)) for c in cands],
         key=lambda p: (-p[1], p[0]))
     assert [i for i, _ in ranked] == [i for i, _ in expected]
+
+
+def test_bpr_cold_user_fallback_leaves_out_held_out_positive(world_data):
+    world, regular, new, graph = world_data
+    model = baselines.train_bpr(regular, len(regular), graph.n_items,
+                                np.random.default_rng(6), dim=8, epochs=2)
+    history = [1, 2, 3]  # 3 is the held-out positive
+    cands = [3, 4, 5, 6]
+    ranked = dict(model.rank(len(regular) + 50, history, cands))
+    vector = model.item_factors[[1, 2]].mean(axis=0)
+    for c in cands:
+        assert ranked[c] == pytest.approx(float(model.item_factors[c] @ vector),
+                                          rel=1e-12)
+
+
+def test_bpr_new_users_inside_the_factor_table_use_the_fallback():
+    # real-data splits interleave new-user ids with regular ones, so the
+    # factor table (sized by the largest regular id) holds rows BPR never
+    # trained for most new users
+    parsed = parse_interactions(FIXTURE)
+    regular, new = split_users(parsed.records, SplitSpec(),
+                               component_rng(7, "split"))
+    n_users = max(regular) + 1
+    assert sum(u < n_users for u in new) == 8
+    model = baselines.train_bpr(regular, n_users, parsed.stats.n_items,
+                                np.random.default_rng(0), dim=8, epochs=1)
+    cands = list(range(10))
+    for user, history in new.items():
+        if len(history) < 2:
+            continue
+        ranked = dict(model.rank(user, history, cands))
+        vector = model.item_factors[history[:-1]].mean(axis=0)
+        for c in cands:
+            assert ranked[c] == pytest.approx(
+                float(model.item_factors[c] @ vector), rel=1e-12), user
+    for user in regular:
+        ranked = dict(model.rank(user, regular[user], cands))
+        assert ranked[0] == pytest.approx(
+            float(model.item_factors[0] @ model.user_factors[user]))
 
 
 def test_joint_train_deterministic(world_data):

@@ -81,6 +81,20 @@ def test_config_file_rejects_unknown_keys_like_flags(key):
         resolve_config(None, {key: "1"})
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "NaN", "Infinity", "true",
+                                   "[0.1]"])
+def test_config_rejects_bad_fine_tune_lr(value):
+    with pytest.raises(ValueError, match="fine_tune_lr"):
+        resolve_config(None, {"meta.fine_tune_lr": value})
+
+
+def test_config_rejects_non_string_data_path():
+    with pytest.raises(ValueError, match="data.path"):
+        resolve_config(None, {"data.path": "2024"})
+    with pytest.raises(ValueError, match="data.path"):
+        resolve_config({"data": {"path": ["a.dat"]}}, {})
+
+
 def test_prepare_is_idempotent(tmp_path):
     config = tiny_config(tmp_path / "run")
     path = experiments.run_prepare(config)

@@ -108,12 +108,14 @@ def test_batch_loss_skips_short_sequences(caplog):
     good = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
     short = BehaviorSequence(user=1, items=(1, 2), target=3)
     params.config.t_min = 3
+    feats = losses.cached_item_features(g, params, np.random.default_rng(0))
+    tape = Tape()
+    nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
     with caplog.at_level(logging.WARNING, logger="metacsr.losses"):
-        tape, loss, info = losses.build_model_loss(
-            g, params, [good, short], k_neg=1,
-            rng=np.random.default_rng(1), user_positives=positives,
-            cached_features=losses.cached_item_features(
-                g, params, np.random.default_rng(0)))
+        loss, info = losses.build_batch_loss(
+            tape, tape.constant(feats), nodes, [good, short], 1,
+            np.random.default_rng(1), positives, g.n_items,
+            t_min=params.config.t_min)
     assert info.n_skipped == 1
     assert info.n_sequences == 1
     assert "skipped" in caplog.text
@@ -123,10 +125,13 @@ def test_batch_loss_all_short_raises():
     g, params, positives = _tiny_setup()
     short = BehaviorSequence(user=1, items=(1, 2), target=3)
     params.config.t_min = 5
+    tape = Tape()
+    nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
     with pytest.raises(ValueError, match="no usable sequences"):
-        losses.build_model_loss(
-            g, params, [short], 1, np.random.default_rng(1), positives,
-            cached_features=np.zeros((g.n_items, params.dim)))
+        losses.build_batch_loss(
+            tape, tape.constant(np.zeros((g.n_items, params.dim))), nodes,
+            [short], 1, np.random.default_rng(1), positives, g.n_items,
+            t_min=params.config.t_min)
 
 
 def test_grouped_encoder_matches_per_sequence_path():
@@ -224,9 +229,12 @@ def test_ablation_no_sequence_uses_window_mean():
     params.config.use_sequence = False
     feats = losses.cached_item_features(g, params, np.random.default_rng(0))
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
-    tape, loss, info = losses.build_model_loss(
-        g, params, [s], 1, np.random.default_rng(3), positives,
-        cached_features=feats)
+    tape = Tape()
+    nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
+    loss, info = losses.build_batch_loss(
+        tape, tape.constant(feats), nodes, [s], 1, np.random.default_rng(3),
+        positives, g.n_items, t_min=params.config.t_min,
+        use_sequence=params.config.use_sequence)
     tape.forward()
     s_u = feats[list(s.items)].mean(axis=0)
     p_pos = seq.score(s_u, feats[s.target])

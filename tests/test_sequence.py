@@ -173,8 +173,8 @@ def test_encoder_gradient_finite_differences():
     tape = Tape()
     nodes = {name: tape.param(name, value) for name, value in params.items()}
     embeds = tape.param("embeds", rng.normal(size=(t_len, dim)))
-    s_u = seq.build_sequence_encoder(tape, embeds, nodes, t_len)
-    loss = tape.sum(tape.mul(s_u, tape.constant(rng.normal(size=dim))))
+    s_u = seq.build_sequence_encoder(tape, embeds, nodes, 1, t_len)
+    loss = tape.sum(tape.mul(s_u, tape.constant(rng.normal(size=(1, dim)))))
     for name in ["embeds", seq.ATT_SCORE_W, seq.ATT_SRC_W, seq.ATT_DST_W,
                  seq.COMBINE_W, seq.COMBINE_B]:
         assert finite_difference_check(tape, loss, name, 1e-6) < 1e-4, name
