@@ -101,6 +101,11 @@ def l2_normalize_rows(x, eps=1e-12):
     return out
 
 
+def _blocks(x, t_len):
+    """View an (n * t_len, k) matrix as n stacked (t_len, k) blocks."""
+    return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
+
+
 class Segments:
     """A flat id list cut into segments ``ids[o_i : o_i + counts[i]]``,
     ``o_i = sum(counts[:i])``, laid out longest first (``order``): column
@@ -245,11 +250,8 @@ class Tape:
         sequence of ints (returns stacked rows; repeats allowed). On a 1-d
         table the result is a 1-d gather.
         """
-        if isinstance(ids, (int, np.integer)):
-            aux = int(ids)
-        else:
-            aux = np.asarray(ids, dtype=np.intp)
-        return self._append("lookup", (table,), aux=aux)
+        return self._append("lookup", (table,),
+                            aux=np.asarray(ids, dtype=np.intp))
 
     def masked_softmax_rows(self, a):
         return self._append("masked_softmax_rows", (a,), may_inf=False)
@@ -263,9 +265,10 @@ class Tape:
     def reshape(self, a, shape):
         return self._append("reshape", (a,), aux=tuple(shape))
 
-    def scale_rows(self, a, v):
-        """Multiply row i of matrix ``a`` by scalar ``v[i]``."""
-        return self._append("scale_rows", (a, v))
+    def block_matmul(self, a, b):
+        """For an (n * T, T) ``a`` and an (n * T, d) ``b``, row block i
+        (rows ``i * T`` to ``i * T + T``) of the result is ``a_i @ b_i``."""
+        return self._append("block_matmul", (a, b))
 
     def segment_mean(self, table, ids, counts):
         """Row i is the mean of ``table[ids[o_i : o_i + counts[i]]]`` (see
@@ -373,11 +376,14 @@ class Tape:
             return vals[0].T
         if op == "reshape":
             return vals[0].reshape(node.aux)
-        if op == "scale_rows":
-            a, v = vals
-            if a.ndim != 2 or v.ndim != 1 or a.shape[0] != v.shape[0]:
-                raise self._err(node, f"scale_rows shapes {a.shape}, {v.shape}")
-            return a * v[:, None]
+        if op == "block_matmul":
+            a, b = vals
+            if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0] \
+                    or a.shape[1] < 1 or a.shape[0] % a.shape[1]:
+                raise self._err(node, f"block_matmul shapes {a.shape} x "
+                                      f"{b.shape}")
+            a3, b3 = _blocks(a, a.shape[1]), _blocks(b, a.shape[1])
+            return np.matmul(a3, b3).reshape(b.shape)
         if op == "segment_mean":
             if vals[0].ndim != 2:
                 raise self._err(node, f"segment table of shape {vals[0].shape}")
@@ -490,9 +496,12 @@ class Tape:
             return [adj.T]
         if op == "reshape":
             return [adj.reshape(vals[0].shape)]
-        if op == "scale_rows":
-            a, v = vals
-            return [adj * v[:, None], (adj * a).sum(axis=1)]
+        if op == "block_matmul":
+            a, b = vals
+            t_len = a.shape[1]
+            a3, b3, adj3 = (_blocks(x, t_len) for x in (a, b, adj))
+            return [np.matmul(adj3, b3.transpose(0, 2, 1)).reshape(a.shape),
+                    np.matmul(a3.transpose(0, 2, 1), adj3).reshape(b.shape)]
         if op == "segment_mean":
             return [node.aux.backward(vals[0], adj)]
         raise self._err(node, "unknown op in backward")

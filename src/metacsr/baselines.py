@@ -101,7 +101,7 @@ def train_bpr(histories, n_users, n_items, rng, dim=32, epochs=20,
 
 
 def joint_train(graph_, histories, params, cfg, seed, max_steps=None,
-                batch_size=None, on_step=None, adam=None):
+                batch_size=None, on_step=None):
     """Plain Adam mini-batch training of the identical architecture.
 
     Each step draws random training windows from all regular users and
@@ -121,7 +121,7 @@ def joint_train(graph_, histories, params, cfg, seed, max_steps=None,
         raise ValueError("no users long enough for training windows")
     if batch_size is None:
         batch_size = cfg.task_batch * cfg.n_way
-    adam = adam if adam is not None else meta_mod.AdamState()
+    adam = meta_mod.AdamState()
     cap = cfg.max_outer_steps if max_steps is None else max_steps
     trace = []
     for step in range(cap):

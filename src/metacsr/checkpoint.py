@@ -3,9 +3,9 @@
 Layout: the ASCII header line ``METACSR-CKPT v1``, then one block per
 tensor: a line ``<name> <ndim> <dim0> <dim1> ...`` followed immediately by
 the row-major little-endian IEEE-754 32-bit payload. theta1 tensors carry a
-``theta1/`` prefix, theta2 ``theta2/``, and optimizer state lives under
-``state/``. Tensors are written in sorted-name order so identical models
-produce identical bytes.
+``theta1/`` prefix and theta2 tensors ``theta2/``; a checkpoint holds the
+model only, no optimizer state. Tensors are written in sorted-name order
+so identical models produce identical bytes.
 """
 
 from __future__ import annotations
@@ -69,20 +69,13 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     return tensors
 
 
-def save_model(path, params: ModelParams, adam_state=None):
-    """Write parameters (and optionally Adam state) plus a sidecar
-    ``<path>.meta.json`` describing the architecture."""
+def save_model(path, params: ModelParams):
+    """Write the parameters and their sidecar ``<path>.meta.json``."""
     tensors = {}
     for name, value in params.theta1.items():
         tensors[f"theta1/{name}"] = value
     for name, value in params.theta2.items():
         tensors[f"theta2/{name}"] = value
-    if adam_state is not None:
-        for name, value in adam_state.first.items():
-            tensors[f"state/m/{name}"] = value
-        for name, value in adam_state.second.items():
-            tensors[f"state/v/{name}"] = value
-        tensors["state/step"] = np.asarray(float(adam_state.step))
     write_tensors(path, tensors)
     meta = {k: getattr(params.config, k) for k in CONFIG_KEYS}
     meta["n_entities"] = params.n_entities
@@ -92,10 +85,10 @@ def save_model(path, params: ModelParams, adam_state=None):
 
 
 def load_model(path):
-    """Returns (ModelParams, raw state tensors or None). theta1 and theta2
-    must hold the tensors and shapes :func:`init_model` gives the sidecar's
-    config and entity count, or ValueError names the file and the tensor;
-    a sidecar key outside ``SIDECAR_KEYS`` is a ValueError too."""
+    """The saved ModelParams. theta1 and theta2 must hold the tensors and
+    shapes :func:`init_model` gives the sidecar's config and entity count,
+    or ValueError names the file and the tensor; a sidecar key outside
+    ``SIDECAR_KEYS`` or any other tensor prefix is a ValueError too."""
     tensors = read_tensors(path)
     meta_path = Path(str(path) + ".meta.json")
     config = ModelConfig()
@@ -110,7 +103,7 @@ def load_model(path):
             n_entities = int(meta["n_entities"])
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{meta_path}: bad sidecar ({err!r})") from None
-    parts = {"theta1": {}, "theta2": {}, "state": {}}
+    parts = {"theta1": {}, "theta2": {}}
     for name, value in tensors.items():
         prefix, _, rest = name.partition("/")
         if prefix not in parts or not rest:
@@ -139,6 +132,5 @@ def load_model(path):
         raise ValueError(f"{path}: tensor theta1/{INHERENT} has shape "
                          f"{inherent.shape}, the sidecar says {n_entities} "
                          "entities")
-    params = ModelParams(theta1=parts["theta1"], theta2=parts["theta2"],
-                         config=config)
-    return params, (parts["state"] or None)
+    return ModelParams(theta1=parts["theta1"], theta2=parts["theta2"],
+                       config=config)

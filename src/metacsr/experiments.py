@@ -164,18 +164,16 @@ def run_train(config: RunConfig, max_steps=None, quiet=False) -> Path:
         trainer = meta.MetaTrainer(graph, histories, params, config.meta,
                                    config.seed)
         trace = trainer.train(max_steps=max_steps, on_step=on_step)
-        adam_state = trainer.adam
     else:
-        adam_state = meta.AdamState()
         trace = baselines.joint_train(graph, histories, params, config.meta,
                                       config.seed, max_steps=max_steps,
-                                      on_step=on_step, adam=adam_state)
+                                      on_step=on_step)
 
     out = _out(config)
     (out / "checkpoints").mkdir(exist_ok=True)
     (out / "traces").mkdir(exist_ok=True)
     ckpt_path = out / "checkpoints" / "model.ckpt"
-    checkpoint.save_model(ckpt_path, params, adam_state=adam_state)
+    checkpoint.save_model(ckpt_path, params)
     sidecar = Path(str(ckpt_path) + ".meta.json")
     meta_doc = json.loads(sidecar.read_text(encoding="utf-8"))
     meta_doc["config_hash"] = config.core_hash()
@@ -198,7 +196,7 @@ def run_train(config: RunConfig, max_steps=None, quiet=False) -> Path:
 
 
 def _load_checkpoint_for(config, ckpt_path):
-    params, _ = checkpoint.load_model(ckpt_path)
+    params = checkpoint.load_model(ckpt_path)
     sidecar = Path(str(ckpt_path) + ".meta.json")
     if sidecar.exists():
         meta_doc = json.loads(sidecar.read_text(encoding="utf-8"))

@@ -31,6 +31,12 @@ from .seeding import component_rng
 
 log = logging.getLogger(__name__)
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WINDOW_STEPS = 20
+PLATEAU_TOL = 1e-4
+
 
 @dataclass
 class MetaConfig:
@@ -43,14 +49,9 @@ class MetaConfig:
     k_support: int = 5
     k_query: int = 15
     order: str = "first"            # "first" | "exact"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_outer_steps: int = 2000
     k_neg: int = 1
     plateau_windows: int = 5
-    window_steps: int = 20
-    plateau_tol: float = 1e-4
     fine_tune_steps: int = 5
     fine_tune_lr: float | None = None
 
@@ -123,18 +124,17 @@ class AdamState:
     def apply(self, params, grads, cfg):
         """One Adam step with decoupled weight decay, in place."""
         self.step += 1
-        b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-        correct1 = 1.0 - b1 ** self.step
-        correct2 = 1.0 - b2 ** self.step
+        correct1 = 1.0 - ADAM_BETA1 ** self.step
+        correct2 = 1.0 - ADAM_BETA2 ** self.step
         for name, value in params.items():
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(value)
             m = self.first.setdefault(name, np.zeros_like(value))
             v = self.second.setdefault(name, np.zeros_like(value))
-            m += (1.0 - b1) * (g - m)
-            v += (1.0 - b2) * (g * g - v)
-            update = (m / correct1) / (np.sqrt(v / correct2) + eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
             value -= cfg.outer_lr * update
             if cfg.weight_decay:
                 value -= cfg.outer_lr * cfg.weight_decay * value
@@ -394,8 +394,8 @@ class MetaTrainer:
         """Run outer steps until plateau or the step cap; returns the trace.
 
         The trace holds (step, mean task query loss). Convergence: no
-        window-mean improvement beyond ``plateau_tol`` for
-        ``plateau_windows`` consecutive windows of ``window_steps`` steps.
+        window-mean improvement beyond ``PLATEAU_TOL`` for
+        ``plateau_windows`` consecutive windows of ``WINDOW_STEPS`` steps.
         """
         cap = self.cfg.max_outer_steps if max_steps is None else max_steps
         trace = []
@@ -409,10 +409,10 @@ class MetaTrainer:
             if on_step:
                 on_step(step, loss)
             window.append(loss)
-            if len(window) >= self.cfg.window_steps:
+            if len(window) >= WINDOW_STEPS:
                 mean = float(np.mean(window))
                 window.clear()
-                if best - mean > self.cfg.plateau_tol:
+                if best - mean > PLATEAU_TOL:
                     best = mean
                     stale = 0
                 else:

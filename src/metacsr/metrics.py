@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,10 +36,15 @@ class RankedQuery:
         return self.item_ids or tuple(range(len(self.scores)))
 
     def ranking(self):
-        """Relevance flags in rank order (descending score, ascending id)."""
+        """Relevance flags in rank order (descending score, ascending id),
+        sorted once per query: MAP, Hit@N and NDCG@N at every N read it."""
+        return list(self._ranking)
+
+    @cached_property
+    def _ranking(self):
         order = sorted(range(len(self.scores)),
                        key=lambda i: (-self.scores[i], self.ids[i]))
-        return [self.relevant[i] for i in order]
+        return tuple(self.relevant[i] for i in order)
 
 
 def _require_queries(queries):

@@ -62,8 +62,9 @@ def build_attention(tape, embeds, params, n_seq, bias):
     of T rows; ``bias`` is the (T, T) numpy mask for this direction,
     indexed [m, n]. Logits are laid out with one row per (sequence, target
     position n), so a row softmax yields each position's distribution over
-    sources m. Returns the (n_seq * T, d) output node, rows in (sequence,
-    position) order, and the (n_seq * T, T) attention node.
+    sources m, and each sequence's (T, T) block of those rows mixes its
+    own T embeddings. Returns the (n_seq * T, d) output node, rows in
+    (sequence, position) order, and the (n_seq * T, T) attention node.
     """
     t_len = bias.shape[0]
     # row m of srcs is src_w @ e_m, row n of dsts is dst_w @ e_n
@@ -79,14 +80,7 @@ def build_attention(tape, embeds, params, n_seq, bias):
                            (n_seq * t_len, t_len))
     logits = tape.add(content, tape.constant(np.tile(bias.T, (n_seq, 1))))
     att = tape.masked_softmax_rows(logits)
-    att_cols = tape.transpose(att)
-    out = None
-    row_seq = np.repeat(np.arange(n_seq), t_len)
-    for m in range(t_len):
-        sources = tape.lookup(embeds, row_seq * t_len + m)
-        weighted = tape.scale_rows(sources, tape.lookup(att_cols, m))
-        out = weighted if out is None else tape.add(out, weighted)
-    return out, att
+    return tape.block_matmul(att, embeds), att
 
 
 def block_mean(tape, rows, n_seq, t_len):

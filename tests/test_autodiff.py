@@ -160,9 +160,11 @@ def _op_case(name, rng):
     elif name == "reshape":
         a = t.param("p", rng.normal(size=(2, 6)))
         out = t.reshape(a, (3, 4))
-    elif name == "scale_rows":
-        a = t.param("p", rng.normal(size=(4, 3)))
-        out = t.scale_rows(a, t.leaf("v", rng.normal(size=4)))
+    elif name == "block_matmul":
+        # two blocks of T=3; p reaches both operands, so both rules count
+        a = t.param("p", rng.normal(size=(6, 3)))
+        b = t.matmul(a, t.leaf("x", rng.normal(size=(3, 2))))
+        out = t.block_matmul(a, b)
     elif name == "segment_mean":
         a = t.param("p", rng.normal(size=(6, 3)))
         # repeated ids within and across segments, and an empty segment
@@ -186,7 +188,7 @@ ALL_OPS = [
     "matmul", "add_same", "add_bias_rows", "mul", "concat", "relu",
     "sigmoid", "softplus", "exp", "log", "neg", "mean_axis", "l2norm",
     "lookup", "masked_softmax_rows", "scale", "transpose", "reshape",
-    "scale_rows", "segment_mean", "sum",
+    "block_matmul", "segment_mean", "sum",
 ]
 
 
@@ -248,6 +250,20 @@ def test_shape_mismatch_names_node():
     a = t.leaf("a", np.ones((2, 3)))
     b = t.leaf("b", np.ones((4, 2)))
     c = t.matmul(a, b)
+    with pytest.raises(ShapeError, match=f"node {c.idx}"):
+        t.forward()
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((5, 2), (5, 3)),   # 5 rows do not divide into blocks of 2
+    ((6, 3), (4, 3)),   # row counts differ
+    ((6, 0), (6, 3)),   # empty blocks
+    ((6,), (6, 3)),     # not a matrix
+])
+def test_block_matmul_rejects_bad_shapes(a_shape, b_shape):
+    t = Tape()
+    c = t.block_matmul(t.leaf("a", np.ones(a_shape)),
+                       t.leaf("b", np.ones(b_shape)))
     with pytest.raises(ShapeError, match=f"node {c.idx}"):
         t.forward()
 

@@ -67,11 +67,14 @@ def test_bpr_cold_user_scores_via_mean_item_factors(world_data):
     history = [1, 2, 3]
     cands = [4, 5, 6]
     ranked = model.rank(cold_user, history, cands)
-    vector = model.item_factors[history].mean(axis=0)
+    # the last history item is the held-out positive, so it is left out
+    vector = model.item_factors[history[:-1]].mean(axis=0)
     expected = sorted(
         [(c, float(model.item_factors[c] @ vector)) for c in cands],
         key=lambda p: (-p[1], p[0]))
     assert [i for i, _ in ranked] == [i for i, _ in expected]
+    for (_, got), (_, want) in zip(ranked, expected):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_bpr_cold_user_fallback_leaves_out_held_out_positive(world_data):
@@ -146,8 +149,8 @@ def test_joint_and_meta_models_share_checkpoint_shapes(world_data, tmp_path):
     meta.meta_train(graph, regular, meta_params, cfg, seed=2, max_steps=1)
     ckpt.save_model(tmp_path / "joint.ckpt", joint_params)
     ckpt.save_model(tmp_path / "meta.ckpt", meta_params)
-    a, _ = ckpt.load_model(tmp_path / "joint.ckpt")
-    b, _ = ckpt.load_model(tmp_path / "meta.ckpt")
+    a = ckpt.load_model(tmp_path / "joint.ckpt")
+    b = ckpt.load_model(tmp_path / "meta.ckpt")
     assert {k: v.shape for k, v in a.all_params().items()} == \
         {k: v.shape for k, v in b.all_params().items()}
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from metacsr import checkpoint as ckpt
 from metacsr import graph as gr
-from metacsr.meta import AdamState, MetaConfig
 from metacsr.params import ModelConfig, init_model
 
 
@@ -72,13 +71,9 @@ def test_model_save_load_partitions(tmp_path):
     g = gr.build_interaction_graph([(0, 0), (1, 1)], 2, 3)
     config = ModelConfig(dim=5, diffusion_depth=2)
     params = init_model(g.n_entities, config, np.random.default_rng(3))
-    adam = AdamState()
-    adam.apply(params.theta2, {k: np.ones_like(v)
-                               for k, v in params.theta2.items()},
-               MetaConfig())
     path = tmp_path / "model.ckpt"
-    ckpt.save_model(path, params, adam_state=adam)
-    loaded, state = ckpt.load_model(path)
+    ckpt.save_model(path, params)
+    loaded = ckpt.load_model(path)
     assert set(loaded.theta1) == set(params.theta1)
     assert set(loaded.theta2) == set(params.theta2)
     assert loaded.config.dim == 5
@@ -86,19 +81,6 @@ def test_model_save_load_partitions(tmp_path):
     for name, value in params.theta1.items():
         np.testing.assert_array_equal(
             loaded.theta1[name], value.astype(np.float32).astype(float))
-    assert state is not None
-    assert float(state["step"]) == adam.step
-    assert any(name.startswith("m/") for name in state)
-
-
-def test_adam_state_optional(tmp_path):
-    g = gr.build_interaction_graph([(0, 0)], 1, 1)
-    params = init_model(g.n_entities, ModelConfig(dim=3),
-                        np.random.default_rng(0))
-    path = tmp_path / "bare.ckpt"
-    ckpt.save_model(path, params)
-    _, state = ckpt.load_model(path)
-    assert state is None
 
 
 def _saved_model(tmp_path, name="m.ckpt"):
@@ -108,6 +90,15 @@ def _saved_model(tmp_path, name="m.ckpt"):
     path = tmp_path / name
     ckpt.save_model(path, params)
     return path
+
+
+def test_load_rejects_optimizer_state(tmp_path):
+    path = _saved_model(tmp_path)
+    tensors = ckpt.read_tensors(path)
+    ckpt.write_tensors(path, {**tensors, "state/step": np.asarray(3.0)})
+    with pytest.raises(ValueError, match="unknown tensor prefix") as err:
+        ckpt.load_model(path)
+    assert "state/step" in str(err.value)
 
 
 @pytest.mark.parametrize("partition", ["theta1", "theta2"])
@@ -179,7 +170,7 @@ def test_load_fails_only_with_value_error_naming_the_file(tmp_path, cut,
         raw[pos % len(raw)] = byte
     path.write_bytes(bytes(raw[:cut % (len(raw) + 1)]))
     try:
-        params, _ = ckpt.load_model(path)
+        params = ckpt.load_model(path)
     except ValueError as err:
         assert str(path) in str(err)
     else:

@@ -207,18 +207,6 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (tmp_path / "tidy.csv").exists()
 
 
-def test_train_checkpoint_carries_adam_state(tmp_path):
-    from metacsr import checkpoint as ckpt
-    out = tmp_path / "run"
-    config = tiny_config(out)
-    experiments.run_prepare(config)
-    path = experiments.run_train(config, max_steps=2, quiet=True)
-    _, state = ckpt.load_model(path)
-    assert state is not None
-    assert float(state["step"]) > 0
-    assert any(name.startswith("m/") for name in state)
-
-
 def test_sweep_fraction_csv(tmp_path):
     config = tiny_config(tmp_path / "run", **{
         "data.synthetic.n_regular": 8, "meta.task_batch": 1,

@@ -73,6 +73,47 @@ def test_attention_matches_scalar_reference(params4):
         np.testing.assert_allclose(att, expected_att, rtol=1e-10)
 
 
+def test_stacked_attention_blocks_match_single_sequence_and_reference(
+        params4):
+    rng = np.random.default_rng(12)
+    n_seq, t_len = 3, 4
+    embeds = rng.normal(size=(n_seq * t_len, 4))
+    pb = seq.position_bias(t_len)
+    for bias in (pb.forward, pb.backward):
+        tape = Tape()
+        out, att = seq.build_attention(
+            tape, tape.leaf("e", embeds),
+            {k: tape.leaf(k, v) for k, v in params4.items()}, n_seq, bias)
+        tape.forward()
+        for i in range(n_seq):
+            rows = slice(i * t_len, (i + 1) * t_len)
+            single = seq.masked_self_attention(embeds[rows], params4, bias)
+            single_att = seq.attention_weights(embeds[rows], params4, bias)
+            expected, expected_att = reference_attention(
+                embeds[rows], params4[seq.ATT_SCORE_W],
+                params4[seq.ATT_SRC_W], params4[seq.ATT_DST_W], bias)
+            np.testing.assert_allclose(out.value[rows], single, rtol=1e-12)
+            np.testing.assert_allclose(att.value[rows], single_att,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(out.value[rows], expected, rtol=1e-10)
+            np.testing.assert_allclose(att.value[rows], expected_att,
+                                       rtol=1e-10)
+
+
+def _encoder_node_count(t_len, n_seq=3, dim=4):
+    params = seq.init_seq_params(dim, np.random.default_rng(0))
+    tape = Tape()
+    nodes = {k: tape.param(k, v) for k, v in params.items()}
+    embeds = tape.leaf("e", np.zeros((n_seq * t_len, dim)))
+    before = len(tape.nodes)
+    seq.build_sequence_encoder(tape, embeds, nodes, n_seq, t_len)
+    return len(tape.nodes) - before
+
+
+def test_encoder_node_count_independent_of_sequence_length():
+    assert _encoder_node_count(2) == _encoder_node_count(10)
+
+
 def test_forward_causality_bitwise(params4):
     rng = np.random.default_rng(3)
     embeds = rng.normal(size=(6, 4))
