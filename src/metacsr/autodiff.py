@@ -32,9 +32,12 @@ class Node:
     operation kind, ``inputs`` the producing nodes, ``aux`` any static
     operation attribute (axis, ids, scalar, shape). ``value`` and
     ``adjoint`` cache the most recent forward and backward results.
+    ``live`` marks a node that a param or leaf feeds: only live nodes get
+    adjoints.
     """
 
-    __slots__ = ("idx", "op", "inputs", "aux", "value", "adjoint", "may_inf", "name")
+    __slots__ = ("idx", "op", "inputs", "aux", "value", "adjoint", "may_inf",
+                 "live", "name")
 
     def __init__(self, idx, op, inputs=(), aux=None, name=None):
         self.idx = idx
@@ -44,6 +47,7 @@ class Node:
         self.value = None
         self.adjoint = None
         self.may_inf = False
+        self.live = op in ("param", "leaf") or any(i.live for i in inputs)
         self.name = name
 
     def __repr__(self):
@@ -58,12 +62,8 @@ def _as_f64(x):
 def stable_sigmoid(x):
     """Numerically stable logistic function, elementwise."""
     x = _as_f64(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def masked_softmax_rows(z):
@@ -397,7 +397,9 @@ class Tape:
 
         Any node can seed the pass with a given ``adjoint`` of its shape,
         e.g. one another tape computed for a leaf fed from its value.
-        Adjoints are propagated in reverse topological order. Parameter
+        Adjoints are propagated in reverse topological order, to live nodes
+        only: a node no param or leaf feeds (a lookup into a constant
+        table, say) gets no adjoint and runs no gradient rule. Parameter
         gradients accumulate across calls until :meth:`zero_grad`.
         Returns the current parameter-gradient mapping.
         """
@@ -424,7 +426,7 @@ class Tape:
             if node.op in ("leaf", "const"):
                 continue
             for inp, grad in zip(node.inputs, self._input_grads(node, adj)):
-                if grad is None:
+                if grad is None or not inp.live:
                     continue
                 if inp.adjoint is None:
                     inp.adjoint = grad

@@ -4,9 +4,9 @@ The per-pair loss is the numerically safe BPR form
 ``-log sigmoid(p_pos - p_neg)`` (softplus of the negated difference),
 mean-reduced over each sequence's sampled negatives and then over the
 batch. ``build_batch_loss`` assembles sequence encoding and scoring for a
-whole batch on one tape, grouping sequences of equal length so the node
-count stays small; ``build_model_loss`` prepends the diffusion stack to
-produce the complete graph from raw parameters.
+whole batch on one tape, sequences of all lengths in one padded block so
+the node count stays small; ``build_model_loss`` prepends the diffusion
+stack to produce the complete graph from raw parameters.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .autodiff import Tape
 from .data import sample_negatives
 
 log = logging.getLogger(__name__)
+
+PAD_ITEM = 0    # fills padded slots; any valid id gives the same loss
 
 
 def pairwise_loss(p_pos, p_negs) -> float:
@@ -39,17 +41,6 @@ class BatchInfo:
     n_sequences: int = 0
     n_skipped: int = 0
     negatives: list[list[int]] = field(default_factory=list)
-
-
-def _grouped_preferences(tape, item_features, group, theta2, use_sequence):
-    """(n_seq, d) preference matrix node for equal-length sequences."""
-    t_len = len(group[0].items)
-    n_seq = len(group)
-    all_ids = np.asarray([it for s in group for it in s.items])
-    embeds = tape.lookup(item_features, all_ids)
-    if not use_sequence:
-        return seq.block_mean(tape, embeds, n_seq, t_len)
-    return seq.build_sequence_encoder(tape, embeds, theta2, n_seq, t_len)
 
 
 def _scores(tape, prefs, item_features, cand_ids, rep_seq, theta2):
@@ -90,35 +81,27 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
         raise ValueError("no usable sequences in batch")
     info.n_sequences = len(usable)
 
-    by_len: dict[int, list[int]] = {}
-    for idx, s in enumerate(usable):
-        by_len.setdefault(len(s.items), []).append(idx)
-
-    pair_nodes = []
-    for t_len in sorted(by_len):
-        idxs = by_len[t_len]
-        group = [usable[i] for i in idxs]
-        prefs = _grouped_preferences(tape, item_features, group, theta2,
-                                     use_sequence)
-        width = 1 + k_neg
-        cand_ids = []
-        rep_seq = []
-        for row, i in enumerate(idxs):
-            cand_ids.append(usable[i].target)
-            cand_ids.extend(info.negatives[i])
-            rep_seq.extend([row] * width)
-        probs = _scores(tape, prefs, item_features, cand_ids, rep_seq, theta2)
-        pos_rep = [row * width for row in range(len(idxs)) for _ in range(k_neg)]
-        neg_pos = [row * width + 1 + j
-                   for row in range(len(idxs)) for j in range(k_neg)]
-        pairs = tape.softplus(tape.add(tape.lookup(probs, neg_pos),
-                                       tape.neg(tape.lookup(probs, pos_rep))))
-        pair_nodes.append(pairs)
-    all_pairs = pair_nodes[0] if len(pair_nodes) == 1 \
-        else tape.concat(pair_nodes, axis=0)
+    lengths = np.array([len(s.items) for s in usable])
+    ids = np.full((len(usable), lengths.max()), PAD_ITEM)
+    for row, s in enumerate(usable):
+        ids[row, : lengths[row]] = s.items
+    embeds = tape.lookup(item_features, ids.reshape(-1))
+    if use_sequence:
+        prefs = seq.build_sequence_encoder(tape, embeds, theta2, lengths)
+    else:
+        prefs = seq.block_mean(tape, embeds, lengths)
+    width = 1 + k_neg
+    cand_ids = [c for s, sampled in zip(usable, info.negatives)
+                for c in (s.target, *sampled)]
+    probs = _scores(tape, prefs, item_features, cand_ids,
+                    np.repeat(np.arange(len(usable)), width), theta2)
+    starts = np.arange(len(usable)) * width   # each sequence's positive
+    pos = tape.lookup(probs, np.repeat(starts, k_neg))
+    negs = tape.lookup(probs, np.delete(np.arange(len(cand_ids)), starts))
+    pairs = tape.softplus(tape.add(negs, tape.neg(pos)))
     # equal k_neg everywhere: mean over all pairs == mean over sequences of
     # per-sequence means
-    return tape.mean_axis(all_pairs, 0), info
+    return tape.mean_axis(pairs, 0), info
 
 
 def item_feature_node(tape, graph_, theta1_nodes, config, plan=None):

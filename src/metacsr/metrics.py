@@ -46,6 +46,14 @@ class RankedQuery:
                        key=lambda i: (-self.scores[i], self.ids[i]))
         return tuple(self.relevant[i] for i in order)
 
+    @cached_property
+    def _gains(self):
+        """Gains in rank order, sorted descending, and the log2 discounts:
+        built once per query for NDCG@N at every N."""
+        gains = np.asarray(self._ranking, dtype=float)
+        return (gains, np.sort(gains)[::-1],
+                1.0 / np.log2(np.arange(2, gains.size + 2)))
+
 
 def _require_queries(queries):
     if not queries:
@@ -109,11 +117,8 @@ def ndcg_at_n(queries, n) -> float:
         raise ValueError("N must be >= 1")
     total = 0.0
     for q in queries:
-        ranking = q.ranking()
-        discounts = 1.0 / np.log2(np.arange(2, len(ranking) + 2))
-        gains = np.asarray(ranking, dtype=float)
+        gains, ideal, discounts = q._gains
         dcg = float((gains[:n] * discounts[:n]).sum())
-        ideal = np.sort(gains)[::-1]
         idcg = float((ideal[:n] * discounts[:n]).sum())
         total += dcg / idcg if idcg > 0 else 0.0
     return total / len(queries)

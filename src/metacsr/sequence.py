@@ -6,7 +6,8 @@ bias of ``-exp(|m - n|)`` that decays attention with distance. The forward
 pass lets position n attend to sources m <= n, the backward pass to m >= n
 (the diagonal is included in both so every position has a non-empty
 attendable set). Per-direction outputs are mean-pooled over positions,
-concatenated and projected to the preference vector.
+concatenated and projected to the preference vector. A batch of sequences
+of any lengths is encoded as one block padded to the longest.
 """
 
 from __future__ import annotations
@@ -55,56 +56,73 @@ def init_seq_params(dim, rng) -> dict[str, np.ndarray]:
     }
 
 
-def build_attention(tape, embeds, params, n_seq, bias):
-    """Masked self-attention over n_seq stacked sequences of equal length.
+def build_attention(tape, embeds, params, lengths, biases):
+    """Masked self-attention over stacked sequences padded to T rows each.
 
     ``embeds`` holds the sequences' item embeddings as consecutive blocks
-    of T rows; ``bias`` is the (T, T) numpy mask for this direction,
-    indexed [m, n]. Logits are laid out with one row per (sequence, target
-    position n), so a row softmax yields each position's distribution over
-    sources m, and each sequence's (T, T) block of those rows mixes its
-    own T embeddings. Returns the (n_seq * T, d) output node, rows in
-    (sequence, position) order, and the (n_seq * T, T) attention node.
+    of T rows, of which sequence i's first ``lengths[i]`` are live; the
+    padded rows may hold any finite embedding. Each of ``biases`` is a
+    (T, T) numpy mask for one direction, indexed [m, n]. The content logit
+    is computed once, for the live pairs alone: m and n inside the
+    sequence, and the bias finite in some direction. Each direction
+    gathers its logits from that one vector, one row per (sequence, target
+    position n); its dead entries read slot 0 and are masked by a -inf
+    bias constant. A row softmax thus yields each position's distribution
+    over sources m (all zero on padded rows), and each sequence's (T, T)
+    block of those rows mixes its own embeddings. Returns one (output,
+    attention) pair per bias: the (n_seq * T, d) output node and the
+    (n_seq * T, T) attention node, rows in (sequence, position) order.
     """
-    t_len = bias.shape[0]
+    t_len = biases[0].shape[0]
+    inside = np.arange(t_len) < np.asarray(lengths)[:, None]
+    # [sequence, n, m] masks, one per direction, and their union
+    finite = [inside[:, :, None] & inside[:, None, :] & np.isfinite(b.T)
+              for b in biases]
+    live = np.logical_or.reduce(finite)
+    seq_i, pos_n, pos_m = np.nonzero(live)
     # row m of srcs is src_w @ e_m, row n of dsts is dst_w @ e_n
     srcs = tape.matmul(embeds, tape.transpose(params[ATT_SRC_W]))
     dsts = tape.matmul(embeds, tape.transpose(params[ATT_DST_W]))
-    base = np.repeat(np.arange(n_seq) * t_len, t_len * t_len)
-    # pairs in (sequence, n, m) order, m fastest
-    pair_m = base + np.tile(np.tile(np.arange(t_len), t_len), n_seq)
-    pair_n = base + np.tile(np.repeat(np.arange(t_len), t_len), n_seq)
-    hidden = tape.sigmoid(tape.add(tape.lookup(srcs, pair_m),
-                                   tape.lookup(dsts, pair_n)))
+    hidden = tape.sigmoid(tape.add(tape.lookup(srcs, seq_i * t_len + pos_m),
+                                   tape.lookup(dsts, seq_i * t_len + pos_n)))
     content = tape.reshape(tape.matmul(hidden, params[ATT_SCORE_W]),
-                           (n_seq * t_len, t_len))
-    logits = tape.add(content, tape.constant(np.tile(bias.T, (n_seq, 1))))
-    att = tape.masked_softmax_rows(logits)
-    return tape.block_matmul(att, embeds), att
+                           (seq_i.size,))
+    slot = np.zeros(live.shape, dtype=np.intp)
+    slot[live] = np.arange(seq_i.size)
+    shared = tape.lookup(content, slot.reshape(-1, t_len))
+    results = []
+    for bias, ok in zip(biases, finite):
+        mask = np.where(ok, bias.T, -np.inf).reshape(-1, t_len)
+        att = tape.masked_softmax_rows(tape.add(shared, tape.constant(mask)))
+        results.append((tape.block_matmul(att, embeds), att))
+    return results
 
 
-def block_mean(tape, rows, n_seq, t_len):
-    """Mean over each sequence's block of t_len consecutive rows."""
-    return tape.segment_mean(rows, np.arange(n_seq * t_len),
-                             np.full(n_seq, t_len))
+def block_mean(tape, rows, lengths):
+    """Mean over the first ``lengths[i]`` rows of each sequence's block of
+    ``max(lengths)`` consecutive rows: the (n_seq, d) node."""
+    lengths = np.asarray(lengths)
+    live = np.arange(lengths.max()) < lengths[:, None]
+    return tape.segment_mean(rows, np.flatnonzero(live), lengths)
 
 
-def build_preference(tape, fw, bw, params, n_seq, t_len):
+def build_preference(tape, fw, bw, params, lengths):
     """Mean-pool both directions per sequence, concatenate, project: the
     (n_seq, d) preference node."""
-    pooled = tape.concat([block_mean(tape, fw, n_seq, t_len),
-                          block_mean(tape, bw, n_seq, t_len)], axis=1)
+    pooled = tape.concat([block_mean(tape, fw, lengths),
+                          block_mean(tape, bw, lengths)], axis=1)
     return tape.relu(tape.add(
         tape.matmul(pooled, tape.transpose(params[COMBINE_W])),
         params[COMBINE_B]))
 
 
-def build_sequence_encoder(tape, embeds, params, n_seq, t_len):
-    """Full encoder: stacked embeddings node -> (n_seq, d) preference node."""
-    bias = position_bias(t_len)
-    fw, _ = build_attention(tape, embeds, params, n_seq, bias.forward)
-    bw, _ = build_attention(tape, embeds, params, n_seq, bias.backward)
-    return build_preference(tape, fw, bw, params, n_seq, t_len)
+def build_sequence_encoder(tape, embeds, params, lengths):
+    """Full encoder: padded embeddings node (see :func:`build_attention`)
+    -> (n_seq, d) preference node."""
+    bias = position_bias(int(np.max(lengths)))
+    (fw, _), (bw, _) = build_attention(tape, embeds, params, lengths,
+                                       (bias.forward, bias.backward))
+    return build_preference(tape, fw, bw, params, lengths)
 
 
 def _param_nodes(tape, params):
@@ -113,9 +131,9 @@ def _param_nodes(tape, params):
 
 def _attention(seq_embeds, params, bias):
     tape = Tape()
-    out, att = build_attention(
+    ((out, att),) = build_attention(
         tape, tape.leaf("e", np.asarray(seq_embeds, dtype=np.float64)),
-        _param_nodes(tape, params), 1, np.asarray(bias))
+        _param_nodes(tape, params), [len(seq_embeds)], [np.asarray(bias)])
     tape.forward()
     return out.value.copy(), att.value.copy()
 
@@ -138,7 +156,7 @@ def encode_preference(fw_out, bw_out, params):
     tape = Tape()
     node = build_preference(tape, tape.leaf("fw", np.asarray(fw_out, float)),
                             tape.leaf("bw", np.asarray(bw_out, float)),
-                            _param_nodes(tape, params), 1, len(fw_out))
+                            _param_nodes(tape, params), [len(fw_out)])
     tape.forward()
     return node.value[0].copy()
 
@@ -148,8 +166,8 @@ def encode_sequence(seq_embeds, params):
     seq_embeds = np.asarray(seq_embeds, dtype=np.float64)
     tape = Tape()
     node = build_sequence_encoder(tape, tape.leaf("e", seq_embeds),
-                                  _param_nodes(tape, params), 1,
-                                  seq_embeds.shape[0])
+                                  _param_nodes(tape, params),
+                                  [seq_embeds.shape[0]])
     tape.forward()
     return node.value[0].copy()
 

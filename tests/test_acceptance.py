@@ -111,7 +111,7 @@ def test_criterion_1_gradient_correctness():
     nodes = {name: tape.param(name, value)
              for name, value in enc_params.items()}
     embeds = tape.param("embeds", rng.normal(size=(4, 4)))
-    s_u = seq.build_sequence_encoder(tape, embeds, nodes, 1, 4)
+    s_u = seq.build_sequence_encoder(tape, embeds, nodes, [4])
     enc_loss = tape.sum(tape.mul(s_u, tape.constant(rng.normal(size=(1, 4)))))
     for name in ["embeds", *enc_params]:
         ok &= finite_difference_check(tape, enc_loss, name, 1e-6) < 1e-4

@@ -303,6 +303,70 @@ def test_stable_sigmoid_extremes():
     np.testing.assert_allclose(stable_sigmoid(np.array([-800.0])), [0.0])
 
 
+def test_stable_sigmoid_matches_masked_form_bit_for_bit():
+    def masked(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                        1e-300, -1e-300, 1e-17, -1e-17, 36.0, -36.0, 709.0,
+                        -709.0, 745.0, -745.0, 800.0, -800.0, 1e300, -1e300,
+                        np.finfo(float).max, -np.finfo(float).max])
+    rng = np.random.default_rng(6)
+    for size in (1, 3, 7, 101):
+        x = rng.choice(special, size=size) * rng.choice([1.0, 0.5], size=size)
+        x[::2] = rng.normal(scale=30.0, size=x[::2].shape)
+        np.testing.assert_array_equal(stable_sigmoid(x), masked(x))
+    np.testing.assert_array_equal(stable_sigmoid(special), masked(special))
+    assert stable_sigmoid(np.asarray(-0.0)) == 0.5
+    assert stable_sigmoid(np.asarray(3.0)).shape == ()
+
+
+def _const_lookup_tape():
+    rng = np.random.default_rng(7)
+    t = Tape()
+    table = t.constant(rng.normal(size=(50, 3)))
+    rows = t.lookup(table, [4, 9, 4])
+    w = t.param("w", rng.normal(size=(3, 2)))
+    x = t.leaf("x", rng.normal(size=(3, 3)))
+    h = t.matmul(t.add(rows, x), w)
+    loss = t.sum(t.mul(h, t.lookup(t.constant(rng.normal(size=(9, 2))),
+                                   [0, 3, 8])))
+    return t, loss, table, rows, x
+
+
+def test_backward_skips_nodes_no_param_or_leaf_feeds():
+    t, loss, table, rows, x = _const_lookup_tape()
+    t.forward()
+    t.backward(loss)
+    assert not table.live and not rows.live and x.live
+    assert table.adjoint is None and rows.adjoint is None
+    differentiated = []
+    original = t._input_grads
+
+    def spy(node, adj):
+        differentiated.append(node.op)
+        return original(node, adj)
+
+    t._input_grads = spy
+    t.zero_grad()
+    t.backward(loss)
+    assert "lookup" not in differentiated
+    skipped = dict(t.grads), x.adjoint.copy()
+
+    for node in t.nodes:
+        node.live = True
+    t.zero_grad()
+    t.backward(loss)
+    assert "lookup" in differentiated and table.adjoint is not None
+    np.testing.assert_array_equal(skipped[0]["w"], t.grads["w"])
+    np.testing.assert_array_equal(skipped[1], x.adjoint)
+
+
 def test_segment_mean_equals_chained_add_and_scale_bit_for_bit():
     rng = np.random.default_rng(5)
     table = rng.normal(size=(40, 7))

@@ -144,20 +144,76 @@ def test_grouped_encoder_matches_per_sequence_path():
     ]
     tape = Tape()
     nodes = {k: tape.leaf(k, v) for k, v in params.theta2.items()}
-    f = tape.constant(feats)
-    by_len = {}
-    for s in seqs:
-        by_len.setdefault(len(s.items), []).append(s)
-    for t_len, group in by_len.items():
-        prefs = losses._grouped_preferences(tape, f, group, nodes, True)
+    ids = np.full((len(seqs), 3), losses.PAD_ITEM)
+    for row, s in enumerate(seqs):
+        ids[row, : len(s.items)] = s.items
+    embeds = tape.lookup(tape.constant(feats), ids.reshape(-1))
+    prefs = seq.build_sequence_encoder(tape, embeds, nodes, [3, 3, 2])
+    tape.forward()
+    for row, s in enumerate(seqs):
+        expected = seq.encode_sequence(feats[list(s.items)], params.theta2)
+        np.testing.assert_allclose(prefs.value[row], expected, rtol=1e-9,
+                                   atol=1e-12)
+        oracle = reference_encode(feats[list(s.items)], params.theta2)
+        np.testing.assert_allclose(prefs.value[row], oracle, rtol=1e-8,
+                                   atol=1e-12)
+
+
+def _mixed_batch(lengths, n_items=6):
+    """One user's sequences of the given lengths, item ids cycling."""
+    seqs = []
+    for i, t_len in enumerate(lengths):
+        items = tuple((3 * i + j) % n_items for j in range(t_len))
+        seqs.append(BehaviorSequence(user=0, items=items,
+                                     target=(i + 1) % n_items))
+    return seqs
+
+
+def _batch_tape(params, feats, seqs, use_sequence=True):
+    """Batch loss over a trainable feature table and theta2."""
+    tape = Tape()
+    table = tape.param("feats", feats)
+    nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
+    loss, _ = losses.build_batch_loss(
+        tape, table, nodes, seqs, 2, np.random.default_rng(4),
+        {0: {0, 1}}, feats.shape[0], use_sequence=use_sequence)
+    return tape, loss
+
+
+def test_batch_loss_node_count_independent_of_distinct_lengths():
+    g, params, _ = _tiny_setup()
+    feats = np.zeros((g.n_items, params.dim))
+    one = _batch_tape(params, feats, _mixed_batch([5] * 7))[0]
+    seven = _batch_tape(params, feats, _mixed_batch(range(2, 9)))[0]
+    assert len(seven.nodes) == len(one.nodes)
+
+
+def test_mixed_length_batch_gradients_pass_finite_differences():
+    g, params, _ = _tiny_setup(dim=3)
+    feats = np.random.default_rng(8).normal(size=(g.n_items, params.dim))
+    tape, loss = _batch_tape(params, feats, _mixed_batch([2, 5, 3, 5, 4]))
+    for name in ["feats", *params.theta2]:
+        assert finite_difference_check(tape, loss, name, 1e-6) < 1e-4, name
+
+
+@pytest.mark.parametrize("use_sequence", [True, False])
+def test_padding_filler_leaves_loss_and_gradients_unchanged(
+        monkeypatch, use_sequence):
+    g, params, _ = _tiny_setup()
+    feats = np.random.default_rng(9).normal(size=(g.n_items, params.dim))
+    seqs = _mixed_batch([2, 6, 3, 4])
+    runs = []
+    for filler in (0, 5, 2):
+        monkeypatch.setattr(losses, "PAD_ITEM", filler)
+        tape, loss = _batch_tape(params, feats, seqs, use_sequence)
         tape.forward()
-        for row, s in enumerate(group):
-            expected = seq.encode_sequence(feats[list(s.items)], params.theta2)
-            np.testing.assert_allclose(prefs.value[row], expected, rtol=1e-9,
-                                       atol=1e-12)
-            oracle = reference_encode(feats[list(s.items)], params.theta2)
-            np.testing.assert_allclose(prefs.value[row], oracle, rtol=1e-8,
-                                       atol=1e-12)
+        tape.backward(loss)
+        runs.append((loss.value, tape.grads))
+    for value, grads in runs[1:]:
+        assert value == runs[0][0]
+        assert grads.keys() == runs[0][1].keys()
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, runs[0][1][name], name)
 
 
 def test_full_stack_matches_scalar_reference():

@@ -113,6 +113,29 @@ def test_metrics_match_brute_force_on_random_instances():
                 reference_ndcg_at_n(ranking, n), abs=1e-12)
 
 
+def _per_call_ndcg(queries, n):
+    """NDCG@N rebuilding discounts and ideal gains on every call."""
+    total = 0.0
+    for q in queries:
+        ranking = q.ranking()
+        discounts = 1.0 / np.log2(np.arange(2, len(ranking) + 2))
+        gains = np.asarray(ranking, dtype=float)
+        dcg = float((gains[:n] * discounts[:n]).sum())
+        ideal = np.sort(gains)[::-1]
+        idcg = float((ideal[:n] * discounts[:n]).sum())
+        total += dcg / idcg if idcg > 0 else 0.0
+    return total / len(queries)
+
+
+def test_ndcg_equals_per_call_formula_exactly():
+    rng = np.random.default_rng(44)
+    queries = _random_queries(rng, 300, max_candidates=120, multi_pos=True)
+    for n in range(1, 21):
+        assert ndcg_at_n(queries, n) == _per_call_ndcg(queries, n)
+        for q in queries[:40]:
+            assert ndcg_at_n([q], n) == _per_call_ndcg([q], n)
+
+
 def test_pair_auc_equals_rank_auc_for_single_positive():
     rng = np.random.default_rng(43)
     for q in _random_queries(rng, 1000):

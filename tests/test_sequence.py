@@ -76,28 +76,37 @@ def test_attention_matches_scalar_reference(params4):
 def test_stacked_attention_blocks_match_single_sequence_and_reference(
         params4):
     rng = np.random.default_rng(12)
-    n_seq, t_len = 3, 4
-    embeds = rng.normal(size=(n_seq * t_len, 4))
+    lengths, t_len = [4, 2, 3], 4
+    embeds = rng.normal(size=(len(lengths) * t_len, 4))
     pb = seq.position_bias(t_len)
-    for bias in (pb.forward, pb.backward):
-        tape = Tape()
-        out, att = seq.build_attention(
-            tape, tape.leaf("e", embeds),
-            {k: tape.leaf(k, v) for k, v in params4.items()}, n_seq, bias)
-        tape.forward()
-        for i in range(n_seq):
-            rows = slice(i * t_len, (i + 1) * t_len)
-            single = seq.masked_self_attention(embeds[rows], params4, bias)
-            single_att = seq.attention_weights(embeds[rows], params4, bias)
+    tape = Tape()
+    both = seq.build_attention(
+        tape, tape.leaf("e", embeds),
+        {k: tape.leaf(k, v) for k, v in params4.items()}, lengths,
+        [pb.forward, pb.backward])
+    tape.forward()
+    # content logits: only the pairs inside each sequence, once
+    (hidden,) = [n for n in tape.nodes if n.op == "sigmoid"]
+    assert hidden.value.shape[0] == sum(n * n for n in lengths)
+    for bias, (out, att) in zip((pb.forward, pb.backward), both):
+        for i, n in enumerate(lengths):
+            rows = slice(i * t_len, i * t_len + n)
+            live = embeds[rows]
+            single = seq.masked_self_attention(live, params4, bias[:n, :n])
+            single_att = seq.attention_weights(live, params4, bias[:n, :n])
             expected, expected_att = reference_attention(
-                embeds[rows], params4[seq.ATT_SCORE_W],
-                params4[seq.ATT_SRC_W], params4[seq.ATT_DST_W], bias)
+                live, params4[seq.ATT_SCORE_W], params4[seq.ATT_SRC_W],
+                params4[seq.ATT_DST_W], bias[:n, :n])
             np.testing.assert_allclose(out.value[rows], single, rtol=1e-12)
-            np.testing.assert_allclose(att.value[rows], single_att,
+            np.testing.assert_allclose(att.value[rows, :n], single_att,
                                        rtol=1e-12)
             np.testing.assert_allclose(out.value[rows], expected, rtol=1e-10)
-            np.testing.assert_allclose(att.value[rows], expected_att,
+            np.testing.assert_allclose(att.value[rows, :n], expected_att,
                                        rtol=1e-10)
+            # padded sources get no weight, padded positions no output
+            assert not att.value[rows, n:].any()
+            pad = slice(i * t_len + n, (i + 1) * t_len)
+            assert not att.value[pad].any() and not out.value[pad].any()
 
 
 def _encoder_node_count(t_len, n_seq=3, dim=4):
@@ -106,7 +115,7 @@ def _encoder_node_count(t_len, n_seq=3, dim=4):
     nodes = {k: tape.param(k, v) for k, v in params.items()}
     embeds = tape.leaf("e", np.zeros((n_seq * t_len, dim)))
     before = len(tape.nodes)
-    seq.build_sequence_encoder(tape, embeds, nodes, n_seq, t_len)
+    seq.build_sequence_encoder(tape, embeds, nodes, [t_len] * n_seq)
     return len(tape.nodes) - before
 
 
@@ -214,7 +223,7 @@ def test_encoder_gradient_finite_differences():
     tape = Tape()
     nodes = {name: tape.param(name, value) for name, value in params.items()}
     embeds = tape.param("embeds", rng.normal(size=(t_len, dim)))
-    s_u = seq.build_sequence_encoder(tape, embeds, nodes, 1, t_len)
+    s_u = seq.build_sequence_encoder(tape, embeds, nodes, [t_len])
     loss = tape.sum(tape.mul(s_u, tape.constant(rng.normal(size=(1, dim)))))
     for name in ["embeds", seq.ATT_SCORE_W, seq.ATT_SRC_W, seq.ATT_DST_W,
                  seq.COMBINE_W, seq.COMBINE_B]:
