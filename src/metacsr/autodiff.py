@@ -2,8 +2,8 @@
 
 A :class:`Tape` records a directed acyclic graph of numpy operations. Nodes
 are appended in construction order, so the node list is always a valid
-topological order. ``forward`` evaluates every node given leaf feeds and
-bound parameters; ``backward`` accumulates adjoints in reverse order and
+topological order. ``forward`` evaluates every node from the bound leaves and
+parameters; ``backward`` accumulates adjoints in reverse order and
 folds parameter gradients into ``tape.grads``.
 
 All values are float64 ndarrays of rank 0, 1 or 2. Broadcasting is
@@ -36,8 +36,8 @@ class Node:
     adjoints.
     """
 
-    __slots__ = ("idx", "op", "inputs", "aux", "value", "adjoint", "may_inf",
-                 "live", "name")
+    __slots__ = ("idx", "op", "inputs", "aux", "value", "adjoint", "live",
+                 "name")
 
     def __init__(self, idx, op, inputs=(), aux=None, name=None):
         self.idx = idx
@@ -46,7 +46,6 @@ class Node:
         self.aux = aux
         self.value = None
         self.adjoint = None
-        self.may_inf = False
         self.live = op in ("param", "leaf") or any(i.live for i in inputs)
         self.name = name
 
@@ -94,11 +93,9 @@ def l2_normalize_rows(x, eps=1e-12):
     if x.ndim == 1:
         n = np.linalg.norm(x)
         return x / n if n >= eps else np.zeros_like(x)
-    n = np.linalg.norm(x, axis=1)
-    out = np.zeros_like(x)
+    n = np.linalg.norm(x, axis=1, keepdims=True)
     ok = n >= eps
-    out[ok] = x[ok] / n[ok, None]
-    return out
+    return np.where(ok, x / np.where(ok, n, 1.0), 0.0)
 
 
 def _blocks(x, t_len):
@@ -147,7 +144,9 @@ class Segments:
         """Gradient w.r.t. ``table``: ``adj / count`` into every row a
         segment read."""
         if self.readers is None:
-            by_id = np.argsort(self.ids, kind="stable")
+            # a stable sort of ids this narrow is numpy's radix sort
+            narrow = self.ids.astype(np.min_scalar_type(table.shape[0] - 1))
+            by_id = np.argsort(narrow, kind="stable")
             self.readers = Segments(
                 np.repeat(np.arange(self.counts.size), self.counts)[by_id],
                 np.bincount(self.ids, minlength=table.shape[0]))
@@ -157,28 +156,23 @@ class Segments:
 class Tape:
     """Computation graph builder, evaluator and differentiator."""
 
-    def __init__(self, debug=False):
+    def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.debug = debug
 
     # ------------------------------------------------------------------ leaves
 
-    def _append(self, op, inputs=(), aux=None, name=None, may_inf=None):
+    def _append(self, op, inputs=(), aux=None, name=None):
         node = Node(len(self.nodes), op, tuple(inputs), aux, name)
-        if may_inf is None:
-            node.may_inf = any(i.may_inf for i in inputs)
-        else:
-            node.may_inf = may_inf
         self.nodes.append(node)
         return node
 
-    def leaf(self, name, value=None):
-        """A feedable input node; value may be bound now or fed at forward."""
+    def leaf(self, name, value):
+        """An input node bound to ``value``; assign ``node.value`` to
+        rebind it."""
         node = self._append("leaf", name=name)
-        if value is not None:
-            node.value = _as_f64(value)
+        node.value = _as_f64(value)
         return node
 
     def param(self, name, value):
@@ -193,7 +187,6 @@ class Tape:
     def constant(self, value):
         node = self._append("const")
         node.value = _as_f64(value)
-        node.may_inf = not np.all(np.isfinite(node.value))
         return node
 
     def set_param(self, name, value):
@@ -254,7 +247,7 @@ class Tape:
                             aux=np.asarray(ids, dtype=np.intp))
 
     def masked_softmax_rows(self, a):
-        return self._append("masked_softmax_rows", (a,), may_inf=False)
+        return self._append("masked_softmax_rows", (a,))
 
     def scale(self, a, c):
         return self._append("scale", (a,), aux=float(c))
@@ -286,35 +279,15 @@ class Tape:
         return ShapeError(f"node {node.idx} ({node.op}"
                           f"{', ' + node.name if node.name else ''}): {msg}")
 
-    def forward(self, feeds=None):
+    def forward(self):
         """Evaluate every node in topological order.
 
-        ``feeds`` maps leaf nodes (or their names) to arrays. Returns the
-        list of cached values indexed by node id. Deterministic given the
-        feeds and parameter bindings.
+        Returns the list of cached values indexed by node id. Deterministic
+        given the leaf and parameter bindings.
         """
-        named = {}
-        if feeds:
-            for key, val in feeds.items():
-                if isinstance(key, Node):
-                    key.value = _as_f64(val)
-                else:
-                    named[key] = _as_f64(val)
         for node in self.nodes:
-            op = node.op
-            if op in ("param", "const"):
-                pass
-            elif op == "leaf":
-                if node.name in named:
-                    node.value = named[node.name]
-                if node.value is None:
-                    raise self._err(node, "leaf has no feed or bound value")
-            else:
+            if node.op not in ("param", "const", "leaf"):
                 node.value = self._compute(node)
-            if self.debug and not node.may_inf and op not in ("param", "const", "leaf"):
-                if not np.all(np.isfinite(node.value)):
-                    raise FloatingPointError(
-                        f"non-finite value at node {node.idx} ({op})")
         return [n.value for n in self.nodes]
 
     def _compute(self, node):
@@ -435,21 +408,26 @@ class Tape:
         return self.grads
 
     def _input_grads(self, node, adj):
+        """One gradient per input; the product rules skip (None) an input
+        that is not live."""
         op = node.op
         vals = [i.value for i in node.inputs]
-        if op == "matmul":
+        if op in ("matmul", "mul", "block_matmul"):
             a, b = vals
+            a_live, b_live = (i.live for i in node.inputs)
+        if op == "matmul":
             if b.ndim == 1:
-                return [np.outer(adj, b), a.T @ adj]
-            return [adj @ b.T, a.T @ adj]
+                return [np.outer(adj, b) if a_live else None,
+                        a.T @ adj if b_live else None]
+            return [adj @ b.T if a_live else None,
+                    a.T @ adj if b_live else None]
         if op == "add":
             a, b = vals
             if a.shape == b.shape:
                 return [adj, adj]
             return [adj, adj.sum(axis=0)]
         if op == "mul":
-            a, b = vals
-            return [adj * b, adj * a]
+            return [adj * b if a_live else None, adj * a if b_live else None]
         if op == "concat":
             axis = node.aux
             grads = []
@@ -485,9 +463,13 @@ class Tape:
         if op == "l2norm":
             return [self._l2norm_grad(vals[0], node.value, adj)]
         if op == "lookup":
-            g = np.zeros_like(vals[0])
-            np.add.at(g, node.aux, adj)
-            return [g]
+            # one weighted bincount over the (row, column) cells read: each
+            # cell sums its adjoints in id order from 0.0, as np.add.at does
+            table = vals[0]
+            width = table.shape[1] if table.ndim == 2 else 1
+            cells = node.aux.reshape(-1, 1) * width + np.arange(width)
+            return [np.bincount(cells.reshape(-1), weights=adj.reshape(-1),
+                                minlength=table.size).reshape(table.shape)]
         if op == "masked_softmax_rows":
             a = node.value
             dot = (adj * a).sum(axis=1, keepdims=True)
@@ -499,11 +481,12 @@ class Tape:
         if op == "reshape":
             return [adj.reshape(vals[0].shape)]
         if op == "block_matmul":
-            a, b = vals
             t_len = a.shape[1]
             a3, b3, adj3 = (_blocks(x, t_len) for x in (a, b, adj))
-            return [np.matmul(adj3, b3.transpose(0, 2, 1)).reshape(a.shape),
-                    np.matmul(a3.transpose(0, 2, 1), adj3).reshape(b.shape)]
+            return [np.matmul(adj3, b3.transpose(0, 2, 1)).reshape(a.shape)
+                    if a_live else None,
+                    np.matmul(a3.transpose(0, 2, 1), adj3).reshape(b.shape)
+                    if b_live else None]
         if op == "segment_mean":
             return [node.aux.backward(vals[0], adj)]
         raise self._err(node, "unknown op in backward")
@@ -515,18 +498,17 @@ class Tape:
             if n < eps:
                 return np.zeros_like(x)
             return (adj - y * (y @ adj)) / n
-        n = np.linalg.norm(x, axis=1)
-        out = np.zeros_like(x)
+        n = np.linalg.norm(x, axis=1, keepdims=True)
         ok = n >= eps
-        dots = (y[ok] * adj[ok]).sum(axis=1, keepdims=True)
-        out[ok] = (adj[ok] - y[ok] * dots) / n[ok, None]
-        return out
+        # a C-ordered product sums each row as the masked copies did
+        dots = np.multiply(y, adj, order="C").sum(axis=1, keepdims=True)
+        return np.where(ok, (adj - y * dots) / np.where(ok, n, 1.0), 0.0)
 
     def zero_grad(self):
         self.grads = {}
 
 
-def finite_difference_check(tape, loss, param_name, epsilon=1e-6, feeds=None):
+def finite_difference_check(tape, loss, param_name, epsilon=1e-6):
     """Max relative error between analytic and central-difference gradients.
 
     Perturbs every coordinate of the named parameter by +/- epsilon,
@@ -536,7 +518,7 @@ def finite_difference_check(tape, loss, param_name, epsilon=1e-6, feeds=None):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     tape.zero_grad()
-    tape.forward(feeds)
+    tape.forward()
     tape.backward(loss)
     analytic = tape.grads[param_name].copy()
     pnode = tape.params[param_name]
@@ -548,15 +530,15 @@ def finite_difference_check(tape, loss, param_name, epsilon=1e-6, feeds=None):
         orig = flat_base[i]
         flat_base[i] = orig + epsilon
         pnode.value = flat_base.reshape(base.shape)
-        tape.forward(feeds)
+        tape.forward()
         hi = float(loss.value)
         flat_base[i] = orig - epsilon
         pnode.value = flat_base.reshape(base.shape)
-        tape.forward(feeds)
+        tape.forward()
         lo = float(loss.value)
         flat_base[i] = orig
         flat_num[i] = (hi - lo) / (2.0 * epsilon)
     pnode.value = base
-    tape.forward(feeds)
+    tape.forward()
     denom = np.maximum(1e-12, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -1,7 +1,10 @@
 """Bipartite user-item interaction graph and stacked convolution embeddings.
 
 Entities share one index space: users occupy ids ``0..n_users-1`` and items
-``n_users..n_users+n_items-1``. One convolution step mean-pools sampled
+``n_users..n_users+n_items-1``. The graph is in CSR form: entity e's sorted
+neighbors are ``indices[indptr[e]:indptr[e + 1]]``. A neighbor plan holds
+one ``(ids, counts)`` pair per layer, entity e's ``counts[e]`` ids after
+those of the entities before it. One convolution step mean-pools sampled
 neighbor features, projects them to a latent vector, merges with the
 entity's inherent feature and L2-normalizes. Stacking ``depth`` such layers
 propagates information across multi-hop neighborhoods.
@@ -9,7 +12,6 @@ propagates information across multi-hop neighborhoods.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +26,14 @@ MERGE_B = "diff{layer}.merge_b"     # d
 INHERENT = "emb.inherent"           # |V| x d free embeddings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionGraph:
-    """Immutable bipartite adjacency over the shared entity index space."""
+    """Immutable bipartite adjacency as read-only CSR arrays."""
 
     n_users: int
     n_items: int
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def n_entities(self) -> int:
@@ -40,53 +43,79 @@ class InteractionGraph:
         return self.n_users + item
 
     def neighbors(self, entity: int) -> tuple[int, ...]:
-        return self.adjacency[entity]
+        lo, hi = self.indptr[entity], self.indptr[entity + 1]
+        return tuple(self.indices[lo:hi].tolist())
 
     def degree(self, entity: int) -> int:
-        return len(self.adjacency[entity])
+        return int(self.indptr[entity + 1] - self.indptr[entity])
 
 
 def build_interaction_graph(interactions, n_users, n_items) -> InteractionGraph:
-    """Deduplicated symmetric adjacency from (user, item) pairs.
+    """Deduplicated symmetric CSR adjacency from a list of (user, item) pairs.
 
-    Ids must be dense integers in range; anything else raises ValueError.
-    Neighbor lists come out sorted, so construction is order-independent.
+    Ids must be dense integers in range; non-integer ids, pairs that are
+    not 2-tuples and out-of-range ids raise ValueError. Neighbor lists come
+    out sorted, so construction is order-independent.
     """
-    adj = [set() for _ in range(n_users + n_items)]
-    for user, item in interactions:
-        if not (0 <= user < n_users):
+    shape_error = "interactions must be (user, item) 2-tuples"
+    try:
+        pairs = np.array(interactions)
+    except ValueError as err:   # ragged pairs have no array shape
+        raise ValueError(shape_error) from err
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2).astype(np.intp)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(shape_error)
+    if pairs.dtype.kind not in "iu":
+        raise ValueError(f"user and item ids must be integers, got "
+                         f"{pairs.dtype} values")
+    users, items = pairs[:, 0], pairs[:, 1]
+    bad = (users < 0) | (users >= n_users) | (items < 0) | (items >= n_items)
+    if bad.any():
+        user, item = pairs[np.argmax(bad)].tolist()
+        if not 0 <= user < n_users:
             raise ValueError(f"user id {user} out of range [0, {n_users})")
-        if not (0 <= item < n_items):
-            raise ValueError(f"item id {item} out of range [0, {n_items})")
-        e_item = n_users + item
-        adj[user].add(e_item)
-        adj[e_item].add(user)
-    return InteractionGraph(
-        n_users=n_users,
-        n_items=n_items,
-        adjacency=tuple(tuple(sorted(s)) for s in adj),
-    )
+        raise ValueError(f"item id {item} out of range [0, {n_items})")
+    n = n_users + n_items
+    users, items = pairs.astype(np.intp, copy=False).T
+    items = items + n_users
+    # keys src * n + dst, one per direction, sort by entity then neighbor
+    keys = np.concatenate([users * n + items, items * n + users])
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    src, indices = np.divmod(keys, n)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indptr.flags.writeable = indices.flags.writeable = False
+    return InteractionGraph(n_users, n_items, indptr, indices)
 
 
-def sample_neighbors(graph, entity, cap, rng) -> list[int]:
-    """All neighbors when degree <= cap, else a uniform sample without
-    replacement of size cap. Returned sorted so downstream mean pooling is
-    independent of sampling order. Isolated entities yield []."""
+def sample_neighbor_plan(graph, cap, depth, rng):
+    """Per-layer ``(ids, counts)`` neighbor samples for one diffusion pass.
+
+    An entity of degree <= cap keeps all its neighbors; a larger one gets a
+    uniform sample of cap without replacement, one ``rng.choice`` per such
+    entity in entity order, layer after layer. Each entity's ids are
+    sorted, so mean pooling is independent of sampling order.
+    """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    nbrs = graph.neighbors(entity)
-    if len(nbrs) <= cap:
-        return list(nbrs)
-    picked = rng.choice(len(nbrs), size=cap, replace=False)
-    return sorted(nbrs[i] for i in picked)
-
-
-def sample_neighbor_plan(graph, cap, depth, rng) -> list[list[list[int]]]:
-    """Per-layer, per-entity neighbor samples, fixed for one diffusion pass."""
-    return [
-        [sample_neighbors(graph, e, cap, rng) for e in range(graph.n_entities)]
-        for _ in range(depth)
-    ]
+    degrees = np.diff(graph.indptr)
+    counts = np.minimum(degrees, cap)
+    kept = np.repeat(degrees <= cap, counts)    # slots copied whole
+    whole = graph.indices[np.repeat(degrees <= cap, degrees)]
+    over = np.flatnonzero(degrees > cap)
+    plan = []
+    for _ in range(depth):
+        picked = np.array([rng.choice(deg, size=cap, replace=False)
+                           for deg in degrees[over].tolist()],
+                          dtype=np.intp).reshape(-1, cap)
+        sampled = graph.indices[graph.indptr[over, None] + picked]
+        ids = np.empty(counts.sum(), dtype=np.intp)
+        ids[kept] = whole
+        ids[~kept] = np.sort(sampled, axis=1).ravel()
+        plan.append((ids, counts))
+    return plan
 
 
 def init_diffusion_params(n_entities, dim, depth, rng) -> dict[str, np.ndarray]:
@@ -141,7 +170,7 @@ def convolve(inherent, neighbor_feats, latent_w, latent_b, merge_w, merge_b):
     return out.value[0]
 
 
-def build_diffusion(tape, graph, plan, param_nodes, depth):
+def build_diffusion(tape, plan, param_nodes, depth):
     """Stacked convolutions over all entities, as tape nodes.
 
     Layer k consumes layer k-1 outputs (layer 0 is the inherent table) and
@@ -153,11 +182,7 @@ def build_diffusion(tape, graph, plan, param_nodes, depth):
     inherent = param_nodes[INHERENT]
     features = inherent
     for layer in range(depth):
-        samples = plan[layer]
-        ids = np.fromiter(itertools.chain.from_iterable(samples),
-                          dtype=np.intp)
-        counts = np.fromiter(map(len, samples), dtype=np.intp,
-                             count=graph.n_entities)
+        ids, counts = plan[layer]
         features = build_layer(
             tape, features, inherent, ids, counts,
             *(param_nodes[name.format(layer=layer)]
@@ -165,15 +190,8 @@ def build_diffusion(tape, graph, plan, param_nodes, depth):
     return features
 
 
-@dataclass
-class EmbeddingTable:
-    """Diffused feature matrix over the entity index space."""
-
-    diffused: np.ndarray
-
-
 def diffuse_all(graph, params, depth, cap, rng):
-    """Value-level diffusion pass: returns an :class:`EmbeddingTable`.
+    """Value-level diffusion pass: the (|V|, d) diffused feature matrix.
 
     Deterministic given the rng state (neighbor sampling is the only
     randomness). ``depth`` must be >= 1.
@@ -183,6 +201,6 @@ def diffuse_all(graph, params, depth, cap, rng):
     plan = sample_neighbor_plan(graph, cap, depth, rng)
     tape = Tape()
     nodes = {name: tape.param(name, value) for name, value in params.items()}
-    out = build_diffusion(tape, graph, plan, nodes, depth)
+    out = build_diffusion(tape, plan, nodes, depth)
     tape.forward()
-    return EmbeddingTable(diffused=out.value)
+    return out.value

@@ -112,7 +112,7 @@ def item_feature_node(tape, graph_, theta1_nodes, config, plan=None):
         return tape.lookup(theta1_nodes[gr.INHERENT], item_rows)
     if plan is None:
         raise ValueError("diffusion requires a neighbor plan")
-    diffused = gr.build_diffusion(tape, graph_, plan, theta1_nodes,
+    diffused = gr.build_diffusion(tape, plan, theta1_nodes,
                                   config.diffusion_depth)
     return tape.lookup(diffused, item_rows)
 
@@ -143,6 +143,6 @@ def cached_item_features(graph_, params, rng):
     config = params.config
     if not config.use_diffusion:
         return params.theta1[gr.INHERENT][graph_.n_users:].copy()
-    table = gr.diffuse_all(graph_, params.theta1, config.diffusion_depth,
-                           config.neighbor_cap, rng)
-    return table.diffused[graph_.n_users:].copy()
+    diffused = gr.diffuse_all(graph_, params.theta1, config.diffusion_depth,
+                              config.neighbor_cap, rng)
+    return diffused[graph_.n_users:].copy()

@@ -152,3 +152,25 @@ def reference_ndcg_at_n(ranked_relevance, n):
     idcg = sum(rel / math.log2(rank + 1)
                for rank, rel in enumerate(ideal[:n], start=1))
     return dcg / idcg if idcg > 0 else 0.0
+
+
+def reference_neighbor_plan(pairs, n_users, n_items, cap, depth, rng):
+    """Per-layer, per-entity neighbor lists from set-built adjacency: all
+    neighbors up to ``cap``, else a sorted ``rng.choice`` sample of cap
+    positions, one call per such entity in entity order."""
+    adjacency = [set() for _ in range(n_users + n_items)]
+    for user, item in pairs:
+        adjacency[user].add(n_users + item)
+        adjacency[n_users + item].add(user)
+    adjacency = [sorted(s) for s in adjacency]
+    plan = []
+    for _ in range(depth):
+        layer = []
+        for nbrs in adjacency:
+            if len(nbrs) <= cap:
+                layer.append(list(nbrs))
+            else:
+                picked = rng.choice(len(nbrs), size=cap, replace=False)
+                layer.append(sorted(nbrs[i] for i in picked))
+        plan.append(layer)
+    return plan

@@ -123,7 +123,7 @@ def test_criterion_1_gradient_correctness():
     plan3 = gr.sample_neighbor_plan(g3, 5, 2, np.random.default_rng(0))
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in diff_params.items()}
-    out = gr.build_diffusion(tape, g3, plan3, nodes, depth=2)
+    out = gr.build_diffusion(tape, plan3, nodes, depth=2)
     conv_loss = tape.sum(tape.mul(out, tape.constant(
         np.random.default_rng(1).normal(size=(3, 8)))))
     for name in diff_params:
@@ -230,7 +230,7 @@ def test_criterion_3_convolve_invariants():
     params = init_model(graph.n_entities, config, rng)
     table = gr.diffuse_all(graph, params.theta1, 2, 6,
                            np.random.default_rng(0))
-    for row in table.diffused:
+    for row in table:
         norm = np.linalg.norm(row)
         ok &= norm == 0.0 or abs(norm - 1.0) < 1e-9
 
@@ -252,7 +252,7 @@ def test_criterion_3_convolve_invariants():
     p2 = gr.init_diffusion_params(g2.n_entities, 8, 2, rng)
     p2[gr.INHERENT][1] = p2[gr.INHERENT][0]
     t2 = gr.diffuse_all(g2, p2, 2, 6, np.random.default_rng(0))
-    ok &= bool((t2.diffused[0] == t2.diffused[1]).all())
+    ok &= bool((t2[0] == t2[1]).all())
     elapsed = report_line("criterion 3: CONVOLVE invariants", ok, started,
                           "10s")
     assert elapsed < 10

@@ -268,25 +268,6 @@ def test_block_matmul_rejects_bad_shapes(a_shape, b_shape):
         t.forward()
 
 
-def test_debug_mode_flags_nonfinite():
-    t = Tape(debug=True)
-    x = t.leaf("x", [1.0, 0.0])
-    y = t.log(x)
-    with np.errstate(divide="ignore"):
-        with pytest.raises(FloatingPointError):
-            t.forward()
-
-
-def test_debug_mode_allows_mask_constants():
-    t = Tape(debug=True)
-    z = t.add(t.leaf("x", np.ones((2, 2))),
-              t.constant([[0.0, -np.inf], [0.0, 0.0]]))
-    a = t.masked_softmax_rows(z)
-    loss = t.sum(a)
-    t.forward()
-    t.backward(loss)  # should not raise
-
-
 def test_forward_reruns_with_new_param_binding():
     t = Tape()
     x = t.param("x", [1.0])
@@ -423,3 +404,100 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
     t.forward()
     with pytest.raises(ValueError, match="shape"):
         t.backward(y, np.ones(3))
+
+
+def test_lookup_gradient_equals_add_at_bit_for_bit():
+    """The bincount scatter sums each cell in id order, as np.add.at does:
+    repeated ids, rows nothing reads, 1-d and 2-d tables, 2-d ids on a 1-d
+    table and a single id."""
+    rng = np.random.default_rng(13)
+    for draw in range(200):
+        n_rows = int(rng.integers(1, 30))
+        width = int(rng.integers(1, 9))
+        shape = (n_rows,) if draw % 3 == 0 else (n_rows, width)
+        if draw % 7 == 0:
+            ids = np.asarray(rng.integers(n_rows))
+        else:
+            # few distinct ids, so repeats are many and most rows go unread
+            pool = rng.integers(n_rows, size=int(rng.integers(1, 4)))
+            ids = rng.choice(pool, size=int(rng.integers(0, 60)))
+            if len(shape) == 1 and draw % 2:
+                ids = ids[: ids.size // 4 * 4].reshape(-1, 4)
+        t = Tape()
+        table = t.param("t", rng.normal(size=shape))
+        out = t.lookup(table, ids)
+        t.forward()
+        adj = rng.normal(size=out.value.shape)
+        adj[rng.random(adj.shape) < 0.2] = -0.0
+        t.backward(out, adj)
+        want = np.zeros(shape)
+        np.add.at(want, ids, adj)
+        assert np.array_equal(t.grads["t"], want), draw
+
+
+def _masked_l2_normalize_rows(x, eps=1e-12):
+    """The boolean-mask form of the row normalization."""
+    n = np.linalg.norm(x, axis=1)
+    out = np.zeros_like(x)
+    ok = n >= eps
+    out[ok] = x[ok] / n[ok, None]
+    return out
+
+
+def _masked_l2norm_grad(x, y, adj, eps=1e-12):
+    """The boolean-mask form of the row normalization's gradient."""
+    n = np.linalg.norm(x, axis=1)
+    out = np.zeros_like(x)
+    ok = n >= eps
+    dots = (y[ok] * adj[ok]).sum(axis=1, keepdims=True)
+    out[ok] = (adj[ok] - y[ok] * dots) / n[ok, None]
+    return out
+
+
+def test_l2norm_value_and_gradient_equal_masked_forms():
+    rng = np.random.default_rng(14)
+    for draw in range(100):
+        rows, dim = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+        x = rng.normal(size=(rows, dim))
+        x[rng.random(rows) < 0.3] = 0.0
+        x[rng.random(rows) < 0.1] *= 1e-14       # nonzero, below eps
+        adj = rng.normal(size=(rows, dim))
+        if draw % 2:
+            adj = np.asfortranarray(adj)        # as a transpose's adjoint
+        y = l2_normalize_rows(x)
+        assert np.array_equal(y, _masked_l2_normalize_rows(x)), draw
+        assert np.array_equal(Tape._l2norm_grad(x, y, adj),
+                              _masked_l2norm_grad(x, y, adj)), draw
+
+
+def test_product_rules_skip_inputs_that_are_not_live():
+    """The rule of a constant operand is not run; the param's gradient is
+    the formula's, bit for bit."""
+    rng = np.random.default_rng(15)
+
+    def blocks(x):
+        return x.reshape(2, 3, -1)
+
+    cases = [
+        ("matmul", (6, 3), (3, 4), False, lambda adj, c: adj @ c.T),
+        ("matmul", (4, 6), (6, 3), True, lambda adj, c: c.T @ adj),
+        ("mul", (6, 3), (6, 3), True, lambda adj, c: adj * c),
+        ("block_matmul", (6, 3), (6, 4), False, lambda adj, c: np.matmul(
+            blocks(adj), blocks(c).transpose(0, 2, 1)).reshape(6, 3)),
+        ("block_matmul", (6, 3), (6, 4), True, lambda adj, c: np.matmul(
+            blocks(c).transpose(0, 2, 1), blocks(adj)).reshape(6, 4)),
+    ]
+    for op, a_shape, b_shape, const_first, formula in cases:
+        t = Tape()
+        if const_first:
+            c = t.constant(rng.normal(size=a_shape))
+            inputs = (c, t.param("p", rng.normal(size=b_shape)))
+        else:
+            c = t.constant(rng.normal(size=b_shape))
+            inputs = (t.param("p", rng.normal(size=a_shape)), c)
+        out = getattr(t, op)(*inputs)
+        t.forward()
+        adj = rng.normal(size=out.value.shape)
+        assert t._input_grads(out, adj)[inputs.index(c)] is None, op
+        t.backward(out, adj)
+        assert np.array_equal(t.grads["p"], formula(adj, c.value)), op

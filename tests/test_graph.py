@@ -4,7 +4,7 @@ import pytest
 from metacsr import graph as gr
 from metacsr.autodiff import Tape, finite_difference_check
 
-from oracles import reference_convolve
+from oracles import reference_convolve, reference_neighbor_plan
 
 
 def weights4(rng=None, dim=4):
@@ -60,29 +60,105 @@ def test_out_of_range_ids_rejected():
         gr.build_interaction_graph([(0, 9)], n_users=2, n_items=2)
 
 
+def test_non_integer_ids_rejected():
+    for pairs in ([(0, 1.5)], [(0, "3")], [(0.0, 1)], [(0, 1), (1, None)]):
+        with pytest.raises(ValueError, match="must be integers"):
+            gr.build_interaction_graph(pairs, n_users=2, n_items=4)
+
+
+def test_pairs_that_are_not_two_tuples_rejected():
+    for pairs in ([(0, 1, 2)], [(0,)], [(0, 1), (1,)], [0, 1]):
+        with pytest.raises(ValueError, match="2-tuples"):
+            gr.build_interaction_graph(pairs, n_users=2, n_items=4)
+
+
+def test_out_of_range_error_names_first_offending_id():
+    cases = [([(0, 0), (1, 7), (9, 1)], "item id 7 "),
+             ([(0, 0), (5, 9), (1, 8)], "user id 5 "),
+             ([(1, 1), (0, -1)], "item id -1 "),
+             ([(-3, 0)], "user id -3 ")]
+    for pairs, message in cases:
+        with pytest.raises(ValueError, match=message + "out of range"):
+            gr.build_interaction_graph(pairs, n_users=2, n_items=2)
+
+
+def _flat(layer):
+    return (np.array([nb for nbrs in layer for nb in nbrs], dtype=np.intp),
+            np.array([len(nbrs) for nbrs in layer], dtype=np.intp))
+
+
+def _skewed_pairs(rng, n_users, n_items, n_pairs):
+    """Zipf-like item popularity and user activity, with repeats; the
+    highest ids are left isolated."""
+    users = np.minimum(rng.zipf(1.6, n_pairs) - 1, n_users - 2)
+    items = np.minimum(rng.zipf(1.3, n_pairs) - 1, n_items - 2)
+    return list(zip(users.tolist(), items.tolist()))
+
+
+@pytest.mark.parametrize("cap", [1, 3, 8, 1000])
+def test_neighbor_plan_is_the_set_built_plan_and_rng_stream(cap):
+    """CSR ids and counts equal the per-entity loop over set-built
+    adjacency, and leave the rng where it left it: skewed graphs with
+    isolated entities, a cap at or above the largest degree, depth 2."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n_users, n_items = int(rng.integers(2, 40)), int(rng.integers(2, 60))
+        pairs = _skewed_pairs(rng, n_users, n_items, int(rng.integers(0, 400)))
+        g = gr.build_interaction_graph(pairs, n_users, n_items)
+        for e, nbrs in enumerate(reference_neighbor_plan(
+                pairs, n_users, n_items, 10 ** 6, 1, None)[0]):
+            assert g.neighbors(e) == tuple(nbrs)
+        got_rng, want_rng = (np.random.default_rng(100 + seed) for _ in "ab")
+        got = gr.sample_neighbor_plan(g, cap, 2, got_rng)
+        want = reference_neighbor_plan(pairs, n_users, n_items, cap, 2,
+                                       want_rng)
+        assert len(got) == 2
+        for (ids, counts), layer in zip(got, want):
+            want_ids, want_counts = _flat(layer)
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(counts, want_counts)
+        assert got_rng.random() == want_rng.random()
+
+
+def test_neighbor_plan_of_empty_graph():
+    g = gr.build_interaction_graph([], 3, 2)
+    plan = gr.sample_neighbor_plan(g, 4, 2, np.random.default_rng(0))
+    assert len(plan) == 2
+    for ids, counts in plan:
+        assert ids.size == 0
+        np.testing.assert_array_equal(counts, np.zeros(5))
+
+
+def sample_neighbors(g, entity, cap, rng):
+    """``entity``'s row of a one-layer neighbor plan, as a list."""
+    ids, counts = gr.sample_neighbor_plan(g, cap, 1, rng)[0]
+    start = counts[:entity].sum()
+    return ids[start:start + counts[entity]].tolist()
+
+
 def test_sample_neighbors_under_cap_returns_all():
     g = gr.build_interaction_graph([(0, 0), (0, 1), (0, 2)], 1, 3)
-    got = gr.sample_neighbors(g, 0, cap=10, rng=np.random.default_rng(0))
+    got = sample_neighbors(g, 0, cap=10, rng=np.random.default_rng(0))
     assert got == [g.item_entity(0), g.item_entity(1), g.item_entity(2)]
 
 
 def test_sample_neighbors_cap_binding():
     g = gr.build_interaction_graph([(0, i) for i in range(100)], 1, 100)
-    got = gr.sample_neighbors(g, 0, cap=20, rng=np.random.default_rng(0))
+    got = sample_neighbors(g, 0, cap=20, rng=np.random.default_rng(0))
     assert len(got) == 20
     assert len(set(got)) == 20
 
 
 def test_sample_neighbors_deterministic_under_seed():
     g = gr.build_interaction_graph([(0, i) for i in range(50)], 1, 50)
-    a = gr.sample_neighbors(g, 0, 7, np.random.default_rng(42))
-    b = gr.sample_neighbors(g, 0, 7, np.random.default_rng(42))
+    a = sample_neighbors(g, 0, 7, np.random.default_rng(42))
+    b = sample_neighbors(g, 0, 7, np.random.default_rng(42))
     assert a == b
 
 
 def test_isolated_entity_samples_empty():
     g = gr.build_interaction_graph([], 1, 1)
-    assert gr.sample_neighbors(g, 0, 5, np.random.default_rng(0)) == []
+    assert sample_neighbors(g, 0, 5, np.random.default_rng(0)) == []
 
 
 def test_convolve_output_unit_norm():
@@ -156,7 +232,7 @@ def test_diffuse_depth1_equals_per_node_convolve():
                                params[gr.LATENT_B.format(layer=0)],
                                params[gr.MERGE_W.format(layer=0)],
                                params[gr.MERGE_B.format(layer=0)])
-        np.testing.assert_allclose(table.diffused[e], expected, rtol=1e-10)
+        np.testing.assert_allclose(table[e], expected, rtol=1e-10)
 
 
 def test_isolated_node_ignores_rest_of_graph():
@@ -176,7 +252,7 @@ def test_isolated_node_ignores_rest_of_graph():
                                   params[gr.LATENT_B.format(layer=1)],
                                   params[gr.MERGE_W.format(layer=1)],
                                   params[gr.MERGE_B.format(layer=1)])
-    np.testing.assert_allclose(table.diffused[isolated], expected, rtol=1e-10)
+    np.testing.assert_allclose(table[isolated], expected, rtol=1e-10)
 
 
 def test_depth2_path_graph_matches_unrolled_reference():
@@ -201,14 +277,14 @@ def test_depth2_path_graph_matches_unrolled_reference():
                                  [first[nb] for nb in g.neighbors(e)],
                                  *layer(1))
               for e in range(g.n_entities)]
-    np.testing.assert_allclose(table.diffused, np.array(second), rtol=1e-9)
+    np.testing.assert_allclose(table, np.array(second), rtol=1e-9)
 
 
 def test_diffused_rows_unit_norm_or_zero():
     rng = np.random.default_rng(9)
     g, params = _small_world(rng)
     table = gr.diffuse_all(g, params, 2, 10, np.random.default_rng(0))
-    norms = np.linalg.norm(table.diffused, axis=1)
+    norms = np.linalg.norm(table, axis=1)
     for n in norms:
         assert n == pytest.approx(1.0, abs=1e-9) or n == 0.0
 
@@ -220,7 +296,7 @@ def test_identical_inherent_and_neighborhood_give_identical_embeddings():
     params = gr.init_diffusion_params(g.n_entities, 4, 2, rng)
     params[gr.INHERENT][1] = params[gr.INHERENT][0]
     table = gr.diffuse_all(g, params, 2, 10, np.random.default_rng(0))
-    np.testing.assert_array_equal(table.diffused[0], table.diffused[1])
+    np.testing.assert_array_equal(table[0], table[1])
 
 
 def test_convolve_stack_gradient_finite_differences():
@@ -230,7 +306,7 @@ def test_convolve_stack_gradient_finite_differences():
     plan = gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0))
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in params.items()}
-    out = gr.build_diffusion(tape, g, plan, nodes, depth=2)
+    out = gr.build_diffusion(tape, plan, nodes, depth=2)
     loss = tape.sum(tape.mul(out, tape.constant(
         rng.normal(size=(g.n_entities, 4)))))
     for name in params:
@@ -247,7 +323,7 @@ def _diffusion_node_count(n_users, n_items, depth, seed=0):
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in params.items()}
     before = len(tape.nodes)
-    gr.build_diffusion(tape, g, plan, nodes, depth)
+    gr.build_diffusion(tape, plan, nodes, depth)
     return len(tape.nodes) - before
 
 

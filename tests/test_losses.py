@@ -237,8 +237,11 @@ def test_full_stack_matches_scalar_reference():
                 params.theta1[gr.MERGE_B.format(layer=k)])
     current = inherent
     for k in range(2):
+        ids, counts = plan[k]
+        starts = np.cumsum(counts) - counts
         nxt = [reference_convolve(inherent[e],
-                                  [current[nb] for nb in plan[k][e]],
+                                  [current[nb] for nb in
+                                   ids[starts[e]:starts[e] + counts[e]]],
                                   *layer(k))
                for e in range(g.n_entities)]
         current = np.array(nxt)
