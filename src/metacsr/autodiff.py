@@ -218,12 +218,6 @@ class Tape:
     def softplus(self, a):
         return self._append("softplus", (a,))
 
-    def exp(self, a):
-        return self._append("exp", (a,))
-
-    def log(self, a):
-        return self._append("log", (a,))
-
     def neg(self, a):
         return self._append("neg", (a,))
 
@@ -322,10 +316,6 @@ class Tape:
             return stable_sigmoid(vals[0])
         if op == "softplus":
             return np.logaddexp(0.0, vals[0])
-        if op == "exp":
-            return np.exp(vals[0])
-        if op == "log":
-            return np.log(vals[0])
         if op == "neg":
             return -vals[0]
         if op == "sum":
@@ -446,10 +436,6 @@ class Tape:
             return [adj * s * (1.0 - s)]
         if op == "softplus":
             return [adj * stable_sigmoid(vals[0])]
-        if op == "exp":
-            return [adj * node.value]
-        if op == "log":
-            return [adj / vals[0]]
         if op == "neg":
             return [-adj]
         if op == "sum":

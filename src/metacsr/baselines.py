@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graph as gr
 from . import losses
 from . import meta as meta_mod
 from .autodiff import stable_sigmoid
@@ -125,23 +124,16 @@ def joint_train(graph_, histories, params, cfg, seed, max_steps=None,
     cap = cfg.max_outer_steps if max_steps is None else max_steps
     trace = []
     for step in range(cap):
-        plan = gr.sample_neighbor_plan(graph_, config.neighbor_cap,
-                                       config.diffusion_depth, rng_plan) \
-            if config.use_diffusion else None
         picked = rng_batch.choice(len(eligible), size=batch_size)
         batch = [window_sequence(histories[eligible[i]], config.t_min,
                                  config.t_max, rng_batch, user=eligible[i])
                  for i in picked]
-        tape, loss, _ = losses.build_model_loss(
-            graph_, params, batch, cfg.k_neg, rng_neg, user_positives,
-            plan=plan)
-        tape.forward()
-        tape.backward(loss)
-        g1 = {k: tape.grads[k] for k in params.theta1 if k in tape.grads}
-        g2 = {k: tape.grads[k] for k in params.theta2 if k in tape.grads}
+        # the feature pass is released as soon as the call returns
+        value, g1, g2 = meta_mod.query_grads(
+            losses.ItemFeatures(graph_, params, rng_plan),
+            [(params.theta2, batch, rng_neg)], cfg, user_positives, config)
         adam.apply(params.theta1, g1, cfg)
         adam.apply(params.theta2, g2, cfg)
-        value = float(loss.value)
         trace.append((step, value))
         if on_step:
             on_step(step, value)

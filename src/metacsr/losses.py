@@ -1,12 +1,15 @@
-"""Pairwise ranking objective and the full differentiable training graph.
+"""Pairwise ranking objective, the batch loss graph and the item features.
 
 The per-pair loss is the numerically safe BPR form
 ``-log sigmoid(p_pos - p_neg)`` (softplus of the negated difference),
 mean-reduced over each sequence's sampled negatives and then over the
 batch. ``build_batch_loss`` assembles sequence encoding and scoring for a
 whole batch on one tape, sequences of all lengths in one padded block so
-the node count stays small; ``build_model_loss`` prepends the diffusion
-stack to produce the complete graph from raw parameters.
+the node count stays small. The item features enter it as a node:
+:class:`ItemFeatures` is the one differentiable pass from theta1 (a
+loss tape reads its value through a leaf and hands the leaf's adjoint
+back), and ``cached_item_features`` is the value-only table for
+evaluation.
 """
 
 from __future__ import annotations
@@ -117,25 +120,33 @@ def item_feature_node(tape, graph_, theta1_nodes, config, plan=None):
     return tape.lookup(diffused, item_rows)
 
 
-def build_model_loss(graph_, params, sequences, k_neg, rng, user_positives,
-                     plan=None):
-    """Complete loss graph from raw parameters.
+class ItemFeatures:
+    """One forward pass of the item-feature table from theta1.
 
-    Returns (tape, loss node, BatchInfo).
+    Draws a neighbor plan from ``rng`` when diffusion is on and keeps the
+    pass on its own tape, so a loss built over ``value`` (through a leaf)
+    can push its gradient w.r.t. the table back to theta1. theta1 must not
+    change between the pass and :meth:`theta1_grads`.
     """
-    tape = Tape()
-    config = params.config
-    theta1_nodes = {name: tape.param(name, value)
-                    for name, value in params.theta1.items()}
-    theta2_nodes = {name: tape.param(name, value)
-                    for name, value in params.theta2.items()}
-    features = item_feature_node(tape, graph_, theta1_nodes, config,
-                                 plan=plan)
-    loss, info = build_batch_loss(
-        tape, features, theta2_nodes, sequences, k_neg, rng, user_positives,
-        n_items=graph_.n_items, t_min=config.t_min,
-        use_sequence=config.use_sequence)
-    return tape, loss, info
+
+    def __init__(self, graph_, params, rng):
+        config = params.config
+        self.plan = gr.sample_neighbor_plan(
+            graph_, config.neighbor_cap, config.diffusion_depth, rng) \
+            if config.use_diffusion else None
+        self._tape = Tape()
+        nodes = {name: self._tape.param(name, value)
+                 for name, value in params.theta1.items()}
+        self._out = item_feature_node(self._tape, graph_, nodes, config,
+                                      plan=self.plan)
+        self._tape.forward()
+        self.value = self._out.value
+
+    def theta1_grads(self, adjoint):
+        """theta1 gradients of a loss whose gradient w.r.t. the table is
+        ``adjoint``; a fresh mapping per call."""
+        self._tape.zero_grad()
+        return self._tape.backward(self._out, adjoint)
 
 
 def cached_item_features(graph_, params, rng):

@@ -12,6 +12,11 @@ as a stop-gradient). Exact mode assembles the correction term of the
 bilevel derivative from central finite differences of the support gradient
 (Hessian-vector and cross products); it is meant for tiny models, supports
 a single inner step, and makes the first-order approximation auditable.
+
+Each outer step runs the item-feature pass once. Every loss that needs
+theta1 gradients goes through :func:`query_grads`, which reads the
+features through a leaf and pushes the leaf's adjoint back through the
+pass.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graph as gr
 from . import losses
 from . import sequence as seq
 from .autodiff import Tape
@@ -64,6 +68,10 @@ class MetaConfig:
         if min(self.task_batch, self.n_way, self.k_support, self.k_query,
                self.k_neg, self.inner_steps) < 1:
             raise ValueError("episode sizes must be positive")
+        for name in ("fine_tune_steps", "max_outer_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"meta.{name} must be >= 0, not "
+                                 f"{getattr(self, name)!r}")
         lr = self.fine_tune_lr
         if lr is not None and (isinstance(lr, bool)
                                or not isinstance(lr, numbers.Real)
@@ -160,15 +168,6 @@ class LossTape:
             use_sequence=model_config.use_sequence)
         return cls(tape, loss)
 
-    @classmethod
-    def bilevel(cls, graph_, params, sequences, cfg, rng, user_positives,
-                plan):
-        """Full-stack tape with theta1 in-graph (exact mode, tiny models)."""
-        tape, loss, _ = losses.build_model_loss(
-            graph_, params, list(sequences), cfg.k_neg, rng, user_positives,
-            plan=plan)
-        return cls(tape, loss)
-
     def loss_and_grads(self, rebind=None):
         if rebind:
             for name, value in rebind.items():
@@ -178,6 +177,34 @@ class LossTape:
         self.tape.backward(self.loss)
         return float(self.loss.value), {k: v.copy()
                                         for k, v in self.tape.grads.items()}
+
+
+def query_grads(features, batches, cfg, user_positives, model_config):
+    """Summed batch loss over one item-feature pass, with its gradients.
+
+    ``features`` is a :class:`losses.ItemFeatures`; ``batches`` holds
+    (theta2, sequences, rng) triples, one batch loss each, all on one tape
+    that reads the table through a leaf. Returns (loss, theta1 gradients
+    from the leaf's adjoint pushed through the pass, theta2 gradients
+    summed over batches per name, zero where none reach).
+    """
+    tape = Tape()
+    leaf = tape.leaf("item_features", features.value)
+    total = None
+    for b, (theta2, sequences, rng) in enumerate(batches):
+        nodes = {name: tape.param(f"{b}/{name}", value)
+                 for name, value in theta2.items()}
+        loss, _ = losses.build_batch_loss(
+            tape, leaf, nodes, list(sequences), cfg.k_neg, rng,
+            user_positives, features.value.shape[0],
+            t_min=model_config.t_min, use_sequence=model_config.use_sequence)
+        total = loss if total is None else tape.add(total, loss)
+    tape.forward()
+    tape.backward(total)
+    g2 = {name: sum((tape.grads.get(f"{b}/{name}", 0)
+                     for b in range(len(batches))), np.zeros_like(value))
+          for name, value in batches[0][0].items()}
+    return float(total.value), features.theta1_grads(leaf.adjoint), g2
 
 
 def sgd_theta2(params, support, features, cfg, rng, user_positives,
@@ -246,38 +273,12 @@ class MetaTrainer:
         self.seed = seed
         self.user_positives = {u: set(h) for u, h in histories.items()}
         self.adam = AdamState()
-        self._plan = None
-        self._features = None
-        self._feature_pass = None      # (tape, item-feature node)
 
     def _rng(self, kind, step, task=None):
         """Per-(phase, step, task) stream so gradient modes and execution
         order cannot change which negatives or windows are drawn."""
         suffix = f"/{task}" if task is not None else ""
         return component_rng(self.seed, f"meta/{kind}/{step}{suffix}")
-
-    # ----------------------------------------------------------- plumbing
-
-    def _refresh_features(self, step):
-        """Item-feature table for the inner loops of this outer step.
-
-        Diffusion runs once per step, with a fresh neighbor plan, and the
-        table keeps its tape for :meth:`_first_order_grads`.
-        """
-        config = self.params.config
-        if config.use_diffusion:
-            self._plan = gr.sample_neighbor_plan(
-                self.graph, config.neighbor_cap, config.diffusion_depth,
-                self._rng("neighbor-plan", step))
-        tape = Tape()
-        nodes = {name: tape.param(name, value)
-                 for name, value in self.params.theta1.items()}
-        out = losses.item_feature_node(tape, self.graph, nodes, config,
-                                       plan=self._plan)
-        tape.forward()
-        self._feature_pass = (tape, out)
-        self._features = out.value
-        return self._features
 
     def sample_tasks(self, step=0):
         config = self.params.config
@@ -291,96 +292,51 @@ class MetaTrainer:
     def outer_update(self, tasks, step=0):
         """Adapt every task, then one Adam step on the summed query loss.
 
-        Returns the mean per-task query loss. First-order mode shares one
-        query tape across tasks (the diffusion subgraph is built once);
-        exact mode runs per-task bilevel corrections.
+        Returns the mean per-task query loss. The item features come from
+        one pass per step with a fresh neighbor plan. First-order mode
+        adapts against its value and puts every task's query loss on one
+        tape; exact mode runs per-task bilevel corrections over the same
+        pass.
         """
-        self._refresh_features(step)
+        features = losses.ItemFeatures(self.graph, self.params,
+                                       self._rng("neighbor-plan", step))
         if self.cfg.order == "exact":
-            # exact mode re-derives the adaptation inside the bilevel
-            # correction, with theta1 in-graph
-            loss, g1, g2 = self._exact_outer_grads(tasks, step)
+            loss, g1, g2 = self._exact_outer_grads(features, tasks, step)
         else:
-            features = self._features
-            adapted = [
-                inner_adapt(self.params, task.support, self.cfg, features,
-                            self._rng("support-neg", step, t),
-                            self.user_positives, self.graph.n_items)
+            batches = [
+                (inner_adapt(self.params, task.support, self.cfg,
+                             features.value, self._rng("support-neg", step, t),
+                             self.user_positives, self.graph.n_items),
+                 task.query, self._rng("query-neg", step, t))
                 for t, task in enumerate(tasks)
             ]
-            loss, g1, g2 = self._first_order_grads(tasks, adapted, step)
+            loss, g1, g2 = query_grads(features, batches, self.cfg,
+                                       self.user_positives, self.params.config)
+        del features    # release the pass and its adjoints before Adam
         self.adam.apply(self.params.theta1, g1, self.cfg)
         self.adam.apply(self.params.theta2, g2, self.cfg)
         return loss / len(tasks)
 
-    def _first_order_grads(self, tasks, adapted, step):
-        """Summed query loss and its gradients at the adapted weights.
-
-        The item features enter as a leaf, whose gradient is pushed back
-        through the kept feature tape: the theta1 gradients of one tape
-        holding diffusion and losses, bit for bit.
-        """
-        config = self.params.config
-        tape = Tape()
-        features = tape.leaf("item_features", self._features)
-        total = None
-        for t, (task, theta2) in enumerate(zip(tasks, adapted)):
-            nodes = {name: tape.param(f"task{t}/{name}", value)
-                     for name, value in theta2.items()}
-            task_loss, _ = losses.build_batch_loss(
-                tape, features, nodes, list(task.query), self.cfg.k_neg,
-                self._rng("query-neg", step, t), self.user_positives,
-                self.graph.n_items, t_min=config.t_min,
-                use_sequence=config.use_sequence)
-            total = task_loss if total is None else tape.add(total, task_loss)
-        tape.forward()
-        tape.backward(total)
-        feature_tape, out = self._feature_pass
-        self._feature_pass = None
-        g1 = feature_tape.backward(out, features.adjoint)
-        g2 = {}
-        for t in range(len(tasks)):
-            for name in self.params.theta2:
-                g = tape.grads.get(f"task{t}/{name}")
-                if g is not None:
-                    g2[name] = g2.get(name, 0) + g
-        return float(total.value), g1, g2
-
-    def _exact_outer_grads(self, tasks, step):
+    def _exact_outer_grads(self, features, tasks, step):
         if self.cfg.inner_steps != 1:
             raise NotImplementedError(
                 "exact meta-gradients support a single inner step")
+
+        def evaluate(theta2, kind, t, sequences):
+            # a fresh stream per evaluation draws the same negatives
+            return query_grads(
+                features, [(theta2, sequences, self._rng(kind, step, t))],
+                self.cfg, self.user_positives, self.params.config)
+
         total_loss = 0.0
         sum_g1: dict[str, np.ndarray] = {}
         sum_g2: dict[str, np.ndarray] = {}
         for t, task in enumerate(tasks):
-            support_tape = LossTape.bilevel(
-                self.graph, self.params, task.support, self.cfg,
-                self._rng("support-neg", step, t), self.user_positives,
-                self._plan)
-            query_tape = LossTape.bilevel(
-                self.graph, self.params, task.query, self.cfg,
-                self._rng("query-neg", step, t), self.user_positives,
-                self._plan)
-
-            def split(grads):
-                g1 = {k: grads[k] for k in self.params.theta1 if k in grads}
-                g2 = {k: grads.get(k, np.zeros_like(v))
-                      for k, v in self.params.theta2.items()}
-                return g1, g2
-
-            def support_grads(theta2, _tape=support_tape, _split=split):
-                _, grads = _tape.loss_and_grads(theta2)
-                return _split(grads)
-
-            def query_grads(theta2, _tape=query_tape, _split=split):
-                loss, grads = _tape.loss_and_grads(theta2)
-                g1, g2 = _split(grads)
-                return loss, g1, g2
-
             loss, g1, g2 = exact_meta_grads(
                 {k: v.copy() for k, v in self.params.theta2.items()},
-                support_grads, query_grads, self.cfg.inner_lr)
+                lambda th: evaluate(th, "support-neg", t, task.support)[1:],
+                lambda th: evaluate(th, "query-neg", t, task.query),
+                self.cfg.inner_lr)
             total_loss += loss
             for k, v in g1.items():
                 sum_g1[k] = sum_g1.get(k, 0) + v
@@ -447,18 +403,18 @@ def preference_vector(params, theta2, features, scoring_window):
 
 def fine_tune_and_predict(params, support, scoring_window, candidates,
                           steps, features, cfg, rng,
-                          user_positives=None) -> list[tuple[int, float]]:
+                          user_positives) -> list[tuple[int, float]]:
     """Adapt to a new user and rank candidate items.
 
     ``support`` are the user's adaptation sequences (may be empty: the
     meta-initialization scores directly), ``scoring_window`` the item-id
-    window preceding the held-out target. Returns (item, score) pairs in
-    descending score order, ties broken by ascending item id.
+    window preceding the held-out target, ``user_positives`` the items
+    each user has interacted with (never drawn as negatives). Returns
+    (item, score) pairs in descending score order, ties broken by
+    ascending item id.
     """
-    positives = user_positives if user_positives is not None else \
-        {s.user: set(s.items) | {s.target} for s in support}
     theta2 = fine_tune_theta2(params, list(support), features, cfg, rng,
-                              positives, features.shape[0], steps)
+                              user_positives, features.shape[0], steps)
     s_u = preference_vector(params, theta2, features, scoring_window)
     scores = seq.score_candidates(s_u, features[list(candidates)])
     ranked = sorted(zip(candidates, scores), key=lambda p: (-p[1], p[0]))

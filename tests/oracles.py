@@ -2,7 +2,10 @@
 
 Everything here is written as plainly as possible (explicit loops, no
 shared code with the package) so the oracles stay independent of the
-implementations they check.
+implementations they check. The one exception is
+:func:`full_stack_tape`, a tape oracle: the package's builders composed
+on a single tape, against which the feature-leaf route is compared and
+finite differences are taken.
 """
 
 import math
@@ -174,3 +177,22 @@ def reference_neighbor_plan(pairs, n_users, n_items, cap, depth, rng):
                 layer.append(sorted(nbrs[i] for i in picked))
         plan.append(layer)
     return plan
+
+
+def full_stack_tape(graph, params, sequences, k_neg, rng, user_positives,
+                    plan=None):
+    """Diffusion, encoding, scoring and loss from raw parameters on one
+    tape; returns (tape, loss node, BatchInfo)."""
+    from metacsr import losses
+    from metacsr.autodiff import Tape
+
+    tape = Tape()
+    config = params.config
+    theta1 = {k: tape.param(k, v) for k, v in params.theta1.items()}
+    theta2 = {k: tape.param(k, v) for k, v in params.theta2.items()}
+    features = losses.item_feature_node(tape, graph, theta1, config,
+                                        plan=plan)
+    loss, info = losses.build_batch_loss(
+        tape, features, theta2, sequences, k_neg, rng, user_positives,
+        graph.n_items, t_min=config.t_min, use_sequence=config.use_sequence)
+    return tape, loss, info

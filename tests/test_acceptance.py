@@ -34,6 +34,7 @@ from metacsr.seeding import component_rng
 from metacsr import experiments
 
 from oracles import (
+    full_stack_tape,
     reference_auc,
     reference_average_precision,
     reference_hit_at_n,
@@ -140,7 +141,7 @@ def test_criterion_1_gradient_correctness():
             params.theta1[name] = params.theta1[name] + \
                 0.05 * jitter.normal(size=params.theta1[name].shape)
     seqs = [BehaviorSequence(user=0, items=(0, 1, 0), target=1)]
-    tape, loss, _ = losses.build_model_loss(
+    tape, loss, _ = full_stack_tape(
         g3, params, seqs, k_neg=1, rng=np.random.default_rng(2),
         user_positives={0: {0}}, plan=plan3)
     for name in params.all_params():
@@ -166,7 +167,7 @@ def test_criterion_1_gradient_correctness():
     seqs6 = [BehaviorSequence(user=0, items=(0, 1, 2), target=3),
              BehaviorSequence(user=1, items=(4, 5, 3), target=2)]
     plan6 = gr.sample_neighbor_plan(g6, 10, 2, np.random.default_rng(0))
-    tape, loss, _ = losses.build_model_loss(
+    tape, loss, _ = full_stack_tape(
         g6, params6, seqs6, k_neg=2, rng=np.random.default_rng(2),
         user_positives={0: {0, 1}, 1: {1, 2}}, plan=plan6)
     for name in params6.all_params():

@@ -88,6 +88,14 @@ def test_config_rejects_bad_fine_tune_lr(value):
         resolve_config(None, {"meta.fine_tune_lr": value})
 
 
+@pytest.mark.parametrize("key", ["meta.fine_tune_steps",
+                                 "meta.max_outer_steps"])
+def test_config_rejects_negative_step_counts(key):
+    with pytest.raises(ValueError, match=key):
+        resolve_config(None, {key: "-3"})
+    resolve_config(None, {key: "0"})
+
+
 def test_config_rejects_non_string_data_path():
     with pytest.raises(ValueError, match="data.path"):
         resolve_config(None, {"data.path": "2024"})

@@ -11,7 +11,8 @@ from metacsr.autodiff import Tape, finite_difference_check
 from metacsr.data import BehaviorSequence
 from metacsr.params import ModelConfig, init_model
 
-from oracles import reference_convolve, reference_encode, reference_pairwise_loss, sigmoid
+from oracles import (full_stack_tape, reference_convolve, reference_encode,
+                     reference_pairwise_loss, sigmoid)
 
 
 def test_pairwise_equal_scores_is_ln2():
@@ -69,7 +70,7 @@ def test_batch_loss_single_sequence_equals_pairwise():
     g, params, positives = _tiny_setup()
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
     rng = np.random.default_rng(9)
-    tape, loss, info = losses.build_model_loss(
+    tape, loss, info = full_stack_tape(
         g, params, [s], k_neg=1, rng=rng, user_positives=positives,
         plan=gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0)))
     tape.forward()
@@ -223,7 +224,7 @@ def test_full_stack_matches_scalar_reference():
             BehaviorSequence(user=1, items=(2, 0), target=4)]
     plan = gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0))
     rng = np.random.default_rng(11)
-    tape, loss, info = losses.build_model_loss(
+    tape, loss, info = full_stack_tape(
         g, params, seqs, k_neg=2, rng=rng, user_positives=positives,
         plan=plan)
     tape.forward()
@@ -274,7 +275,7 @@ def test_full_stack_gradients_pass_finite_differences():
     g, params, positives = _tiny_setup(dim=3)
     seqs = [BehaviorSequence(user=0, items=(0, 1, 2, 4), target=3)]
     plan = gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0))
-    tape, loss, _ = losses.build_model_loss(
+    tape, loss, _ = full_stack_tape(
         g, params, seqs, k_neg=2, rng=np.random.default_rng(2),
         user_positives=positives, plan=plan)
     for name in [gr.INHERENT, "diff0.latent_w", "diff1.merge_w",
@@ -306,7 +307,7 @@ def test_ablation_no_diffusion_uses_inherent_features():
     g, params, positives = _tiny_setup()
     params.config.use_diffusion = False
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
-    tape, loss, info = losses.build_model_loss(
+    tape, loss, info = full_stack_tape(
         g, params, [s], 1, np.random.default_rng(3), positives)
     tape.forward()
     feats = params.theta1[gr.INHERENT][g.n_users:]

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from metacsr import graph as gr
-from metacsr import losses, meta
+from metacsr import baselines, losses, meta
 from metacsr.autodiff import Tape
 from metacsr.data import BehaviorSequence, SyntheticWorldSpec, generate_synthetic_world, synthetic_split
 from metacsr.params import ModelConfig, init_model
+from metacsr.seeding import component_rng
+from oracles import full_stack_tape
 
 
 def small_cfg(**kw):
@@ -203,18 +205,22 @@ def test_first_order_theta2_gradient_is_query_gradient_at_adapted(tiny_world):
     cfg = small_cfg(task_batch=1, n_way=2, k_support=2, k_query=2,
                     inner_lr=0.01)
     trainer = meta.MetaTrainer(graph, regular, params, cfg, seed=5)
-    features = trainer._refresh_features(0)
+    features = losses.ItemFeatures(graph, params,
+                                   trainer._rng("neighbor-plan", 0))
     task = trainer.sample_tasks(0)[0]
-    adapted = meta.inner_adapt(params, task.support, cfg, features,
+    adapted = meta.inner_adapt(params, task.support, cfg, features.value,
                                trainer._rng("support-neg", 0, 0),
                                trainer.user_positives, graph.n_items)
-    _, g1, g2 = trainer._first_order_grads([task], [adapted], 0)
+    _, g1, g2 = meta.query_grads(
+        features, [(adapted, task.query, trainer._rng("query-neg", 0, 0))],
+        cfg, trainer.user_positives, params.config)
 
     # oracle: evaluate the query gradient directly at the adapted weights,
     # with the same per-(step, task) negative stream
     tape = meta.LossTape.over_features(
-        features, adapted, task.query, cfg, trainer._rng("query-neg", 0, 0),
-        trainer.user_positives, graph.n_items, params.config)
+        features.value, adapted, task.query, cfg,
+        trainer._rng("query-neg", 0, 0), trainer.user_positives,
+        graph.n_items, params.config)
     _, grads = tape.loss_and_grads()
     for name in params.theta2:
         if name in grads:
@@ -432,10 +438,10 @@ def test_candidate_list_size_101(tiny_world):
 # ------------------------------------------------- one diffusion per step
 
 
-def test_outer_step_runs_diffusion_once(tiny_world, monkeypatch):
+@pytest.mark.parametrize("arm", ["first", "exact", "joint"])
+def test_outer_step_runs_diffusion_once(tiny_world, monkeypatch, arm):
     world, regular, new, graph = tiny_world
     params = fresh_params(graph)
-    trainer = meta.MetaTrainer(graph, regular, params, small_cfg(), seed=5)
     builds = []
     original = gr.build_diffusion
 
@@ -444,42 +450,151 @@ def test_outer_step_runs_diffusion_once(tiny_world, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gr, "build_diffusion", counted)
-    for step in range(3):
-        trainer.outer_update(trainer.sample_tasks(step), step)
+    if arm == "joint":
+        baselines.joint_train(graph, regular, params, small_cfg(), seed=5,
+                              max_steps=3)
+    else:
+        trainer = meta.MetaTrainer(graph, regular, params,
+                                   small_cfg(order=arm), seed=5)
+        for step in range(3):
+            trainer.outer_update(trainer.sample_tasks(step), step)
     assert len(builds) == 3
 
 
-def test_theta1_grads_through_kept_feature_tape_equal_single_tape(tiny_world):
-    world, regular, new, graph = tiny_world
+def _adam_grads(monkeypatch):
+    """The gradient mapping of every ``AdamState.apply`` call, in order."""
+    seen = []
+    original = meta.AdamState.apply
+
+    def record(self, params, grads, cfg):
+        seen.append(grads)
+        return original(self, params, grads, cfg)
+
+    monkeypatch.setattr(meta.AdamState, "apply", record)
+    return seen
+
+
+def _deep_params(graph):
     config = ModelConfig(dim=6, diffusion_depth=2, neighbor_cap=4,
                          t_min=2, t_max=6)
-    params = init_model(graph.n_entities, config, np.random.default_rng(3))
+    return init_model(graph.n_entities, config, np.random.default_rng(3))
+
+
+def test_theta1_grads_through_kept_feature_tape_equal_single_tape(
+        tiny_world, monkeypatch):
+    world, regular, new, graph = tiny_world
+    params = _deep_params(graph)
+    before = params.clone()
     cfg = small_cfg(inner_lr=0.01)
     trainer = meta.MetaTrainer(graph, regular, params, cfg, seed=5)
-    features = trainer._refresh_features(0)
     tasks = trainer.sample_tasks(0)
-    adapted = [meta.inner_adapt(params, task.support, cfg, features,
+    features = losses.ItemFeatures(graph, before,
+                                   trainer._rng("neighbor-plan", 0))
+    adapted = [meta.inner_adapt(before, task.support, cfg, features.value,
                                 trainer._rng("support-neg", 0, t),
                                 trainer.user_positives, graph.n_items)
                for t, task in enumerate(tasks)]
-    loss, g1, g2 = trainer._first_order_grads(tasks, adapted, 0)
+    grads = _adam_grads(monkeypatch)
+    loss = trainer.outer_update(tasks, 0)
+    g1, g2 = grads
 
     # reference: diffusion and every task's query loss on one tape
     tape = Tape()
-    theta1 = {k: tape.param(k, v) for k, v in params.theta1.items()}
-    items = losses.item_feature_node(tape, graph, theta1, config,
-                                     plan=trainer._plan)
+    theta1 = {k: tape.param(k, v) for k, v in before.theta1.items()}
+    items = losses.item_feature_node(tape, graph, theta1, before.config,
+                                     plan=features.plan)
     total = None
     for t, (task, theta2) in enumerate(zip(tasks, adapted)):
         nodes = {k: tape.param(f"task{t}/{k}", v) for k, v in theta2.items()}
         task_loss, _ = losses.build_batch_loss(
             tape, items, nodes, list(task.query), cfg.k_neg,
             trainer._rng("query-neg", 0, t), trainer.user_positives,
-            graph.n_items, t_min=config.t_min)
+            graph.n_items, t_min=before.config.t_min)
         total = task_loss if total is None else tape.add(total, task_loss)
     tape.forward()
     tape.backward(total)
-    assert loss == float(total.value)
-    assert set(g1) == set(params.theta1)
-    for name in params.theta1:
+    assert loss == float(total.value) / len(tasks)
+    assert set(g1) == set(before.theta1)
+    for name in before.theta1:
         assert np.array_equal(g1[name], tape.grads[name]), name
+    for name in before.theta2:
+        want = sum((tape.grads[f"task{t}/{name}"] for t in range(len(tasks))),
+                   np.zeros_like(before.theta2[name]))
+        assert np.array_equal(g2[name], want), name
+
+
+def test_joint_step_grads_equal_single_tape(tiny_world, monkeypatch):
+    world, regular, new, graph = tiny_world
+    params = _deep_params(graph)
+    before = params.clone()
+    cfg = small_cfg()
+    calls = []
+    original = meta.query_grads
+
+    def spy(features, batches, *args):
+        calls.append((features.plan, list(batches[0][1])))
+        return original(features, batches, *args)
+
+    monkeypatch.setattr(meta, "query_grads", spy)
+    grads = _adam_grads(monkeypatch)
+    trace = baselines.joint_train(graph, regular, params, cfg, seed=5,
+                                  max_steps=1, batch_size=6)
+    (plan, batch), = calls
+    g1, g2 = grads
+
+    tape, loss, _ = full_stack_tape(
+        graph, before, batch, cfg.k_neg, component_rng(5, "joint/negatives"),
+        {u: set(h) for u, h in regular.items()}, plan=plan)
+    tape.forward()
+    tape.backward(loss)
+    assert trace == [(0, float(loss.value))]
+    assert set(g1) == set(before.theta1)
+    for name in before.theta1:
+        assert np.array_equal(g1[name], tape.grads[name]), name
+    for name in before.theta2:
+        assert np.array_equal(g2[name], tape.grads[name]), name
+
+
+def test_exact_step_grads_equal_full_stack_tapes(tiny_world, monkeypatch):
+    world, regular, new, graph = tiny_world
+    params = _deep_params(graph)
+    before = params.clone()
+    cfg = small_cfg(order="exact", task_batch=1, inner_lr=0.05)
+    trainer = meta.MetaTrainer(graph, regular, params, cfg, seed=5)
+    tasks = trainer.sample_tasks(0)
+    plan = losses.ItemFeatures(graph, before,
+                               trainer._rng("neighbor-plan", 0)).plan
+    grads = _adam_grads(monkeypatch)
+    loss = trainer.outer_update(tasks, 0)
+    g1, g2 = grads
+
+    # reference: the support and the query loss each on one tape holding
+    # diffusion, rebound at every theta2 the correction visits
+    def objective(kind, sequences):
+        tape, out, _ = full_stack_tape(
+            graph, before, list(sequences), cfg.k_neg,
+            trainer._rng(kind, 0, 0), trainer.user_positives, plan=plan)
+
+        def at(theta2):
+            for name, value in theta2.items():
+                tape.set_param(name, value)
+            tape.zero_grad()
+            tape.forward()
+            tape.backward(out)
+            return (float(out.value),
+                    {k: tape.grads[k] for k in before.theta1},
+                    {k: tape.grads.get(k, np.zeros_like(v))
+                     for k, v in before.theta2.items()})
+        return at
+
+    support = objective("support-neg", tasks[0].support)
+    want_loss, want1, want2 = meta.exact_meta_grads(
+        {k: v.copy() for k, v in before.theta2.items()},
+        lambda theta2: support(theta2)[1:],
+        objective("query-neg", tasks[0].query), cfg.inner_lr)
+    assert loss == want_loss
+    assert set(g1) == set(before.theta1)
+    for name in before.theta1:
+        assert np.array_equal(g1[name], want1[name]), name
+    for name in before.theta2:
+        assert np.array_equal(g2[name], want2[name]), name

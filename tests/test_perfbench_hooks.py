@@ -1,0 +1,62 @@
+"""The benchmark still finds every metacsr function it reaches.
+
+``perfbench/`` wraps metacsr functions by attribute name and calls others
+directly. Renaming or deleting one of them must fail here, not partway
+through a (traced) benchmark run.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return (importlib.import_module("tracer"),
+            importlib.import_module("workloads"))
+
+
+def test_tracer_and_meter_install_and_uninstall(perfbench):
+    tracer_mod, workloads = perfbench
+    from metacsr import graph, losses, meta
+
+    before = (graph.diffuse_all, losses.build_batch_loss, meta.inner_adapt,
+              meta.MetaTrainer.outer_update)
+    tracer = tracer_mod.Tracer()
+    meter = workloads.Meter(None, 101)
+    tracer.install()
+    try:
+        meter.install()
+        try:
+            during = (graph.diffuse_all, losses.build_batch_loss,
+                      meta.inner_adapt, meta.MetaTrainer.outer_update)
+            assert all(a is not b for a, b in zip(before, during))
+        finally:
+            meter.uninstall()
+    finally:
+        tracer.uninstall()
+    assert (graph.diffuse_all, losses.build_batch_loss, meta.inner_adapt,
+            meta.MetaTrainer.outer_update) == before
+
+
+@pytest.mark.parametrize("source", ["tracer.py", "workloads.py"])
+def test_every_metacsr_attribute_perfbench_reads_exists(source):
+    tree = ast.parse((PERFBENCH / source).read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "metacsr"
+               for alias in node.names}
+    assert modules, f"{source} imports no metacsr module"
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id in modules}
+    missing = [f"{name}.{attr}" for name, attr in sorted(reads)
+               if not hasattr(importlib.import_module(
+                   f"metacsr.{modules[name]}"), attr)]
+    assert not missing, f"{source} reads {missing}"
