@@ -133,7 +133,7 @@ def joint_train(graph_, histories, params, cfg, seed, max_steps=None,
             losses.ItemFeatures(graph_, params, rng_plan),
             [(params.theta2, batch, rng_neg)], cfg, user_positives, config)
         adam.apply(params.theta1, g1, cfg)
-        adam.apply(params.theta2, g2, cfg)
+        adam.apply(params.theta2, meta_mod.sum_grads(g2), cfg)
         trace.append((step, value))
         if on_step:
             on_step(step, value)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,8 @@ from .graph import INHERENT
 from .params import ModelConfig, ModelParams, init_model
 
 HEADER = b"METACSR-CKPT v1\n"
-CONFIG_KEYS = ("dim", "diffusion_depth", "neighbor_cap", "use_diffusion",
-               "use_sequence", "t_min", "t_max")
-# every key a sidecar may hold; experiments.run_train adds the last two
+CONFIG_KEYS = tuple(f.name for f in fields(ModelConfig))
+# every key a sidecar may hold; save_model writes the last two when given
 SIDECAR_KEYS = frozenset(CONFIG_KEYS) | {"n_entities", "config_hash",
                                          "train_mode"}
 
@@ -69,8 +69,10 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     return tensors
 
 
-def save_model(path, params: ModelParams):
-    """Write the parameters and their sidecar ``<path>.meta.json``."""
+def save_model(path, params: ModelParams, config_hash=None, train_mode=None):
+    """Write the parameters and their sidecar ``<path>.meta.json``, which
+    holds the model config, the entity count and, when given, the run's
+    config hash and train mode."""
     tensors = {}
     for name, value in params.theta1.items():
         tensors[f"theta1/{name}"] = value
@@ -79,6 +81,10 @@ def save_model(path, params: ModelParams):
     write_tensors(path, tensors)
     meta = {k: getattr(params.config, k) for k in CONFIG_KEYS}
     meta["n_entities"] = params.n_entities
+    for key, value in (("config_hash", config_hash),
+                       ("train_mode", train_mode)):
+        if value is not None:
+            meta[key] = value
     with Path(str(path) + ".meta.json").open("w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")

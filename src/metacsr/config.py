@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from .data import SplitSpec, SyntheticWorldSpec
 from .meta import MetaConfig
@@ -102,11 +101,6 @@ class RunConfig:
             **raw,
         )
         return config
-
-    @staticmethod
-    def load(path) -> "RunConfig":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            return RunConfig.from_dict(json.load(fh))
 
     # --------------------------------------------------------------- hashes
 

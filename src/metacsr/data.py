@@ -333,11 +333,10 @@ def generate_synthetic_world(spec) -> SyntheticWorld:
     return SyntheticWorld(records, chains, user_chain, spec)
 
 
-def synthetic_split(world):
+def synthetic_split(world, new_user_max_kept=SplitSpec.new_user_max_kept):
     """Regular/new histories with the first ``n_regular`` users regular.
 
-    New users keep at most ``new_user_max_kept`` earliest behaviors via
-    the standard split spec applied directly.
+    New users keep at most ``new_user_max_kept`` earliest behaviors.
     """
     spec = world.spec
     regular = {}
@@ -345,12 +344,11 @@ def synthetic_split(world):
     per_user: dict[int, list[int]] = {}
     for rec in world.records:
         per_user.setdefault(rec.user, []).append(rec.item)
-    keep = SplitSpec().new_user_max_kept
     for user, items in per_user.items():
         if user < spec.n_regular:
             regular[user] = items
         else:
-            new[user] = items[:keep]
+            new[user] = items[:new_user_max_kept]
     return regular, new
 
 

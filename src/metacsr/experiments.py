@@ -43,9 +43,10 @@ def _echo_config(config):
     (out / "config.json").write_text(config.to_json(), encoding="utf-8")
 
 
-def _content_hash(paths) -> str:
+def _input_hash(dataset_dir) -> str:
+    """Hash of the names and bytes of the dataset directory's files."""
     digest = hashlib.sha256()
-    for path in sorted(Path(p) for p in paths):
+    for path in sorted(p for p in Path(dataset_dir).iterdir() if p.is_file()):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
@@ -73,7 +74,8 @@ def run_prepare(config: RunConfig) -> Path:
     if dcfg.source == "synthetic":
         spec = dcfg.synthetic
         world = datamod.generate_synthetic_world(spec)
-        regular, new = datamod.synthetic_split(world)
+        regular, new = datamod.synthetic_split(
+            world, dcfg.split.new_user_max_kept)
         dataset = datamod.Dataset(regular=regular, new=new,
                                   n_items=spec.n_items,
                                   split_spec=dcfg.split, seed=config.seed,
@@ -103,9 +105,7 @@ def run_prepare(config: RunConfig) -> Path:
         path = datamod.write_dataset_dir(out, dataset,
                                          user_map=parsed.user_map,
                                          item_map=parsed.item_map)
-    _write_record(config, stage="prepare",
-                  input_hash=_content_hash(p for p in path.iterdir()
-                                           if p.is_file()))
+    _write_record(config, stage="prepare", input_hash=_input_hash(path))
     log.info("dataset written to %s (%d regular / %d new users)",
              path, len(dataset.regular), len(dataset.new))
     return path
@@ -173,13 +173,8 @@ def run_train(config: RunConfig, max_steps=None, quiet=False) -> Path:
     (out / "checkpoints").mkdir(exist_ok=True)
     (out / "traces").mkdir(exist_ok=True)
     ckpt_path = out / "checkpoints" / "model.ckpt"
-    checkpoint.save_model(ckpt_path, params)
-    sidecar = Path(str(ckpt_path) + ".meta.json")
-    meta_doc = json.loads(sidecar.read_text(encoding="utf-8"))
-    meta_doc["config_hash"] = config.core_hash()
-    meta_doc["train_mode"] = config.train_mode
-    sidecar.write_text(json.dumps(meta_doc, indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    checkpoint.save_model(ckpt_path, params, config_hash=config.core_hash(),
+                          train_mode=config.train_mode)
     trace_path = out / "traces" / "train_loss.csv"
     with trace_path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={config.core_hash()}\n")
@@ -188,6 +183,7 @@ def run_train(config: RunConfig, max_steps=None, quiet=False) -> Path:
         for step, value in trace:
             writer.writerow([step, repr(value)])
     _write_record(config, stage="train", steps=len(trace),
+                  input_hash=_input_hash(out / "dataset"),
                   wall_clock=time.time() - started)
     return ckpt_path
 

@@ -8,8 +8,9 @@ each task's query set at its adapted weights and applies one Adam step with
 decoupled weight decay to both partitions.
 
 The meta-gradient is first-order by default (the inner update is treated
-as a stop-gradient). Exact mode assembles the correction term of the
-bilevel derivative from central finite differences of the support gradient
+as a stop-gradient). Exact mode takes the same step and adds each task's
+second-order correction of the bilevel derivative, from central finite
+differences of the support gradient along the task's query gradient
 (Hessian-vector and cross products); it is meant for tiny models, supports
 a single inner step, and makes the first-order approximation auditable.
 
@@ -40,6 +41,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WINDOW_STEPS = 20
 PLATEAU_TOL = 1e-4
+HVP_SCALE = 1e-5    # finite-difference radius per unit of (1 + |theta2|)
 
 
 @dataclass
@@ -68,6 +70,9 @@ class MetaConfig:
         if min(self.task_batch, self.n_way, self.k_support, self.k_query,
                self.k_neg, self.inner_steps) < 1:
             raise ValueError("episode sizes must be positive")
+        if self.order == "exact" and self.inner_steps != 1:
+            raise ValueError("meta.order='exact' supports meta.inner_steps=1 "
+                             f"only, not {self.inner_steps!r}")
         for name in ("fine_tune_steps", "max_outer_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"meta.{name} must be >= 0, not "
@@ -148,45 +153,14 @@ class AdamState:
                 value -= cfg.outer_lr * cfg.weight_decay * value
 
 
-class LossTape:
-    """A loss graph that can be re-evaluated at rebound parameter values."""
-
-    def __init__(self, tape, loss):
-        self.tape = tape
-        self.loss = loss
-
-    @classmethod
-    def over_features(cls, features, theta2, sequences, cfg, rng,
-                      user_positives, n_items, model_config):
-        """Support-style tape: concrete item features, theta2 trainable."""
-        tape = Tape()
-        nodes = {name: tape.param(name, value)
-                 for name, value in theta2.items()}
-        loss, _ = losses.build_batch_loss(
-            tape, tape.constant(features), nodes, list(sequences), cfg.k_neg,
-            rng, user_positives, n_items, t_min=model_config.t_min,
-            use_sequence=model_config.use_sequence)
-        return cls(tape, loss)
-
-    def loss_and_grads(self, rebind=None):
-        if rebind:
-            for name, value in rebind.items():
-                self.tape.set_param(name, value)
-        self.tape.zero_grad()
-        self.tape.forward()
-        self.tape.backward(self.loss)
-        return float(self.loss.value), {k: v.copy()
-                                        for k, v in self.tape.grads.items()}
-
-
 def query_grads(features, batches, cfg, user_positives, model_config):
     """Summed batch loss over one item-feature pass, with its gradients.
 
     ``features`` is a :class:`losses.ItemFeatures`; ``batches`` holds
     (theta2, sequences, rng) triples, one batch loss each, all on one tape
     that reads the table through a leaf. Returns (loss, theta1 gradients
-    from the leaf's adjoint pushed through the pass, theta2 gradients
-    summed over batches per name, zero where none reach).
+    from the leaf's adjoint pushed through the pass, one theta2 gradient
+    mapping per batch, zero where none reach).
     """
     tape = Tape()
     leaf = tape.leaf("item_features", features.value)
@@ -201,10 +175,16 @@ def query_grads(features, batches, cfg, user_positives, model_config):
         total = loss if total is None else tape.add(total, loss)
     tape.forward()
     tape.backward(total)
-    g2 = {name: sum((tape.grads.get(f"{b}/{name}", 0)
-                     for b in range(len(batches))), np.zeros_like(value))
-          for name, value in batches[0][0].items()}
+    g2 = [{name: tape.grads.get(f"{b}/{name}", np.zeros_like(value))
+           for name, value in theta2.items()}
+          for b, (theta2, _, _) in enumerate(batches)]
     return float(total.value), features.theta1_grads(leaf.adjoint), g2
+
+
+def sum_grads(grads):
+    """Per-name sum of gradient mappings, in order, starting from zeros."""
+    return {name: sum((g[name] for g in grads), np.zeros_like(value))
+            for name, value in grads[0].items()}
 
 
 def sgd_theta2(params, support, features, cfg, rng, user_positives,
@@ -214,14 +194,21 @@ def sgd_theta2(params, support, features, cfg, rng, user_positives,
     theta2 = {k: v.copy() for k, v in params.theta2.items()}
     if steps == 0 or not support:
         return theta2
-    tape = LossTape.over_features(features, theta2, support, cfg, rng,
-                                  user_positives, n_items, params.config)
+    tape = Tape()
+    nodes = {name: tape.param(name, value) for name, value in theta2.items()}
+    loss, _ = losses.build_batch_loss(
+        tape, tape.constant(features), nodes, list(support), cfg.k_neg, rng,
+        user_positives, n_items, t_min=params.config.t_min,
+        use_sequence=params.config.use_sequence)
     for _ in range(steps):
-        _, grads = tape.loss_and_grads(theta2)
+        tape.zero_grad()
+        tape.forward()
+        tape.backward(loss)
         for name in theta2:
-            g = grads.get(name)
+            g = tape.grads.get(name)
             if g is not None:
                 theta2[name] = theta2[name] - lr * g
+                tape.set_param(name, theta2[name])
     return theta2
 
 
@@ -234,31 +221,27 @@ def inner_adapt(params, support, cfg, features, rng, user_positives,
                       n_items, steps, cfg.inner_lr)
 
 
-def exact_meta_grads(theta2, support_grads, query_grads, inner_lr,
-                     hvp_scale=1e-5):
-    """Meta-gradient through one exact inner step, on parameter dicts.
+def bilevel_correction(theta2, direction, support_grads, inner_lr):
+    """Second-order terms of the meta-gradient through one SGD step.
 
-    ``support_grads(theta2) -> (g1, g2)`` and
-    ``query_grads(theta2_adapted) -> (loss, g1, g2)`` evaluate the two
-    objectives at the current theta1. The second-order terms (the
-    Hessian-vector product in theta2 and the cross theta1 derivative of
-    the support gradient) come from central differences of
-    ``support_grads`` along the query-gradient direction.
+    With adapted weights ``theta2 - inner_lr * g_s(theta2)`` and the query
+    gradient ``direction`` taken there, the exact meta-gradient is the
+    first-order one plus the (theta1, theta2) mappings returned here:
+    ``-inner_lr`` times the support gradient's derivative along
+    ``direction`` (its Hessian-vector product in theta2 and its cross
+    theta1 term), from central differences of
+    ``support_grads(theta2) -> (g1, g2)``. Returns None when the terms
+    vanish: a zero inner rate or a zero direction.
     """
-    g_s1, g_s2 = support_grads(theta2)
-    del g_s1
-    adapted = {k: theta2[k] - inner_lr * g_s2[k] for k in theta2}
-    loss, g_q1, g_q2 = query_grads(adapted)
-    vnorm = np.sqrt(sum(float((g * g).sum()) for g in g_q2.values()))
+    vnorm = np.sqrt(sum(float((g * g).sum()) for g in direction.values()))
     if vnorm < 1e-12 or inner_lr == 0.0:
-        return loss, g_q1, g_q2
+        return None
     pnorm = np.sqrt(sum(float((p * p).sum()) for p in theta2.values()))
-    r = hvp_scale * (1.0 + pnorm) / vnorm
-    hi1, hi2 = support_grads({k: theta2[k] + r * g_q2[k] for k in theta2})
-    lo1, lo2 = support_grads({k: theta2[k] - r * g_q2[k] for k in theta2})
-    g1 = {k: g_q1[k] - inner_lr * (hi1[k] - lo1[k]) / (2 * r) for k in g_q1}
-    g2 = {k: g_q2[k] - inner_lr * (hi2[k] - lo2[k]) / (2 * r) for k in g_q2}
-    return loss, g1, g2
+    r = HVP_SCALE * (1.0 + pnorm) / vnorm
+    hi1, hi2 = support_grads({k: theta2[k] + r * direction[k] for k in theta2})
+    lo1, lo2 = support_grads({k: theta2[k] - r * direction[k] for k in theta2})
+    return ({k: -(inner_lr * (hi1[k] - lo1[k]) / (2 * r)) for k in hi1},
+            {k: -(inner_lr * (hi2[k] - lo2[k]) / (2 * r)) for k in hi2})
 
 
 class MetaTrainer:
@@ -293,56 +276,42 @@ class MetaTrainer:
         """Adapt every task, then one Adam step on the summed query loss.
 
         Returns the mean per-task query loss. The item features come from
-        one pass per step with a fresh neighbor plan. First-order mode
-        adapts against its value and puts every task's query loss on one
-        tape; exact mode runs per-task bilevel corrections over the same
-        pass.
+        one pass per step with a fresh neighbor plan. Every task adapts
+        against its value, and every task's query loss goes on one tape.
+        Exact mode then adds each task's bilevel correction, whose support
+        evaluations reuse the same pass.
         """
         features = losses.ItemFeatures(self.graph, self.params,
                                        self._rng("neighbor-plan", step))
+        batches = [
+            (inner_adapt(self.params, task.support, self.cfg, features.value,
+                         self._rng("support-neg", step, t),
+                         self.user_positives, self.graph.n_items),
+             task.query, self._rng("query-neg", step, t))
+            for t, task in enumerate(tasks)
+        ]
+        loss, g1, g2 = query_grads(features, batches, self.cfg,
+                                   self.user_positives, self.params.config)
         if self.cfg.order == "exact":
-            loss, g1, g2 = self._exact_outer_grads(features, tasks, step)
-        else:
-            batches = [
-                (inner_adapt(self.params, task.support, self.cfg,
-                             features.value, self._rng("support-neg", step, t),
-                             self.user_positives, self.graph.n_items),
-                 task.query, self._rng("query-neg", step, t))
-                for t, task in enumerate(tasks)
-            ]
-            loss, g1, g2 = query_grads(features, batches, self.cfg,
-                                       self.user_positives, self.params.config)
+            for t, task in enumerate(tasks):
+                def support_grads(theta2, t=t, task=task):
+                    # a fresh stream draws the adaptation's negatives again
+                    _, s1, (s2,) = query_grads(
+                        features, [(theta2, task.support,
+                                    self._rng("support-neg", step, t))],
+                        self.cfg, self.user_positives, self.params.config)
+                    return s1, s2
+
+                terms = bilevel_correction(self.params.theta2, g2[t],
+                                           support_grads, self.cfg.inner_lr)
+                if terms is not None:
+                    c1, c2 = terms
+                    g1 = {k: g1[k] + c1[k] for k in g1}
+                    g2[t] = {k: g2[t][k] + c2[k] for k in g2[t]}
         del features    # release the pass and its adjoints before Adam
         self.adam.apply(self.params.theta1, g1, self.cfg)
-        self.adam.apply(self.params.theta2, g2, self.cfg)
+        self.adam.apply(self.params.theta2, sum_grads(g2), self.cfg)
         return loss / len(tasks)
-
-    def _exact_outer_grads(self, features, tasks, step):
-        if self.cfg.inner_steps != 1:
-            raise NotImplementedError(
-                "exact meta-gradients support a single inner step")
-
-        def evaluate(theta2, kind, t, sequences):
-            # a fresh stream per evaluation draws the same negatives
-            return query_grads(
-                features, [(theta2, sequences, self._rng(kind, step, t))],
-                self.cfg, self.user_positives, self.params.config)
-
-        total_loss = 0.0
-        sum_g1: dict[str, np.ndarray] = {}
-        sum_g2: dict[str, np.ndarray] = {}
-        for t, task in enumerate(tasks):
-            loss, g1, g2 = exact_meta_grads(
-                {k: v.copy() for k, v in self.params.theta2.items()},
-                lambda th: evaluate(th, "support-neg", t, task.support)[1:],
-                lambda th: evaluate(th, "query-neg", t, task.query),
-                self.cfg.inner_lr)
-            total_loss += loss
-            for k, v in g1.items():
-                sum_g1[k] = sum_g1.get(k, 0) + v
-            for k, v in g2.items():
-                sum_g2[k] = sum_g2.get(k, 0) + v
-        return total_loss, sum_g1, sum_g2
 
     # --------------------------------------------------------- train loop
 

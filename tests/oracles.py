@@ -2,10 +2,11 @@
 
 Everything here is written as plainly as possible (explicit loops, no
 shared code with the package) so the oracles stay independent of the
-implementations they check. The one exception is
-:func:`full_stack_tape`, a tape oracle: the package's builders composed
-on a single tape, against which the feature-leaf route is compared and
-finite differences are taken.
+implementations they check. The exceptions are the tape oracles
+:func:`full_stack_tape` (the package's builders composed on a single
+tape, against which the feature-leaf route is compared and finite
+differences are taken) and :func:`feature_loss` (one batch loss over a
+constant item-feature table, against which adaptation is checked).
 """
 
 import math
@@ -196,3 +197,28 @@ def full_stack_tape(graph, params, sequences, k_neg, rng, user_positives,
         tape, features, theta2, sequences, k_neg, rng, user_positives,
         graph.n_items, t_min=config.t_min, use_sequence=config.use_sequence)
     return tape, loss, info
+
+
+def feature_loss(features, theta2, sequences, k_neg, rng, user_positives,
+                 config):
+    """One batch loss over the constant (n_items, d) table ``features``
+    with theta2 trainable; returns ``at(values=None) -> (loss, theta2
+    grads)``, which re-evaluates that tape with ``values`` rebound."""
+    from metacsr import losses
+    from metacsr.autodiff import Tape
+
+    tape = Tape()
+    nodes = {k: tape.param(k, v) for k, v in theta2.items()}
+    loss, _ = losses.build_batch_loss(
+        tape, tape.constant(features), nodes, list(sequences), k_neg, rng,
+        user_positives, features.shape[0], t_min=config.t_min,
+        use_sequence=config.use_sequence)
+
+    def at(values=None):
+        for name, value in (values or {}).items():
+            tape.set_param(name, value)
+        tape.zero_grad()
+        tape.forward()
+        tape.backward(loss)
+        return float(loss.value), dict(tape.grads)
+    return at

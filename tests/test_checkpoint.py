@@ -92,6 +92,18 @@ def _saved_model(tmp_path, name="m.ckpt"):
     return path
 
 
+def test_sidecar_holds_config_hash_and_train_mode_when_given(tmp_path):
+    path = _saved_model(tmp_path)
+    sidecar = Path(str(path) + ".meta.json")
+    plain = json.loads(sidecar.read_text())
+    assert set(plain) == set(ckpt.CONFIG_KEYS) | {"n_entities"}
+    ckpt.save_model(path, ckpt.load_model(path), config_hash="0" * 16,
+                    train_mode="joint")
+    assert json.loads(sidecar.read_text()) == {
+        **plain, "config_hash": "0" * 16, "train_mode": "joint"}
+    ckpt.load_model(path)
+
+
 def test_load_rejects_optimizer_state(tmp_path):
     path = _saved_model(tmp_path)
     tensors = ckpt.read_tensors(path)
@@ -130,7 +142,7 @@ def test_load_rejects_unknown_sidecar_key(tmp_path, key):
     path = _saved_model(tmp_path)
     sidecar = Path(str(path) + ".meta.json")
     meta = json.loads(sidecar.read_text())
-    meta.update(config_hash="0" * 16, train_mode="meta")  # run_train adds
+    meta.update(config_hash="0" * 16, train_mode="meta")  # save_model's
     sidecar.write_text(json.dumps(meta))
     ckpt.load_model(path)
     sidecar.write_text(json.dumps({**meta, key: "max"}))

@@ -96,6 +96,13 @@ def test_config_rejects_negative_step_counts(key):
     resolve_config(None, {key: "0"})
 
 
+def test_config_rejects_exact_order_with_several_inner_steps():
+    with pytest.raises(ValueError, match="meta.inner_steps"):
+        resolve_config(None, {"meta.order": "exact", "meta.inner_steps": "2"})
+    resolve_config(None, {"meta.order": "exact", "meta.inner_steps": "1"})
+    resolve_config(None, {"meta.order": "first", "meta.inner_steps": "2"})
+
+
 def test_config_rejects_non_string_data_path():
     with pytest.raises(ValueError, match="data.path"):
         resolve_config(None, {"data.path": "2024"})
@@ -111,6 +118,27 @@ def test_prepare_is_idempotent(tmp_path):
     again = {p.name: p.read_bytes() for p in path.iterdir()}
     assert files == again
     assert (path / "chains.json").exists()  # synthetic ground truth
+
+
+def test_synthetic_prepare_honours_new_user_max_kept(tmp_path):
+    config = tiny_config(tmp_path / "run",
+                         **{"data.split.new_user_max_kept": 4})
+    experiments.run_prepare(config)
+    dataset = experiments.load_dataset(config)
+    assert dataset.split_spec.new_user_max_kept == 4
+    # every new user has at least seq_len_min = 20 behaviors
+    assert {len(h) for h in dataset.new.values()} == {4}
+
+
+def test_train_record_keeps_input_hash(tmp_path):
+    config = tiny_config(tmp_path / "run")
+    experiments.run_prepare(config)
+    record_path = tmp_path / "run" / "record.json"
+    prepared = json.loads(record_path.read_text())["input_hash"]
+    experiments.run_train(config, max_steps=1, quiet=True)
+    record = json.loads(record_path.read_text())
+    assert record["stage"] == "train"
+    assert record["input_hash"] == prepared
 
 
 def test_full_pipeline_and_artifacts(tmp_path):

@@ -7,7 +7,7 @@ from metacsr.autodiff import Tape
 from metacsr.data import BehaviorSequence, SyntheticWorldSpec, generate_synthetic_world, synthetic_split
 from metacsr.params import ModelConfig, init_model
 from metacsr.seeding import component_rng
-from oracles import full_stack_tape
+from oracles import feature_loss, full_stack_tape
 
 
 def small_cfg(**kw):
@@ -111,10 +111,9 @@ def test_inner_adapt_single_step_is_sgd(tiny_world):
     cfg = small_cfg(inner_lr=0.05)
     graph, seqs, positives, features = _support_batch(tiny_world, params, cfg)
 
-    tape = meta.LossTape.over_features(
-        features, params.theta2, seqs, cfg, np.random.default_rng(1),
-        positives, graph.n_items, params.config)
-    _, grads = tape.loss_and_grads()
+    _, grads = feature_loss(
+        features, params.theta2, seqs, cfg.k_neg, np.random.default_rng(1),
+        positives, params.config)()
 
     adapted = meta.inner_adapt(params, seqs, cfg, features,
                                np.random.default_rng(1), positives,
@@ -122,6 +121,27 @@ def test_inner_adapt_single_step_is_sgd(tiny_world):
     for name, value in params.theta2.items():
         expected = value - 0.05 * grads.get(name, 0)
         np.testing.assert_allclose(adapted[name], expected, rtol=1e-12)
+
+
+def test_inner_adapt_takes_each_step_at_the_updated_weights(tiny_world):
+    world, regular, new, graph = tiny_world
+    params = fresh_params(graph)
+    cfg = small_cfg(inner_lr=0.05, inner_steps=2)
+    graph, seqs, positives, features = _support_batch(tiny_world, params, cfg)
+    support_loss = feature_loss(features, params.theta2, seqs, cfg.k_neg,
+                                np.random.default_rng(1), positives,
+                                params.config)
+    expected = dict(params.theta2)
+    for _ in range(2):
+        _, grads = support_loss(expected)
+        expected = {k: v - 0.05 * grads[k] if k in grads else v
+                    for k, v in expected.items()}
+
+    adapted = meta.inner_adapt(params, seqs, cfg, features,
+                               np.random.default_rng(1), positives,
+                               graph.n_items)
+    for name, value in expected.items():
+        assert np.array_equal(adapted[name], value), name
 
 
 def test_inner_adapt_leaves_theta1_bit_identical(tiny_world):
@@ -164,15 +184,14 @@ def test_adaptation_improves_support_fit(tiny_world):
     n_tasks = 12
     for t in range(n_tasks):
         task = meta.sample_task(regular, cfg, rng, 2, 6)
-        tape = meta.LossTape.over_features(
-            features, params.theta2, task.support, cfg,
-            np.random.default_rng(100 + t), positives, graph.n_items,
-            params.config)
-        before, _ = tape.loss_and_grads(params.theta2)
+        support_loss = feature_loss(
+            features, params.theta2, task.support, cfg.k_neg,
+            np.random.default_rng(100 + t), positives, params.config)
+        before, _ = support_loss(params.theta2)
         adapted = meta.inner_adapt(params, task.support, cfg, features,
                                    np.random.default_rng(100 + t), positives,
                                    graph.n_items)
-        after, _ = tape.loss_and_grads(adapted)
+        after, _ = support_loss(adapted)
         if after > before:
             failures += 1
     assert failures / n_tasks < 0.05
@@ -211,25 +230,25 @@ def test_first_order_theta2_gradient_is_query_gradient_at_adapted(tiny_world):
     adapted = meta.inner_adapt(params, task.support, cfg, features.value,
                                trainer._rng("support-neg", 0, 0),
                                trainer.user_positives, graph.n_items)
-    _, g1, g2 = meta.query_grads(
+    _, g1, (g2,) = meta.query_grads(
         features, [(adapted, task.query, trainer._rng("query-neg", 0, 0))],
         cfg, trainer.user_positives, params.config)
 
     # oracle: evaluate the query gradient directly at the adapted weights,
     # with the same per-(step, task) negative stream
-    tape = meta.LossTape.over_features(
-        features.value, adapted, task.query, cfg,
+    _, grads = feature_loss(
+        features.value, adapted, task.query, cfg.k_neg,
         trainer._rng("query-neg", 0, 0), trainer.user_positives,
-        graph.n_items, params.config)
-    _, grads = tape.loss_and_grads()
+        params.config)()
     for name in params.theta2:
         if name in grads:
             np.testing.assert_allclose(g2[name], grads[name], rtol=1e-9)
 
 
-def test_exact_equals_first_order_at_zero_inner_rate(tiny_world):
+@pytest.mark.parametrize("task_batch", [1, 3])
+def test_exact_equals_first_order_at_zero_inner_rate(tiny_world, task_batch):
     world, regular, new, graph = tiny_world
-    seqs_cfg = dict(task_batch=1, n_way=2, k_support=2, k_query=2,
+    seqs_cfg = dict(task_batch=task_batch, n_way=2, k_support=2, k_query=2,
                     inner_lr=0.0)
     params_a = fresh_params(graph)
     trainer_a = meta.MetaTrainer(graph, regular, params_a,
@@ -241,13 +260,11 @@ def test_exact_equals_first_order_at_zero_inner_rate(tiny_world):
                                  small_cfg(order="exact", **seqs_cfg), seed=8)
     loss_b = trainer_b.outer_update(trainer_b.sample_tasks(), 0)
 
-    assert loss_a == pytest.approx(loss_b, rel=1e-9)
+    assert loss_a == loss_b
     for name in params_a.theta2:
-        np.testing.assert_allclose(params_a.theta2[name],
-                                   params_b.theta2[name], atol=1e-11)
+        assert np.array_equal(params_a.theta2[name], params_b.theta2[name])
     for name in params_a.theta1:
-        np.testing.assert_allclose(params_a.theta1[name],
-                                   params_b.theta1[name], atol=1e-11)
+        assert np.array_equal(params_a.theta1[name], params_b.theta1[name])
 
 
 def test_exact_meta_gradient_matches_finite_differences_on_toy():
@@ -273,8 +290,12 @@ def test_exact_meta_gradient_matches_finite_differences_on_toy():
         g_b = -4.0 * (a - 2.0 * b)
         return query_loss(a, b), {"a": np.asarray(g_a)}, {"b": np.asarray(g_b)}
 
-    _, g1, g2 = meta.exact_meta_grads({"b": np.asarray(b0)}, support_grads,
-                                      query_grads, alpha)
+    theta2 = {"b": np.asarray(b0)}
+    _, g_q1, g_q2 = query_grads(
+        {"b": theta2["b"] - alpha * support_grads(theta2)[1]["b"]})
+    c1, c2 = meta.bilevel_correction(theta2, g_q2, support_grads, alpha)
+    g1 = {"a": g_q1["a"] + c1["a"]}
+    g2 = {"b": g_q2["b"] + c2["b"]}
 
     def composite(a, b):
         g_b = 2.0 * (b * a - 1.0) * a + 0.6 * b
@@ -555,6 +576,38 @@ def test_joint_step_grads_equal_single_tape(tiny_world, monkeypatch):
         assert np.array_equal(g2[name], tape.grads[name]), name
 
 
+def _exact_reference(graph, params, cfg, trainer, plan, t, task):
+    """One task's exact meta-gradient from full-stack tapes: the support
+    and the query loss each on one tape holding diffusion, rebound at
+    every theta2 the correction visits; returns (loss, g1, g2)."""
+    def objective(kind, sequences):
+        tape, out, _ = full_stack_tape(
+            graph, params, list(sequences), cfg.k_neg,
+            trainer._rng(kind, 0, t), trainer.user_positives, plan=plan)
+
+        def at(theta2):
+            for name, value in theta2.items():
+                tape.set_param(name, value)
+            tape.zero_grad()
+            tape.forward()
+            tape.backward(out)
+            return (float(out.value),
+                    {k: tape.grads[k] for k in params.theta1},
+                    {k: tape.grads.get(k, np.zeros_like(v))
+                     for k, v in params.theta2.items()})
+        return at
+
+    support = objective("support-neg", task.support)
+    _, _, g_s2 = support(params.theta2)
+    adapted = {k: v - cfg.inner_lr * g_s2[k] for k, v in params.theta2.items()}
+    loss, q1, q2 = objective("query-neg", task.query)(adapted)
+    c1, c2 = meta.bilevel_correction(params.theta2, q2,
+                                     lambda theta2: support(theta2)[1:],
+                                     cfg.inner_lr)
+    return (loss, {k: q1[k] + c1[k] for k in q1},
+            {k: q2[k] + c2[k] for k in q2})
+
+
 def test_exact_step_grads_equal_full_stack_tapes(tiny_world, monkeypatch):
     world, regular, new, graph = tiny_world
     params = _deep_params(graph)
@@ -568,33 +621,57 @@ def test_exact_step_grads_equal_full_stack_tapes(tiny_world, monkeypatch):
     loss = trainer.outer_update(tasks, 0)
     g1, g2 = grads
 
-    # reference: the support and the query loss each on one tape holding
-    # diffusion, rebound at every theta2 the correction visits
-    def objective(kind, sequences):
-        tape, out, _ = full_stack_tape(
-            graph, before, list(sequences), cfg.k_neg,
-            trainer._rng(kind, 0, 0), trainer.user_positives, plan=plan)
-
-        def at(theta2):
-            for name, value in theta2.items():
-                tape.set_param(name, value)
-            tape.zero_grad()
-            tape.forward()
-            tape.backward(out)
-            return (float(out.value),
-                    {k: tape.grads[k] for k in before.theta1},
-                    {k: tape.grads.get(k, np.zeros_like(v))
-                     for k, v in before.theta2.items()})
-        return at
-
-    support = objective("support-neg", tasks[0].support)
-    want_loss, want1, want2 = meta.exact_meta_grads(
-        {k: v.copy() for k, v in before.theta2.items()},
-        lambda theta2: support(theta2)[1:],
-        objective("query-neg", tasks[0].query), cfg.inner_lr)
+    want_loss, want1, want2 = _exact_reference(graph, before, cfg, trainer,
+                                               plan, 0, tasks[0])
     assert loss == want_loss
     assert set(g1) == set(before.theta1)
     for name in before.theta1:
         assert np.array_equal(g1[name], want1[name]), name
     for name in before.theta2:
         assert np.array_equal(g2[name], want2[name]), name
+
+
+def test_exact_step_sums_each_tasks_correction(tiny_world, monkeypatch):
+    world, regular, new, graph = tiny_world
+    params = _deep_params(graph)
+    before = params.clone()
+    cfg = small_cfg(order="exact", task_batch=3, inner_lr=0.05)
+    trainer = meta.MetaTrainer(graph, regular, params, cfg, seed=5)
+    tasks = trainer.sample_tasks(0)
+    assert len({task.support for task in tasks}) == 3
+    plan = losses.ItemFeatures(graph, before,
+                               trainer._rng("neighbor-plan", 0)).plan
+    grads = _adam_grads(monkeypatch)
+    loss = trainer.outer_update(tasks, 0)
+    g1, g2 = grads
+
+    # one query tape sums the tasks' feature adjoints before one push, so
+    # the per-task references agree up to summation order
+    refs = [_exact_reference(graph, before, cfg, trainer, plan, t, task)
+            for t, task in enumerate(tasks)]
+    assert loss == pytest.approx(sum(r[0] for r in refs) / 3, rel=1e-12)
+    for i, (got, names) in enumerate(((g1, before.theta1),
+                                      (g2, before.theta2))):
+        for name in names:
+            want = sum(r[1 + i][name] for r in refs)
+            np.testing.assert_allclose(got[name], want, rtol=1e-9,
+                                       atol=1e-15, err_msg=name)
+
+
+def test_exact_step_pushes_each_adjoint_once(tiny_world, monkeypatch):
+    """One push for the shared query tape plus two per task for the
+    correction's support gradients; none is computed and discarded."""
+    world, regular, new, graph = tiny_world
+    pushes = []
+    original = losses.ItemFeatures.theta1_grads
+
+    def counted(self, adjoint):
+        pushes.append(1)
+        return original(self, adjoint)
+
+    monkeypatch.setattr(losses.ItemFeatures, "theta1_grads", counted)
+    trainer = meta.MetaTrainer(
+        graph, regular, fresh_params(graph),
+        small_cfg(order="exact", task_batch=3, inner_lr=0.05), seed=5)
+    trainer.outer_update(trainer.sample_tasks(0), 0)
+    assert len(pushes) == 2 * 3 + 1
