@@ -90,15 +90,16 @@ def save_model(path, params: ModelParams, config_hash=None, train_mode=None):
         fh.write("\n")
 
 
-def load_model(path):
+def load_model(path, config_hash=None):
     """The saved ModelParams. theta1 and theta2 must hold the tensors and
     shapes :func:`init_model` gives the sidecar's config and entity count,
     or ValueError names the file and the tensor; a sidecar key outside
-    ``SIDECAR_KEYS`` or any other tensor prefix is a ValueError too."""
+    ``SIDECAR_KEYS`` or any other tensor prefix is a ValueError too. When
+    both ``config_hash`` and the sidecar's hash are set, they must match."""
     tensors = read_tensors(path)
     meta_path = Path(str(path) + ".meta.json")
     config = ModelConfig()
-    n_entities = None
+    n_entities = stored_hash = None
     if meta_path.exists():
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -107,8 +108,13 @@ def load_model(path):
                 raise ValueError(f"unknown key {unknown[0]!r}")
             config = ModelConfig(**{k: meta[k] for k in CONFIG_KEYS})
             n_entities = int(meta["n_entities"])
+            stored_hash = meta.get("config_hash")
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{meta_path}: bad sidecar ({err!r})") from None
+    if None not in (config_hash, stored_hash) and stored_hash != config_hash:
+        raise ValueError(
+            f"checkpoint config hash {stored_hash} does not match the active "
+            f"config {config_hash}; refusing to evaluate")
     parts = {"theta1": {}, "theta2": {}}
     for name, value in tensors.items():
         prefix, _, rest = name.partition("/")

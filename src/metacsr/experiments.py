@@ -192,15 +192,7 @@ def run_train(config: RunConfig, max_steps=None, quiet=False) -> Path:
 
 
 def _load_checkpoint_for(config, ckpt_path):
-    params = checkpoint.load_model(ckpt_path)
-    sidecar = Path(str(ckpt_path) + ".meta.json")
-    if sidecar.exists():
-        meta_doc = json.loads(sidecar.read_text(encoding="utf-8"))
-        stored = meta_doc.get("config_hash")
-        if stored is not None and stored != config.core_hash():
-            raise ValueError(
-                f"checkpoint config hash {stored} does not match the active "
-                f"config {config.core_hash()}; refusing to evaluate")
+    params = checkpoint.load_model(ckpt_path, config_hash=config.core_hash())
     if params.dim != config.model.dim:
         raise ValueError(
             f"checkpoint dimension {params.dim} != config {config.model.dim}")

@@ -94,27 +94,43 @@ def sample_neighbor_plan(graph, cap, depth, rng):
     """Per-layer ``(ids, counts)`` neighbor samples for one diffusion pass.
 
     An entity of degree <= cap keeps all its neighbors; a larger one gets a
-    uniform sample of cap without replacement, one ``rng.choice`` per such
-    entity in entity order, layer after layer. Each entity's ids are
-    sorted, so mean pooling is independent of sampling order.
+    uniform sample of cap without replacement, drawn exactly as one
+    ``rng.choice(degree, cap, replace=False)`` per such entity in entity
+    order, layer after layer. There numpy's ``Generator.choice`` runs
+    Floyd's algorithm: a draw v in [0, j] for j = degree-cap .. degree-1
+    (taking j if v is taken), then cap-1 shuffle draws. One
+    ``rng.integers`` over all those bounds consumes the same stream; the
+    shuffle is not applied, as each entity's ids come out sorted. Entities
+    of degree > 10,000 with cap > degree // 50, where ``choice``
+    tail-shuffles instead, call it in turn.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     degrees = np.diff(graph.indptr)
     counts = np.minimum(degrees, cap)
-    kept = np.repeat(degrees <= cap, counts)    # slots copied whole
-    whole = graph.indices[np.repeat(degrees <= cap, degrees)]
     over = np.flatnonzero(degrees > cap)
+    starts, degs = graph.indptr[over], degrees[over]
+    shuffled = np.flatnonzero((degs > 10_000) & (cap > degs // 50))
+    floyd = np.delete(np.arange(over.size), shuffled)
+    steps = np.arange(cap)
+    first = (starts + degs - cap)[floyd]
+    bounds = np.hstack([(degs - cap)[:, None] + steps,
+                        np.broadcast_to(steps[:0:-1], (over.size, cap - 1))])
     plan = []
     for _ in range(depth):
-        picked = np.array([rng.choice(deg, size=cap, replace=False)
-                           for deg in degrees[over].tolist()],
-                          dtype=np.intp).reshape(-1, cap)
-        sampled = graph.indices[graph.indptr[over, None] + picked]
-        ids = np.empty(counts.sum(), dtype=np.intp)
-        ids[kept] = whole
-        ids[~kept] = np.sort(sampled, axis=1).ravel()
-        plan.append((ids, counts))
+        taken = np.repeat(degrees <= cap, degrees)    # edges kept whole
+        draws = np.empty((over.size, cap), dtype=np.intp)
+        lo = 0
+        for row in [*shuffled.tolist(), over.size]:
+            draws[lo:row] = rng.integers(0, bounds[lo:row] + 1)[:, :cap]
+            if row < over.size:
+                taken[starts[row] + rng.choice(degs[row], cap,
+                                               replace=False)] = True
+            lo = row + 1
+        picks = starts[floyd, None] + draws[floyd]
+        for step, v in zip(steps, picks.T):
+            taken[np.where(taken[v], first + step, v)] = True
+        plan.append((graph.indices[taken], counts))
     return plan
 
 

@@ -158,6 +158,14 @@ def reference_ndcg_at_n(ranked_relevance, n):
     return dcg / idcg if idcg > 0 else 0.0
 
 
+def skewed_pairs(rng, n_users, n_items, n_pairs):
+    """Zipf-like item popularity and user activity, with repeats; the
+    highest ids are left isolated."""
+    users = np.minimum(rng.zipf(1.6, n_pairs) - 1, n_users - 2)
+    items = np.minimum(rng.zipf(1.3, n_pairs) - 1, n_items - 2)
+    return list(zip(users.tolist(), items.tolist()))
+
+
 def reference_neighbor_plan(pairs, n_users, n_items, cap, depth, rng):
     """Per-layer, per-entity neighbor lists from set-built adjacency: all
     neighbors up to ``cap``, else a sorted ``rng.choice`` sample of cap

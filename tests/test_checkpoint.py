@@ -104,6 +104,17 @@ def test_sidecar_holds_config_hash_and_train_mode_when_given(tmp_path):
     ckpt.load_model(path)
 
 
+def test_load_checks_the_expected_config_hash(tmp_path):
+    path = _saved_model(tmp_path)
+    ckpt.load_model(path, config_hash="1" * 16)   # no stored hash
+    ckpt.save_model(path, ckpt.load_model(path), config_hash="0" * 16)
+    ckpt.load_model(path)
+    ckpt.load_model(path, config_hash="0" * 16)
+    with pytest.raises(ValueError, match="config hash 0{16} does not match "
+                       "the active config 1{16}"):
+        ckpt.load_model(path, config_hash="1" * 16)
+
+
 def test_load_rejects_optimizer_state(tmp_path):
     path = _saved_model(tmp_path)
     tensors = ckpt.read_tensors(path)

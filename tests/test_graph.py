@@ -4,7 +4,8 @@ import pytest
 from metacsr import graph as gr
 from metacsr.autodiff import Tape, finite_difference_check
 
-from oracles import reference_convolve, reference_neighbor_plan
+from oracles import (reference_convolve, reference_neighbor_plan,
+                     skewed_pairs)
 
 
 def weights4(rng=None, dim=4):
@@ -87,14 +88,6 @@ def _flat(layer):
             np.array([len(nbrs) for nbrs in layer], dtype=np.intp))
 
 
-def _skewed_pairs(rng, n_users, n_items, n_pairs):
-    """Zipf-like item popularity and user activity, with repeats; the
-    highest ids are left isolated."""
-    users = np.minimum(rng.zipf(1.6, n_pairs) - 1, n_users - 2)
-    items = np.minimum(rng.zipf(1.3, n_pairs) - 1, n_items - 2)
-    return list(zip(users.tolist(), items.tolist()))
-
-
 @pytest.mark.parametrize("cap", [1, 3, 8, 1000])
 def test_neighbor_plan_is_the_set_built_plan_and_rng_stream(cap):
     """CSR ids and counts equal the per-entity loop over set-built
@@ -103,21 +96,52 @@ def test_neighbor_plan_is_the_set_built_plan_and_rng_stream(cap):
     for seed in range(6):
         rng = np.random.default_rng(seed)
         n_users, n_items = int(rng.integers(2, 40)), int(rng.integers(2, 60))
-        pairs = _skewed_pairs(rng, n_users, n_items, int(rng.integers(0, 400)))
+        pairs = skewed_pairs(rng, n_users, n_items, int(rng.integers(0, 400)))
         g = gr.build_interaction_graph(pairs, n_users, n_items)
         for e, nbrs in enumerate(reference_neighbor_plan(
                 pairs, n_users, n_items, 10 ** 6, 1, None)[0]):
             assert g.neighbors(e) == tuple(nbrs)
-        got_rng, want_rng = (np.random.default_rng(100 + seed) for _ in "ab")
-        got = gr.sample_neighbor_plan(g, cap, 2, got_rng)
-        want = reference_neighbor_plan(pairs, n_users, n_items, cap, 2,
-                                       want_rng)
-        assert len(got) == 2
-        for (ids, counts), layer in zip(got, want):
-            want_ids, want_counts = _flat(layer)
-            np.testing.assert_array_equal(ids, want_ids)
-            np.testing.assert_array_equal(counts, want_counts)
-        assert got_rng.random() == want_rng.random()
+        _assert_reference_plan_and_stream(pairs, n_users, n_items, cap, 2,
+                                          100 + seed)
+
+
+def _assert_reference_plan_and_stream(pairs, n_users, n_items, cap, depth,
+                                      seed):
+    g = gr.build_interaction_graph(pairs, n_users, n_items)
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
+    got = gr.sample_neighbor_plan(g, cap, depth, got_rng)
+    want = reference_neighbor_plan(pairs, n_users, n_items, cap, depth,
+                                   want_rng)
+    assert len(got) == depth
+    for (ids, counts), layer in zip(got, want):
+        want_ids, want_counts = _flat(layer)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(counts, want_counts)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("degree,cap", [(10_001, 201), (20_000, 401)])
+def test_neighbor_plan_keeps_the_stream_where_choice_tail_shuffles(degree,
+                                                                    cap):
+    """``Generator.choice`` tail-shuffles when degree > 10,000 and
+    cap > degree // 50 (user 1); users 0 and 2 take Floyd's algorithm
+    before and after it, and user 3 (10,500) takes it at cap 201 but
+    tail-shuffles at cap 401."""
+    degrees = [300, degree, 250, 10_500]
+    pairs = [(user, item) for user, d in enumerate(degrees)
+             for item in range(d)]
+    _assert_reference_plan_and_stream(pairs, 5, 20_000, cap, 2, degree)
+
+
+@pytest.mark.parametrize("cap", [1, 50])
+def test_neighbor_plan_keeps_the_stream_just_above_cap(cap):
+    """Degrees cap+1 .. cap+10, where Floyd's draws often repeat a taken
+    position and fall back to j; an isolated user at the end."""
+    pairs = [(user, item) for user in range(10)
+             for item in range(cap + 1 + user)]
+    for seed in range(5):
+        _assert_reference_plan_and_stream(pairs, 11, cap + 10, cap, 2, seed)
 
 
 def test_neighbor_plan_of_empty_graph():

@@ -12,7 +12,7 @@ from metacsr.data import BehaviorSequence
 from metacsr.params import ModelConfig, init_model
 
 from oracles import (full_stack_tape, reference_convolve, reference_encode,
-                     reference_pairwise_loss, sigmoid)
+                     reference_pairwise_loss, sigmoid, skewed_pairs)
 
 
 def test_pairwise_equal_scores_is_ln2():
@@ -316,3 +316,68 @@ def test_ablation_no_diffusion_uses_inherent_features():
     p_neg = seq.score(s_u, feats[info.negatives[0][0]])
     assert float(loss.value) == pytest.approx(
         losses.pairwise_loss(p_pos, [p_neg]), rel=1e-10)
+
+
+def _item_pass(g, theta1, config, plan, adjoint, prune):
+    """Item rows and theta1 gradients for ``adjoint``: through
+    ``item_feature_node``, or a lookup into the full-plan diffusion."""
+    tape = Tape()
+    nodes = {name: tape.param(name, value) for name, value in theta1.items()}
+    if prune:
+        out = losses.item_feature_node(tape, g, nodes, config, plan=plan)
+    else:
+        diffused = gr.build_diffusion(tape, plan, nodes,
+                                      config.diffusion_depth)
+        out = tape.lookup(diffused, np.arange(g.n_users, g.n_entities))
+    tape.forward()
+    return out.value, tape.backward(out, adjoint)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_pruned_item_pass_equals_full_diffusion(depth):
+    """Skewed graphs with isolated entities and a cap below the largest
+    degree: the pruned pass gives the item rows and every theta1 gradient
+    of the full plan exactly."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        n_users, n_items = int(rng.integers(3, 40)), int(rng.integers(3, 60))
+        g = gr.build_interaction_graph(
+            skewed_pairs(rng, n_users, n_items, 300), n_users, n_items)
+        cap = int(rng.integers(1, np.diff(g.indptr).max()))
+        config = ModelConfig(dim=5, diffusion_depth=depth, neighbor_cap=cap)
+        theta1 = gr.init_diffusion_params(g.n_entities, 5, depth, rng)
+        plan = gr.sample_neighbor_plan(g, cap, depth, rng)
+        adjoint = rng.normal(size=(n_items, 5))
+        value, grads = _item_pass(g, theta1, config, plan, adjoint, True)
+        want_value, want_grads = _item_pass(g, theta1, config, plan, adjoint,
+                                            False)
+        assert np.array_equal(value, want_value)
+        assert grads.keys() == want_grads.keys() == theta1.keys()
+        for name in theta1:
+            assert np.array_equal(grads[name], want_grads[name]), name
+
+
+def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
+    """Depth 2 on a bipartite graph: the last layer pools the item rows'
+    segments of the plan and no user row; layer 0 pools only user rows,
+    the ones the item segments read."""
+    pooled = []
+    segment_mean = Tape.segment_mean
+
+    def spy(tape, table, ids, counts):
+        pooled.append((np.asarray(ids), np.asarray(counts)))
+        return segment_mean(tape, table, ids, counts)
+
+    monkeypatch.setattr(Tape, "segment_mean", spy)
+    g, params, _ = _tiny_setup()
+    features = losses.ItemFeatures(g, params, np.random.default_rng(0))
+    assert len(pooled) == 2
+    plan_ids, plan_counts = features.plan[1]
+    ids, counts = pooled[1]
+    assert not counts[: g.n_users].any()
+    np.testing.assert_array_equal(counts[g.n_users:],
+                                  plan_counts[g.n_users:])
+    np.testing.assert_array_equal(ids,
+                                  plan_ids[plan_counts[: g.n_users].sum():])
+    ids, counts = pooled[0]
+    assert counts[: g.n_users].all() and not counts[g.n_users:].any()
