@@ -110,25 +110,15 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
 def item_feature_node(tape, graph_, theta1_nodes, config, plan=None):
     """Item-rows feature node: the diffusion output, or the raw inherent
     table when diffusion is ablated; either way gradients reach theta1.
-    Diffusion pools only what the last layer's item rows reach: walking
-    back from them, layer k keeps the plan segments of the rows that layer
-    k+1's kept segments read, and every other row pools nothing. The item
-    rows and theta1 gradients equal the full plan's bit for bit."""
+    Diffusion computes only the item rows and what they read (see
+    :func:`graph.build_diffusion`)."""
     item_rows = np.arange(graph_.n_users, graph_.n_entities)
     if not config.use_diffusion:
         return tape.lookup(theta1_nodes[gr.INHERENT], item_rows)
     if plan is None:
         raise ValueError("diffusion requires a neighbor plan")
-    read = np.arange(graph_.n_entities) >= graph_.n_users
-    pruned = []
-    for ids, counts in reversed(plan[:config.diffusion_depth]):
-        ids = ids[np.repeat(read, counts)]
-        pruned.insert(0, (ids, np.where(read, counts, 0)))
-        read = np.zeros_like(read)
-        read[ids] = True
-    diffused = gr.build_diffusion(tape, pruned, theta1_nodes,
-                                  config.diffusion_depth)
-    return tape.lookup(diffused, item_rows)
+    return gr.build_diffusion(tape, plan, theta1_nodes,
+                              config.diffusion_depth, item_rows)
 
 
 class ItemFeatures:
@@ -138,8 +128,8 @@ class ItemFeatures:
     pass on its own tape, so a loss built over ``value`` (through a leaf)
     can push its gradient w.r.t. the table back to theta1. theta1 must not
     change between the pass and :meth:`theta1_grads`. ``plan`` is the full
-    sampled plan; the tape pools only the part of it that reaches the item
-    rows (see :func:`item_feature_node`).
+    sampled plan; the tape computes only the rows that reach the item rows
+    (see :func:`item_feature_node`).
     """
 
     def __init__(self, graph_, params, rng):
@@ -163,10 +153,11 @@ class ItemFeatures:
 
 
 def cached_item_features(graph_, params, rng):
-    """Concrete diffused (or inherent) item feature table, theta1 frozen."""
+    """Concrete item feature table, theta1 frozen: the value of
+    :func:`item_feature_node` for a plan drawn from ``rng``."""
     config = params.config
     if not config.use_diffusion:
         return params.theta1[gr.INHERENT][graph_.n_users:].copy()
-    diffused = gr.diffuse_all(graph_, params.theta1, config.diffusion_depth,
-                              config.neighbor_cap, rng)
-    return diffused[graph_.n_users:].copy()
+    return gr.diffuse_all(graph_, params.theta1, config.diffusion_depth,
+                          config.neighbor_cap, rng,
+                          np.arange(graph_.n_users, graph_.n_entities))

@@ -96,16 +96,23 @@ class MetaTask:
     query: tuple[BehaviorSequence, ...]
 
 
-def sample_task(histories, cfg, rng, t_min=2, t_max=10) -> MetaTask:
+def eligible_users(histories, cfg, t_min=2):
+    """Sorted users with at least k_support + k_query usable sequences."""
+    return sorted(u for u, h in histories.items() if usable_sequence_count(
+        len(h), t_min) >= cfg.k_support + cfg.k_query)
+
+
+def sample_task(histories, cfg, rng, t_min=2, t_max=10,
+                eligible=None) -> MetaTask:
     """One episode: n_way users, disjoint support/query windows per user.
 
     A user's candidate sequences are keyed by target position, so support
-    and query never share a target. Users need at least
-    k_support + k_query usable sequences to be eligible.
+    and query never share a target. Users must be eligible (see
+    :func:`eligible_users`; a caller drawing many tasks passes the list).
     """
     need = cfg.k_support + cfg.k_query
-    eligible = sorted(u for u, h in histories.items()
-                      if usable_sequence_count(len(h), t_min) >= need)
+    if eligible is None:
+        eligible = eligible_users(histories, cfg, t_min)
     if len(eligible) < cfg.n_way:
         raise ValueError(
             f"need {cfg.n_way} users with >= {need} usable sequences, "
@@ -255,6 +262,7 @@ class MetaTrainer:
         self.cfg = cfg
         self.seed = seed
         self.user_positives = {u: set(h) for u, h in histories.items()}
+        self.eligible = eligible_users(histories, cfg, params.config.t_min)
         self.adam = AdamState()
 
     def _rng(self, kind, step, task=None):
@@ -266,8 +274,8 @@ class MetaTrainer:
     def sample_tasks(self, step=0):
         config = self.params.config
         rng = self._rng("tasks", step)
-        return [sample_task(self.histories, self.cfg, rng,
-                            config.t_min, config.t_max)
+        return [sample_task(self.histories, self.cfg, rng, config.t_min,
+                            config.t_max, self.eligible)
                 for _ in range(self.cfg.task_batch)]
 
     # --------------------------------------------------------- outer loop

@@ -1,5 +1,6 @@
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_ablation_no_diffusion_uses_inherent_features():
 
 def _item_pass(g, theta1, config, plan, adjoint, prune):
     """Item rows and theta1 gradients for ``adjoint``: through
-    ``item_feature_node``, or a lookup into the full-plan diffusion."""
+    ``item_feature_node``, or a lookup into the every-entity diffusion."""
     tape = Tape()
     nodes = {name: tape.param(name, value) for name, value in theta1.items()}
     if prune:
@@ -333,51 +334,98 @@ def _item_pass(g, theta1, config, plan, adjoint, prune):
     return out.value, tape.backward(out, adjoint)
 
 
+def _assert_item_routes_equal(g, dim, depth, cap, rng, grads=None):
+    """Training and evaluation item rows equal the every-entity table's
+    bit for bit, and so do the training pass's theta1 gradients named in
+    ``grads`` (default: every one)."""
+    config = ModelConfig(dim=dim, diffusion_depth=depth, neighbor_cap=cap)
+    theta1 = gr.init_diffusion_params(g.n_entities, dim, depth, rng)
+    plan_seed = int(rng.integers(2**32))
+    plan = gr.sample_neighbor_plan(g, cap, depth,
+                                   np.random.default_rng(plan_seed))
+    adjoint = rng.normal(size=(g.n_items, dim))
+    value, grads_got = _item_pass(g, theta1, config, plan, adjoint, True)
+    want_value, want_grads = _item_pass(g, theta1, config, plan, adjoint,
+                                        False)
+    table = gr.diffuse_all(g, theta1, depth, cap,
+                           np.random.default_rng(plan_seed))
+    cached = losses.cached_item_features(
+        g, SimpleNamespace(config=config, theta1=theta1),
+        np.random.default_rng(plan_seed))
+    assert np.array_equal(table[g.n_users:], want_value)
+    assert np.array_equal(value, want_value)
+    assert np.array_equal(cached, want_value)
+    assert grads_got.keys() == want_grads.keys() == theta1.keys()
+    for name in grads or theta1:
+        assert np.array_equal(grads_got[name], want_grads[name]), name
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_pruned_item_pass_equals_full_diffusion(depth):
     """Skewed graphs with isolated entities and a cap below the largest
-    degree: the pruned pass gives the item rows and every theta1 gradient
-    of the full plan exactly."""
+    degree: the pruned training pass and the evaluation table give the
+    every-entity diffusion's item rows, and the training pass its theta1
+    gradients, exactly."""
     for seed in range(4):
         rng = np.random.default_rng(seed)
         n_users, n_items = int(rng.integers(3, 40)), int(rng.integers(3, 60))
         g = gr.build_interaction_graph(
             skewed_pairs(rng, n_users, n_items, 300), n_users, n_items)
         cap = int(rng.integers(1, np.diff(g.indptr).max()))
-        config = ModelConfig(dim=5, diffusion_depth=depth, neighbor_cap=cap)
-        theta1 = gr.init_diffusion_params(g.n_entities, 5, depth, rng)
-        plan = gr.sample_neighbor_plan(g, cap, depth, rng)
-        adjoint = rng.normal(size=(n_items, 5))
-        value, grads = _item_pass(g, theta1, config, plan, adjoint, True)
-        want_value, want_grads = _item_pass(g, theta1, config, plan, adjoint,
-                                            False)
-        assert np.array_equal(value, want_value)
-        assert grads.keys() == want_grads.keys() == theta1.keys()
-        for name in theta1:
-            assert np.array_equal(grads[name], want_grads[name]), name
+        _assert_item_routes_equal(g, 5, depth, cap, rng)
+
+
+def test_pruned_item_pass_equals_full_diffusion_at_blas_kernel_sizes():
+    """2,400 item rows and 1,500 user rows at d=32, past the small-matrix
+    GEMM kernels: the item rows and the inherent-table gradient stay
+    bit-equal. Weight gradients reduce over fewer rows and may move in
+    the last bits."""
+    rng = np.random.default_rng(11)
+    n_users, n_items = 1500, 2400
+    pairs = [*skewed_pairs(rng, n_users, n_items, 4000),
+             *zip(rng.integers(0, n_users, 16000).tolist(),
+                  rng.integers(0, n_items, 16000).tolist())]
+    g = gr.build_interaction_graph(pairs, n_users, n_items)
+    _assert_item_routes_equal(g, 32, 2, 8, rng, grads=(gr.INHERENT,))
 
 
 def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
-    """Depth 2 on a bipartite graph: the last layer pools the item rows'
-    segments of the plan and no user row; layer 0 pools only user rows,
-    the ones the item segments read."""
-    pooled = []
-    segment_mean = Tape.segment_mean
+    """Depth 2 on a bipartite graph with an isolated user: the last layer
+    computes the item rows alone and pools their segments of the plan;
+    layer 0 computes and pools only the user rows those segments read.
+    Every matmul runs on its layer's rows only, in training and in the
+    evaluation table."""
+    pooled, products = [], []
+    segment_mean, matmul = Tape.segment_mean, Tape.matmul
 
-    def spy(tape, table, ids, counts):
+    def pool_spy(tape, table, ids, counts):
         pooled.append((np.asarray(ids), np.asarray(counts)))
         return segment_mean(tape, table, ids, counts)
 
-    monkeypatch.setattr(Tape, "segment_mean", spy)
-    g, params, _ = _tiny_setup()
+    def matmul_spy(tape, a, b):
+        products.append(a)
+        return matmul(tape, a, b)
+
+    monkeypatch.setattr(Tape, "segment_mean", pool_spy)
+    monkeypatch.setattr(Tape, "matmul", matmul_spy)
+    g, params, _ = _tiny_setup(n_users=4)
     features = losses.ItemFeatures(g, params, np.random.default_rng(0))
-    assert len(pooled) == 2
+    assert len(pooled) == 2 and len(products) == 4
     plan_ids, plan_counts = features.plan[1]
+    item_reads = plan_ids[plan_counts[: g.n_users].sum():]
+    users = np.unique(item_reads)
+    assert users.size == 3 and users.max() < g.n_users
     ids, counts = pooled[1]
-    assert not counts[: g.n_users].any()
-    np.testing.assert_array_equal(counts[g.n_users:],
-                                  plan_counts[g.n_users:])
-    np.testing.assert_array_equal(ids,
-                                  plan_ids[plan_counts[: g.n_users].sum():])
+    np.testing.assert_array_equal(counts, plan_counts[g.n_users:])
+    np.testing.assert_array_equal(users[ids], item_reads)
+    plan_ids, plan_counts = features.plan[0]
+    starts = np.cumsum(plan_counts) - plan_counts
     ids, counts = pooled[0]
-    assert counts[: g.n_users].all() and not counts[g.n_users:].any()
+    np.testing.assert_array_equal(counts, plan_counts[users])
+    np.testing.assert_array_equal(ids, np.concatenate(
+        [plan_ids[starts[u]: starts[u] + plan_counts[u]] for u in users]))
+    rows = [users.size] * 2 + [g.n_items] * 2
+    assert [a.value.shape[0] for a in products] == rows
+    del products[:]
+    losses.cached_item_features(g, params, np.random.default_rng(0))
+    assert [a.value.shape[0] for a in products] == rows

@@ -78,6 +78,26 @@ def test_sample_task_insufficient_users_names_shortfall():
         meta.sample_task(histories, cfg, np.random.default_rng(0))
 
 
+def test_trainer_sample_tasks_equal_per_call_sample_task(tiny_world):
+    """The trainer's eligible-user list, computed once, draws the tasks a
+    per-call ``sample_task`` draws on the same streams, step after step;
+    users come unsorted and some are too short to be eligible."""
+    world, regular, new, graph = tiny_world
+    rng = np.random.default_rng(4)
+    histories = {int(u): rng.integers(0, 30, size=int(rng.integers(3, 12)))
+                 .tolist() for u in rng.permutation(40)}
+    params = fresh_params(graph)
+    cfg = small_cfg(task_batch=3, n_way=4, k_support=2, k_query=3)
+    trainer = meta.MetaTrainer(graph, histories, params, cfg, seed=5)
+    assert 4 <= len(trainer.eligible) < len(histories)
+    for step in range(5):
+        rng = trainer._rng("tasks", step)
+        assert trainer.sample_tasks(step) == [
+            meta.sample_task(histories, cfg, rng, params.config.t_min,
+                             params.config.t_max)
+            for _ in range(cfg.task_batch)]
+
+
 # ------------------------------------------------------------- inner loop
 
 

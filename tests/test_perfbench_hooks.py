@@ -60,3 +60,28 @@ def test_every_metacsr_attribute_perfbench_reads_exists(source):
                if not hasattr(importlib.import_module(
                    f"metacsr.{modules[name]}"), attr)]
     assert not missing, f"{source} reads {missing}"
+
+
+def test_cached_item_features_reaches_diffuse_all_once_per_call(perfbench):
+    """The evaluation table goes through the two functions the tracer
+    times for ``graph.diffuse_all_ms`` and ``graph.build_ms``, once each
+    per call, so those metrics cannot silently read 0."""
+    import numpy as np
+    from metacsr import graph, losses
+    from metacsr.params import ModelConfig, init_model
+
+    tracer_mod, _ = perfbench
+    g = graph.build_interaction_graph([(0, 0), (0, 1), (1, 1), (2, 2)], 3, 4)
+    config = ModelConfig(dim=4, diffusion_depth=2, neighbor_cap=1)
+    params = init_model(g.n_entities, config, np.random.default_rng(0))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for seed in range(3):
+            losses.cached_item_features(g, params,
+                                        np.random.default_rng(seed))
+    finally:
+        tracer.uninstall()
+    names = [span[tracer_mod.NAME] for span in tracer.spans]
+    assert names.count("graph.diffuse_all") == 3
+    assert names.count("graph.build") == 3
