@@ -85,14 +85,9 @@ def masked_softmax_rows(z):
 
 
 def l2_normalize_rows(x, eps=1e-12):
-    """L2-normalize a vector or the rows of a matrix.
-
-    Inputs with norm below ``eps`` map to the zero vector.
-    """
+    """L2-normalize the rows of a matrix; rows with norm below ``eps`` map
+    to zero rows."""
     x = _as_f64(x)
-    if x.ndim == 1:
-        n = np.linalg.norm(x)
-        return x / n if n >= eps else np.zeros_like(x)
     n = np.linalg.norm(x, axis=1, keepdims=True)
     ok = n >= eps
     return np.where(ok, x / np.where(ok, n, 1.0), 0.0)
@@ -218,9 +213,6 @@ class Tape:
     def softplus(self, a):
         return self._append("softplus", (a,))
 
-    def neg(self, a):
-        return self._append("neg", (a,))
-
     def sum(self, a):
         return self._append("sum", (a,))
 
@@ -289,7 +281,7 @@ class Tape:
         vals = [i.value for i in node.inputs]
         if op == "matmul":
             a, b = vals
-            if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
+            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
                 raise self._err(node, f"matmul shapes {a.shape} x {b.shape}")
             return a @ b
         if op == "add":
@@ -316,13 +308,13 @@ class Tape:
             return stable_sigmoid(vals[0])
         if op == "softplus":
             return np.logaddexp(0.0, vals[0])
-        if op == "neg":
-            return -vals[0]
         if op == "sum":
             return np.asarray(vals[0].sum())
         if op == "mean_axis":
             return np.asarray(vals[0].mean(axis=node.aux))
         if op == "l2norm":
+            if vals[0].ndim != 2:
+                raise self._err(node, f"expected matrix, got {vals[0].shape}")
             return l2_normalize_rows(vals[0])
         if op == "lookup":
             return vals[0][node.aux]
@@ -406,9 +398,6 @@ class Tape:
             a, b = vals
             a_live, b_live = (i.live for i in node.inputs)
         if op == "matmul":
-            if b.ndim == 1:
-                return [np.outer(adj, b) if a_live else None,
-                        a.T @ adj if b_live else None]
             return [adj @ b.T if a_live else None,
                     a.T @ adj if b_live else None]
         if op == "add":
@@ -436,15 +425,12 @@ class Tape:
             return [adj * s * (1.0 - s)]
         if op == "softplus":
             return [adj * stable_sigmoid(vals[0])]
-        if op == "neg":
-            return [-adj]
         if op == "sum":
             return [np.full(vals[0].shape, float(adj))]
         if op == "mean_axis":
             v = vals[0]
             n = v.shape[node.aux]
-            g = np.expand_dims(adj / n, axis=node.aux) if v.ndim > adj.ndim \
-                else np.asarray(adj / n)
+            g = np.expand_dims(adj / n, axis=node.aux)
             return [np.broadcast_to(g, v.shape).copy()]
         if op == "l2norm":
             return [self._l2norm_grad(vals[0], node.value, adj)]
@@ -479,11 +465,6 @@ class Tape:
 
     @staticmethod
     def _l2norm_grad(x, y, adj, eps=1e-12):
-        if x.ndim == 1:
-            n = np.linalg.norm(x)
-            if n < eps:
-                return np.zeros_like(x)
-            return (adj - y * (y @ adj)) / n
         n = np.linalg.norm(x, axis=1, keepdims=True)
         ok = n >= eps
         # a C-ordered product sums each row as the masked copies did

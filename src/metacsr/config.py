@@ -3,8 +3,8 @@ and echoed verbatim into every artifact.
 
 Two profiles bundle sensible defaults: "desk" (d=32, capped outer steps,
 CI-friendly) and "full" (d=128, the full-scale settings). Flags win over
-the config file; both go through one key check, so an unknown key in
-either raises ValueError.
+the config file; both go through one key and type check, so an unknown
+key or a value of the wrong type in either raises ValueError.
 
 The *core hash* covers everything that determines the trained model and
 its evaluation data (seed, data, model, meta, train_mode, train_fraction)
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import asdict, dataclass, field
 
 from .data import SplitSpec, SyntheticWorldSpec
@@ -43,8 +44,6 @@ class DataConfig:
             raise ValueError(f"unknown data source {self.source!r}")
         if self.source != "synthetic" and not self.path:
             raise ValueError(f"data source {self.source!r} needs a path")
-        if self.path is not None and not isinstance(self.path, str):
-            raise ValueError(f"data.path must be a string, not {self.path!r}")
         if self.eval_negatives < 1:
             raise ValueError("eval_negatives must be >= 1")
 
@@ -77,8 +76,7 @@ class RunConfig:
     # ------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
-        raw = asdict(self)
-        return raw
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
@@ -89,18 +87,13 @@ class RunConfig:
         data = dict(raw.pop("data", {}))
         synthetic = data.pop("synthetic", {})
         split = data.pop("split", {})
-        if "count_range" in split:
-            split["count_range"] = tuple(split["count_range"])
-        if data.get("time_range") is not None:
-            data["time_range"] = tuple(data["time_range"])
-        config = RunConfig(
+        return RunConfig(
             data=DataConfig(synthetic=SyntheticWorldSpec(**synthetic),
                             split=SplitSpec(**split), **data),
             model=ModelConfig(**raw.pop("model", {})),
             meta=MetaConfig(**raw.pop("meta", {})),
             **raw,
         )
-        return config
 
     # --------------------------------------------------------------- hashes
 
@@ -132,8 +125,10 @@ def resolve_config(file_dict=None, overrides=None) -> RunConfig:
         merged[section][name] = value
     for dotted, value in _leaves(file_dict):
         target, name = _field(merged, dotted)
-        target[name] = value
-    apply_overrides(merged, overrides)
+        target[name] = _checked(dotted, value)
+    for dotted, value in overrides.items():   # flag strings parse by type
+        target, name = _field(merged, dotted)
+        target[name] = _checked(dotted, _coerce(value, target[name]))
     config = RunConfig.from_dict(merged)
     config.validate()
     return config
@@ -164,23 +159,46 @@ def _field(merged: dict, dotted: str):
     return target, name
 
 
-def apply_overrides(merged: dict, overrides: dict) -> dict:
-    """Apply ``section.key=value`` overrides onto the merged config dict."""
-    for dotted, value in overrides.items():
-        target, name = _field(merged, dotted)
-        target[name] = _coerce(value, target[name])
-    return merged
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the annotated type ``hint``: ints pass as
+    floats, bools as neither, and a pair is an inclusive (lo, hi) range."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return value is None or _fits(value, args[0])
+    if args:
+        return (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_fits(v, int) for v in value) and value[0] <= value[1])
+    return isinstance(value, (int, float) if hint is float else hint) and (
+        hint is bool or not isinstance(value, bool))
+
+
+def _checked(dotted, value):
+    """``value`` (a pair as a tuple), or ValueError naming the key when it
+    does not have the type of config field ``dotted``."""
+    hint = RunConfig
+    for part in dotted.split("."):
+        hint = typing.get_type_hints(hint)[part]
+    if not _fits(value, hint):
+        raise ValueError(f"config key {dotted!r} cannot take {value!r}")
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _coerce(value, current):
+    """Parse a flag string by the type of the field's current value; a
+    string that does not parse is left to fail the type check."""
     if not isinstance(value, str):
         return value
     if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
+        words = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+        return words.get(value.lower(), value)
+    try:
+        if isinstance(current, int):
+            return int(value)
+        if isinstance(current, float):
+            return float(value)
+    except ValueError:
+        return value
     if isinstance(current, str):
         return value
     try:  # None or structured field: take the JSON reading when it parses

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import baselines, checkpoint, data as datamod, graph as gr, losses, meta
-from .config import RunConfig
+from .config import RunConfig, resolve_config
 from .evaluation import ModelScorer, evaluate_model
 from .params import init_model
 from .seeding import component_rng
@@ -50,6 +53,16 @@ def _input_hash(dataset_dir) -> str:
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
+
+
+def _write_csv(path, config_hash, header, rows) -> Path:
+    """A ``# config_hash=`` comment line, then the header and the rows."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _write_record(config, **fields):
@@ -136,10 +149,16 @@ def _training_histories(config, dataset):
 
 
 def build_graph(dataset, histories=None):
+    """Graph of ``histories`` (default: the regular users); one user row
+    per id up to the largest regular one."""
     histories = dataset.regular if histories is None else histories
     n_users = (max(dataset.regular) + 1) if dataset.regular else 0
-    edges = [(u, item) for u, items in histories.items() for item in items]
-    return gr.build_interaction_graph(edges, n_users, dataset.n_items)
+    users = np.repeat(np.fromiter(histories, np.intp, len(histories)),
+                      [len(items) for items in histories.values()])
+    items = np.fromiter(itertools.chain.from_iterable(histories.values()),
+                        np.intp, users.size)
+    return gr.build_interaction_graph(np.column_stack([users, items]),
+                                      n_users, dataset.n_items)
 
 
 # -------------------------------------------------------------------- train
@@ -175,13 +194,9 @@ def run_train(config: RunConfig, max_steps=None, quiet=False) -> Path:
     ckpt_path = out / "checkpoints" / "model.ckpt"
     checkpoint.save_model(ckpt_path, params, config_hash=config.core_hash(),
                           train_mode=config.train_mode)
-    trace_path = out / "traces" / "train_loss.csv"
-    with trace_path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={config.core_hash()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "query_loss"])
-        for step, value in trace:
-            writer.writerow([step, repr(value)])
+    _write_csv(out / "traces" / "train_loss.csv", config.core_hash(),
+               ["step", "query_loss"],
+               [[step, repr(value)] for step, value in trace])
     _write_record(config, stage="train", steps=len(trace),
                   input_hash=_input_hash(out / "dataset"),
                   wall_clock=time.time() - started)
@@ -229,8 +244,8 @@ def run_evaluate(config: RunConfig, ckpt_path=None, scorer_kind="metacsr",
         scorer = baselines.PopularityModel.fit(histories, dataset.n_items)
         model_name = "popularity"
     elif scorer_kind == "bpr":
-        n_users = max(dataset.regular) + 1
-        scorer = baselines.train_bpr(histories, n_users, dataset.n_items,
+        scorer = baselines.train_bpr(histories, graph.n_users,
+                                     dataset.n_items,
                                      component_rng(config.seed, "bpr"))
         model_name = "bpr-mf"
     else:
@@ -249,13 +264,10 @@ def run_evaluate(config: RunConfig, ckpt_path=None, scorer_kind="metacsr",
     report_path = out / f"metrics_{tag}.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     (out / f"metrics_{tag}.csv").write_text(report.to_csv(), encoding="utf-8")
-    with (out / f"per_user_{tag}.csv").open("w", encoding="utf-8",
-                                            newline="") as fh:
-        fh.write(f"# config_hash={config.core_hash()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user", "positive_rank", "auc"])
-        for user, rank, user_auc in per_user:
-            writer.writerow([user, rank, repr(user_auc)])
+    _write_csv(out / f"per_user_{tag}.csv", config.core_hash(),
+               ["user", "positive_rank", "auc"],
+               [[user, rank, repr(user_auc)]
+                for user, rank, user_auc in per_user])
     log.info("%s: AUC %.4f MAP %.4f (%d users)", tag, report.auc,
              report.map, report.n_users)
     return report_path
@@ -275,8 +287,6 @@ ABLATION_VARIANTS = {
 def _run_variants(config, variants, max_steps):
     """Prepare, train and cold-evaluate each (key, output subdirectory,
     config overrides) variant of ``config``; returns (key, AUC, MAP) rows."""
-    from .config import resolve_config
-
     rows = []
     for key, subdir, overrides in variants:
         variant = resolve_config(config.to_dict(), overrides)
@@ -295,14 +305,10 @@ def run_ablate(config: RunConfig, max_steps=None) -> Path:
     rows = _run_variants(config, [(name, f"ablation/{name}", overrides)
                                   for name, overrides
                                   in ABLATION_VARIANTS.items()], max_steps)
-    path = _out(config) / "ablation.csv"
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={config.core_hash()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", "auc", "map"])
-        for name, auc_v, map_v in rows:
-            writer.writerow([name, repr(auc_v), repr(map_v)])
-    return path
+    return _write_csv(_out(config) / "ablation.csv", config.core_hash(),
+                      ["variant", "auc", "map"],
+                      [[name, repr(auc_v), repr(map_v)]
+                       for name, auc_v, map_v in rows])
 
 
 # ------------------------------------------------------------------- sweeps
@@ -326,15 +332,10 @@ def run_sweep_length(config: RunConfig, lengths=(5, 10, 15, 20, 25),
 
 
 def _sweep_csv(config, filename, key, rows):
-    path = _out(config) / filename
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={config.core_hash()}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([key, "metric", "value"])
-        for value, auc_v, map_v in rows:
-            writer.writerow([value, "auc", repr(auc_v)])
-            writer.writerow([value, "map", repr(map_v)])
-    return path
+    return _write_csv(_out(config) / filename, config.core_hash(),
+                      [key, "metric", "value"],
+                      [[value, metric, repr(v)] for value, auc_v, map_v in rows
+                       for metric, v in (("auc", auc_v), ("map", map_v))])
 
 
 # ------------------------------------------------------------------- export

@@ -40,9 +40,6 @@ class InteractionGraph:
     def n_entities(self) -> int:
         return self.n_users + self.n_items
 
-    def item_entity(self, item: int) -> int:
-        return self.n_users + item
-
     def neighbors(self, entity: int) -> tuple[int, ...]:
         lo, hi = self.indptr[entity], self.indptr[entity + 1]
         return tuple(self.indices[lo:hi].tolist())
@@ -169,22 +166,6 @@ def build_layer(tape, features, inherent, ids, counts, latent_w, latent_b,
     fused = tape.relu(tape.add(tape.matmul(merged, tape.transpose(merge_w)),
                                merge_b))
     return tape.l2norm(fused)
-
-
-def convolve(inherent, neighbor_feats, latent_w, latent_b, merge_w, merge_b):
-    """Value-level single-entity convolution: :func:`build_layer` at n=1.
-    No neighbors pool to zero."""
-    inherent = np.asarray(inherent, dtype=np.float64).reshape(1, -1)
-    neighbors = np.asarray(neighbor_feats, dtype=np.float64).reshape(
-        -1, inherent.shape[1])
-    tape = Tape()
-    out = build_layer(
-        tape, tape.leaf("neighbors", neighbors), tape.leaf("inherent", inherent),
-        np.arange(len(neighbors)), [len(neighbors)], *map(
-            tape.leaf, ("lw", "lb", "mw", "mb"),
-            (latent_w, latent_b, merge_w, merge_b)))
-    tape.forward()
-    return out.value[0]
 
 
 def build_diffusion(tape, plan, param_nodes, depth, rows=None):

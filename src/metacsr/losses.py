@@ -29,14 +29,6 @@ log = logging.getLogger(__name__)
 PAD_ITEM = 0    # fills padded slots; any valid id gives the same loss
 
 
-def pairwise_loss(p_pos, p_negs) -> float:
-    """Mean over negatives of -log sigmoid(p_pos - p_neg)."""
-    if len(p_negs) == 0:
-        raise ValueError("need at least one negative")
-    diffs = np.asarray([p_pos - p for p in p_negs], dtype=np.float64)
-    return float(np.logaddexp(0.0, -diffs).mean())
-
-
 @dataclass
 class BatchInfo:
     """What the batch builder actually used (for tests and diagnostics)."""
@@ -101,7 +93,7 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
     starts = np.arange(len(usable)) * width   # each sequence's positive
     pos = tape.lookup(probs, np.repeat(starts, k_neg))
     negs = tape.lookup(probs, np.delete(np.arange(len(cand_ids)), starts))
-    pairs = tape.softplus(tape.add(negs, tape.neg(pos)))
+    pairs = tape.softplus(tape.add(negs, tape.scale(pos, -1.0)))
     # equal k_neg everywhere: mean over all pairs == mean over sequences of
     # per-sequence means
     return tape.mean_axis(pairs, 0), info

@@ -23,7 +23,6 @@ pass.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +77,7 @@ class MetaConfig:
                 raise ValueError(f"meta.{name} must be >= 0, not "
                                  f"{getattr(self, name)!r}")
         lr = self.fine_tune_lr
-        if lr is not None and (isinstance(lr, bool)
-                               or not isinstance(lr, numbers.Real)
-                               or not np.isfinite(lr) or lr < 0):
+        if lr is not None and not (np.isfinite(lr) and lr >= 0):
             raise ValueError("meta.fine_tune_lr must be null or a finite "
                              f"number >= 0, not {lr!r}")
 
@@ -354,13 +351,6 @@ class MetaTrainer:
                         log.info("query loss plateaued at step %d", step)
                         break
         return trace
-
-
-def meta_train(graph_, histories, params, cfg, seed, max_steps=None,
-               on_step=None):
-    """Episodic training entry point: mutates ``params``, returns the trace."""
-    trainer = MetaTrainer(graph_, histories, params, cfg, seed)
-    return trainer.train(max_steps=max_steps, on_step=on_step)
 
 
 def fine_tune_theta2(params, support, features, cfg, rng, user_positives,

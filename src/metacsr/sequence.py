@@ -125,64 +125,19 @@ def build_sequence_encoder(tape, embeds, params, lengths):
     return build_preference(tape, fw, bw, params, lengths)
 
 
-def _param_nodes(tape, params):
-    return {name: tape.leaf(name, value) for name, value in params.items()}
-
-
-def _attention(seq_embeds, params, bias):
-    tape = Tape()
-    ((out, att),) = build_attention(
-        tape, tape.leaf("e", np.asarray(seq_embeds, dtype=np.float64)),
-        _param_nodes(tape, params), [len(seq_embeds)], [np.asarray(bias)])
-    tape.forward()
-    return out.value.copy(), att.value.copy()
-
-
-def masked_self_attention(seq_embeds, params, bias):
-    """Value-level attention pass: (T, d) embeddings -> (T, d) outputs.
-
-    ``bias`` is a (T, T) matrix indexed [m, n]; -inf marks masked pairs.
-    """
-    return _attention(seq_embeds, params, bias)[0]
-
-
-def attention_weights(seq_embeds, params, bias):
-    """Attention distributions, one row per target position n."""
-    return _attention(seq_embeds, params, bias)[1]
-
-
-def encode_preference(fw_out, bw_out, params):
-    """Value-level preference head: two (T, d) matrices -> (d,) vector."""
-    tape = Tape()
-    node = build_preference(tape, tape.leaf("fw", np.asarray(fw_out, float)),
-                            tape.leaf("bw", np.asarray(bw_out, float)),
-                            _param_nodes(tape, params), [len(fw_out)])
-    tape.forward()
-    return node.value[0].copy()
-
-
 def encode_sequence(seq_embeds, params):
     """Value-level full encoder for one sequence."""
     seq_embeds = np.asarray(seq_embeds, dtype=np.float64)
     tape = Tape()
-    node = build_sequence_encoder(tape, tape.leaf("e", seq_embeds),
-                                  _param_nodes(tape, params),
+    nodes = {name: tape.leaf(name, value) for name, value in params.items()}
+    node = build_sequence_encoder(tape, tape.leaf("e", seq_embeds), nodes,
                                   [seq_embeds.shape[0]])
     tape.forward()
     return node.value[0].copy()
 
 
-def score(preference, item_embed):
-    """Engagement probability in (0, 1) for one (preference, item) pair."""
-    preference = np.asarray(preference, dtype=np.float64)
-    item_embed = np.asarray(item_embed, dtype=np.float64)
-    if preference.shape != item_embed.shape:
-        raise ValueError("preference and item embedding dimensions differ")
-    return float(stable_sigmoid(np.asarray(preference @ item_embed)))
-
-
 def score_candidates(preference, item_embeds):
-    """Vectorized :func:`score` over the rows of a candidate matrix."""
+    """Engagement probabilities: sigmoid(item_embeds @ preference)."""
     preference = np.asarray(preference, dtype=np.float64)
     item_embeds = np.asarray(item_embeds, dtype=np.float64)
     return stable_sigmoid(item_embeds @ preference)

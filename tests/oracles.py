@@ -2,7 +2,9 @@
 
 Everything here is written as plainly as possible (explicit loops, no
 shared code with the package) so the oracles stay independent of the
-implementations they check. The exceptions are the tape oracles
+implementations they check. The exceptions are the tape helpers:
+:func:`tape_value` (the forward value of one package builder over plain
+arrays, through which tests reach the builders the program runs),
 :func:`full_stack_tape` (the package's builders composed on a single
 tape, against which the feature-leaf route is compared and finite
 differences are taken) and :func:`feature_loss` (one batch loss over a
@@ -186,6 +188,20 @@ def reference_neighbor_plan(pairs, n_users, n_items, cap, depth, rng):
                 layer.append(sorted(nbrs[i] for i in picked))
         plan.append(layer)
     return plan
+
+
+def tape_value(build, *arrays):
+    """Forward value of ``build(tape, *leaves)`` on a fresh tape, each of
+    ``arrays`` bound as a leaf (a dict as a dict of leaves); a tuple of
+    nodes gives a tuple of values."""
+    from metacsr.autodiff import Tape
+
+    tape = Tape()
+    out = build(tape, *({k: tape.leaf(k, v) for k, v in a.items()}
+                        if isinstance(a, dict) else tape.leaf("x", a)
+                        for a in arrays))
+    tape.forward()
+    return tuple(n.value for n in out) if isinstance(out, tuple) else out.value
 
 
 def full_stack_tape(graph, params, sequences, k_neg, rng, user_positives,

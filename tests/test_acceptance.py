@@ -39,6 +39,7 @@ from oracles import (
     reference_average_precision,
     reference_hit_at_n,
     reference_ndcg_at_n,
+    tape_value,
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "ml1m_500.dat"
@@ -183,6 +184,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_attention_invariants():
     started = time.time()
+    from test_sequence import attention
     rng = np.random.default_rng(10)
     ok_sum = ok_causal = ok_decay = True
     for case in range(500):
@@ -190,21 +192,21 @@ def test_criterion_2_attention_invariants():
         dim = int(rng.integers(3, 9))
         params = seq.init_seq_params(dim, rng)
         embeds = rng.normal(size=(t_len, dim))
-        bias = seq.position_bias(t_len)
-        att = seq.attention_weights(embeds, params, bias.forward)
+        attend = attention(seq.position_bias(t_len).forward)
+        _, att = tape_value(attend, embeds, params)
         ok_sum &= bool(np.allclose(att.sum(axis=1), 1.0, atol=1e-9))
         ok_sum &= bool((att >= 0).all())
 
         if t_len >= 3:
             n = int(rng.integers(0, t_len - 1))
-            base = seq.masked_self_attention(embeds, params, bias.forward)
+            base, _ = tape_value(attend, embeds, params)
             poked = embeds.copy()
             poked[n + 1:] += rng.normal(size=poked[n + 1:].shape)
-            again = seq.masked_self_attention(poked, params, bias.forward)
+            again, _ = tape_value(attend, poked, params)
             ok_causal &= bool((again[: n + 1] == base[: n + 1]).all())
 
         flat = np.tile(rng.normal(size=dim), (t_len, 1))
-        att_flat = seq.attention_weights(flat, params, bias.forward)
+        _, att_flat = tape_value(attend, flat, params)
         last = att_flat[-1]
         ok_decay &= all(last[m] > last[m - 1] for m in range(1, t_len))
     elapsed = report_line(
@@ -218,6 +220,7 @@ def test_criterion_2_attention_invariants():
 
 def test_criterion_3_convolve_invariants():
     started = time.time()
+    from test_graph import convolve_one
     rng = np.random.default_rng(20)
     ok = True
 
@@ -242,11 +245,11 @@ def test_criterion_3_convolve_invariants():
     for _ in range(50):
         inherent = rng.normal(size=8)
         neighbors = [rng.normal(size=8) for _ in range(int(rng.integers(1, 6)))]
-        base = gr.convolve(inherent, neighbors, *layer)
+        base = tape_value(convolve_one, neighbors, inherent[None], *layer)[0]
         perm = list(neighbors)
         rng.shuffle(perm)
-        ok &= bool(np.allclose(gr.convolve(inherent, perm, *layer), base,
-                               atol=1e-12))
+        again = tape_value(convolve_one, perm, inherent[None], *layer)[0]
+        ok &= bool(np.allclose(again, base, atol=1e-12))
 
     # identical inherent + identical neighborhood => identical embedding
     g2 = gr.build_interaction_graph([(0, 0), (1, 0)], 2, 1)
@@ -403,8 +406,8 @@ def synthetic_recovery():
 
     meta_params = init_model(graph.n_entities, model_cfg,
                              component_rng(seed, "init"))
-    meta.meta_train(graph, regular, meta_params, cfg, seed,
-                    max_steps=ACCEPT6["steps"])
+    meta.MetaTrainer(graph, regular, meta_params, cfg, seed).train(
+        max_steps=ACCEPT6["steps"])
     joint_params = init_model(graph.n_entities, model_cfg,
                               component_rng(seed, "init"))
     baselines.joint_train(graph, regular, joint_params, cfg, seed,

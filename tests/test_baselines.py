@@ -146,7 +146,8 @@ def test_joint_and_meta_models_share_checkpoint_shapes(world_data, tmp_path):
                           max_steps=1, batch_size=4)
     meta_params = init_model(graph.n_entities, config,
                              np.random.default_rng(2))
-    meta.meta_train(graph, regular, meta_params, cfg, seed=2, max_steps=1)
+    meta.MetaTrainer(graph, regular, meta_params, cfg, seed=2).train(
+        max_steps=1)
     ckpt.save_model(tmp_path / "joint.ckpt", joint_params)
     ckpt.save_model(tmp_path / "meta.ckpt", meta_params)
     a = ckpt.load_model(tmp_path / "joint.ckpt")

@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from metacsr import experiments
+from metacsr import graph as gr
 from metacsr.cli import main
 from metacsr.config import RunConfig, resolve_config
 from metacsr.metrics import MetricsReport
@@ -103,11 +105,59 @@ def test_config_rejects_exact_order_with_several_inner_steps():
     resolve_config(None, {"meta.order": "first", "meta.inner_steps": "2"})
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("flag", "model.use_diffusion", "flase"),
+    ("flag", "data.time_range", "5"),
+    ("flag", "data.split.count_range", "7"),
+    ("flag", "data.time_range", "[3]"),
+    ("flag", "data.time_range", "[5, 1]"),
+    ("flag", "model.dim", "1.5"),
+    ("file", "model.dim", "32"),
+    ("file", "meta.task_batch", 2.5),
+    ("file", "seed", "x"),
+    ("file", "model.use_sequence", 1),
+    ("file", "meta.k_neg", True),
+])
+def test_config_rejects_malformed_values_naming_the_key(where, key, value):
+    file_dict, overrides = None, {key: value}
+    if where == "file":
+        file_dict, overrides = value, {}
+        for part in reversed(key.split(".")):
+            file_dict = {part: file_dict}
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        resolve_config(file_dict, overrides)
+
+
+def test_config_keeps_well_formed_values_as_given():
+    config = resolve_config({"meta": {"outer_lr": 1}}, {
+        "model.use_diffusion": "Off", "data.time_range": "[3, 3]"})
+    assert type(config.meta.outer_lr) is int    # the core hash is unchanged
+    assert config.model.use_diffusion is False
+    assert config.data.time_range == (3, 3)
+
+
 def test_config_rejects_non_string_data_path():
     with pytest.raises(ValueError, match="data.path"):
         resolve_config(None, {"data.path": "2024"})
     with pytest.raises(ValueError, match="data.path"):
         resolve_config({"data": {"path": ["a.dat"]}}, {})
+
+
+@pytest.mark.parametrize("regular, histories", [
+    ({0: [3, 1, 3], 2: [0], 1: [4, 2]}, None),
+    ({0: [1], 1: [], 3: [2, 0]}, None),     # an empty history
+    ({0: [1], 1: [4, 0], 3: [2, 0]}, {1: [4, 0], 0: [1]}),
+    ({}, None),
+])
+def test_build_graph_equals_the_pair_list_graph(regular, histories):
+    graph = experiments.build_graph(SimpleNamespace(regular=regular,
+                                                    n_items=5), histories)
+    expected = gr.build_interaction_graph(
+        [(u, i) for u, items in (histories or regular).items() for i in items],
+        max(regular, default=-1) + 1, 5)
+    assert (graph.n_users, graph.n_items) == (expected.n_users, 5)
+    np.testing.assert_array_equal(graph.indptr, expected.indptr)
+    np.testing.assert_array_equal(graph.indices, expected.indices)
 
 
 def test_prepare_is_idempotent(tmp_path):

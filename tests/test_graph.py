@@ -5,7 +5,7 @@ from metacsr import graph as gr
 from metacsr.autodiff import Tape, finite_difference_check
 
 from oracles import (reference_convolve, reference_neighbor_plan,
-                     skewed_pairs)
+                     skewed_pairs, tape_value)
 
 
 def weights4(rng=None, dim=4):
@@ -20,6 +20,13 @@ def layer0(params):
             params[gr.MERGE_B.format(layer=0)])
 
 
+def convolve_one(tape, neighbors, inherent, *weights):
+    """One (1, d) inherent row's layer, pooling every row of ``neighbors``."""
+    k = neighbors.value.shape[0]
+    return gr.build_layer(tape, neighbors, inherent, np.arange(k), [k],
+                          *weights)
+
+
 def test_empty_interactions_build_empty_adjacency():
     g = gr.build_interaction_graph([], n_users=2, n_items=3)
     assert g.n_entities == 5
@@ -29,7 +36,7 @@ def test_empty_interactions_build_empty_adjacency():
 def test_duplicate_edges_deduplicated():
     g = gr.build_interaction_graph([(0, 0), (0, 0)], n_users=1, n_items=1)
     assert g.degree(0) == 1
-    assert g.neighbors(0) == (g.item_entity(0),)
+    assert g.neighbors(0) == (g.n_users + 0,)
 
 
 def test_degrees_match_brute_force_count():
@@ -39,7 +46,7 @@ def test_degrees_match_brute_force_count():
     expected = {e: 0 for e in range(g.n_entities)}
     for u, i in set(edges):
         expected[u] += 1
-        expected[g.item_entity(i)] += 1
+        expected[g.n_users + i] += 1
     for e in range(g.n_entities):
         assert g.degree(e) == expected[e]
 
@@ -163,7 +170,7 @@ def sample_neighbors(g, entity, cap, rng):
 def test_sample_neighbors_under_cap_returns_all():
     g = gr.build_interaction_graph([(0, 0), (0, 1), (0, 2)], 1, 3)
     got = sample_neighbors(g, 0, cap=10, rng=np.random.default_rng(0))
-    assert got == [g.item_entity(0), g.item_entity(1), g.item_entity(2)]
+    assert got == [g.n_users + 0, g.n_users + 1, g.n_users + 2]
 
 
 def test_sample_neighbors_cap_binding():
@@ -188,15 +195,17 @@ def test_isolated_entity_samples_empty():
 def test_convolve_output_unit_norm():
     rng = np.random.default_rng(2)
     p = weights4(rng)
-    out = gr.convolve(rng.normal(size=4), [rng.normal(size=4)], *layer0(p))
+    inherent = rng.normal(size=4)
+    out = tape_value(convolve_one, [rng.normal(size=4)], inherent[None],
+                     *layer0(p))[0]
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_convolve_zero_weights_give_zero_vector():
     dim = 4
-    out = gr.convolve(np.ones(dim), [np.ones(dim)],
-                      np.zeros((dim, dim)), np.zeros(dim),
-                      np.zeros((dim, 2 * dim)), np.zeros(dim))
+    out = tape_value(convolve_one, [np.ones(dim)], [np.ones(dim)],
+                     np.zeros((dim, dim)), np.zeros(dim),
+                     np.zeros((dim, 2 * dim)), np.zeros(dim))[0]
     np.testing.assert_array_equal(out, np.zeros(dim))
 
 
@@ -209,7 +218,8 @@ def test_convolve_mean_aggregation_and_reference():
                       p[gr.MERGE_B.format(layer=0)])
     inherent = rng.normal(size=2)
     neighbors = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    got = gr.convolve(inherent, neighbors, lw, lb, mw, mb)
+    got = tape_value(convolve_one, neighbors, inherent[None],
+                     lw, lb, mw, mb)[0]
     expected = reference_convolve(inherent, neighbors, lw, lb, mw, mb)
     np.testing.assert_allclose(got, expected, rtol=1e-10)
     # the mean of these neighbors is [0.5, 0.5]; identity-ish check
@@ -221,7 +231,8 @@ def test_convolve_empty_neighbors_use_zero_aggregate():
     rng = np.random.default_rng(4)
     p = weights4(rng)
     inherent = rng.normal(size=4)
-    got = gr.convolve(inherent, [], *layer0(p))
+    got = tape_value(convolve_one, np.empty((0, 4)), inherent[None],
+                     *layer0(p))[0]
     expected = reference_convolve(inherent, [], *layer0(p))
     np.testing.assert_allclose(got, expected, rtol=1e-10)
 
@@ -231,8 +242,10 @@ def test_convolve_neighbor_order_invariance():
     p = weights4(rng)
     inherent = rng.normal(size=4)
     neighbors = [rng.normal(size=4) for _ in range(5)]
-    base = gr.convolve(inherent, neighbors, *layer0(p))
-    perm = gr.convolve(inherent, neighbors[::-1], *layer0(p))
+    base = tape_value(convolve_one, neighbors, inherent[None],
+                      *layer0(p))[0]
+    perm = tape_value(convolve_one, neighbors[::-1], inherent[None],
+                      *layer0(p))[0]
     np.testing.assert_allclose(perm, base, atol=1e-12)
 
 
@@ -251,11 +264,8 @@ def test_diffuse_depth1_equals_per_node_convolve():
     inherent = params[gr.INHERENT]
     for e in range(g.n_entities):
         nbrs = [inherent[nb] for nb in g.neighbors(e)]
-        expected = gr.convolve(inherent[e], nbrs,
-                               params[gr.LATENT_W.format(layer=0)],
-                               params[gr.LATENT_B.format(layer=0)],
-                               params[gr.MERGE_W.format(layer=0)],
-                               params[gr.MERGE_B.format(layer=0)])
+        expected = tape_value(convolve_one, np.reshape(nbrs, (-1, 4)),
+                              inherent[e][None], *layer0(params))[0]
         np.testing.assert_allclose(table[e], expected, rtol=1e-10)
 
 
@@ -263,7 +273,7 @@ def test_isolated_node_ignores_rest_of_graph():
     rng = np.random.default_rng(7)
     g, params = _small_world(rng, depth=2)
     table = gr.diffuse_all(g, params, 2, 10, np.random.default_rng(0))
-    isolated = g.item_entity(3)
+    isolated = g.n_users + 3
     # two-layer unroll with empty neighborhoods at both layers
     step1 = reference_convolve(params[gr.INHERENT][isolated], [],
                                params[gr.LATENT_W.format(layer=0)],

@@ -7,7 +7,7 @@ from metacsr.autodiff import Tape
 from metacsr.data import BehaviorSequence, SyntheticWorldSpec, generate_synthetic_world, synthetic_split
 from metacsr.params import ModelConfig, init_model
 from metacsr.seeding import component_rng
-from oracles import feature_loss, full_stack_tape
+from oracles import feature_loss, full_stack_tape, sigmoid
 
 
 def small_cfg(**kw):
@@ -336,8 +336,8 @@ def test_meta_train_zero_steps_is_noop(tiny_world):
     world, regular, new, graph = tiny_world
     params = fresh_params(graph)
     snapshot = {k: v.copy() for k, v in params.all_params().items()}
-    trace = meta.meta_train(graph, regular, params, small_cfg(), seed=1,
-                            max_steps=0)
+    trace = meta.MetaTrainer(graph, regular, params, small_cfg(),
+                             seed=1).train(max_steps=0)
     assert trace == []
     for name, value in params.all_params().items():
         np.testing.assert_array_equal(value, snapshot[name])
@@ -347,9 +347,9 @@ def test_meta_train_trace_deterministic(tiny_world):
     world, regular, new, graph = tiny_world
     cfg = small_cfg(max_outer_steps=3)
     params_a = fresh_params(graph)
-    trace_a = meta.meta_train(graph, regular, params_a, cfg, seed=21)
+    trace_a = meta.MetaTrainer(graph, regular, params_a, cfg, 21).train()
     params_b = fresh_params(graph)
-    trace_b = meta.meta_train(graph, regular, params_b, cfg, seed=21)
+    trace_b = meta.MetaTrainer(graph, regular, params_b, cfg, 21).train()
     assert trace_a == trace_b
     for name in params_a.theta2:
         np.testing.assert_array_equal(params_a.theta2[name],
@@ -361,7 +361,7 @@ def test_meta_train_decreases_query_loss(tiny_world):
     params = fresh_params(graph)
     cfg = small_cfg(task_batch=4, n_way=4, k_support=3, k_query=5,
                     inner_lr=1e-3, outer_lr=2e-2, max_outer_steps=40)
-    trace = meta.meta_train(graph, regular, params, cfg, seed=2)
+    trace = meta.MetaTrainer(graph, regular, params, cfg, seed=2).train()
     first = np.mean([v for _, v in trace[:5]])
     last = np.mean([v for _, v in trace[-5:]])
     assert last < first
@@ -391,8 +391,8 @@ def _markov_training(graph, regular, steps=200, seed=9):
                           k_support=4, k_query=8, k_neg=4,
                           plateau_windows=1000, fine_tune_steps=5)
     params = init_model(graph.n_entities, config, component_rng(seed, "init"))
-    trace = meta.meta_train(graph, regular, params, cfg, seed,
-                            max_steps=steps)
+    trace = meta.MetaTrainer(graph, regular, params, cfg, seed).train(
+        max_steps=steps)
     return params, cfg, trace
 
 
@@ -441,8 +441,7 @@ def test_fine_tune_zero_steps_scores_with_initialization(tiny_world):
     # scores must match direct scoring with the untouched initialization
     s_u = meta.preference_vector(params, params.theta2, features,
                                  history[:-1])
-    from metacsr import sequence as seqmod
-    expected = {c: seqmod.score(s_u, features[c]) for c in cands}
+    expected = {c: sigmoid(s_u @ features[c]) for c in cands}
     for item, value in ranked:
         assert value == pytest.approx(expected[item], rel=1e-12)
 

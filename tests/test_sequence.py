@@ -11,12 +11,24 @@ from oracles import (
     reference_encode,
     reference_position_bias,
     reference_preference,
+    sigmoid,
+    tape_value,
 )
 
 
 @pytest.fixture
 def params4():
     return seq.init_seq_params(4, np.random.default_rng(11))
+
+
+def attention(bias):
+    """Builder of one sequence's (output, attention) under mask ``bias``."""
+    return lambda tape, embeds, params: seq.build_attention(
+        tape, embeds, params, [bias.shape[0]], [bias])[0]
+
+
+def preference(tape, fw, bw, params):
+    return seq.build_preference(tape, fw, bw, params, [fw.value.shape[0]])
 
 
 def test_position_bias_length_one():
@@ -48,14 +60,15 @@ def test_attention_distributions_sum_to_one(params4):
     embeds = rng.normal(size=(5, 4))
     pb = seq.position_bias(5)
     for bias in (pb.forward, pb.backward):
-        att = seq.attention_weights(embeds, params4, bias)
+        _, att = tape_value(attention(bias), embeds, params4)
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
         assert (att >= 0).all()
 
 
 def test_single_position_output_is_input(params4):
     embeds = np.random.default_rng(1).normal(size=(1, 4))
-    out = seq.masked_self_attention(embeds, params4, seq.position_bias(1).forward)
+    out, _ = tape_value(attention(seq.position_bias(1).forward), embeds,
+                        params4)
     np.testing.assert_allclose(out, embeds, rtol=1e-12)
 
 
@@ -67,8 +80,7 @@ def test_attention_matches_scalar_reference(params4):
         expected, expected_att = reference_attention(
             embeds, params4[seq.ATT_SCORE_W], params4[seq.ATT_SRC_W],
             params4[seq.ATT_DST_W], bias)
-        out = seq.masked_self_attention(embeds, params4, bias)
-        att = seq.attention_weights(embeds, params4, bias)
+        out, att = tape_value(attention(bias), embeds, params4)
         np.testing.assert_allclose(out, expected, rtol=1e-10)
         np.testing.assert_allclose(att, expected_att, rtol=1e-10)
 
@@ -92,8 +104,8 @@ def test_stacked_attention_blocks_match_single_sequence_and_reference(
         for i, n in enumerate(lengths):
             rows = slice(i * t_len, i * t_len + n)
             live = embeds[rows]
-            single = seq.masked_self_attention(live, params4, bias[:n, :n])
-            single_att = seq.attention_weights(live, params4, bias[:n, :n])
+            single, single_att = tape_value(attention(bias[:n, :n]), live,
+                                            params4)
             expected, expected_att = reference_attention(
                 live, params4[seq.ATT_SCORE_W], params4[seq.ATT_SRC_W],
                 params4[seq.ATT_DST_W], bias[:n, :n])
@@ -127,11 +139,11 @@ def test_forward_causality_bitwise(params4):
     rng = np.random.default_rng(3)
     embeds = rng.normal(size=(6, 4))
     pb = seq.position_bias(6)
-    base = seq.masked_self_attention(embeds, params4, pb.forward)
+    base, _ = tape_value(attention(pb.forward), embeds, params4)
     for n in range(5):
         poked = embeds.copy()
         poked[n + 1:] += rng.normal(size=poked[n + 1:].shape)
-        again = seq.masked_self_attention(poked, params4, pb.forward)
+        again, _ = tape_value(attention(pb.forward), poked, params4)
         assert (again[: n + 1] == base[: n + 1]).all()
 
 
@@ -139,10 +151,10 @@ def test_backward_causality_bitwise(params4):
     rng = np.random.default_rng(4)
     embeds = rng.normal(size=(5, 4))
     pb = seq.position_bias(5)
-    base = seq.masked_self_attention(embeds, params4, pb.backward)
+    base, _ = tape_value(attention(pb.backward), embeds, params4)
     poked = embeds.copy()
     poked[:2] += 1.0
-    again = seq.masked_self_attention(poked, params4, pb.backward)
+    again, _ = tape_value(attention(pb.backward), poked, params4)
     assert (again[2:] == base[2:]).all()
 
 
@@ -150,7 +162,8 @@ def test_attention_decays_with_distance(params4):
     # identical content embeddings leave only the position bias, so the
     # attention at the last position strictly decreases with distance
     embeds = np.tile(np.random.default_rng(5).normal(size=4), (6, 1))
-    att = seq.attention_weights(embeds, params4, seq.position_bias(6).forward)
+    _, att = tape_value(attention(seq.position_bias(6).forward), embeds,
+                        params4)
     last = att[-1]
     for gap in range(1, 5):
         assert last[5 - gap] > last[5 - gap - 1]
@@ -158,8 +171,8 @@ def test_attention_decays_with_distance(params4):
 
 def test_preference_zero_inputs(params4):
     zeros = np.zeros((3, 4))
-    prefs = seq.encode_preference(zeros, zeros,
-                                  {**params4, seq.COMBINE_B: np.zeros(4)})
+    prefs = tape_value(preference, zeros, zeros,
+                       {**params4, seq.COMBINE_B: np.zeros(4)})[0]
     np.testing.assert_array_equal(prefs, np.zeros(4))
 
 
@@ -167,7 +180,7 @@ def test_preference_single_row_meanpool_is_identity(params4):
     rng = np.random.default_rng(6)
     fw = rng.normal(size=(1, 4))
     bw = rng.normal(size=(1, 4))
-    got = seq.encode_preference(fw, bw, params4)
+    got = tape_value(preference, fw, bw, params4)[0]
     pooled = np.concatenate([fw[0], bw[0]])
     expected = np.maximum(params4[seq.COMBINE_W] @ pooled
                           + params4[seq.COMBINE_B], 0.0)
@@ -180,7 +193,7 @@ def test_preference_matches_scalar_reference(params4):
     bw = rng.normal(size=(4, 4))
     expected = reference_preference(fw, bw, params4[seq.COMBINE_W],
                                     params4[seq.COMBINE_B])
-    np.testing.assert_allclose(seq.encode_preference(fw, bw, params4),
+    np.testing.assert_allclose(tape_value(preference, fw, bw, params4)[0],
                                expected, rtol=1e-10)
 
 
@@ -191,28 +204,12 @@ def test_full_encoder_matches_scalar_reference(params4):
                                reference_encode(embeds, params4), rtol=1e-10)
 
 
-def test_score_orthogonal_gives_half():
-    assert seq.score([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)
-
-
-def test_score_saturates_to_one():
-    assert seq.score([1e4, 0.0], [1e4, 0.0]) == pytest.approx(1.0)
-
-
-def test_score_matches_dot_oracle():
-    rng = np.random.default_rng(9)
-    s_u = rng.normal(size=6)
-    item = rng.normal(size=6)
-    dot = sum(s_u[i] * item[i] for i in range(6))
-    assert seq.score(s_u, item) == pytest.approx(1.0 / (1.0 + math.exp(-dot)))
-
-
 def test_score_candidates_vectorizes():
     rng = np.random.default_rng(10)
     s_u = rng.normal(size=5)
     items = rng.normal(size=(7, 5))
     got = seq.score_candidates(s_u, items)
-    np.testing.assert_allclose(got, [seq.score(s_u, row) for row in items],
+    np.testing.assert_allclose(got, [sigmoid(s_u @ row) for row in items],
                                rtol=1e-12)
 
 
