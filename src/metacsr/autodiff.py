@@ -30,8 +30,9 @@ class Node:
 
     ``idx`` is the position in the tape's node list (node id), ``op`` the
     operation kind, ``inputs`` the producing nodes, ``aux`` any static
-    operation attribute (axis, ids, scalar, shape). ``value`` and
-    ``adjoint`` cache the most recent forward and backward results.
+    operation attribute (axis, ids, scalar, shape). ``value`` caches the
+    most recent forward result; ``adjoint`` the most recent backward one
+    for a leaf or const (see :meth:`Tape.backward`).
     ``live`` marks a node that a param or leaf feeds: only live nodes get
     adjoints.
     """
@@ -354,9 +355,13 @@ class Tape:
         e.g. one another tape computed for a leaf fed from its value.
         Adjoints are propagated in reverse topological order, to live nodes
         only: a node no param or leaf feeds (a lookup into a constant
-        table, say) gets no adjoint and runs no gradient rule. Parameter
-        gradients accumulate across calls until :meth:`zero_grad`.
-        Returns the current parameter-gradient mapping.
+        table, say) gets no adjoint and runs no gradient rule. Each other
+        node's adjoint is released (``None``) once its rule has handed it
+        to the inputs, or once it is added into ``grads`` for a param;
+        leaf and const adjoints stay readable until the next backward.
+        Forward values stay. Parameter gradients accumulate across calls
+        until :meth:`zero_grad`. Returns the current parameter-gradient
+        mapping.
         """
         if loss.value is None:
             raise ValueError("run forward() before backward()")
@@ -374,11 +379,12 @@ class Tape:
             adj = node.adjoint
             if adj is None:
                 continue
+            if node.op in ("leaf", "const"):
+                continue
+            node.adjoint = None     # consumed below; nothing reads it again
             if node.op == "param":
                 g = self.grads.get(node.name)
                 self.grads[node.name] = adj.copy() if g is None else g + adj
-                continue
-            if node.op in ("leaf", "const"):
                 continue
             for inp, grad in zip(node.inputs, self._input_grads(node, adj)):
                 if grad is None or not inp.live:

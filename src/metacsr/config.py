@@ -128,7 +128,7 @@ def resolve_config(file_dict=None, overrides=None) -> RunConfig:
         target[name] = _checked(dotted, value)
     for dotted, value in overrides.items():   # flag strings parse by type
         target, name = _field(merged, dotted)
-        target[name] = _checked(dotted, _coerce(value, target[name]))
+        target[name] = _checked(dotted, value, flag=True)
     config = RunConfig.from_dict(merged)
     config.validate()
     return config
@@ -172,36 +172,38 @@ def _fits(value, hint) -> bool:
         hint is bool or not isinstance(value, bool))
 
 
-def _checked(dotted, value):
-    """``value`` (a pair as a tuple), or ValueError naming the key when it
-    does not have the type of config field ``dotted``."""
+def _checked(dotted, value, flag=False):
+    """``value`` (a pair as a tuple; a flag string parsed first, see
+    :func:`_coerce`), or ValueError naming the key when it does not have
+    the type of config field ``dotted``."""
     hint = RunConfig
     for part in dotted.split("."):
         hint = typing.get_type_hints(hint)[part]
+    if flag and isinstance(value, str):
+        value = _coerce(value, hint)
     if not _fits(value, hint):
         raise ValueError(f"config key {dotted!r} cannot take {value!r}")
     return tuple(value) if isinstance(value, list) else value
 
 
-def _coerce(value, current):
-    """Parse a flag string by the type of the field's current value; a
-    string that does not parse is left to fail the type check."""
-    if not isinstance(value, str):
-        return value
-    if isinstance(current, bool):
+def _coerce(text, hint):
+    """Parse a flag string by the field's annotated type ``hint``: ``null``
+    is None for an optional field, an int or float field parses with
+    ``int()`` or ``float()``, a str field keeps the text, a pair takes its
+    JSON reading and a bool one of the words below. Text that does not
+    parse is left to fail the type check."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if text == "null":
+            return None
+        hint, args = args[0], typing.get_args(args[0])
+    if hint is bool:
         words = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
-        return words.get(value.lower(), value)
+        return words.get(text.lower(), text)
     try:
-        if isinstance(current, int):
-            return int(value)
-        if isinstance(current, float):
-            return float(value)
-    except ValueError:
-        return value
-    if isinstance(current, str):
-        return value
-    try:  # None or structured field: take the JSON reading when it parses
-        return json.loads(value)
-    except json.JSONDecodeError:
-        return value
+        if hint in (int, float):
+            return hint(text)
+        return json.loads(text) if args else text
+    except ValueError:      # json.JSONDecodeError is a ValueError
+        return text

@@ -99,17 +99,15 @@ def eligible_users(histories, cfg, t_min=2):
         len(h), t_min) >= cfg.k_support + cfg.k_query)
 
 
-def sample_task(histories, cfg, rng, t_min=2, t_max=10,
-                eligible=None) -> MetaTask:
+def sample_task(histories, eligible, cfg, rng, t_min=2,
+                t_max=10) -> MetaTask:
     """One episode: n_way users, disjoint support/query windows per user.
 
     A user's candidate sequences are keyed by target position, so support
-    and query never share a target. Users must be eligible (see
-    :func:`eligible_users`; a caller drawing many tasks passes the list).
+    and query never share a target. Users are drawn from ``eligible``, the
+    list :func:`eligible_users` gives for ``histories``.
     """
     need = cfg.k_support + cfg.k_query
-    if eligible is None:
-        eligible = eligible_users(histories, cfg, t_min)
     if len(eligible) < cfg.n_way:
         raise ValueError(
             f"need {cfg.n_way} users with >= {need} usable sequences, "
@@ -164,7 +162,8 @@ def query_grads(features, batches, cfg, user_positives, model_config):
     (theta2, sequences, rng) triples, one batch loss each, all on one tape
     that reads the table through a leaf. Returns (loss, theta1 gradients
     from the leaf's adjoint pushed through the pass, one theta2 gradient
-    mapping per batch, zero where none reach).
+    mapping per batch, zero where none reach). The query tape is freed
+    before the push, so the two backwards never hold both tapes.
     """
     tape = Tape()
     leaf = tape.leaf("item_features", features.value)
@@ -182,7 +181,9 @@ def query_grads(features, batches, cfg, user_positives, model_config):
     g2 = [{name: tape.grads.get(f"{b}/{name}", np.zeros_like(value))
            for name, value in theta2.items()}
           for b, (theta2, _, _) in enumerate(batches)]
-    return float(total.value), features.theta1_grads(leaf.adjoint), g2
+    value, adjoint = float(total.value), leaf.adjoint
+    del tape, leaf, total, loss, nodes      # every reference to the tape
+    return value, features.theta1_grads(adjoint), g2
 
 
 def sum_grads(grads):
@@ -271,8 +272,8 @@ class MetaTrainer:
     def sample_tasks(self, step=0):
         config = self.params.config
         rng = self._rng("tasks", step)
-        return [sample_task(self.histories, self.cfg, rng, config.t_min,
-                            config.t_max, self.eligible)
+        return [sample_task(self.histories, self.eligible, self.cfg, rng,
+                            config.t_min, config.t_max)
                 for _ in range(self.cfg.task_batch)]
 
     # --------------------------------------------------------- outer loop
@@ -313,7 +314,7 @@ class MetaTrainer:
                     c1, c2 = terms
                     g1 = {k: g1[k] + c1[k] for k in g1}
                     g2[t] = {k: g2[t][k] + c2[k] for k in g2[t]}
-        del features    # release the pass and its adjoints before Adam
+        del features    # release the pass's forward values before Adam
         self.adam.apply(self.params.theta1, g1, self.cfg)
         self.adam.apply(self.params.theta2, sum_grads(g2), self.cfg)
         return loss / len(tasks)

@@ -315,7 +315,8 @@ def test_criterion_5_maml_mechanics():
     positives = {u: set(h) for u, h in regular.items()}
     features = losses.cached_item_features(graph, params,
                                            np.random.default_rng(0))
-    task = meta.sample_task(regular, cfg, np.random.default_rng(1), 2, 6)
+    task = meta.sample_task(regular, meta.eligible_users(regular, cfg, 2),
+                            cfg, np.random.default_rng(1), 2, 6)
 
     # (a) theta1 bit-frozen through adaptation
     before = {k: v.copy() for k, v in params.theta1.items()}

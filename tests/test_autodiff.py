@@ -188,6 +188,23 @@ def test_every_op_gradient_against_finite_differences(op):
         assert finite_difference_check(t, loss, "p", epsilon=1e-6) < 1e-4, op
 
 
+@pytest.mark.parametrize("op", ALL_OPS)
+def test_backward_releases_each_consumed_adjoint(op):
+    """Every adjoint but a leaf's or a const's is gone after backward, and
+    a second backward from zero gives the same gradients."""
+    t, loss = _op_case(op, np.random.default_rng(11))
+    t.forward()
+    first = {name: g.copy() for name, g in t.backward(loss).items()}
+    leaves = [node for node in t.nodes if node.op == "leaf" and node.live]
+    assert all(node.adjoint is None for node in t.nodes
+               if node.op not in ("leaf", "const"))
+    assert all(node.adjoint is not None for node in leaves)
+    t.zero_grad()
+    t.backward(loss)
+    assert set(t.grads) == set(first) == {"p"}
+    np.testing.assert_array_equal(t.grads["p"], first["p"])
+
+
 def test_masked_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
     z = rng.normal(size=(6, 6))
@@ -332,6 +349,8 @@ def test_backward_skips_nodes_no_param_or_leaf_feeds():
     t.zero_grad()
     t.backward(loss)
     assert "lookup" in differentiated and table.adjoint is not None
+    assert all(node.adjoint is None for node in t.nodes
+               if node.op not in ("leaf", "const"))
     np.testing.assert_array_equal(skipped[0]["w"], t.grads["w"])
     np.testing.assert_array_equal(skipped[1], x.adjoint)
 

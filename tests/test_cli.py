@@ -138,9 +138,26 @@ def test_config_keeps_well_formed_values_as_given():
 
 def test_config_rejects_non_string_data_path():
     with pytest.raises(ValueError, match="data.path"):
-        resolve_config(None, {"data.path": "2024"})
-    with pytest.raises(ValueError, match="data.path"):
         resolve_config({"data": {"path": ["a.dat"]}}, {})
+
+
+@pytest.mark.parametrize("file_dict, key, text, want", [
+    ({"train_fraction": 1}, "train_fraction", "0.5", 0.5),
+    ({"data": {"split": {"rating_threshold": None}}},
+     "data.split.rating_threshold", "4", 4.0),
+    (None, "data.split.rating_threshold", "null", None),
+    (None, "data.path", "2024", "2024"),
+], ids=["float-after-file-int", "float-after-file-null", "null-clears",
+        "str-keeps-text"])
+def test_flags_parse_by_the_fields_annotated_type(file_dict, key, text,
+                                                  want):
+    """What an earlier layer set does not change how a flag parses."""
+    config = resolve_config(file_dict, {key: text})
+    got = config
+    for part in key.split("."):
+        got = getattr(got, part)
+    assert got == want and type(got) is type(want)
+    assert config.core_hash() == resolve_config(None, {key: text}).core_hash()
 
 
 @pytest.mark.parametrize("regular, histories", [

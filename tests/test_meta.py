@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -42,7 +45,8 @@ def fresh_params(graph, dim=6, seed=3):
 def test_sample_task_default_shape():
     histories = {u: list(range(40)) for u in range(40)}
     cfg = meta.MetaConfig()
-    task = meta.sample_task(histories, cfg, np.random.default_rng(0))
+    task = meta.sample_task(histories, meta.eligible_users(histories, cfg),
+                            cfg, np.random.default_rng(0))
     assert len(task.users) == 15
     assert len(task.support) == 15 * 5
     assert len(task.query) == 15 * 15
@@ -55,7 +59,8 @@ def test_sample_task_default_shape():
 def test_sample_task_exact_budget_user_uses_all_targets():
     cfg = small_cfg(n_way=1, k_support=2, k_query=3)
     histories = {7: list(range(100, 107))}  # length 7 -> exactly 5 targets
-    task = meta.sample_task(histories, cfg, np.random.default_rng(1))
+    task = meta.sample_task(histories, meta.eligible_users(histories, cfg),
+                            cfg, np.random.default_rng(1))
     targets = {s.target for s in task.support} | {s.target for s in task.query}
     assert targets == set(histories[7][2:])
     support_targets = {s.target for s in task.support}
@@ -66,8 +71,9 @@ def test_sample_task_exact_budget_user_uses_all_targets():
 def test_sample_task_deterministic():
     histories = {u: list(range(30)) for u in range(10)}
     cfg = small_cfg()
-    a = meta.sample_task(histories, cfg, np.random.default_rng(9))
-    b = meta.sample_task(histories, cfg, np.random.default_rng(9))
+    eligible = meta.eligible_users(histories, cfg)
+    a = meta.sample_task(histories, eligible, cfg, np.random.default_rng(9))
+    b = meta.sample_task(histories, eligible, cfg, np.random.default_rng(9))
     assert a == b
 
 
@@ -75,7 +81,8 @@ def test_sample_task_insufficient_users_names_shortfall():
     histories = {0: list(range(30)), 1: [0, 1, 2]}
     cfg = small_cfg(n_way=3)
     with pytest.raises(ValueError, match="only 1 eligible"):
-        meta.sample_task(histories, cfg, np.random.default_rng(0))
+        meta.sample_task(histories, meta.eligible_users(histories, cfg),
+                         cfg, np.random.default_rng(0))
 
 
 def test_trainer_sample_tasks_equal_per_call_sample_task(tiny_world):
@@ -93,7 +100,10 @@ def test_trainer_sample_tasks_equal_per_call_sample_task(tiny_world):
     for step in range(5):
         rng = trainer._rng("tasks", step)
         assert trainer.sample_tasks(step) == [
-            meta.sample_task(histories, cfg, rng, params.config.t_min,
+            meta.sample_task(histories,
+                             meta.eligible_users(histories, cfg,
+                                                 params.config.t_min),
+                             cfg, rng, params.config.t_min,
                              params.config.t_max)
             for _ in range(cfg.task_batch)]
 
@@ -203,7 +213,8 @@ def test_adaptation_improves_support_fit(tiny_world):
     failures = 0
     n_tasks = 12
     for t in range(n_tasks):
-        task = meta.sample_task(regular, cfg, rng, 2, 6)
+        task = meta.sample_task(regular, meta.eligible_users(regular, cfg, 2),
+                                cfg, rng, 2, 6)
         support_loss = feature_loss(
             features, params.theta2, task.support, cfg.k_neg,
             np.random.default_rng(100 + t), positives, params.config)
@@ -499,6 +510,47 @@ def test_outer_step_runs_diffusion_once(tiny_world, monkeypatch, arm):
         for step in range(3):
             trainer.outer_update(trainer.sample_tasks(step), step)
     assert len(builds) == 3
+
+
+@pytest.mark.parametrize("arm, pushes", [("first", 1), ("exact", 2 * 2 + 1),
+                                          ("joint", 1)])
+def test_query_tape_is_dead_when_the_feature_backward_starts(
+        tiny_world, monkeypatch, arm, pushes):
+    """Each tape ``meta`` built (the query tapes and the inner steps'),
+    with every value it computed, is unreachable when a feature backward
+    starts; exact mode's support gradients reach ``query_grads`` again."""
+    world, regular, new, graph = tiny_world
+    built = []
+    alive = []
+
+    class Recorded(Tape):
+        def backward(self, loss, adjoint=None):
+            grads = super().backward(loss, adjoint)
+            built.extend([weakref.ref(self)] + [
+                weakref.ref(node.value) for node in self.nodes
+                if node.op not in ("leaf", "param", "const")
+                and isinstance(node.value, np.ndarray)])
+            return grads
+
+    original = losses.ItemFeatures.theta1_grads
+
+    def checked(self, adjoint):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in built))
+        return original(self, adjoint)
+
+    monkeypatch.setattr(meta, "Tape", Recorded)
+    monkeypatch.setattr(losses.ItemFeatures, "theta1_grads", checked)
+    params = fresh_params(graph)
+    if arm == "joint":
+        baselines.joint_train(graph, regular, params, small_cfg(), seed=5,
+                              max_steps=1)
+    else:
+        trainer = meta.MetaTrainer(graph, regular, params,
+                                   small_cfg(order=arm, inner_lr=0.05),
+                                   seed=5)
+        trainer.outer_update(trainer.sample_tasks(0), 0)
+    assert built and alive == [0] * pushes
 
 
 def _adam_grads(monkeypatch):
