@@ -95,7 +95,7 @@ def load_model(path, config_hash=None):
     shapes :func:`init_model` gives the sidecar's config and entity count,
     or ValueError names the file and the tensor; a sidecar key outside
     ``SIDECAR_KEYS`` or any other tensor prefix is a ValueError too. When
-    both ``config_hash`` and the sidecar's hash are set, they must match."""
+    ``config_hash`` is given, the sidecar must exist and hold that hash."""
     tensors = read_tensors(path)
     meta_path = Path(str(path) + ".meta.json")
     config = ModelConfig()
@@ -111,10 +111,15 @@ def load_model(path, config_hash=None):
             stored_hash = meta.get("config_hash")
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{meta_path}: bad sidecar ({err!r})") from None
-    if None not in (config_hash, stored_hash) and stored_hash != config_hash:
+    if config_hash is not None and stored_hash is None:
+        missing = "holds no config hash" if meta_path.exists() \
+            else "is missing"
+        raise ValueError(f"{path}: sidecar {meta_path.name} {missing}; "
+                         f"refusing to evaluate under config {config_hash}")
+    if config_hash is not None and stored_hash != config_hash:
         raise ValueError(
-            f"checkpoint config hash {stored_hash} does not match the active "
-            f"config {config_hash}; refusing to evaluate")
+            f"{path}: checkpoint config hash {stored_hash} does not match the "
+            f"active config {config_hash}; refusing to evaluate")
     parts = {"theta1": {}, "theta2": {}}
     for name, value in tensors.items():
         prefix, _, rest = name.partition("/")

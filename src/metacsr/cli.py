@@ -64,13 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    steps = argparse.ArgumentParser(add_help=False)
+    steps.add_argument("--steps", type=int, default=None,
+                       help="cap outer steps per training run; meta "
+                            "training may still stop earlier at a plateau")
+
     p = sub.add_parser("prepare", help="build the canonical dataset dir")
     _common(p)
 
-    p = sub.add_parser("train", help="train per config.train_mode")
+    p = sub.add_parser("train", parents=[steps],
+                       help="train per config.train_mode")
     _common(p)
-    p.add_argument("--steps", type=int, default=None,
-                   help="cap outer steps (overrides the plateau rule)")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or baseline")
     _common(p)
@@ -79,18 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="metacsr")
     p.add_argument("--checkpoint", type=Path, default=None)
 
-    p = sub.add_parser("ablate", help="train/evaluate the four variants")
-    _common(p)
-    p.add_argument("--steps", type=int, default=None)
-
-    p = sub.add_parser("sweep-fraction",
-                       help="train at growing training-user shares")
-    _common(p)
-    p.add_argument("--steps", type=int, default=None)
-
-    p = sub.add_parser("sweep-length", help="train across window lengths")
-    _common(p)
-    p.add_argument("--steps", type=int, default=None)
+    for name, help_text in (
+            ("ablate", "train/evaluate the four variants"),
+            ("sweep-fraction", "train at growing training-user shares"),
+            ("sweep-length", "train across window lengths")):
+        _common(sub.add_parser(name, parents=[steps], help=help_text))
 
     p = sub.add_parser("export", help="merge records into tidy CSV")
     p.add_argument("--records", nargs="+", required=True, type=Path)

@@ -1,5 +1,5 @@
 """Run configuration: one JSON document, validated up front, hashed,
-and echoed verbatim into every artifact.
+and recorded with every stage's ``record.json``.
 
 Two profiles bundle sensible defaults: "desk" (d=32, capped outer steps,
 CI-friendly) and "full" (d=128, the full-scale settings). Flags win over
@@ -77,9 +77,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":

@@ -257,6 +257,21 @@ class SyntheticWorldSpec:
     seq_len_max: int = 44
     seed: int = 0
 
+    def __post_init__(self):
+        rules = (
+            (min(self.n_items, self.n_chains) >= 1, "n_items, n_chains >= 1"),
+            (min(self.n_regular, self.n_new) >= 0, "n_regular, n_new >= 0"),
+            (0.0 <= self.mix_weight <= 1.0, "0 <= mix_weight <= 1"),
+            (1 <= self.successors <= self.n_items,
+             "1 <= successors <= n_items"),
+            (1 <= self.seq_len_min <= self.seq_len_max,
+             "1 <= seq_len_min <= seq_len_max"),
+            (self.chain_kind in ("random", "permutation"),
+             "chain_kind 'random' or 'permutation'"))
+        for ok, rule in rules:
+            if not ok:
+                raise ValueError(f"synthetic world needs {rule}: {self}")
+
 
 @dataclass
 class SyntheticWorld:
@@ -282,15 +297,13 @@ def _chain_transitions(spec, rng):
             order = rng.permutation(spec.n_items)
             for state in range(spec.n_items):
                 table[state] = {int(order[state]): 1.0}
-        elif spec.chain_kind == "random":
+        else:
             for state in range(spec.n_items):
                 succ = rng.choice(spec.n_items, size=spec.successors,
                                   replace=False)
                 weights = rng.dirichlet(np.full(spec.successors, 0.35))
                 table[state] = {int(s): float(w)
                                 for s, w in zip(succ, weights)}
-        else:
-            raise ValueError(f"unknown chain kind {spec.chain_kind!r}")
         chains.append(table)
     return chains
 
@@ -395,23 +408,36 @@ def write_dataset_dir(out_dir, dataset, user_map=None, item_map=None):
 
 
 def read_dataset_dir(path) -> Dataset:
+    """The dataset :func:`write_dataset_dir` wrote under ``path``; a
+    malformed ``split.json`` or ``interactions.tsv`` is a ValueError that
+    names the file."""
     path = Path(path)
-    with (path / "split.json").open("r", encoding="utf-8") as fh:
-        info = json.load(fh)
-    regular_ids = set(info["regular"])
+    split_path = path / "split.json"
+    try:
+        with split_path.open("r", encoding="utf-8") as fh:
+            info = json.load(fh)
+        regular_ids = set(info["regular"])
+        spec = SplitSpec(**{**info["split_spec"], "count_range": tuple(
+            info["split_spec"]["count_range"])})
+        n_items, seed = info["n_items"], info["seed"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{split_path}: bad split file ({err!r})") from None
     histories: dict[int, list[tuple[int, int]]] = {}
-    with (path / "interactions.tsv").open("r", encoding="utf-8") as fh:
-        for line in fh:
-            user, item, ts = line.strip().split("\t")
-            histories.setdefault(int(user), []).append((int(ts), int(item)))
+    tsv_path = path / "interactions.tsv"
+    try:
+        with tsv_path.open("r", encoding="utf-8") as fh:
+            for line in fh:
+                user, item, ts = line.strip().split("\t")
+                histories.setdefault(int(user), []).append(
+                    (int(ts), int(item)))
+    except ValueError as err:
+        raise ValueError(f"{tsv_path}: bad interaction line ({err})") from None
     regular = {}
     new = {}
     for user, rows in histories.items():
         items = [item for _, item in sorted(rows)]
         (regular if user in regular_ids else new)[user] = items
-    spec = SplitSpec(**{**info["split_spec"], "count_range": tuple(
-        info["split_spec"]["count_range"])})
     extras = {k: v for k, v in info.items()
               if k not in ("regular", "new", "n_items", "seed", "split_spec")}
-    return Dataset(regular=regular, new=new, n_items=info["n_items"],
-                   split_spec=spec, seed=info["seed"], extras=extras)
+    return Dataset(regular=regular, new=new, n_items=n_items,
+                   split_spec=spec, seed=seed, extras=extras)

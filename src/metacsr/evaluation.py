@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import meta, metrics
+from . import sequence as seq
 from .data import BehaviorSequence, build_eval_candidates
 from .seeding import component_rng
 
@@ -44,14 +45,29 @@ class ModelScorer:
     seed: int = 0
 
     def rank(self, user, history, candidates):
-        t_cfg = self.params.config
-        support = support_sequences(user, history, t_cfg.t_min, t_cfg.t_max) \
+        """The meta-test step: adapt theta2 to ``user`` with
+        ``fine_tune_steps`` SGD updates on the support sequences of
+        ``history`` (none: the meta-initialization scores directly), encode
+        the last ``t_max`` items before the held-out behavior and score
+        ``candidates``. Negatives for the updates come from the user's
+        ``fine-tune/{user}`` stream and avoid all of ``history``. Returns
+        (item, score) pairs in descending score order, ties broken by
+        ascending item id."""
+        config = self.params.config
+        support = support_sequences(user, history, config.t_min,
+                                    config.t_max) \
             if self.fine_tune_steps > 0 else []
-        rng = component_rng(self.seed, f"fine-tune/{user}")
-        return meta.fine_tune_and_predict(
-            self.params, support, history[:-1], candidates,
-            self.fine_tune_steps, self.features, self.cfg, rng,
-            user_positives={user: set(history)})
+        theta2 = meta.fine_tune_theta2(
+            self.params, support, self.features, self.cfg,
+            component_rng(self.seed, f"fine-tune/{user}"),
+            {user: set(history)}, self.features.shape[0],
+            self.fine_tune_steps)
+        window = self.features[list(history[:-1])[-config.t_max:]]
+        s_u = seq.encode_sequence(window, theta2) if config.use_sequence \
+            else window.mean(axis=0)
+        scores = seq.score_candidates(s_u, self.features[list(candidates)])
+        ranked = sorted(zip(candidates, scores), key=lambda p: (-p[1], p[0]))
+        return [(int(item), float(value)) for item, value in ranked]
 
 
 def evaluate_model(scorer, test_histories, n_items, n_neg=100, seed=0,

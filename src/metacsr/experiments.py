@@ -3,8 +3,8 @@ export.
 
 Artifact layout under the configured output directory:
 
-    config.json                 resolved config echo
-    record.json                 config/core hash, input hash, wall clock
+    record.json                 resolved config, core hash, input hash,
+                                wall clock
     dataset/                    canonical dataset directory
     checkpoints/model.ckpt      trained parameters (+ .meta.json sidecar)
     traces/train_loss.csv       (step, query_loss) rows
@@ -39,11 +39,6 @@ def _out(config) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _echo_config(config):
-    out = _out(config)
-    (out / "config.json").write_text(config.to_json(), encoding="utf-8")
 
 
 def _input_hash(dataset_dir) -> str:
@@ -81,7 +76,6 @@ def _write_record(config, **fields):
 def run_prepare(config: RunConfig) -> Path:
     """Build the canonical dataset directory from the configured source."""
     config.validate()
-    _echo_config(config)
     out = _out(config) / "dataset"
     dcfg = config.data
     if dcfg.source == "synthetic":
@@ -167,7 +161,6 @@ def build_graph(dataset, histories=None):
 def run_train(config: RunConfig, max_steps=None, quiet=False) -> Path:
     """Train per config.train_mode; write checkpoint and loss trace."""
     config.validate()
-    _echo_config(config)
     started = time.time()
     dataset = load_dataset(config)
     histories = _training_histories(config, dataset)
@@ -223,7 +216,6 @@ def run_evaluate(config: RunConfig, ckpt_path=None, scorer_kind="metacsr",
     Warm: regular users' held-out last behavior, direct scoring.
     """
     config.validate()
-    _echo_config(config)
     dataset = load_dataset(config)
     histories = _training_histories(config, dataset)
     graph = build_graph(dataset, histories)

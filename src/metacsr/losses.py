@@ -14,9 +14,6 @@ evaluation.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import graph as gr
@@ -24,18 +21,7 @@ from . import sequence as seq
 from .autodiff import Tape
 from .data import sample_negatives
 
-log = logging.getLogger(__name__)
-
 PAD_ITEM = 0    # fills padded slots; any valid id gives the same loss
-
-
-@dataclass
-class BatchInfo:
-    """What the batch builder actually used (for tests and diagnostics)."""
-
-    n_sequences: int = 0
-    n_skipped: int = 0
-    negatives: list[list[int]] = field(default_factory=list)
 
 
 def _scores(tape, prefs, item_features, cand_ids, rep_seq, theta2):
@@ -49,36 +35,25 @@ def _scores(tape, prefs, item_features, cand_ids, rep_seq, theta2):
 
 
 def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
-                     user_positives, n_items, t_min=2, use_sequence=True):
-    """Sequence encoding + scoring + pairwise loss for one batch.
+                     user_positives, n_items, use_sequence=True):
+    """Sequence encoding + scoring + pairwise loss for one batch; returns
+    the scalar mean-loss node.
 
     ``item_features`` is a (n_items, d) node; ``theta2`` maps sequence
     parameter names to nodes. Negatives are sampled per sequence, in input
-    order, from items outside ``user_positives[user]``. Sequences shorter
-    than ``t_min`` are skipped with a counted warning. Returns
-    (scalar mean-loss node, BatchInfo).
+    order, from items outside ``user_positives[user]``. An empty batch is
+    a ValueError.
     """
     if k_neg < 1:
         raise ValueError("k_neg must be >= 1")
-    info = BatchInfo()
-    usable = []
-    for s in sequences:
-        if len(s.items) < t_min:
-            info.n_skipped += 1
-            continue
-        positives = user_positives.get(s.user, set())
-        info.negatives.append(sample_negatives(positives, n_items, k_neg, rng))
-        usable.append(s)
-    if info.n_skipped:
-        log.warning("skipped %d sequences shorter than %d",
-                    info.n_skipped, t_min)
-    if not usable:
-        raise ValueError("no usable sequences in batch")
-    info.n_sequences = len(usable)
+    if not sequences:
+        raise ValueError("no sequences in batch")
+    negatives = [sample_negatives(user_positives.get(s.user, set()),
+                                  n_items, k_neg, rng) for s in sequences]
 
-    lengths = np.array([len(s.items) for s in usable])
-    ids = np.full((len(usable), lengths.max()), PAD_ITEM)
-    for row, s in enumerate(usable):
+    lengths = np.array([len(s.items) for s in sequences])
+    ids = np.full((len(sequences), lengths.max()), PAD_ITEM)
+    for row, s in enumerate(sequences):
         ids[row, : lengths[row]] = s.items
     embeds = tape.lookup(item_features, ids.reshape(-1))
     if use_sequence:
@@ -86,17 +61,17 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
     else:
         prefs = seq.block_mean(tape, embeds, lengths)
     width = 1 + k_neg
-    cand_ids = [c for s, sampled in zip(usable, info.negatives)
+    cand_ids = [c for s, sampled in zip(sequences, negatives)
                 for c in (s.target, *sampled)]
     probs = _scores(tape, prefs, item_features, cand_ids,
-                    np.repeat(np.arange(len(usable)), width), theta2)
-    starts = np.arange(len(usable)) * width   # each sequence's positive
+                    np.repeat(np.arange(len(sequences)), width), theta2)
+    starts = np.arange(len(sequences)) * width   # each sequence's positive
     pos = tape.lookup(probs, np.repeat(starts, k_neg))
     negs = tape.lookup(probs, np.delete(np.arange(len(cand_ids)), starts))
     pairs = tape.softplus(tape.add(negs, tape.scale(pos, -1.0)))
     # equal k_neg everywhere: mean over all pairs == mean over sequences of
     # per-sequence means
-    return tape.mean_axis(pairs, 0), info
+    return tape.mean_axis(pairs, 0)
 
 
 def item_feature_node(tape, graph_, theta1_nodes, config, plan=None):

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from . import sequence as seq
 from .autodiff import Tape
 from .data import BehaviorSequence, usable_sequence_count, window_sequence
 from .seeding import component_rng
@@ -171,10 +170,10 @@ def query_grads(features, batches, cfg, user_positives, model_config):
     for b, (theta2, sequences, rng) in enumerate(batches):
         nodes = {name: tape.param(f"{b}/{name}", value)
                  for name, value in theta2.items()}
-        loss, _ = losses.build_batch_loss(
+        loss = losses.build_batch_loss(
             tape, leaf, nodes, list(sequences), cfg.k_neg, rng,
             user_positives, features.value.shape[0],
-            t_min=model_config.t_min, use_sequence=model_config.use_sequence)
+            use_sequence=model_config.use_sequence)
         total = loss if total is None else tape.add(total, loss)
     tape.forward()
     tape.backward(total)
@@ -201,10 +200,9 @@ def sgd_theta2(params, support, features, cfg, rng, user_positives,
         return theta2
     tape = Tape()
     nodes = {name: tape.param(name, value) for name, value in theta2.items()}
-    loss, _ = losses.build_batch_loss(
+    loss = losses.build_batch_loss(
         tape, tape.constant(features), nodes, list(support), cfg.k_neg, rng,
-        user_positives, n_items, t_min=params.config.t_min,
-        use_sequence=params.config.use_sequence)
+        user_positives, n_items, use_sequence=params.config.use_sequence)
     for _ in range(steps):
         tape.zero_grad()
         tape.forward()
@@ -360,30 +358,3 @@ def fine_tune_theta2(params, support, features, cfg, rng, user_positives,
     sequences at ``cfg.adaptation_lr``."""
     return sgd_theta2(params, support, features, cfg, rng, user_positives,
                       n_items, steps, cfg.adaptation_lr)
-
-
-def preference_vector(params, theta2, features, scoring_window):
-    window = list(scoring_window)[-params.config.t_max:]
-    if params.config.use_sequence:
-        return seq.encode_sequence(features[window], theta2)
-    return features[window].mean(axis=0)
-
-
-def fine_tune_and_predict(params, support, scoring_window, candidates,
-                          steps, features, cfg, rng,
-                          user_positives) -> list[tuple[int, float]]:
-    """Adapt to a new user and rank candidate items.
-
-    ``support`` are the user's adaptation sequences (may be empty: the
-    meta-initialization scores directly), ``scoring_window`` the item-id
-    window preceding the held-out target, ``user_positives`` the items
-    each user has interacted with (never drawn as negatives). Returns
-    (item, score) pairs in descending score order, ties broken by
-    ascending item id.
-    """
-    theta2 = fine_tune_theta2(params, list(support), features, cfg, rng,
-                              user_positives, features.shape[0], steps)
-    s_u = preference_vector(params, theta2, features, scoring_window)
-    scores = seq.score_candidates(s_u, features[list(candidates)])
-    ranked = sorted(zip(candidates, scores), key=lambda p: (-p[1], p[0]))
-    return [(int(item), float(value)) for item, value in ranked]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -126,11 +126,8 @@ def ndcg_at_n(queries, n) -> float:
 
 @dataclass
 class MetricsReport:
-    """Aggregated metrics plus deterministic run metadata.
-
-    ``timestamp`` is optional and excluded from serialization unless set:
-    reports from identical (config, seed) runs must be byte-identical.
-    """
+    """Aggregated metrics plus deterministic run metadata: reports from
+    identical (config, seed) runs are byte-identical."""
 
     auc: float
     map: float
@@ -141,15 +138,10 @@ class MetricsReport:
     config_hash: str | None = None
     scenario: str | None = None
     model: str | None = None
-    timestamp: str | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         meta = {"seed": self.seed, "config_hash": self.config_hash,
                 "scenario": self.scenario, "model": self.model}
-        if self.timestamp is not None:
-            meta["timestamp"] = self.timestamp
-        meta.update(self.extra)
         payload = {
             "auc": self.auc,
             "map": self.map,
@@ -177,7 +169,6 @@ class MetricsReport:
     def from_json(text) -> "MetricsReport":
         raw = json.loads(text)
         meta = raw.get("meta", {})
-        known = {"seed", "config_hash", "scenario", "model", "timestamp"}
         return MetricsReport(
             auc=raw["auc"], map=raw["map"],
             hit={int(k): v for k, v in raw["hit"].items()},
@@ -185,8 +176,6 @@ class MetricsReport:
             n_users=raw["users"],
             seed=meta.get("seed"), config_hash=meta.get("config_hash"),
             scenario=meta.get("scenario"), model=meta.get("model"),
-            timestamp=meta.get("timestamp"),
-            extra={k: v for k, v in meta.items() if k not in known},
         )
 
 

@@ -11,6 +11,7 @@ differences are taken) and :func:`feature_loss` (one batch loss over a
 constant item-feature table, against which adaptation is checked).
 """
 
+import copy
 import math
 
 import numpy as np
@@ -204,10 +205,27 @@ def tape_value(build, *arrays):
     return tuple(n.value for n in out) if isinstance(out, tuple) else out.value
 
 
+def drawn_negatives(sequences, k_neg, rng, user_positives, n_items):
+    """The negatives a batch loss over ``sequences`` draws from ``rng``:
+    per sequence in order, ``k_neg`` distinct items outside the user's
+    positives by rejection. Draws from a copy, so ``rng`` is untouched."""
+    rng = copy.deepcopy(rng)
+    out = []
+    for s in sequences:
+        positives = user_positives.get(s.user, set())
+        picked = []
+        while len(picked) < k_neg:
+            draw = int(rng.integers(0, n_items))
+            if draw not in positives and draw not in picked:
+                picked.append(draw)
+        out.append(picked)
+    return out
+
+
 def full_stack_tape(graph, params, sequences, k_neg, rng, user_positives,
                     plan=None):
     """Diffusion, encoding, scoring and loss from raw parameters on one
-    tape; returns (tape, loss node, BatchInfo)."""
+    tape; returns (tape, loss node, the negatives drawn per sequence)."""
     from metacsr import losses
     from metacsr.autodiff import Tape
 
@@ -217,10 +235,12 @@ def full_stack_tape(graph, params, sequences, k_neg, rng, user_positives,
     theta2 = {k: tape.param(k, v) for k, v in params.theta2.items()}
     features = losses.item_feature_node(tape, graph, theta1, config,
                                         plan=plan)
-    loss, info = losses.build_batch_loss(
+    negatives = drawn_negatives(sequences, k_neg, rng, user_positives,
+                                graph.n_items)
+    loss = losses.build_batch_loss(
         tape, features, theta2, sequences, k_neg, rng, user_positives,
-        graph.n_items, t_min=config.t_min, use_sequence=config.use_sequence)
-    return tape, loss, info
+        graph.n_items, use_sequence=config.use_sequence)
+    return tape, loss, negatives
 
 
 def feature_loss(features, theta2, sequences, k_neg, rng, user_positives,
@@ -233,10 +253,9 @@ def feature_loss(features, theta2, sequences, k_neg, rng, user_positives,
 
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in theta2.items()}
-    loss, _ = losses.build_batch_loss(
+    loss = losses.build_batch_loss(
         tape, tape.constant(features), nodes, list(sequences), k_neg, rng,
-        user_positives, features.shape[0], t_min=config.t_min,
-        use_sequence=config.use_sequence)
+        user_positives, features.shape[0], use_sequence=config.use_sequence)
 
     def at(values=None):
         for name, value in (values or {}).items():

@@ -106,13 +106,27 @@ def test_sidecar_holds_config_hash_and_train_mode_when_given(tmp_path):
 
 def test_load_checks_the_expected_config_hash(tmp_path):
     path = _saved_model(tmp_path)
-    ckpt.load_model(path, config_hash="1" * 16)   # no stored hash
+    with pytest.raises(ValueError, match="holds no config hash") as err:
+        ckpt.load_model(path, config_hash="1" * 16)
+    assert str(path) in str(err.value)
     ckpt.save_model(path, ckpt.load_model(path), config_hash="0" * 16)
     ckpt.load_model(path)
     ckpt.load_model(path, config_hash="0" * 16)
     with pytest.raises(ValueError, match="config hash 0{16} does not match "
                        "the active config 1{16}"):
         ckpt.load_model(path, config_hash="1" * 16)
+
+
+def test_load_without_a_sidecar_refuses_an_expected_hash(tmp_path):
+    # default-shaped, so the sidecar's defaults describe it when it is gone
+    params = init_model(5, ModelConfig(), np.random.default_rng(4))
+    path = tmp_path / "m.ckpt"
+    ckpt.save_model(path, params, config_hash="0" * 16)
+    Path(str(path) + ".meta.json").unlink()
+    with pytest.raises(ValueError, match="is missing") as err:
+        ckpt.load_model(path, config_hash="0" * 16)
+    assert str(path) in str(err.value)
+    ckpt.load_model(path)       # no expected hash: still lenient
 
 
 def test_load_rejects_optimizer_state(tmp_path):

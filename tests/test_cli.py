@@ -136,6 +136,11 @@ def test_config_keeps_well_formed_values_as_given():
     assert config.data.time_range == (3, 3)
 
 
+def test_config_rejects_a_synthetic_world_out_of_range():
+    with pytest.raises(ValueError, match="mix_weight"):
+        resolve_config(None, {"data.synthetic.mix_weight": "1.5"})
+
+
 def test_config_rejects_non_string_data_path():
     with pytest.raises(ValueError, match="data.path"):
         resolve_config({"data": {"path": ["a.dat"]}}, {})

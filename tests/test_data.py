@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,16 @@ def test_empirical_transitions_converge_to_spec_rows():
     assert checked >= 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_items", 0), ("n_chains", 0), ("n_regular", -1), ("n_new", -1),
+    ("mix_weight", 1.5), ("mix_weight", -0.1), ("successors", 0),
+    ("successors", 600), ("seq_len_min", 0), ("seq_len_min", 50),
+    ("chain_kind", "ring")])
+def test_synthetic_spec_rejects_bad_field_naming_it(field, value):
+    with pytest.raises(ValueError, match=f"needs [^:]*{field}"):
+        SyntheticWorldSpec(**{field: value})
+
+
 def test_synthetic_world_deterministic():
     spec = SyntheticWorldSpec(n_items=20, n_chains=2, n_regular=5, n_new=2,
                               seq_len_min=8, seq_len_max=12, seed=11)
@@ -339,3 +350,30 @@ def test_dataset_dir_idempotent(tmp_path):
     data.write_dataset_dir(tmp_path / "ds", dataset)
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def _corrupt_split(out, edit):
+    split = out / "split.json"
+    info = json.loads(split.read_text())
+    edit(info)
+    split.write_text(json.dumps(info))
+    return split
+
+
+@pytest.mark.parametrize("case", ["split-no-n-items", "split-unknown-key",
+                                  "tsv-two-fields"])
+def test_dataset_dir_malformed_file_names_it(tmp_path, case):
+    dataset = data.Dataset(regular={0: [1, 2, 3]}, new={1: [2, 3]},
+                           n_items=4, split_spec=SplitSpec(), seed=1)
+    out = data.write_dataset_dir(tmp_path / "ds", dataset)
+    if case == "split-no-n-items":
+        bad = _corrupt_split(out, lambda info: info.pop("n_items"))
+    elif case == "split-unknown-key":
+        bad = _corrupt_split(
+            out, lambda info: info["split_spec"].update(shuffle=True))
+    else:
+        bad = out / "interactions.tsv"
+        bad.write_text(bad.read_text() + "0\t3\n")
+    with pytest.raises(ValueError) as err:
+        data.read_dataset_dir(out)
+    assert str(bad) in str(err.value)

@@ -1,4 +1,3 @@
-import logging
 import math
 from types import SimpleNamespace
 
@@ -12,8 +11,9 @@ from metacsr.autodiff import Tape, finite_difference_check
 from metacsr.data import BehaviorSequence
 from metacsr.params import ModelConfig, init_model
 
-from oracles import (full_stack_tape, reference_convolve, reference_encode,
-                     reference_pairwise_loss, sigmoid, skewed_pairs)
+from oracles import (drawn_negatives, full_stack_tape, reference_convolve,
+                     reference_encode, reference_pairwise_loss, sigmoid,
+                     skewed_pairs)
 
 
 def test_pairwise_gradient_signs():
@@ -42,7 +42,7 @@ def test_batch_loss_single_sequence_equals_pairwise():
     g, params, positives = _tiny_setup()
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
     rng = np.random.default_rng(9)
-    tape, loss, info = full_stack_tape(
+    tape, loss, negatives = full_stack_tape(
         g, params, [s], k_neg=1, rng=rng, user_positives=positives,
         plan=gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0)))
     tape.forward()
@@ -50,7 +50,7 @@ def test_batch_loss_single_sequence_equals_pairwise():
     # oracle: frozen features + value-level encoder + scalar pairwise loss
     feats = losses.cached_item_features(g, params, np.random.default_rng(0))
     s_u = seq.encode_sequence(feats[list(s.items)], params.theta2)
-    (neg,) = info.negatives[0]
+    (neg,) = negatives[0]
     p_pos = sigmoid(s_u @ feats[s.target])
     p_neg = sigmoid(s_u @ feats[neg])
     assert float(loss.value) == pytest.approx(
@@ -68,7 +68,7 @@ def test_batch_loss_duplicate_sequence_mean_invariant():
         f = tape.constant(feats)
         # force the same negative for each copy
         rng = np.random.default_rng(rng_seed)
-        loss, _ = losses.build_batch_loss(
+        loss = losses.build_batch_loss(
             tape, f, nodes, seqs, 1, rng, {0: {0, 1, 2, 4, 5}}, g.n_items)
         tape.forward()
         return float(loss.value)
@@ -76,35 +76,14 @@ def test_batch_loss_duplicate_sequence_mean_invariant():
     assert run([s], 3) == pytest.approx(run([s, s], 3), rel=1e-12)
 
 
-def test_batch_loss_skips_short_sequences(caplog):
+def test_batch_loss_empty_batch_raises():
     g, params, positives = _tiny_setup()
-    good = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
-    short = BehaviorSequence(user=1, items=(1, 2), target=3)
-    params.config.t_min = 3
-    feats = losses.cached_item_features(g, params, np.random.default_rng(0))
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
-    with caplog.at_level(logging.WARNING, logger="metacsr.losses"):
-        loss, info = losses.build_batch_loss(
-            tape, tape.constant(feats), nodes, [good, short], 1,
-            np.random.default_rng(1), positives, g.n_items,
-            t_min=params.config.t_min)
-    assert info.n_skipped == 1
-    assert info.n_sequences == 1
-    assert "skipped" in caplog.text
-
-
-def test_batch_loss_all_short_raises():
-    g, params, positives = _tiny_setup()
-    short = BehaviorSequence(user=1, items=(1, 2), target=3)
-    params.config.t_min = 5
-    tape = Tape()
-    nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
-    with pytest.raises(ValueError, match="no usable sequences"):
+    with pytest.raises(ValueError, match="no sequences"):
         losses.build_batch_loss(
             tape, tape.constant(np.zeros((g.n_items, params.dim))), nodes,
-            [short], 1, np.random.default_rng(1), positives, g.n_items,
-            t_min=params.config.t_min)
+            [], 1, np.random.default_rng(1), positives, g.n_items)
 
 
 def test_grouped_encoder_matches_per_sequence_path():
@@ -147,7 +126,7 @@ def _batch_tape(params, feats, seqs, use_sequence=True):
     tape = Tape()
     table = tape.param("feats", feats)
     nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
-    loss, _ = losses.build_batch_loss(
+    loss = losses.build_batch_loss(
         tape, table, nodes, seqs, 2, np.random.default_rng(4),
         {0: {0, 1}}, feats.shape[0], use_sequence=use_sequence)
     return tape, loss
@@ -196,7 +175,7 @@ def test_full_stack_matches_scalar_reference():
             BehaviorSequence(user=1, items=(2, 0), target=4)]
     plan = gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0))
     rng = np.random.default_rng(11)
-    tape, loss, info = full_stack_tape(
+    tape, loss, negatives = full_stack_tape(
         g, params, seqs, k_neg=2, rng=rng, user_positives=positives,
         plan=plan)
     tape.forward()
@@ -224,7 +203,7 @@ def test_full_stack_matches_scalar_reference():
     for i, s in enumerate(seqs):
         s_u = reference_encode(feats[list(s.items)], params.theta2)
         p_pos = sigmoid(float(s_u @ feats[s.target]))
-        for neg in info.negatives[i]:
+        for neg in negatives[i]:
             p_neg = sigmoid(float(s_u @ feats[neg]))
             per_pair.append(-math.log(sigmoid(p_pos - p_neg)))
     assert float(loss.value) == pytest.approx(np.mean(per_pair), rel=1e-8)
@@ -263,14 +242,15 @@ def test_ablation_no_sequence_uses_window_mean():
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
-    loss, info = losses.build_batch_loss(
-        tape, tape.constant(feats), nodes, [s], 1, np.random.default_rng(3),
-        positives, g.n_items, t_min=params.config.t_min,
+    rng = np.random.default_rng(3)
+    (neg,), = drawn_negatives([s], 1, rng, positives, g.n_items)
+    loss = losses.build_batch_loss(
+        tape, tape.constant(feats), nodes, [s], 1, rng, positives, g.n_items,
         use_sequence=params.config.use_sequence)
     tape.forward()
     s_u = feats[list(s.items)].mean(axis=0)
     p_pos = sigmoid(s_u @ feats[s.target])
-    p_neg = sigmoid(s_u @ feats[info.negatives[0][0]])
+    p_neg = sigmoid(s_u @ feats[neg])
     assert float(loss.value) == pytest.approx(
         reference_pairwise_loss(p_pos, [p_neg]), rel=1e-10)
 
@@ -279,13 +259,13 @@ def test_ablation_no_diffusion_uses_inherent_features():
     g, params, positives = _tiny_setup()
     params.config.use_diffusion = False
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
-    tape, loss, info = full_stack_tape(
+    tape, loss, negatives = full_stack_tape(
         g, params, [s], 1, np.random.default_rng(3), positives)
     tape.forward()
     feats = params.theta1[gr.INHERENT][g.n_users:]
     s_u = seq.encode_sequence(feats[list(s.items)], params.theta2)
     p_pos = sigmoid(s_u @ feats[s.target])
-    p_neg = sigmoid(s_u @ feats[info.negatives[0][0]])
+    p_neg = sigmoid(s_u @ feats[negatives[0][0]])
     assert float(loss.value) == pytest.approx(
         reference_pairwise_loss(p_pos, [p_neg]), rel=1e-10)
 

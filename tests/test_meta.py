@@ -6,8 +6,10 @@ import pytest
 
 from metacsr import graph as gr
 from metacsr import baselines, losses, meta
+from metacsr import sequence as seq
 from metacsr.autodiff import Tape
 from metacsr.data import BehaviorSequence, SyntheticWorldSpec, generate_synthetic_world, synthetic_split
+from metacsr.evaluation import ModelScorer
 from metacsr.params import ModelConfig, init_model
 from metacsr.seeding import component_rng
 from oracles import feature_loss, full_stack_tape, sigmoid
@@ -445,13 +447,13 @@ def test_fine_tune_zero_steps_scores_with_initialization(tiny_world):
     user = sorted(new)[0]
     history = new[user]
     cands = [history[-1], 0, 1, 2]
-    ranked = meta.fine_tune_and_predict(
-        params, [], history[:-1], cands, 0, features, small_cfg(),
-        np.random.default_rng(0), user_positives={user: set(history)})
+    scorer = ModelScorer(params=params, features=features, cfg=small_cfg(),
+                         fine_tune_steps=0)
+    ranked = scorer.rank(user, history, cands)
     assert sorted(item for item, _ in ranked) == sorted(cands)
     # scores must match direct scoring with the untouched initialization
-    s_u = meta.preference_vector(params, params.theta2, features,
-                                 history[:-1])
+    window = history[:-1][-params.config.t_max:]
+    s_u = seq.encode_sequence(features[window], params.theta2)
     expected = {c: sigmoid(s_u @ features[c]) for c in cands}
     for item, value in ranked:
         assert value == pytest.approx(expected[item], rel=1e-12)
@@ -598,10 +600,10 @@ def test_theta1_grads_through_kept_feature_tape_equal_single_tape(
     total = None
     for t, (task, theta2) in enumerate(zip(tasks, adapted)):
         nodes = {k: tape.param(f"task{t}/{k}", v) for k, v in theta2.items()}
-        task_loss, _ = losses.build_batch_loss(
+        task_loss = losses.build_batch_loss(
             tape, items, nodes, list(task.query), cfg.k_neg,
             trainer._rng("query-neg", 0, t), trainer.user_positives,
-            graph.n_items, t_min=before.config.t_min)
+            graph.n_items)
         total = task_loss if total is None else tape.add(total, task_loss)
     tape.forward()
     tape.backward(total)
