@@ -74,15 +74,18 @@ def masked_softmax_rows(z):
     """
     z = _as_f64(z)
     finite = np.isfinite(z)
-    any_finite = finite.any(axis=1)
-    rowmax = np.where(any_finite, np.max(np.where(finite, z, -np.inf), axis=1), 0.0)
-    e = np.exp(z - rowmax[:, None])
-    e[~finite] = 0.0
+    # a max is exact in any order: reduce the columns of a contiguous
+    # transpose, which is much faster than a short-row max(axis=1)
+    rowmax = np.maximum.reduce(
+        np.ascontiguousarray(np.where(finite, z, -np.inf).T), axis=0)
+    rowmax[rowmax == -np.inf] = 0.0     # all-masked rows
+    # masked entries enter exp as 0, not -inf (a slow path), and leave as 0
+    e = np.where(finite, z - rowmax[:, None], 0.0)
+    np.exp(e, out=e)
+    e *= finite
     s = e.sum(axis=1)
-    out = np.zeros_like(z)
-    nz = s > 0
-    out[nz] = e[nz] / s[nz, None]
-    return out
+    e /= np.where(s > 0, s, 1.0)[:, None]
+    return e
 
 
 def l2_normalize_rows(x, eps=1e-12):
@@ -92,6 +95,16 @@ def l2_normalize_rows(x, eps=1e-12):
     n = np.linalg.norm(x, axis=1, keepdims=True)
     ok = n >= eps
     return np.where(ok, x / np.where(ok, n, 1.0), 0.0)
+
+
+def _scatter_rows(table, ids, adj):
+    """Gradient of ``table[ids]`` for its adjoint ``adj``: one weighted
+    bincount over the (row, column) cells read, so each cell sums its
+    adjoints in id order from 0.0, as np.add.at does."""
+    width = table.shape[1] if table.ndim == 2 else 1
+    cells = ids.reshape(-1, 1) * width + np.arange(width)
+    return np.bincount(cells.reshape(-1), weights=adj.reshape(-1),
+                       minlength=table.size).reshape(table.shape)
 
 
 def _blocks(x, t_len):
@@ -205,8 +218,18 @@ class Tape:
             raise ShapeError("concat of zero inputs")
         return self._append("concat", tuple(parts), aux=axis)
 
-    def relu(self, a):
-        return self._append("relu", (a,))
+    def dense(self, x, w, b):
+        """``relu(x @ w.T + b)`` for an (m, k) ``x``, a (d, k) ``w`` and a
+        length-d ``b``: bit for bit the chained ``transpose``, ``matmul``,
+        ``add`` and relu, keeping only the output."""
+        return self._append("dense", (x, w, b))
+
+    def pair_sigmoid(self, a, b, rows_a, rows_b):
+        """``sigmoid(a[rows_a] + b[rows_b])`` for two (n, k) tables: bit for
+        bit two lookups, an ``add`` and a ``sigmoid``, keeping only the
+        output."""
+        rows = tuple(np.asarray(r, dtype=np.intp) for r in (rows_a, rows_b))
+        return self._append("pair_sigmoid", (a, b), aux=rows)
 
     def sigmoid(self, a):
         return self._append("sigmoid", (a,))
@@ -303,8 +326,22 @@ class Tape:
             if any(v.ndim != nd for v in vals):
                 raise self._err(node, "concat rank mismatch")
             return np.concatenate(vals, axis=axis)
-        if op == "relu":
-            return np.maximum(vals[0], 0.0)
+        if op == "dense":
+            x, w, b = vals
+            if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] \
+                    or b.shape != w.shape[:1]:
+                raise self._err(node, f"dense shapes {x.shape} x {w.shape}.T"
+                                      f" + {b.shape}")
+            y = x @ w.T
+            y += b
+            return np.maximum(y, 0.0, out=y)
+        if op == "pair_sigmoid":
+            a, b = vals
+            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+                raise self._err(node, f"pair_sigmoid shapes {a.shape}, "
+                                      f"{b.shape}")
+            rows_a, rows_b = node.aux
+            return stable_sigmoid(a[rows_a] + b[rows_b])
         if op == "sigmoid":
             return stable_sigmoid(vals[0])
         if op == "softplus":
@@ -424,8 +461,18 @@ class Tape:
                 grads.append(adj[tuple(sl)])
                 start += width
             return grads
-        if op == "relu":
-            return [adj * (vals[0] > 0)]
+        if op == "dense":
+            x, w, _ = vals
+            g = adj * (node.value > 0)
+            x_live, w_live, b_live = (i.live for i in node.inputs)
+            return [g @ w if x_live else None,
+                    (x.T @ g).T if w_live else None,
+                    g.sum(axis=0) if b_live else None]
+        if op == "pair_sigmoid":
+            s = node.value
+            g = adj * s * (1.0 - s)
+            return [_scatter_rows(v, rows, g) if i.live else None
+                    for i, v, rows in zip(node.inputs, vals, node.aux)]
         if op == "sigmoid":
             s = node.value
             return [adj * s * (1.0 - s)]
@@ -441,13 +488,7 @@ class Tape:
         if op == "l2norm":
             return [self._l2norm_grad(vals[0], node.value, adj)]
         if op == "lookup":
-            # one weighted bincount over the (row, column) cells read: each
-            # cell sums its adjoints in id order from 0.0, as np.add.at does
-            table = vals[0]
-            width = table.shape[1] if table.ndim == 2 else 1
-            cells = node.aux.reshape(-1, 1) * width + np.arange(width)
-            return [np.bincount(cells.reshape(-1), weights=adj.reshape(-1),
-                                minlength=table.size).reshape(table.shape)]
+            return [_scatter_rows(vals[0], node.aux, adj)]
         if op == "masked_softmax_rows":
             a = node.value
             dot = (adj * a).sum(axis=1, keepdims=True)

@@ -57,6 +57,13 @@ class SplitSpec:
             raise ValueError("regular fraction must lie in (0, 1)")
         if self.mode not in ("by-activity", "by-count-range"):
             raise ValueError(f"unknown split mode {self.mode!r}")
+        if self.new_user_max_kept < 1:
+            raise ValueError("split needs new_user_max_kept >= 1, not "
+                             f"{self.new_user_max_kept!r}")
+        lo, hi = self.count_range
+        if not 1 <= lo <= hi:
+            raise ValueError("split needs count_range (lo, hi) with "
+                             f"1 <= lo <= hi, not {self.count_range!r}")
 
 
 @dataclass
@@ -222,22 +229,37 @@ def build_eval_candidates(history, n_catalog, n_neg, rng):
     Negatives are distinct items the user never interacted with,
     deterministic given the rng. Returns (positive, negatives).
     """
-    return history[-1], sample_negatives(set(history), n_catalog, n_neg, rng)
+    return history[-1], sample_negatives([set(history)], n_catalog, n_neg,
+                                         rng)[0]
 
 
-def sample_negatives(positives, n_items, k, rng):
-    """k distinct item ids outside ``positives``, in draw order."""
-    if n_items - len(positives) < k:
-        raise ValueError(f"catalog of {n_items} items leaves only "
-                         f"{n_items - len(positives)} negatives, need {k}")
-    out = []
-    chosen = set()
-    while len(out) < k:
-        draw = int(rng.integers(0, n_items))
-        if draw in positives or draw in chosen:
-            continue
-        chosen.add(draw)
-        out.append(draw)
+def sample_negatives(excluded, n_items, k, rng):
+    """k distinct item ids outside each set of ``excluded``, in draw
+    order: one list per set.
+
+    The ids are those of a scalar rejection loop that fills the sets in
+    turn, one ``rng.integers(0, n_items)`` at a time. Each round draws as
+    many ids as are still missing and consumes them in order, so it never
+    draws past the loop's last draw: the lists and the rng state after
+    are the loop's.
+    """
+    for positives in excluded:
+        if n_items - len(positives) < k:
+            raise ValueError(f"catalog of {n_items} items leaves only "
+                             f"{n_items - len(positives)} negatives, "
+                             f"need {k}")
+    out = [[] for _ in excluded]
+    row, chosen = 0, set()
+    missing = k * len(excluded)
+    while missing:
+        for draw in rng.integers(0, n_items, size=missing).tolist():
+            if draw in excluded[row] or draw in chosen:
+                continue
+            chosen.add(draw)
+            out[row].append(draw)
+            missing -= 1
+            if len(out[row]) == k:
+                row, chosen = row + 1, set()
     return out
 
 

@@ -160,12 +160,9 @@ def build_layer(tape, features, inherent, ids, counts, latent_w, latent_b,
     vector, merges it with inherent row i and L2-normalizes.
     """
     pooled = tape.segment_mean(features, ids, counts)
-    latent = tape.relu(tape.add(tape.matmul(pooled, tape.transpose(latent_w)),
-                                latent_b))
+    latent = tape.dense(pooled, latent_w, latent_b)
     merged = tape.concat([inherent, latent], axis=1)
-    fused = tape.relu(tape.add(tape.matmul(merged, tape.transpose(merge_w)),
-                               merge_b))
-    return tape.l2norm(fused)
+    return tape.l2norm(tape.dense(merged, merge_w, merge_b))
 
 
 def build_diffusion(tape, plan, param_nodes, depth, rows=None):

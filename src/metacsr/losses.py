@@ -40,16 +40,17 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
     the scalar mean-loss node.
 
     ``item_features`` is a (n_items, d) node; ``theta2`` maps sequence
-    parameter names to nodes. Negatives are sampled per sequence, in input
-    order, from items outside ``user_positives[user]``. An empty batch is
-    a ValueError.
+    parameter names to nodes. Negatives are drawn in one call for the
+    batch, sequence by sequence in input order, from items outside
+    ``user_positives[user]``. An empty batch is a ValueError.
     """
     if k_neg < 1:
         raise ValueError("k_neg must be >= 1")
     if not sequences:
         raise ValueError("no sequences in batch")
-    negatives = [sample_negatives(user_positives.get(s.user, set()),
-                                  n_items, k_neg, rng) for s in sequences]
+    negatives = sample_negatives(
+        [user_positives.get(s.user, set()) for s in sequences], n_items,
+        k_neg, rng)
 
     lengths = np.array([len(s.items) for s in sequences])
     ids = np.full((len(sequences), lengths.max()), PAD_ITEM)

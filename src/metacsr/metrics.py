@@ -73,7 +73,7 @@ def auc(queries) -> float:
         neg_a = np.asarray(neg)[None, :]
         wins = (pos_a > neg_a).sum() + 0.5 * (pos_a == neg_a).sum()
         total += wins / (len(pos) * len(neg))
-    return total / len(queries)
+    return float(total / len(queries))
 
 
 def auc_from_rank(rank, n_candidates) -> float:

@@ -83,8 +83,8 @@ def build_attention(tape, embeds, params, lengths, biases):
     # row m of srcs is src_w @ e_m, row n of dsts is dst_w @ e_n
     srcs = tape.matmul(embeds, tape.transpose(params[ATT_SRC_W]))
     dsts = tape.matmul(embeds, tape.transpose(params[ATT_DST_W]))
-    hidden = tape.sigmoid(tape.add(tape.lookup(srcs, seq_i * t_len + pos_m),
-                                   tape.lookup(dsts, seq_i * t_len + pos_n)))
+    hidden = tape.pair_sigmoid(srcs, dsts, seq_i * t_len + pos_m,
+                               seq_i * t_len + pos_n)
     content = tape.reshape(tape.matmul(hidden, params[ATT_SCORE_W]),
                            (seq_i.size,))
     slot = np.zeros(live.shape, dtype=np.intp)
@@ -111,9 +111,7 @@ def build_preference(tape, fw, bw, params, lengths):
     (n_seq, d) preference node."""
     pooled = tape.concat([block_mean(tape, fw, lengths),
                           block_mean(tape, bw, lengths)], axis=1)
-    return tape.relu(tape.add(
-        tape.matmul(pooled, tape.transpose(params[COMBINE_W])),
-        params[COMBINE_B]))
+    return tape.dense(pooled, params[COMBINE_W], params[COMBINE_B])
 
 
 def build_sequence_encoder(tape, embeds, params, lengths):

@@ -7,8 +7,11 @@ implementations they check. The exceptions are the tape helpers:
 arrays, through which tests reach the builders the program runs),
 :func:`full_stack_tape` (the package's builders composed on a single
 tape, against which the feature-leaf route is compared and finite
-differences are taken) and :func:`feature_loss` (one batch loss over a
-constant item-feature table, against which adaptation is checked).
+differences are taken), :func:`feature_loss` (one batch loss over a
+constant item-feature table, against which adaptation is checked) and the
+unfused chains :func:`unfused_dense` and :func:`unfused_pair_sigmoid`
+(the tape nodes each fused op replaced, against which it is compared bit
+for bit).
 """
 
 import copy
@@ -205,21 +208,73 @@ def tape_value(build, *arrays):
     return tuple(n.value for n in out) if isinstance(out, tuple) else out.value
 
 
-def drawn_negatives(sequences, k_neg, rng, user_positives, n_items):
-    """The negatives a batch loss over ``sequences`` draws from ``rng``:
-    per sequence in order, ``k_neg`` distinct items outside the user's
-    positives by rejection. Draws from a copy, so ``rng`` is untouched."""
-    rng = copy.deepcopy(rng)
+def scalar_negatives(excluded, n_items, k, rng):
+    """Per set of ``excluded`` in order, ``k`` distinct items outside it
+    by rejection, one ``rng.integers(0, n_items)`` at a time."""
     out = []
-    for s in sequences:
-        positives = user_positives.get(s.user, set())
+    for positives in excluded:
         picked = []
-        while len(picked) < k_neg:
+        while len(picked) < k:
             draw = int(rng.integers(0, n_items))
             if draw not in positives and draw not in picked:
                 picked.append(draw)
         out.append(picked)
     return out
+
+
+def drawn_negatives(sequences, k_neg, rng, user_positives, n_items):
+    """The negatives a batch loss over ``sequences`` draws from ``rng``:
+    per sequence in order, ``k_neg`` distinct items outside the user's
+    positives by rejection. Draws from a copy, so ``rng`` is untouched."""
+    return scalar_negatives([user_positives.get(s.user, set())
+                             for s in sequences], n_items, k_neg,
+                            copy.deepcopy(rng))
+
+
+def masked_softmax_formula(z):
+    """Row softmax over the finite entries, all-zero rows where none is
+    finite, by boolean-index copies."""
+    finite = np.isfinite(z)
+    any_finite = finite.any(axis=1)
+    rowmax = np.where(any_finite,
+                      np.max(np.where(finite, z, -np.inf), axis=1), 0.0)
+    e = np.exp(z - rowmax[:, None])
+    e[~finite] = 0.0
+    s = e.sum(axis=1)
+    out = np.zeros_like(z)
+    nz = s > 0
+    out[nz] = e[nz] / s[nz, None]
+    return out
+
+
+def unfused_dense(x, w, b, adj):
+    """``relu(x @ w.T + b)`` as the ``transpose``, ``matmul`` and ``add``
+    tape nodes then a relu compute it, and the gradients w.r.t. x, w and b
+    that their rules hand back for the output adjoint ``adj``."""
+    from metacsr.autodiff import Tape
+
+    tape = Tape()
+    xs, ws, bs = (tape.leaf(n, v) for n, v in (("x", x), ("w", w), ("b", b)))
+    pre = tape.add(tape.matmul(xs, tape.transpose(ws)), bs)
+    tape.forward()
+    out = np.maximum(pre.value, 0.0)
+    tape.backward(pre, adj * (pre.value > 0))
+    return out, xs.adjoint, ws.adjoint, bs.adjoint
+
+
+def unfused_pair_sigmoid(a, b, rows_a, rows_b, adj):
+    """``sigmoid(a[rows_a] + b[rows_b])`` as two ``lookup`` nodes, an
+    ``add`` and a ``sigmoid`` compute it, and the gradients w.r.t. a and b
+    for the output adjoint ``adj``."""
+    from metacsr.autodiff import Tape
+
+    tape = Tape()
+    la, lb = tape.leaf("a", a), tape.leaf("b", b)
+    out = tape.sigmoid(tape.add(tape.lookup(la, rows_a),
+                                tape.lookup(lb, rows_b)))
+    tape.forward()
+    tape.backward(out, adj)
+    return out.value, la.adjoint, lb.adjoint
 
 
 def full_stack_tape(graph, params, sequences, k_neg, rng, user_positives,

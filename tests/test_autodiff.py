@@ -10,6 +10,12 @@ from metacsr.autodiff import (
     stable_sigmoid,
 )
 
+from oracles import (
+    masked_softmax_formula,
+    unfused_dense,
+    unfused_pair_sigmoid,
+)
+
 
 def naive_matmul(a, b):
     """Triple-loop reference multiplier (oracle)."""
@@ -23,10 +29,10 @@ def naive_matmul(a, b):
 
 def test_relu_forward():
     t = Tape()
-    x = t.leaf("x", [-1.0, 0.0, 2.0])
-    y = t.relu(x)
+    x = t.leaf("x", [[-1.0, 0.0, 2.0]])
+    y = t.dense(x, t.constant(np.eye(3)), t.constant(np.zeros(3)))
     t.forward()
-    np.testing.assert_array_equal(y.value, [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(y.value, [[0.0, 0.0, 2.0]])
 
 
 def test_sigmoid_at_zero():
@@ -71,11 +77,11 @@ def test_sigmoid_gradient_at_zero():
 
 def test_relu_gradient_flat_region():
     t = Tape()
-    x = t.param("x", [-1.0])
-    loss = t.sum(t.relu(x))
+    x = t.param("x", [[-1.0]])
+    loss = t.sum(t.dense(x, t.constant([[1.0]]), t.constant([0.0])))
     t.forward()
     t.backward(loss)
-    np.testing.assert_array_equal(t.grads["x"], [0.0])
+    np.testing.assert_array_equal(t.grads["x"], [[0.0]])
 
 
 def test_matmul_gradient_matches_finite_differences():
@@ -115,9 +121,17 @@ def _op_case(name, rng):
     elif name == "concat":
         a = t.param("p", rng.normal(size=(2, 3)))
         out = t.concat([a, t.leaf("x", rng.normal(size=(2, 3)))], axis=1)
-    elif name == "relu":
-        a = t.param("p", rng.normal(size=(3, 3)) + 0.05)
-        out = t.relu(a)
+    elif name == "dense":
+        # p reaches x, w and b, so all three rules count
+        a = t.param("p", rng.normal(size=(4, 3)))
+        w = t.matmul(t.leaf("x", rng.normal(size=(2, 4))), a)
+        b = t.lookup(t.matmul(a, t.leaf("y", rng.normal(size=(3, 2)))), 1)
+        out = t.dense(a, w, b)
+    elif name == "pair_sigmoid":
+        # repeated rows in both tables, and p reaches both
+        a = t.param("p", rng.normal(size=(5, 3)))
+        b = t.matmul(t.leaf("x", rng.normal(size=(4, 5))), a)
+        out = t.pair_sigmoid(a, b, [0, 2, 2, 4, 1], [3, 0, 3, 1, 1])
     elif name == "sigmoid":
         a = t.param("p", rng.normal(size=6))
         out = t.sigmoid(a)
@@ -173,8 +187,8 @@ def out_shape(tape, node):
 
 
 ALL_OPS = [
-    "matmul", "add_same", "add_bias_rows", "mul", "concat", "relu",
-    "sigmoid", "softplus", "mean_axis", "l2norm",
+    "matmul", "add_same", "add_bias_rows", "mul", "concat", "dense",
+    "pair_sigmoid", "sigmoid", "softplus", "mean_axis", "l2norm",
     "lookup", "masked_softmax_rows", "scale", "transpose", "reshape",
     "block_matmul", "segment_mean", "sum",
 ]
@@ -244,7 +258,7 @@ def test_backward_twice_doubles_accumulation():
 def test_non_scalar_loss_rejected():
     t = Tape()
     x = t.param("x", [1.0, 2.0])
-    y = t.relu(x)
+    y = t.sigmoid(x)
     t.forward()
     with pytest.raises(ValueError, match="not scalar"):
         t.backward(y)
@@ -396,18 +410,18 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
     def grads(seeded):
         t = Tape()
         p = t.param("p", np.arange(12.0).reshape(3, 4) / 10 - 0.5)
-        out = t.relu(t.matmul(p, t.leaf("x", x)))
-        loss = t.sum(t.mul(out, t.constant(weights)))
+        out = t.dense(t.leaf("x", x.T), p, t.constant(np.zeros(3)))
+        loss = t.sum(t.mul(out, t.constant(weights.T)))
         t.forward()
         if seeded:
-            t.backward(out, weights)
+            t.backward(out, weights.T)
         else:
             t.backward(loss)
         return t.grads["p"]
 
     np.testing.assert_array_equal(grads(True), grads(False))
     t = Tape()
-    y = t.relu(t.param("p", [1.0, 2.0]))
+    y = t.sigmoid(t.param("p", [1.0, 2.0]))
     t.forward()
     with pytest.raises(ValueError, match="shape"):
         t.backward(y, np.ones(3))
@@ -508,3 +522,112 @@ def test_product_rules_skip_inputs_that_are_not_live():
         assert t._input_grads(out, adj)[inputs.index(c)] is None, op
         t.backward(out, adj)
         assert np.array_equal(t.grads["p"], formula(adj, c.value)), op
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _bind(tape, name, value, live):
+    return tape.leaf(name, value) if live else tape.constant(value)
+
+
+def test_dense_equals_the_unfused_chain_bit_for_bit():
+    """Value and every live input's gradient equal the transpose, matmul,
+    add and relu chain's, bit for bit: empty rows, -0.0 and NaN entries,
+    all-negative pre-activations; an input that is not live gets no
+    gradient computed."""
+    rng = np.random.default_rng(16)
+    for draw in range(80):
+        m, k, d = (int(v) for v in rng.integers((0, 1, 1), (7, 6, 6)))
+        x, w = rng.normal(size=(m, k)), rng.normal(size=(d, k))
+        b = rng.normal(size=d)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        b[rng.random(d) < 0.3] = -0.0
+        if draw % 4 == 1:
+            b -= 100.0                      # every pre-activation < 0
+        if draw % 4 == 2 and x.size:
+            x.flat[rng.integers(x.size)] = np.nan
+        if draw % 5 == 3:
+            x[:] = 0.0                      # pre-activations are b, -0.0 too
+        adj = rng.normal(size=(m, d))
+        adj[rng.random(adj.shape) < 0.2] = -0.0
+        want = unfused_dense(x, w, b, adj)
+        live = [bool(draw >> bit & 1) for bit in range(3)]
+        t = Tape()
+        inputs = [_bind(t, name, v, on)
+                  for name, v, on in zip("xwb", (x, w, b), live)]
+        out = t.dense(*inputs)
+        t.forward()
+        assert _same_bits(out.value, want[0]), draw
+        t.backward(out, adj)
+        for node, on, grad in zip(inputs, live, want[1:]):
+            assert node.adjoint is None if not on \
+                else _same_bits(node.adjoint, grad), draw
+
+
+def test_pair_sigmoid_equals_the_unfused_chain_bit_for_bit():
+    """Value and every live input's gradient equal the lookup, lookup, add
+    and sigmoid chain's, bit for bit: no pairs, repeated and unread rows,
+    -0.0, NaN and saturating entries; an input that is not live gets no
+    gradient computed."""
+    rng = np.random.default_rng(17)
+    for draw in range(80):
+        n_a, n_b, k, n_pairs = (int(v) for v in
+                                rng.integers((1, 1, 1, 0), (6, 6, 5, 14)))
+        a = rng.normal(size=(n_a, k)) * rng.choice([1.0, 40.0, 800.0])
+        b = rng.normal(size=(n_b, k))
+        a[rng.random(a.shape) < 0.2] = -0.0
+        b[rng.random(b.shape) < 0.2] = -0.0
+        if draw % 4 == 2:
+            b.flat[rng.integers(b.size)] = np.nan
+        rows_a = rng.integers(n_a, size=n_pairs)
+        rows_b = rng.integers(n_b, size=n_pairs)
+        adj = rng.normal(size=(n_pairs, k))
+        adj[rng.random(adj.shape) < 0.2] = -0.0
+        want = unfused_pair_sigmoid(a, b, rows_a, rows_b, adj)
+        live = [bool(draw >> bit & 1) for bit in range(2)]
+        t = Tape()
+        inputs = [_bind(t, name, v, on)
+                  for name, v, on in zip("ab", (a, b), live)]
+        out = t.pair_sigmoid(*inputs, rows_a, rows_b)
+        t.forward()
+        assert _same_bits(out.value, want[0]), draw
+        t.backward(out, adj)
+        for node, on, grad in zip(inputs, live, want[1:]):
+            assert node.adjoint is None if not on \
+                else _same_bits(node.adjoint, grad), draw
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    for build in (lambda t: t.dense(t.leaf("x", np.ones((2, 3))),
+                                    t.leaf("w", np.ones((4, 2))),
+                                    t.leaf("b", np.ones(4))),
+                  lambda t: t.dense(t.leaf("x", np.ones((2, 3))),
+                                    t.leaf("w", np.ones((4, 3))),
+                                    t.leaf("b", np.ones(3))),
+                  lambda t: t.pair_sigmoid(t.leaf("a", np.ones((2, 3))),
+                                           t.leaf("b", np.ones((2, 4))),
+                                           [0], [1])):
+        t = Tape()
+        node = build(t)
+        with pytest.raises(ShapeError, match=f"node {node.idx}"):
+            t.forward()
+
+
+def test_masked_softmax_rows_equals_the_formula_bit_for_bit():
+    """Masked entries (-inf, +inf, NaN), all-masked rows, -0.0 and wide
+    logit ranges give the boolean-index formula's output bit for bit."""
+    rng = np.random.default_rng(18)
+    for t_len in (1, 2, 5, 8, 10):
+        for draw in range(30):
+            z = rng.normal(size=(int(rng.integers(1, 700)), t_len))
+            z *= rng.choice([1.0, 30.0, 800.0])
+            z[rng.random(z.shape) < 0.4] = -np.inf
+            z[rng.random(z.shape[0]) < 0.1] = -np.inf
+            z[rng.random(z.shape) < 0.05] = -0.0
+            z[rng.random(z.shape) < 0.02] = rng.choice([np.nan, np.inf])
+            assert _same_bits(masked_softmax_rows(z),
+                              masked_softmax_formula(z)), (t_len, draw)

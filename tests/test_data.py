@@ -299,6 +299,15 @@ def test_synthetic_spec_rejects_bad_field_naming_it(field, value):
         SyntheticWorldSpec(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("new_user_max_kept", 0), ("new_user_max_kept", -3),
+    ("count_range", (5, 2)), ("count_range", (0, 3)),
+    ("count_range", (-1, 2))])
+def test_split_spec_rejects_bad_field_naming_it(field, value):
+    with pytest.raises(ValueError, match=f"needs {field}"):
+        SplitSpec(**{field: value})
+
+
 def test_synthetic_world_deterministic():
     spec = SyntheticWorldSpec(n_items=20, n_chains=2, n_regular=5, n_new=2,
                               seq_len_min=8, seq_len_max=12, seed=11)

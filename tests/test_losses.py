@@ -12,8 +12,8 @@ from metacsr.data import BehaviorSequence
 from metacsr.params import ModelConfig, init_model
 
 from oracles import (drawn_negatives, full_stack_tape, reference_convolve,
-                     reference_encode, reference_pairwise_loss, sigmoid,
-                     skewed_pairs)
+                     reference_encode, reference_pairwise_loss,
+                     scalar_negatives, sigmoid, skewed_pairs)
 
 
 def test_pairwise_gradient_signs():
@@ -211,15 +211,31 @@ def test_full_stack_matches_scalar_reference():
 
 def test_negative_sampling_respects_history_and_determinism():
     rng = np.random.default_rng(4)
-    negs = losses.sample_negatives({0, 1, 2}, 50, 10, rng)
+    (negs,) = losses.sample_negatives([{0, 1, 2}], 50, 10, rng)
     assert len(set(negs)) == 10
     assert not set(negs) & {0, 1, 2}
-    again = losses.sample_negatives({0, 1, 2}, 50, 10,
+    again = losses.sample_negatives([{0, 1, 2}], 50, 10,
                                     np.random.default_rng(4))
-    assert negs == again
+    assert [negs] == again
     with pytest.raises(ValueError, match="catalog"):
-        losses.sample_negatives(set(range(45)), 50, 10,
+        losses.sample_negatives([set(range(45))], 50, 10,
                                 np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_items, n_positives, k", [
+    (500, 45, 4), (60, 50, 8), (12, 11, 1), (30, 5, 0)])
+def test_batch_negative_draw_is_the_scalar_loop_and_its_stream(
+        n_items, n_positives, k):
+    """One call for a batch draws what the per-sequence rejection loop
+    draws and leaves the rng where the loop leaves it, also when most
+    draws are rejected (a few free items per set)."""
+    rng = np.random.default_rng(21)
+    excluded = [set(rng.choice(n_items, n_positives, replace=False).tolist())
+                for _ in range(40)] + [set()]
+    mine, ref = np.random.default_rng(5), np.random.default_rng(5)
+    assert losses.sample_negatives(excluded, n_items, k, mine) \
+        == scalar_negatives(excluded, n_items, k, ref)
+    assert mine.integers(0, 2 ** 40) == ref.integers(0, 2 ** 40)
 
 
 def test_full_stack_gradients_pass_finite_differences():
@@ -344,21 +360,21 @@ def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
     """Depth 2 on a bipartite graph with an isolated user: the last layer
     computes the item rows alone and pools their segments of the plan;
     layer 0 computes and pools only the user rows those segments read.
-    Every matmul runs on its layer's rows only, in training and in the
+    Every projection runs on its layer's rows only, in training and in the
     evaluation table."""
     pooled, products = [], []
-    segment_mean, matmul = Tape.segment_mean, Tape.matmul
+    segment_mean, dense = Tape.segment_mean, Tape.dense
 
     def pool_spy(tape, table, ids, counts):
         pooled.append((np.asarray(ids), np.asarray(counts)))
         return segment_mean(tape, table, ids, counts)
 
-    def matmul_spy(tape, a, b):
-        products.append(a)
-        return matmul(tape, a, b)
+    def dense_spy(tape, x, w, b):
+        products.append(x)
+        return dense(tape, x, w, b)
 
     monkeypatch.setattr(Tape, "segment_mean", pool_spy)
-    monkeypatch.setattr(Tape, "matmul", matmul_spy)
+    monkeypatch.setattr(Tape, "dense", dense_spy)
     g, params, _ = _tiny_setup(n_users=4)
     features = losses.ItemFeatures(g, params, np.random.default_rng(0))
     assert len(pooled) == 2 and len(products) == 4

@@ -32,6 +32,13 @@ def test_auc_all_pairs_ordered():
     assert auc([query([0.9], [0.1, 0.5])]) == 1.0
 
 
+def test_auc_is_a_python_float_that_writes_as_a_number():
+    value = auc([query([0.5], [0.1, 0.9])])
+    assert type(value) is float and value == 0.5
+    row = build_report([query([0.5], [0.1, 0.9])], top_n=[1]).to_csv()
+    assert row.splitlines()[1] == "auc,,0.5"
+
+
 def test_auc_half_ordered():
     assert auc([query([0.3], [0.1, 0.5])]) == 0.5
 
