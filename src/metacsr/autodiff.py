@@ -60,10 +60,11 @@ def _as_f64(x):
 
 
 def stable_sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise: one division,
+    with the IEEE operations of ``1/(1+e)`` for x >= 0 and ``e/(1+e)``."""
     x = _as_f64(x)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def masked_softmax_rows(z):

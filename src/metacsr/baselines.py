@@ -113,7 +113,6 @@ def joint_train(graph_, histories, params, cfg, seed, max_steps=None,
     rng_batch = component_rng(seed, "joint/batches")
     rng_neg = component_rng(seed, "joint/negatives")
     rng_plan = component_rng(seed, "joint/neighbor-plan")
-    user_positives = {u: set(h) for u, h in histories.items()}
     eligible = sorted(u for u, h in histories.items()
                       if len(h) >= config.t_min + 1)
     if not eligible:
@@ -131,7 +130,7 @@ def joint_train(graph_, histories, params, cfg, seed, max_steps=None,
         # the feature pass is released as soon as the call returns
         value, g1, g2 = meta_mod.query_grads(
             losses.ItemFeatures(graph_, params, rng_plan),
-            [(params.theta2, batch, rng_neg)], cfg, user_positives, config)
+            [(params.theta2, batch, rng_neg)], cfg, histories, config)
         adam.apply(params.theta1, g1, cfg)
         adam.apply(params.theta2, meta_mod.sum_grads(g2), cfg)
         trace.append((step, value))

@@ -50,9 +50,9 @@ class ModelScorer:
         ``history`` (none: the meta-initialization scores directly), encode
         the last ``t_max`` items before the held-out behavior and score
         ``candidates``. Negatives for the updates come from the user's
-        ``fine-tune/{user}`` stream and avoid all of ``history``. Returns
-        (item, score) pairs in descending score order, ties broken by
-        ascending item id."""
+        ``fine-tune/{user}`` stream and avoid ``set(history)``, passed as
+        ``{user: history}``. Returns (item, score) pairs in descending
+        score order, ties broken by ascending item id."""
         config = self.params.config
         support = support_sequences(user, history, config.t_min,
                                     config.t_max) \
@@ -60,8 +60,7 @@ class ModelScorer:
         theta2 = meta.fine_tune_theta2(
             self.params, support, self.features, self.cfg,
             component_rng(self.seed, f"fine-tune/{user}"),
-            {user: set(history)}, self.features.shape[0],
-            self.fine_tune_steps)
+            {user: history}, self.fine_tune_steps)
         window = self.features[list(history[:-1])[-config.t_max:]]
         s_u = seq.encode_sequence(window, theta2) if config.use_sequence \
             else window.mean(axis=0)

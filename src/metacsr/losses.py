@@ -35,22 +35,23 @@ def _scores(tape, prefs, item_features, cand_ids, rep_seq, theta2):
 
 
 def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
-                     user_positives, n_items, use_sequence=True):
+                     histories, n_items, use_sequence=True):
     """Sequence encoding + scoring + pairwise loss for one batch; returns
     the scalar mean-loss node.
 
     ``item_features`` is a (n_items, d) node; ``theta2`` maps sequence
     parameter names to nodes. Negatives are drawn in one call for the
     batch, sequence by sequence in input order, from items outside
-    ``user_positives[user]``. An empty batch is a ValueError.
+    ``set(histories[user])``: one set per user of the batch, made here and
+    dropped with the call. An empty batch is a ValueError.
     """
     if k_neg < 1:
         raise ValueError("k_neg must be >= 1")
     if not sequences:
         raise ValueError("no sequences in batch")
-    negatives = sample_negatives(
-        [user_positives.get(s.user, set()) for s in sequences], n_items,
-        k_neg, rng)
+    seen = {u: set(histories[u]) for u in {s.user for s in sequences}}
+    negatives = sample_negatives([seen[s.user] for s in sequences], n_items,
+                                 k_neg, rng)
 
     lengths = np.array([len(s.items) for s in sequences])
     ids = np.full((len(sequences), lengths.max()), PAD_ITEM)

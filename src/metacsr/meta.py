@@ -154,7 +154,7 @@ class AdamState:
                 value -= cfg.outer_lr * cfg.weight_decay * value
 
 
-def query_grads(features, batches, cfg, user_positives, model_config):
+def query_grads(features, batches, cfg, histories, model_config):
     """Summed batch loss over one item-feature pass, with its gradients.
 
     ``features`` is a :class:`losses.ItemFeatures`; ``batches`` holds
@@ -172,7 +172,7 @@ def query_grads(features, batches, cfg, user_positives, model_config):
                  for name, value in theta2.items()}
         loss = losses.build_batch_loss(
             tape, leaf, nodes, list(sequences), cfg.k_neg, rng,
-            user_positives, features.value.shape[0],
+            histories, features.value.shape[0],
             use_sequence=model_config.use_sequence)
         total = loss if total is None else tape.add(total, loss)
     tape.forward()
@@ -191,10 +191,11 @@ def sum_grads(grads):
             for name, value in grads[0].items()}
 
 
-def sgd_theta2(params, support, features, cfg, rng, user_positives,
-               n_items, steps, lr) -> dict[str, np.ndarray]:
+def sgd_theta2(params, support, features, cfg, rng, histories, steps,
+               lr) -> dict[str, np.ndarray]:
     """``steps`` SGD updates of a copy of theta2 on support sequences
-    against a frozen item-feature table; theta1 and ``params`` untouched."""
+    against the frozen (n_items, d) table ``features``, negatives outside
+    each user's ``histories`` entry; theta1 and ``params`` untouched."""
     theta2 = {k: v.copy() for k, v in params.theta2.items()}
     if steps == 0 or not support:
         return theta2
@@ -202,7 +203,7 @@ def sgd_theta2(params, support, features, cfg, rng, user_positives,
     nodes = {name: tape.param(name, value) for name, value in theta2.items()}
     loss = losses.build_batch_loss(
         tape, tape.constant(features), nodes, list(support), cfg.k_neg, rng,
-        user_positives, n_items, use_sequence=params.config.use_sequence)
+        histories, features.shape[0], use_sequence=params.config.use_sequence)
     for _ in range(steps):
         tape.zero_grad()
         tape.forward()
@@ -215,13 +216,13 @@ def sgd_theta2(params, support, features, cfg, rng, user_positives,
     return theta2
 
 
-def inner_adapt(params, support, cfg, features, rng, user_positives,
-                n_items) -> dict[str, np.ndarray]:
+def inner_adapt(params, support, cfg, features, rng,
+                histories) -> dict[str, np.ndarray]:
     """Meta-training adaptation: ``cfg.inner_steps`` SGD steps on a task's
     support set against the table computed from theta1 once per step."""
     steps = cfg.inner_steps if cfg.inner_lr else 0
-    return sgd_theta2(params, support, features, cfg, rng, user_positives,
-                      n_items, steps, cfg.inner_lr)
+    return sgd_theta2(params, support, features, cfg, rng, histories, steps,
+                      cfg.inner_lr)
 
 
 def bilevel_correction(theta2, direction, support_grads, inner_lr):
@@ -257,7 +258,6 @@ class MetaTrainer:
         self.params = params
         self.cfg = cfg
         self.seed = seed
-        self.user_positives = {u: set(h) for u, h in histories.items()}
         self.eligible = eligible_users(histories, cfg, params.config.t_min)
         self.adam = AdamState()
 
@@ -289,13 +289,12 @@ class MetaTrainer:
                                        self._rng("neighbor-plan", step))
         batches = [
             (inner_adapt(self.params, task.support, self.cfg, features.value,
-                         self._rng("support-neg", step, t),
-                         self.user_positives, self.graph.n_items),
+                         self._rng("support-neg", step, t), self.histories),
              task.query, self._rng("query-neg", step, t))
             for t, task in enumerate(tasks)
         ]
         loss, g1, g2 = query_grads(features, batches, self.cfg,
-                                   self.user_positives, self.params.config)
+                                   self.histories, self.params.config)
         if self.cfg.order == "exact":
             for t, task in enumerate(tasks):
                 def support_grads(theta2, t=t, task=task):
@@ -303,7 +302,7 @@ class MetaTrainer:
                     _, s1, (s2,) = query_grads(
                         features, [(theta2, task.support,
                                     self._rng("support-neg", step, t))],
-                        self.cfg, self.user_positives, self.params.config)
+                        self.cfg, self.histories, self.params.config)
                     return s1, s2
 
                 terms = bilevel_correction(self.params.theta2, g2[t],
@@ -352,9 +351,9 @@ class MetaTrainer:
         return trace
 
 
-def fine_tune_theta2(params, support, features, cfg, rng, user_positives,
-                     n_items, steps) -> dict[str, np.ndarray]:
+def fine_tune_theta2(params, support, features, cfg, rng, histories,
+                     steps) -> dict[str, np.ndarray]:
     """Meta-test adaptation: ``steps`` SGD updates on a new user's support
     sequences at ``cfg.adaptation_lr``."""
-    return sgd_theta2(params, support, features, cfg, rng, user_positives,
-                      n_items, steps, cfg.adaptation_lr)
+    return sgd_theta2(params, support, features, cfg, rng, histories, steps,
+                      cfg.adaptation_lr)

@@ -222,11 +222,12 @@ def scalar_negatives(excluded, n_items, k, rng):
     return out
 
 
-def drawn_negatives(sequences, k_neg, rng, user_positives, n_items):
+def drawn_negatives(sequences, k_neg, rng, histories, n_items):
     """The negatives a batch loss over ``sequences`` draws from ``rng``:
-    per sequence in order, ``k_neg`` distinct items outside the user's
-    positives by rejection. Draws from a copy, so ``rng`` is untouched."""
-    return scalar_negatives([user_positives.get(s.user, set())
+    per sequence in order, ``k_neg`` distinct items outside the set of the
+    user's history by rejection. Draws from a copy, so ``rng`` is
+    untouched."""
+    return scalar_negatives([set(histories[s.user])
                              for s in sequences], n_items, k_neg,
                             copy.deepcopy(rng))
 
@@ -277,7 +278,7 @@ def unfused_pair_sigmoid(a, b, rows_a, rows_b, adj):
     return out.value, la.adjoint, lb.adjoint
 
 
-def full_stack_tape(graph, params, sequences, k_neg, rng, user_positives,
+def full_stack_tape(graph, params, sequences, k_neg, rng, histories,
                     plan=None):
     """Diffusion, encoding, scoring and loss from raw parameters on one
     tape; returns (tape, loss node, the negatives drawn per sequence)."""
@@ -290,15 +291,15 @@ def full_stack_tape(graph, params, sequences, k_neg, rng, user_positives,
     theta2 = {k: tape.param(k, v) for k, v in params.theta2.items()}
     features = losses.item_feature_node(tape, graph, theta1, config,
                                         plan=plan)
-    negatives = drawn_negatives(sequences, k_neg, rng, user_positives,
+    negatives = drawn_negatives(sequences, k_neg, rng, histories,
                                 graph.n_items)
     loss = losses.build_batch_loss(
-        tape, features, theta2, sequences, k_neg, rng, user_positives,
+        tape, features, theta2, sequences, k_neg, rng, histories,
         graph.n_items, use_sequence=config.use_sequence)
     return tape, loss, negatives
 
 
-def feature_loss(features, theta2, sequences, k_neg, rng, user_positives,
+def feature_loss(features, theta2, sequences, k_neg, rng, histories,
                  config):
     """One batch loss over the constant (n_items, d) table ``features``
     with theta2 trainable; returns ``at(values=None) -> (loss, theta2
@@ -310,7 +311,7 @@ def feature_loss(features, theta2, sequences, k_neg, rng, user_positives,
     nodes = {k: tape.param(k, v) for k, v in theta2.items()}
     loss = losses.build_batch_loss(
         tape, tape.constant(features), nodes, list(sequences), k_neg, rng,
-        user_positives, features.shape[0], use_sequence=config.use_sequence)
+        histories, features.shape[0], use_sequence=config.use_sequence)
 
     def at(values=None):
         for name, value in (values or {}).items():

@@ -144,7 +144,7 @@ def test_criterion_1_gradient_correctness():
     seqs = [BehaviorSequence(user=0, items=(0, 1, 0), target=1)]
     tape, loss, _ = full_stack_tape(
         g3, params, seqs, k_neg=1, rng=np.random.default_rng(2),
-        user_positives={0: {0}}, plan=plan3)
+        histories={0: [0]}, plan=plan3)
     for name in params.all_params():
         rel, absolute = _fd_rel_and_abs(tape, loss, name)
         ok &= rel < 1e-4 or absolute < 1e-7
@@ -170,7 +170,7 @@ def test_criterion_1_gradient_correctness():
     plan6 = gr.sample_neighbor_plan(g6, 10, 2, np.random.default_rng(0))
     tape, loss, _ = full_stack_tape(
         g6, params6, seqs6, k_neg=2, rng=np.random.default_rng(2),
-        user_positives={0: {0, 1}, 1: {1, 2}}, plan=plan6)
+        histories={0: [0, 1], 1: [1, 2]}, plan=plan6)
     for name in params6.all_params():
         ok &= finite_difference_check(tape, loss, name, 1e-6) < 1e-4
 
@@ -312,7 +312,6 @@ def test_criterion_5_maml_mechanics():
     params = init_model(graph.n_entities, config, np.random.default_rng(7))
     cfg = meta.MetaConfig(inner_lr=0.05, task_batch=1, n_way=3, k_support=3,
                           k_query=3)
-    positives = {u: set(h) for u, h in regular.items()}
     features = losses.cached_item_features(graph, params,
                                            np.random.default_rng(0))
     task = meta.sample_task(regular, meta.eligible_users(regular, cfg, 2),
@@ -321,15 +320,14 @@ def test_criterion_5_maml_mechanics():
     # (a) theta1 bit-frozen through adaptation
     before = {k: v.copy() for k, v in params.theta1.items()}
     meta.inner_adapt(params, task.support, cfg, features,
-                     np.random.default_rng(2), positives, graph.n_items)
+                     np.random.default_rng(2), regular)
     ok &= all((params.theta1[k] == before[k]).all() for k in before)
 
     # (b) alpha = 0 leaves theta2 exactly unchanged
     zero_cfg = meta.MetaConfig(inner_lr=0.0, task_batch=1, n_way=3,
                                k_support=3, k_query=3)
     adapted = meta.inner_adapt(params, task.support, zero_cfg, features,
-                               np.random.default_rng(2), positives,
-                               graph.n_items)
+                               np.random.default_rng(2), regular)
     ok &= all((adapted[k] == params.theta2[k]).all() for k in adapted)
 
     # (c) exact meta-gradient matches finite differences through the inner

@@ -326,6 +326,21 @@ def test_stable_sigmoid_matches_masked_form_bit_for_bit():
     assert stable_sigmoid(np.asarray(3.0)).shape == ()
 
 
+def test_stable_sigmoid_is_the_two_branch_form_bit_for_bit():
+    """One division gives the bits of ``1/(1+e)`` for x >= 0 and
+    ``e/(1+e)`` otherwise, NaN payloads and signed zeros included."""
+    def two_branch(x):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny,
+                  1e-310, -1e-310, 700.0, -700.0, 1.5, -1.5])
+    x = np.concatenate([x, np.random.default_rng(2).normal(0, 40, 500)])
+    assert np.array_equal(stable_sigmoid(x).view(np.uint64),
+                          two_branch(x).view(np.uint64))
+
+
 def _const_lookup_tape():
     rng = np.random.default_rng(7)
     t = Tape()

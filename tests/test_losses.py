@@ -34,16 +34,16 @@ def _tiny_setup(dim=4, n_users=3, n_items=6, seed=5):
     config = ModelConfig(dim=dim, diffusion_depth=2, neighbor_cap=10,
                          t_min=2, t_max=6)
     params = init_model(g.n_entities, config, np.random.default_rng(seed))
-    positives = {0: {0, 1}, 1: {1, 2}, 2: {0, 3}}
-    return g, params, positives
+    histories = {0: [0, 1], 1: [1, 2], 2: [0, 3]}
+    return g, params, histories
 
 
 def test_batch_loss_single_sequence_equals_pairwise():
-    g, params, positives = _tiny_setup()
+    g, params, histories = _tiny_setup()
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
     rng = np.random.default_rng(9)
     tape, loss, negatives = full_stack_tape(
-        g, params, [s], k_neg=1, rng=rng, user_positives=positives,
+        g, params, [s], k_neg=1, rng=rng, histories=histories,
         plan=gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0)))
     tape.forward()
 
@@ -58,7 +58,7 @@ def test_batch_loss_single_sequence_equals_pairwise():
 
 
 def test_batch_loss_duplicate_sequence_mean_invariant():
-    g, params, positives = _tiny_setup()
+    g, params, histories = _tiny_setup()
     s = BehaviorSequence(user=0, items=(0, 1), target=2)
     feats = losses.cached_item_features(g, params, np.random.default_rng(0))
 
@@ -69,7 +69,7 @@ def test_batch_loss_duplicate_sequence_mean_invariant():
         # force the same negative for each copy
         rng = np.random.default_rng(rng_seed)
         loss = losses.build_batch_loss(
-            tape, f, nodes, seqs, 1, rng, {0: {0, 1, 2, 4, 5}}, g.n_items)
+            tape, f, nodes, seqs, 1, rng, {0: [0, 1, 2, 4, 5]}, g.n_items)
         tape.forward()
         return float(loss.value)
 
@@ -77,17 +77,17 @@ def test_batch_loss_duplicate_sequence_mean_invariant():
 
 
 def test_batch_loss_empty_batch_raises():
-    g, params, positives = _tiny_setup()
+    g, params, histories = _tiny_setup()
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
     with pytest.raises(ValueError, match="no sequences"):
         losses.build_batch_loss(
             tape, tape.constant(np.zeros((g.n_items, params.dim))), nodes,
-            [], 1, np.random.default_rng(1), positives, g.n_items)
+            [], 1, np.random.default_rng(1), histories, g.n_items)
 
 
 def test_grouped_encoder_matches_per_sequence_path():
-    g, params, positives = _tiny_setup()
+    g, params, histories = _tiny_setup()
     feats = losses.cached_item_features(g, params, np.random.default_rng(0))
     seqs = [
         BehaviorSequence(user=0, items=(0, 1, 2), target=3),
@@ -170,13 +170,13 @@ def test_padding_filler_leaves_loss_and_gradients_unchanged(
 
 def test_full_stack_matches_scalar_reference():
     """End-to-end oracle: diffusion + encoding + scoring + loss by hand."""
-    g, params, positives = _tiny_setup(dim=3)
+    g, params, histories = _tiny_setup(dim=3)
     seqs = [BehaviorSequence(user=0, items=(0, 1, 2), target=3),
             BehaviorSequence(user=1, items=(2, 0), target=4)]
     plan = gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0))
     rng = np.random.default_rng(11)
     tape, loss, negatives = full_stack_tape(
-        g, params, seqs, k_neg=2, rng=rng, user_positives=positives,
+        g, params, seqs, k_neg=2, rng=rng, histories=histories,
         plan=plan)
     tape.forward()
 
@@ -238,13 +238,53 @@ def test_batch_negative_draw_is_the_scalar_loop_and_its_stream(
     assert mine.integers(0, 2 ** 40) == ref.integers(0, 2 ** 40)
 
 
+def test_batch_loss_draws_outside_each_users_history_set(monkeypatch):
+    """A batch whose users repeat draws, per sequence in order, what the
+    scalar loop draws outside ``set(history)``: repeated items and users
+    change nothing, and the rng ends where the loop leaves it."""
+    _, params, _ = _tiny_setup(n_items=12)
+    histories = {0: [0, 1, 1, 5], 1: [2, 2, 2], 2: [3, 0, 3, 7, 9, 0]}
+    seqs = [BehaviorSequence(user=u, items=(0, 1), target=4)
+            for u in (2, 0, 2, 1, 0, 2)]
+    drawn, real = [], losses.sample_negatives
+
+    def spy(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(losses, "sample_negatives", spy)
+    tape = Tape()
+    nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
+    mine, ref = np.random.default_rng(13), np.random.default_rng(13)
+    losses.build_batch_loss(
+        tape, tape.constant(np.zeros((12, params.dim))), nodes, seqs, 3,
+        mine, histories, 12)
+    assert drawn == [scalar_negatives([set(histories[s.user]) for s in seqs],
+                                      12, 3, ref)]
+    assert mine.integers(0, 2 ** 40) == ref.integers(0, 2 ** 40)
+
+
+def test_batch_loss_counts_a_repeated_history_item_once():
+    """Six catalog items and a history of four distinct ones in six
+    behaviors leave two negatives, not zero: the error names them."""
+    _, params, _ = _tiny_setup()
+    tape = Tape()
+    nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
+    s = BehaviorSequence(user=0, items=(0, 1), target=2)
+    with pytest.raises(ValueError,
+                       match="6 items leaves only 2 negatives, need 3"):
+        losses.build_batch_loss(
+            tape, tape.constant(np.zeros((6, params.dim))), nodes, [s], 3,
+            np.random.default_rng(0), {0: [0, 1, 1, 2, 2, 3]}, 6)
+
+
 def test_full_stack_gradients_pass_finite_differences():
-    g, params, positives = _tiny_setup(dim=3)
+    g, params, histories = _tiny_setup(dim=3)
     seqs = [BehaviorSequence(user=0, items=(0, 1, 2, 4), target=3)]
     plan = gr.sample_neighbor_plan(g, 10, 2, np.random.default_rng(0))
     tape, loss, _ = full_stack_tape(
         g, params, seqs, k_neg=2, rng=np.random.default_rng(2),
-        user_positives=positives, plan=plan)
+        histories=histories, plan=plan)
     for name in [gr.INHERENT, "diff0.latent_w", "diff1.merge_w",
                  seq.ATT_SRC_W, seq.ATT_SCORE_W, seq.COMBINE_W,
                  seq.COMBINE_B]:
@@ -252,16 +292,16 @@ def test_full_stack_gradients_pass_finite_differences():
 
 
 def test_ablation_no_sequence_uses_window_mean():
-    g, params, positives = _tiny_setup()
+    g, params, histories = _tiny_setup()
     params.config.use_sequence = False
     feats = losses.cached_item_features(g, params, np.random.default_rng(0))
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
     rng = np.random.default_rng(3)
-    (neg,), = drawn_negatives([s], 1, rng, positives, g.n_items)
+    (neg,), = drawn_negatives([s], 1, rng, histories, g.n_items)
     loss = losses.build_batch_loss(
-        tape, tape.constant(feats), nodes, [s], 1, rng, positives, g.n_items,
+        tape, tape.constant(feats), nodes, [s], 1, rng, histories, g.n_items,
         use_sequence=params.config.use_sequence)
     tape.forward()
     s_u = feats[list(s.items)].mean(axis=0)
@@ -272,11 +312,11 @@ def test_ablation_no_sequence_uses_window_mean():
 
 
 def test_ablation_no_diffusion_uses_inherent_features():
-    g, params, positives = _tiny_setup()
+    g, params, histories = _tiny_setup()
     params.config.use_diffusion = False
     s = BehaviorSequence(user=0, items=(0, 1, 2), target=3)
     tape, loss, negatives = full_stack_tape(
-        g, params, [s], 1, np.random.default_rng(3), positives)
+        g, params, [s], 1, np.random.default_rng(3), histories)
     tape.forward()
     feats = params.theta1[gr.INHERENT][g.n_users:]
     s_u = seq.encode_sequence(feats[list(s.items)], params.theta2)

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -110,6 +111,28 @@ def test_trainer_sample_tasks_equal_per_call_sample_task(tiny_world):
             for _ in range(cfg.task_batch)]
 
 
+def test_trainer_keeps_no_per_user_copy_of_the_histories():
+    """Negative draws read the histories the trainer already holds, so
+    building a trainer over 2,000 histories of 200 items allocates little
+    more than its eligible-user list (a set per user would be ~16 MiB)."""
+    n_users, n_items = 2000, 500
+    rng = np.random.default_rng(11)
+    histories = {u: rng.integers(0, n_items, size=200).tolist()
+                 for u in range(n_users)}
+    graph = gr.build_interaction_graph(
+        [(u, it) for u, h in histories.items() for it in h], n_users, n_items)
+    params = fresh_params(graph, dim=2)
+    cfg = small_cfg()
+    tracemalloc.start()
+    try:
+        trainer = meta.MetaTrainer(graph, histories, params, cfg, seed=5)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trainer.eligible) == n_users
+    assert allocated < 2 ** 20
+
+
 # ------------------------------------------------------------- inner loop
 
 
@@ -119,20 +142,18 @@ def _support_batch(tiny_world, params, cfg):
     rng = np.random.default_rng(2)
     seqs = [meta.window_sequence(regular[user], 2, 6, rng, user=user)
             for _ in range(3)]
-    positives = {u: set(h) for u, h in regular.items()}
     features = losses.cached_item_features(graph, params,
                                            np.random.default_rng(0))
-    return graph, seqs, positives, features
+    return graph, seqs, regular, features
 
 
 def test_inner_adapt_zero_rate_identity(tiny_world):
     world, regular, new, graph = tiny_world
     params = fresh_params(graph)
     cfg = small_cfg(inner_lr=0.0)
-    graph, seqs, positives, features = _support_batch(tiny_world, params, cfg)
+    graph, seqs, histories, features = _support_batch(tiny_world, params, cfg)
     adapted = meta.inner_adapt(params, seqs, cfg, features,
-                               np.random.default_rng(1), positives,
-                               graph.n_items)
+                               np.random.default_rng(1), histories)
     for name, value in params.theta2.items():
         np.testing.assert_array_equal(adapted[name], value)
 
@@ -141,15 +162,14 @@ def test_inner_adapt_single_step_is_sgd(tiny_world):
     world, regular, new, graph = tiny_world
     params = fresh_params(graph)
     cfg = small_cfg(inner_lr=0.05)
-    graph, seqs, positives, features = _support_batch(tiny_world, params, cfg)
+    graph, seqs, histories, features = _support_batch(tiny_world, params, cfg)
 
     _, grads = feature_loss(
         features, params.theta2, seqs, cfg.k_neg, np.random.default_rng(1),
-        positives, params.config)()
+        histories, params.config)()
 
     adapted = meta.inner_adapt(params, seqs, cfg, features,
-                               np.random.default_rng(1), positives,
-                               graph.n_items)
+                               np.random.default_rng(1), histories)
     for name, value in params.theta2.items():
         expected = value - 0.05 * grads.get(name, 0)
         np.testing.assert_allclose(adapted[name], expected, rtol=1e-12)
@@ -159,9 +179,9 @@ def test_inner_adapt_takes_each_step_at_the_updated_weights(tiny_world):
     world, regular, new, graph = tiny_world
     params = fresh_params(graph)
     cfg = small_cfg(inner_lr=0.05, inner_steps=2)
-    graph, seqs, positives, features = _support_batch(tiny_world, params, cfg)
+    graph, seqs, histories, features = _support_batch(tiny_world, params, cfg)
     support_loss = feature_loss(features, params.theta2, seqs, cfg.k_neg,
-                                np.random.default_rng(1), positives,
+                                np.random.default_rng(1), histories,
                                 params.config)
     expected = dict(params.theta2)
     for _ in range(2):
@@ -170,8 +190,7 @@ def test_inner_adapt_takes_each_step_at_the_updated_weights(tiny_world):
                     for k, v in expected.items()}
 
     adapted = meta.inner_adapt(params, seqs, cfg, features,
-                               np.random.default_rng(1), positives,
-                               graph.n_items)
+                               np.random.default_rng(1), histories)
     for name, value in expected.items():
         assert np.array_equal(adapted[name], value), name
 
@@ -182,9 +201,9 @@ def test_inner_adapt_leaves_theta1_bit_identical(tiny_world):
     before = {k: v.copy() for k, v in params.theta1.items()}
     before2 = {k: v.copy() for k, v in params.theta2.items()}
     cfg = small_cfg(inner_lr=0.1, inner_steps=3)
-    graph, seqs, positives, features = _support_batch(tiny_world, params, cfg)
+    graph, seqs, histories, features = _support_batch(tiny_world, params, cfg)
     meta.inner_adapt(params, seqs, cfg, features, np.random.default_rng(1),
-                     positives, graph.n_items)
+                     histories)
     for name, value in params.theta1.items():
         assert (value == before[name]).all()
     for name, value in params.theta2.items():
@@ -195,11 +214,11 @@ def test_inner_adapt_pure_under_fixed_seed(tiny_world):
     world, regular, new, graph = tiny_world
     params = fresh_params(graph)
     cfg = small_cfg(inner_lr=0.05, inner_steps=2)
-    graph, seqs, positives, features = _support_batch(tiny_world, params, cfg)
+    graph, seqs, histories, features = _support_batch(tiny_world, params, cfg)
     a = meta.inner_adapt(params, seqs, cfg, features,
-                         np.random.default_rng(7), positives, graph.n_items)
+                         np.random.default_rng(7), histories)
     b = meta.inner_adapt(params, seqs, cfg, features,
-                         np.random.default_rng(7), positives, graph.n_items)
+                         np.random.default_rng(7), histories)
     for name in a:
         np.testing.assert_array_equal(a[name], b[name])
 
@@ -208,7 +227,6 @@ def test_adaptation_improves_support_fit(tiny_world):
     world, regular, new, graph = tiny_world
     cfg = small_cfg(inner_lr=1e-4, n_way=3, k_support=3, k_query=2)
     params = fresh_params(graph)
-    positives = {u: set(h) for u, h in regular.items()}
     features = losses.cached_item_features(graph, params,
                                            np.random.default_rng(0))
     rng = np.random.default_rng(3)
@@ -219,11 +237,10 @@ def test_adaptation_improves_support_fit(tiny_world):
                                 cfg, rng, 2, 6)
         support_loss = feature_loss(
             features, params.theta2, task.support, cfg.k_neg,
-            np.random.default_rng(100 + t), positives, params.config)
+            np.random.default_rng(100 + t), regular, params.config)
         before, _ = support_loss(params.theta2)
         adapted = meta.inner_adapt(params, task.support, cfg, features,
-                                   np.random.default_rng(100 + t), positives,
-                                   graph.n_items)
+                                   np.random.default_rng(100 + t), regular)
         after, _ = support_loss(adapted)
         if after > before:
             failures += 1
@@ -262,16 +279,16 @@ def test_first_order_theta2_gradient_is_query_gradient_at_adapted(tiny_world):
     task = trainer.sample_tasks(0)[0]
     adapted = meta.inner_adapt(params, task.support, cfg, features.value,
                                trainer._rng("support-neg", 0, 0),
-                               trainer.user_positives, graph.n_items)
+                               trainer.histories)
     _, g1, (g2,) = meta.query_grads(
         features, [(adapted, task.query, trainer._rng("query-neg", 0, 0))],
-        cfg, trainer.user_positives, params.config)
+        cfg, trainer.histories, params.config)
 
     # oracle: evaluate the query gradient directly at the adapted weights,
     # with the same per-(step, task) negative stream
     _, grads = feature_loss(
         features.value, adapted, task.query, cfg.k_neg,
-        trainer._rng("query-neg", 0, 0), trainer.user_positives,
+        trainer._rng("query-neg", 0, 0), trainer.histories,
         params.config)()
     for name in params.theta2:
         if name in grads:
@@ -472,7 +489,7 @@ def test_fine_tune_changes_theta2_not_theta1(tiny_world):
     cfg = small_cfg(fine_tune_lr=0.05)
     theta2 = meta.fine_tune_theta2(params, support, features, cfg,
                                    np.random.default_rng(1),
-                                   {user: set(history)}, graph.n_items, 5)
+                                   {user: history}, 5)
     assert any(not np.array_equal(theta2[k], params.theta2[k])
                for k in theta2)
     for name, value in params.theta1.items():
@@ -586,7 +603,7 @@ def test_theta1_grads_through_kept_feature_tape_equal_single_tape(
                                    trainer._rng("neighbor-plan", 0))
     adapted = [meta.inner_adapt(before, task.support, cfg, features.value,
                                 trainer._rng("support-neg", 0, t),
-                                trainer.user_positives, graph.n_items)
+                                trainer.histories)
                for t, task in enumerate(tasks)]
     grads = _adam_grads(monkeypatch)
     loss = trainer.outer_update(tasks, 0)
@@ -602,8 +619,7 @@ def test_theta1_grads_through_kept_feature_tape_equal_single_tape(
         nodes = {k: tape.param(f"task{t}/{k}", v) for k, v in theta2.items()}
         task_loss = losses.build_batch_loss(
             tape, items, nodes, list(task.query), cfg.k_neg,
-            trainer._rng("query-neg", 0, t), trainer.user_positives,
-            graph.n_items)
+            trainer._rng("query-neg", 0, t), trainer.histories, graph.n_items)
         total = task_loss if total is None else tape.add(total, task_loss)
     tape.forward()
     tape.backward(total)
@@ -638,7 +654,7 @@ def test_joint_step_grads_equal_single_tape(tiny_world, monkeypatch):
 
     tape, loss, _ = full_stack_tape(
         graph, before, batch, cfg.k_neg, component_rng(5, "joint/negatives"),
-        {u: set(h) for u, h in regular.items()}, plan=plan)
+        regular, plan=plan)
     tape.forward()
     tape.backward(loss)
     assert trace == [(0, float(loss.value))]
@@ -656,7 +672,7 @@ def _exact_reference(graph, params, cfg, trainer, plan, t, task):
     def objective(kind, sequences):
         tape, out, _ = full_stack_tape(
             graph, params, list(sequences), cfg.k_neg,
-            trainer._rng(kind, 0, t), trainer.user_positives, plan=plan)
+            trainer._rng(kind, 0, t), trainer.histories, plan=plan)
 
         def at(theta2):
             for name, value in theta2.items():
