@@ -108,6 +108,17 @@ def _scatter_rows(table, ids, adj):
                        minlength=table.size).reshape(table.shape)
 
 
+def _pair_terms(items, prefs, cand, k_neg):
+    """A ``pair_loss`` node's gathers, each candidate's prefs row, the
+    probabilities, each pair's positive and negative, ``p_neg - p_pos``."""
+    groups = np.arange(cand.size).reshape(len(prefs), 1 + k_neg)
+    rows = np.repeat(np.arange(len(prefs)), 1 + k_neg)
+    pos, neg = np.repeat(groups[:, 0], k_neg), groups[:, 1:].reshape(-1)
+    c, p = items[cand], prefs[rows]
+    s = stable_sigmoid(np.asarray((c * p).mean(axis=1)) * float(c.shape[1]))
+    return c, p, rows, s, pos, neg, s[neg] + s[pos] * -1.0
+
+
 def _blocks(x, t_len):
     """View an (n * t_len, k) matrix as n stacked (t_len, k) blocks."""
     return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
@@ -232,17 +243,16 @@ class Tape:
         rows = tuple(np.asarray(r, dtype=np.intp) for r in (rows_a, rows_b))
         return self._append("pair_sigmoid", (a, b), aux=rows)
 
-    def sigmoid(self, a):
-        return self._append("sigmoid", (a,))
-
-    def softplus(self, a):
-        return self._append("softplus", (a,))
+    def pair_loss(self, items, prefs, cand_ids, k_neg):
+        """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
+        sigmoid(d * mean(items[c] * prefs[row]))``, for candidates in groups
+        of ``1 + k_neg`` per prefs row, positive first: bit for bit the
+        twelve-node scoring chain and pairwise tail, keeping only the loss."""
+        return self._append("pair_loss", (items, prefs),
+                            aux=(np.asarray(cand_ids, dtype=np.intp), k_neg))
 
     def sum(self, a):
         return self._append("sum", (a,))
-
-    def mean_axis(self, a, axis):
-        return self._append("mean_axis", (a,), aux=axis)
 
     def l2norm(self, a):
         return self._append("l2norm", (a,))
@@ -260,9 +270,6 @@ class Tape:
     def masked_softmax_rows(self, a):
         return self._append("masked_softmax_rows", (a,))
 
-    def scale(self, a, c):
-        return self._append("scale", (a,), aux=float(c))
-
     def transpose(self, a):
         return self._append("transpose", (a,))
 
@@ -278,7 +285,7 @@ class Tape:
         """Row i is the mean of ``table[ids[o_i : o_i + counts[i]]]`` (see
         :class:`Segments`); empty segments give zero rows. It sums in list
         order, then multiplies by ``1 / count`` (chained ``add`` nodes and
-        a ``scale``, bit for bit); its gradient is one scatter of
+        a product, bit for bit); its gradient is one scatter of
         ``adjoint / count``.
         """
         return self._append("segment_mean", (table,),
@@ -343,14 +350,17 @@ class Tape:
                                       f"{b.shape}")
             rows_a, rows_b = node.aux
             return stable_sigmoid(a[rows_a] + b[rows_b])
-        if op == "sigmoid":
-            return stable_sigmoid(vals[0])
-        if op == "softplus":
-            return np.logaddexp(0.0, vals[0])
+        if op == "pair_loss":
+            (items, prefs), (cand, k_neg) = vals, node.aux
+            if items.ndim != 2 or prefs.shape[1:] != items.shape[1:] or \
+                    k_neg < 1 or cand.shape != (len(prefs) * (1 + k_neg),):
+                raise self._err(node, f"pair_loss shapes {items.shape}, "
+                                      f"{prefs.shape}, {cand.shape} at k_neg "
+                                      f"{k_neg}")
+            x = _pair_terms(items, prefs, cand, k_neg)[-1]
+            return np.asarray(np.logaddexp(0.0, x).mean(axis=0))
         if op == "sum":
             return np.asarray(vals[0].sum())
-        if op == "mean_axis":
-            return np.asarray(vals[0].mean(axis=node.aux))
         if op == "l2norm":
             if vals[0].ndim != 2:
                 raise self._err(node, f"expected matrix, got {vals[0].shape}")
@@ -362,8 +372,6 @@ class Tape:
             if v.ndim != 2:
                 raise self._err(node, f"expected matrix, got shape {v.shape}")
             return masked_softmax_rows(v)
-        if op == "scale":
-            return vals[0] * node.aux
         if op == "transpose":
             if vals[0].ndim != 2:
                 raise self._err(node, f"transpose of shape {vals[0].shape}")
@@ -474,18 +482,20 @@ class Tape:
             g = adj * s * (1.0 - s)
             return [_scatter_rows(v, rows, g) if i.live else None
                     for i, v, rows in zip(node.inputs, vals, node.aux)]
-        if op == "sigmoid":
-            s = node.value
-            return [adj * s * (1.0 - s)]
-        if op == "softplus":
-            return [adj * stable_sigmoid(vals[0])]
+        if op == "pair_loss":
+            (items, prefs), (cand, k_neg) = vals, node.aux
+            c, p, rows, s, pos, neg, x = _pair_terms(items, prefs, cand, k_neg)
+            # the replaced chain's rules, in reverse node order
+            g = np.broadcast_to(adj / x.size, x.shape) * stable_sigmoid(x)
+            gp = _scatter_rows(s, neg, g) + _scatter_rows(s, pos, g * -1.0)
+            gp = gp * s * (1.0 - s) * float(items.shape[1])
+            gm = (gp / items.shape[1])[:, None]
+            # gm * p and gm * c, each in its gather's buffer
+            return [_scatter_rows(v, ids, np.multiply(other, gm, out=other))
+                    if i.live else None for i, v, ids, other in
+                    zip(node.inputs, vals, (cand, rows), (p, c))]
         if op == "sum":
             return [np.full(vals[0].shape, float(adj))]
-        if op == "mean_axis":
-            v = vals[0]
-            n = v.shape[node.aux]
-            g = np.expand_dims(adj / n, axis=node.aux)
-            return [np.broadcast_to(g, v.shape).copy()]
         if op == "l2norm":
             return [self._l2norm_grad(vals[0], node.value, adj)]
         if op == "lookup":
@@ -494,8 +504,6 @@ class Tape:
             a = node.value
             dot = (adj * a).sum(axis=1, keepdims=True)
             return [a * (adj - dot)]
-        if op == "scale":
-            return [adj * node.aux]
         if op == "transpose":
             return [adj.T]
         if op == "reshape":

@@ -3,10 +3,11 @@
 The per-pair loss is the numerically safe BPR form
 ``-log sigmoid(p_pos - p_neg)`` (softplus of the negated difference),
 mean-reduced over each sequence's sampled negatives and then over the
-batch. ``build_batch_loss`` assembles sequence encoding and scoring for a
-whole batch on one tape, sequences of all lengths in one padded block so
-the node count stays small. The item features enter it as a node:
-:class:`ItemFeatures` is the one differentiable pass from theta1 (a
+batch. ``build_batch_loss`` assembles sequence encoding for a whole
+batch on one tape, sequences of all lengths in one padded block, and ends
+in one ``pair_loss`` node that scores every candidate and reduces the
+pairs, so the node count stays small. The item features enter it as a
+node: :class:`ItemFeatures` is the one differentiable pass from theta1 (a
 loss tape reads its value through a leaf and hands the leaf's adjoint
 back), and ``cached_item_features`` is the value-only table for
 evaluation.
@@ -22,16 +23,6 @@ from .autodiff import Tape
 from .data import sample_negatives
 
 PAD_ITEM = 0    # fills padded slots; any valid id gives the same loss
-
-
-def _scores(tape, prefs, item_features, cand_ids, rep_seq, theta2):
-    """Engagement probabilities for candidate rows against their sequences."""
-    cands = tape.lookup(item_features, np.asarray(cand_ids))
-    prefs_rep = tape.lookup(prefs, np.asarray(rep_seq))
-    dim = theta2[seq.COMBINE_B].value.shape[0]
-    # row dot products via mean * d, avoiding a per-row reduction op
-    return tape.sigmoid(
-        tape.scale(tape.mean_axis(tape.mul(cands, prefs_rep), 1), dim))
 
 
 def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
@@ -62,18 +53,11 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
         prefs = seq.build_sequence_encoder(tape, embeds, theta2, lengths)
     else:
         prefs = seq.block_mean(tape, embeds, lengths)
-    width = 1 + k_neg
     cand_ids = [c for s, sampled in zip(sequences, negatives)
                 for c in (s.target, *sampled)]
-    probs = _scores(tape, prefs, item_features, cand_ids,
-                    np.repeat(np.arange(len(sequences)), width), theta2)
-    starts = np.arange(len(sequences)) * width   # each sequence's positive
-    pos = tape.lookup(probs, np.repeat(starts, k_neg))
-    negs = tape.lookup(probs, np.delete(np.arange(len(cand_ids)), starts))
-    pairs = tape.softplus(tape.add(negs, tape.scale(pos, -1.0)))
-    # equal k_neg everywhere: mean over all pairs == mean over sequences of
-    # per-sequence means
-    return tape.mean_axis(pairs, 0)
+    # equal k_neg everywhere: the mean over all pairs is the mean over
+    # sequences of per-sequence means
+    return tape.pair_loss(item_features, prefs, cand_ids, k_neg)
 
 
 def item_feature_node(tape, graph_, theta1_nodes, config, plan=None):

@@ -60,9 +60,16 @@ class MetaConfig:
     fine_tune_lr: float | None = None
 
     def validate(self):
-        if self.inner_lr < 0 or self.outer_lr <= 0 or self.weight_decay < 0:
-            raise ValueError("rates must be positive (inner_lr may be 0 "
-                             "for diagnostics)")
+        # inner_lr may be 0 (for diagnostics); a null fine_tune_lr is inner_lr
+        for name, value in (("inner_lr", self.inner_lr),
+                            ("outer_lr", self.outer_lr),
+                            ("weight_decay", self.weight_decay),
+                            ("fine_tune_lr", self.adaptation_lr)):
+            low = ">" if name == "outer_lr" else ">="
+            if not (value > 0 or value == 0 and low == ">=") \
+                    or not np.isfinite(value):
+                raise ValueError(f"meta.{name} must be a finite number "
+                                 f"{low} 0, not {value!r}")
         if self.order not in ("first", "exact"):
             raise ValueError(f"unknown meta-gradient order {self.order!r}")
         if min(self.task_batch, self.n_way, self.k_support, self.k_query,
@@ -71,14 +78,11 @@ class MetaConfig:
         if self.order == "exact" and self.inner_steps != 1:
             raise ValueError("meta.order='exact' supports meta.inner_steps=1 "
                              f"only, not {self.inner_steps!r}")
-        for name in ("fine_tune_steps", "max_outer_steps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"meta.{name} must be >= 0, not "
+        for name, low in (("fine_tune_steps", 0), ("max_outer_steps", 0),
+                          ("plateau_windows", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"meta.{name} must be >= {low}, not "
                                  f"{getattr(self, name)!r}")
-        lr = self.fine_tune_lr
-        if lr is not None and not (np.isfinite(lr) and lr >= 0):
-            raise ValueError("meta.fine_tune_lr must be null or a finite "
-                             f"number >= 0, not {lr!r}")
 
     @property
     def adaptation_lr(self) -> float:

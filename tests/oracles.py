@@ -8,10 +8,11 @@ arrays, through which tests reach the builders the program runs),
 :func:`full_stack_tape` (the package's builders composed on a single
 tape, against which the feature-leaf route is compared and finite
 differences are taken), :func:`feature_loss` (one batch loss over a
-constant item-feature table, against which adaptation is checked) and the
-unfused chains :func:`unfused_dense` and :func:`unfused_pair_sigmoid`
-(the tape nodes each fused op replaced, against which it is compared bit
-for bit).
+constant item-feature table, against which adaptation is checked) and
+:func:`unfused_dense` (the tape nodes ``dense`` replaced, against which it
+is compared bit for bit). The unfused chains :func:`unfused_pair_sigmoid`
+and :func:`unfused_pair_loss` replay the rules of the nodes their fused
+ops replaced in numpy, scattering with ``np.add.at``.
 """
 
 import copy
@@ -263,19 +264,57 @@ def unfused_dense(x, w, b, adj):
     return out, xs.adjoint, ws.adjoint, bs.adjoint
 
 
+def _sigmoid_array(x):
+    """The two-branch logistic: ``1/(1+e)`` for x >= 0, else ``e/(1+e)``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _gathered_grad(table, ids, adj):
+    """Gradient of ``table[ids]`` for the adjoint ``adj``."""
+    grad = np.zeros_like(table)
+    np.add.at(grad, ids, adj)
+    return grad
+
+
 def unfused_pair_sigmoid(a, b, rows_a, rows_b, adj):
     """``sigmoid(a[rows_a] + b[rows_b])`` as two ``lookup`` nodes, an
     ``add`` and a ``sigmoid`` compute it, and the gradients w.r.t. a and b
     for the output adjoint ``adj``."""
-    from metacsr.autodiff import Tape
+    out = _sigmoid_array(a[rows_a] + b[rows_b])
+    g = adj * out * (1.0 - out)
+    return out, _gathered_grad(a, rows_a, g), _gathered_grad(b, rows_b, g)
 
-    tape = Tape()
-    la, lb = tape.leaf("a", a), tape.leaf("b", b)
-    out = tape.sigmoid(tape.add(tape.lookup(la, rows_a),
-                                tape.lookup(lb, rows_b)))
-    tape.forward()
-    tape.backward(out, adj)
-    return out.value, la.adjoint, lb.adjoint
+
+def unfused_pair_loss(items, prefs, cand_ids, k_neg):
+    """The pairwise loss as the twelve nodes ``pair_loss`` replaced compute
+    it, and the gradients w.r.t. items and prefs that their rules hand
+    back, in reverse node order, for a loss adjoint of 1. Scores: lookups
+    of the candidates and of each one's prefs row, ``mul``, ``mean_axis``
+    over the width, ``scale`` by d, ``sigmoid``. Tail: lookups of the
+    positives and the negatives, ``scale(-1)``, ``add``, ``softplus``,
+    ``mean_axis`` over the pairs."""
+    cand = np.asarray(cand_ids)
+    dim, width = items.shape[1], 1 + k_neg
+    rows = np.repeat(np.arange(prefs.shape[0]), width)
+    starts = np.arange(prefs.shape[0]) * width
+    pos = np.repeat(starts, k_neg)
+    neg = np.delete(np.arange(cand.size), starts)
+    c, p = items[cand], prefs[rows]
+    probs = _sigmoid_array(np.asarray((c * p).mean(axis=1)) * float(dim))
+    x = probs[neg] + probs[pos] * -1.0
+    pairs = np.logaddexp(0.0, x)
+    loss = np.asarray(pairs.mean(axis=0))
+
+    g = np.full(pairs.shape, np.ones_like(loss) / pairs.size)  # mean_axis
+    g = g * _sigmoid_array(x)                                   # softplus
+    g_probs = _gathered_grad(probs, neg, g)                     # lookups
+    g_probs = g_probs + _gathered_grad(probs, pos, g * -1.0)
+    g_probs = g_probs * probs * (1.0 - probs)                   # sigmoid
+    g_probs = g_probs * float(dim)                              # scale
+    g_prod = np.repeat((g_probs / dim)[:, None], dim, axis=1)   # mean_axis
+    return (loss, _gathered_grad(items, cand, g_prod * p),
+            _gathered_grad(prefs, rows, g_prod * c))
 
 
 def full_stack_tape(graph, params, sequences, k_neg, rng, histories,

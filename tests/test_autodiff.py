@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from metacsr.autodiff import (
 from oracles import (
     masked_softmax_formula,
     unfused_dense,
+    unfused_pair_loss,
     unfused_pair_sigmoid,
 )
 
@@ -36,11 +40,14 @@ def test_relu_forward():
 
 
 def test_sigmoid_at_zero():
+    """All-zero scores: every probability is 0.5, every pair softplus(0)."""
     t = Tape()
-    x = t.leaf("x", [0.0])
-    y = t.sigmoid(x)
+    items = t.leaf("items", np.zeros((4, 3)))
+    prefs = t.leaf("prefs", np.ones((2, 3)))
+    loss = t.pair_loss(items, prefs, [0, 1, 2, 3, 3, 2, 1, 0], 3)
     t.forward()
-    np.testing.assert_allclose(y.value, [0.5])
+    assert loss.value.shape == ()
+    np.testing.assert_allclose(loss.value, np.log(2.0), rtol=1e-15)
 
 
 def test_matmul_matches_triple_loop():
@@ -67,12 +74,18 @@ def test_matrix_ops_reject_vectors():
 
 
 def test_sigmoid_gradient_at_zero():
+    """At zero scores one pair's loss moves by sigmoid(0) = 0.5 per unit of
+    p_neg - p_pos, and each probability by sigmoid'(0) = 0.25 per unit of
+    score: the positive's row gets -0.125 * prefs, the negative's +0.125."""
     t = Tape()
-    x = t.param("x", [0.0])
-    loss = t.sum(t.sigmoid(x))
+    items = t.param("items", np.zeros((3, 2)))
+    prefs = t.param("prefs", [[1.0, -2.0]])
+    loss = t.pair_loss(items, prefs, [2, 0], 1)
     t.forward()
     t.backward(loss)
-    np.testing.assert_allclose(t.grads["x"], [0.25])
+    np.testing.assert_allclose(t.grads["items"],
+                               [[0.125, -0.25], [0.0, 0.0], [-0.125, 0.25]])
+    np.testing.assert_array_equal(t.grads["prefs"], [[0.0, 0.0]])
 
 
 def test_relu_gradient_flat_region():
@@ -132,15 +145,15 @@ def _op_case(name, rng):
         a = t.param("p", rng.normal(size=(5, 3)))
         b = t.matmul(t.leaf("x", rng.normal(size=(4, 5))), a)
         out = t.pair_sigmoid(a, b, [0, 2, 2, 4, 1], [3, 0, 3, 1, 1])
-    elif name == "sigmoid":
-        a = t.param("p", rng.normal(size=6))
-        out = t.sigmoid(a)
-    elif name == "softplus":
-        a = t.param("p", rng.normal(size=6))
-        out = t.softplus(a)
-    elif name == "mean_axis":
-        a = t.param("p", rng.normal(size=(4, 3)))
-        out = t.mean_axis(a, 0)
+    elif name == "pair_loss":
+        # p reaches items and prefs; repeated candidates and prefs rows;
+        # k_neg of 1 (3 rows) and of 3 (2 rows)
+        a = t.param("p", rng.normal(size=(6, 3)))
+        prefs = t.lookup(t.matmul(t.leaf("x", rng.normal(size=(2, 6))), a),
+                         [0, 1, 0])
+        out = t.add(t.pair_loss(a, prefs, [0, 2, 2, 5, 1, 2], 1),
+                    t.pair_loss(a, t.lookup(prefs, [2, 1]),
+                                [4, 0, 4, 3, 2, 2, 5, 0], 3))
     elif name == "l2norm":
         a = t.param("p", rng.normal(size=(1, 5)) + 0.2)
         out = t.l2norm(a)
@@ -153,9 +166,6 @@ def _op_case(name, rng):
         mask[0, 2] = -np.inf
         mask[2, :2] = -np.inf
         out = t.masked_softmax_rows(t.add(a, t.constant(mask)))
-    elif name == "scale":
-        a = t.param("p", rng.normal(size=(2, 3)))
-        out = t.scale(a, 1.7)
     elif name == "transpose":
         a = t.param("p", rng.normal(size=(2, 4)))
         out = t.transpose(a)
@@ -188,9 +198,8 @@ def out_shape(tape, node):
 
 ALL_OPS = [
     "matmul", "add_same", "add_bias_rows", "mul", "concat", "dense",
-    "pair_sigmoid", "sigmoid", "softplus", "mean_axis", "l2norm",
-    "lookup", "masked_softmax_rows", "scale", "transpose", "reshape",
-    "block_matmul", "segment_mean", "sum",
+    "pair_sigmoid", "pair_loss", "l2norm", "lookup", "masked_softmax_rows",
+    "transpose", "reshape", "block_matmul", "segment_mean", "sum",
 ]
 
 
@@ -258,7 +267,7 @@ def test_backward_twice_doubles_accumulation():
 def test_non_scalar_loss_rejected():
     t = Tape()
     x = t.param("x", [1.0, 2.0])
-    y = t.sigmoid(x)
+    y = t.mul(x, x)
     t.forward()
     with pytest.raises(ValueError, match="not scalar"):
         t.backward(y)
@@ -290,7 +299,7 @@ def test_block_matmul_rejects_bad_shapes(a_shape, b_shape):
 def test_forward_reruns_with_new_param_binding():
     t = Tape()
     x = t.param("x", [1.0])
-    y = t.scale(x, 3.0)
+    y = t.mul(x, t.constant([3.0]))
     t.forward()
     np.testing.assert_allclose(y.value, [3.0])
     t.set_param("x", [2.0])
@@ -402,11 +411,11 @@ def test_segment_mean_equals_chained_add_and_scale_bit_for_bit():
         acc = t.lookup(node, int(ids[start]))
         for j in range(1, count):
             acc = t.add(acc, t.lookup(node, int(ids[start + j])))
-        chained.append(t.scale(acc, 1.0 / count))
+        chained.append((acc, 1.0 / count))
         start += count
     t.forward()
     for i, row in enumerate(chained):
-        want = np.zeros(7) if row is None else row.value
+        want = np.zeros(7) if row is None else row[0].value * row[1]
         assert np.array_equal(pooled.value[i], want), i
 
 
@@ -436,7 +445,8 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
 
     np.testing.assert_array_equal(grads(True), grads(False))
     t = Tape()
-    y = t.sigmoid(t.param("p", [1.0, 2.0]))
+    p = t.param("p", [1.0, 2.0])
+    y = t.mul(p, p)
     t.forward()
     with pytest.raises(ValueError, match="shape"):
         t.backward(y, np.ones(3))
@@ -616,6 +626,39 @@ def test_pair_sigmoid_equals_the_unfused_chain_bit_for_bit():
                 else _same_bits(node.adjoint, grad), draw
 
 
+def test_pair_loss_equals_the_unfused_chain_bit_for_bit():
+    """Loss and every live input's gradient equal the scoring chain's and
+    the pairwise tail's twelve node rules, bit for bit: d from 1 to 128,
+    k_neg from 1 to 5, repeated candidates, ReLU zeros (and -0.0) in the
+    preferences and saturating scores; an input that is not live gets no
+    gradient computed."""
+    rng = np.random.default_rng(19)
+    for draw in range(120):
+        d = int(rng.choice([1, 3, 24, 128]))
+        k_neg, n_items, n_rows = (int(v) for v in
+                                  rng.integers((1, 1, 1), (6, 12, 9)))
+        items = rng.normal(size=(n_items, d)) * rng.choice([0.1, 1.0, 30.0])
+        prefs = np.maximum(rng.normal(size=(n_rows, d)), 0.0)
+        prefs[rng.random(prefs.shape) < 0.2] = -0.0
+        cand = rng.integers(n_items, size=n_rows * (1 + k_neg))
+        want = unfused_pair_loss(items, prefs, cand, k_neg)
+        live = [True, True] if draw % 4 == 0 else \
+            [bool(draw >> bit & 1) for bit in range(2)]
+        t = Tape()
+        inputs = [_bind(t, name, v, on)
+                  for name, v, on in zip(("items", "prefs"), (items, prefs),
+                                         live)]
+        loss = t.pair_loss(*inputs, cand, k_neg)
+        t.forward()
+        assert _same_bits(loss.value, want[0]), draw
+        if not any(live):
+            continue
+        t.backward(loss)
+        for node, on, grad in zip(inputs, live, want[1:]):
+            assert node.adjoint is None if not on \
+                else _same_bits(node.adjoint, grad), draw
+
+
 def test_fused_ops_reject_mismatched_shapes():
     for build in (lambda t: t.dense(t.leaf("x", np.ones((2, 3))),
                                     t.leaf("w", np.ones((4, 2))),
@@ -625,7 +668,13 @@ def test_fused_ops_reject_mismatched_shapes():
                                     t.leaf("b", np.ones(3))),
                   lambda t: t.pair_sigmoid(t.leaf("a", np.ones((2, 3))),
                                            t.leaf("b", np.ones((2, 4))),
-                                           [0], [1])):
+                                           [0], [1]),
+                  lambda t: t.pair_loss(t.leaf("items", np.ones((4, 3))),
+                                        t.leaf("prefs", np.ones((2, 2))),
+                                        [0, 1, 2, 3], 1),
+                  lambda t: t.pair_loss(t.leaf("items", np.ones((4, 3))),
+                                        t.leaf("prefs", np.ones((2, 3))),
+                                        [0, 1, 2, 3, 0], 1)):
         t = Tape()
         node = build(t)
         with pytest.raises(ShapeError, match=f"node {node.idx}"):
@@ -646,3 +695,36 @@ def test_masked_softmax_rows_equals_the_formula_bit_for_bit():
             z[rng.random(z.shape) < 0.02] = rng.choice([np.nan, np.inf])
             assert _same_bits(masked_softmax_rows(z),
                               masked_softmax_formula(z)), (t_len, draw)
+
+
+def _dispatched_ops(method):
+    """The op names ``method`` compares ``op`` with."""
+    names = set()
+    for node in ast.walk(method):
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) \
+                and node.left.id == "op":
+            for right in node.comparators:
+                names |= {c.value for c in ast.walk(right)
+                          if isinstance(c, ast.Constant)}
+    return names
+
+
+def test_every_op_has_a_builder_a_forward_and_a_gradient_rule():
+    """The ops ``Tape`` builders append, the ops ``_compute`` evaluates and
+    the ops ``_input_grads`` differentiates are one set (sources aside):
+    a deleted builder that leaves its rules behind, or an op without a
+    rule, fails here by name."""
+    tree = ast.parse(inspect.getsource(Tape))
+    methods = {f.name: f for f in tree.body[0].body
+               if isinstance(f, ast.FunctionDef)}
+    built = {call.args[0].value for call in ast.walk(tree)
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "attr", None) == "_append"
+             and isinstance(call.args[0], ast.Constant)}
+    computed = _dispatched_ops(methods["_compute"])
+    differentiated = _dispatched_ops(methods["_input_grads"])
+    sources = {"leaf", "param", "const"}    # bound, not computed
+    assert sources <= built
+    assert computed == built - sources, computed ^ (built - sources)
+    assert differentiated == built - sources, \
+        differentiated ^ (built - sources)

@@ -90,6 +90,17 @@ def test_config_rejects_bad_fine_tune_lr(value):
         resolve_config(None, {"meta.fine_tune_lr": value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("meta.inner_lr", "nan"), ("meta.inner_lr", "-1e-3"),
+    ("meta.outer_lr", "inf"), ("meta.outer_lr", "0"),
+    ("meta.weight_decay", "nan"), ("meta.weight_decay", "-inf"),
+    ("meta.plateau_windows", "-3"), ("meta.plateau_windows", "0"),
+])
+def test_config_rejects_bad_rates_and_plateau_windows_by_name(key, value):
+    with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+        resolve_config(None, {key: value})
+
+
 @pytest.mark.parametrize("key", ["meta.fine_tune_steps",
                                  "meta.max_outer_steps"])
 def test_config_rejects_negative_step_counts(key):

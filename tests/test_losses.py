@@ -17,15 +17,17 @@ from oracles import (drawn_negatives, full_stack_tape, reference_convolve,
 
 
 def test_pairwise_gradient_signs():
+    """The loss pulls the positive's score up and the negative's down."""
     t = Tape()
-    p_pos = t.param("pos", [0.4])
-    p_neg = t.param("neg", [0.7])
-    loss = t.sum(t.softplus(t.add(p_neg, t.scale(p_pos, -1.0))))
+    items = t.param("items", [[0.4, 0.1], [0.7, -0.2]])
+    prefs = t.leaf("prefs", [[1.0, 0.5]])
+    loss = t.pair_loss(items, prefs, [0, 1], 1)
     t.forward()
     t.backward(loss)
-    assert t.grads["pos"][0] < 0
-    assert t.grads["neg"][0] > 0
-    assert finite_difference_check(t, loss, "pos") < 1e-8
+    # the loss's slope along each candidate's score
+    d_pos, d_neg = t.grads["items"] @ prefs.value[0]
+    assert d_pos < 0 < d_neg
+    assert finite_difference_check(t, loss, "items") < 1e-8
 
 
 def _tiny_setup(dim=4, n_users=3, n_items=6, seed=5):
@@ -121,23 +123,33 @@ def _mixed_batch(lengths, n_items=6):
     return seqs
 
 
-def _batch_tape(params, feats, seqs, use_sequence=True):
+def _batch_tape(params, feats, seqs, use_sequence=True, k_neg=2):
     """Batch loss over a trainable feature table and theta2."""
     tape = Tape()
     table = tape.param("feats", feats)
     nodes = {k: tape.param(k, v) for k, v in params.theta2.items()}
     loss = losses.build_batch_loss(
-        tape, table, nodes, seqs, 2, np.random.default_rng(4),
+        tape, table, nodes, seqs, k_neg, np.random.default_rng(4),
         {0: {0, 1}}, feats.shape[0], use_sequence=use_sequence)
     return tape, loss
 
 
 def test_batch_loss_node_count_independent_of_distinct_lengths():
+    """The node count grows with neither distinct lengths nor k_neg, and
+    the ranking loss is one ``pair_loss`` node: the batch's only lookups
+    are the padded sequence rows and the attention scores."""
     g, params, _ = _tiny_setup()
     feats = np.zeros((g.n_items, params.dim))
     one = _batch_tape(params, feats, _mixed_batch([5] * 7))[0]
     seven = _batch_tape(params, feats, _mixed_batch(range(2, 9)))[0]
     assert len(seven.nodes) == len(one.nodes)
+    k1, k4 = (_batch_tape(params, feats, _mixed_batch([2, 5, 3]),
+                          k_neg=k_neg)[0].nodes for k_neg in (1, 4))
+    assert len(k1) == len(k4)
+    ops = [node.op for node in k1]
+    assert ops[-1] == "pair_loss" and ops.count("pair_loss") == 1
+    assert ops.count("lookup") == 2
+    assert not {"sigmoid", "softplus", "scale", "mean_axis"} & set(ops)
 
 
 def test_mixed_length_batch_gradients_pass_finite_differences():
