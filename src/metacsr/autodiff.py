@@ -34,11 +34,12 @@ class Node:
     most recent forward result; ``adjoint`` the most recent backward one
     for a leaf or const (see :meth:`Tape.backward`).
     ``live`` marks a node that a param or leaf feeds: only live nodes get
-    adjoints.
+    adjoints. ``saved`` holds what a fused node's gradient rule reads
+    besides its inputs and its value, kept from forward to forward.
     """
 
     __slots__ = ("idx", "op", "inputs", "aux", "value", "adjoint", "live",
-                 "name")
+                 "name", "saved")
 
     def __init__(self, idx, op, inputs=(), aux=None, name=None):
         self.idx = idx
@@ -49,6 +50,7 @@ class Node:
         self.adjoint = None
         self.live = op in ("param", "leaf") or any(i.live for i in inputs)
         self.name = name
+        self.saved = None
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -98,10 +100,33 @@ def l2_normalize_rows(x, eps=1e-12):
     return np.where(ok, x / np.where(ok, n, 1.0), 0.0)
 
 
+def _dense_grads(x, w, g, live):
+    """The gradients of ``relu(x @ w.T + b)`` w.r.t. x, w and b for ``g``,
+    its output adjoint times ``y > 0``; None for an input ``live`` marks
+    dead."""
+    x_live, w_live, b_live = live
+    return [g @ w if x_live else None, (x.T @ g).T if w_live else None,
+            g.sum(axis=0) if b_live else None]
+
+
+def _increasing(ids):
+    """Whether a 1-d id array is strictly increasing; a repeated or falling
+    first pair, as in most unsorted id lists, answers without a pass."""
+    return ids.size < 2 or ids[0] < ids[1] and (ids[1:] > ids[:-1]).all()
+
+
 def _scatter_rows(table, ids, adj):
-    """Gradient of ``table[ids]`` for its adjoint ``adj``: one weighted
-    bincount over the (row, column) cells read, so each cell sums its
-    adjoints in id order from 0.0, as np.add.at does."""
+    """Gradient of ``table[ids]`` for its adjoint ``adj``: each cell sums
+    its adjoints in id order from 0.0, as np.add.at does. Strictly
+    increasing ids read each row once, so ``adj`` goes straight to its
+    rows, and adding 0.0 to the table turns a -0.0 into +0.0, as the sum
+    from 0.0 does; other ids go through one weighted bincount over the
+    (row, column) cells read."""
+    if ids.ndim == 0 or ids.ndim == 1 and _increasing(ids):
+        grad = np.zeros(table.shape)
+        grad[ids] = adj
+        grad += 0.0
+        return grad
     width = table.shape[1] if table.ndim == 2 else 1
     cells = ids.reshape(-1, 1) * width + np.arange(width)
     return np.bincount(cells.reshape(-1), weights=adj.reshape(-1),
@@ -114,7 +139,7 @@ def _pair_terms(items, prefs, cand, k_neg):
     groups = np.arange(cand.size).reshape(len(prefs), 1 + k_neg)
     rows = np.repeat(np.arange(len(prefs)), 1 + k_neg)
     pos, neg = np.repeat(groups[:, 0], k_neg), groups[:, 1:].reshape(-1)
-    c, p = items[cand], prefs[rows]
+    c, p = items.take(cand, axis=0), prefs.take(rows, axis=0)
     s = stable_sigmoid(np.asarray((c * p).mean(axis=1)) * float(c.shape[1]))
     return c, p, rows, s, pos, neg, s[neg] + s[pos] * -1.0
 
@@ -124,12 +149,18 @@ def _blocks(x, t_len):
     return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
 
 
+# a pooling block holds _BLOCK_FLOATS // d rows of d floats: 256 KiB, so a
+# block's sums and its gathered rows stay in cache
+_BLOCK_FLOATS = 32768
+
+
 class Segments:
     """A flat id list cut into segments ``ids[o_i : o_i + counts[i]]``,
     ``o_i = sum(counts[:i])``, laid out longest first (``order``): column
     j, the j-th id of every segment longer than j, lines up with a prefix
     of that order, so pooling is one vectorized step per position and
-    visits each segment's ids in list order."""
+    visits each segment's ids in list order. ``span`` is the smallest and
+    largest id (0 and -1 when there are none)."""
 
     def __init__(self, ids, counts):
         self.ids = np.asarray(ids, dtype=np.intp).reshape(-1)
@@ -137,6 +168,8 @@ class Segments:
         if (self.counts < 0).any() or self.counts.sum() != self.ids.size:
             raise ValueError(f"segment counts (sum {self.counts.sum()}) must "
                              f"be >= 0 and cover the {self.ids.size} ids")
+        self.span = (int(self.ids.min()), int(self.ids.max())) \
+            if self.ids.size else (0, -1)
         self.order = np.argsort(-self.counts, kind="stable")
         longer = self.counts.size - np.cumsum(
             np.bincount(self.counts, minlength=1))[:-1]
@@ -146,24 +179,39 @@ class Segments:
         self.readers = None     # transposed layout, built on first backward
 
     def pool(self, table):
-        """Row i: the sum of segment i's table rows, 0 if empty."""
-        acc = np.zeros((self.counts.size, table.shape[1]))
-        for j, col in enumerate(self.columns):
-            head = acc[: col.size]
-            if j == 0:
-                head[...] = table[col]
-            else:
-                head += table[col]
-        out = np.empty_like(acc)
-        out[self.order] = acc
+        """Row i: the sum of segment i's table rows, 0 if empty. Pools
+        blocks of ``_BLOCK_FLOATS // d`` rows of the longest-first order:
+        a row starts from a copy of its first id's row and adds the rest
+        in list order, then its block goes to the output. The ids must be
+        rows of ``table``."""
+        n, d = self.counts.size, table.shape[1]
+        out = np.empty((n, d))
+        filled = self.columns[0].size if self.columns else 0
+        out[self.order[filled:]] = 0.0
+        size = max(1, _BLOCK_FLOATS // max(d, 1))
+        acc = np.empty((min(size, filled), d))
+        for lo in range(0, filled, size):
+            first = self.columns[0][lo: lo + size]
+            head = acc[: first.size]
+            # "clip" fills head unbuffered; the ids are rows of the table
+            np.take(table, first, axis=0, out=head, mode="clip")
+            for col in self.columns[1:]:
+                if col.size <= lo:
+                    break
+                ids = col[lo: lo + size]
+                acc[: ids.size] += table.take(ids, axis=0)
+            out[self.order[lo: lo + first.size]] = head
         return out
 
     def forward(self, table):
-        return self.pool(table) * self.inverse_counts
+        out = self.pool(table)
+        out *= self.inverse_counts
+        return out
 
     def backward(self, table, adj):
         """Gradient w.r.t. ``table``: ``adj / count`` into every row a
-        segment read."""
+        segment read. Scales ``adj`` in place, so it takes an array no one
+        else reads."""
         if self.readers is None:
             # a stable sort of ids this narrow is numpy's radix sort
             narrow = self.ids.astype(np.min_scalar_type(table.shape[0] - 1))
@@ -171,7 +219,8 @@ class Segments:
             self.readers = Segments(
                 np.repeat(np.arange(self.counts.size), self.counts)[by_id],
                 np.bincount(self.ids, minlength=table.shape[0]))
-        return self.readers.pool(adj * self.inverse_counts)
+        adj *= self.inverse_counts
+        return self.readers.pool(adj)
 
 
 class Tape:
@@ -254,9 +303,6 @@ class Tape:
     def sum(self, a):
         return self._append("sum", (a,))
 
-    def l2norm(self, a):
-        return self._append("l2norm", (a,))
-
     def lookup(self, table, ids):
         """Embedding lookup / row gather.
 
@@ -290,6 +336,22 @@ class Tape:
         """
         return self._append("segment_mean", (table,),
                             aux=Segments(ids, counts))
+
+    def conv(self, features, inherent, rows, ids, counts, latent_w,
+             latent_b, merge_w, merge_b):
+        """One diffusion layer: row i mean-pools segment i of ``features``
+        (as :meth:`segment_mean`), projects the pool with ``relu(pool @
+        latent_w.T + latent_b)``, concatenates ``inherent[rows[i]]`` and
+        that latent row, merges them with ``relu(. @ merge_w.T + merge_b)``
+        and L2-normalizes the row (zero rows stay zero). Bit for bit the
+        ``lookup``, ``segment_mean``, ``dense``, ``concat``, ``dense`` and
+        row-normalization chain; between passes it keeps the pool, the
+        concatenation and the merge output beside its value.
+        """
+        return self._append(
+            "conv", (features, inherent, latent_w, latent_b, merge_w,
+                     merge_b),
+            aux=(Segments(ids, counts), np.asarray(rows, dtype=np.intp)))
 
     # -------------------------------------------------------------- evaluation
 
@@ -335,21 +397,15 @@ class Tape:
                 raise self._err(node, "concat rank mismatch")
             return np.concatenate(vals, axis=axis)
         if op == "dense":
-            x, w, b = vals
-            if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] \
-                    or b.shape != w.shape[:1]:
-                raise self._err(node, f"dense shapes {x.shape} x {w.shape}.T"
-                                      f" + {b.shape}")
-            y = x @ w.T
-            y += b
-            return np.maximum(y, 0.0, out=y)
+            return self._dense(node, *vals)
         if op == "pair_sigmoid":
             a, b = vals
             if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
                 raise self._err(node, f"pair_sigmoid shapes {a.shape}, "
                                       f"{b.shape}")
             rows_a, rows_b = node.aux
-            return stable_sigmoid(a[rows_a] + b[rows_b])
+            return stable_sigmoid(a.take(rows_a, axis=0) +
+                                  b.take(rows_b, axis=0))
         if op == "pair_loss":
             (items, prefs), (cand, k_neg) = vals, node.aux
             if items.ndim != 2 or prefs.shape[1:] != items.shape[1:] or \
@@ -361,12 +417,8 @@ class Tape:
             return np.asarray(np.logaddexp(0.0, x).mean(axis=0))
         if op == "sum":
             return np.asarray(vals[0].sum())
-        if op == "l2norm":
-            if vals[0].ndim != 2:
-                raise self._err(node, f"expected matrix, got {vals[0].shape}")
-            return l2_normalize_rows(vals[0])
         if op == "lookup":
-            return vals[0][node.aux]
+            return vals[0].take(node.aux, axis=0)
         if op == "masked_softmax_rows":
             v = vals[0]
             if v.ndim != 2:
@@ -387,10 +439,50 @@ class Tape:
             a3, b3 = _blocks(a, a.shape[1]), _blocks(b, a.shape[1])
             return np.matmul(a3, b3).reshape(b.shape)
         if op == "segment_mean":
-            if vals[0].ndim != 2:
-                raise self._err(node, f"segment table of shape {vals[0].shape}")
+            self._check_segments(node, node.aux, vals[0])
             return node.aux.forward(vals[0])
+        if op == "conv":
+            return self._conv(node, *vals)
         raise self._err(node, "unknown op")
+
+    def _dense(self, node, x, w, b):
+        """``relu(x @ w.T + b)``, in the operations of the chained
+        ``transpose``, ``matmul`` and ``add`` nodes and the relu."""
+        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] \
+                or b.shape != w.shape[:1]:
+            raise self._err(node, f"dense shapes {x.shape} x {w.shape}.T"
+                                  f" + {b.shape}")
+        y = x @ w.T
+        y += b
+        return np.maximum(y, 0.0, out=y)
+
+    def _check_segments(self, node, segments, table):
+        if table.ndim != 2:
+            raise self._err(node, f"segment table of shape {table.shape}")
+        lo, hi = segments.span
+        if lo < 0 or hi >= table.shape[0]:
+            raise self._err(node, f"segment ids span [{lo}, {hi}], outside "
+                                  f"the table's {table.shape[0]} rows")
+
+    def _conv(self, node, features, inherent, latent_w, latent_b, merge_w,
+              merge_b):
+        """The forward of a ``conv`` node: the replaced nodes' operations
+        in order. Saves the pool, the concatenation and the merge output."""
+        segments, rows = node.aux
+        self._check_segments(node, segments, features)
+        if inherent.ndim != 2 or rows.shape != segments.counts.shape or \
+                rows.size and not 0 <= rows.min() <= rows.max() < \
+                len(inherent):
+            raise self._err(node, f"{rows.size} rows of an inherent table of "
+                                  f"shape {inherent.shape} for "
+                                  f"{segments.counts.size} segments")
+        pooled = segments.forward(features)
+        merged = np.concatenate(
+            [inherent.take(rows, axis=0),
+             self._dense(node, pooled, latent_w, latent_b)], axis=1)
+        pre = self._dense(node, merged, merge_w, merge_b)
+        node.saved = pooled, merged, pre
+        return l2_normalize_rows(pre)
 
     # ------------------------------------------------------------------- backward
 
@@ -405,9 +497,11 @@ class Tape:
         node's adjoint is released (``None``) once its rule has handed it
         to the inputs, or once it is added into ``grads`` for a param;
         leaf and const adjoints stay readable until the next backward.
-        Forward values stay. Parameter gradients accumulate across calls
-        until :meth:`zero_grad`. Returns the current parameter-gradient
-        mapping.
+        A second gradient into a node allocates the sum; later ones add
+        into that sum in place, never into an array a rule returned (it
+        may be a view of an adjoint or a value). Forward values stay.
+        Parameter gradients accumulate across calls until
+        :meth:`zero_grad`. Returns the current parameter-gradient mapping.
         """
         if loss.value is None:
             raise ValueError("run forward() before backward()")
@@ -421,6 +515,7 @@ class Tape:
             node.adjoint = None
         loss.adjoint = np.ones_like(loss.value) if adjoint is None \
             else _as_f64(adjoint)
+        sums = set()    # ids of the nodes whose adjoint this pass allocated
         for node in reversed(self.nodes[: loss.idx + 1]):
             adj = node.adjoint
             if adj is None:
@@ -430,15 +525,24 @@ class Tape:
             node.adjoint = None     # consumed below; nothing reads it again
             if node.op == "param":
                 g = self.grads.get(node.name)
-                self.grads[node.name] = adj.copy() if g is None else g + adj
+                if g is not None:
+                    self.grads[node.name] = g + adj
+                else:
+                    self.grads[node.name] = adj if node.idx in sums \
+                        else adj.copy()
                 continue
-            for inp, grad in zip(node.inputs, self._input_grads(node, adj)):
+            grads = self._input_grads(node, adj)
+            del adj     # freed before the sums below, unless a view holds it
+            for inp, grad in zip(node.inputs, grads):
                 if grad is None or not inp.live:
                     continue
                 if inp.adjoint is None:
                     inp.adjoint = grad
+                elif inp.idx in sums:
+                    inp.adjoint += grad
                 else:
                     inp.adjoint = inp.adjoint + grad
+                    sums.add(inp.idx)
         return self.grads
 
     def _input_grads(self, node, adj):
@@ -472,11 +576,8 @@ class Tape:
             return grads
         if op == "dense":
             x, w, _ = vals
-            g = adj * (node.value > 0)
-            x_live, w_live, b_live = (i.live for i in node.inputs)
-            return [g @ w if x_live else None,
-                    (x.T @ g).T if w_live else None,
-                    g.sum(axis=0) if b_live else None]
+            return _dense_grads(x, w, adj * (node.value > 0),
+                                [i.live for i in node.inputs])
         if op == "pair_sigmoid":
             s = node.value
             g = adj * s * (1.0 - s)
@@ -496,8 +597,6 @@ class Tape:
                     zip(node.inputs, vals, (cand, rows), (p, c))]
         if op == "sum":
             return [np.full(vals[0].shape, float(adj))]
-        if op == "l2norm":
-            return [self._l2norm_grad(vals[0], node.value, adj)]
         if op == "lookup":
             return [_scatter_rows(vals[0], node.aux, adj)]
         if op == "masked_softmax_rows":
@@ -516,8 +615,42 @@ class Tape:
                     np.matmul(a3.transpose(0, 2, 1), adj3).reshape(b.shape)
                     if b_live else None]
         if op == "segment_mean":
-            return [node.aux.backward(vals[0], adj)]
+            return [node.aux.backward(vals[0], adj.copy())]
+        if op == "conv":
+            return self._conv_grads(node, vals, adj)
         raise self._err(node, "unknown op in backward")
+
+    def _conv_grads(self, node, vals, adj):
+        """A ``conv`` node's input gradients: the replaced nodes' rules in
+        reverse node order, each temporary dropped once used; the features
+        gradient comes before the inherent one, as the pool's node came
+        after the lookup's."""
+        (features, inherent, latent_w, _, merge_w, _), (segments, rows) = \
+            vals, node.aux
+        pooled, merged, pre = node.saved
+        f_live, i_live, lw_live, lb_live, mw_live, mb_live = \
+            (i.live for i in node.inputs)
+        latent_live = f_live or lw_live or lb_live
+        width = inherent.shape[1]
+        # row normalization, then the merge dense
+        g = self._l2norm_grad(pre, node.value, adj)
+        g *= pre > 0
+        g_merged, g_mw, g_mb = _dense_grads(
+            merged, merge_w, g, (i_live or latent_live, mw_live, mb_live))
+        del g
+        # the concatenation's halves: the latent dense's, and the lookup's
+        # as a copy, so that g_merged is freed before the pool's backward
+        g = g_merged[:, width:] * (merged[:, width:] > 0) \
+            if latent_live else None
+        g_looked = g_merged[:, :width].copy() if i_live else None
+        del g_merged
+        g_pool, g_lw, g_lb = _dense_grads(
+            pooled, latent_w, g, (f_live, lw_live, lb_live))
+        del g
+        g_features = segments.backward(features, g_pool) if f_live else None
+        del g_pool
+        g_rows = _scatter_rows(inherent, rows, g_looked) if i_live else None
+        return [g_features, g_rows, g_lw, g_lb, g_mw, g_mb]
 
     @staticmethod
     def _l2norm_grad(x, y, adj, eps=1e-12):

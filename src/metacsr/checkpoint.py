@@ -129,22 +129,27 @@ def load_model(path, config_hash=None):
     inherent = np.atleast_1d(parts["theta1"].get(INHERENT, ()))
     n_rows = len(inherent)      # read from the file, so bounded by its size
     try:
-        expected = init_model(n_rows, config, np.random.default_rng(0))
+        # a model over no entities gives every shape but the inherent
+        # table's row count
+        expected = init_model(0, config, np.random.default_rng(0))
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: config does not describe a model "
                          f"({err})") from None
-    for part in ("theta1", "theta2"):
-        want = getattr(expected, part)
+    shapes = {part: {name: value.shape
+                     for name, value in getattr(expected, part).items()}
+              for part in ("theta1", "theta2")}
+    shapes["theta1"][INHERENT] = (n_rows, config.dim)
+    for part, want in shapes.items():
         got = parts[part]
         for name in sorted(set(want) | set(got)):
             if name not in got:
                 raise ValueError(f"{path}: missing tensor {part}/{name}")
             if name not in want:
                 raise ValueError(f"{path}: unexpected tensor {part}/{name}")
-            if got[name].shape != want[name].shape:
+            if got[name].shape != want[name]:
                 raise ValueError(
                     f"{path}: tensor {part}/{name} has shape "
-                    f"{got[name].shape}, the config gives {want[name].shape}")
+                    f"{got[name].shape}, the config gives {want[name]}")
     if n_entities not in (None, n_rows):
         raise ValueError(f"{path}: tensor theta1/{INHERENT} has shape "
                          f"{inherent.shape}, the sidecar says {n_entities} "

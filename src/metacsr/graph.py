@@ -6,9 +6,10 @@ neighbors are ``indices[indptr[e]:indptr[e + 1]]``. A neighbor plan holds
 one ``(ids, counts)`` pair per layer, entity e's ``counts[e]`` ids after
 those of the entities before it. One convolution step mean-pools sampled
 neighbor features, projects them to a latent vector, merges with the
-entity's inherent feature and L2-normalizes. Stacking ``depth`` such layers
-propagates information across multi-hop neighborhoods; each layer computes
-only the rows that the next layer, or the caller, reads.
+entity's inherent feature and L2-normalizes, all in one ``Tape.conv``
+node. Stacking ``depth`` such layers propagates information across
+multi-hop neighborhoods; each layer computes only the rows that the next
+layer, or the caller, reads.
 """
 
 from __future__ import annotations
@@ -151,33 +152,19 @@ def init_diffusion_params(n_entities, dim, depth, rng) -> dict[str, np.ndarray]:
     return params
 
 
-def build_layer(tape, features, inherent, ids, counts, latent_w, latent_b,
-                merge_w, merge_b):
-    """One convolution for every row of ``inherent``, as tape nodes.
-
-    Row i mean-pools ``features[ids[o_i : o_i + counts[i]]]`` (zero when
-    empty) in one :meth:`Tape.segment_mean`, projects the pool to a latent
-    vector, merges it with inherent row i and L2-normalizes.
-    """
-    pooled = tape.segment_mean(features, ids, counts)
-    latent = tape.dense(pooled, latent_w, latent_b)
-    merged = tape.concat([inherent, latent], axis=1)
-    return tape.l2norm(tape.dense(merged, merge_w, merge_b))
-
-
 def build_diffusion(tape, plan, param_nodes, depth, rows=None):
     """Stacked convolutions over the rows something reads, as tape nodes.
 
     The last layer computes ``rows`` (default: every entity), in that
     order; walking back, layer k computes the rows that layer k+1's
-    segments read, in entity order. Each layer gathers its rows' inherent
-    features with one lookup and runs one :func:`build_layer` whose
-    segments of ``plan[k]`` point at the previous layer's rows (layer 0
-    pools the inherent table). The node count is O(depth), whatever the
-    graph size or neighbor cap. Returns the (len(rows), d) node. Each row
-    pools as in the every-entity pass, so output rows and the inherent
-    gradient are bit-equal to it (numpy's OpenBLAS). Weight gradients sum
-    fewer rows: bit-equal at test and criterion-6 sizes, not at ML-1M's.
+    segments read, in entity order. Each layer is one :meth:`Tape.conv`
+    node whose segments of ``plan[k]`` point at the previous layer's rows
+    (layer 0 pools the inherent table) and which merges its rows of the
+    inherent table: ``depth`` nodes, whatever the graph size or neighbor
+    cap. Returns the (len(rows), d) node. Each row pools as in the
+    every-entity pass, so output rows and the inherent gradient are
+    bit-equal to it (numpy's OpenBLAS). Weight gradients sum fewer rows:
+    bit-equal at test and criterion-6 sizes, not at ML-1M's.
     """
     inherent = param_nodes[INHERENT]
     n = inherent.value.shape[0]
@@ -191,10 +178,10 @@ def build_diffusion(tape, plan, param_nodes, depth, rows=None):
         rows = np.flatnonzero(np.bincount(reads, minlength=n))
     features, position = inherent, np.arange(n)
     for layer, (rows, reads, sizes) in enumerate(layers):
-        features = build_layer(
-            tape, features, tape.lookup(inherent, rows), position[reads],
-            sizes, *(param_nodes[name.format(layer=layer)]
-                     for name in (LATENT_W, LATENT_B, MERGE_W, MERGE_B)))
+        features = tape.conv(
+            features, inherent, rows, position[reads], sizes,
+            *(param_nodes[name.format(layer=layer)]
+              for name in (LATENT_W, LATENT_B, MERGE_W, MERGE_B)))
         position[rows] = np.arange(rows.size)
     return features
 

@@ -10,9 +10,11 @@ tape, against which the feature-leaf route is compared and finite
 differences are taken), :func:`feature_loss` (one batch loss over a
 constant item-feature table, against which adaptation is checked) and
 :func:`unfused_dense` (the tape nodes ``dense`` replaced, against which it
-is compared bit for bit). The unfused chains :func:`unfused_pair_sigmoid`
-and :func:`unfused_pair_loss` replay the rules of the nodes their fused
-ops replaced in numpy, scattering with ``np.add.at``.
+is compared bit for bit). The unfused chains :func:`unfused_pair_sigmoid`,
+:func:`unfused_pair_loss` and :func:`unfused_conv` replay the rules of the
+nodes their fused ops replaced in numpy, scattering with ``np.add.at``;
+:func:`out_of_place_backward` replays the tape's backward with every
+adjoint sum a new array.
 """
 
 import copy
@@ -360,3 +362,93 @@ def feature_loss(features, theta2, sequences, k_neg, rng, histories,
         tape.backward(loss)
         return float(loss.value), dict(tape.grads)
     return at
+
+
+def column_pool(table, ids, counts):
+    """Row i: the sum of ``table[ids[o_i : o_i + counts[i]]]``, 0 if empty,
+    one position at a time: every segment longer than j adds its j-th
+    id's row to the copy of its first."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    out = np.zeros((counts.size, table.shape[1]))
+    for j in range(counts.max(initial=0)):
+        longer = np.flatnonzero(counts > j)
+        rows = table[np.asarray(ids)[starts[longer] + j]]
+        out[longer] = rows if j == 0 else out[longer] + rows
+    return out
+
+
+def masked_row_norms(x, adj=None, eps=1e-12):
+    """Rows of ``x`` over their L2 norms (zero rows where the norm is below
+    ``eps``) by boolean-mask copies; with ``adj``, that map's gradient."""
+    n = np.linalg.norm(x, axis=1)
+    ok = n >= eps
+    out = np.zeros_like(x)
+    y = x[ok] / n[ok, None]
+    if adj is None:
+        out[ok] = y
+    else:
+        dots = (y * adj[ok]).sum(axis=1, keepdims=True)
+        out[ok] = (adj[ok] - y * dots) / n[ok, None]
+    return out
+
+
+def unfused_conv(features, inherent, rows, ids, counts, latent_w, latent_b,
+                 merge_w, merge_b, adj):
+    """One diffusion layer as the six nodes ``conv`` replaced compute it:
+    a lookup of the inherent rows, a segment mean over ``features``, the
+    latent dense, a concat, the merge dense and the row normalization.
+    Returns the value and the gradients w.r.t. features, inherent,
+    latent_w, latent_b, merge_w and merge_b that their rules hand back, in
+    reverse node order, for the output adjoint ``adj``."""
+    ids, counts = np.asarray(ids), np.asarray(counts)
+    scale = (1.0 / np.maximum(counts, 1))[:, None]
+    pooled = column_pool(features, ids, counts) * scale
+    latent = np.maximum(pooled @ latent_w.T + latent_b, 0.0)
+    merged = np.concatenate([inherent[rows], latent], axis=1)
+    pre = np.maximum(merged @ merge_w.T + merge_b, 0.0)
+    out = masked_row_norms(pre)
+
+    g = masked_row_norms(pre, adj) * (pre > 0)             # norm, dense
+    g_merge_w, g_merge_b = (merged.T @ g).T, g.sum(axis=0)
+    g_merged = g @ merge_w
+    width = inherent.shape[1]                               # concat
+    g = g_merged[:, width:] * (latent > 0)                  # dense
+    g_latent_w, g_latent_b = (pooled.T @ g).T, g.sum(axis=0)
+    g_pooled = (g @ latent_w) * scale                       # segment mean
+    g_features = np.zeros_like(features)
+    read = np.zeros(len(features), dtype=bool)
+    for segment, row in zip(np.repeat(np.arange(counts.size), counts), ids):
+        g_features[row] = g_features[row] + g_pooled[segment] \
+            if read[row] else g_pooled[segment]
+        read[row] = True
+    g_inherent = _gathered_grad(inherent, rows, g_merged[:, :width])
+    return (out, g_features, g_inherent, g_latent_w, g_latent_b, g_merge_w,
+            g_merge_b)
+
+
+def out_of_place_backward(tape, loss, adjoint):
+    """``tape.backward(loss, adjoint)`` with every adjoint sum and every
+    parameter gradient a new array; returns (gradients, each live leaf's
+    adjoint by name)."""
+    for node in tape.nodes:
+        node.adjoint = None
+    grads = {}
+    loss.adjoint = np.asarray(adjoint, dtype=np.float64)
+    for node in reversed(tape.nodes[: loss.idx + 1]):
+        adj, node.adjoint = node.adjoint, None
+        if adj is None or node.op == "const":
+            continue
+        if node.op == "leaf":
+            node.adjoint = adj
+            continue
+        if node.op == "param":
+            grads[node.name] = adj.copy() if node.name not in grads \
+                else grads[node.name] + adj
+            continue
+        for inp, grad in zip(node.inputs, tape._input_grads(node, adj)):
+            if grad is not None and inp.live:
+                inp.adjoint = grad if inp.adjoint is None \
+                    else inp.adjoint + grad
+    return grads, {n.name: n.adjoint for n in tape.nodes
+                   if n.op == "leaf" and n.live}

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from metacsr.autodiff import (
+    _BLOCK_FLOATS,
+    Segments,
     ShapeError,
     Tape,
     finite_difference_check,
@@ -14,7 +16,11 @@ from metacsr.autodiff import (
 )
 
 from oracles import (
+    column_pool,
+    masked_row_norms,
     masked_softmax_formula,
+    out_of_place_backward,
+    unfused_conv,
     unfused_dense,
     unfused_pair_loss,
     unfused_pair_sigmoid,
@@ -63,10 +69,21 @@ def test_matmul_matches_triple_loop():
     np.testing.assert_allclose(c.value, naive_matmul(a, b), rtol=1e-12)
 
 
+def _conv_of(t, features, inherent, latent_width=2, rows=(0,)):
+    """A conv node over leaves: each of ``rows`` pools features rows 0 and
+    1; weights for a 2-wide inherent table."""
+    return t.conv(t.leaf("f", features), t.leaf("i", inherent), rows,
+                  [0, 1] * len(rows), [2] * len(rows),
+                  t.leaf("lw", np.ones((latent_width, 2))),
+                  t.leaf("lb", np.ones(latent_width)),
+                  t.leaf("mw", np.ones((2, 4))), t.leaf("mb", np.ones(2)))
+
+
 def test_matrix_ops_reject_vectors():
     for build in (lambda t: t.matmul(t.leaf("a", np.ones((4, 3))),
                                      t.leaf("b", np.ones(3))),
-                  lambda t: t.l2norm(t.leaf("x", np.ones(3)))):
+                  lambda t: _conv_of(t, np.ones(3), np.ones((2, 2))),
+                  lambda t: _conv_of(t, np.ones((2, 2)), np.ones(3))):
         t = Tape()
         node = build(t)
         with pytest.raises(ShapeError, match=f"node {node.idx}"):
@@ -154,9 +171,15 @@ def _op_case(name, rng):
         out = t.add(t.pair_loss(a, prefs, [0, 2, 2, 5, 1, 2], 1),
                     t.pair_loss(a, t.lookup(prefs, [2, 1]),
                                 [4, 0, 4, 3, 2, 2, 5, 0], 3))
-    elif name == "l2norm":
-        a = t.param("p", rng.normal(size=(1, 5)) + 0.2)
-        out = t.l2norm(a)
+    elif name == "conv":
+        # p is the pooled table and the inherent table (a layer 0) and
+        # reaches every weight; repeated ids and an empty segment
+        a = t.param("p", rng.normal(size=(6, 3)) + 0.2)
+        flat = t.reshape(a, (18,))
+        out = t.conv(a, a, [0, 2, 5], [0, 2, 2, 5, 1], [3, 0, 2],
+                     t.lookup(a, [0, 2, 5]), t.lookup(a, 1),
+                     t.reshape(t.lookup(flat, np.arange(18)), (3, 6)),
+                     t.lookup(a, 4))
     elif name == "lookup":
         a = t.param("p", rng.normal(size=(6, 3)))
         out = t.lookup(a, [0, 2, 2, 5])
@@ -198,7 +221,7 @@ def out_shape(tape, node):
 
 ALL_OPS = [
     "matmul", "add_same", "add_bias_rows", "mul", "concat", "dense",
-    "pair_sigmoid", "pair_loss", "l2norm", "lookup", "masked_softmax_rows",
+    "pair_sigmoid", "pair_loss", "conv", "lookup", "masked_softmax_rows",
     "transpose", "reshape", "block_matmul", "segment_mean", "sum",
 ]
 
@@ -426,6 +449,50 @@ def test_segment_mean_rejects_counts_that_do_not_cover_ids():
         t.segment_mean(table, [0, 1, 2], [1, 1])
 
 
+@pytest.mark.parametrize("bad", [-1, -3, 3, 7])
+def test_segment_ids_outside_the_table_are_refused_by_name(bad):
+    """A negative id would read a row from the end of the table and one
+    past it would raise numpy's IndexError; both name the node."""
+    for build in (lambda t, x: t.segment_mean(x, [0, bad, 2], [2, 1]),
+                  lambda t, x: t.conv(x, x, [0, 1], [0, bad, 2], [2, 1],
+                                      *(t.constant(v) for v in (
+                                          np.ones((2, 2)), np.ones(2),
+                                          np.ones((2, 4)), np.ones(2))))):
+        t = Tape()
+        node = build(t, t.leaf("x", np.ones((3, 2))))
+        with pytest.raises(ShapeError, match=f"node {node.idx} .*"
+                                             f"span \\[{min(bad, 0)}, "
+                                             f"{max(bad, 2)}\\]"):
+            t.forward()
+
+
+@pytest.mark.parametrize("dim", [1, 24, 128])
+def test_blocked_pool_equals_the_column_loop(dim):
+    """Segment counts from 0 to 9 over more rows than a block holds, ids
+    repeated within and across segments, -0.0 and NaN entries: every row
+    is the column loop's sum, bit for bit, and so is the backward's pool
+    of the transposed layout."""
+    rng = np.random.default_rng(dim)
+    block = _BLOCK_FLOATS // dim
+    for n_segments in (1, block - 1, block, 2 * block + 3):
+        counts = rng.integers(0, 10, size=n_segments)
+        counts[rng.random(n_segments) < 0.2] = 0
+        n_rows = int(rng.integers(1, 3 * block))
+        ids = rng.integers(0, n_rows, size=int(counts.sum()))
+        table = rng.normal(size=(n_rows, dim))
+        table[rng.random(table.shape) < 0.05] = -0.0
+        table.flat[rng.integers(table.size)] = np.nan
+        segments = Segments(ids, counts)
+        assert _same_bits(segments.pool(table),
+                          column_pool(table, ids, counts)), n_segments
+        adj = rng.normal(size=(n_segments, dim))
+        reader_ids = np.repeat(np.arange(n_segments), counts)[
+            np.argsort(ids, kind="stable")]
+        assert _same_bits(segments.backward(table, adj.copy()), column_pool(
+            adj * (1.0 / np.maximum(counts, 1))[:, None], reader_ids,
+            np.bincount(ids, minlength=n_rows))), n_segments
+
+
 def test_backward_from_non_scalar_node_with_given_adjoint():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(4, 2))
@@ -453,9 +520,9 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
 
 
 def test_lookup_gradient_equals_add_at_bit_for_bit():
-    """The bincount scatter sums each cell in id order, as np.add.at does:
-    repeated ids, rows nothing reads, 1-d and 2-d tables, 2-d ids on a 1-d
-    table and a single id."""
+    """The scatter sums each cell in id order from 0.0, as np.add.at does:
+    repeated ids, strictly increasing ids, rows nothing reads, 1-d and 2-d
+    tables, 2-d ids on a 1-d table, a single id and -0.0 adjoints."""
     rng = np.random.default_rng(13)
     for draw in range(200):
         n_rows = int(rng.integers(1, 30))
@@ -463,6 +530,9 @@ def test_lookup_gradient_equals_add_at_bit_for_bit():
         shape = (n_rows,) if draw % 3 == 0 else (n_rows, width)
         if draw % 7 == 0:
             ids = np.asarray(rng.integers(n_rows))
+        elif draw % 5 == 0:
+            # strictly increasing, as a diffusion layer's inherent rows
+            ids = np.flatnonzero(rng.random(n_rows) < 0.5)
         else:
             # few distinct ids, so repeats are many and most rows go unread
             pool = rng.integers(n_rows, size=int(rng.integers(1, 4)))
@@ -478,26 +548,7 @@ def test_lookup_gradient_equals_add_at_bit_for_bit():
         t.backward(out, adj)
         want = np.zeros(shape)
         np.add.at(want, ids, adj)
-        assert np.array_equal(t.grads["t"], want), draw
-
-
-def _masked_l2_normalize_rows(x, eps=1e-12):
-    """The boolean-mask form of the row normalization."""
-    n = np.linalg.norm(x, axis=1)
-    out = np.zeros_like(x)
-    ok = n >= eps
-    out[ok] = x[ok] / n[ok, None]
-    return out
-
-
-def _masked_l2norm_grad(x, y, adj, eps=1e-12):
-    """The boolean-mask form of the row normalization's gradient."""
-    n = np.linalg.norm(x, axis=1)
-    out = np.zeros_like(x)
-    ok = n >= eps
-    dots = (y[ok] * adj[ok]).sum(axis=1, keepdims=True)
-    out[ok] = (adj[ok] - y[ok] * dots) / n[ok, None]
-    return out
+        assert _same_bits(t.grads["t"], want), draw
 
 
 def test_l2norm_value_and_gradient_equal_masked_forms():
@@ -511,9 +562,9 @@ def test_l2norm_value_and_gradient_equal_masked_forms():
         if draw % 2:
             adj = np.asfortranarray(adj)        # as a transpose's adjoint
         y = l2_normalize_rows(x)
-        assert np.array_equal(y, _masked_l2_normalize_rows(x)), draw
+        assert np.array_equal(y, masked_row_norms(x)), draw
         assert np.array_equal(Tape._l2norm_grad(x, y, adj),
-                              _masked_l2norm_grad(x, y, adj)), draw
+                              masked_row_norms(x, adj)), draw
 
 
 def test_product_rules_skip_inputs_that_are_not_live():
@@ -674,7 +725,13 @@ def test_fused_ops_reject_mismatched_shapes():
                                         [0, 1, 2, 3], 1),
                   lambda t: t.pair_loss(t.leaf("items", np.ones((4, 3))),
                                         t.leaf("prefs", np.ones((2, 3))),
-                                        [0, 1, 2, 3, 0], 1)):
+                                        [0, 1, 2, 3, 0], 1),
+                  lambda t: _conv_of(t, np.ones((2, 2)), np.ones((2, 2)), 3),
+                  lambda t: _conv_of(t, np.ones((2, 3)), np.ones((2, 2))),
+                  lambda t: _conv_of(t, np.ones((2, 2)), np.ones((2, 2)),
+                                     rows=(0, 2)),
+                  lambda t: _conv_of(t, np.ones((2, 2)), np.ones((2, 2)),
+                                     rows=(-1,))):
         t = Tape()
         node = build(t)
         with pytest.raises(ShapeError, match=f"node {node.idx}"):
@@ -728,3 +785,101 @@ def test_every_op_has_a_builder_a_forward_and_a_gradient_rule():
     assert computed == built - sources, computed ^ (built - sources)
     assert differentiated == built - sources, \
         differentiated ^ (built - sources)
+
+
+def test_conv_equals_the_six_node_chain_bit_for_bit():
+    """Value and every live input's gradient equal the lookup, segment
+    mean, dense, concat, dense and row-normalization rules', bit for bit:
+    the pooled table as the inherent table (a layer 0) or a second table,
+    repeated ids, empty segments, all-zero merge rows, -0.0 adjoints and
+    every live pattern; an input that is not live gets no gradient."""
+    rng = np.random.default_rng(20)
+    names = ("features", "inherent", "latent_w", "latent_b", "merge_w",
+             "merge_b")
+    for draw in range(160):
+        d = int(rng.choice([1, 3, 8, 24]))
+        n_rows = int(rng.integers(1, 9))
+        n_inherent = n_rows + int(rng.integers(0, 12))
+        layer0 = draw % 2 == 0
+        n_features = n_inherent if layer0 else int(rng.integers(1, 20))
+        counts = rng.integers(0, 6, size=n_rows)
+        counts[rng.random(n_rows) < 0.25] = 0
+        ids = rng.integers(0, n_features, size=int(counts.sum()))
+        rows = np.sort(rng.choice(n_inherent, n_rows, replace=False)) \
+            if draw % 3 else rng.integers(0, n_inherent, size=n_rows)
+        inherent = rng.normal(size=(n_inherent, d))
+        inherent[rng.random(n_inherent) < 0.2] = 0.0
+        features = inherent if layer0 else rng.normal(size=(n_features, d))
+        weights = [rng.normal(size=(d, d)), rng.normal(size=d),
+                   rng.normal(size=(d, 2 * d)), rng.normal(size=d)]
+        if draw % 4 == 1:
+            weights[3] -= 100.0         # every merge row is zero
+        adj = rng.normal(size=(n_rows, d))
+        adj[rng.random(adj.shape) < 0.2] = -0.0
+        want = unfused_conv(features, inherent, rows, ids, counts, *weights,
+                            adj)
+        live = [bool(draw >> bit & 1) for bit in range(1, 7)]
+        if layer0:
+            live[0] = live[1]
+        t = Tape()
+        nodes = [_bind(t, name, v, on) for name, v, on in
+                 zip(names, [features, inherent, *weights], live)]
+        if layer0:
+            nodes[0] = nodes[1]
+        out = t.conv(nodes[0], nodes[1], rows, ids, counts, *nodes[2:])
+        t.forward()
+        assert _same_bits(out.value, want[0]), draw
+        t.backward(out, adj)
+        grads = list(want[1:])
+        if layer0:
+            grads[1] = grads[0] + grads[1]
+        for node, on, grad in list(zip(nodes, live, grads))[layer0:]:
+            assert node.adjoint is None if not on \
+                else _same_bits(node.adjoint, grad), (draw, node.name)
+
+
+def _aliasing_tapes(rng):
+    """Graphs whose gradients arrive as views or as one array twice."""
+    def add_twice(t, x, z):
+        return t.add(t.add(x, x), t.add(x, z))       # add(x, x); x and z
+
+    def concat_twice(t, x, z):
+        h = t.matmul(x, t.transpose(z))
+        return t.concat([h, t.add(h, h), h], axis=1)
+
+    def views(t, x, z):
+        h = t.add(x, z)
+        r = t.reshape(t.reshape(t.transpose(h), (9,)), (3, 3))
+        return t.add(t.transpose(r), t.mul(h, t.transpose(t.transpose(h))))
+
+    def three_consumers(t, x, z):
+        return t.add(t.add(t.mul(x, z), t.matmul(x, t.transpose(z))),
+                     t.transpose(x))
+
+    for build in (add_twice, concat_twice, views, three_consumers):
+        t = Tape()
+        x = t.param("x", rng.normal(size=(3, 3)))
+        z = t.leaf("z", rng.normal(size=(3, 3)))
+        out = build(t, x, z)
+        t.forward()
+        yield t, out, rng.normal(size=out.value.shape)
+
+
+def test_in_place_adjoint_sums_equal_the_out_of_place_ones():
+    """Parameter gradients and leaf adjoints equal a backward that makes
+    every sum a new array, bit for bit, on graphs where a rule hands one
+    array to two inputs or hands out views; no value changes."""
+    rng = np.random.default_rng(21)
+    for t, out, adj in _aliasing_tapes(rng):
+        values = [n.value.copy() for n in t.nodes]
+        grads, leaves = out_of_place_backward(t, out, adj)
+        t.forward()
+        t.zero_grad()
+        t.backward(out, adj.copy())
+        assert t.grads.keys() == grads.keys()
+        for name, grad in grads.items():
+            assert _same_bits(t.grads[name], grad), name
+        for node in t.nodes:
+            if node.op == "leaf":
+                assert _same_bits(node.adjoint, leaves[node.name])
+        assert all(_same_bits(n.value, v) for n, v in zip(t.nodes, values))

@@ -23,8 +23,7 @@ def layer0(params):
 def convolve_one(tape, neighbors, inherent, *weights):
     """One (1, d) inherent row's layer, pooling every row of ``neighbors``."""
     k = neighbors.value.shape[0]
-    return gr.build_layer(tape, neighbors, inherent, np.arange(k), [k],
-                          *weights)
+    return tape.conv(neighbors, inherent, [0], np.arange(k), [k], *weights)
 
 
 def test_empty_interactions_build_empty_adjacency():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -414,37 +415,62 @@ def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
     layer 0 computes and pools only the user rows those segments read.
     Every projection runs on its layer's rows only, in training and in the
     evaluation table."""
-    pooled, products = [], []
-    segment_mean, dense = Tape.segment_mean, Tape.dense
+    convs = []
+    conv = Tape.conv
 
-    def pool_spy(tape, table, ids, counts):
-        pooled.append((np.asarray(ids), np.asarray(counts)))
-        return segment_mean(tape, table, ids, counts)
+    def conv_spy(tape, features, inherent, rows, ids, counts, *weights):
+        node = conv(tape, features, inherent, rows, ids, counts, *weights)
+        convs.append((node, *map(np.asarray, (rows, ids, counts))))
+        return node
 
-    def dense_spy(tape, x, w, b):
-        products.append(x)
-        return dense(tape, x, w, b)
-
-    monkeypatch.setattr(Tape, "segment_mean", pool_spy)
-    monkeypatch.setattr(Tape, "dense", dense_spy)
+    monkeypatch.setattr(Tape, "conv", conv_spy)
     g, params, _ = _tiny_setup(n_users=4)
     features = losses.ItemFeatures(g, params, np.random.default_rng(0))
-    assert len(pooled) == 2 and len(products) == 4
+    assert len(convs) == 2
     plan_ids, plan_counts = features.plan[1]
     item_reads = plan_ids[plan_counts[: g.n_users].sum():]
     users = np.unique(item_reads)
     assert users.size == 3 and users.max() < g.n_users
-    ids, counts = pooled[1]
+    _, rows, ids, counts = convs[1]
+    np.testing.assert_array_equal(rows, np.arange(g.n_users, g.n_entities))
     np.testing.assert_array_equal(counts, plan_counts[g.n_users:])
     np.testing.assert_array_equal(users[ids], item_reads)
     plan_ids, plan_counts = features.plan[0]
     starts = np.cumsum(plan_counts) - plan_counts
-    ids, counts = pooled[0]
+    _, rows, ids, counts = convs[0]
+    np.testing.assert_array_equal(rows, users)
     np.testing.assert_array_equal(counts, plan_counts[users])
     np.testing.assert_array_equal(ids, np.concatenate(
         [plan_ids[starts[u]: starts[u] + plan_counts[u]] for u in users]))
-    rows = [users.size] * 2 + [g.n_items] * 2
-    assert [a.value.shape[0] for a in products] == rows
-    del products[:]
+    # the pool, the concatenation and the merge output of each layer
+    rows = [[users.size] * 3, [g.n_items] * 3]
+    assert [[a.shape[0] for a in node.saved] for node, *_ in convs] == rows
+    del convs[:]
     losses.cached_item_features(g, params, np.random.default_rng(0))
-    assert [a.value.shape[0] for a in products] == rows
+    assert [[a.shape[0] for a in node.saved] for node, *_ in convs] == rows
+
+
+def test_item_feature_pass_and_its_backward_stay_small():
+    """tracemalloc: one ItemFeatures pass and two theta1_grads calls on a
+    2,000-user, 1,200-item graph at d=64 and depth 2 peak under 13.5
+    (entities x d) tables. Fused layers keep five row blocks each and pool
+    in cache-sized blocks: 12.1 tables (18.9 MiB). Six nodes per layer
+    peaked at 15.4 (24.1 MiB)."""
+    rng = np.random.default_rng(3)
+    n_users, n_items, dim = 2000, 1200, 64
+    g = gr.build_interaction_graph(
+        np.stack([rng.integers(0, n_users, 60000),
+                  rng.integers(0, n_items, 60000)], axis=1), n_users, n_items)
+    config = ModelConfig(dim=dim, diffusion_depth=2, neighbor_cap=25)
+    params = SimpleNamespace(config=config, theta1=gr.init_diffusion_params(
+        g.n_entities, dim, 2, rng))
+    adjoint = rng.normal(size=(n_items, dim))
+    tracemalloc.start()
+    try:
+        features = losses.ItemFeatures(g, params, np.random.default_rng(0))
+        features.theta1_grads(adjoint)
+        features.theta1_grads(adjoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5 * g.n_entities * dim * 8, peak / 2**20
