@@ -35,7 +35,8 @@ class Node:
     for a leaf or const (see :meth:`Tape.backward`).
     ``live`` marks a node that a param or leaf feeds: only live nodes get
     adjoints. ``saved`` holds what a fused node's gradient rule reads
-    besides its inputs and its value, kept from forward to forward.
+    besides its inputs and its value, kept from forward to forward and
+    never written by a backward, so one forward serves many backwards.
     """
 
     __slots__ = ("idx", "op", "inputs", "aux", "value", "adjoint", "live",
@@ -93,11 +94,11 @@ def masked_softmax_rows(z):
 
 def l2_normalize_rows(x, eps=1e-12):
     """L2-normalize the rows of a matrix; rows with norm below ``eps`` map
-    to zero rows."""
+    to zero rows. Returns the normalized rows and the (rows, 1) norms."""
     x = _as_f64(x)
     n = np.linalg.norm(x, axis=1, keepdims=True)
     ok = n >= eps
-    return np.where(ok, x / np.where(ok, n, 1.0), 0.0)
+    return np.where(ok, x / np.where(ok, n, 1.0), 0.0), n
 
 
 def _dense_grads(x, w, g, live):
@@ -115,18 +116,60 @@ def _increasing(ids):
     return ids.size < 2 or ids[0] < ids[1] and (ids[1:] > ids[:-1]).all()
 
 
+class RowGrad:
+    """The gradient of ``table[rows]`` for strictly increasing ``rows`` and
+    the adjoint ``values``, kept row-sparse: as a table, ``values + 0.0``
+    in those rows (the sum from 0.0 turns a -0.0 into +0.0) and +0.0
+    elsewhere. :meth:`Tape.backward` adds it into dense adjoints and
+    hands dense ones to every node but a param."""
+
+    __slots__ = ("rows", "values")
+
+    def __init__(self, rows, values):
+        self.rows, self.values = rows, values
+
+    def dense(self, shape):
+        grad = np.zeros(shape)
+        grad[self.rows] = self.values
+        grad += 0.0
+        return grad
+
+    def add_to(self, table):
+        """``table`` plus this gradient as a table, bit for bit, written
+        into ``table``: after ``+ 0.0`` no cell of it is -0.0, so adding
+        ``values`` to its rows gives the sum with ``values + 0.0``."""
+        table += 0.0
+        table[self.rows] += self.values
+        return table
+
+
+def _add_adjoints(held, grad, held_owned, grad_owned, shape):
+    """``held + grad``, two gradients of one node of ``shape``, either a
+    :class:`RowGrad`: bit for bit their dense sum (addition commutes),
+    written into an operand the pass owns when there is one."""
+    if isinstance(held, RowGrad):
+        if isinstance(grad, RowGrad):
+            return grad.add_to(held.dense(shape))
+        held, grad, held_owned = grad, held, grad_owned
+    if isinstance(grad, RowGrad):
+        return grad.add_to(held if held_owned else held + 0.0)
+    if held_owned:
+        held += grad
+        return held
+    if grad_owned:
+        grad += held
+        return grad
+    return held + grad
+
+
 def _scatter_rows(table, ids, adj):
     """Gradient of ``table[ids]`` for its adjoint ``adj``: each cell sums
     its adjoints in id order from 0.0, as np.add.at does. Strictly
     increasing ids read each row once, so ``adj`` goes straight to its
-    rows, and adding 0.0 to the table turns a -0.0 into +0.0, as the sum
-    from 0.0 does; other ids go through one weighted bincount over the
-    (row, column) cells read."""
+    rows (see :class:`RowGrad`); other ids go through one weighted
+    bincount over the (row, column) cells read."""
     if ids.ndim == 0 or ids.ndim == 1 and _increasing(ids):
-        grad = np.zeros(table.shape)
-        grad[ids] = adj
-        grad += 0.0
-        return grad
+        return RowGrad(ids, adj).dense(table.shape)
     width = table.shape[1] if table.ndim == 2 else 1
     cells = ids.reshape(-1, 1) * width + np.arange(width)
     return np.bincount(cells.reshape(-1), weights=adj.reshape(-1),
@@ -148,6 +191,10 @@ def _blocks(x, t_len):
     """View an (n * t_len, k) matrix as n stacked (t_len, k) blocks."""
     return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
 
+
+# the ops whose gradient rules hand out their adjoint or views of it; every
+# other rule returns arrays that nothing else reads
+_VIEW_RULES = frozenset({"add", "concat", "transpose", "reshape"})
 
 # a pooling block holds _BLOCK_FLOATS // d rows of d floats: 256 KiB, so a
 # block's sums and its gathered rows stay in cache
@@ -345,8 +392,10 @@ class Tape:
         that latent row, merges them with ``relu(. @ merge_w.T + merge_b)``
         and L2-normalizes the row (zero rows stay zero). Bit for bit the
         ``lookup``, ``segment_mean``, ``dense``, ``concat``, ``dense`` and
-        row-normalization chain; between passes it keeps the pool, the
-        concatenation and the merge output beside its value.
+        row-normalization chain. Between passes it keeps the pool, the
+        concatenation, the merge rows' norms and the merge output's mask
+        ``> 0`` beside its value. Its gradient w.r.t. ``inherent`` is a
+        :class:`RowGrad` while ``rows`` are strictly increasing.
         """
         return self._append(
             "conv", (features, inherent, latent_w, latent_b, merge_w,
@@ -467,7 +516,9 @@ class Tape:
     def _conv(self, node, features, inherent, latent_w, latent_b, merge_w,
               merge_b):
         """The forward of a ``conv`` node: the replaced nodes' operations
-        in order. Saves the pool, the concatenation and the merge output."""
+        in order. Saves the pool, the concatenation, the merge rows' norms
+        and the merge output's mask ``> 0``: all its backward reads of the
+        merge output."""
         segments, rows = node.aux
         self._check_segments(node, segments, features)
         if inherent.ndim != 2 or rows.shape != segments.counts.shape or \
@@ -481,8 +532,9 @@ class Tape:
             [inherent.take(rows, axis=0),
              self._dense(node, pooled, latent_w, latent_b)], axis=1)
         pre = self._dense(node, merged, merge_w, merge_b)
-        node.saved = pooled, merged, pre
-        return l2_normalize_rows(pre)
+        out, norms = l2_normalize_rows(pre)
+        node.saved = pooled, merged, norms, pre > 0
+        return out
 
     # ------------------------------------------------------------------- backward
 
@@ -497,11 +549,15 @@ class Tape:
         node's adjoint is released (``None``) once its rule has handed it
         to the inputs, or once it is added into ``grads`` for a param;
         leaf and const adjoints stay readable until the next backward.
-        A second gradient into a node allocates the sum; later ones add
-        into that sum in place, never into an array a rule returned (it
-        may be a view of an adjoint or a value). Forward values stay.
-        Parameter gradients accumulate across calls until
-        :meth:`zero_grad`. Returns the current parameter-gradient mapping.
+        Gradients are summed in arrival order, in place into an array the
+        pass owns: a sum it allocated, or an array a rule made, which every
+        rule but those of ``add``, ``concat``, ``transpose`` and
+        ``reshape`` (they hand out views of their adjoint) does. A
+        :class:`RowGrad` stays row-sparse until it meets a dense gradient
+        or its param folds it into ``grads``; any other node gets it as a
+        dense table. Forward values stay. Parameter gradients accumulate
+        across calls until :meth:`zero_grad`. Returns the current
+        parameter-gradient mapping.
         """
         if loss.value is None:
             raise ValueError("run forward() before backward()")
@@ -515,34 +571,41 @@ class Tape:
             node.adjoint = None
         loss.adjoint = np.ones_like(loss.value) if adjoint is None \
             else _as_f64(adjoint)
-        sums = set()    # ids of the nodes whose adjoint this pass allocated
+        owned = set()   # ids of the nodes whose adjoint the pass may write
         for node in reversed(self.nodes[: loss.idx + 1]):
             adj = node.adjoint
             if adj is None:
                 continue
+            if node.op == "param":
+                node.adjoint = None
+                g = self.grads.get(node.name)
+                mine = node.idx in owned
+                if g is not None:
+                    adj = _add_adjoints(g, adj, False, mine, g.shape)
+                    mine = True
+                self.grads[node.name] = adj.dense(node.value.shape) \
+                    if isinstance(adj, RowGrad) else adj if mine else adj.copy()
+                continue
+            if isinstance(adj, RowGrad):
+                adj = node.adjoint = adj.dense(node.value.shape)
             if node.op in ("leaf", "const"):
                 continue
             node.adjoint = None     # consumed below; nothing reads it again
-            if node.op == "param":
-                g = self.grads.get(node.name)
-                if g is not None:
-                    self.grads[node.name] = g + adj
-                else:
-                    self.grads[node.name] = adj if node.idx in sums \
-                        else adj.copy()
-                continue
             grads = self._input_grads(node, adj)
             del adj     # freed before the sums below, unless a view holds it
+            fresh = node.op not in _VIEW_RULES
             for inp, grad in zip(node.inputs, grads):
                 if grad is None or not inp.live:
                     continue
                 if inp.adjoint is None:
                     inp.adjoint = grad
-                elif inp.idx in sums:
-                    inp.adjoint += grad
+                    if fresh:
+                        owned.add(inp.idx)
                 else:
-                    inp.adjoint = inp.adjoint + grad
-                    sums.add(inp.idx)
+                    inp.adjoint = _add_adjoints(
+                        inp.adjoint, grad, inp.idx in owned, fresh,
+                        inp.value.shape)
+                    owned.add(inp.idx)
         return self.grads
 
     def _input_grads(self, node, adj):
@@ -624,17 +687,18 @@ class Tape:
         """A ``conv`` node's input gradients: the replaced nodes' rules in
         reverse node order, each temporary dropped once used; the features
         gradient comes before the inherent one, as the pool's node came
-        after the lookup's."""
+        after the lookup's, and the inherent one is a :class:`RowGrad` for
+        strictly increasing rows."""
         (features, inherent, latent_w, _, merge_w, _), (segments, rows) = \
             vals, node.aux
-        pooled, merged, pre = node.saved
+        pooled, merged, norms, positive = node.saved
         f_live, i_live, lw_live, lb_live, mw_live, mb_live = \
             (i.live for i in node.inputs)
         latent_live = f_live or lw_live or lb_live
         width = inherent.shape[1]
         # row normalization, then the merge dense
-        g = self._l2norm_grad(pre, node.value, adj)
-        g *= pre > 0
+        g = self._l2norm_grad(norms, node.value, adj)
+        g *= positive
         g_merged, g_mw, g_mb = _dense_grads(
             merged, merge_w, g, (i_live or latent_live, mw_live, mb_live))
         del g
@@ -649,12 +713,14 @@ class Tape:
         del g
         g_features = segments.backward(features, g_pool) if f_live else None
         del g_pool
-        g_rows = _scatter_rows(inherent, rows, g_looked) if i_live else None
+        g_rows = None if not i_live else RowGrad(rows, g_looked) \
+            if _increasing(rows) else _scatter_rows(inherent, rows, g_looked)
         return [g_features, g_rows, g_lw, g_lb, g_mw, g_mb]
 
     @staticmethod
-    def _l2norm_grad(x, y, adj, eps=1e-12):
-        n = np.linalg.norm(x, axis=1, keepdims=True)
+    def _l2norm_grad(n, y, adj, eps=1e-12):
+        """Gradient of the row normalization whose rows' norms were ``n``
+        and whose output was ``y``, for its adjoint ``adj``."""
         ok = n >= eps
         # a C-ordered product sums each row as the masked copies did
         dots = np.multiply(y, adj, order="C").sum(axis=1, keepdims=True)

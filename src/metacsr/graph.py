@@ -41,13 +41,6 @@ class InteractionGraph:
     def n_entities(self) -> int:
         return self.n_users + self.n_items
 
-    def neighbors(self, entity: int) -> tuple[int, ...]:
-        lo, hi = self.indptr[entity], self.indptr[entity + 1]
-        return tuple(self.indices[lo:hi].tolist())
-
-    def degree(self, entity: int) -> int:
-        return int(self.indptr[entity + 1] - self.indptr[entity])
-
 
 def build_interaction_graph(interactions, n_users, n_items) -> InteractionGraph:
     """Deduplicated symmetric CSR adjacency from a list of (user, item) pairs.
@@ -161,7 +154,9 @@ def build_diffusion(tape, plan, param_nodes, depth, rows=None):
     node whose segments of ``plan[k]`` point at the previous layer's rows
     (layer 0 pools the inherent table) and which merges its rows of the
     inherent table: ``depth`` nodes, whatever the graph size or neighbor
-    cap. Returns the (len(rows), d) node. Each row pools as in the
+    cap. Rows in entity order are strictly increasing, so each layer's
+    inherent-table gradient stays row-sparse until the param sums them.
+    Returns the (len(rows), d) node. Each row pools as in the
     every-entity pass, so output rows and the inherent gradient are
     bit-equal to it (numpy's OpenBLAS). Weight gradients sum fewer rows:
     bit-equal at test and criterion-6 sizes, not at ML-1M's.

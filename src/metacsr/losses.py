@@ -80,21 +80,24 @@ class ItemFeatures:
     Draws a neighbor plan from ``rng`` when diffusion is on and keeps the
     pass on its own tape, so a loss built over ``value`` (through a leaf)
     can push its gradient w.r.t. the table back to theta1. theta1 must not
-    change between the pass and :meth:`theta1_grads`. ``plan`` is the full
-    sampled plan; the tape computes only the rows that reach the item rows
-    (see :func:`item_feature_node`).
+    change between the pass and :meth:`theta1_grads`. The tape computes
+    only the rows that reach the item rows (see :func:`item_feature_node`)
+    and keeps what their backward reads (see :meth:`Tape.conv`); the plan
+    is dropped once the tape is built. In a backward, the inherent table's
+    gradient stays row-sparse until its param sums it into one table.
     """
 
     def __init__(self, graph_, params, rng):
         config = params.config
-        self.plan = gr.sample_neighbor_plan(
+        plan = gr.sample_neighbor_plan(
             graph_, config.neighbor_cap, config.diffusion_depth, rng) \
             if config.use_diffusion else None
         self._tape = Tape()
         nodes = {name: self._tape.param(name, value)
                  for name, value in params.theta1.items()}
         self._out = item_feature_node(self._tape, graph_, nodes, config,
-                                      plan=self.plan)
+                                      plan=plan)
+        del plan    # freed before the forward; the tape holds what it reads
         self._tape.forward()
         self.value = self._out.value
 

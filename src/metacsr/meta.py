@@ -40,6 +40,8 @@ ADAM_EPS = 1e-8
 WINDOW_STEPS = 20
 PLATEAU_TOL = 1e-4
 HVP_SCALE = 1e-5    # finite-difference radius per unit of (1 + |theta2|)
+# numbers per block of an Adam step: its two buffers stay in cache
+ADAM_BLOCK_FLOATS = 32768
 
 
 @dataclass
@@ -140,22 +142,45 @@ class AdamState:
     step: int = 0
 
     def apply(self, params, grads, cfg):
-        """One Adam step with decoupled weight decay, in place."""
+        """One Adam step with decoupled weight decay, in place.
+
+        Bit for bit ``m += (1 - b1) * (g - m)``, ``v += (1 - b2) * (g * g
+        - v)``, ``value -= lr * ((m / c1) / (sqrt(v / c2) + eps))`` and
+        ``value -= lr * wd * value``, computed in blocks of rows through
+        two buffers of about ``ADAM_BLOCK_FLOATS`` numbers each, so no
+        temporary of a parameter's size is made."""
         self.step += 1
         correct1 = 1.0 - ADAM_BETA1 ** self.step
         correct2 = 1.0 - ADAM_BETA2 ** self.step
+        lr, decay = cfg.outer_lr, cfg.outer_lr * cfg.weight_decay
         for name, value in params.items():
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(value)
             m = self.first.setdefault(name, np.zeros_like(value))
             v = self.second.setdefault(name, np.zeros_like(value))
-            m += (1.0 - ADAM_BETA1) * (g - m)
-            v += (1.0 - ADAM_BETA2) * (g * g - v)
-            update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-            value -= cfg.outer_lr * update
-            if cfg.weight_decay:
-                value -= cfg.outer_lr * cfg.weight_decay * value
+            rows = max(1, ADAM_BLOCK_FLOATS // max(1, value[:1].size))
+            buffers = np.empty((2, min(rows, len(value)), *value.shape[1:]))
+            for lo in range(0, len(value), rows):
+                block = slice(lo, lo + rows)
+                w, gb, mb, vb = value[block], g[block], m[block], v[block]
+                a, b = buffers[:, : len(w)]
+                np.subtract(gb, mb, out=a)
+                a *= 1.0 - ADAM_BETA1
+                mb += a
+                np.multiply(gb, gb, out=a)
+                a -= vb
+                a *= 1.0 - ADAM_BETA2
+                vb += a
+                np.divide(vb, correct2, out=a)
+                np.sqrt(a, out=a)
+                a += ADAM_EPS
+                np.divide(mb, correct1, out=b)
+                b /= a
+                b *= lr
+                w -= b
+                if cfg.weight_decay:
+                    w -= np.multiply(w, decay, out=b)
 
 
 def query_grads(features, batches, cfg, histories, model_config):

@@ -165,19 +165,6 @@ class MetricsReport:
             writer.writerow(["ndcg", n, repr(self.ndcg[n])])
         return buf.getvalue()
 
-    @staticmethod
-    def from_json(text) -> "MetricsReport":
-        raw = json.loads(text)
-        meta = raw.get("meta", {})
-        return MetricsReport(
-            auc=raw["auc"], map=raw["map"],
-            hit={int(k): v for k, v in raw["hit"].items()},
-            ndcg={int(k): v for k, v in raw["ndcg"].items()},
-            n_users=raw["users"],
-            seed=meta.get("seed"), config_hash=meta.get("config_hash"),
-            scenario=meta.get("scenario"), model=meta.get("model"),
-        )
-
 
 def build_report(queries, top_n=range(1, 21), **meta) -> MetricsReport:
     return MetricsReport(

@@ -44,9 +44,6 @@ class ModelParams:
         if overlap:
             raise ValueError(f"parameters in both partitions: {sorted(overlap)}")
 
-    def all_params(self) -> dict[str, np.ndarray]:
-        return {**self.theta1, **self.theta2}
-
     def clone(self) -> "ModelParams":
         return ModelParams(
             theta1={k: v.copy() for k, v in self.theta1.items()},

@@ -14,10 +14,14 @@ is compared bit for bit). The unfused chains :func:`unfused_pair_sigmoid`,
 :func:`unfused_pair_loss` and :func:`unfused_conv` replay the rules of the
 nodes their fused ops replaced in numpy, scattering with ``np.add.at``;
 :func:`out_of_place_backward` replays the tape's backward with every
-adjoint sum a new array.
+adjoint sum a new array. The read accessors :func:`neighbors`,
+:func:`degree`, :func:`all_params` and :func:`report_from_json` serve
+only the tests, and :func:`neighbor_plan` draws the plan that an
+item-feature pass drew and dropped.
 """
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -195,6 +199,46 @@ def reference_neighbor_plan(pairs, n_users, n_items, cap, depth, rng):
                 layer.append(sorted(nbrs[i] for i in picked))
         plan.append(layer)
     return plan
+
+
+def neighbors(graph, entity):
+    """Entity ``entity``'s sorted neighbors in an interaction graph."""
+    lo, hi = graph.indptr[entity], graph.indptr[entity + 1]
+    return tuple(graph.indices[lo:hi].tolist())
+
+
+def degree(graph, entity):
+    return int(graph.indptr[entity + 1] - graph.indptr[entity])
+
+
+def all_params(params):
+    """Both partitions of a ``ModelParams`` in one mapping."""
+    return {**params.theta1, **params.theta2}
+
+
+def report_from_json(text):
+    """The ``MetricsReport`` whose ``to_json`` gave ``text``."""
+    from metacsr.metrics import MetricsReport
+
+    raw = json.loads(text)
+    meta = raw.get("meta", {})
+    return MetricsReport(
+        auc=raw["auc"], map=raw["map"],
+        hit={int(k): v for k, v in raw["hit"].items()},
+        ndcg={int(k): v for k, v in raw["ndcg"].items()},
+        n_users=raw["users"],
+        seed=meta.get("seed"), config_hash=meta.get("config_hash"),
+        scenario=meta.get("scenario"), model=meta.get("model"),
+    )
+
+
+def neighbor_plan(graph, config, rng):
+    """The neighbor plan a ``losses.ItemFeatures`` pass draws from ``rng``
+    (the pass itself drops it once its tape is built)."""
+    from metacsr import graph as gr
+
+    return gr.sample_neighbor_plan(graph, config.neighbor_cap,
+                                   config.diffusion_depth, rng)
 
 
 def tape_value(build, *arrays):

@@ -6,6 +6,8 @@ import pytest
 
 from metacsr.autodiff import (
     _BLOCK_FLOATS,
+    RowGrad,
+    _add_adjoints,
     Segments,
     ShapeError,
     Tape,
@@ -266,7 +268,8 @@ def test_l2_normalize_unit_or_zero():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(5, 4))
     x[2] = 0.0
-    y = l2_normalize_rows(x)
+    y, n = l2_normalize_rows(x)
+    np.testing.assert_array_equal(n[:, 0], np.linalg.norm(x, axis=1))
     norms = np.linalg.norm(y, axis=1)
     np.testing.assert_allclose(norms[[0, 1, 3, 4]], 1.0, atol=1e-9)
     np.testing.assert_array_equal(y[2], np.zeros(4))
@@ -561,9 +564,9 @@ def test_l2norm_value_and_gradient_equal_masked_forms():
         adj = rng.normal(size=(rows, dim))
         if draw % 2:
             adj = np.asfortranarray(adj)        # as a transpose's adjoint
-        y = l2_normalize_rows(x)
+        y, n = l2_normalize_rows(x)
         assert np.array_equal(y, masked_row_norms(x)), draw
-        assert np.array_equal(Tape._l2norm_grad(x, y, adj),
+        assert np.array_equal(Tape._l2norm_grad(n, y, adj),
                               masked_row_norms(x, adj)), draw
 
 
@@ -836,6 +839,120 @@ def test_conv_equals_the_six_node_chain_bit_for_bit():
         for node, on, grad in list(zip(nodes, live, grads))[layer0:]:
             assert node.adjoint is None if not on \
                 else _same_bits(node.adjoint, grad), (draw, node.name)
+
+
+def test_two_conv_layers_sharing_inherent_equal_the_chained_rules():
+    """Two stacked ``conv`` nodes that share ``inherent``: the value, the
+    inherent gradient ``(A + G_pool) + G_rows`` (layer 1's rows, then
+    layer 0's pool and rows) and every weight gradient equal two chained
+    unfused layers', bit for bit. Overlapping and disjoint row sets, -0.0
+    adjoints, unsorted or repeated rows (a dense scatter), ``inherent`` as
+    a param or as a leaf (whose adjoint is a dense ndarray), and a second
+    backward, which adds into ``grads`` and leaves the first call's arrays
+    as they were."""
+    rng = np.random.default_rng(23)
+    names = ("latent_w", "latent_b", "merge_w", "merge_b")
+
+    def layer_rows(pool, draw):
+        rows = np.sort(rng.choice(pool, int(rng.integers(1, pool.size + 1)),
+                                  replace=False))
+        if draw % 5 == 4:
+            rows = rng.permutation(rows)
+        elif draw % 5 == 3:
+            rows = rng.choice(rows, rows.size)
+        return rows
+
+    for draw in range(120):
+        d = int(rng.choice([1, 3, 8]))
+        n = int(rng.integers(2, 14))
+        inherent = rng.normal(size=(n, d))
+        inherent[rng.random(n) < 0.2] = 0.0
+        rows0 = layer_rows(np.arange(n), draw)
+        rest = np.setdiff1d(np.arange(n), rows0)
+        disjoint = draw % 2 == 0 and rest.size > 0
+        rows1 = layer_rows(rest if disjoint else np.arange(n), draw // 5)
+        counts0, counts1 = (rng.integers(0, 5, size=r.size)
+                            for r in (rows0, rows1))
+        ids0 = rng.integers(0, n, size=int(counts0.sum()))
+        ids1 = rng.integers(0, rows0.size, size=int(counts1.sum()))
+        weights = [[rng.normal(size=(d, d)), rng.normal(size=d),
+                    rng.normal(size=(d, 2 * d)), rng.normal(size=d)]
+                   for _ in range(2)]
+        if draw % 4 == 1:
+            weights[0][3] -= 100.0      # every layer-0 merge row is zero
+        adj = rng.normal(size=(rows1.size, d))
+        adj[rng.random(adj.shape) < 0.3] = -0.0
+
+        out0 = unfused_conv(inherent, inherent, rows0, ids0, counts0,
+                            *weights[0], np.zeros((rows0.size, d)))[0]
+        out1, g_out0, g_rows1, *w1 = unfused_conv(
+            out0, inherent, rows1, ids1, counts1, *weights[1], adj)
+        _, g_pool0, g_rows0, *w0 = unfused_conv(
+            inherent, inherent, rows0, ids0, counts0, *weights[0], g_out0)
+        want = {"inherent": (g_rows1 + g_pool0) + g_rows0}
+        for layer, grads in enumerate((w0, w1)):
+            want.update({f"{layer}/{k}": g for k, g in zip(names, grads)})
+
+        t = Tape()
+        as_param = draw % 3 != 0
+        inh = t.param("inherent", inherent) if as_param \
+            else t.leaf("inherent", inherent)
+        nodes = [[t.param(f"{layer}/{k}", v) for k, v in zip(names, w)]
+                 for layer, w in enumerate(weights)]
+        c0 = t.conv(inh, inh, rows0, ids0, counts0, *nodes[0])
+        c1 = t.conv(c0, inh, rows1, ids1, counts1, *nodes[1])
+        t.forward()
+        assert _same_bits(c1.value, out1), draw
+        first = {}
+        for call in (1, 2):
+            t.backward(c1, adj)
+            got = dict(t.grads)
+            if not as_param:
+                assert type(inh.adjoint) is np.ndarray, draw
+                assert _same_bits(inh.adjoint, want["inherent"]), draw
+                got["inherent"] = want["inherent"] * call
+            assert got.keys() == want.keys()
+            for name, grad in want.items():
+                assert _same_bits(got[name], grad * call), (draw, name)
+            if call == 1:
+                first = {k: (g, g.copy()) for k, g in got.items()}
+        assert all(_same_bits(g, kept) for g, kept in first.values()), draw
+
+
+def test_row_sparse_sums_equal_the_dense_sums():
+    """A RowGrad plus a dense gradient, either first, plus a RowGrad, and
+    a RowGrad alone as a table: the dense sums bit for bit, with every
+    -0.0 of the sparse values and of the dense rows, whichever operand
+    the pass owns; an operand it does not own is not written."""
+    rng = np.random.default_rng(24)
+    for draw in range(200):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+
+        def sparse():
+            rows = np.flatnonzero(rng.random(n) < 0.6)
+            values = rng.choice([-0.0, 0.0, 1.5, -2.0], size=(rows.size, d))
+            return RowGrad(rows, values)
+
+        def dense_of(grad):
+            table = np.zeros((n, d))
+            np.add.at(table, grad.rows, grad.values)
+            return table
+
+        a, c = sparse(), sparse()
+        b = rng.choice([-0.0, 0.0, 0.5, -1.0], size=(n, d))
+        assert _same_bits(a.dense((n, d)), dense_of(a)), draw
+        want = (dense_of(a) + b) + dense_of(c)
+        for sparse_first in (True, False):
+            for owned in (False, True):
+                dense = b.copy()
+                total = _add_adjoints(a, dense, False, owned, (n, d)) \
+                    if sparse_first else \
+                    _add_adjoints(dense, a, owned, False, (n, d))
+                assert owned or _same_bits(dense, b), draw
+                total = _add_adjoints(total, c, True, True, (n, d))
+                assert _same_bits(total, want), draw
+        both = _add_adjoints(a, c, False, False, (n, d))
+        assert _same_bits(both, dense_of(a) + dense_of(c)), draw
 
 
 def _aliasing_tapes(rng):

@@ -11,6 +11,8 @@ from metacsr.evaluation import ModelScorer, evaluate_model
 from metacsr.params import ModelConfig, init_model
 from metacsr.seeding import component_rng
 
+from oracles import all_params
+
 FIXTURE = Path(__file__).parent / "fixtures" / "ml1m_500.dat"
 
 
@@ -152,8 +154,8 @@ def test_joint_and_meta_models_share_checkpoint_shapes(world_data, tmp_path):
     ckpt.save_model(tmp_path / "meta.ckpt", meta_params)
     a = ckpt.load_model(tmp_path / "joint.ckpt")
     b = ckpt.load_model(tmp_path / "meta.ckpt")
-    assert {k: v.shape for k, v in a.all_params().items()} == \
-        {k: v.shape for k, v in b.all_params().items()}
+    assert {k: v.shape for k, v in all_params(a).items()} == \
+        {k: v.shape for k, v in all_params(b).items()}
 
 
 def test_joint_train_loss_decreases(world_data):

@@ -9,7 +9,8 @@ from metacsr import experiments
 from metacsr import graph as gr
 from metacsr.cli import main
 from metacsr.config import RunConfig, resolve_config
-from metacsr.metrics import MetricsReport
+
+from oracles import report_from_json
 
 
 def tiny_overrides(out_dir, **extra):
@@ -240,7 +241,7 @@ def test_full_pipeline_and_artifacts(tmp_path):
     assert steps == sorted(steps)
 
     report_path = experiments.run_evaluate(config)
-    report = MetricsReport.from_json(report_path.read_text())
+    report = report_from_json(report_path.read_text())
     assert report.config_hash == config.core_hash()
     assert report.scenario == "cold"
     assert set(report.hit) == set(range(1, 21))
@@ -264,10 +265,10 @@ def test_eval_baseline_scorers(tmp_path):
     config = tiny_config(out)
     experiments.run_prepare(config)
     path = experiments.run_evaluate(config, scorer_kind="popularity")
-    report = MetricsReport.from_json(path.read_text())
+    report = report_from_json(path.read_text())
     assert report.model == "popularity"
     path = experiments.run_evaluate(config, scorer_kind="bpr")
-    assert MetricsReport.from_json(path.read_text()).model == "bpr-mf"
+    assert report_from_json(path.read_text()).model == "bpr-mf"
 
 
 def test_warm_scenario_tagged(tmp_path):
@@ -277,7 +278,7 @@ def test_warm_scenario_tagged(tmp_path):
     experiments.run_train(config, max_steps=1, quiet=True)
     config.scenario = "warm"
     path = experiments.run_evaluate(config)
-    report = MetricsReport.from_json(path.read_text())
+    report = report_from_json(path.read_text())
     assert report.scenario == "warm"
     assert "warm" in path.name
 

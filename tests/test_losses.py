@@ -12,9 +12,10 @@ from metacsr.autodiff import Tape, finite_difference_check
 from metacsr.data import BehaviorSequence
 from metacsr.params import ModelConfig, init_model
 
-from oracles import (drawn_negatives, full_stack_tape, reference_convolve,
-                     reference_encode, reference_pairwise_loss,
-                     scalar_negatives, sigmoid, skewed_pairs)
+from oracles import (drawn_negatives, full_stack_tape, neighbor_plan,
+                     reference_convolve, reference_encode,
+                     reference_pairwise_loss, scalar_negatives, sigmoid,
+                     skewed_pairs)
 
 
 def test_pairwise_gradient_signs():
@@ -414,7 +415,8 @@ def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
     computes the item rows alone and pools their segments of the plan;
     layer 0 computes and pools only the user rows those segments read.
     Every projection runs on its layer's rows only, in training and in the
-    evaluation table."""
+    evaluation table, and keeps its rows' pool, concatenation, merge norms
+    and merge mask."""
     convs = []
     conv = Tape.conv
 
@@ -425,9 +427,10 @@ def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
 
     monkeypatch.setattr(Tape, "conv", conv_spy)
     g, params, _ = _tiny_setup(n_users=4)
-    features = losses.ItemFeatures(g, params, np.random.default_rng(0))
+    losses.ItemFeatures(g, params, np.random.default_rng(0))
     assert len(convs) == 2
-    plan_ids, plan_counts = features.plan[1]
+    plan = neighbor_plan(g, params.config, np.random.default_rng(0))
+    plan_ids, plan_counts = plan[1]
     item_reads = plan_ids[plan_counts[: g.n_users].sum():]
     users = np.unique(item_reads)
     assert users.size == 3 and users.max() < g.n_users
@@ -435,27 +438,31 @@ def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
     np.testing.assert_array_equal(rows, np.arange(g.n_users, g.n_entities))
     np.testing.assert_array_equal(counts, plan_counts[g.n_users:])
     np.testing.assert_array_equal(users[ids], item_reads)
-    plan_ids, plan_counts = features.plan[0]
+    plan_ids, plan_counts = plan[0]
     starts = np.cumsum(plan_counts) - plan_counts
     _, rows, ids, counts = convs[0]
     np.testing.assert_array_equal(rows, users)
     np.testing.assert_array_equal(counts, plan_counts[users])
     np.testing.assert_array_equal(ids, np.concatenate(
         [plan_ids[starts[u]: starts[u] + plan_counts[u]] for u in users]))
-    # the pool, the concatenation and the merge output of each layer
-    rows = [[users.size] * 3, [g.n_items] * 3]
-    assert [[a.shape[0] for a in node.saved] for node, *_ in convs] == rows
+    # the pool, the concatenation, the merge norms and the merge mask
+    d = params.config.dim
+    saved = [[(n, d), (n, 2 * d), (n, 1), (n, d)]
+             for n in (users.size, g.n_items)]
+    assert [[a.shape for a in node.saved] for node, *_ in convs] == saved
+    assert all(node.saved[3].dtype == bool for node, *_ in convs)
     del convs[:]
     losses.cached_item_features(g, params, np.random.default_rng(0))
-    assert [[a.shape[0] for a in node.saved] for node, *_ in convs] == rows
+    assert [[a.shape for a in node.saved] for node, *_ in convs] == saved
 
 
 def test_item_feature_pass_and_its_backward_stay_small():
     """tracemalloc: one ItemFeatures pass and two theta1_grads calls on a
     2,000-user, 1,200-item graph at d=64 and depth 2 peak under 13.5
-    (entities x d) tables. Fused layers keep five row blocks each and pool
-    in cache-sized blocks: 12.1 tables (18.9 MiB). Six nodes per layer
-    peaked at 15.4 (24.1 MiB)."""
+    (entities x d) tables. Fused layers that keep their merge rows' norms
+    and mask and hand the inherent table row-sparse gradients: 9.8 tables
+    (15.4 MiB). Keeping the merge output, the plan and dense inherent
+    gradients: 12.1 (18.9 MiB); six nodes per layer: 15.4 (24.1 MiB)."""
     rng = np.random.default_rng(3)
     n_users, n_items, dim = 2000, 1200, 64
     g = gr.build_interaction_graph(
@@ -474,3 +481,27 @@ def test_item_feature_pass_and_its_backward_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 13.5 * g.n_entities * dim * 8, peak / 2**20
+
+
+def test_item_feature_pass_holds_little_between_forward_and_backward():
+    """tracemalloc: on the graph of the test above, what one ItemFeatures
+    pass holds for its backward stays under 5.5 (entities x d) tables:
+    its value, each layer's pool, concatenation, merge norms and merge
+    mask, and the segment layouts, 5.0 tables (7.8 MiB). Keeping the merge
+    outputs and the sampled plan held 6.6 (10.4 MiB)."""
+    rng = np.random.default_rng(3)
+    n_users, n_items, dim = 2000, 1200, 64
+    g = gr.build_interaction_graph(
+        np.stack([rng.integers(0, n_users, 60000),
+                  rng.integers(0, n_items, 60000)], axis=1), n_users, n_items)
+    config = ModelConfig(dim=dim, diffusion_depth=2, neighbor_cap=25)
+    params = SimpleNamespace(config=config, theta1=gr.init_diffusion_params(
+        g.n_entities, dim, 2, rng))
+    tracemalloc.start()
+    try:
+        features = losses.ItemFeatures(g, params, np.random.default_rng(0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert features.value.shape == (n_items, dim)
+    assert held < 5.5 * g.n_entities * dim * 8, held / 2**20

@@ -13,7 +13,8 @@ from metacsr.data import BehaviorSequence, SyntheticWorldSpec, generate_syntheti
 from metacsr.evaluation import ModelScorer
 from metacsr.params import ModelConfig, init_model
 from metacsr.seeding import component_rng
-from oracles import feature_loss, full_stack_tape, sigmoid
+from oracles import (all_params, feature_loss, full_stack_tape,
+                     neighbor_plan, sigmoid)
 
 
 def small_cfg(**kw):
@@ -365,11 +366,11 @@ def test_exact_meta_gradient_matches_finite_differences_on_toy():
 def test_meta_train_zero_steps_is_noop(tiny_world):
     world, regular, new, graph = tiny_world
     params = fresh_params(graph)
-    snapshot = {k: v.copy() for k, v in params.all_params().items()}
+    snapshot = {k: v.copy() for k, v in all_params(params).items()}
     trace = meta.MetaTrainer(graph, regular, params, small_cfg(),
                              seed=1).train(max_steps=0)
     assert trace == []
-    for name, value in params.all_params().items():
+    for name, value in all_params(params).items():
         np.testing.assert_array_equal(value, snapshot[name])
 
 
@@ -612,8 +613,10 @@ def test_theta1_grads_through_kept_feature_tape_equal_single_tape(
     # reference: diffusion and every task's query loss on one tape
     tape = Tape()
     theta1 = {k: tape.param(k, v) for k, v in before.theta1.items()}
+    plan = neighbor_plan(graph, before.config,
+                         trainer._rng("neighbor-plan", 0))
     items = losses.item_feature_node(tape, graph, theta1, before.config,
-                                     plan=features.plan)
+                                     plan=plan)
     total = None
     for t, (task, theta2) in enumerate(zip(tasks, adapted)):
         nodes = {k: tape.param(f"task{t}/{k}", v) for k, v in theta2.items()}
@@ -642,16 +645,18 @@ def test_joint_step_grads_equal_single_tape(tiny_world, monkeypatch):
     original = meta.query_grads
 
     def spy(features, batches, *args):
-        calls.append((features.plan, list(batches[0][1])))
+        calls.append(list(batches[0][1]))
         return original(features, batches, *args)
 
     monkeypatch.setattr(meta, "query_grads", spy)
     grads = _adam_grads(monkeypatch)
     trace = baselines.joint_train(graph, regular, params, cfg, seed=5,
                                   max_steps=1, batch_size=6)
-    (plan, batch), = calls
+    batch, = calls
     g1, g2 = grads
 
+    plan = neighbor_plan(graph, before.config,
+                         component_rng(5, "joint/neighbor-plan"))
     tape, loss, _ = full_stack_tape(
         graph, before, batch, cfg.k_neg, component_rng(5, "joint/negatives"),
         regular, plan=plan)
@@ -704,8 +709,8 @@ def test_exact_step_grads_equal_full_stack_tapes(tiny_world, monkeypatch):
     cfg = small_cfg(order="exact", task_batch=1, inner_lr=0.05)
     trainer = meta.MetaTrainer(graph, regular, params, cfg, seed=5)
     tasks = trainer.sample_tasks(0)
-    plan = losses.ItemFeatures(graph, before,
-                               trainer._rng("neighbor-plan", 0)).plan
+    plan = neighbor_plan(graph, before.config,
+                         trainer._rng("neighbor-plan", 0))
     grads = _adam_grads(monkeypatch)
     loss = trainer.outer_update(tasks, 0)
     g1, g2 = grads
@@ -728,8 +733,8 @@ def test_exact_step_sums_each_tasks_correction(tiny_world, monkeypatch):
     trainer = meta.MetaTrainer(graph, regular, params, cfg, seed=5)
     tasks = trainer.sample_tasks(0)
     assert len({task.support for task in tasks}) == 3
-    plan = losses.ItemFeatures(graph, before,
-                               trainer._rng("neighbor-plan", 0)).plan
+    plan = neighbor_plan(graph, before.config,
+                         trainer._rng("neighbor-plan", 0))
     grads = _adam_grads(monkeypatch)
     loss = trainer.outer_update(tasks, 0)
     g1, g2 = grads

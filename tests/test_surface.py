@@ -6,10 +6,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# read accessors and a checker, kept for callers outside the program
-KEPT = {"graph.InteractionGraph.neighbors", "graph.InteractionGraph.degree",
-        "autodiff.finite_difference_check", "metrics.MetricsReport.from_json",
-        "params.ModelParams.all_params"}
+# a checker, kept for callers outside the program
+KEPT = {"autodiff.finite_difference_check"}
 
 
 def _defs(body, prefix=""):
