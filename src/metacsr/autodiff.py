@@ -62,12 +62,13 @@ def _as_f64(x):
     return np.asarray(x, dtype=np.float64)
 
 
-def stable_sigmoid(x):
+def stable_sigmoid(x, out=None):
     """Numerically stable logistic function, elementwise: one division,
-    with the IEEE operations of ``1/(1+e)`` for x >= 0 and ``e/(1+e)``."""
+    with the IEEE operations of ``1/(1+e)`` for x >= 0 and ``e/(1+e)``,
+    written into ``out`` if given (which may be ``x``)."""
     x = _as_f64(x)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def masked_softmax_rows(z):
@@ -98,7 +99,9 @@ def l2_normalize_rows(x, eps=1e-12):
     x = _as_f64(x)
     n = np.linalg.norm(x, axis=1, keepdims=True)
     ok = n >= eps
-    return np.where(ok, x / np.where(ok, n, 1.0), 0.0), n
+    out = np.divide(x, np.where(ok, n, 1.0))
+    np.copyto(out, 0.0, where=~ok)
+    return out, n
 
 
 def _dense_grads(x, w, g, live):
@@ -187,6 +190,40 @@ def _pair_terms(items, prefs, cand, k_neg):
     return c, p, rows, s, pos, neg, s[neg] + s[pos] * -1.0
 
 
+# a block holds _BLOCK_FLOATS // d rows of d floats: 256 KiB, so a block
+# and its temporaries stay in cache
+_BLOCK_FLOATS = 32768
+
+
+def _block_rows(k):
+    """The rows of k floats that one block holds, at least one."""
+    return max(1, _BLOCK_FLOATS // max(k, 1))
+
+
+def _pair_sigmoid(a, b, rows_a, rows_b):
+    """``stable_sigmoid(a[rows_a] + b[rows_b])``, one block of rows at a
+    time, each written in place."""
+    s = np.empty((rows_a.size, a.shape[1]))
+    size = _block_rows(a.shape[1])
+    for lo in range(0, len(s), size):
+        x = s[lo: lo + size]
+        np.add(a.take(rows_a[lo: lo + size], axis=0),
+               b.take(rows_b[lo: lo + size], axis=0), out=x)
+        stable_sigmoid(x, out=x)
+    return s
+
+
+def _sigmoid_grad(g, s):
+    """``g * s * (1.0 - s)`` for the sigmoid table ``s``, written into
+    ``g`` one block of rows at a time."""
+    size = _block_rows(s.shape[1])
+    for lo in range(0, len(s), size):
+        block, sig = g[lo: lo + size], s[lo: lo + size]
+        block *= sig
+        block *= np.subtract(1.0, sig)
+    return g
+
+
 def _blocks(x, t_len):
     """View an (n * t_len, k) matrix as n stacked (t_len, k) blocks."""
     return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
@@ -195,11 +232,6 @@ def _blocks(x, t_len):
 # the ops whose gradient rules hand out their adjoint or views of it; every
 # other rule returns arrays that nothing else reads
 _VIEW_RULES = frozenset({"add", "concat", "transpose", "reshape"})
-
-# a pooling block holds _BLOCK_FLOATS // d rows of d floats: 256 KiB, so a
-# block's sums and its gathered rows stay in cache
-_BLOCK_FLOATS = 32768
-
 
 class Segments:
     """A flat id list cut into segments ``ids[o_i : o_i + counts[i]]``,
@@ -223,7 +255,7 @@ class Segments:
         starts = (np.cumsum(self.counts) - self.counts)[self.order]
         self.columns = [self.ids[starts[:k] + j] for j, k in enumerate(longer)]
         self.inverse_counts = 1.0 / np.maximum(self.counts, 1)[:, None]
-        self.readers = None     # transposed layout, built on first backward
+        self.readers = None     # rows read, their layout: first backward
 
     def pool(self, table):
         """Row i: the sum of segment i's table rows, 0 if empty. Pools
@@ -235,7 +267,7 @@ class Segments:
         out = np.empty((n, d))
         filled = self.columns[0].size if self.columns else 0
         out[self.order[filled:]] = 0.0
-        size = max(1, _BLOCK_FLOATS // max(d, 1))
+        size = _block_rows(d)
         acc = np.empty((min(size, filled), d))
         for lo in range(0, filled, size):
             first = self.columns[0][lo: lo + size]
@@ -257,17 +289,26 @@ class Segments:
 
     def backward(self, table, adj):
         """Gradient w.r.t. ``table``: ``adj / count`` into every row a
-        segment read. Scales ``adj`` in place, so it takes an array no one
-        else reads."""
+        segment read. When the segments read fewer than half the rows, it
+        pools those rows alone into a :class:`RowGrad`, whose dense form is
+        the table with each -0.0 made +0.0; otherwise it is the table,
+        zero in the rows no segment reads. Scales ``adj`` in place, so it
+        takes an array no one else reads."""
         if self.readers is None:
             # a stable sort of ids this narrow is numpy's radix sort
             narrow = self.ids.astype(np.min_scalar_type(table.shape[0] - 1))
             by_id = np.argsort(narrow, kind="stable")
-            self.readers = Segments(
+            counts = np.bincount(self.ids, minlength=table.shape[0])
+            read = np.flatnonzero(counts)
+            if 2 * read.size >= counts.size:
+                read = None
+            self.readers = read, Segments(
                 np.repeat(np.arange(self.counts.size), self.counts)[by_id],
-                np.bincount(self.ids, minlength=table.shape[0]))
+                counts if read is None else counts[read])
+        read, readers = self.readers
         adj *= self.inverse_counts
-        return self.readers.pool(adj)
+        pooled = readers.pool(adj)
+        return pooled if read is None else RowGrad(read, pooled)
 
 
 class Tape:
@@ -332,12 +373,13 @@ class Tape:
         ``add`` and relu, keeping only the output."""
         return self._append("dense", (x, w, b))
 
-    def pair_sigmoid(self, a, b, rows_a, rows_b):
-        """``sigmoid(a[rows_a] + b[rows_b])`` for two (n, k) tables: bit for
-        bit two lookups, an ``add`` and a ``sigmoid``, keeping only the
-        output."""
+    def pair_logits(self, a, b, w, rows_a, rows_b):
+        """The length-n vector ``sigmoid(a[rows_a] + b[rows_b]) @ w`` for
+        two (m, k) tables, a (k, 1) ``w`` and n rows each: bit for bit two
+        lookups, an ``add``, a ``sigmoid``, a ``matmul`` and a ``reshape``,
+        keeping the sigmoid table beside the output."""
         rows = tuple(np.asarray(r, dtype=np.intp) for r in (rows_a, rows_b))
-        return self._append("pair_sigmoid", (a, b), aux=rows)
+        return self._append("pair_logits", (a, b, w), aux=rows)
 
     def pair_loss(self, items, prefs, cand_ids, k_neg):
         """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
@@ -393,9 +435,11 @@ class Tape:
         and L2-normalizes the row (zero rows stay zero). Bit for bit the
         ``lookup``, ``segment_mean``, ``dense``, ``concat``, ``dense`` and
         row-normalization chain. Between passes it keeps the pool, the
-        concatenation, the merge rows' norms and the merge output's mask
-        ``> 0`` beside its value. Its gradient w.r.t. ``inherent`` is a
-        :class:`RowGrad` while ``rows`` are strictly increasing.
+        merge rows' norms and the merge output's mask ``> 0`` beside its
+        value; its backward rebuilds the concatenation. Its gradient
+        w.r.t. ``inherent`` is a :class:`RowGrad` while ``rows`` are
+        strictly increasing, and so is the one w.r.t. ``features`` when
+        its segments read fewer than half its rows.
         """
         return self._append(
             "conv", (features, inherent, latent_w, latent_b, merge_w,
@@ -447,14 +491,14 @@ class Tape:
             return np.concatenate(vals, axis=axis)
         if op == "dense":
             return self._dense(node, *vals)
-        if op == "pair_sigmoid":
-            a, b = vals
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-                raise self._err(node, f"pair_sigmoid shapes {a.shape}, "
-                                      f"{b.shape}")
-            rows_a, rows_b = node.aux
-            return stable_sigmoid(a.take(rows_a, axis=0) +
-                                  b.take(rows_b, axis=0))
+        if op == "pair_logits":
+            a, b, w = vals
+            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or \
+                    w.shape != (a.shape[1], 1):
+                raise self._err(node, f"pair_logits shapes {a.shape}, "
+                                      f"{b.shape}, {w.shape}")
+            node.saved = _pair_sigmoid(a, b, *node.aux)
+            return (node.saved @ w).reshape(-1)
         if op == "pair_loss":
             (items, prefs), (cand, k_neg) = vals, node.aux
             if items.ndim != 2 or prefs.shape[1:] != items.shape[1:] or \
@@ -513,12 +557,19 @@ class Tape:
             raise self._err(node, f"segment ids span [{lo}, {hi}], outside "
                                   f"the table's {table.shape[0]} rows")
 
+    def _merge_input(self, node, inherent, pooled, latent_w, latent_b):
+        """A ``conv`` node's concatenation of its inherent rows and the
+        latent dense of its pool."""
+        return np.concatenate(
+            [inherent.take(node.aux[1], axis=0),
+             self._dense(node, pooled, latent_w, latent_b)], axis=1)
+
     def _conv(self, node, features, inherent, latent_w, latent_b, merge_w,
               merge_b):
         """The forward of a ``conv`` node: the replaced nodes' operations
-        in order. Saves the pool, the concatenation, the merge rows' norms
-        and the merge output's mask ``> 0``: all its backward reads of the
-        merge output."""
+        in order. Saves the pool, the merge rows' norms and the merge
+        output's mask ``> 0``: all its backward reads of the merge output,
+        and what rebuilds the concatenation."""
         segments, rows = node.aux
         self._check_segments(node, segments, features)
         if inherent.ndim != 2 or rows.shape != segments.counts.shape or \
@@ -528,12 +579,10 @@ class Tape:
                                   f"shape {inherent.shape} for "
                                   f"{segments.counts.size} segments")
         pooled = segments.forward(features)
-        merged = np.concatenate(
-            [inherent.take(rows, axis=0),
-             self._dense(node, pooled, latent_w, latent_b)], axis=1)
-        pre = self._dense(node, merged, merge_w, merge_b)
+        pre = self._dense(node, self._merge_input(
+            node, inherent, pooled, latent_w, latent_b), merge_w, merge_b)
         out, norms = l2_normalize_rows(pre)
-        node.saved = pooled, merged, norms, pre > 0
+        node.saved = pooled, norms, pre > 0
         return out
 
     # ------------------------------------------------------------------- backward
@@ -641,11 +690,15 @@ class Tape:
             x, w, _ = vals
             return _dense_grads(x, w, adj * (node.value > 0),
                                 [i.live for i in node.inputs])
-        if op == "pair_sigmoid":
-            s = node.value
-            g = adj * s * (1.0 - s)
-            return [_scatter_rows(v, rows, g) if i.live else None
-                    for i, v, rows in zip(node.inputs, vals, node.aux)]
+        if op == "pair_logits":
+            s, adj = node.saved, adj.reshape(-1, 1)
+            a_live, b_live, w_live = (i.live for i in node.inputs)
+            # the matmul's rules, then the sigmoid's, in place
+            g = _sigmoid_grad(adj @ vals[2].T, s) if a_live or b_live \
+                else None
+            return [_scatter_rows(v, rows, g) if live else None for v, rows,
+                    live in zip(vals, node.aux, (a_live, b_live))] + \
+                [s.T @ adj if w_live else None]
         if op == "pair_loss":
             (items, prefs), (cand, k_neg) = vals, node.aux
             c, p, rows, s, pos, neg, x = _pair_terms(items, prefs, cand, k_neg)
@@ -688,10 +741,12 @@ class Tape:
         reverse node order, each temporary dropped once used; the features
         gradient comes before the inherent one, as the pool's node came
         after the lookup's, and the inherent one is a :class:`RowGrad` for
-        strictly increasing rows."""
-        (features, inherent, latent_w, _, merge_w, _), (segments, rows) = \
-            vals, node.aux
-        pooled, merged, norms, positive = node.saved
+        strictly increasing rows. The concatenation is rebuilt as the
+        forward built it and freed once the merge weights' gradients and
+        the latent mask are taken."""
+        (features, inherent, latent_w, latent_b, merge_w, _), \
+            (segments, rows) = vals, node.aux
+        pooled, norms, positive = node.saved
         f_live, i_live, lw_live, lb_live, mw_live, mb_live = \
             (i.live for i in node.inputs)
         latent_live = f_live or lw_live or lb_live
@@ -699,13 +754,16 @@ class Tape:
         # row normalization, then the merge dense
         g = self._l2norm_grad(norms, node.value, adj)
         g *= positive
-        g_merged, g_mw, g_mb = _dense_grads(
-            merged, merge_w, g, (i_live or latent_live, mw_live, mb_live))
+        merged = self._merge_input(node, inherent, pooled, latent_w, latent_b)
+        _, g_mw, g_mb = _dense_grads(merged, merge_w, g,
+                                     (False, mw_live, mb_live))
+        latent_on = merged[:, width:] > 0 if latent_live else None
+        del merged
+        g_merged = g @ merge_w if i_live or latent_live else None
         del g
         # the concatenation's halves: the latent dense's, and the lookup's
         # as a copy, so that g_merged is freed before the pool's backward
-        g = g_merged[:, width:] * (merged[:, width:] > 0) \
-            if latent_live else None
+        g = g_merged[:, width:] * latent_on if latent_live else None
         g_looked = g_merged[:, :width].copy() if i_live else None
         del g_merged
         g_pool, g_lw, g_lb = _dense_grads(
@@ -723,8 +781,12 @@ class Tape:
         and whose output was ``y``, for its adjoint ``adj``."""
         ok = n >= eps
         # a C-ordered product sums each row as the masked copies did
-        dots = np.multiply(y, adj, order="C").sum(axis=1, keepdims=True)
-        return np.where(ok, (adj - y * dots) / np.where(ok, n, 1.0), 0.0)
+        out = np.multiply(y, adj, order="C")
+        dots = out.sum(axis=1, keepdims=True)
+        np.subtract(adj, np.multiply(y, dots, out=out), out=out)
+        out /= np.where(ok, n, 1.0)
+        np.copyto(out, 0.0, where=~ok)
+        return out
 
     def zero_grad(self):
         self.grads = {}

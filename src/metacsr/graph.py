@@ -70,14 +70,24 @@ def build_interaction_graph(interactions, n_users, n_items) -> InteractionGraph:
         raise ValueError(f"item id {item} out of range [0, {n_items})")
     n = n_users + n_items
     users, items = pairs.astype(np.intp, copy=False).T
-    items = items + n_users
     # keys src * n + dst, one per direction, sort by entity then neighbor
-    keys = np.concatenate([users * n + items, items * n + users])
+    keys = np.empty(2 * len(pairs), dtype=np.intp)
+    user_keys, item_keys = keys[: len(pairs)], keys[len(pairs):]
+    np.multiply(users, n, out=user_keys)
+    user_keys += items
+    user_keys += n_users
+    np.add(items, n_users, out=item_keys)
+    item_keys *= n
+    item_keys += users
     keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    src, indices = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    fresh = np.empty(keys.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    del fresh
+    # entity e's keys are those in [e * n, e * n + n)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    indices = np.remainder(keys, n, out=keys)
     indptr.flags.writeable = indices.flags.writeable = False
     return InteractionGraph(n_users, n_items, indptr, indices)
 
@@ -106,15 +116,17 @@ def sample_neighbor_plan(graph, cap, depth, rng):
     floyd = np.delete(np.arange(over.size), shuffled)
     steps = np.arange(cap)
     first = (starts + degs - cap)[floyd]
-    bounds = np.hstack([(degs - cap)[:, None] + steps,
-                        np.broadcast_to(steps[:0:-1], (over.size, cap - 1))])
+    # one past each draw's largest value: rng.integers' exclusive bounds
+    highs = np.hstack([(degs - cap + 1)[:, None] + steps,
+                       np.broadcast_to(steps[:0:-1] + 1,
+                                       (over.size, cap - 1))])
     plan = []
     for _ in range(depth):
         taken = np.repeat(degrees <= cap, degrees)    # edges kept whole
         draws = np.empty((over.size, cap), dtype=np.intp)
         lo = 0
         for row in [*shuffled.tolist(), over.size]:
-            draws[lo:row] = rng.integers(0, bounds[lo:row] + 1)[:, :cap]
+            draws[lo:row] = rng.integers(0, highs[lo:row])[:, :cap]
             if row < over.size:
                 taken[starts[row] + rng.choice(degs[row], cap,
                                                replace=False)] = True
@@ -122,7 +134,7 @@ def sample_neighbor_plan(graph, cap, depth, rng):
         picks = starts[floyd, None] + draws[floyd]
         for step, v in zip(steps, picks.T):
             taken[np.where(taken[v], first + step, v)] = True
-        plan.append((graph.indices[taken], counts))
+        plan.append((graph.indices.take(np.flatnonzero(taken)), counts))
     return plan
 
 

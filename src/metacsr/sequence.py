@@ -83,10 +83,8 @@ def build_attention(tape, embeds, params, lengths, biases):
     # row m of srcs is src_w @ e_m, row n of dsts is dst_w @ e_n
     srcs = tape.matmul(embeds, tape.transpose(params[ATT_SRC_W]))
     dsts = tape.matmul(embeds, tape.transpose(params[ATT_DST_W]))
-    hidden = tape.pair_sigmoid(srcs, dsts, seq_i * t_len + pos_m,
-                               seq_i * t_len + pos_n)
-    content = tape.reshape(tape.matmul(hidden, params[ATT_SCORE_W]),
-                           (seq_i.size,))
+    content = tape.pair_logits(srcs, dsts, params[ATT_SCORE_W],
+                               seq_i * t_len + pos_m, seq_i * t_len + pos_n)
     slot = np.zeros(live.shape, dtype=np.intp)
     slot[live] = np.arange(seq_i.size)
     shared = tape.lookup(content, slot.reshape(-1, t_len))

@@ -10,7 +10,7 @@ tape, against which the feature-leaf route is compared and finite
 differences are taken), :func:`feature_loss` (one batch loss over a
 constant item-feature table, against which adaptation is checked) and
 :func:`unfused_dense` (the tape nodes ``dense`` replaced, against which it
-is compared bit for bit). The unfused chains :func:`unfused_pair_sigmoid`,
+is compared bit for bit). The unfused chains :func:`unfused_pair_logits`,
 :func:`unfused_pair_loss` and :func:`unfused_conv` replay the rules of the
 nodes their fused ops replaced in numpy, scattering with ``np.add.at``;
 :func:`out_of_place_backward` replays the tape's backward with every
@@ -323,13 +323,19 @@ def _gathered_grad(table, ids, adj):
     return grad
 
 
-def unfused_pair_sigmoid(a, b, rows_a, rows_b, adj):
-    """``sigmoid(a[rows_a] + b[rows_b])`` as two ``lookup`` nodes, an
-    ``add`` and a ``sigmoid`` compute it, and the gradients w.r.t. a and b
-    for the output adjoint ``adj``."""
-    out = _sigmoid_array(a[rows_a] + b[rows_b])
-    g = adj * out * (1.0 - out)
-    return out, _gathered_grad(a, rows_a, g), _gathered_grad(b, rows_b, g)
+def unfused_pair_logits(a, b, w, rows_a, rows_b, adj):
+    """``sigmoid(a[rows_a] + b[rows_b]) @ w``, reshaped to a vector, as a
+    ``pair_sigmoid`` node (two lookups, an ``add`` and a ``sigmoid``), a
+    ``matmul`` and a ``reshape`` compute it, and the gradients w.r.t. a, b
+    and w that their rules hand back, in reverse node order, for the
+    output adjoint ``adj``."""
+    hidden = _sigmoid_array(a[rows_a] + b[rows_b])
+    out = (hidden @ w).reshape(-1)
+    adj = adj.reshape(-1, 1)                                    # reshape
+    g, g_w = adj @ w.T, hidden.T @ adj                          # matmul
+    g = g * hidden * (1.0 - hidden)                             # sigmoid
+    return (out, _gathered_grad(a, rows_a, g), _gathered_grad(b, rows_b, g),
+            g_w)
 
 
 def unfused_pair_loss(items, prefs, cand_ids, k_neg):

@@ -25,7 +25,7 @@ from oracles import (
     unfused_conv,
     unfused_dense,
     unfused_pair_loss,
-    unfused_pair_sigmoid,
+    unfused_pair_logits,
 )
 
 
@@ -159,11 +159,12 @@ def _op_case(name, rng):
         w = t.matmul(t.leaf("x", rng.normal(size=(2, 4))), a)
         b = t.lookup(t.matmul(a, t.leaf("y", rng.normal(size=(3, 2)))), 1)
         out = t.dense(a, w, b)
-    elif name == "pair_sigmoid":
-        # repeated rows in both tables, and p reaches both
+    elif name == "pair_logits":
+        # repeated rows in both tables, and p reaches both and the weights
         a = t.param("p", rng.normal(size=(5, 3)))
         b = t.matmul(t.leaf("x", rng.normal(size=(4, 5))), a)
-        out = t.pair_sigmoid(a, b, [0, 2, 2, 4, 1], [3, 0, 3, 1, 1])
+        w = t.matmul(t.transpose(a), t.leaf("y", rng.normal(size=(5, 1))))
+        out = t.pair_logits(a, b, w, [0, 2, 2, 4, 1], [3, 0, 3, 1, 1])
     elif name == "pair_loss":
         # p reaches items and prefs; repeated candidates and prefs rows;
         # k_neg of 1 (3 rows) and of 3 (2 rows)
@@ -223,7 +224,7 @@ def out_shape(tape, node):
 
 ALL_OPS = [
     "matmul", "add_same", "add_bias_rows", "mul", "concat", "dense",
-    "pair_sigmoid", "pair_loss", "conv", "lookup", "masked_softmax_rows",
+    "pair_logits", "pair_loss", "conv", "lookup", "masked_softmax_rows",
     "transpose", "reshape", "block_matmul", "segment_mean", "sum",
 ]
 
@@ -474,7 +475,7 @@ def test_blocked_pool_equals_the_column_loop(dim):
     """Segment counts from 0 to 9 over more rows than a block holds, ids
     repeated within and across segments, -0.0 and NaN entries: every row
     is the column loop's sum, bit for bit, and so is the backward's pool
-    of the transposed layout."""
+    of the transposed layout, as a table."""
     rng = np.random.default_rng(dim)
     block = _BLOCK_FLOATS // dim
     for n_segments in (1, block - 1, block, 2 * block + 3):
@@ -491,9 +492,45 @@ def test_blocked_pool_equals_the_column_loop(dim):
         adj = rng.normal(size=(n_segments, dim))
         reader_ids = np.repeat(np.arange(n_segments), counts)[
             np.argsort(ids, kind="stable")]
-        assert _same_bits(segments.backward(table, adj.copy()), column_pool(
+        grad = segments.backward(table, adj.copy())
+        if isinstance(grad, RowGrad):
+            grad = grad.dense(table.shape)
+        assert _same_bits(grad, column_pool(
             adj * (1.0 / np.maximum(counts, 1))[:, None], reader_ids,
             np.bincount(ids, minlength=n_rows))), n_segments
+
+
+def test_segments_backward_pools_only_the_rows_read():
+    """When the segments read fewer than half the table's rows, the
+    backward is a RowGrad of the rows read, in increasing order, whose
+    dense form is the column pool of the transposed layout bit for bit,
+    -0.0 adjoints included (as +0.0); otherwise, unread rows or not, it is
+    that pool as a table. A second backward reuses the layout."""
+    rng = np.random.default_rng(25)
+    for draw in range(90):
+        n_rows, d = int(rng.integers(1, 40)), int(rng.choice([1, 3, 128]))
+        counts = rng.integers(0, 6, size=int(rng.integers(1, 30)))
+        reach = [1, n_rows // 2, n_rows][draw % 3]
+        ids = rng.integers(0, max(reach, 1), size=int(counts.sum()))
+        segments = Segments(ids, counts)
+        table = rng.normal(size=(n_rows, d))
+        adj = rng.normal(size=(counts.size, d))
+        adj[rng.random(adj.shape) < 0.3] = -0.0
+        readers = np.bincount(ids, minlength=n_rows)
+        want = column_pool(
+            adj * (1.0 / np.maximum(counts, 1))[:, None],
+            np.repeat(np.arange(counts.size), counts)[
+                np.argsort(ids, kind="stable")], readers)
+        for _ in range(2):
+            grad = segments.backward(table, adj.copy())
+            if 2 * np.count_nonzero(readers) >= n_rows:
+                assert type(grad) is np.ndarray, draw
+                assert _same_bits(grad, want), draw
+            else:
+                assert isinstance(grad, RowGrad), draw
+                np.testing.assert_array_equal(grad.rows,
+                                              np.flatnonzero(readers))
+                assert _same_bits(grad.dense(table.shape), want + 0.0), draw
 
 
 def test_backward_from_non_scalar_node_with_given_adjoint():
@@ -647,37 +684,43 @@ def test_dense_equals_the_unfused_chain_bit_for_bit():
                 else _same_bits(node.adjoint, grad), draw
 
 
-def test_pair_sigmoid_equals_the_unfused_chain_bit_for_bit():
-    """Value and every live input's gradient equal the lookup, lookup, add
-    and sigmoid chain's, bit for bit: no pairs, repeated and unread rows,
-    -0.0, NaN and saturating entries; an input that is not live gets no
-    gradient computed."""
+def test_pair_logits_equals_the_unfused_chain_bit_for_bit():
+    """Value and every live input's gradient equal the pair_sigmoid,
+    matmul and reshape chain's, bit for bit: no pairs, pairs over several
+    row blocks, repeated and unread rows, -0.0, NaN and saturating
+    entries, -0.0 adjoints; an input that is not live gets no gradient
+    computed."""
     rng = np.random.default_rng(17)
     for draw in range(80):
-        n_a, n_b, k, n_pairs = (int(v) for v in
-                                rng.integers((1, 1, 1, 0), (6, 6, 5, 14)))
+        k = int(rng.choice([1, 3, 64, 128]))
+        n_a, n_b, n_pairs = (int(v) for v in
+                             rng.integers((1, 1, 0), (9, 9, 700)))
         a = rng.normal(size=(n_a, k)) * rng.choice([1.0, 40.0, 800.0])
         b = rng.normal(size=(n_b, k))
+        w = rng.normal(size=(k, 1))
         a[rng.random(a.shape) < 0.2] = -0.0
         b[rng.random(b.shape) < 0.2] = -0.0
+        w[rng.random(w.shape) < 0.2] = -0.0
         if draw % 4 == 2:
             b.flat[rng.integers(b.size)] = np.nan
         rows_a = rng.integers(n_a, size=n_pairs)
         rows_b = rng.integers(n_b, size=n_pairs)
-        adj = rng.normal(size=(n_pairs, k))
-        adj[rng.random(adj.shape) < 0.2] = -0.0
-        want = unfused_pair_sigmoid(a, b, rows_a, rows_b, adj)
-        live = [bool(draw >> bit & 1) for bit in range(2)]
+        adj = rng.normal(size=n_pairs)
+        adj[rng.random(n_pairs) < 0.2] = -0.0
+        want = unfused_pair_logits(a, b, w, rows_a, rows_b, adj)
+        live = [bool(draw >> bit & 1) for bit in range(3)]
         t = Tape()
         inputs = [_bind(t, name, v, on)
-                  for name, v, on in zip("ab", (a, b), live)]
-        out = t.pair_sigmoid(*inputs, rows_a, rows_b)
+                  for name, v, on in zip("abw", (a, b, w), live)]
+        out = t.pair_logits(*inputs, rows_a, rows_b)
         t.forward()
         assert _same_bits(out.value, want[0]), draw
+        if not any(live):
+            continue
         t.backward(out, adj)
         for node, on, grad in zip(inputs, live, want[1:]):
             assert node.adjoint is None if not on \
-                else _same_bits(node.adjoint, grad), draw
+                else _same_bits(node.adjoint, grad), (draw, node.name)
 
 
 def test_pair_loss_equals_the_unfused_chain_bit_for_bit():
@@ -720,9 +763,14 @@ def test_fused_ops_reject_mismatched_shapes():
                   lambda t: t.dense(t.leaf("x", np.ones((2, 3))),
                                     t.leaf("w", np.ones((4, 3))),
                                     t.leaf("b", np.ones(3))),
-                  lambda t: t.pair_sigmoid(t.leaf("a", np.ones((2, 3))),
-                                           t.leaf("b", np.ones((2, 4))),
-                                           [0], [1]),
+                  lambda t: t.pair_logits(t.leaf("a", np.ones((2, 3))),
+                                          t.leaf("b", np.ones((2, 4))),
+                                          t.leaf("w", np.ones((3, 1))),
+                                          [0], [1]),
+                  lambda t: t.pair_logits(t.leaf("a", np.ones((2, 3))),
+                                          t.leaf("b", np.ones((2, 3))),
+                                          t.leaf("w", np.ones((3, 2))),
+                                          [0], [1]),
                   lambda t: t.pair_loss(t.leaf("items", np.ones((4, 3))),
                                         t.leaf("prefs", np.ones((2, 2))),
                                         [0, 1, 2, 3], 1),

@@ -415,8 +415,8 @@ def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
     computes the item rows alone and pools their segments of the plan;
     layer 0 computes and pools only the user rows those segments read.
     Every projection runs on its layer's rows only, in training and in the
-    evaluation table, and keeps its rows' pool, concatenation, merge norms
-    and merge mask."""
+    evaluation table, and keeps its rows' pool, merge norms and merge
+    mask."""
     convs = []
     conv = Tape.conv
 
@@ -445,24 +445,20 @@ def test_item_features_pool_only_what_the_item_rows_read(monkeypatch):
     np.testing.assert_array_equal(counts, plan_counts[users])
     np.testing.assert_array_equal(ids, np.concatenate(
         [plan_ids[starts[u]: starts[u] + plan_counts[u]] for u in users]))
-    # the pool, the concatenation, the merge norms and the merge mask
+    # the pool, the merge norms and the merge mask
     d = params.config.dim
-    saved = [[(n, d), (n, 2 * d), (n, 1), (n, d)]
-             for n in (users.size, g.n_items)]
+    saved = [[(n, d), (n, 1), (n, d)] for n in (users.size, g.n_items)]
     assert [[a.shape for a in node.saved] for node, *_ in convs] == saved
-    assert all(node.saved[3].dtype == bool for node, *_ in convs)
+    assert all(node.saved[2].dtype == bool for node, *_ in convs)
     del convs[:]
     losses.cached_item_features(g, params, np.random.default_rng(0))
     assert [[a.shape for a in node.saved] for node, *_ in convs] == saved
 
 
-def test_item_feature_pass_and_its_backward_stay_small():
-    """tracemalloc: one ItemFeatures pass and two theta1_grads calls on a
-    2,000-user, 1,200-item graph at d=64 and depth 2 peak under 13.5
-    (entities x d) tables. Fused layers that keep their merge rows' norms
-    and mask and hand the inherent table row-sparse gradients: 9.8 tables
-    (15.4 MiB). Keeping the merge output, the plan and dense inherent
-    gradients: 12.1 (18.9 MiB); six nodes per layer: 15.4 (24.1 MiB)."""
+def _feature_pass_world():
+    """A 2,000-user, 1,200-item graph of 60,000 uniform draws and depth-2
+    diffusion parameters at d=64 and neighbor cap 25; also the rng after
+    them."""
     rng = np.random.default_rng(3)
     n_users, n_items, dim = 2000, 1200, 64
     g = gr.build_interaction_graph(
@@ -471,7 +467,33 @@ def test_item_feature_pass_and_its_backward_stay_small():
     config = ModelConfig(dim=dim, diffusion_depth=2, neighbor_cap=25)
     params = SimpleNamespace(config=config, theta1=gr.init_diffusion_params(
         g.n_entities, dim, 2, rng))
-    adjoint = rng.normal(size=(n_items, dim))
+    return g, params, rng
+
+
+def _tables_held_by_one_pass():
+    """tracemalloc: what one ItemFeatures pass on that world holds between
+    its forward and its backward, in (entities x d) tables."""
+    g, params, _ = _feature_pass_world()
+    tracemalloc.start()
+    try:
+        features = losses.ItemFeatures(g, params, np.random.default_rng(0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert features.value.shape == (g.n_items, params.config.dim)
+    return held / (g.n_entities * params.config.dim * 8)
+
+
+def test_item_feature_pass_and_its_backward_stay_small():
+    """tracemalloc: one ItemFeatures pass and two theta1_grads calls on
+    that world peak under 13.5 (entities x d) tables. Fused layers that
+    keep their pool and merge rows' norms and mask, rebuild their
+    concatenation and hand the inherent table row-sparse gradients: 8.0
+    tables (12.5 MiB). Keeping the concatenation: 9.8 (15.4 MiB); also
+    the merge output, the plan and dense inherent gradients: 12.1 (18.9
+    MiB); six nodes per layer: 15.4 (24.1 MiB)."""
+    g, params, rng = _feature_pass_world()
+    adjoint = rng.normal(size=(g.n_items, params.config.dim))
     tracemalloc.start()
     try:
         features = losses.ItemFeatures(g, params, np.random.default_rng(0))
@@ -480,28 +502,21 @@ def test_item_feature_pass_and_its_backward_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13.5 * g.n_entities * dim * 8, peak / 2**20
+    assert peak < 13.5 * g.n_entities * params.config.dim * 8, peak / 2**20
 
 
 def test_item_feature_pass_holds_little_between_forward_and_backward():
-    """tracemalloc: on the graph of the test above, what one ItemFeatures
-    pass holds for its backward stays under 5.5 (entities x d) tables:
-    its value, each layer's pool, concatenation, merge norms and merge
-    mask, and the segment layouts, 5.0 tables (7.8 MiB). Keeping the merge
-    outputs and the sampled plan held 6.6 (10.4 MiB)."""
-    rng = np.random.default_rng(3)
-    n_users, n_items, dim = 2000, 1200, 64
-    g = gr.build_interaction_graph(
-        np.stack([rng.integers(0, n_users, 60000),
-                  rng.integers(0, n_items, 60000)], axis=1), n_users, n_items)
-    config = ModelConfig(dim=dim, diffusion_depth=2, neighbor_cap=25)
-    params = SimpleNamespace(config=config, theta1=gr.init_diffusion_params(
-        g.n_entities, dim, 2, rng))
-    tracemalloc.start()
-    try:
-        features = losses.ItemFeatures(g, params, np.random.default_rng(0))
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert features.value.shape == (n_items, dim)
-    assert held < 5.5 * g.n_entities * dim * 8, held / 2**20
+    """What one ItemFeatures pass holds for its backward stays under 5.5
+    (entities x d) tables. Keeping each layer's concatenation held 5.0
+    tables (7.8 MiB); also the merge outputs and the sampled plan, 6.6
+    (10.4 MiB)."""
+    assert _tables_held_by_one_pass() < 5.5
+
+
+def test_item_feature_pass_holds_no_concatenation():
+    """What one ItemFeatures pass holds for its backward stays under 3.5
+    (entities x d) tables: its value, each layer's pool, merge norms and
+    merge mask, and the segment layouts, 3.0 tables (4.7 MiB); each
+    backward rebuilds its layer's concatenation. Keeping the
+    concatenations held 5.0."""
+    assert _tables_held_by_one_pass() < 3.5

@@ -98,8 +98,8 @@ def test_stacked_attention_blocks_match_single_sequence_and_reference(
         [pb.forward, pb.backward])
     tape.forward()
     # content logits: only the pairs inside each sequence, once
-    (hidden,) = [n for n in tape.nodes if n.op == "pair_sigmoid"]
-    assert hidden.value.shape[0] == sum(n * n for n in lengths)
+    (content,) = [n for n in tape.nodes if n.op == "pair_logits"]
+    assert content.value.shape == (sum(n * n for n in lengths),)
     for bias, (out, att) in zip((pb.forward, pb.backward), both):
         for i, n in enumerate(lengths):
             rows = slice(i * t_len, i * t_len + n)
