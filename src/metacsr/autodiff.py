@@ -6,10 +6,10 @@ topological order. ``forward`` evaluates every node from the bound leaves and
 parameters; ``backward`` accumulates adjoints in reverse order and
 folds parameter gradients into ``tape.grads``.
 
-All values are float64 ndarrays of rank 0, 1 or 2. Broadcasting is
-deliberately restricted: the only implicit broadcast is adding a length-n
-vector to every row of an (m, n) matrix (bias-to-rows). Everything else has
-to match shapes exactly, which keeps every gradient rule auditable.
+All values are float64 ndarrays of rank 0, 1 or 2. There is no implicit
+broadcasting: ``add`` and ``mul`` take operands of one shape, and the fused
+ops check their operands' shapes by name, which keeps every gradient rule
+auditable.
 
 Calling :meth:`Tape.backward` twice without :meth:`Tape.zero_grad` doubles
 the accumulated parameter gradients; that is intentional and relied upon
@@ -30,9 +30,9 @@ class Node:
 
     ``idx`` is the position in the tape's node list (node id), ``op`` the
     operation kind, ``inputs`` the producing nodes, ``aux`` any static
-    operation attribute (axis, ids, scalar, shape). ``value`` caches the
-    most recent forward result; ``adjoint`` the most recent backward one
-    for a leaf or const (see :meth:`Tape.backward`).
+    operation attribute (ids, a segment or attention layout). ``value``
+    caches the most recent forward result; ``adjoint`` the most recent
+    backward one for a leaf or const (see :meth:`Tape.backward`).
     ``live`` marks a node that a param or leaf feeds: only live nodes get
     adjoints. ``saved`` holds what a fused node's gradient rule reads
     besides its inputs and its value, kept from forward to forward and
@@ -165,18 +165,18 @@ def _add_adjoints(held, grad, held_owned, grad_owned, shape):
     return held + grad
 
 
-def _scatter_rows(table, ids, adj):
-    """Gradient of ``table[ids]`` for its adjoint ``adj``: each cell sums
-    its adjoints in id order from 0.0, as np.add.at does. Strictly
-    increasing ids read each row once, so ``adj`` goes straight to its
-    rows (see :class:`RowGrad`); other ids go through one weighted
-    bincount over the (row, column) cells read."""
+def _scatter_rows(shape, ids, adj):
+    """Gradient of ``table[ids]`` for a table of ``shape`` and the adjoint
+    ``adj``: each cell sums its adjoints in id order from 0.0, as
+    np.add.at does. Strictly increasing ids read each row once, so ``adj``
+    goes straight to its rows (see :class:`RowGrad`); other ids go through
+    one weighted bincount over the (row, column) cells read."""
     if ids.ndim == 0 or ids.ndim == 1 and _increasing(ids):
-        return RowGrad(ids, adj).dense(table.shape)
-    width = table.shape[1] if table.ndim == 2 else 1
+        return RowGrad(ids, adj).dense(shape)
+    width = shape[1] if len(shape) == 2 else 1
     cells = ids.reshape(-1, 1) * width + np.arange(width)
     return np.bincount(cells.reshape(-1), weights=adj.reshape(-1),
-                       minlength=table.size).reshape(table.shape)
+                       minlength=shape[0] * width).reshape(shape)
 
 
 def _pair_terms(items, prefs, cand, k_neg):
@@ -231,7 +231,8 @@ def _blocks(x, t_len):
 
 # the ops whose gradient rules hand out their adjoint or views of it; every
 # other rule returns arrays that nothing else reads
-_VIEW_RULES = frozenset({"add", "concat", "transpose", "reshape"})
+_VIEW_RULES = frozenset({"add"})
+
 
 class Segments:
     """A flat id list cut into segments ``ids[o_i : o_i + counts[i]]``,
@@ -353,19 +354,11 @@ class Tape:
 
     # --------------------------------------------------------------- operators
 
-    def matmul(self, a, b):
-        return self._append("matmul", (a, b))
-
     def add(self, a, b):
         return self._append("add", (a, b))
 
     def mul(self, a, b):
         return self._append("mul", (a, b))
-
-    def concat(self, parts, axis=0):
-        if not parts:
-            raise ShapeError("concat of zero inputs")
-        return self._append("concat", tuple(parts), aux=axis)
 
     def dense(self, x, w, b):
         """``relu(x @ w.T + b)`` for an (m, k) ``x``, a (d, k) ``w`` and a
@@ -373,13 +366,24 @@ class Tape:
         ``add`` and relu, keeping only the output."""
         return self._append("dense", (x, w, b))
 
-    def pair_logits(self, a, b, w, rows_a, rows_b):
-        """The length-n vector ``sigmoid(a[rows_a] + b[rows_b]) @ w`` for
-        two (m, k) tables, a (k, 1) ``w`` and n rows each: bit for bit two
-        lookups, an ``add``, a ``sigmoid``, a ``matmul`` and a ``reshape``,
-        keeping the sigmoid table beside the output."""
-        rows = tuple(np.asarray(r, dtype=np.intp) for r in (rows_a, rows_b))
-        return self._append("pair_logits", (a, b, w), aux=rows)
+    def attention(self, embeds, src_w, dst_w, score_w, rows_a, rows_b, slot,
+                  masks):
+        """Masked self-attention over blocks of T rows of an (n * T, k)
+        ``embeds``, one direction per (n * T, T) mask of ``masks``, for
+        (h, k) ``src_w`` and ``dst_w`` and an (h, 1) ``score_w``. The
+        content logit of pair i is ``sigmoid(src_w @ e[rows_a[i]] + dst_w @
+        e[rows_b[i]]) @ score_w``; row r of a direction's logits reads the
+        pairs ``slot[r]`` (an (n * T, T) table) plus its mask, a masked row
+        softmax turns them into weights over the block's rows, and they mix
+        the block's embeddings. The value is the directions' outputs side
+        by side, (n * T, len(masks) * k). Bit for bit the ``transpose``,
+        ``matmul``, ``pair_logits``, ``lookup``, ``add``,
+        ``masked_softmax_rows``, ``block_matmul`` and ``concat`` chain,
+        keeping the pairs' sigmoid table and each direction's weights."""
+        layout = tuple(np.asarray(r, dtype=np.intp)
+                       for r in (rows_a, rows_b, slot))
+        return self._append("attention", (embeds, src_w, dst_w, score_w),
+                            aux=(*layout, tuple(_as_f64(m) for m in masks)))
 
     def pair_loss(self, items, prefs, cand_ids, k_neg):
         """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
@@ -401,20 +405,6 @@ class Tape:
         """
         return self._append("lookup", (table,),
                             aux=np.asarray(ids, dtype=np.intp))
-
-    def masked_softmax_rows(self, a):
-        return self._append("masked_softmax_rows", (a,))
-
-    def transpose(self, a):
-        return self._append("transpose", (a,))
-
-    def reshape(self, a, shape):
-        return self._append("reshape", (a,), aux=tuple(shape))
-
-    def block_matmul(self, a, b):
-        """For an (n * T, T) ``a`` and an (n * T, d) ``b``, row block i
-        (rows ``i * T`` to ``i * T + T``) of the result is ``a_i @ b_i``."""
-        return self._append("block_matmul", (a, b))
 
     def segment_mean(self, table, ids, counts):
         """Row i is the mean of ``table[ids[o_i : o_i + counts[i]]]`` (see
@@ -466,39 +456,20 @@ class Tape:
     def _compute(self, node):
         op = node.op
         vals = [i.value for i in node.inputs]
-        if op == "matmul":
-            a, b = vals
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-                raise self._err(node, f"matmul shapes {a.shape} x {b.shape}")
-            return a @ b
         if op == "add":
             a, b = vals
-            if a.shape == b.shape:
-                return a + b
-            if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-                return a + b[None, :]
-            raise self._err(node, f"add shapes {a.shape} + {b.shape}")
+            if a.shape != b.shape:
+                raise self._err(node, f"add shapes {a.shape} + {b.shape}")
+            return a + b
         if op == "mul":
             a, b = vals
             if a.shape != b.shape:
                 raise self._err(node, f"mul shapes {a.shape} * {b.shape}")
             return a * b
-        if op == "concat":
-            axis = node.aux
-            nd = vals[0].ndim
-            if any(v.ndim != nd for v in vals):
-                raise self._err(node, "concat rank mismatch")
-            return np.concatenate(vals, axis=axis)
         if op == "dense":
             return self._dense(node, *vals)
-        if op == "pair_logits":
-            a, b, w = vals
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or \
-                    w.shape != (a.shape[1], 1):
-                raise self._err(node, f"pair_logits shapes {a.shape}, "
-                                      f"{b.shape}, {w.shape}")
-            node.saved = _pair_sigmoid(a, b, *node.aux)
-            return (node.saved @ w).reshape(-1)
+        if op == "attention":
+            return self._attention(node, *vals)
         if op == "pair_loss":
             (items, prefs), (cand, k_neg) = vals, node.aux
             if items.ndim != 2 or prefs.shape[1:] != items.shape[1:] or \
@@ -512,25 +483,6 @@ class Tape:
             return np.asarray(vals[0].sum())
         if op == "lookup":
             return vals[0].take(node.aux, axis=0)
-        if op == "masked_softmax_rows":
-            v = vals[0]
-            if v.ndim != 2:
-                raise self._err(node, f"expected matrix, got shape {v.shape}")
-            return masked_softmax_rows(v)
-        if op == "transpose":
-            if vals[0].ndim != 2:
-                raise self._err(node, f"transpose of shape {vals[0].shape}")
-            return vals[0].T
-        if op == "reshape":
-            return vals[0].reshape(node.aux)
-        if op == "block_matmul":
-            a, b = vals
-            if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0] \
-                    or a.shape[1] < 1 or a.shape[0] % a.shape[1]:
-                raise self._err(node, f"block_matmul shapes {a.shape} x "
-                                      f"{b.shape}")
-            a3, b3 = _blocks(a, a.shape[1]), _blocks(b, a.shape[1])
-            return np.matmul(a3, b3).reshape(b.shape)
         if op == "segment_mean":
             self._check_segments(node, node.aux, vals[0])
             return node.aux.forward(vals[0])
@@ -548,6 +500,29 @@ class Tape:
         y = x @ w.T
         y += b
         return np.maximum(y, 0.0, out=y)
+
+    def _attention(self, node, embeds, src_w, dst_w, score_w):
+        """The forward of an ``attention`` node: the replaced nodes'
+        operations in order. Saves the pairs' sigmoid table and each
+        direction's weights, all its backward reads besides the inputs."""
+        rows_a, rows_b, slot, masks = node.aux
+        t_len = slot.shape[-1]
+        if embeds.ndim != 2 or src_w.ndim != 2 or dst_w.shape != src_w.shape \
+                or src_w.shape[1:] != embeds.shape[1:] or \
+                score_w.shape != (src_w.shape[0], 1) or t_len < 1 or \
+                len(embeds) % t_len or \
+                any(m.shape != (len(embeds), t_len) for m in (slot, *masks)):
+            raise self._err(node, f"attention shapes {embeds.shape}, "
+                                  f"{src_w.shape}, {dst_w.shape}, "
+                                  f"{score_w.shape} over blocks of {t_len}")
+        s = _pair_sigmoid(embeds @ src_w.T, embeds @ dst_w.T, rows_a, rows_b)
+        shared = (s @ score_w).reshape(-1).take(slot)
+        atts = [masked_softmax_rows(shared + mask) for mask in masks]
+        node.saved = s, atts
+        blocks = _blocks(embeds, t_len)
+        return np.concatenate(
+            [np.matmul(_blocks(att, t_len), blocks).reshape(embeds.shape)
+             for att in atts], axis=1)
 
     def _check_segments(self, node, segments, table):
         if table.ndim != 2:
@@ -600,8 +575,7 @@ class Tape:
         leaf and const adjoints stay readable until the next backward.
         Gradients are summed in arrival order, in place into an array the
         pass owns: a sum it allocated, or an array a rule made, which every
-        rule but those of ``add``, ``concat``, ``transpose`` and
-        ``reshape`` (they hand out views of their adjoint) does. A
+        rule but ``add``'s (it hands out its adjoint twice) does. A
         :class:`RowGrad` stays row-sparse until it meets a dense gradient
         or its param folds it into ``grads``; any other node gets it as a
         dense table. Forward values stay. Parameter gradients accumulate
@@ -662,79 +636,87 @@ class Tape:
         that is not live."""
         op = node.op
         vals = [i.value for i in node.inputs]
-        if op in ("matmul", "mul", "block_matmul"):
+        if op == "add":
+            return [adj, adj]
+        if op == "mul":
             a, b = vals
             a_live, b_live = (i.live for i in node.inputs)
-        if op == "matmul":
-            return [adj @ b.T if a_live else None,
-                    a.T @ adj if b_live else None]
-        if op == "add":
-            a, b = vals
-            if a.shape == b.shape:
-                return [adj, adj]
-            return [adj, adj.sum(axis=0)]
-        if op == "mul":
             return [adj * b if a_live else None, adj * a if b_live else None]
-        if op == "concat":
-            axis = node.aux
-            grads = []
-            start = 0
-            for v in vals:
-                width = v.shape[axis]
-                sl = [slice(None)] * v.ndim
-                sl[axis] = slice(start, start + width)
-                grads.append(adj[tuple(sl)])
-                start += width
-            return grads
         if op == "dense":
             x, w, _ = vals
             return _dense_grads(x, w, adj * (node.value > 0),
                                 [i.live for i in node.inputs])
-        if op == "pair_logits":
-            s, adj = node.saved, adj.reshape(-1, 1)
-            a_live, b_live, w_live = (i.live for i in node.inputs)
-            # the matmul's rules, then the sigmoid's, in place
-            g = _sigmoid_grad(adj @ vals[2].T, s) if a_live or b_live \
-                else None
-            return [_scatter_rows(v, rows, g) if live else None for v, rows,
-                    live in zip(vals, node.aux, (a_live, b_live))] + \
-                [s.T @ adj if w_live else None]
+        if op == "attention":
+            return self._attention_grads(node, vals, adj)
         if op == "pair_loss":
             (items, prefs), (cand, k_neg) = vals, node.aux
             c, p, rows, s, pos, neg, x = _pair_terms(items, prefs, cand, k_neg)
             # the replaced chain's rules, in reverse node order
             g = np.broadcast_to(adj / x.size, x.shape) * stable_sigmoid(x)
-            gp = _scatter_rows(s, neg, g) + _scatter_rows(s, pos, g * -1.0)
+            gp = _scatter_rows(s.shape, neg, g) + \
+                _scatter_rows(s.shape, pos, g * -1.0)
             gp = gp * s * (1.0 - s) * float(items.shape[1])
             gm = (gp / items.shape[1])[:, None]
             # gm * p and gm * c, each in its gather's buffer
-            return [_scatter_rows(v, ids, np.multiply(other, gm, out=other))
+            return [_scatter_rows(v.shape, ids,
+                                  np.multiply(other, gm, out=other))
                     if i.live else None for i, v, ids, other in
                     zip(node.inputs, vals, (cand, rows), (p, c))]
         if op == "sum":
             return [np.full(vals[0].shape, float(adj))]
         if op == "lookup":
-            return [_scatter_rows(vals[0], node.aux, adj)]
-        if op == "masked_softmax_rows":
-            a = node.value
-            dot = (adj * a).sum(axis=1, keepdims=True)
-            return [a * (adj - dot)]
-        if op == "transpose":
-            return [adj.T]
-        if op == "reshape":
-            return [adj.reshape(vals[0].shape)]
-        if op == "block_matmul":
-            t_len = a.shape[1]
-            a3, b3, adj3 = (_blocks(x, t_len) for x in (a, b, adj))
-            return [np.matmul(adj3, b3.transpose(0, 2, 1)).reshape(a.shape)
-                    if a_live else None,
-                    np.matmul(a3.transpose(0, 2, 1), adj3).reshape(b.shape)
-                    if b_live else None]
+            return [_scatter_rows(vals[0].shape, node.aux, adj)]
         if op == "segment_mean":
             return [node.aux.backward(vals[0], adj.copy())]
         if op == "conv":
             return self._conv_grads(node, vals, adj)
         raise self._err(node, "unknown op in backward")
+
+    @staticmethod
+    def _attention_grads(node, vals, adj):
+        """An ``attention`` node's input gradients: the replaced nodes'
+        rules in reverse node order, the last direction first. The
+        embeddings' gradient sums the directions' block products, then the
+        ``dst_w`` and the ``src_w`` products; an input that is not live
+        gets none of its terms computed."""
+        embeds, src_w, dst_w, score_w = vals
+        rows_a, rows_b, slot, _ = node.aux
+        s, atts = node.saved
+        e_live, src_live, dst_live, w_live = (i.live for i in node.inputs)
+        t_len, width = slot.shape[1], embeds.shape[1]
+        blocks = _blocks(embeds, t_len)
+        g_embeds = g_shared = None
+        for k in reversed(range(len(atts))):
+            att = atts[k]
+            g = _blocks(np.ascontiguousarray(
+                adj[:, k * width: (k + 1) * width]), t_len)
+            # the block product's rules, then the softmax's
+            if e_live:
+                g_e = np.matmul(_blocks(att, t_len).transpose(0, 2, 1),
+                                g).reshape(embeds.shape)
+                g_embeds = g_e if g_embeds is None else \
+                    np.add(g_embeds, g_e, out=g_embeds)
+            g = np.matmul(g, blocks.transpose(0, 2, 1)).reshape(att.shape)
+            g = att * (g - (g * att).sum(axis=1, keepdims=True))
+            g_shared = g if g_shared is None else \
+                np.add(g_shared, g, out=g_shared)
+        # the logits' lookup, then pair_logits' rules
+        g = _scatter_rows((len(s),), slot, g_shared).reshape(-1, 1)
+        g_score = s.T @ g if w_live else None
+        g = _sigmoid_grad(g @ score_w.T, s) \
+            if e_live or src_live or dst_live else None
+        g_ws = []
+        for w, rows, live in ((dst_w, rows_b, dst_live),
+                              (src_w, rows_a, src_live)):
+            g_x, g_w, _ = _dense_grads(
+                embeds, w, _scatter_rows((len(embeds), len(w)), rows, g),
+                (e_live, live, False)) if e_live or live else (None,) * 3
+            # in C order, as the replaced transpose's copy was, so that a
+            # sum over the gradient reads it in the same order
+            g_ws.append(None if g_w is None else g_w.copy())
+            if g_x is not None:
+                g_embeds += g_x
+        return [g_embeds, g_ws[1], g_ws[0], g_score]
 
     def _conv_grads(self, node, vals, adj):
         """A ``conv`` node's input gradients: the replaced nodes' rules in
@@ -772,7 +754,8 @@ class Tape:
         g_features = segments.backward(features, g_pool) if f_live else None
         del g_pool
         g_rows = None if not i_live else RowGrad(rows, g_looked) \
-            if _increasing(rows) else _scatter_rows(inherent, rows, g_looked)
+            if _increasing(rows) else _scatter_rows(inherent.shape, rows,
+                                                    g_looked)
         return [g_features, g_rows, g_lw, g_lb, g_mw, g_mb]
 
     @staticmethod

@@ -106,7 +106,8 @@ def joint_train(graph_, histories, params, cfg, seed, max_steps=None,
     Each step draws random training windows from all regular users and
     minimizes the same pairwise objective; there are no episodes and no
     inner adaptation, so this is the meta-less arm of the comparison.
-    Mutates ``params``; returns the loss trace.
+    Mutates ``params``; returns the loss trace. A negative ``max_steps``
+    is a ValueError.
     """
     cfg.validate()
     config = params.config
@@ -121,6 +122,8 @@ def joint_train(graph_, histories, params, cfg, seed, max_steps=None,
         batch_size = cfg.task_batch * cfg.n_way
     adam = meta_mod.AdamState()
     cap = cfg.max_outer_steps if max_steps is None else max_steps
+    if cap < 0:
+        raise ValueError(f"max_steps must be >= 0, not {cap!r}")
     trace = []
     for step in range(cap):
         picked = rng_batch.choice(len(eligible), size=batch_size)

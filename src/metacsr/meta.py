@@ -353,8 +353,11 @@ class MetaTrainer:
         The trace holds (step, mean task query loss). Convergence: no
         window-mean improvement beyond ``PLATEAU_TOL`` for
         ``plateau_windows`` consecutive windows of ``WINDOW_STEPS`` steps.
+        A negative ``max_steps`` is a ValueError.
         """
         cap = self.cfg.max_outer_steps if max_steps is None else max_steps
+        if cap < 0:
+            raise ValueError(f"max_steps must be >= 0, not {cap!r}")
         trace = []
         window: list[float] = []
         best = np.inf

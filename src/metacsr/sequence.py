@@ -5,9 +5,10 @@ For a sequence of T item embeddings, each pair (m, n) gets a content logit
 bias of ``-exp(|m - n|)`` that decays attention with distance. The forward
 pass lets position n attend to sources m <= n, the backward pass to m >= n
 (the diagonal is included in both so every position has a non-empty
-attendable set). Per-direction outputs are mean-pooled over positions,
-concatenated and projected to the preference vector. A batch of sequences
-of any lengths is encoded as one block padded to the longest.
+attendable set). Both directions are one ``attention`` tape node, whose
+value holds the two outputs side by side; it is mean-pooled over positions
+and projected to the preference vector. A batch of sequences of any
+lengths is encoded as one block padded to the longest.
 """
 
 from __future__ import annotations
@@ -66,12 +67,13 @@ def build_attention(tape, embeds, params, lengths, biases):
     is computed once, for the live pairs alone: m and n inside the
     sequence, and the bias finite in some direction. Each direction
     gathers its logits from that one vector, one row per (sequence, target
-    position n); its dead entries read slot 0 and are masked by a -inf
-    bias constant. A row softmax thus yields each position's distribution
-    over sources m (all zero on padded rows), and each sequence's (T, T)
-    block of those rows mixes its own embeddings. Returns one (output,
-    attention) pair per bias: the (n_seq * T, d) output node and the
-    (n_seq * T, T) attention node, rows in (sequence, position) order.
+    position n); its dead entries read slot 0 and are masked by -inf. A
+    row softmax thus yields each position's distribution over sources m
+    (all zero on padded rows), and each sequence's (T, T) block of those
+    rows mixes its own embeddings. Returns the one ``attention`` node: the
+    (n_seq * T, len(biases) * d) table of the directions' outputs side by
+    side, rows in (sequence, position) order; its ``saved[1]`` holds each
+    direction's (n_seq * T, T) weights after a forward.
     """
     t_len = biases[0].shape[0]
     inside = np.arange(t_len) < np.asarray(lengths)[:, None]
@@ -80,20 +82,15 @@ def build_attention(tape, embeds, params, lengths, biases):
               for b in biases]
     live = np.logical_or.reduce(finite)
     seq_i, pos_n, pos_m = np.nonzero(live)
-    # row m of srcs is src_w @ e_m, row n of dsts is dst_w @ e_n
-    srcs = tape.matmul(embeds, tape.transpose(params[ATT_SRC_W]))
-    dsts = tape.matmul(embeds, tape.transpose(params[ATT_DST_W]))
-    content = tape.pair_logits(srcs, dsts, params[ATT_SCORE_W],
-                               seq_i * t_len + pos_m, seq_i * t_len + pos_n)
     slot = np.zeros(live.shape, dtype=np.intp)
     slot[live] = np.arange(seq_i.size)
-    shared = tape.lookup(content, slot.reshape(-1, t_len))
-    results = []
-    for bias, ok in zip(biases, finite):
-        mask = np.where(ok, bias.T, -np.inf).reshape(-1, t_len)
-        att = tape.masked_softmax_rows(tape.add(shared, tape.constant(mask)))
-        results.append((tape.block_matmul(att, embeds), att))
-    return results
+    # pair i attends from source m to target n
+    return tape.attention(
+        embeds, params[ATT_SRC_W], params[ATT_DST_W], params[ATT_SCORE_W],
+        seq_i * t_len + pos_m, seq_i * t_len + pos_n,
+        slot.reshape(-1, t_len),
+        [np.where(ok, bias.T, -np.inf).reshape(-1, t_len)
+         for bias, ok in zip(biases, finite)])
 
 
 def block_mean(tape, rows, lengths):
@@ -104,21 +101,21 @@ def block_mean(tape, rows, lengths):
     return tape.segment_mean(rows, np.flatnonzero(live), lengths)
 
 
-def build_preference(tape, fw, bw, params, lengths):
-    """Mean-pool both directions per sequence, concatenate, project: the
-    (n_seq, d) preference node."""
-    pooled = tape.concat([block_mean(tape, fw, lengths),
-                          block_mean(tape, bw, lengths)], axis=1)
-    return tape.dense(pooled, params[COMBINE_W], params[COMBINE_B])
+def build_preference(tape, attended, params, lengths):
+    """Mean-pool the (n_seq * T, 2d) attention table ``[forward |
+    backward]`` per sequence and project: the (n_seq, d) preference
+    node."""
+    return tape.dense(block_mean(tape, attended, lengths), params[COMBINE_W],
+                      params[COMBINE_B])
 
 
 def build_sequence_encoder(tape, embeds, params, lengths):
     """Full encoder: padded embeddings node (see :func:`build_attention`)
     -> (n_seq, d) preference node."""
     bias = position_bias(int(np.max(lengths)))
-    (fw, _), (bw, _) = build_attention(tape, embeds, params, lengths,
-                                       (bias.forward, bias.backward))
-    return build_preference(tape, fw, bw, params, lengths)
+    attended = build_attention(tape, embeds, params, lengths,
+                               (bias.forward, bias.backward))
+    return build_preference(tape, attended, params, lengths)
 
 
 def encode_sequence(seq_embeds, params):

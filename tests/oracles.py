@@ -8,9 +8,8 @@ arrays, through which tests reach the builders the program runs),
 :func:`full_stack_tape` (the package's builders composed on a single
 tape, against which the feature-leaf route is compared and finite
 differences are taken), :func:`feature_loss` (one batch loss over a
-constant item-feature table, against which adaptation is checked) and
-:func:`unfused_dense` (the tape nodes ``dense`` replaced, against which it
-is compared bit for bit). The unfused chains :func:`unfused_pair_logits`,
+constant item-feature table, against which adaptation is checked). The
+unfused chains :func:`unfused_dense`, :func:`unfused_attention`,
 :func:`unfused_pair_loss` and :func:`unfused_conv` replay the rules of the
 nodes their fused ops replaced in numpy, scattering with ``np.add.at``;
 :func:`out_of_place_backward` replays the tape's backward with every
@@ -296,18 +295,13 @@ def masked_softmax_formula(z):
 
 
 def unfused_dense(x, w, b, adj):
-    """``relu(x @ w.T + b)`` as the ``transpose``, ``matmul`` and ``add``
-    tape nodes then a relu compute it, and the gradients w.r.t. x, w and b
-    that their rules hand back for the output adjoint ``adj``."""
-    from metacsr.autodiff import Tape
-
-    tape = Tape()
-    xs, ws, bs = (tape.leaf(n, v) for n, v in (("x", x), ("w", w), ("b", b)))
-    pre = tape.add(tape.matmul(xs, tape.transpose(ws)), bs)
-    tape.forward()
-    out = np.maximum(pre.value, 0.0)
-    tape.backward(pre, adj * (pre.value > 0))
-    return out, xs.adjoint, ws.adjoint, bs.adjoint
+    """``relu(x @ w.T + b)`` as a ``transpose``, a ``matmul`` and a
+    bias-to-rows ``add`` then a relu compute it, and the gradients w.r.t.
+    x, w and b that their rules hand back for the output adjoint ``adj``."""
+    pre = x @ w.T + b[None, :]
+    g = adj * (pre > 0)                                         # relu
+    # add: g to the product, its column sums to b; matmul; transpose
+    return np.maximum(pre, 0.0), g @ w, (x.T @ g).T, g.sum(axis=0)
 
 
 def _sigmoid_array(x):
@@ -336,6 +330,49 @@ def unfused_pair_logits(a, b, w, rows_a, rows_b, adj):
     g = g * hidden * (1.0 - hidden)                             # sigmoid
     return (out, _gathered_grad(a, rows_a, g), _gathered_grad(b, rows_b, g),
             g_w)
+
+
+def unfused_attention(embeds, src_w, dst_w, score_w, rows_a, rows_b, slot,
+                      masks, adj):
+    """Masked attention as the nodes ``attention`` replaced compute it: a
+    ``transpose`` and a ``matmul`` for ``srcs = embeds @ src_w.T``, the
+    same for ``dsts``, ``pair_logits``, a ``lookup`` of the logits by
+    ``slot``; per mask a ``const``, an ``add``, a ``masked_softmax_rows``
+    and a ``block_matmul`` over blocks of T rows; and a ``concat``. Returns
+    the value and the gradients w.r.t. embeds, src_w, dst_w and score_w
+    that their rules hand back, in reverse node order, for the output
+    adjoint ``adj``; each block product reads its part of ``adj`` as a
+    contiguous table, as the pooling that followed it in the encoder
+    handed it."""
+    t_len, width = slot.shape[1], embeds.shape[1]
+
+    def blocks(x):
+        return x.reshape(-1, t_len, x.shape[1])
+
+    srcs, dsts = embeds @ src_w.T, embeds @ dst_w.T
+    content = _sigmoid_array(srcs[rows_a] + dsts[rows_b]) @ score_w
+    content = content.reshape(-1)
+    atts = [masked_softmax_formula(content[slot] + mask) for mask in masks]
+    value = np.concatenate([np.matmul(blocks(a), blocks(embeds)).reshape(
+        embeds.shape) for a in atts], axis=1)
+
+    g_embeds = g_shared = None
+    for k in reversed(range(len(masks))):                       # concat
+        a, g = atts[k], blocks(np.ascontiguousarray(
+            adj[:, k * width: (k + 1) * width]))
+        g_e = np.matmul(blocks(a).transpose(0, 2, 1), g)        # block_matmul
+        g_e = g_e.reshape(embeds.shape)
+        g_embeds = g_e if g_embeds is None else g_embeds + g_e
+        g = np.matmul(g, blocks(embeds).transpose(0, 2, 1)).reshape(a.shape)
+        g = a * (g - (g * a).sum(axis=1, keepdims=True))        # softmax, add
+        g_shared = g if g_shared is None else g_shared + g
+    g_content = _gathered_grad(content, slot, g_shared)         # lookup
+    _, g_srcs, g_dsts, g_score = unfused_pair_logits(
+        srcs, dsts, score_w, rows_a, rows_b, g_content)
+    g_embeds = g_embeds + g_dsts @ dst_w                        # dsts' nodes
+    g_embeds = g_embeds + g_srcs @ src_w                        # srcs' nodes
+    return (value, g_embeds, (embeds.T @ g_srcs).T, (embeds.T @ g_dsts).T,
+            g_score)
 
 
 def unfused_pair_loss(items, prefs, cand_ids, k_neg):

@@ -193,21 +193,21 @@ def test_criterion_2_attention_invariants():
         dim = int(rng.integers(3, 9))
         params = seq.init_seq_params(dim, rng)
         embeds = rng.normal(size=(t_len, dim))
-        attend = attention(seq.position_bias(t_len).forward)
-        _, att = tape_value(attend, embeds, params)
+        bias = seq.position_bias(t_len).forward
+        _, att = attention(bias, embeds, params)
         ok_sum &= bool(np.allclose(att.sum(axis=1), 1.0, atol=1e-9))
         ok_sum &= bool((att >= 0).all())
 
         if t_len >= 3:
             n = int(rng.integers(0, t_len - 1))
-            base, _ = tape_value(attend, embeds, params)
+            base, _ = attention(bias, embeds, params)
             poked = embeds.copy()
             poked[n + 1:] += rng.normal(size=poked[n + 1:].shape)
-            again, _ = tape_value(attend, poked, params)
+            again, _ = attention(bias, poked, params)
             ok_causal &= bool((again[: n + 1] == base[: n + 1]).all())
 
         flat = np.tile(rng.normal(size=dim), (t_len, 1))
-        _, att_flat = tape_value(attend, flat, params)
+        _, att_flat = attention(bias, flat, params)
         last = att_flat[-1]
         ok_decay &= all(last[m] > last[m - 1] for m in range(1, t_len))
     elapsed = report_line(

@@ -4,6 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
+from metacsr import sequence as seq
 from metacsr.autodiff import (
     _BLOCK_FLOATS,
     RowGrad,
@@ -22,10 +23,10 @@ from oracles import (
     masked_row_norms,
     masked_softmax_formula,
     out_of_place_backward,
+    unfused_attention,
     unfused_conv,
     unfused_dense,
     unfused_pair_loss,
-    unfused_pair_logits,
 )
 
 
@@ -58,17 +59,18 @@ def test_sigmoid_at_zero():
     np.testing.assert_allclose(loss.value, np.log(2.0), rtol=1e-15)
 
 
-def test_matmul_matches_triple_loop():
+def test_dense_matches_triple_loop():
     rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 3))
-    b = rng.normal(size=(3, 1))
+    x = rng.normal(size=(2, 3))
+    w = rng.normal(size=(4, 3))
+    b = rng.normal(size=4)
     t = Tape()
-    na = t.leaf("a", a)
-    nb = t.leaf("b", b)
-    c = t.matmul(na, nb)
+    c = t.dense(t.leaf("x", x), t.leaf("w", w), t.leaf("b", b))
     t.forward()
-    assert c.value.shape == (2, 1)
-    np.testing.assert_allclose(c.value, naive_matmul(a, b), rtol=1e-12)
+    assert c.value.shape == (2, 4)
+    np.testing.assert_allclose(c.value,
+                               np.maximum(naive_matmul(x, w.T) + b, 0.0),
+                               rtol=1e-12)
 
 
 def _conv_of(t, features, inherent, latent_width=2, rows=(0,)):
@@ -81,9 +83,23 @@ def _conv_of(t, features, inherent, latent_width=2, rows=(0,)):
                   t.leaf("mw", np.ones((2, 4))), t.leaf("mb", np.ones(2)))
 
 
+def _attention_of(t, embeds_shape, w_shape=(3, 3), score_shape=(3, 1),
+                  layout=None):
+    """An attention node over leaves of the given shapes: a slot table and
+    one mask of shape ``layout`` (default: the embeddings' rows by 2)."""
+    layout = (embeds_shape[0], 2) if layout is None else layout
+    return t.attention(t.leaf("e", np.ones(embeds_shape)),
+                       t.leaf("src", np.ones(w_shape)),
+                       t.leaf("dst", np.ones(w_shape)),
+                       t.leaf("w", np.ones(score_shape)), [0], [0],
+                       np.zeros(layout), [np.zeros(layout)])
+
+
 def test_matrix_ops_reject_vectors():
-    for build in (lambda t: t.matmul(t.leaf("a", np.ones((4, 3))),
-                                     t.leaf("b", np.ones(3))),
+    for build in (lambda t: t.dense(t.leaf("x", np.ones(3)),
+                                    t.leaf("w", np.ones((4, 3))),
+                                    t.leaf("b", np.ones(4))),
+                  lambda t: _attention_of(t, (6,)),
                   lambda t: _conv_of(t, np.ones(3), np.ones((2, 2))),
                   lambda t: _conv_of(t, np.ones((2, 2)), np.ones(3))):
         t = Tape()
@@ -116,61 +132,108 @@ def test_relu_gradient_flat_region():
     np.testing.assert_array_equal(t.grads["x"], [[0.0]])
 
 
-def test_matmul_gradient_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    t = Tape()
-    a = t.param("a", rng.normal(size=(3, 3)))
-    b = t.leaf("b", rng.normal(size=(3, 3)))
-    loss = t.sum(t.matmul(a, b))
-    err = finite_difference_check(t, loss, "a", epsilon=1e-6)
-    assert err < 1e-6
-
-
 def test_linear_layer_gradient_nearly_exact():
+    """Positive inputs and weights keep every unit in relu's linear part."""
     rng = np.random.default_rng(3)
     t = Tape()
-    w = t.param("w", rng.normal(size=(4, 5)))
-    x = t.leaf("x", rng.normal(size=(5, 1)))
-    loss = t.sum(t.matmul(w, x))
+    w = t.param("w", np.abs(rng.normal(size=(4, 5))))
+    x = t.leaf("x", np.abs(rng.normal(size=(1, 5))) + 0.5)
+    loss = t.sum(t.dense(x, w, t.constant(np.zeros(4))))
     assert finite_difference_check(t, loss, "w") < 1e-8
+
+
+def _fused_rule_case(t, rng, live, lengths=(2, 1, 2), biases=None):
+    """An attention node whose inputs named in ``live`` (e: the
+    embeddings, s: src_w, d: dst_w, w: score_w) read the param p and whose
+    others are leaves; ``biases`` default to the two position biases."""
+    t_len = max(lengths)
+    if biases is None:
+        pb = seq.position_bias(t_len)
+        biases = (pb.forward, pb.backward)
+    a = t.param("p", rng.normal(size=(len(lengths) * t_len, 3)))
+    reads = {
+        "e": lambda: a,
+        "s": lambda: t.lookup(a, [0, 2, 4]),
+        "d": lambda: t.mul(t.lookup(a, [5, 1, 3]),
+                           t.leaf("x", rng.normal(size=(3, 3)))),
+        "w": lambda: t.lookup(t.lookup(a, 1), [[0], [2], [1]]),
+    }
+    shapes = {"e": a.value.shape, "s": (3, 3), "d": (3, 3), "w": (3, 1)}
+    e, src, dst, score = (
+        reads[k]() if k in live else t.leaf(k, rng.normal(size=shapes[k]))
+        for k in "esdw")
+    return seq.build_attention(t, e, {seq.ATT_SRC_W: src, seq.ATT_DST_W: dst,
+                                      seq.ATT_SCORE_W: score},
+                               lengths, biases)
+
+
+def _masked_bias(t_len):
+    """A (T, T) bias with a -inf entry and a fully masked target column."""
+    bias = np.zeros((t_len, t_len))
+    bias[0, 1] = -np.inf
+    bias[:, -1] = -np.inf
+    return bias
+
+
+# The ops the ``attention`` node fused, each kept as a case of it whose
+# param reaches the inputs that op's gradient rule differentiates (see
+# _fused_rule_case), over a layout that exercises the rule: (live,
+# lengths, biases)
+FUSED_RULES = {
+    # the projection weights, each read transposed
+    "transpose": ("sd", (2, 1, 2), None),
+    # both operands of the two projections' products
+    "matmul": ("esd", (2, 1, 2), None),
+    # the score weight alone, over pairs that repeat rows in both tables
+    "pair_logits": ("w", (3, 3, 2), None),
+    # the flat content logits read through a slot table four to a row
+    "reshape": ("esdw", (4, 1, 3), None),
+    # the score weight alone, through -inf logits and fully masked rows
+    "masked_softmax_rows": ("w", (3, 2, 3),
+                            (_masked_bias(3), _masked_bias(3).T)),
+    # both operands of each direction's block product
+    "block_matmul": ("e", (2, 1, 2), None),
+    # three directions side by side, so the adjoint splits in three
+    "concat": ("esdw", (2, 1, 2), (seq.position_bias(2).forward,
+                                   seq.position_bias(2).backward,
+                                   np.zeros((2, 2)))),
+}
 
 
 def _op_case(name, rng):
     """Build (tape, loss) for one op kind with a random parameter input."""
     t = Tape()
-    if name == "matmul":
-        a = t.param("p", rng.normal(size=(3, 4)))
-        out = t.matmul(a, t.leaf("x", rng.normal(size=(4, 2))))
+    if name in FUSED_RULES:
+        out = _fused_rule_case(t, rng, *FUSED_RULES[name])
     elif name == "add_same":
         a = t.param("p", rng.normal(size=(3, 4)))
         out = t.add(a, t.leaf("x", rng.normal(size=(3, 4))))
-    elif name == "add_bias_rows":
-        a = t.param("p", rng.normal(size=4))
-        out = t.add(t.leaf("x", rng.normal(size=(3, 4))), a)
     elif name == "mul":
         a = t.param("p", rng.normal(size=(2, 5)))
         out = t.mul(a, t.leaf("x", rng.normal(size=(2, 5))))
-    elif name == "concat":
-        a = t.param("p", rng.normal(size=(2, 3)))
-        out = t.concat([a, t.leaf("x", rng.normal(size=(2, 3)))], axis=1)
     elif name == "dense":
         # p reaches x, w and b, so all three rules count
         a = t.param("p", rng.normal(size=(4, 3)))
-        w = t.matmul(t.leaf("x", rng.normal(size=(2, 4))), a)
-        b = t.lookup(t.matmul(a, t.leaf("y", rng.normal(size=(3, 2)))), 1)
+        w = t.mul(t.lookup(a, [1, 3]), t.leaf("x", rng.normal(size=(2, 3))))
+        b = t.lookup(t.lookup(a, 2), [0, 2])
         out = t.dense(a, w, b)
-    elif name == "pair_logits":
-        # repeated rows in both tables, and p reaches both and the weights
-        a = t.param("p", rng.normal(size=(5, 3)))
-        b = t.matmul(t.leaf("x", rng.normal(size=(4, 5))), a)
-        w = t.matmul(t.transpose(a), t.leaf("y", rng.normal(size=(5, 1))))
-        out = t.pair_logits(a, b, w, [0, 2, 2, 4, 1], [3, 0, 3, 1, 1])
+    elif name == "attention":
+        # blocks of T=2, one sequence of length 1; p is the embeddings and
+        # reaches every weight
+        a = t.param("p", rng.normal(size=(6, 3)))
+        pb = seq.position_bias(2)
+        out = seq.build_attention(t, a, {
+            seq.ATT_SRC_W: t.lookup(a, [0, 2, 4]),
+            seq.ATT_DST_W: t.mul(t.lookup(a, [5, 1, 3]),
+                                 t.leaf("x", rng.normal(size=(3, 3)))),
+            seq.ATT_SCORE_W: t.lookup(t.lookup(a, 1), [[0], [2], [1]]),
+        }, [2, 1, 2], (pb.forward, pb.backward))
     elif name == "pair_loss":
         # p reaches items and prefs; repeated candidates and prefs rows;
         # k_neg of 1 (3 rows) and of 3 (2 rows)
         a = t.param("p", rng.normal(size=(6, 3)))
-        prefs = t.lookup(t.matmul(t.leaf("x", rng.normal(size=(2, 6))), a),
-                         [0, 1, 0])
+        prefs = t.mul(t.lookup(a, [1, 4, 1]),
+                      t.leaf("x", rng.normal(size=(3, 3))))
         out = t.add(t.pair_loss(a, prefs, [0, 2, 2, 5, 1, 2], 1),
                     t.pair_loss(a, t.lookup(prefs, [2, 1]),
                                 [4, 0, 4, 3, 2, 2, 5, 0], 3))
@@ -178,31 +241,13 @@ def _op_case(name, rng):
         # p is the pooled table and the inherent table (a layer 0) and
         # reaches every weight; repeated ids and an empty segment
         a = t.param("p", rng.normal(size=(6, 3)) + 0.2)
-        flat = t.reshape(a, (18,))
         out = t.conv(a, a, [0, 2, 5], [0, 2, 2, 5, 1], [3, 0, 2],
                      t.lookup(a, [0, 2, 5]), t.lookup(a, 1),
-                     t.reshape(t.lookup(flat, np.arange(18)), (3, 6)),
+                     t.lookup(t.lookup(a, 3), np.arange(18).reshape(3, 6) % 3),
                      t.lookup(a, 4))
     elif name == "lookup":
         a = t.param("p", rng.normal(size=(6, 3)))
         out = t.lookup(a, [0, 2, 2, 5])
-    elif name == "masked_softmax_rows":
-        a = t.param("p", rng.normal(size=(3, 4)))
-        mask = np.zeros((3, 4))
-        mask[0, 2] = -np.inf
-        mask[2, :2] = -np.inf
-        out = t.masked_softmax_rows(t.add(a, t.constant(mask)))
-    elif name == "transpose":
-        a = t.param("p", rng.normal(size=(2, 4)))
-        out = t.transpose(a)
-    elif name == "reshape":
-        a = t.param("p", rng.normal(size=(2, 6)))
-        out = t.reshape(a, (3, 4))
-    elif name == "block_matmul":
-        # two blocks of T=3; p reaches both operands, so both rules count
-        a = t.param("p", rng.normal(size=(6, 3)))
-        b = t.matmul(a, t.leaf("x", rng.normal(size=(3, 2))))
-        out = t.block_matmul(a, b)
     elif name == "segment_mean":
         a = t.param("p", rng.normal(size=(6, 3)))
         # repeated ids within and across segments, and an empty segment
@@ -223,13 +268,12 @@ def out_shape(tape, node):
 
 
 ALL_OPS = [
-    "matmul", "add_same", "add_bias_rows", "mul", "concat", "dense",
-    "pair_logits", "pair_loss", "conv", "lookup", "masked_softmax_rows",
-    "transpose", "reshape", "block_matmul", "segment_mean", "sum",
+    "add_same", "mul", "dense", "attention", "pair_loss", "conv", "lookup",
+    "segment_mean", "sum",
 ]
 
 
-@pytest.mark.parametrize("op", ALL_OPS)
+@pytest.mark.parametrize("op", ALL_OPS + list(FUSED_RULES))
 def test_every_op_gradient_against_finite_differences(op):
     # 5 random draws per op; the acceptance suite runs the 100-draw sweep
     for seed in range(5):
@@ -237,7 +281,7 @@ def test_every_op_gradient_against_finite_differences(op):
         assert finite_difference_check(t, loss, "p", epsilon=1e-6) < 1e-4, op
 
 
-@pytest.mark.parametrize("op", ALL_OPS)
+@pytest.mark.parametrize("op", ALL_OPS + list(FUSED_RULES))
 def test_backward_releases_each_consumed_adjoint(op):
     """Every adjoint but a leaf's or a const's is gone after backward, and
     a second backward from zero gives the same gradients."""
@@ -301,12 +345,13 @@ def test_non_scalar_loss_rejected():
 
 
 def test_shape_mismatch_names_node():
-    t = Tape()
-    a = t.leaf("a", np.ones((2, 3)))
-    b = t.leaf("b", np.ones((4, 2)))
-    c = t.matmul(a, b)
-    with pytest.raises(ShapeError, match=f"node {c.idx}"):
-        t.forward()
+    """No op broadcasts: an ``add`` of a matrix and a row vector fails."""
+    for b_shape in ((4, 2), (3,)):
+        t = Tape()
+        a = t.leaf("a", np.ones((2, 3)))
+        c = t.add(a, t.leaf("b", np.ones(b_shape)))
+        with pytest.raises(ShapeError, match=f"node {c.idx}"):
+            t.forward()
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
@@ -316,9 +361,11 @@ def test_shape_mismatch_names_node():
     ((6,), (6, 3)),     # not a matrix
 ])
 def test_block_matmul_rejects_bad_shapes(a_shape, b_shape):
+    """The block product inside ``attention`` refuses weights (the slot
+    table and masks, ``a_shape``) and embeddings (``b_shape``) whose
+    blocks do not line up."""
     t = Tape()
-    c = t.block_matmul(t.leaf("a", np.ones(a_shape)),
-                       t.leaf("b", np.ones(b_shape)))
+    c = _attention_of(t, b_shape, layout=a_shape)
     with pytest.raises(ShapeError, match=f"node {c.idx}"):
         t.forward()
 
@@ -382,9 +429,9 @@ def _const_lookup_tape():
     t = Tape()
     table = t.constant(rng.normal(size=(50, 3)))
     rows = t.lookup(table, [4, 9, 4])
-    w = t.param("w", rng.normal(size=(3, 2)))
+    w = t.param("w", rng.normal(size=(2, 3)))
     x = t.leaf("x", rng.normal(size=(3, 3)))
-    h = t.matmul(t.add(rows, x), w)
+    h = t.dense(t.add(rows, x), w, t.constant(np.zeros(2)))
     loss = t.sum(t.mul(h, t.lookup(t.constant(rng.normal(size=(9, 2))),
                                    [0, 3, 8])))
     return t, loss, table, rows, x
@@ -607,37 +654,55 @@ def test_l2norm_value_and_gradient_equal_masked_forms():
                               masked_row_norms(x, adj)), draw
 
 
-def test_product_rules_skip_inputs_that_are_not_live():
+def test_product_rules_skip_inputs_that_are_not_live(monkeypatch):
     """The rule of a constant operand is not run; the param's gradient is
-    the formula's, bit for bit."""
+    the formula's, bit for bit. An attention over constant embeddings (as
+    in adaptation, whose feature table is a constant) computes none of
+    their four terms, nor a constant weight's."""
+    from metacsr import autodiff
+
     rng = np.random.default_rng(15)
-
-    def blocks(x):
-        return x.reshape(2, 3, -1)
-
-    cases = [
-        ("matmul", (6, 3), (3, 4), False, lambda adj, c: adj @ c.T),
-        ("matmul", (4, 6), (6, 3), True, lambda adj, c: c.T @ adj),
-        ("mul", (6, 3), (6, 3), True, lambda adj, c: adj * c),
-        ("block_matmul", (6, 3), (6, 4), False, lambda adj, c: np.matmul(
-            blocks(adj), blocks(c).transpose(0, 2, 1)).reshape(6, 3)),
-        ("block_matmul", (6, 3), (6, 4), True, lambda adj, c: np.matmul(
-            blocks(c).transpose(0, 2, 1), blocks(adj)).reshape(6, 4)),
-    ]
-    for op, a_shape, b_shape, const_first, formula in cases:
+    dense_live = []
+    dense_grads = autodiff._dense_grads
+    monkeypatch.setattr(autodiff, "_dense_grads", lambda x, w, g, live: (
+        dense_live.append(tuple(live)) or dense_grads(x, w, g, live)))
+    for const_first in (True, False):
         t = Tape()
-        if const_first:
-            c = t.constant(rng.normal(size=a_shape))
-            inputs = (c, t.param("p", rng.normal(size=b_shape)))
-        else:
-            c = t.constant(rng.normal(size=b_shape))
-            inputs = (t.param("p", rng.normal(size=a_shape)), c)
-        out = getattr(t, op)(*inputs)
+        c = t.constant(rng.normal(size=(6, 3)))
+        p = t.param("p", rng.normal(size=(6, 3)))
+        inputs = (c, p) if const_first else (p, c)
+        out = t.mul(*inputs)
         t.forward()
         adj = rng.normal(size=out.value.shape)
-        assert t._input_grads(out, adj)[inputs.index(c)] is None, op
+        assert t._input_grads(out, adj)[inputs.index(c)] is None
         t.backward(out, adj)
-        assert np.array_equal(t.grads["p"], formula(adj, c.value)), op
+        assert np.array_equal(t.grads["p"], adj * c.value)
+
+    lengths, t_len, d = [3, 2], 3, 4
+    pb = seq.position_bias(t_len)
+    values = [rng.normal(size=(len(lengths) * t_len, d)),
+              *(rng.normal(size=(d, d)) for _ in range(2)),
+              rng.normal(size=(d, 1))]
+    names = ("embeds", seq.ATT_SRC_W, seq.ATT_DST_W, seq.ATT_SCORE_W)
+    for dead in range(4):
+        t = Tape()
+        nodes = [t.constant(v) if i == dead else t.param(n, v)
+                 for i, (n, v) in enumerate(zip(names, values))]
+        out = seq.build_attention(t, nodes[0], dict(zip(names[1:], nodes[1:])),
+                                  lengths, (pb.forward, pb.backward))
+        t.forward()
+        adj = rng.normal(size=out.value.shape)
+        dense_live.clear()
+        assert t._input_grads(out, adj)[dead] is None, dead
+        # the projections' rules, dst_w's then src_w's: (x, w, b) live
+        assert dense_live == [(dead != 0, dead != 2, False),
+                              (dead != 0, dead != 1, False)], dead
+        t.backward(out, adj)
+        want = unfused_attention(*values, *out.aux[:3], out.aux[3], adj)[1:]
+        assert set(t.grads) == set(names) - {names[dead]}
+        for name, grad in zip(names, want):
+            assert name not in t.grads or _same_bits(t.grads[name], grad), \
+                (dead, name)
 
 
 def _same_bits(a, b):
@@ -684,41 +749,44 @@ def test_dense_equals_the_unfused_chain_bit_for_bit():
                 else _same_bits(node.adjoint, grad), draw
 
 
-def test_pair_logits_equals_the_unfused_chain_bit_for_bit():
-    """Value and every live input's gradient equal the pair_sigmoid,
-    matmul and reshape chain's, bit for bit: no pairs, pairs over several
-    row blocks, repeated and unread rows, -0.0, NaN and saturating
-    entries, -0.0 adjoints; an input that is not live gets no gradient
-    computed."""
+def test_attention_equals_the_unfused_chain_bit_for_bit():
+    """Value and every live input's gradient equal the fifteen replaced
+    nodes' rules (two transposes and matmuls, pair_logits, the logits'
+    lookup, per direction a mask, an add, a masked softmax and a block
+    product, and a concat), bit for bit: d from 1 to 128, one to a dozen
+    sequences of lengths 2 to 10 (all of length 2, or mixed), one or two
+    directions, -0.0 and saturating entries, -0.0 adjoints and every live
+    pattern, dead embeddings included; an input that is not live gets no
+    gradient computed."""
     rng = np.random.default_rng(17)
-    for draw in range(80):
-        k = int(rng.choice([1, 3, 64, 128]))
-        n_a, n_b, n_pairs = (int(v) for v in
-                             rng.integers((1, 1, 0), (9, 9, 700)))
-        a = rng.normal(size=(n_a, k)) * rng.choice([1.0, 40.0, 800.0])
-        b = rng.normal(size=(n_b, k))
-        w = rng.normal(size=(k, 1))
-        a[rng.random(a.shape) < 0.2] = -0.0
-        b[rng.random(b.shape) < 0.2] = -0.0
-        w[rng.random(w.shape) < 0.2] = -0.0
-        if draw % 4 == 2:
-            b.flat[rng.integers(b.size)] = np.nan
-        rows_a = rng.integers(n_a, size=n_pairs)
-        rows_b = rng.integers(n_b, size=n_pairs)
-        adj = rng.normal(size=n_pairs)
-        adj[rng.random(n_pairs) < 0.2] = -0.0
-        want = unfused_pair_logits(a, b, w, rows_a, rows_b, adj)
-        live = [bool(draw >> bit & 1) for bit in range(3)]
+    names = ("embeds", seq.ATT_SRC_W, seq.ATT_DST_W, seq.ATT_SCORE_W)
+    for draw in range(96):
+        d = int(rng.choice([1, 3, 24, 128]))
+        lengths = rng.integers(2, 11, size=int(rng.integers(1, 13)))
+        if draw % 3 == 0:
+            lengths[:] = 2
+        t_len = int(lengths.max())
+        pb = seq.position_bias(t_len)
+        biases = (pb.forward, pb.backward) if draw % 5 else (pb.backward,)
+        values = [rng.normal(size=(lengths.size * t_len, d)),
+                  *(rng.normal(size=(d, d)) * rng.choice([1.0, 30.0])
+                    for _ in range(2)), rng.normal(size=(d, 1))]
+        for v in values:
+            v[rng.random(v.shape) < 0.1] = -0.0
+        adj = rng.normal(size=(values[0].shape[0], len(biases) * d))
+        adj[rng.random(adj.shape) < 0.05] = -0.0
+        live = [bool(draw >> bit & 1) for bit in range(4)]
         t = Tape()
-        inputs = [_bind(t, name, v, on)
-                  for name, v, on in zip("abw", (a, b, w), live)]
-        out = t.pair_logits(*inputs, rows_a, rows_b)
+        nodes = [_bind(t, n, v, on) for n, v, on in zip(names, values, live)]
+        out = seq.build_attention(t, nodes[0], dict(zip(names[1:], nodes[1:])),
+                                  lengths, biases)
         t.forward()
+        want = unfused_attention(*values, *out.aux, adj)
         assert _same_bits(out.value, want[0]), draw
         if not any(live):
             continue
         t.backward(out, adj)
-        for node, on, grad in zip(inputs, live, want[1:]):
+        for node, on, grad in zip(nodes, live, want[1:]):
             assert node.adjoint is None if not on \
                 else _same_bits(node.adjoint, grad), (draw, node.name)
 
@@ -763,14 +831,9 @@ def test_fused_ops_reject_mismatched_shapes():
                   lambda t: t.dense(t.leaf("x", np.ones((2, 3))),
                                     t.leaf("w", np.ones((4, 3))),
                                     t.leaf("b", np.ones(3))),
-                  lambda t: t.pair_logits(t.leaf("a", np.ones((2, 3))),
-                                          t.leaf("b", np.ones((2, 4))),
-                                          t.leaf("w", np.ones((3, 1))),
-                                          [0], [1]),
-                  lambda t: t.pair_logits(t.leaf("a", np.ones((2, 3))),
-                                          t.leaf("b", np.ones((2, 3))),
-                                          t.leaf("w", np.ones((3, 2))),
-                                          [0], [1]),
+                  lambda t: _attention_of(t, (6, 2)),
+                  lambda t: _attention_of(t, (6, 3), score_shape=(3, 2)),
+                  lambda t: _attention_of(t, (6, 3), w_shape=(3,)),
                   lambda t: t.pair_loss(t.leaf("items", np.ones((4, 3))),
                                         t.leaf("prefs", np.ones((2, 2))),
                                         [0, 1, 2, 3], 1),
@@ -817,6 +880,15 @@ def _dispatched_ops(method):
     return names
 
 
+def built_ops(tree=None):
+    """The op names ``Tape``'s builders hand to ``_append``."""
+    tree = tree or ast.parse(inspect.getsource(Tape))
+    return {call.args[0].value for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", None) == "_append"
+            and isinstance(call.args[0], ast.Constant)}
+
+
 def test_every_op_has_a_builder_a_forward_and_a_gradient_rule():
     """The ops ``Tape`` builders append, the ops ``_compute`` evaluates and
     the ops ``_input_grads`` differentiates are one set (sources aside):
@@ -825,10 +897,7 @@ def test_every_op_has_a_builder_a_forward_and_a_gradient_rule():
     tree = ast.parse(inspect.getsource(Tape))
     methods = {f.name: f for f in tree.body[0].body
                if isinstance(f, ast.FunctionDef)}
-    built = {call.args[0].value for call in ast.walk(tree)
-             if isinstance(call, ast.Call)
-             and getattr(call.func, "attr", None) == "_append"
-             and isinstance(call.args[0], ast.Constant)}
+    built = built_ops(tree)
     computed = _dispatched_ops(methods["_compute"])
     differentiated = _dispatched_ops(methods["_input_grads"])
     sources = {"leaf", "param", "const"}    # bound, not computed
@@ -1004,24 +1073,25 @@ def test_row_sparse_sums_equal_the_dense_sums():
 
 
 def _aliasing_tapes(rng):
-    """Graphs whose gradients arrive as views or as one array twice."""
+    """Graphs whose gradients arrive as one array twice, or as an array
+    that an ``add`` handed on, beside fresh ones."""
     def add_twice(t, x, z):
         return t.add(t.add(x, x), t.add(x, z))       # add(x, x); x and z
 
-    def concat_twice(t, x, z):
-        h = t.matmul(x, t.transpose(z))
-        return t.concat([h, t.add(h, h), h], axis=1)
+    def dense_twice(t, x, z):
+        h = t.dense(x, z, t.constant(np.ones(3)))
+        return t.add(t.add(h, t.add(h, h)), t.lookup(h, [2, 0, 2]))
 
-    def views(t, x, z):
+    def chained_adds(t, x, z):
         h = t.add(x, z)
-        r = t.reshape(t.reshape(t.transpose(h), (9,)), (3, 3))
-        return t.add(t.transpose(r), t.mul(h, t.transpose(t.transpose(h))))
+        r = t.add(t.add(h, h), t.lookup(t.add(h, x), [1, 2, 0]))
+        return t.add(r, t.mul(h, t.add(h, z)))
 
     def three_consumers(t, x, z):
-        return t.add(t.add(t.mul(x, z), t.matmul(x, t.transpose(z))),
-                     t.transpose(x))
+        return t.add(t.add(t.mul(x, z), t.dense(x, z, t.constant(
+            np.zeros(3)))), t.segment_mean(x, [0, 2, 1, 1], [2, 1, 1]))
 
-    for build in (add_twice, concat_twice, views, three_consumers):
+    for build in (add_twice, dense_twice, chained_adds, three_consumers):
         t = Tape()
         x = t.param("x", rng.normal(size=(3, 3)))
         z = t.leaf("z", rng.normal(size=(3, 3)))

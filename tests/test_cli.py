@@ -327,6 +327,21 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (tmp_path / "tidy.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["meta", "joint"])
+def test_cli_train_refuses_a_negative_step_cap(tmp_path, mode):
+    """``--steps -3`` fails by name and writes no checkpoint."""
+    out = tmp_path / "run"
+    flags = ["--out", str(out), "--set", f"train_mode={mode}"]
+    for key, value in tiny_overrides(out).items():
+        if key != "out_dir":
+            flags += ["--set", f"{key}={value}"]
+    assert main(["prepare", *flags]) == 0
+    with pytest.raises(ValueError, match="max_steps must be >= 0, not -3"):
+        main(["train", *flags, "--steps", "-3"])
+    assert not (out / "checkpoints").exists()
+    assert main(["train", *flags, "--steps", "0"]) == 0
+
+
 def test_sweep_fraction_csv(tmp_path):
     config = tiny_config(tmp_path / "run", **{
         "data.synthetic.n_regular": 8, "meta.task_batch": 1,

@@ -37,9 +37,9 @@ def tiny_world():
     return world, regular, new, graph
 
 
-def fresh_params(graph, dim=6, seed=3):
+def fresh_params(graph, dim=6, seed=3, **switches):
     config = ModelConfig(dim=dim, diffusion_depth=1, neighbor_cap=8,
-                         t_min=2, t_max=6)
+                         t_min=2, t_max=6, **switches)
     return init_model(graph.n_entities, config, np.random.default_rng(seed))
 
 
@@ -769,3 +769,44 @@ def test_exact_step_pushes_each_adjoint_once(tiny_world, monkeypatch):
         small_cfg(order="exact", task_batch=3, inner_lr=0.05), seed=5)
     trainer.outer_update(trainer.sample_tasks(0), 0)
     assert len(pushes) == 2 * 3 + 1
+
+
+# ops no program path appends: the benchmark's diffusion probe reduces its
+# output with them (``perfbench/workloads.py``)
+PROBE_ONLY_OPS = {"sum", "mul"}
+
+
+def test_every_tape_op_has_a_program_caller(tiny_world, monkeypatch):
+    """Every op a ``Tape`` builder can append is appended while the
+    program runs: first-order, exact and joint steps, the evaluation
+    table, a fine-tuned cold ranking and the no-diffusion and no-sequence
+    arms. An op that only tests build is a second implementation."""
+    from test_autodiff import built_ops
+
+    world, regular, new, graph = tiny_world
+    seen = set()
+    append = Tape._append
+
+    def recorded(self, op, *args, **kwargs):
+        seen.add(op)
+        return append(self, op, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "_append", recorded)
+    for order in ("first", "exact"):
+        trainer = meta.MetaTrainer(graph, regular, fresh_params(graph),
+                                   small_cfg(order=order, inner_lr=0.05),
+                                   seed=5)
+        trainer.outer_update(trainer.sample_tasks(0), 0)
+    baselines.joint_train(graph, regular, fresh_params(graph), small_cfg(),
+                          seed=5, max_steps=1)
+    params = fresh_params(graph)
+    features = losses.cached_item_features(graph, params,
+                                           np.random.default_rng(1))
+    user = min(new)
+    ModelScorer(params=params, features=features, cfg=small_cfg(),
+                fine_tune_steps=2, seed=5).rank(user, new[user], [0, 1, 2])
+    for arm in ({"use_diffusion": False}, {"use_sequence": False}):
+        trainer = meta.MetaTrainer(graph, regular, fresh_params(graph, **arm),
+                                   small_cfg(), seed=5)
+        trainer.outer_update(trainer.sample_tasks(0), 0)
+    assert built_ops() - seen == PROBE_ONLY_OPS

@@ -16,19 +16,31 @@ from oracles import (
 )
 
 
+def _attention_node(embeds, params, lengths, biases):
+    """The attention node over leaves, after a forward."""
+    tape = Tape()
+    node = seq.build_attention(
+        tape, tape.leaf("e", embeds),
+        {k: tape.leaf(k, v) for k, v in params.items()}, lengths, biases)
+    tape.forward()
+    return node
+
+
 @pytest.fixture
 def params4():
     return seq.init_seq_params(4, np.random.default_rng(11))
 
 
-def attention(bias):
-    """Builder of one sequence's (output, attention) under mask ``bias``."""
-    return lambda tape, embeds, params: seq.build_attention(
-        tape, embeds, params, [bias.shape[0]], [bias])[0]
+def attention(bias, embeds, params):
+    """One sequence's attention output and weights under mask ``bias``:
+    the node's value and the table it saved."""
+    node = _attention_node(embeds, params, [bias.shape[0]], [bias])
+    return node.value, node.saved[1][0]
 
 
-def preference(tape, fw, bw, params):
-    return seq.build_preference(tape, fw, bw, params, [fw.value.shape[0]])
+def preference(tape, attended, params):
+    return seq.build_preference(tape, attended, params,
+                                [attended.value.shape[0]])
 
 
 def test_position_bias_length_one():
@@ -60,15 +72,14 @@ def test_attention_distributions_sum_to_one(params4):
     embeds = rng.normal(size=(5, 4))
     pb = seq.position_bias(5)
     for bias in (pb.forward, pb.backward):
-        _, att = tape_value(attention(bias), embeds, params4)
+        _, att = attention(bias, embeds, params4)
         np.testing.assert_allclose(att.sum(axis=1), 1.0, atol=1e-9)
         assert (att >= 0).all()
 
 
 def test_single_position_output_is_input(params4):
     embeds = np.random.default_rng(1).normal(size=(1, 4))
-    out, _ = tape_value(attention(seq.position_bias(1).forward), embeds,
-                        params4)
+    out, _ = attention(seq.position_bias(1).forward, embeds, params4)
     np.testing.assert_allclose(out, embeds, rtol=1e-12)
 
 
@@ -80,7 +91,7 @@ def test_attention_matches_scalar_reference(params4):
         expected, expected_att = reference_attention(
             embeds, params4[seq.ATT_SCORE_W], params4[seq.ATT_SRC_W],
             params4[seq.ATT_DST_W], bias)
-        out, att = tape_value(attention(bias), embeds, params4)
+        out, att = attention(bias, embeds, params4)
         np.testing.assert_allclose(out, expected, rtol=1e-10)
         np.testing.assert_allclose(att, expected_att, rtol=1e-10)
 
@@ -91,34 +102,31 @@ def test_stacked_attention_blocks_match_single_sequence_and_reference(
     lengths, t_len = [4, 2, 3], 4
     embeds = rng.normal(size=(len(lengths) * t_len, 4))
     pb = seq.position_bias(t_len)
-    tape = Tape()
-    both = seq.build_attention(
-        tape, tape.leaf("e", embeds),
-        {k: tape.leaf(k, v) for k, v in params4.items()}, lengths,
-        [pb.forward, pb.backward])
-    tape.forward()
+    node = _attention_node(embeds, params4, lengths,
+                           [pb.forward, pb.backward])
     # content logits: only the pairs inside each sequence, once
-    (content,) = [n for n in tape.nodes if n.op == "pair_logits"]
-    assert content.value.shape == (sum(n * n for n in lengths),)
-    for bias, (out, att) in zip((pb.forward, pb.backward), both):
+    sigmoids, atts = node.saved
+    assert sigmoids.shape == (sum(n * n for n in lengths), 4)
+    assert node.value.shape == (len(lengths) * t_len, 8)
+    for k, bias in enumerate((pb.forward, pb.backward)):
+        out, att = node.value[:, 4 * k: 4 * k + 4], atts[k]
         for i, n in enumerate(lengths):
             rows = slice(i * t_len, i * t_len + n)
             live = embeds[rows]
-            single, single_att = tape_value(attention(bias[:n, :n]), live,
-                                            params4)
+            single, single_att = attention(bias[:n, :n], live, params4)
             expected, expected_att = reference_attention(
                 live, params4[seq.ATT_SCORE_W], params4[seq.ATT_SRC_W],
                 params4[seq.ATT_DST_W], bias[:n, :n])
-            np.testing.assert_allclose(out.value[rows], single, rtol=1e-12)
-            np.testing.assert_allclose(att.value[rows, :n], single_att,
+            np.testing.assert_allclose(out[rows], single, rtol=1e-12)
+            np.testing.assert_allclose(att[rows, :n], single_att,
                                        rtol=1e-12)
-            np.testing.assert_allclose(out.value[rows], expected, rtol=1e-10)
-            np.testing.assert_allclose(att.value[rows, :n], expected_att,
+            np.testing.assert_allclose(out[rows], expected, rtol=1e-10)
+            np.testing.assert_allclose(att[rows, :n], expected_att,
                                        rtol=1e-10)
             # padded sources get no weight, padded positions no output
-            assert not att.value[rows, n:].any()
+            assert not att[rows, n:].any()
             pad = slice(i * t_len + n, (i + 1) * t_len)
-            assert not att.value[pad].any() and not out.value[pad].any()
+            assert not att[pad].any() and not out[pad].any()
 
 
 def _encoder_node_count(t_len, n_seq=3, dim=4):
@@ -139,11 +147,11 @@ def test_forward_causality_bitwise(params4):
     rng = np.random.default_rng(3)
     embeds = rng.normal(size=(6, 4))
     pb = seq.position_bias(6)
-    base, _ = tape_value(attention(pb.forward), embeds, params4)
+    base, _ = attention(pb.forward, embeds, params4)
     for n in range(5):
         poked = embeds.copy()
         poked[n + 1:] += rng.normal(size=poked[n + 1:].shape)
-        again, _ = tape_value(attention(pb.forward), poked, params4)
+        again, _ = attention(pb.forward, poked, params4)
         assert (again[: n + 1] == base[: n + 1]).all()
 
 
@@ -151,10 +159,10 @@ def test_backward_causality_bitwise(params4):
     rng = np.random.default_rng(4)
     embeds = rng.normal(size=(5, 4))
     pb = seq.position_bias(5)
-    base, _ = tape_value(attention(pb.backward), embeds, params4)
+    base, _ = attention(pb.backward, embeds, params4)
     poked = embeds.copy()
     poked[:2] += 1.0
-    again, _ = tape_value(attention(pb.backward), poked, params4)
+    again, _ = attention(pb.backward, poked, params4)
     assert (again[2:] == base[2:]).all()
 
 
@@ -162,16 +170,14 @@ def test_attention_decays_with_distance(params4):
     # identical content embeddings leave only the position bias, so the
     # attention at the last position strictly decreases with distance
     embeds = np.tile(np.random.default_rng(5).normal(size=4), (6, 1))
-    _, att = tape_value(attention(seq.position_bias(6).forward), embeds,
-                        params4)
+    _, att = attention(seq.position_bias(6).forward, embeds, params4)
     last = att[-1]
     for gap in range(1, 5):
         assert last[5 - gap] > last[5 - gap - 1]
 
 
 def test_preference_zero_inputs(params4):
-    zeros = np.zeros((3, 4))
-    prefs = tape_value(preference, zeros, zeros,
+    prefs = tape_value(preference, np.zeros((3, 8)),
                        {**params4, seq.COMBINE_B: np.zeros(4)})[0]
     np.testing.assert_array_equal(prefs, np.zeros(4))
 
@@ -180,7 +186,8 @@ def test_preference_single_row_meanpool_is_identity(params4):
     rng = np.random.default_rng(6)
     fw = rng.normal(size=(1, 4))
     bw = rng.normal(size=(1, 4))
-    got = tape_value(preference, fw, bw, params4)[0]
+    got = tape_value(preference, np.concatenate([fw, bw], axis=1),
+                     params4)[0]
     pooled = np.concatenate([fw[0], bw[0]])
     expected = np.maximum(params4[seq.COMBINE_W] @ pooled
                           + params4[seq.COMBINE_B], 0.0)
@@ -193,8 +200,9 @@ def test_preference_matches_scalar_reference(params4):
     bw = rng.normal(size=(4, 4))
     expected = reference_preference(fw, bw, params4[seq.COMBINE_W],
                                     params4[seq.COMBINE_B])
-    np.testing.assert_allclose(tape_value(preference, fw, bw, params4)[0],
-                               expected, rtol=1e-10)
+    np.testing.assert_allclose(
+        tape_value(preference, np.concatenate([fw, bw], axis=1), params4)[0],
+        expected, rtol=1e-10)
 
 
 def test_full_encoder_matches_scalar_reference(params4):
