@@ -3,17 +3,15 @@
 A :class:`Tape` records a directed acyclic graph of numpy operations. Nodes
 are appended in construction order, so the node list is always a valid
 topological order. ``forward`` evaluates every node from the bound leaves and
-parameters; ``backward`` accumulates adjoints in reverse order and
-folds parameter gradients into ``tape.grads``.
+parameters; ``backward`` sums adjoints in reverse order and hands each
+parameter its gradient in ``tape.grads``.
 
 All values are float64 ndarrays of rank 0, 1 or 2. There is no implicit
 broadcasting: ``add`` and ``mul`` take operands of one shape, and the fused
 ops check their operands' shapes by name, which keeps every gradient rule
 auditable.
 
-Calling :meth:`Tape.backward` twice without :meth:`Tape.zero_grad` doubles
-the accumulated parameter gradients; that is intentional and relied upon
-for gradient accumulation across sub-graphs.
+Each backward returns the gradients of one pass.
 """
 
 from __future__ import annotations
@@ -124,7 +122,7 @@ class RowGrad:
     the adjoint ``values``, kept row-sparse: as a table, ``values + 0.0``
     in those rows (the sum from 0.0 turns a -0.0 into +0.0) and +0.0
     elsewhere. :meth:`Tape.backward` adds it into dense adjoints and
-    hands dense ones to every node but a param."""
+    makes it a dense table when it reaches its node."""
 
     __slots__ = ("rows", "values")
 
@@ -146,23 +144,18 @@ class RowGrad:
         return table
 
 
-def _add_adjoints(held, grad, held_owned, grad_owned, shape):
+def _add_adjoints(held, grad, shape):
     """``held + grad``, two gradients of one node of ``shape``, either a
     :class:`RowGrad`: bit for bit their dense sum (addition commutes),
-    written into an operand the pass owns when there is one."""
+    written into a dense operand."""
     if isinstance(held, RowGrad):
         if isinstance(grad, RowGrad):
             return grad.add_to(held.dense(shape))
-        held, grad, held_owned = grad, held, grad_owned
+        held, grad = grad, held
     if isinstance(grad, RowGrad):
-        return grad.add_to(held if held_owned else held + 0.0)
-    if held_owned:
-        held += grad
-        return held
-    if grad_owned:
-        grad += held
-        return grad
-    return held + grad
+        return grad.add_to(held)
+    held += grad
+    return held
 
 
 def _scatter_rows(shape, ids, adj):
@@ -227,11 +220,6 @@ def _sigmoid_grad(g, s):
 def _blocks(x, t_len):
     """View an (n * t_len, k) matrix as n stacked (t_len, k) blocks."""
     return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
-
-
-# the ops whose gradient rules hand out their adjoint or views of it; every
-# other rule returns arrays that nothing else reads
-_VIEW_RULES = frozenset({"add"})
 
 
 class Segments:
@@ -563,7 +551,8 @@ class Tape:
     # ------------------------------------------------------------------- backward
 
     def backward(self, loss, adjoint=None):
-        """Accumulate gradients of a scalar loss node into ``self.grads``.
+        """The gradients of a scalar loss node, a new mapping from each
+        param the pass reaches to its gradient, also kept as ``self.grads``.
 
         Any node can seed the pass with a given ``adjoint`` of its shape,
         e.g. one another tape computed for a leaf fed from its value.
@@ -571,16 +560,13 @@ class Tape:
         only: a node no param or leaf feeds (a lookup into a constant
         table, say) gets no adjoint and runs no gradient rule. Each other
         node's adjoint is released (``None``) once its rule has handed it
-        to the inputs, or once it is added into ``grads`` for a param;
-        leaf and const adjoints stay readable until the next backward.
-        Gradients are summed in arrival order, in place into an array the
-        pass owns: a sum it allocated, or an array a rule made, which every
-        rule but ``add``'s (it hands out its adjoint twice) does. A
-        :class:`RowGrad` stays row-sparse until it meets a dense gradient
-        or its param folds it into ``grads``; any other node gets it as a
-        dense table. Forward values stay. Parameter gradients accumulate
-        across calls until :meth:`zero_grad`. Returns the current
-        parameter-gradient mapping.
+        to the inputs, or once its param takes it as its gradient; leaf and
+        const adjoints stay readable until the next backward. Gradients are
+        summed in arrival order, in place: every rule returns new arrays,
+        so the pass writes only arrays it made, and it reads the caller's
+        seed. A :class:`RowGrad` stays row-sparse until it meets a dense
+        gradient or reaches its node, where it becomes a dense table.
+        Forward values stay.
         """
         if loss.value is None:
             raise ValueError("run forward() before backward()")
@@ -594,50 +580,37 @@ class Tape:
             node.adjoint = None
         loss.adjoint = np.ones_like(loss.value) if adjoint is None \
             else _as_f64(adjoint)
-        owned = set()   # ids of the nodes whose adjoint the pass may write
+        self.grads = {}
         for node in reversed(self.nodes[: loss.idx + 1]):
             adj = node.adjoint
             if adj is None:
                 continue
-            if node.op == "param":
-                node.adjoint = None
-                g = self.grads.get(node.name)
-                mine = node.idx in owned
-                if g is not None:
-                    adj = _add_adjoints(g, adj, False, mine, g.shape)
-                    mine = True
-                self.grads[node.name] = adj.dense(node.value.shape) \
-                    if isinstance(adj, RowGrad) else adj if mine else adj.copy()
-                continue
             if isinstance(adj, RowGrad):
                 adj = node.adjoint = adj.dense(node.value.shape)
+            if node.op == "param":
+                node.adjoint = None
+                # a param appears once per tape, so this is its whole
+                # gradient; a param root's is the caller's seed, so a copy
+                self.grads[node.name] = adj.copy() if node is loss else adj
+                continue
             if node.op in ("leaf", "const"):
                 continue
             node.adjoint = None     # consumed below; nothing reads it again
             grads = self._input_grads(node, adj)
-            del adj     # freed before the sums below, unless a view holds it
-            fresh = node.op not in _VIEW_RULES
+            del adj     # freed before the sums below
             for inp, grad in zip(node.inputs, grads):
-                if grad is None or not inp.live:
-                    continue
-                if inp.adjoint is None:
-                    inp.adjoint = grad
-                    if fresh:
-                        owned.add(inp.idx)
-                else:
-                    inp.adjoint = _add_adjoints(
-                        inp.adjoint, grad, inp.idx in owned, fresh,
-                        inp.value.shape)
-                    owned.add(inp.idx)
+                if grad is not None and inp.live:
+                    inp.adjoint = grad if inp.adjoint is None else \
+                        _add_adjoints(inp.adjoint, grad, inp.value.shape)
         return self.grads
 
     def _input_grads(self, node, adj):
-        """One gradient per input; the product rules skip (None) an input
-        that is not live."""
+        """One gradient per input, each a new array; the product rules skip
+        (None) an input that is not live."""
         op = node.op
         vals = [i.value for i in node.inputs]
         if op == "add":
-            return [adj, adj]
+            return [adj.copy(), adj.copy()]
         if op == "mul":
             a, b = vals
             a_live, b_live = (i.live for i in node.inputs)
@@ -771,24 +744,23 @@ class Tape:
         np.copyto(out, 0.0, where=~ok)
         return out
 
-    def zero_grad(self):
-        self.grads = {}
-
 
 def finite_difference_check(tape, loss, param_name, epsilon=1e-6):
     """Max relative error between analytic and central-difference gradients.
 
     Perturbs every coordinate of the named parameter by +/- epsilon,
     re-running the forward pass each time. The relative error of coordinate
-    i is ``|a_i - n_i| / max(1e-12, |a_i| + |n_i|)``. Runs in float64.
+    i is ``|a_i - n_i| / max(1e-12, |a_i| + |n_i|)``; the analytic gradient
+    of a parameter the loss does not reach is zero. Runs in float64.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    tape.zero_grad()
-    tape.forward()
-    tape.backward(loss)
-    analytic = tape.grads[param_name].copy()
+    if param_name not in tape.params:
+        raise ValueError(f"no parameter named {param_name!r} on the tape")
     pnode = tape.params[param_name]
+    tape.forward()
+    analytic = tape.backward(loss).get(param_name,
+                                       np.zeros_like(pnode.value))
     base = pnode.value.copy()
     numeric = np.zeros_like(base)
     flat_base = base.reshape(-1)

@@ -63,13 +63,19 @@ def train_bpr(histories, n_users, n_items, rng, dim=32, epochs=20,
     One epoch visits every (user, item) interaction once in a shuffled
     order, pairing each with a uniformly sampled unseen negative.
     ``loss_probe``, when given, receives the mean probe-triple loss once
-    per epoch (used to watch convergence).
+    per epoch (used to watch convergence). A user who has interacted with
+    every item has no negative to draw: a ValueError.
     """
+    seen = {u: set(items) for u, items in histories.items()}
+    for user, items in seen.items():
+        if items and len(items) >= n_items and items.issuperset(
+                range(n_items)):
+            raise ValueError(f"user {user} has interacted with all "
+                             f"{n_items} items: no negative to draw")
     user_factors = rng.normal(scale=0.1, size=(n_users, dim))
     item_factors = rng.normal(scale=0.1, size=(n_items, dim))
     pairs = [(u, it) for u, items in sorted(histories.items())
              for it in items]
-    seen = {u: set(items) for u, items in histories.items()}
     probe = [pairs[i] for i in range(0, len(pairs),
                                      max(1, len(pairs) // 64))]
     for _ in range(epochs):

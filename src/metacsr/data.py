@@ -431,8 +431,8 @@ def write_dataset_dir(out_dir, dataset, user_map=None, item_map=None):
 
 def read_dataset_dir(path) -> Dataset:
     """The dataset :func:`write_dataset_dir` wrote under ``path``; a
-    malformed ``split.json`` or ``interactions.tsv`` is a ValueError that
-    names the file."""
+    malformed ``split.json`` or ``interactions.tsv``, or an item id outside
+    ``[0, n_items)``, is a ValueError that names the file."""
     path = Path(path)
     split_path = path / "split.json"
     try:
@@ -442,14 +442,19 @@ def read_dataset_dir(path) -> Dataset:
         spec = SplitSpec(**{**info["split_spec"], "count_range": tuple(
             info["split_spec"]["count_range"])})
         n_items, seed = info["n_items"], info["seed"]
+        if type(n_items) is not int or n_items < 1:
+            raise ValueError(f"n_items {n_items!r} is not a positive int")
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{split_path}: bad split file ({err!r})") from None
     histories: dict[int, list[tuple[int, int]]] = {}
     tsv_path = path / "interactions.tsv"
     try:
         with tsv_path.open("r", encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 user, item, ts = line.strip().split("\t")
+                if not 0 <= int(item) < n_items:
+                    raise ValueError(f"line {number}: item id {item} outside "
+                                     f"[0, {n_items})")
                 histories.setdefault(int(user), []).append(
                     (int(ts), int(item)))
     except ValueError as err:

@@ -104,7 +104,6 @@ class ItemFeatures:
     def theta1_grads(self, adjoint):
         """theta1 gradients of a loss whose gradient w.r.t. the table is
         ``adjoint``; a fresh mapping per call."""
-        self._tape.zero_grad()
         return self._tape.backward(self._out, adjoint)
 
 

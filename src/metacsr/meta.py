@@ -234,11 +234,10 @@ def sgd_theta2(params, support, features, cfg, rng, histories, steps,
         tape, tape.constant(features), nodes, list(support), cfg.k_neg, rng,
         histories, features.shape[0], use_sequence=params.config.use_sequence)
     for _ in range(steps):
-        tape.zero_grad()
         tape.forward()
-        tape.backward(loss)
+        grads = tape.backward(loss)
         for name in theta2:
-            g = tape.grads.get(name)
+            g = grads.get(name)
             if g is not None:
                 theta2[name] = theta2[name] - lr * g
                 tape.set_param(name, theta2[name])

@@ -444,7 +444,6 @@ def feature_loss(features, theta2, sequences, k_neg, rng, histories,
     def at(values=None):
         for name, value in (values or {}).items():
             tape.set_param(name, value)
-        tape.zero_grad()
         tape.forward()
         tape.backward(loss)
         return float(loss.value), dict(tape.grads)

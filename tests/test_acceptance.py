@@ -59,7 +59,6 @@ def report_line(name, passed, started, budget):
 
 def _fd_rel_and_abs(tape, loss, name, eps=1e-6):
     """Spec relative error plus the max absolute analytic/numeric gap."""
-    tape.zero_grad()
     tape.forward()
     tape.backward(loss)
     analytic = tape.grads[name].copy()

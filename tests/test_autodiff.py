@@ -284,7 +284,7 @@ def test_every_op_gradient_against_finite_differences(op):
 @pytest.mark.parametrize("op", ALL_OPS + list(FUSED_RULES))
 def test_backward_releases_each_consumed_adjoint(op):
     """Every adjoint but a leaf's or a const's is gone after backward, and
-    a second backward from zero gives the same gradients."""
+    a second backward gives the same gradients."""
     t, loss = _op_case(op, np.random.default_rng(11))
     t.forward()
     first = {name: g.copy() for name, g in t.backward(loss).items()}
@@ -292,10 +292,60 @@ def test_backward_releases_each_consumed_adjoint(op):
     assert all(node.adjoint is None for node in t.nodes
                if node.op not in ("leaf", "const"))
     assert all(node.adjoint is not None for node in leaves)
-    t.zero_grad()
     t.backward(loss)
     assert set(t.grads) == set(first) == {"p"}
     np.testing.assert_array_equal(t.grads["p"], first["p"])
+
+
+@pytest.mark.parametrize("op", ALL_OPS + list(FUSED_RULES))
+def test_backward_writes_only_arrays_it_made(op):
+    """No gradient a rule returns (a RowGrad's values included) shares
+    memory with the rule's adjoint, an input's value or another returned
+    gradient; a seeded backward leaves the seed's bits as they were; a
+    second backward returns a new mapping with the same bits and leaves
+    the first one's arrays as they were."""
+    rng = np.random.default_rng(12)
+    t, loss = _op_case(op, rng)
+    root = loss if op == "sum" else loss.inputs[0].inputs[0]
+    t.forward()
+    original = t._input_grads
+    rules = []
+
+    def spy(node, adj):
+        grads = original(node, adj)
+        arrays = [g.values if isinstance(g, RowGrad) else g
+                  for g in grads if g is not None]
+        for k, g in enumerate(arrays):
+            for other in [adj, *(i.value for i in node.inputs),
+                          *arrays[k + 1:]]:
+                assert not np.shares_memory(g, other), node
+        rules.append(node.op)
+        return grads
+
+    t._input_grads = spy
+    seed = np.asarray(rng.normal(size=root.value.shape))
+    seed[rng.random(seed.shape) < 0.3] = -0.0
+    bits = seed.view(np.uint64).copy()
+    first = t.backward(root, seed)
+    kept = {name: g.copy() for name, g in first.items()}
+    assert np.array_equal(seed.view(np.uint64), bits)
+    second = t.backward(root, seed)
+    assert rules and second is not first
+    assert second.keys() == first.keys() == {"p"}
+    for name, g in kept.items():
+        assert _same_bits(second[name], g) and _same_bits(first[name], g)
+
+
+def test_finite_difference_check_of_an_unreached_param_is_zero():
+    """The loss does not depend on a param it does not reach, so both
+    gradients are zero; a name the tape lacks is refused by name."""
+    t = Tape()
+    x = t.param("x", [1.0, 2.0])
+    t.param("unused", [[3.0, -1.0]])
+    loss = t.sum(t.mul(x, x))
+    assert finite_difference_check(t, loss, "unused") == 0.0
+    with pytest.raises(ValueError, match="'missing'"):
+        finite_difference_check(t, loss, "missing")
 
 
 def test_masked_softmax_rows_sum_to_one():
@@ -318,21 +368,6 @@ def test_l2_normalize_unit_or_zero():
     norms = np.linalg.norm(y, axis=1)
     np.testing.assert_allclose(norms[[0, 1, 3, 4]], 1.0, atol=1e-9)
     np.testing.assert_array_equal(y[2], np.zeros(4))
-
-
-def test_backward_twice_doubles_accumulation():
-    t = Tape()
-    x = t.param("x", [1.0, 2.0])
-    loss = t.sum(t.mul(x, x))
-    t.forward()
-    t.backward(loss)
-    first = t.grads["x"].copy()
-    t.backward(loss)
-    np.testing.assert_allclose(t.grads["x"], 2 * first)
-    t.zero_grad()
-    t.forward()
-    t.backward(loss)
-    np.testing.assert_allclose(t.grads["x"], first)
 
 
 def test_non_scalar_loss_rejected():
@@ -451,14 +486,12 @@ def test_backward_skips_nodes_no_param_or_leaf_feeds():
         return original(node, adj)
 
     t._input_grads = spy
-    t.zero_grad()
     t.backward(loss)
     assert "lookup" not in differentiated
     skipped = dict(t.grads), x.adjoint.copy()
 
     for node in t.nodes:
         node.live = True
-    t.zero_grad()
     t.backward(loss)
     assert "lookup" in differentiated and table.adjoint is not None
     assert all(node.adjoint is None for node in t.nodes
@@ -965,8 +998,8 @@ def test_two_conv_layers_sharing_inherent_equal_the_chained_rules():
     unfused layers', bit for bit. Overlapping and disjoint row sets, -0.0
     adjoints, unsorted or repeated rows (a dense scatter), ``inherent`` as
     a param or as a leaf (whose adjoint is a dense ndarray), and a second
-    backward, which adds into ``grads`` and leaves the first call's arrays
-    as they were."""
+    backward, which gives the same bits in a new mapping and leaves the
+    first call's arrays as they were."""
     rng = np.random.default_rng(23)
     names = ("latent_w", "latent_b", "merge_w", "merge_b")
 
@@ -1020,27 +1053,27 @@ def test_two_conv_layers_sharing_inherent_equal_the_chained_rules():
         c1 = t.conv(c0, inh, rows1, ids1, counts1, *nodes[1])
         t.forward()
         assert _same_bits(c1.value, out1), draw
-        first = {}
-        for call in (1, 2):
-            t.backward(c1, adj)
-            got = dict(t.grads)
+        first = None
+        for _ in range(2):
+            got = t.backward(c1, adj)
+            assert got is not first, draw
             if not as_param:
                 assert type(inh.adjoint) is np.ndarray, draw
                 assert _same_bits(inh.adjoint, want["inherent"]), draw
-                got["inherent"] = want["inherent"] * call
+                got = {**got, "inherent": want["inherent"]}
             assert got.keys() == want.keys()
             for name, grad in want.items():
-                assert _same_bits(got[name], grad * call), (draw, name)
-            if call == 1:
-                first = {k: (g, g.copy()) for k, g in got.items()}
-        assert all(_same_bits(g, kept) for g, kept in first.values()), draw
+                assert _same_bits(got[name], grad), (draw, name)
+            if first is None:
+                first = got
+                kept = {k: g.copy() for k, g in got.items()}
+        assert all(_same_bits(g, kept[k]) for k, g in first.items()), draw
 
 
 def test_row_sparse_sums_equal_the_dense_sums():
     """A RowGrad plus a dense gradient, either first, plus a RowGrad, and
     a RowGrad alone as a table: the dense sums bit for bit, with every
-    -0.0 of the sparse values and of the dense rows, whichever operand
-    the pass owns; an operand it does not own is not written."""
+    -0.0 of the sparse values and of the dense rows."""
     rng = np.random.default_rng(24)
     for draw in range(200):
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
@@ -1060,21 +1093,17 @@ def test_row_sparse_sums_equal_the_dense_sums():
         assert _same_bits(a.dense((n, d)), dense_of(a)), draw
         want = (dense_of(a) + b) + dense_of(c)
         for sparse_first in (True, False):
-            for owned in (False, True):
-                dense = b.copy()
-                total = _add_adjoints(a, dense, False, owned, (n, d)) \
-                    if sparse_first else \
-                    _add_adjoints(dense, a, owned, False, (n, d))
-                assert owned or _same_bits(dense, b), draw
-                total = _add_adjoints(total, c, True, True, (n, d))
-                assert _same_bits(total, want), draw
-        both = _add_adjoints(a, c, False, False, (n, d))
+            total = _add_adjoints(a, b.copy(), (n, d)) if sparse_first \
+                else _add_adjoints(b.copy(), a, (n, d))
+            total = _add_adjoints(total, c, (n, d))
+            assert _same_bits(total, want), draw
+        both = _add_adjoints(a, c, (n, d))
         assert _same_bits(both, dense_of(a) + dense_of(c)), draw
 
 
 def _aliasing_tapes(rng):
-    """Graphs whose gradients arrive as one array twice, or as an array
-    that an ``add`` handed on, beside fresh ones."""
+    """Graphs where a node sums several gradients: two from one
+    ``add(x, x)``, or ones ``add`` rules handed on beside other rules'."""
     def add_twice(t, x, z):
         return t.add(t.add(x, x), t.add(x, z))       # add(x, x); x and z
 
@@ -1102,14 +1131,13 @@ def _aliasing_tapes(rng):
 
 def test_in_place_adjoint_sums_equal_the_out_of_place_ones():
     """Parameter gradients and leaf adjoints equal a backward that makes
-    every sum a new array, bit for bit, on graphs where a rule hands one
-    array to two inputs or hands out views; no value changes."""
+    every sum a new array, bit for bit, on graphs where ``add`` rules hand
+    one adjoint to several inputs; no value changes."""
     rng = np.random.default_rng(21)
     for t, out, adj in _aliasing_tapes(rng):
         values = [n.value.copy() for n in t.nodes]
         grads, leaves = out_of_place_backward(t, out, adj)
         t.forward()
-        t.zero_grad()
         t.backward(out, adj.copy())
         assert t.grads.keys() == grads.keys()
         for name, grad in grads.items():

@@ -118,6 +118,14 @@ def test_bpr_new_users_inside_the_factor_table_use_the_fallback():
             float(model.item_factors[0] @ model.user_factors[user]))
 
 
+def test_bpr_refuses_a_user_who_has_seen_every_item():
+    """Such a user has no negative to draw; the refusal comes before the
+    first draw, so it names the user and the catalog at once."""
+    with pytest.raises(ValueError, match="user 0 has interacted with all 3"):
+        baselines.train_bpr({1: [2], 0: [2, 0, 1]}, 2, 3,
+                            np.random.default_rng(0))
+
+
 def test_joint_train_deterministic(world_data):
     world, regular, new, graph = world_data
     cfg = meta.MetaConfig(task_batch=2, n_way=2, k_support=2, k_query=2,

@@ -351,6 +351,20 @@ def test_dataset_dir_round_trip(tmp_path):
     assert (out / "items.map").read_text().splitlines()[-1] == "103\t3"
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_dataset_dir_refuses_item_ids_outside_the_catalog(tmp_path, bad):
+    """A new user's item id outside [0, n_items) is refused with the file,
+    the line and the id; regular users are checked by the graph."""
+    dataset = data.Dataset(regular={0: [1, 2, 3]}, new={1: [2, bad, 3, 0]},
+                           n_items=4, split_spec=SplitSpec(), seed=1)
+    out = data.write_dataset_dir(tmp_path / "ds", dataset)
+    with pytest.raises(ValueError) as err:
+        data.read_dataset_dir(out)
+    message = str(err.value)
+    assert str(out / "interactions.tsv") in message
+    assert "line 5" in message and f"item id {bad} " in message
+
+
 def test_dataset_dir_idempotent(tmp_path):
     dataset = data.Dataset(regular={0: [1, 2, 3]}, new={1: [2, 3]},
                            n_items=4, split_spec=SplitSpec(), seed=1)
@@ -369,14 +383,16 @@ def _corrupt_split(out, edit):
     return split
 
 
-@pytest.mark.parametrize("case", ["split-no-n-items", "split-unknown-key",
-                                  "tsv-two-fields"])
+@pytest.mark.parametrize("case", ["split-no-n-items", "split-text-n-items",
+                                  "split-unknown-key", "tsv-two-fields"])
 def test_dataset_dir_malformed_file_names_it(tmp_path, case):
     dataset = data.Dataset(regular={0: [1, 2, 3]}, new={1: [2, 3]},
                            n_items=4, split_spec=SplitSpec(), seed=1)
     out = data.write_dataset_dir(tmp_path / "ds", dataset)
     if case == "split-no-n-items":
         bad = _corrupt_split(out, lambda info: info.pop("n_items"))
+    elif case == "split-text-n-items":
+        bad = _corrupt_split(out, lambda info: info.update(n_items="4"))
     elif case == "split-unknown-key":
         bad = _corrupt_split(
             out, lambda info: info["split_spec"].update(shuffle=True))

@@ -682,7 +682,6 @@ def _exact_reference(graph, params, cfg, trainer, plan, t, task):
         def at(theta2):
             for name, value in theta2.items():
                 tape.set_param(name, value)
-            tape.zero_grad()
             tape.forward()
             tape.backward(out)
             return (float(out.value),
