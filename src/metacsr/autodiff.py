@@ -28,7 +28,7 @@ class Node:
 
     ``idx`` is the position in the tape's node list (node id), ``op`` the
     operation kind, ``inputs`` the producing nodes, ``aux`` any static
-    operation attribute (ids, a segment or attention layout). ``value``
+    operation attribute (ids, a segment or encoder layout). ``value``
     caches the most recent forward result; ``adjoint`` the most recent
     backward one for a leaf or const (see :meth:`Tape.backward`).
     ``live`` marks a node that a param or leaf feeds: only live nodes get
@@ -222,6 +222,68 @@ def _blocks(x, t_len):
     return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
 
 
+def _attention(embeds, src_w, dst_w, score_w, rows_a, rows_b, slot, masks):
+    """An ``encoder`` node's attention over blocks of T = ``slot.shape[1]``
+    rows (see :meth:`Tape.encoder`): the (n * T, len(masks) * k) table of
+    the directions' outputs side by side, the pairs' sigmoid table and each
+    direction's (n * T, T) weights. Row r of a direction's logits reads the
+    pairs ``slot[r]`` plus its mask."""
+    t_len = slot.shape[1]
+    s = _pair_sigmoid(embeds @ src_w.T, embeds @ dst_w.T, rows_a, rows_b)
+    shared = (s @ score_w).reshape(-1).take(slot)
+    atts = [masked_softmax_rows(shared + mask) for mask in masks]
+    blocks = _blocks(embeds, t_len)
+    return np.concatenate(
+        [np.matmul(_blocks(att, t_len), blocks).reshape(embeds.shape)
+         for att in atts], axis=1), s, atts
+
+
+def _attention_grads(embeds, src_w, dst_w, score_w, layout, s, atts, live,
+                     adj):
+    """The gradients of :func:`_attention` w.r.t. embeds, src_w, dst_w and
+    score_w for the table's adjoint ``adj``: the rules of the nodes it
+    replaced in reverse node order, the last direction first. The
+    embeddings' gradient sums the directions' block products, then the
+    ``dst_w`` and the ``src_w`` products; an input ``live`` marks dead
+    gets none of its terms computed."""
+    rows_a, rows_b, slot, _ = layout
+    e_live, src_live, dst_live, w_live = live
+    t_len, width = slot.shape[1], embeds.shape[1]
+    blocks = _blocks(embeds, t_len)
+    g_embeds = g_shared = None
+    for k in reversed(range(len(atts))):
+        att = atts[k]
+        g = _blocks(np.ascontiguousarray(
+            adj[:, k * width: (k + 1) * width]), t_len)
+        # the block product's rules, then the softmax's
+        if e_live:
+            g_e = np.matmul(_blocks(att, t_len).transpose(0, 2, 1),
+                            g).reshape(embeds.shape)
+            g_embeds = g_e if g_embeds is None else \
+                np.add(g_embeds, g_e, out=g_embeds)
+        g = np.matmul(g, blocks.transpose(0, 2, 1)).reshape(att.shape)
+        g = att * (g - (g * att).sum(axis=1, keepdims=True))
+        g_shared = g if g_shared is None else \
+            np.add(g_shared, g, out=g_shared)
+    # the logits' lookup, then pair_logits' rules
+    g = _scatter_rows((len(s),), slot, g_shared).reshape(-1, 1)
+    g_score = s.T @ g if w_live else None
+    g = _sigmoid_grad(g @ score_w.T, s) \
+        if e_live or src_live or dst_live else None
+    g_ws = []
+    for w, rows, w_on in ((dst_w, rows_b, dst_live),
+                          (src_w, rows_a, src_live)):
+        g_x, g_w, _ = _dense_grads(
+            embeds, w, _scatter_rows((len(embeds), len(w)), rows, g),
+            (e_live, w_on, False)) if e_live or w_on else (None,) * 3
+        # in C order, as the replaced transpose's copy was, so that a
+        # sum over the gradient reads it in the same order
+        g_ws.append(None if g_w is None else g_w.copy())
+        if g_x is not None:
+            g_embeds += g_x
+    return [g_embeds, g_ws[1], g_ws[0], g_score]
+
+
 class Segments:
     """A flat id list cut into segments ``ids[o_i : o_i + counts[i]]``,
     ``o_i = sum(counts[:i])``, laid out longest first (``order``): column
@@ -276,18 +338,18 @@ class Segments:
         out *= self.inverse_counts
         return out
 
-    def backward(self, table, adj):
-        """Gradient w.r.t. ``table``: ``adj / count`` into every row a
-        segment read. When the segments read fewer than half the rows, it
-        pools those rows alone into a :class:`RowGrad`, whose dense form is
-        the table with each -0.0 made +0.0; otherwise it is the table,
-        zero in the rows no segment reads. Scales ``adj`` in place, so it
-        takes an array no one else reads."""
+    def backward(self, n_rows, adj):
+        """Gradient w.r.t. the pooled table of ``n_rows`` rows: ``adj /
+        count`` into every row a segment read. When the segments read fewer
+        than half the rows, it pools those rows alone into a
+        :class:`RowGrad`, whose dense form is the table with each -0.0 made
+        +0.0; otherwise it is the table, zero in the rows no segment reads.
+        Scales ``adj`` in place, so it takes an array no one else reads."""
         if self.readers is None:
             # a stable sort of ids this narrow is numpy's radix sort
-            narrow = self.ids.astype(np.min_scalar_type(table.shape[0] - 1))
+            narrow = self.ids.astype(np.min_scalar_type(n_rows - 1))
             by_id = np.argsort(narrow, kind="stable")
-            counts = np.bincount(self.ids, minlength=table.shape[0])
+            counts = np.bincount(self.ids, minlength=n_rows)
             read = np.flatnonzero(counts)
             if 2 * read.size >= counts.size:
                 read = None
@@ -348,30 +410,44 @@ class Tape:
     def mul(self, a, b):
         return self._append("mul", (a, b))
 
-    def dense(self, x, w, b):
-        """``relu(x @ w.T + b)`` for an (m, k) ``x``, a (d, k) ``w`` and a
-        length-d ``b``: bit for bit the chained ``transpose``, ``matmul``,
-        ``add`` and relu, keeping only the output."""
-        return self._append("dense", (x, w, b))
-
-    def attention(self, embeds, src_w, dst_w, score_w, rows_a, rows_b, slot,
-                  masks):
-        """Masked self-attention over blocks of T rows of an (n * T, k)
-        ``embeds``, one direction per (n * T, T) mask of ``masks``, for
-        (h, k) ``src_w`` and ``dst_w`` and an (h, 1) ``score_w``. The
-        content logit of pair i is ``sigmoid(src_w @ e[rows_a[i]] + dst_w @
-        e[rows_b[i]]) @ score_w``; row r of a direction's logits reads the
-        pairs ``slot[r]`` (an (n * T, T) table) plus its mask, a masked row
-        softmax turns them into weights over the block's rows, and they mix
-        the block's embeddings. The value is the directions' outputs side
-        by side, (n * T, len(masks) * k). Bit for bit the ``transpose``,
-        ``matmul``, ``pair_logits``, ``lookup``, ``add``,
-        ``masked_softmax_rows``, ``block_matmul`` and ``concat`` chain,
-        keeping the pairs' sigmoid table and each direction's weights."""
-        layout = tuple(np.asarray(r, dtype=np.intp)
-                       for r in (rows_a, rows_b, slot))
-        return self._append("attention", (embeds, src_w, dst_w, score_w),
-                            aux=(*layout, tuple(_as_f64(m) for m in masks)))
+    def encoder(self, embeds, src_w, dst_w, score_w, combine_w, combine_b,
+                lengths):
+        """The sequence encoder over blocks of T = ``max(lengths)`` rows of
+        an (n * T, k) ``embeds``, of which block i's first ``lengths[i]``
+        rows are sequence i (padded rows may hold any finite embedding).
+        Each pair (m, n) inside a sequence gets, once, the content logit
+        ``sigmoid(src_w @ e_m + dst_w @ e_n) @ score_w`` for (h, k)
+        ``src_w`` and ``dst_w`` and an (h, 1) ``score_w``, plus the bias
+        ``-exp(|m - n|)``. In the forward direction position n attends to
+        sources m <= n, in the backward one to m >= n: a masked row
+        softmax, all zero on padded rows, whose weights mix the block's
+        rows. Each sequence's mean over its positions of the two outputs
+        side by side goes through ``relu(. @ combine_w.T + combine_b)`` for
+        a (d, 2k) ``combine_w`` and a length-d ``combine_b``: the (n, d)
+        value. Bit for bit the ``attention``, ``segment_mean`` and
+        ``dense`` chain, keeping the pairs' sigmoid table, each direction's
+        weights and the pooled rows."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
+            raise ValueError(f"sequence lengths must be >= 1, not {lengths}")
+        t_len = int(lengths.max())
+        pos = np.arange(t_len)
+        inside = pos < lengths[:, None]
+        # [sequence, n, m]: the pairs inside a sequence, one slot each
+        live = inside[:, :, None] & inside[:, None, :]
+        seq_i, pos_n, pos_m = np.nonzero(live)
+        slot = np.zeros(live.shape, dtype=np.intp)
+        slot[live] = np.arange(seq_i.size)
+        decay = -np.exp(np.abs(pos[:, None] - pos[None, :]).astype(np.float64))
+        masks = tuple(
+            np.where(live & attends, decay, -np.inf).reshape(-1, t_len)
+            for attends in (pos <= pos[:, None], pos >= pos[:, None]))
+        # pair i attends from source m to target n
+        return self._append(
+            "encoder", (embeds, src_w, dst_w, score_w, combine_w, combine_b),
+            aux=(seq_i * t_len + pos_m, seq_i * t_len + pos_n,
+                 slot.reshape(-1, t_len), masks,
+                 Segments(np.flatnonzero(inside), lengths)))
 
     def pair_loss(self, items, prefs, cand_ids, k_neg):
         """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
@@ -454,10 +530,8 @@ class Tape:
             if a.shape != b.shape:
                 raise self._err(node, f"mul shapes {a.shape} * {b.shape}")
             return a * b
-        if op == "dense":
-            return self._dense(node, *vals)
-        if op == "attention":
-            return self._attention(node, *vals)
+        if op == "encoder":
+            return self._encoder(node, *vals)
         if op == "pair_loss":
             (items, prefs), (cand, k_neg) = vals, node.aux
             if items.ndim != 2 or prefs.shape[1:] != items.shape[1:] or \
@@ -489,28 +563,25 @@ class Tape:
         y += b
         return np.maximum(y, 0.0, out=y)
 
-    def _attention(self, node, embeds, src_w, dst_w, score_w):
-        """The forward of an ``attention`` node: the replaced nodes'
-        operations in order. Saves the pairs' sigmoid table and each
-        direction's weights, all its backward reads besides the inputs."""
-        rows_a, rows_b, slot, masks = node.aux
-        t_len = slot.shape[-1]
+    def _encoder(self, node, embeds, src_w, dst_w, score_w, combine_w,
+                 combine_b):
+        """The forward of an ``encoder`` node: the replaced nodes'
+        operations in order. Saves the pairs' sigmoid table, each
+        direction's weights and the pooled rows, all its backward reads
+        besides the inputs; the attention table is dropped once pooled."""
+        *layout, segments = node.aux
+        slot = layout[2]
         if embeds.ndim != 2 or src_w.ndim != 2 or dst_w.shape != src_w.shape \
                 or src_w.shape[1:] != embeds.shape[1:] or \
-                score_w.shape != (src_w.shape[0], 1) or t_len < 1 or \
-                len(embeds) % t_len or \
-                any(m.shape != (len(embeds), t_len) for m in (slot, *masks)):
-            raise self._err(node, f"attention shapes {embeds.shape}, "
+                score_w.shape != (src_w.shape[0], 1) or \
+                len(embeds) != len(slot):
+            raise self._err(node, f"encoder shapes {embeds.shape}, "
                                   f"{src_w.shape}, {dst_w.shape}, "
-                                  f"{score_w.shape} over blocks of {t_len}")
-        s = _pair_sigmoid(embeds @ src_w.T, embeds @ dst_w.T, rows_a, rows_b)
-        shared = (s @ score_w).reshape(-1).take(slot)
-        atts = [masked_softmax_rows(shared + mask) for mask in masks]
-        node.saved = s, atts
-        blocks = _blocks(embeds, t_len)
-        return np.concatenate(
-            [np.matmul(_blocks(att, t_len), blocks).reshape(embeds.shape)
-             for att in atts], axis=1)
+                                  f"{score_w.shape} for {len(slot)} rows")
+        table, s, atts = _attention(embeds, src_w, dst_w, score_w, *layout)
+        pooled = segments.forward(table)
+        node.saved = s, atts, pooled
+        return self._dense(node, pooled, combine_w, combine_b)
 
     def _check_segments(self, node, segments, table):
         if table.ndim != 2:
@@ -615,12 +686,8 @@ class Tape:
             a, b = vals
             a_live, b_live = (i.live for i in node.inputs)
             return [adj * b if a_live else None, adj * a if b_live else None]
-        if op == "dense":
-            x, w, _ = vals
-            return _dense_grads(x, w, adj * (node.value > 0),
-                                [i.live for i in node.inputs])
-        if op == "attention":
-            return self._attention_grads(node, vals, adj)
+        if op == "encoder":
+            return self._encoder_grads(node, vals, adj)
         if op == "pair_loss":
             (items, prefs), (cand, k_neg) = vals, node.aux
             c, p, rows, s, pos, neg, x = _pair_terms(items, prefs, cand, k_neg)
@@ -640,56 +707,32 @@ class Tape:
         if op == "lookup":
             return [_scatter_rows(vals[0].shape, node.aux, adj)]
         if op == "segment_mean":
-            return [node.aux.backward(vals[0], adj.copy())]
+            return [node.aux.backward(len(vals[0]), adj.copy())]
         if op == "conv":
             return self._conv_grads(node, vals, adj)
         raise self._err(node, "unknown op in backward")
 
     @staticmethod
-    def _attention_grads(node, vals, adj):
-        """An ``attention`` node's input gradients: the replaced nodes'
-        rules in reverse node order, the last direction first. The
-        embeddings' gradient sums the directions' block products, then the
-        ``dst_w`` and the ``src_w`` products; an input that is not live
-        gets none of its terms computed."""
-        embeds, src_w, dst_w, score_w = vals
-        rows_a, rows_b, slot, _ = node.aux
-        s, atts = node.saved
-        e_live, src_live, dst_live, w_live = (i.live for i in node.inputs)
-        t_len, width = slot.shape[1], embeds.shape[1]
-        blocks = _blocks(embeds, t_len)
-        g_embeds = g_shared = None
-        for k in reversed(range(len(atts))):
-            att = atts[k]
-            g = _blocks(np.ascontiguousarray(
-                adj[:, k * width: (k + 1) * width]), t_len)
-            # the block product's rules, then the softmax's
-            if e_live:
-                g_e = np.matmul(_blocks(att, t_len).transpose(0, 2, 1),
-                                g).reshape(embeds.shape)
-                g_embeds = g_e if g_embeds is None else \
-                    np.add(g_embeds, g_e, out=g_embeds)
-            g = np.matmul(g, blocks.transpose(0, 2, 1)).reshape(att.shape)
-            g = att * (g - (g * att).sum(axis=1, keepdims=True))
-            g_shared = g if g_shared is None else \
-                np.add(g_shared, g, out=g_shared)
-        # the logits' lookup, then pair_logits' rules
-        g = _scatter_rows((len(s),), slot, g_shared).reshape(-1, 1)
-        g_score = s.T @ g if w_live else None
-        g = _sigmoid_grad(g @ score_w.T, s) \
-            if e_live or src_live or dst_live else None
-        g_ws = []
-        for w, rows, live in ((dst_w, rows_b, dst_live),
-                              (src_w, rows_a, src_live)):
-            g_x, g_w, _ = _dense_grads(
-                embeds, w, _scatter_rows((len(embeds), len(w)), rows, g),
-                (e_live, live, False)) if e_live or live else (None,) * 3
-            # in C order, as the replaced transpose's copy was, so that a
-            # sum over the gradient reads it in the same order
-            g_ws.append(None if g_w is None else g_w.copy())
-            if g_x is not None:
-                g_embeds += g_x
-        return [g_embeds, g_ws[1], g_ws[0], g_score]
+    def _encoder_grads(node, vals, adj):
+        """An ``encoder`` node's input gradients: the replaced nodes' rules
+        in reverse node order. The projection's, then the pool's, whose
+        row-sparse gradient becomes the attention table's dense adjoint,
+        then the attention's; an input that is not live gets none of its
+        terms computed."""
+        embeds, src_w, dst_w, score_w, combine_w, _ = vals
+        *layout, segments = node.aux
+        s, atts, pooled = node.saved
+        live = [i.live for i in node.inputs]
+        attended = any(live[:4])
+        g, g_cw, g_cb = _dense_grads(pooled, combine_w, adj * (node.value > 0),
+                                     (attended, *live[4:]))
+        if not attended:
+            return [None] * 4 + [g_cw, g_cb]
+        g = segments.backward(len(embeds), g)
+        if isinstance(g, RowGrad):
+            g = g.dense((len(embeds), len(atts) * embeds.shape[1]))
+        return [*_attention_grads(embeds, src_w, dst_w, score_w, layout, s,
+                                  atts, live[:4], g), g_cw, g_cb]
 
     def _conv_grads(self, node, vals, adj):
         """A ``conv`` node's input gradients: the replaced nodes' rules in
@@ -724,7 +767,8 @@ class Tape:
         g_pool, g_lw, g_lb = _dense_grads(
             pooled, latent_w, g, (f_live, lw_live, lb_live))
         del g
-        g_features = segments.backward(features, g_pool) if f_live else None
+        g_features = segments.backward(len(features), g_pool) if f_live \
+            else None
         del g_pool
         g_rows = None if not i_live else RowGrad(rows, g_looked) \
             if _increasing(rows) else _scatter_rows(inherent.shape, rows,

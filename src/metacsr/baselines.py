@@ -57,14 +57,13 @@ class BprMfModel:
 
 
 def train_bpr(histories, n_users, n_items, rng, dim=32, epochs=20,
-              lr=0.05, reg=0.002, loss_probe=None):
+              lr=0.05, reg=0.002):
     """SGD over sampled triples on the pairwise logistic objective.
 
     One epoch visits every (user, item) interaction once in a shuffled
-    order, pairing each with a uniformly sampled unseen negative.
-    ``loss_probe``, when given, receives the mean probe-triple loss once
-    per epoch (used to watch convergence). A user who has interacted with
-    every item has no negative to draw: a ValueError.
+    order, pairing each with a uniformly sampled unseen negative. A user
+    who has interacted with every item has no negative to draw: a
+    ValueError.
     """
     seen = {u: set(items) for u, items in histories.items()}
     for user, items in seen.items():
@@ -76,8 +75,6 @@ def train_bpr(histories, n_users, n_items, rng, dim=32, epochs=20,
     item_factors = rng.normal(scale=0.1, size=(n_items, dim))
     pairs = [(u, it) for u, items in sorted(histories.items())
              for it in items]
-    probe = [pairs[i] for i in range(0, len(pairs),
-                                     max(1, len(pairs) // 64))]
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
         for idx in order:
@@ -94,13 +91,6 @@ def train_bpr(histories, n_users, n_items, rng, dim=32, epochs=20,
             user_factors[user] += lr * grad_u
             item_factors[pos] += lr * grad_pos
             item_factors[neg] += lr * grad_neg
-        if loss_probe is not None:
-            values = []
-            for user, pos in probe:
-                neg = (pos + 1) % n_items
-                x = user_factors[user] @ (item_factors[pos] - item_factors[neg])
-                values.append(float(np.logaddexp(0.0, -x)))
-            loss_probe(float(np.mean(values)))
     return BprMfModel(user_factors=user_factors, item_factors=item_factors,
                       trained_users=frozenset(u for u, _ in pairs))
 

@@ -124,5 +124,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def run(argv=None) -> int:
+    """The console entry: :func:`main`, with a refused input (a
+    ``ValueError`` or a missing file) ending the program as one line on
+    stderr and exit status 1, not a traceback."""
+    try:
+        return main(argv)
+    except (ValueError, FileNotFoundError) as exc:
+        raise SystemExit(f"metacsr: error: {exc}") from None
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

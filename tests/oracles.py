@@ -9,11 +9,13 @@ arrays, through which tests reach the builders the program runs),
 tape, against which the feature-leaf route is compared and finite
 differences are taken), :func:`feature_loss` (one batch loss over a
 constant item-feature table, against which adaptation is checked). The
-unfused chains :func:`unfused_dense`, :func:`unfused_attention`,
-:func:`unfused_pair_loss` and :func:`unfused_conv` replay the rules of the
-nodes their fused ops replaced in numpy, scattering with ``np.add.at``;
+unfused chains :func:`unfused_encoder` (through :func:`unfused_attention`
+and :func:`unfused_dense`), :func:`unfused_pair_loss` and
+:func:`unfused_conv` replay the rules of the nodes their fused ops
+replaced in numpy, scattering with ``np.add.at``;
 :func:`out_of_place_backward` replays the tape's backward with every
-adjoint sum a new array. The read accessors :func:`neighbors`,
+adjoint sum a new array. :func:`bpr_probe_loss` watches a BPR model
+converge. The read accessors :func:`neighbors`,
 :func:`degree`, :func:`all_params` and :func:`report_from_json` serve
 only the tests, and :func:`neighbor_plan` draws the plan that an
 item-feature pass drew and dropped.
@@ -254,6 +256,20 @@ def tape_value(build, *arrays):
     return tuple(n.value for n in out) if isinstance(out, tuple) else out.value
 
 
+def bpr_probe_loss(model, histories, n_items):
+    """A BPR model's mean ``softplus(-u @ (i_pos - i_neg))`` over every
+    ``len(pairs) // 64``-th (user, item) pair of ``histories`` in user
+    order, the next item id (mod ``n_items``) as each one's negative: a
+    convergence probe of its factors."""
+    pairs = [(u, it) for u, items in sorted(histories.items())
+             for it in items]
+    users, items = model.user_factors, model.item_factors
+    return float(np.mean([
+        np.logaddexp(0.0, -(users[u] @ (items[pos] - items[(pos + 1) %
+                                                             n_items])))
+        for u, pos in pairs[:: max(1, len(pairs) // 64)]]))
+
+
 def scalar_negatives(excluded, n_items, k, rng):
     """Per set of ``excluded`` in order, ``k`` distinct items outside it
     by rejection, one ``rng.integers(0, n_items)`` at a time."""
@@ -373,6 +389,38 @@ def unfused_attention(embeds, src_w, dst_w, score_w, rows_a, rows_b, slot,
     g_embeds = g_embeds + g_srcs @ src_w                        # srcs' nodes
     return (value, g_embeds, (embeds.T @ g_srcs).T, (embeds.T @ g_dsts).T,
             g_score)
+
+
+def unfused_encoder(embeds, src_w, dst_w, score_w, combine_w, combine_b,
+                    lengths, layout, adj):
+    """The sequence encoder as the ``attention``, ``segment_mean`` and
+    ``dense`` nodes that ``encoder`` replaced compute it, over the node's
+    pair layout (rows_a, rows_b, slot, masks) for sequences of ``lengths``:
+    the value and the gradients w.r.t. embeds, src_w, dst_w, score_w,
+    combine_w and combine_b that their rules hand back, in reverse node
+    order, for the output adjoint ``adj``. The segment mean's gradient
+    reached the attention node as the tape summed it: a row-sparse
+    gradient, whose dense form is +0.0 for -0.0, when the sequences read
+    fewer than half the table's rows."""
+    lengths = np.asarray(lengths)
+    t_len, width = int(lengths.max()), embeds.shape[1]
+    ids = np.concatenate([np.arange(i * t_len, i * t_len + n)
+                          for i, n in enumerate(lengths)])
+    scale = (1.0 / lengths)[:, None]
+    table = unfused_attention(embeds, src_w, dst_w, score_w, *layout,
+                              np.zeros((len(embeds), 2 * width)))[0]
+    pooled = column_pool(table, ids, lengths) * scale       # segment mean
+    value, g_pooled, g_combine_w, g_combine_b = unfused_dense(
+        pooled, combine_w, combine_b, adj)
+    g_pooled = g_pooled * scale                             # its scatter
+    g_table = np.zeros_like(table)
+    for segment, row in zip(np.repeat(np.arange(lengths.size), lengths), ids):
+        g_table[row] = g_pooled[segment]
+    if 2 * ids.size < len(table):
+        g_table += 0.0
+    grads = unfused_attention(embeds, src_w, dst_w, score_w, *layout,
+                              g_table)[1:]
+    return (value, *grads, g_combine_w, g_combine_b)
 
 
 def unfused_pair_loss(items, prefs, cand_ids, k_neg):

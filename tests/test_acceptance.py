@@ -192,21 +192,20 @@ def test_criterion_2_attention_invariants():
         dim = int(rng.integers(3, 9))
         params = seq.init_seq_params(dim, rng)
         embeds = rng.normal(size=(t_len, dim))
-        bias = seq.position_bias(t_len).forward
-        _, att = attention(bias, embeds, params)
+        _, att = attention(0, embeds, params)
         ok_sum &= bool(np.allclose(att.sum(axis=1), 1.0, atol=1e-9))
         ok_sum &= bool((att >= 0).all())
 
         if t_len >= 3:
             n = int(rng.integers(0, t_len - 1))
-            base, _ = attention(bias, embeds, params)
+            base, _ = attention(0, embeds, params)
             poked = embeds.copy()
             poked[n + 1:] += rng.normal(size=poked[n + 1:].shape)
-            again, _ = attention(bias, poked, params)
+            again, _ = attention(0, poked, params)
             ok_causal &= bool((again[: n + 1] == base[: n + 1]).all())
 
         flat = np.tile(rng.normal(size=dim), (t_len, 1))
-        _, att_flat = attention(bias, flat, params)
+        _, att_flat = attention(0, flat, params)
         last = att_flat[-1]
         ok_decay &= all(last[m] > last[m - 1] for m in range(1, t_len))
     elapsed = report_line(
@@ -374,8 +373,8 @@ def test_criterion_5_maml_mechanics():
 # Calibrated once against the generated world (see decisions ledger):
 # permutation chains keep long-run item popularity flat (so the popularity
 # floor sits near 0.47) while next-item structure stays fully learnable.
-# Calibration snapshot at these settings: meta@5 0.752, joint@5 0.693,
-# popularity 0.467, meta@50 0.752.
+# Snapshot at these settings (the thresholds below are unchanged):
+# meta@5 0.7764, joint@5 0.7039, popularity 0.4669, meta@50 0.7767.
 ACCEPT6 = {
     "world": dict(n_items=500, n_chains=3, n_regular=300, n_new=60,
                   mix_weight=0.95, successors=1, chain_kind="permutation",

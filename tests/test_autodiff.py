@@ -23,11 +23,13 @@ from oracles import (
     masked_row_norms,
     masked_softmax_formula,
     out_of_place_backward,
-    unfused_attention,
     unfused_conv,
-    unfused_dense,
+    unfused_encoder,
     unfused_pair_loss,
 )
+
+ENCODER_INPUTS = ("embeds", seq.ATT_SRC_W, seq.ATT_DST_W, seq.ATT_SCORE_W,
+                  seq.COMBINE_W, seq.COMBINE_B)
 
 
 def naive_matmul(a, b):
@@ -40,10 +42,21 @@ def naive_matmul(a, b):
     return out
 
 
+def _projection(t, x, w, b):
+    """``relu([x, x] @ w.T + b)`` as an ``encoder`` node: each row of the
+    bound (m, k) node ``x`` a sequence of length 1, whose attention output
+    and pool are the row itself, under constant attention weights; ``w``
+    is (d, 2k)."""
+    k = x.value.shape[1]
+    return t.encoder(x, *(t.constant(np.ones(shape))
+                          for shape in ((k, k), (k, k), (k, 1))),
+                     w, b, [1] * len(x.value))
+
+
 def test_relu_forward():
     t = Tape()
     x = t.leaf("x", [[-1.0, 0.0, 2.0]])
-    y = t.dense(x, t.constant(np.eye(3)), t.constant(np.zeros(3)))
+    y = _projection(t, x, t.constant(np.eye(3, 6)), t.constant(np.zeros(3)))
     t.forward()
     np.testing.assert_array_equal(y.value, [[0.0, 0.0, 2.0]])
 
@@ -60,17 +73,19 @@ def test_sigmoid_at_zero():
 
 
 def test_dense_matches_triple_loop():
+    """The encoder's projection of length-1 sequences, each pooled to its
+    row twice, is the triple loop's relu(x2 @ w.T + b)."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3))
-    w = rng.normal(size=(4, 3))
+    w = rng.normal(size=(4, 6))
     b = rng.normal(size=4)
     t = Tape()
-    c = t.dense(t.leaf("x", x), t.leaf("w", w), t.leaf("b", b))
+    c = _projection(t, t.leaf("x", x), t.leaf("w", w), t.leaf("b", b))
     t.forward()
     assert c.value.shape == (2, 4)
-    np.testing.assert_allclose(c.value,
-                               np.maximum(naive_matmul(x, w.T) + b, 0.0),
-                               rtol=1e-12)
+    np.testing.assert_allclose(
+        c.value, np.maximum(naive_matmul(np.concatenate([x, x], axis=1),
+                                         w.T) + b, 0.0), rtol=1e-12)
 
 
 def _conv_of(t, features, inherent, latent_width=2, rows=(0,)):
@@ -83,23 +98,27 @@ def _conv_of(t, features, inherent, latent_width=2, rows=(0,)):
                   t.leaf("mw", np.ones((2, 4))), t.leaf("mb", np.ones(2)))
 
 
-def _attention_of(t, embeds_shape, w_shape=(3, 3), score_shape=(3, 1),
-                  layout=None):
-    """An attention node over leaves of the given shapes: a slot table and
-    one mask of shape ``layout`` (default: the embeddings' rows by 2)."""
-    layout = (embeds_shape[0], 2) if layout is None else layout
-    return t.attention(t.leaf("e", np.ones(embeds_shape)),
-                       t.leaf("src", np.ones(w_shape)),
-                       t.leaf("dst", np.ones(w_shape)),
-                       t.leaf("w", np.ones(score_shape)), [0], [0],
-                       np.zeros(layout), [np.zeros(layout)])
+def _encoder_of(t, embeds_shape, lengths=(2, 1, 2), w_shape=(3, 3),
+                score_shape=(3, 1), combine_shape=(3, 6), bias_shape=(3,)):
+    """An encoder node over leaves of ones of the given shapes."""
+    shapes = (embeds_shape, w_shape, w_shape, score_shape, combine_shape,
+              bias_shape)
+    return t.encoder(*(t.leaf(name, np.ones(shape))
+                       for name, shape in zip(ENCODER_INPUTS, shapes)),
+                     lengths)
+
+
+def _encoder_values(rng, rows, d):
+    """Random encoder inputs: (rows, d) embeddings and the five weights."""
+    return [rng.normal(size=(rows, d)),
+            *(rng.normal(size=(d, d)) for _ in range(2)),
+            rng.normal(size=(d, 1)), rng.normal(size=(d, 2 * d)),
+            rng.normal(size=d)]
 
 
 def test_matrix_ops_reject_vectors():
-    for build in (lambda t: t.dense(t.leaf("x", np.ones(3)),
-                                    t.leaf("w", np.ones((4, 3))),
-                                    t.leaf("b", np.ones(4))),
-                  lambda t: _attention_of(t, (6,)),
+    for build in (lambda t: _encoder_of(t, (6, 3), combine_shape=(6,)),
+                  lambda t: _encoder_of(t, (6,)),
                   lambda t: _conv_of(t, np.ones(3), np.ones((2, 2))),
                   lambda t: _conv_of(t, np.ones((2, 2)), np.ones(3))):
         t = Tape()
@@ -126,7 +145,8 @@ def test_sigmoid_gradient_at_zero():
 def test_relu_gradient_flat_region():
     t = Tape()
     x = t.param("x", [[-1.0]])
-    loss = t.sum(t.dense(x, t.constant([[1.0]]), t.constant([0.0])))
+    loss = t.sum(_projection(t, x, t.constant([[1.0, 0.0]]),
+                             t.constant([0.0])))
     t.forward()
     t.backward(loss)
     np.testing.assert_array_equal(t.grads["x"], [[0.0]])
@@ -136,67 +156,57 @@ def test_linear_layer_gradient_nearly_exact():
     """Positive inputs and weights keep every unit in relu's linear part."""
     rng = np.random.default_rng(3)
     t = Tape()
-    w = t.param("w", np.abs(rng.normal(size=(4, 5))))
+    w = t.param("w", np.abs(rng.normal(size=(4, 10))))
     x = t.leaf("x", np.abs(rng.normal(size=(1, 5))) + 0.5)
-    loss = t.sum(t.dense(x, w, t.constant(np.zeros(4))))
+    loss = t.sum(_projection(t, x, w, t.constant(np.zeros(4))))
     assert finite_difference_check(t, loss, "w") < 1e-8
 
 
-def _fused_rule_case(t, rng, live, lengths=(2, 1, 2), biases=None):
-    """An attention node whose inputs named in ``live`` (e: the
-    embeddings, s: src_w, d: dst_w, w: score_w) read the param p and whose
-    others are leaves; ``biases`` default to the two position biases."""
-    t_len = max(lengths)
-    if biases is None:
-        pb = seq.position_bias(t_len)
-        biases = (pb.forward, pb.backward)
-    a = t.param("p", rng.normal(size=(len(lengths) * t_len, 3)))
+def _fused_rule_case(t, rng, live, lengths=(2, 1, 2)):
+    """An encoder node whose inputs named in ``live`` (e: the embeddings,
+    s: src_w, d: dst_w, w: score_w, c: combine_w, b: combine_b) read the
+    param p and whose others are leaves; a combine_b leaf is large, so
+    that most projected rows pass the relu."""
+    a = t.param("p", rng.normal(size=(len(lengths) * max(lengths), 3)))
     reads = {
         "e": lambda: a,
         "s": lambda: t.lookup(a, [0, 2, 4]),
         "d": lambda: t.mul(t.lookup(a, [5, 1, 3]),
                            t.leaf("x", rng.normal(size=(3, 3)))),
         "w": lambda: t.lookup(t.lookup(a, 1), [[0], [2], [1]]),
+        "c": lambda: t.lookup(t.lookup(a, 3), np.arange(18).reshape(3, 6) % 3),
+        "b": lambda: t.lookup(a, 4),
     }
-    shapes = {"e": a.value.shape, "s": (3, 3), "d": (3, 3), "w": (3, 1)}
-    e, src, dst, score = (
-        reads[k]() if k in live else t.leaf(k, rng.normal(size=shapes[k]))
-        for k in "esdw")
-    return seq.build_attention(t, e, {seq.ATT_SRC_W: src, seq.ATT_DST_W: dst,
-                                      seq.ATT_SCORE_W: score},
-                               lengths, biases)
+    leaves = {"e": a.value.shape, "s": (3, 3), "d": (3, 3), "w": (3, 1),
+              "c": (3, 6), "b": (3,)}
+    inputs = [reads[k]() if k in live else
+              t.leaf(k, rng.normal(size=leaves[k]) + 10.0 * (k == "b"))
+              for k in "esdwcb"]
+    return t.encoder(*inputs, lengths)
 
 
-def _masked_bias(t_len):
-    """A (T, T) bias with a -inf entry and a fully masked target column."""
-    bias = np.zeros((t_len, t_len))
-    bias[0, 1] = -np.inf
-    bias[:, -1] = -np.inf
-    return bias
-
-
-# The ops the ``attention`` node fused, each kept as a case of it whose
-# param reaches the inputs that op's gradient rule differentiates (see
-# _fused_rule_case), over a layout that exercises the rule: (live,
-# lengths, biases)
+# The ops the ``encoder`` node fused, each kept as a case of it whose param
+# reaches the inputs that op's gradient rule differentiates (see
+# _fused_rule_case), over lengths that exercise the rule: (live, lengths)
 FUSED_RULES = {
     # the projection weights, each read transposed
-    "transpose": ("sd", (2, 1, 2), None),
+    "transpose": ("sd", (2, 1, 2)),
     # both operands of the two projections' products
-    "matmul": ("esd", (2, 1, 2), None),
+    "matmul": ("esd", (2, 1, 2)),
     # the score weight alone, over pairs that repeat rows in both tables
-    "pair_logits": ("w", (3, 3, 2), None),
+    "pair_logits": ("w", (3, 3, 2)),
     # the flat content logits read through a slot table four to a row
-    "reshape": ("esdw", (4, 1, 3), None),
-    # the score weight alone, through -inf logits and fully masked rows
-    "masked_softmax_rows": ("w", (3, 2, 3),
-                            (_masked_bias(3), _masked_bias(3).T)),
+    "reshape": ("esdw", (4, 1, 3)),
+    # the score weight alone, through padded rows that mask every entry
+    "masked_softmax_rows": ("w", (3, 2, 3)),
     # both operands of each direction's block product
-    "block_matmul": ("e", (2, 1, 2), None),
-    # three directions side by side, so the adjoint splits in three
-    "concat": ("esdw", (2, 1, 2), (seq.position_bias(2).forward,
-                                   seq.position_bias(2).backward,
-                                   np.zeros((2, 2)))),
+    "block_matmul": ("e", (2, 1, 2)),
+    # both directions side by side, every sequence at one length
+    "concat": ("esdw", (2, 2, 2)),
+    # the four attention inputs, a length-1 sequence among longer ones
+    "attention": ("esdw", (3, 1, 2)),
+    # the projection's three operands: the pool, combine_w and combine_b
+    "dense": ("ecb", (2, 1, 2)),
 }
 
 
@@ -205,29 +215,15 @@ def _op_case(name, rng):
     t = Tape()
     if name in FUSED_RULES:
         out = _fused_rule_case(t, rng, *FUSED_RULES[name])
+    elif name == "encoder":
+        # p reaches every input
+        out = _fused_rule_case(t, rng, "esdwcb")
     elif name == "add_same":
         a = t.param("p", rng.normal(size=(3, 4)))
         out = t.add(a, t.leaf("x", rng.normal(size=(3, 4))))
     elif name == "mul":
         a = t.param("p", rng.normal(size=(2, 5)))
         out = t.mul(a, t.leaf("x", rng.normal(size=(2, 5))))
-    elif name == "dense":
-        # p reaches x, w and b, so all three rules count
-        a = t.param("p", rng.normal(size=(4, 3)))
-        w = t.mul(t.lookup(a, [1, 3]), t.leaf("x", rng.normal(size=(2, 3))))
-        b = t.lookup(t.lookup(a, 2), [0, 2])
-        out = t.dense(a, w, b)
-    elif name == "attention":
-        # blocks of T=2, one sequence of length 1; p is the embeddings and
-        # reaches every weight
-        a = t.param("p", rng.normal(size=(6, 3)))
-        pb = seq.position_bias(2)
-        out = seq.build_attention(t, a, {
-            seq.ATT_SRC_W: t.lookup(a, [0, 2, 4]),
-            seq.ATT_DST_W: t.mul(t.lookup(a, [5, 1, 3]),
-                                 t.leaf("x", rng.normal(size=(3, 3)))),
-            seq.ATT_SCORE_W: t.lookup(t.lookup(a, 1), [[0], [2], [1]]),
-        }, [2, 1, 2], (pb.forward, pb.backward))
     elif name == "pair_loss":
         # p reaches items and prefs; repeated candidates and prefs rows;
         # k_neg of 1 (3 rows) and of 3 (2 rows)
@@ -268,7 +264,7 @@ def out_shape(tape, node):
 
 
 ALL_OPS = [
-    "add_same", "mul", "dense", "attention", "pair_loss", "conv", "lookup",
+    "add_same", "mul", "encoder", "pair_loss", "conv", "lookup",
     "segment_mean", "sum",
 ]
 
@@ -390,19 +386,26 @@ def test_shape_mismatch_names_node():
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
-    ((5, 2), (5, 3)),   # 5 rows do not divide into blocks of 2
-    ((6, 3), (4, 3)),   # row counts differ
-    ((6, 0), (6, 3)),   # empty blocks
-    ((6,), (6, 3)),     # not a matrix
+    ((2, 2), (5, 3)),   # 5 rows are not 2 blocks of 2
+    ((3, 2), (4, 3)),   # 4 rows for 3 blocks of 2
+    ((2, 2), (6, 3)),   # 6 rows are 3 blocks of 2, one more than named
+    ((1, 1), (0, 3)),   # no rows for a block of 1
 ])
 def test_block_matmul_rejects_bad_shapes(a_shape, b_shape):
-    """The block product inside ``attention`` refuses weights (the slot
-    table and masks, ``a_shape``) and embeddings (``b_shape``) whose
-    blocks do not line up."""
+    """The block products inside ``encoder`` refuse embeddings
+    (``b_shape``) whose rows are not the blocks that the lengths name (n
+    sequences padded to T rows, ``a_shape`` = (n, T))."""
     t = Tape()
-    c = _attention_of(t, b_shape, layout=a_shape)
+    n, t_len = a_shape
+    c = _encoder_of(t, b_shape, lengths=[t_len] * n)
     with pytest.raises(ShapeError, match=f"node {c.idx}"):
         t.forward()
+
+
+def test_encoder_refuses_empty_lengths():
+    for lengths in ([], [2, 0], [[2]]):
+        with pytest.raises(ValueError, match="lengths"):
+            Tape().encoder(*(None,) * 6, lengths)
 
 
 def test_forward_reruns_with_new_param_binding():
@@ -464,10 +467,10 @@ def _const_lookup_tape():
     t = Tape()
     table = t.constant(rng.normal(size=(50, 3)))
     rows = t.lookup(table, [4, 9, 4])
-    w = t.param("w", rng.normal(size=(2, 3)))
+    w = t.param("w", rng.normal(size=(3, 3)))
     x = t.leaf("x", rng.normal(size=(3, 3)))
-    h = t.dense(t.add(rows, x), w, t.constant(np.zeros(2)))
-    loss = t.sum(t.mul(h, t.lookup(t.constant(rng.normal(size=(9, 2))),
+    h = t.mul(t.add(rows, x), w)
+    loss = t.sum(t.mul(h, t.lookup(t.constant(rng.normal(size=(9, 3))),
                                    [0, 3, 8])))
     return t, loss, table, rows, x
 
@@ -572,7 +575,7 @@ def test_blocked_pool_equals_the_column_loop(dim):
         adj = rng.normal(size=(n_segments, dim))
         reader_ids = np.repeat(np.arange(n_segments), counts)[
             np.argsort(ids, kind="stable")]
-        grad = segments.backward(table, adj.copy())
+        grad = segments.backward(n_rows, adj.copy())
         if isinstance(grad, RowGrad):
             grad = grad.dense(table.shape)
         assert _same_bits(grad, column_pool(
@@ -602,7 +605,7 @@ def test_segments_backward_pools_only_the_rows_read():
             np.repeat(np.arange(counts.size), counts)[
                 np.argsort(ids, kind="stable")], readers)
         for _ in range(2):
-            grad = segments.backward(table, adj.copy())
+            grad = segments.backward(n_rows, adj.copy())
             if 2 * np.count_nonzero(readers) >= n_rows:
                 assert type(grad) is np.ndarray, draw
                 assert _same_bits(grad, want), draw
@@ -620,8 +623,8 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
 
     def grads(seeded):
         t = Tape()
-        p = t.param("p", np.arange(12.0).reshape(3, 4) / 10 - 0.5)
-        out = t.dense(t.leaf("x", x.T), p, t.constant(np.zeros(3)))
+        p = t.param("p", np.arange(24.0).reshape(3, 8) / 20 - 0.5)
+        out = _projection(t, t.leaf("x", x.T), p, t.constant(np.zeros(3)))
         loss = t.sum(t.mul(out, t.constant(weights.T)))
         t.forward()
         if seeded:
@@ -712,28 +715,28 @@ def test_product_rules_skip_inputs_that_are_not_live(monkeypatch):
         assert np.array_equal(t.grads["p"], adj * c.value)
 
     lengths, t_len, d = [3, 2], 3, 4
-    pb = seq.position_bias(t_len)
-    values = [rng.normal(size=(len(lengths) * t_len, d)),
-              *(rng.normal(size=(d, d)) for _ in range(2)),
-              rng.normal(size=(d, 1))]
-    names = ("embeds", seq.ATT_SRC_W, seq.ATT_DST_W, seq.ATT_SCORE_W)
-    for dead in range(4):
+    values = _encoder_values(rng, len(lengths) * t_len, d)
+    for dead in [{0}, {1}, {2}, {3}, {4}, {5}, {0, 1, 2, 3}]:
         t = Tape()
-        nodes = [t.constant(v) if i == dead else t.param(n, v)
-                 for i, (n, v) in enumerate(zip(names, values))]
-        out = seq.build_attention(t, nodes[0], dict(zip(names[1:], nodes[1:])),
-                                  lengths, (pb.forward, pb.backward))
+        nodes = [t.constant(v) if i in dead else t.param(n, v)
+                 for i, (n, v) in enumerate(zip(ENCODER_INPUTS, values))]
+        out = t.encoder(*nodes, lengths)
         t.forward()
         adj = rng.normal(size=out.value.shape)
         dense_live.clear()
-        assert t._input_grads(out, adj)[dead] is None, dead
-        # the projections' rules, dst_w's then src_w's: (x, w, b) live
-        assert dense_live == [(dead != 0, dead != 2, False),
-                              (dead != 0, dead != 1, False)], dead
+        grads = t._input_grads(out, adj)
+        assert all(grads[i] is None for i in dead), dead
+        # the projection's rule, then dst_w's and src_w's: (x, w, b) live;
+        # with every attention input dead, the pool's gradient is not taken
+        assert dense_live == [(not dead >= {0, 1, 2, 3}, 4 not in dead,
+                               5 not in dead)] + [
+            (0 not in dead, 2 not in dead, False),
+            (0 not in dead, 1 not in dead, False)] * (len(dead) == 1), dead
         t.backward(out, adj)
-        want = unfused_attention(*values, *out.aux[:3], out.aux[3], adj)[1:]
-        assert set(t.grads) == set(names) - {names[dead]}
-        for name, grad in zip(names, want):
+        want = unfused_encoder(*values, lengths, out.aux[:4], adj)[1:]
+        assert set(t.grads) == {ENCODER_INPUTS[i] for i in range(6)} - {
+            ENCODER_INPUTS[i] for i in dead}
+        for name, grad in zip(ENCODER_INPUTS, want):
             assert name not in t.grads or _same_bits(t.grads[name], grad), \
                 (dead, name)
 
@@ -748,80 +751,86 @@ def _bind(tape, name, value, live):
     return tape.leaf(name, value) if live else tape.constant(value)
 
 
+def _check_encoder(values, lengths, live, adj, draw):
+    """An encoder node over ``values`` (each input a leaf if ``live``
+    marks it, else a constant): its value and every live input's gradient
+    for the adjoint ``adj`` equal the unfused chain's bit for bit, and an
+    input that is not live gets no gradient computed."""
+    t = Tape()
+    nodes = [_bind(t, n, v, on)
+             for n, v, on in zip(ENCODER_INPUTS, values, live)]
+    out = t.encoder(*nodes, lengths)
+    t.forward()
+    want = unfused_encoder(*values, lengths, out.aux[:4], adj)
+    assert _same_bits(out.value, want[0]), draw
+    if not any(live):
+        return
+    t.backward(out, adj)
+    for node, on, grad in zip(nodes, live, want[1:]):
+        assert node.adjoint is None if not on \
+            else _same_bits(node.adjoint, grad), (draw, node.name)
+
+
 def test_dense_equals_the_unfused_chain_bit_for_bit():
-    """Value and every live input's gradient equal the transpose, matmul,
-    add and relu chain's, bit for bit: empty rows, -0.0 and NaN entries,
-    all-negative pre-activations; an input that is not live gets no
-    gradient computed."""
+    """The encoder's projection over sequences of length 1, whose pools
+    are their rows twice: value and every live input's gradient equal the
+    chain's, the transpose, matmul, add and relu rules last, bit for bit:
+    -0.0 and NaN weights, all-negative pre-activations, zero embeddings
+    (pre-activations are b, -0.0 too); the embeddings, combine_w and
+    combine_b live or not, the attention weights constant."""
     rng = np.random.default_rng(16)
     for draw in range(80):
-        m, k, d = (int(v) for v in rng.integers((0, 1, 1), (7, 6, 6)))
-        x, w = rng.normal(size=(m, k)), rng.normal(size=(d, k))
-        b = rng.normal(size=d)
+        m, k, d = (int(v) for v in rng.integers((1, 1, 1), (7, 6, 6)))
+        values = _encoder_values(rng, m, k)
+        values[4], values[5] = rng.normal(size=(d, 2 * k)), rng.normal(size=d)
+        x, w, b = values[0], values[4], values[5]
         x[rng.random(x.shape) < 0.2] = -0.0
         b[rng.random(d) < 0.3] = -0.0
         if draw % 4 == 1:
             b -= 100.0                      # every pre-activation < 0
-        if draw % 4 == 2 and x.size:
-            x.flat[rng.integers(x.size)] = np.nan
+        if draw % 4 == 2:
+            w.flat[rng.integers(w.size)] = np.nan
         if draw % 5 == 3:
-            x[:] = 0.0                      # pre-activations are b, -0.0 too
+            x[:] = 0.0
         adj = rng.normal(size=(m, d))
         adj[rng.random(adj.shape) < 0.2] = -0.0
-        want = unfused_dense(x, w, b, adj)
-        live = [bool(draw >> bit & 1) for bit in range(3)]
-        t = Tape()
-        inputs = [_bind(t, name, v, on)
-                  for name, v, on in zip("xwb", (x, w, b), live)]
-        out = t.dense(*inputs)
-        t.forward()
-        assert _same_bits(out.value, want[0]), draw
-        t.backward(out, adj)
-        for node, on, grad in zip(inputs, live, want[1:]):
-            assert node.adjoint is None if not on \
-                else _same_bits(node.adjoint, grad), draw
+        on = [bool(draw >> bit & 1) for bit in range(3)]
+        _check_encoder(values, [1] * m,
+                       [on[0], False, False, False, on[1], on[2]], adj, draw)
 
 
 def test_attention_equals_the_unfused_chain_bit_for_bit():
-    """Value and every live input's gradient equal the fifteen replaced
-    nodes' rules (two transposes and matmuls, pair_logits, the logits'
-    lookup, per direction a mask, an add, a masked softmax and a block
-    product, and a concat), bit for bit: d from 1 to 128, one to a dozen
-    sequences of lengths 2 to 10 (all of length 2, or mixed), one or two
-    directions, -0.0 and saturating entries, -0.0 adjoints and every live
-    pattern, dead embeddings included; an input that is not live gets no
-    gradient computed."""
+    """The ``encoder`` node's value and every live input's gradient equal
+    the rules of the nodes it replaced (the attention's: two transposes
+    and matmuls, pair_logits, the logits' lookup, per direction a mask, an
+    add, a masked softmax and a block product, and a concat; the segment
+    mean's loop; the projection's transpose, matmul, add and relu), bit
+    for bit: d from 1 to 128; a batch of one sequence or up to a dozen, of
+    lengths 1 to 10, a length-1 sequence beside length-T ones, or every
+    sequence at one length; -0.0 and saturating entries, all-negative
+    projections, -0.0 adjoint cells and every live pattern of the six
+    inputs, dead embeddings (the inner step's constant table) included;
+    an input that is not live gets no gradient computed."""
     rng = np.random.default_rng(17)
-    names = ("embeds", seq.ATT_SRC_W, seq.ATT_DST_W, seq.ATT_SCORE_W)
-    for draw in range(96):
+    for draw in range(128):
         d = int(rng.choice([1, 3, 24, 128]))
-        lengths = rng.integers(2, 11, size=int(rng.integers(1, 13)))
+        n_seq = 1 if draw % 7 == 0 else int(rng.integers(1, 13))
+        lengths = rng.integers(1, 11, size=n_seq)
         if draw % 3 == 0:
-            lengths[:] = 2
-        t_len = int(lengths.max())
-        pb = seq.position_bias(t_len)
-        biases = (pb.forward, pb.backward) if draw % 5 else (pb.backward,)
-        values = [rng.normal(size=(lengths.size * t_len, d)),
-                  *(rng.normal(size=(d, d)) * rng.choice([1.0, 30.0])
-                    for _ in range(2)), rng.normal(size=(d, 1))]
+            lengths[:] = lengths[0]
+        elif draw % 3 == 1:
+            lengths[rng.integers(n_seq)] = 1
+        values = _encoder_values(rng, n_seq * int(lengths.max()), d)
+        for v in values[1:3]:
+            v *= rng.choice([1.0, 30.0])
         for v in values:
             v[rng.random(v.shape) < 0.1] = -0.0
-        adj = rng.normal(size=(values[0].shape[0], len(biases) * d))
-        adj[rng.random(adj.shape) < 0.05] = -0.0
-        live = [bool(draw >> bit & 1) for bit in range(4)]
-        t = Tape()
-        nodes = [_bind(t, n, v, on) for n, v, on in zip(names, values, live)]
-        out = seq.build_attention(t, nodes[0], dict(zip(names[1:], nodes[1:])),
-                                  lengths, biases)
-        t.forward()
-        want = unfused_attention(*values, *out.aux, adj)
-        assert _same_bits(out.value, want[0]), draw
-        if not any(live):
-            continue
-        t.backward(out, adj)
-        for node, on, grad in zip(nodes, live, want[1:]):
-            assert node.adjoint is None if not on \
-                else _same_bits(node.adjoint, grad), (draw, node.name)
+        if draw % 5 == 4:
+            values[5] -= 100.0              # every projected row is zero
+        adj = rng.normal(size=(n_seq, d))
+        adj[rng.random(adj.shape) < 0.2] = -0.0
+        _check_encoder(values, lengths,
+                       [bool(draw >> bit & 1) for bit in range(6)], adj, draw)
 
 
 def test_pair_loss_equals_the_unfused_chain_bit_for_bit():
@@ -858,15 +867,11 @@ def test_pair_loss_equals_the_unfused_chain_bit_for_bit():
 
 
 def test_fused_ops_reject_mismatched_shapes():
-    for build in (lambda t: t.dense(t.leaf("x", np.ones((2, 3))),
-                                    t.leaf("w", np.ones((4, 2))),
-                                    t.leaf("b", np.ones(4))),
-                  lambda t: t.dense(t.leaf("x", np.ones((2, 3))),
-                                    t.leaf("w", np.ones((4, 3))),
-                                    t.leaf("b", np.ones(3))),
-                  lambda t: _attention_of(t, (6, 2)),
-                  lambda t: _attention_of(t, (6, 3), score_shape=(3, 2)),
-                  lambda t: _attention_of(t, (6, 3), w_shape=(3,)),
+    for build in (lambda t: _encoder_of(t, (6, 3), combine_shape=(3, 5)),
+                  lambda t: _encoder_of(t, (6, 3), bias_shape=(2,)),
+                  lambda t: _encoder_of(t, (6, 2)),
+                  lambda t: _encoder_of(t, (6, 3), score_shape=(3, 2)),
+                  lambda t: _encoder_of(t, (6, 3), w_shape=(3,)),
                   lambda t: t.pair_loss(t.leaf("items", np.ones((4, 3))),
                                         t.leaf("prefs", np.ones((2, 2))),
                                         [0, 1, 2, 3], 1),
@@ -1103,13 +1108,16 @@ def test_row_sparse_sums_equal_the_dense_sums():
 
 def _aliasing_tapes(rng):
     """Graphs where a node sums several gradients: two from one
-    ``add(x, x)``, or ones ``add`` rules handed on beside other rules'."""
+    ``add(x, x)``, two from one ``encoder`` that reads a leaf twice, or
+    ones ``add`` rules handed on beside other rules'."""
     def add_twice(t, x, z):
         return t.add(t.add(x, x), t.add(x, z))       # add(x, x); x and z
 
-    def dense_twice(t, x, z):
-        h = t.dense(x, z, t.constant(np.ones(3)))
-        return t.add(t.add(h, t.add(h, h)), t.lookup(h, [2, 0, 2]))
+    def encoder_twice(t, x, z):
+        # z is both projection weights of one sequence of length 3
+        h = t.encoder(x, z, z, *(t.constant(rng.normal(size=shape))
+                                 for shape in ((3, 1), (3, 6), (3,))), [3])
+        return t.add(t.add(h, t.add(h, h)), t.lookup(h, [0]))
 
     def chained_adds(t, x, z):
         h = t.add(x, z)
@@ -1117,10 +1125,14 @@ def _aliasing_tapes(rng):
         return t.add(r, t.mul(h, t.add(h, z)))
 
     def three_consumers(t, x, z):
-        return t.add(t.add(t.mul(x, z), t.dense(x, z, t.constant(
-            np.zeros(3)))), t.segment_mean(x, [0, 2, 1, 1], [2, 1, 1]))
+        # x is the pooled and the inherent table of a conv; unsorted rows
+        conv = t.conv(x, x, [2, 0, 1], [0, 2, 1, 1, 2], [2, 1, 2], z,
+                      *(t.constant(rng.normal(size=shape))
+                        for shape in ((3,), (3, 6), (3,))))
+        return t.add(t.add(t.mul(x, z), conv),
+                     t.segment_mean(x, [0, 2, 1, 1], [2, 1, 1]))
 
-    for build in (add_twice, dense_twice, chained_adds, three_consumers):
+    for build in (add_twice, encoder_twice, chained_adds, three_consumers):
         t = Tape()
         x = t.param("x", rng.normal(size=(3, 3)))
         z = t.leaf("z", rng.normal(size=(3, 3)))

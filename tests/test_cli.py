@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -340,6 +343,37 @@ def test_cli_train_refuses_a_negative_step_cap(tmp_path, mode):
         main(["train", *flags, "--steps", "-3"])
     assert not (out / "checkpoints").exists()
     assert main(["train", *flags, "--steps", "0"]) == 0
+
+
+@pytest.mark.parametrize("command", ["eval-bpr", "export"])
+def test_cli_refusals_end_as_one_line(tmp_path, command):
+    """A refused input ends the program with one line on stderr that names
+    the problem and exit status 1, not a traceback: BPR over a 3-item
+    catalog that a user has seen all of, and an export of a directory
+    without ``record.json``."""
+    out = tmp_path / "run"
+    flags = ["--out", str(out)]
+    for key, value in tiny_overrides(out, **{
+            "data.synthetic.n_items": 3, "data.eval_negatives": 2}).items():
+        if key != "out_dir":
+            flags += ["--set", f"{key}={value}"]
+    if command == "export":
+        argv = ["export", "--records", str(tmp_path), "--out",
+                str(tmp_path / "tidy.csv")]
+        named = "record.json"
+    else:
+        assert main(["prepare", *flags]) == 0
+        argv, named = ["eval", "--scorer", "bpr", *flags], "all 3 items"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, *filter(None, [os.environ.get(
+        "PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-m", "metacsr.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("metacsr: error: ") and named in lines[0]
 
 
 def test_sweep_fraction_csv(tmp_path):

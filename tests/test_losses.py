@@ -138,9 +138,9 @@ def _batch_tape(params, feats, seqs, use_sequence=True, k_neg=2):
 
 def test_batch_loss_node_count_independent_of_distinct_lengths():
     """The node count grows with neither distinct lengths nor k_neg: a
-    batch loss is five nodes, the padded sequence rows' lookup, one
-    ``attention`` node for both directions, their pool, the projection and
-    one ``pair_loss`` node for the ranking loss."""
+    batch loss is three nodes, the padded sequence rows' lookup, one
+    ``encoder`` node for the preferences and one ``pair_loss`` node for
+    the ranking loss."""
     g, params, _ = _tiny_setup()
     feats = np.zeros((g.n_items, params.dim))
     one = _batch_tape(params, feats, _mixed_batch([5] * 7))[0]
@@ -150,7 +150,7 @@ def test_batch_loss_node_count_independent_of_distinct_lengths():
                           k_neg=k_neg)[0].nodes for k_neg in (1, 4))
     assert len(k1) == len(k4)
     assert [node.op for node in k1 if node.op != "param"] == [
-        "lookup", "attention", "segment_mean", "dense", "pair_loss"]
+        "lookup", "encoder", "pair_loss"]
 
 
 def test_mixed_length_batch_gradients_pass_finite_differences():

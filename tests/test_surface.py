@@ -3,7 +3,10 @@ its own definition, in ``src/metacsr`` or ``perfbench/*.py``: code that only
 tests call is a second implementation beside the one the program runs."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # a checker, kept for callers outside the program
@@ -36,3 +39,17 @@ def test_every_public_function_has_a_program_caller():
                       where == path and node.lineno <= at <= node.end_lineno)
                   for where, ref, at in refs)]
     assert not unused, f"no caller in the program: {unused}"
+
+
+def test_every_console_script_imports_and_is_callable():
+    """Each ``[project.scripts]`` target in ``pyproject.toml`` names an
+    importable module and a callable in it, so a renamed entry fails here
+    rather than in the installed command."""
+    tomllib = pytest.importorskip("tomllib")     # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr, None)
+        assert callable(entry), (name, target)
