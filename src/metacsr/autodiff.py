@@ -715,10 +715,12 @@ class Tape:
     @staticmethod
     def _encoder_grads(node, vals, adj):
         """An ``encoder`` node's input gradients: the replaced nodes' rules
-        in reverse node order. The projection's, then the pool's, whose
-        row-sparse gradient becomes the attention table's dense adjoint,
-        then the attention's; an input that is not live gets none of its
-        terms computed."""
+        in reverse node order. The projection's; the block mean's, as the
+        attention table's adjoint: ``adj / count`` in each sequence's live
+        rows, zero elsewhere, +0.0 for -0.0 when they are fewer than half
+        the rows (as its row-sparse gradient became dense); the
+        attention's. An input that is not live gets none of its terms
+        computed."""
         embeds, src_w, dst_w, score_w, combine_w, _ = vals
         *layout, segments = node.aux
         s, atts, pooled = node.saved
@@ -728,11 +730,13 @@ class Tape:
                                      (attended, *live[4:]))
         if not attended:
             return [None] * 4 + [g_cw, g_cb]
-        g = segments.backward(len(embeds), g)
-        if isinstance(g, RowGrad):
-            g = g.dense((len(embeds), len(atts) * embeds.shape[1]))
+        g *= segments.inverse_counts
+        table = np.zeros((len(embeds), g.shape[1]))
+        table[segments.ids] = np.repeat(g, segments.counts, axis=0)
+        if 2 * segments.ids.size < len(table):
+            table += 0.0
         return [*_attention_grads(embeds, src_w, dst_w, score_w, layout, s,
-                                  atts, live[:4], g), g_cw, g_cb]
+                                  atts, live[:4], table), g_cw, g_cb]
 
     def _conv_grads(self, node, vals, adj):
         """A ``conv`` node's input gradients: the replaced nodes' rules in

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -330,17 +331,22 @@ def _chain_transitions(spec, rng):
     return chains
 
 
-def _step(chains, chain_id, state, n_items, mix_weight, n_chains, rng):
-    if rng.random() >= mix_weight:
-        if n_chains > 1 and rng.random() < 0.5:
-            other = int(rng.integers(0, n_chains - 1))
-            chain_id = other if other < chain_id else other + 1
-        else:
-            return int(rng.integers(0, n_items))
-    dist = chains[chain_id][state]
-    items = sorted(dist)
-    probs = np.array([dist[i] for i in items])
-    return int(items[rng.choice(len(items), p=probs / probs.sum())])
+def _successor_tables(chains):
+    """Per chain, per state: its successors in item order and their cdf
+    as lists, the cdf built as ``Generator.choice(len(items), p=probs /
+    probs.sum())`` builds it (``cdf = p.cumsum()``, ``cdf /= cdf[-1]``)."""
+    tables = []
+    for chain in chains:
+        table = []
+        for state in range(len(chain)):
+            dist = chain[state]
+            items = sorted(dist)
+            probs = np.array([dist[i] for i in items])
+            cdf = (probs / probs.sum()).cumsum()
+            cdf /= cdf[-1]
+            table.append((items, cdf.tolist()))
+        tables.append(table)
+    return tables
 
 
 def generate_synthetic_world(spec) -> SyntheticWorld:
@@ -350,9 +356,21 @@ def generate_synthetic_world(spec) -> SyntheticWorld:
     probability ``mix_weight`` and otherwise hops to another chain or a
     uniform random item. Emits the interaction log and the generating
     chains so tests can check against the true transition structure.
+
+    The stream: after the chains, each user draws its chain, length and
+    start state with ``integers``, then takes one step after each of its
+    records, the last included. A step draws one ``random()`` for the mix
+    test. At or above ``mix_weight`` it leaves the chain: with several
+    chains a second ``random()`` below 0.5 hops, for this step, to the
+    chain that ``integers(0, n_chains - 1)`` picks among the others;
+    otherwise ``integers(0, n_items)`` is the next state. A chain step
+    draws one more ``random()``, even for a single successor, and takes
+    the first successor in item order whose cdf exceeds it: the draw of
+    one ``Generator.choice`` over them.
     """
     rng = np.random.default_rng(spec.seed)
     chains = _chain_transitions(spec, rng)
+    tables = _successor_tables(chains)
     records = []
     user_chain = {}
     n_total = spec.n_regular + spec.n_new
@@ -363,8 +381,16 @@ def generate_synthetic_world(spec) -> SyntheticWorld:
         state = int(rng.integers(0, spec.n_items))
         for step in range(length):
             records.append(InteractionRecord(user, state, None, step))
-            state = _step(chains, chain_id, state, spec.n_items,
-                          spec.mix_weight, spec.n_chains, rng)
+            walk = chain_id
+            if rng.random() >= spec.mix_weight:
+                if spec.n_chains > 1 and rng.random() < 0.5:
+                    other = int(rng.integers(0, spec.n_chains - 1))
+                    walk = other if other < chain_id else other + 1
+                else:
+                    state = int(rng.integers(0, spec.n_items))
+                    continue
+            items, cdf = tables[walk][state]
+            state = items[bisect_right(cdf, rng.random())]
     return SyntheticWorld(records, chains, user_chain, spec)
 
 

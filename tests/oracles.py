@@ -202,6 +202,55 @@ def reference_neighbor_plan(pairs, n_users, n_items, cap, depth, rng):
     return plan
 
 
+def reference_synthetic_world(spec):
+    """A synthetic world as one ``Generator.choice`` call per chain step
+    draws it: the chains (a permutation per chain, or per state
+    ``successors`` distinct items with Dirichlet(0.35) weights), then per
+    user its chain, length and start state and one step per record. A
+    step stays on the user's chain when ``random() < mix_weight``; else a
+    second ``random() < 0.5`` with several chains hops to another one,
+    drawn by ``integers(0, n_chains - 1)``, and otherwise the next state
+    is ``integers(0, n_items)``. A chain step draws ``choice`` over the
+    state's successors in item order. Returns the records as (user, item,
+    rating, timestamp) tuples, the chains and the users' chains."""
+    rng = np.random.default_rng(spec.seed)
+    chains = []
+    for _ in range(spec.n_chains):
+        if spec.chain_kind == "permutation":
+            order = rng.permutation(spec.n_items)
+            chains.append({state: {int(order[state]): 1.0}
+                           for state in range(spec.n_items)})
+            continue
+        table = {}
+        for state in range(spec.n_items):
+            succ = rng.choice(spec.n_items, size=spec.successors,
+                              replace=False)
+            weights = rng.dirichlet(np.full(spec.successors, 0.35))
+            table[state] = {int(s): float(w) for s, w in zip(succ, weights)}
+        chains.append(table)
+    records, user_chain = [], {}
+    for user in range(spec.n_regular + spec.n_new):
+        chain_id = int(rng.integers(0, spec.n_chains))
+        user_chain[user] = chain_id
+        length = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))
+        state = int(rng.integers(0, spec.n_items))
+        for step in range(length):
+            records.append((user, state, None, step))
+            walk = chain_id
+            if rng.random() >= spec.mix_weight:
+                if spec.n_chains > 1 and rng.random() < 0.5:
+                    other = int(rng.integers(0, spec.n_chains - 1))
+                    walk = other if other < chain_id else other + 1
+                else:
+                    state = int(rng.integers(0, spec.n_items))
+                    continue
+            dist = chains[walk][state]
+            items = sorted(dist)
+            probs = np.array([dist[i] for i in items])
+            state = int(items[rng.choice(len(items), p=probs / probs.sum())])
+    return records, chains, user_chain
+
+
 def neighbors(graph, entity):
     """Entity ``entity``'s sorted neighbors in an interaction graph."""
     lo, hi = graph.indptr[entity], graph.indptr[entity + 1]

@@ -831,6 +831,14 @@ def test_attention_equals_the_unfused_chain_bit_for_bit():
         adj[rng.random(adj.shape) < 0.2] = -0.0
         _check_encoder(values, lengths,
                        [bool(draw >> bit & 1) for bit in range(6)], adj, draw)
+    # the block mean's two zero-sign branches, every input live: fewer
+    # than half the table's rows live (9 of 27), then at least half (11
+    # of 12) with -0.0 adjoint cells
+    for lengths in ([9, 1, 1], [4, 3, 4]):
+        values = _encoder_values(rng, len(lengths) * max(lengths), 24)
+        adj = rng.normal(size=(len(lengths), 24))
+        adj[:, ::3] = -0.0
+        _check_encoder(values, lengths, [True] * 6, adj, lengths)
 
 
 def test_pair_loss_equals_the_unfused_chain_bit_for_bit():

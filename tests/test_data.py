@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from metacsr.data import (
     usable_sequence_count,
     window_sequence,
 )
+from oracles import reference_synthetic_world
 
 FIXTURE = Path(__file__).parent / "fixtures" / "ml1m_500.dat"
 
@@ -315,6 +317,33 @@ def test_synthetic_world_deterministic():
     b = generate_synthetic_world(spec)
     assert a.records == b.records
     assert a.user_chain == b.user_chain
+
+
+def test_synthetic_world_draws_the_choice_loops_stream():
+    """Records, chains and users' chains equal those of one
+    ``Generator.choice`` call per chain step, over both chain kinds, one
+    chain (no hop) and several, mix weights 0, 1 and between, one
+    successor and several, no regular or no new users, and length-1
+    sequences."""
+    users = itertools.cycle([(5, 3), (0, 4), (6, 0)])
+    lengths = itertools.cycle([(1, 6), (3, 9)])
+    specs = [SyntheticWorldSpec(n_regular=40, n_new=10, seed=5)]
+    for seed, (kind, n_chains, mix, successors) in enumerate(
+            itertools.product(("random", "permutation"), (1, 3),
+                              (0.0, 0.6, 1.0), (1, 4))):
+        n_regular, n_new = next(users)
+        seq_len_min, seq_len_max = next(lengths)
+        specs.append(SyntheticWorldSpec(
+            n_items=12, n_chains=n_chains, n_regular=n_regular, n_new=n_new,
+            mix_weight=mix, successors=successors, chain_kind=kind,
+            seq_len_min=seq_len_min, seq_len_max=seq_len_max, seed=seed))
+    for spec in specs:
+        world = generate_synthetic_world(spec)
+        records, transitions, user_chain = reference_synthetic_world(spec)
+        assert [(r.user, r.item, r.rating, r.timestamp)
+                for r in world.records] == records, spec
+        assert world.transitions == transitions, spec
+        assert world.user_chain == user_chain, spec
 
 
 def test_synthetic_split_truncates_new_users():
