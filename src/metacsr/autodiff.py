@@ -3,13 +3,15 @@
 A :class:`Tape` records a directed acyclic graph of numpy operations. Nodes
 are appended in construction order, so the node list is always a valid
 topological order. ``forward`` evaluates every node from the bound leaves and
-parameters; ``backward`` sums adjoints in reverse order and hands each
-parameter its gradient in ``tape.grads``.
+parameters; ``backward`` sums adjoints in reverse order and returns each
+parameter's gradient.
 
 All values are float64 ndarrays of rank 0, 1 or 2. There is no implicit
 broadcasting: ``add`` and ``mul`` take operands of one shape, and the fused
 ops check their operands' shapes by name, which keeps every gradient rule
-auditable.
+auditable. Each op that reads rows of a table by id gathers them itself
+(``encoder``, ``pair_loss``, ``segment_mean``, ``conv``), and refuses ids
+outside the table by name.
 
 Each backward returns the gradients of one pass.
 """
@@ -111,6 +113,11 @@ def _dense_grads(x, w, g, live):
             g.sum(axis=0) if b_live else None]
 
 
+def _span(ids):
+    """The smallest and largest of ``ids``, (0, -1) when there are none."""
+    return (int(ids.min()), int(ids.max())) if ids.size else (0, -1)
+
+
 def _increasing(ids):
     """Whether a 1-d id array is strictly increasing; a repeated or falling
     first pair, as in most unsorted id lists, answers without a pass."""
@@ -164,7 +171,7 @@ def _scatter_rows(shape, ids, adj):
     np.add.at does. Strictly increasing ids read each row once, so ``adj``
     goes straight to its rows (see :class:`RowGrad`); other ids go through
     one weighted bincount over the (row, column) cells read."""
-    if ids.ndim == 0 or ids.ndim == 1 and _increasing(ids):
+    if ids.ndim == 1 and _increasing(ids):
         return RowGrad(ids, adj).dense(shape)
     width = shape[1] if len(shape) == 2 else 1
     cells = ids.reshape(-1, 1) * width + np.arange(width)
@@ -298,8 +305,7 @@ class Segments:
         if (self.counts < 0).any() or self.counts.sum() != self.ids.size:
             raise ValueError(f"segment counts (sum {self.counts.sum()}) must "
                              f"be >= 0 and cover the {self.ids.size} ids")
-        self.span = (int(self.ids.min()), int(self.ids.max())) \
-            if self.ids.size else (0, -1)
+        self.span = _span(self.ids)
         self.order = np.argsort(-self.counts, kind="stable")
         longer = self.counts.size - np.cumsum(
             np.bincount(self.counts, minlength=1))[:-1]
@@ -368,7 +374,6 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
-        self.grads: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ leaves
 
@@ -410,12 +415,14 @@ class Tape:
     def mul(self, a, b):
         return self._append("mul", (a, b))
 
-    def encoder(self, embeds, src_w, dst_w, score_w, combine_w, combine_b,
-                lengths):
-        """The sequence encoder over blocks of T = ``max(lengths)`` rows of
-        an (n * T, k) ``embeds``, of which block i's first ``lengths[i]``
-        rows are sequence i (padded rows may hold any finite embedding).
-        Each pair (m, n) inside a sequence gets, once, the content logit
+    def encoder(self, items, ids, src_w, dst_w, score_w, combine_w,
+                combine_b, lengths):
+        """The sequence encoder over n sequences whose item ids ``ids``
+        holds concatenated, sequence i the next ``lengths[i]``: it gathers
+        their rows of the (n_items, k) table ``items`` into blocks of T =
+        ``max(lengths)`` rows, block i's first ``lengths[i]`` sequence i's
+        and the padded rest row 0's. Each pair (m, n) inside a sequence
+        gets, once, the content logit
         ``sigmoid(src_w @ e_m + dst_w @ e_n) @ score_w`` for (h, k)
         ``src_w`` and ``dst_w`` and an (h, 1) ``score_w``, plus the bias
         ``-exp(|m - n|)``. In the forward direction position n attends to
@@ -424,12 +431,16 @@ class Tape:
         rows. Each sequence's mean over its positions of the two outputs
         side by side goes through ``relu(. @ combine_w.T + combine_b)`` for
         a (d, 2k) ``combine_w`` and a length-d ``combine_b``: the (n, d)
-        value. Bit for bit the ``attention``, ``segment_mean`` and
-        ``dense`` chain, keeping the pairs' sigmoid table, each direction's
-        weights and the pooled rows."""
+        value. Bit for bit the ``lookup``, ``attention``, ``segment_mean``
+        and ``dense`` chain, keeping the gathered rows, the pairs' sigmoid
+        table, each direction's weights and the pooled rows."""
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
             raise ValueError(f"sequence lengths must be >= 1, not {lengths}")
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        if ids.size != lengths.sum():
+            raise ValueError(f"{ids.size} item ids for sequences of "
+                             f"{lengths.sum()} items")
         t_len = int(lengths.max())
         pos = np.arange(t_len)
         inside = pos < lengths[:, None]
@@ -442,12 +453,15 @@ class Tape:
         masks = tuple(
             np.where(live & attends, decay, -np.inf).reshape(-1, t_len)
             for attends in (pos <= pos[:, None], pos >= pos[:, None]))
+        live_rows = np.flatnonzero(inside)
+        gather = np.zeros(inside.size, dtype=np.intp)
+        gather[live_rows] = ids
         # pair i attends from source m to target n
         return self._append(
-            "encoder", (embeds, src_w, dst_w, score_w, combine_w, combine_b),
+            "encoder", (items, src_w, dst_w, score_w, combine_w, combine_b),
             aux=(seq_i * t_len + pos_m, seq_i * t_len + pos_n,
-                 slot.reshape(-1, t_len), masks,
-                 Segments(np.flatnonzero(inside), lengths)))
+                 slot.reshape(-1, t_len), masks, Segments(live_rows, lengths),
+                 gather))
 
     def pair_loss(self, items, prefs, cand_ids, k_neg):
         """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
@@ -459,16 +473,6 @@ class Tape:
 
     def sum(self, a):
         return self._append("sum", (a,))
-
-    def lookup(self, table, ids):
-        """Embedding lookup / row gather.
-
-        ``ids`` may be an int (returns one row as a 1-d vector), or a
-        sequence of ints (returns stacked rows; repeats allowed). On a 1-d
-        table the result is a 1-d gather.
-        """
-        return self._append("lookup", (table,),
-                            aux=np.asarray(ids, dtype=np.intp))
 
     def segment_mean(self, table, ids, counts):
         """Row i is the mean of ``table[ids[o_i : o_i + counts[i]]]`` (see
@@ -539,12 +543,11 @@ class Tape:
                 raise self._err(node, f"pair_loss shapes {items.shape}, "
                                       f"{prefs.shape}, {cand.shape} at k_neg "
                                       f"{k_neg}")
+            self._check_span(node, "candidate", _span(cand), items)
             x = _pair_terms(items, prefs, cand, k_neg)[-1]
             return np.asarray(np.logaddexp(0.0, x).mean(axis=0))
         if op == "sum":
             return np.asarray(vals[0].sum())
-        if op == "lookup":
-            return vals[0].take(node.aux, axis=0)
         if op == "segment_mean":
             self._check_segments(node, node.aux, vals[0])
             return node.aux.forward(vals[0])
@@ -563,33 +566,39 @@ class Tape:
         y += b
         return np.maximum(y, 0.0, out=y)
 
-    def _encoder(self, node, embeds, src_w, dst_w, score_w, combine_w,
+    def _encoder(self, node, items, src_w, dst_w, score_w, combine_w,
                  combine_b):
         """The forward of an ``encoder`` node: the replaced nodes'
-        operations in order. Saves the pairs' sigmoid table, each
-        direction's weights and the pooled rows, all its backward reads
-        besides the inputs; the attention table is dropped once pooled."""
-        *layout, segments = node.aux
-        slot = layout[2]
-        if embeds.ndim != 2 or src_w.ndim != 2 or dst_w.shape != src_w.shape \
-                or src_w.shape[1:] != embeds.shape[1:] or \
-                score_w.shape != (src_w.shape[0], 1) or \
-                len(embeds) != len(slot):
-            raise self._err(node, f"encoder shapes {embeds.shape}, "
+        operations in order. Saves the gathered rows, the pairs' sigmoid
+        table, each direction's weights and the pooled rows, all its
+        backward reads besides the inputs; the attention table is dropped
+        once pooled."""
+        *layout, segments, gather = node.aux
+        if items.ndim != 2 or src_w.ndim != 2 or dst_w.shape != src_w.shape \
+                or src_w.shape[1:] != items.shape[1:] or \
+                score_w.shape != (src_w.shape[0], 1):
+            raise self._err(node, f"encoder shapes {items.shape}, "
                                   f"{src_w.shape}, {dst_w.shape}, "
-                                  f"{score_w.shape} for {len(slot)} rows")
+                                  f"{score_w.shape}")
+        self._check_span(node, "item", _span(gather), items)
+        embeds = items.take(gather, axis=0)
         table, s, atts = _attention(embeds, src_w, dst_w, score_w, *layout)
         pooled = segments.forward(table)
-        node.saved = s, atts, pooled
+        node.saved = embeds, s, atts, pooled
         return self._dense(node, pooled, combine_w, combine_b)
+
+    def _check_span(self, node, kind, span, table):
+        """Refuse by name ids whose smallest and largest, ``span``, are
+        not both rows of ``table``."""
+        lo, hi = span
+        if lo < 0 or hi >= table.shape[0]:
+            raise self._err(node, f"{kind} ids span [{lo}, {hi}], outside "
+                                  f"the table's {table.shape[0]} rows")
 
     def _check_segments(self, node, segments, table):
         if table.ndim != 2:
             raise self._err(node, f"segment table of shape {table.shape}")
-        lo, hi = segments.span
-        if lo < 0 or hi >= table.shape[0]:
-            raise self._err(node, f"segment ids span [{lo}, {hi}], outside "
-                                  f"the table's {table.shape[0]} rows")
+        self._check_span(node, "segment", segments.span, table)
 
     def _merge_input(self, node, inherent, pooled, latent_w, latent_b):
         """A ``conv`` node's concatenation of its inherent rows and the
@@ -623,12 +632,12 @@ class Tape:
 
     def backward(self, loss, adjoint=None):
         """The gradients of a scalar loss node, a new mapping from each
-        param the pass reaches to its gradient, also kept as ``self.grads``.
+        param the pass reaches to its gradient.
 
         Any node can seed the pass with a given ``adjoint`` of its shape,
         e.g. one another tape computed for a leaf fed from its value.
         Adjoints are propagated in reverse topological order, to live nodes
-        only: a node no param or leaf feeds (a lookup into a constant
+        only: a node no param or leaf feeds (a segment mean over a constant
         table, say) gets no adjoint and runs no gradient rule. Each other
         node's adjoint is released (``None``) once its rule has handed it
         to the inputs, or once its param takes it as its gradient; leaf and
@@ -651,7 +660,7 @@ class Tape:
             node.adjoint = None
         loss.adjoint = np.ones_like(loss.value) if adjoint is None \
             else _as_f64(adjoint)
-        self.grads = {}
+        grads = {}
         for node in reversed(self.nodes[: loss.idx + 1]):
             adj = node.adjoint
             if adj is None:
@@ -662,18 +671,18 @@ class Tape:
                 node.adjoint = None
                 # a param appears once per tape, so this is its whole
                 # gradient; a param root's is the caller's seed, so a copy
-                self.grads[node.name] = adj.copy() if node is loss else adj
+                grads[node.name] = adj.copy() if node is loss else adj
                 continue
             if node.op in ("leaf", "const"):
                 continue
             node.adjoint = None     # consumed below; nothing reads it again
-            grads = self._input_grads(node, adj)
+            in_grads = self._input_grads(node, adj)
             del adj     # freed before the sums below
-            for inp, grad in zip(node.inputs, grads):
+            for inp, grad in zip(node.inputs, in_grads):
                 if grad is not None and inp.live:
                     inp.adjoint = grad if inp.adjoint is None else \
                         _add_adjoints(inp.adjoint, grad, inp.value.shape)
-        return self.grads
+        return grads
 
     def _input_grads(self, node, adj):
         """One gradient per input, each a new array; the product rules skip
@@ -704,8 +713,6 @@ class Tape:
                     zip(node.inputs, vals, (cand, rows), (p, c))]
         if op == "sum":
             return [np.full(vals[0].shape, float(adj))]
-        if op == "lookup":
-            return [_scatter_rows(vals[0].shape, node.aux, adj)]
         if op == "segment_mean":
             return [node.aux.backward(len(vals[0]), adj.copy())]
         if op == "conv":
@@ -717,13 +724,12 @@ class Tape:
         """An ``encoder`` node's input gradients: the replaced nodes' rules
         in reverse node order. The projection's; the block mean's, as the
         attention table's adjoint: ``adj / count`` in each sequence's live
-        rows, zero elsewhere, +0.0 for -0.0 when they are fewer than half
-        the rows (as its row-sparse gradient became dense); the
-        attention's. An input that is not live gets none of its terms
-        computed."""
-        embeds, src_w, dst_w, score_w, combine_w, _ = vals
-        *layout, segments = node.aux
-        s, atts, pooled = node.saved
+        rows, zero elsewhere; the attention's; the gather's, which scatters
+        the gathered rows' gradient into the table. An input that is not
+        live gets none of its terms computed."""
+        items, src_w, dst_w, score_w, combine_w, _ = vals
+        *layout, segments, gather = node.aux
+        embeds, s, atts, pooled = node.saved
         live = [i.live for i in node.inputs]
         attended = any(live[:4])
         g, g_cw, g_cb = _dense_grads(pooled, combine_w, adj * (node.value > 0),
@@ -733,10 +739,11 @@ class Tape:
         g *= segments.inverse_counts
         table = np.zeros((len(embeds), g.shape[1]))
         table[segments.ids] = np.repeat(g, segments.counts, axis=0)
-        if 2 * segments.ids.size < len(table):
-            table += 0.0
-        return [*_attention_grads(embeds, src_w, dst_w, score_w, layout, s,
-                                  atts, live[:4], table), g_cw, g_cb]
+        g_embeds, *g_ws = _attention_grads(embeds, src_w, dst_w, score_w,
+                                           layout, s, atts, live[:4], table)
+        return [None if g_embeds is None else
+                _scatter_rows(items.shape, gather, g_embeds), *g_ws, g_cw,
+                g_cb]
 
     def _conv_grads(self, node, vals, adj):
         """A ``conv`` node's input gradients: the replaced nodes' rules in

@@ -298,7 +298,7 @@ class SyntheticWorldSpec:
 
 @dataclass
 class SyntheticWorld:
-    records: list[InteractionRecord]
+    histories: dict[int, list[int]]     # user -> items in step order
     transitions: list[dict[int, dict[int, float]]]  # per chain: state -> dist
     user_chain: dict[int, int]
     spec: SyntheticWorldSpec
@@ -354,13 +354,14 @@ def generate_synthetic_world(spec) -> SyntheticWorld:
 
     Every user follows one dominant chain; each step stays on it with
     probability ``mix_weight`` and otherwise hops to another chain or a
-    uniform random item. Emits the interaction log and the generating
-    chains so tests can check against the true transition structure.
+    uniform random item. Emits each user's history of items, in step
+    order, and the generating chains so tests can check against the true
+    transition structure.
 
     The stream: after the chains, each user draws its chain, length and
-    start state with ``integers``, then takes one step after each of its
-    records, the last included. A step draws one ``random()`` for the mix
-    test. At or above ``mix_weight`` it leaves the chain: with several
+    start state with ``integers``, then takes one step after each item of
+    its history, the last included. A step draws one ``random()`` for the
+    mix test. At or above ``mix_weight`` it leaves the chain: with several
     chains a second ``random()`` below 0.5 hops, for this step, to the
     chain that ``integers(0, n_chains - 1)`` picks among the others;
     otherwise ``integers(0, n_items)`` is the next state. A chain step
@@ -371,7 +372,7 @@ def generate_synthetic_world(spec) -> SyntheticWorld:
     rng = np.random.default_rng(spec.seed)
     chains = _chain_transitions(spec, rng)
     tables = _successor_tables(chains)
-    records = []
+    histories = {}
     user_chain = {}
     n_total = spec.n_regular + spec.n_new
     for user in range(n_total):
@@ -379,8 +380,9 @@ def generate_synthetic_world(spec) -> SyntheticWorld:
         user_chain[user] = chain_id
         length = int(rng.integers(spec.seq_len_min, spec.seq_len_max + 1))
         state = int(rng.integers(0, spec.n_items))
-        for step in range(length):
-            records.append(InteractionRecord(user, state, None, step))
+        history = histories[user] = []
+        for _ in range(length):
+            history.append(state)
             walk = chain_id
             if rng.random() >= spec.mix_weight:
                 if spec.n_chains > 1 and rng.random() < 0.5:
@@ -391,7 +393,7 @@ def generate_synthetic_world(spec) -> SyntheticWorld:
                     continue
             items, cdf = tables[walk][state]
             state = items[bisect_right(cdf, rng.random())]
-    return SyntheticWorld(records, chains, user_chain, spec)
+    return SyntheticWorld(histories, chains, user_chain, spec)
 
 
 def synthetic_split(world, new_user_max_kept=SplitSpec.new_user_max_kept):
@@ -399,15 +401,10 @@ def synthetic_split(world, new_user_max_kept=SplitSpec.new_user_max_kept):
 
     New users keep at most ``new_user_max_kept`` earliest behaviors.
     """
-    spec = world.spec
-    regular = {}
-    new = {}
-    per_user: dict[int, list[int]] = {}
-    for rec in world.records:
-        per_user.setdefault(rec.user, []).append(rec.item)
-    for user, items in per_user.items():
-        if user < spec.n_regular:
-            regular[user] = items
+    regular, new = {}, {}
+    for user, items in world.histories.items():
+        if user < world.spec.n_regular:
+            regular[user] = items[:]
         else:
             new[user] = items[:new_user_max_kept]
     return regular, new

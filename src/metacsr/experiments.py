@@ -199,15 +199,6 @@ def run_train(config: RunConfig, max_steps=None, quiet=False) -> Path:
 # --------------------------------------------------------------------- eval
 
 
-def _load_checkpoint_for(config, ckpt_path):
-    params = checkpoint.load_model(ckpt_path, config_hash=config.core_hash())
-    if params.dim != config.model.dim:
-        raise ValueError(
-            f"checkpoint dimension {params.dim} != config {config.model.dim}")
-    params.config = config.model
-    return params
-
-
 def run_evaluate(config: RunConfig, ckpt_path=None, scorer_kind="metacsr",
                  tag=None) -> Path:
     """Evaluate a checkpoint (or a baseline) under the configured scenario.
@@ -224,7 +215,8 @@ def run_evaluate(config: RunConfig, ckpt_path=None, scorer_kind="metacsr",
 
     if scorer_kind == "metacsr":
         ckpt_path = ckpt_path or _out(config) / "checkpoints" / "model.ckpt"
-        params = _load_checkpoint_for(config, ckpt_path)
+        params = checkpoint.load_model(ckpt_path,
+                                       config_hash=config.core_hash())
         features = losses.cached_item_features(
             graph, params, component_rng(config.seed, "eval/features"))
         steps = config.meta.fine_tune_steps if cold else 0

@@ -3,13 +3,14 @@
 The per-pair loss is the numerically safe BPR form
 ``-log sigmoid(p_pos - p_neg)`` (softplus of the negated difference),
 mean-reduced over each sequence's sampled negatives and then over the
-batch. ``build_batch_loss`` assembles sequence encoding for a whole
-batch on one tape, sequences of all lengths in one padded block, and ends
-in one ``pair_loss`` node that scores every candidate and reduces the
-pairs, so the node count stays small. The item features enter it as a
-node: :class:`ItemFeatures` is the one differentiable pass from theta1 (a
-loss tape reads its value through a leaf and hands the leaf's adjoint
-back), and ``cached_item_features`` is the value-only table for
+batch. ``build_batch_loss`` assembles a whole batch on one tape as two
+nodes: one ``encoder`` node (or, without the sequence encoder, one
+``segment_mean`` node) gathers every sequence's item rows from the
+feature table and pools them to preferences, and one ``pair_loss`` node
+scores every candidate and reduces the pairs. The item features enter
+it as a node: :class:`ItemFeatures` is the one differentiable pass from
+theta1 (a loss tape reads its value through a leaf and hands the leaf's
+adjoint back), and ``cached_item_features`` is the value-only table for
 evaluation.
 """
 
@@ -21,8 +22,6 @@ from . import graph as gr
 from . import sequence as seq
 from .autodiff import Tape
 from .data import sample_negatives
-
-PAD_ITEM = 0    # fills padded slots; any valid id gives the same loss
 
 
 def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
@@ -44,15 +43,13 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
     negatives = sample_negatives([seen[s.user] for s in sequences], n_items,
                                  k_neg, rng)
 
-    lengths = np.array([len(s.items) for s in sequences])
-    ids = np.full((len(sequences), lengths.max()), PAD_ITEM)
-    for row, s in enumerate(sequences):
-        ids[row, : lengths[row]] = s.items
-    embeds = tape.lookup(item_features, ids.reshape(-1))
+    lengths = [len(s.items) for s in sequences]
+    ids = [i for s in sequences for i in s.items]
     if use_sequence:
-        prefs = seq.build_sequence_encoder(tape, embeds, theta2, lengths)
+        prefs = seq.build_sequence_encoder(tape, item_features, ids, theta2,
+                                           lengths)
     else:
-        prefs = seq.block_mean(tape, embeds, lengths)
+        prefs = tape.segment_mean(item_features, ids, lengths)
     cand_ids = [c for s, sampled in zip(sequences, negatives)
                 for c in (s.target, *sampled)]
     # equal k_neg everywhere: the mean over all pairs is the mean over
@@ -62,12 +59,14 @@ def build_batch_loss(tape, item_features, theta2, sequences, k_neg, rng,
 
 def item_feature_node(tape, graph_, theta1_nodes, config, plan=None):
     """Item-rows feature node: the diffusion output, or the raw inherent
-    table when diffusion is ablated; either way gradients reach theta1.
-    Diffusion computes only the item rows and what they read (see
+    table's item rows (each a mean over one row, the row times 1.0) when
+    diffusion is ablated; either way gradients reach theta1. Diffusion
+    computes only the item rows and what they read (see
     :func:`graph.build_diffusion`)."""
     item_rows = np.arange(graph_.n_users, graph_.n_entities)
     if not config.use_diffusion:
-        return tape.lookup(theta1_nodes[gr.INHERENT], item_rows)
+        return tape.segment_mean(theta1_nodes[gr.INHERENT], item_rows,
+                                 np.ones_like(item_rows))
     if plan is None:
         raise ValueError("diffusion requires a neighbor plan")
     return gr.build_diffusion(tape, plan, theta1_nodes,

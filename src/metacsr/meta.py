@@ -205,8 +205,8 @@ def query_grads(features, batches, cfg, histories, model_config):
             use_sequence=model_config.use_sequence)
         total = loss if total is None else tape.add(total, loss)
     tape.forward()
-    tape.backward(total)
-    g2 = [{name: tape.grads.get(f"{b}/{name}", np.zeros_like(value))
+    grads = tape.backward(total)
+    g2 = [{name: grads.get(f"{b}/{name}", np.zeros_like(value))
            for name, value in theta2.items()}
           for b, (theta2, _, _) in enumerate(batches)]
     value, adjoint = float(total.value), leaf.adjoint

@@ -7,8 +7,9 @@ pass lets position n attend to sources m <= n, the backward pass to m >= n
 (the diagonal is included in both so every position has a non-empty
 attendable set). The two outputs side by side are mean-pooled over
 positions and projected to the preference vector, all in one ``encoder``
-tape node, which owns the pair layout. A batch of sequences of any
-lengths is encoded as one block padded to the longest.
+tape node, which gathers the sequences' rows of the item table and owns
+the pair layout. A batch of sequences of any lengths is encoded as one
+block padded to the longest.
 """
 
 from __future__ import annotations
@@ -37,20 +38,12 @@ def init_seq_params(dim, rng) -> dict[str, np.ndarray]:
     }
 
 
-def block_mean(tape, rows, lengths):
-    """Mean over the first ``lengths[i]`` rows of each sequence's block of
-    ``max(lengths)`` consecutive rows: the (n_seq, d) node."""
-    lengths = np.asarray(lengths)
-    live = np.arange(lengths.max()) < lengths[:, None]
-    return tape.segment_mean(rows, np.flatnonzero(live), lengths)
-
-
-def build_sequence_encoder(tape, embeds, params, lengths):
-    """The (n_seq, d) preference node of the sequences whose item
-    embeddings ``embeds`` holds as consecutive blocks of ``max(lengths)``
-    rows, of which sequence i's first ``lengths[i]`` are live: one
-    ``encoder`` node (see :meth:`Tape.encoder`)."""
-    return tape.encoder(embeds, params[ATT_SRC_W], params[ATT_DST_W],
+def build_sequence_encoder(tape, items, ids, params, lengths):
+    """The (n_seq, d) preference node of the sequences whose item ids
+    ``ids`` holds concatenated, sequence i the next ``lengths[i]``, read
+    from the item table node ``items``: one ``encoder`` node (see
+    :meth:`Tape.encoder`)."""
+    return tape.encoder(items, ids, params[ATT_SRC_W], params[ATT_DST_W],
                         params[ATT_SCORE_W], params[COMBINE_W],
                         params[COMBINE_B], lengths)
 
@@ -60,8 +53,9 @@ def encode_sequence(seq_embeds, params):
     seq_embeds = np.asarray(seq_embeds, dtype=np.float64)
     tape = Tape()
     nodes = {name: tape.leaf(name, value) for name, value in params.items()}
-    node = build_sequence_encoder(tape, tape.leaf("e", seq_embeds), nodes,
-                                  [seq_embeds.shape[0]])
+    node = build_sequence_encoder(tape, tape.leaf("e", seq_embeds),
+                                  np.arange(len(seq_embeds)), nodes,
+                                  [len(seq_embeds)])
     tape.forward()
     return node.value[0].copy()
 

@@ -440,21 +440,27 @@ def unfused_attention(embeds, src_w, dst_w, score_w, rows_a, rows_b, slot,
             g_score)
 
 
-def unfused_encoder(embeds, src_w, dst_w, score_w, combine_w, combine_b,
-                    lengths, layout, adj):
-    """The sequence encoder as the ``attention``, ``segment_mean`` and
-    ``dense`` nodes that ``encoder`` replaced compute it, over the node's
-    pair layout (rows_a, rows_b, slot, masks) for sequences of ``lengths``:
-    the value and the gradients w.r.t. embeds, src_w, dst_w, score_w,
-    combine_w and combine_b that their rules hand back, in reverse node
-    order, for the output adjoint ``adj``. The segment mean's gradient
-    reached the attention node as the tape summed it: a row-sparse
-    gradient, whose dense form is +0.0 for -0.0, when the sequences read
-    fewer than half the table's rows."""
+def unfused_encoder(items, item_ids, src_w, dst_w, score_w, combine_w,
+                    combine_b, lengths, layout, adj):
+    """The sequence encoder as the ``lookup``, ``attention``,
+    ``segment_mean`` and ``dense`` nodes that ``encoder`` replaced compute
+    it, over the node's pair layout (rows_a, rows_b, slot, masks) for
+    sequences of ``lengths`` whose ids ``item_ids`` holds concatenated:
+    the lookup reads each sequence's rows of ``items`` into its block of
+    T rows and row 0 into the padded rest. Returns the value and the
+    gradients w.r.t. items, src_w, dst_w, score_w, combine_w and
+    combine_b that their rules hand back, in reverse node order, for the
+    output adjoint ``adj``. The segment mean's gradient reached the
+    attention node as the tape summed it: a row-sparse gradient, whose
+    dense form is +0.0 for -0.0, when the sequences read fewer than half
+    the table's rows."""
     lengths = np.asarray(lengths)
-    t_len, width = int(lengths.max()), embeds.shape[1]
+    t_len, width = int(lengths.max()), items.shape[1]
     ids = np.concatenate([np.arange(i * t_len, i * t_len + n)
                           for i, n in enumerate(lengths)])
+    gather = np.zeros(lengths.size * t_len, dtype=np.intp)      # lookup
+    gather[ids] = item_ids
+    embeds = items[gather]
     scale = (1.0 / lengths)[:, None]
     table = unfused_attention(embeds, src_w, dst_w, score_w, *layout,
                               np.zeros((len(embeds), 2 * width)))[0]
@@ -467,9 +473,10 @@ def unfused_encoder(embeds, src_w, dst_w, score_w, combine_w, combine_b,
         g_table[row] = g_pooled[segment]
     if 2 * ids.size < len(table):
         g_table += 0.0
-    grads = unfused_attention(embeds, src_w, dst_w, score_w, *layout,
-                              g_table)[1:]
-    return (value, *grads, g_combine_w, g_combine_b)
+    g_embeds, *grads = unfused_attention(embeds, src_w, dst_w, score_w,
+                                         *layout, g_table)[1:]
+    return (value, _gathered_grad(items, gather, g_embeds), *grads,
+            g_combine_w, g_combine_b)
 
 
 def unfused_pair_loss(items, prefs, cand_ids, k_neg):
@@ -542,8 +549,7 @@ def feature_loss(features, theta2, sequences, k_neg, rng, histories,
         for name, value in (values or {}).items():
             tape.set_param(name, value)
         tape.forward()
-        tape.backward(loss)
-        return float(loss.value), dict(tape.grads)
+        return float(loss.value), tape.backward(loss)
     return at
 
 

@@ -60,8 +60,7 @@ def report_line(name, passed, started, budget):
 def _fd_rel_and_abs(tape, loss, name, eps=1e-6):
     """Spec relative error plus the max absolute analytic/numeric gap."""
     tape.forward()
-    tape.backward(loss)
-    analytic = tape.grads[name].copy()
+    analytic = tape.backward(loss)[name].copy()
     pnode = tape.params[name]
     base = pnode.value.copy()
     flat = base.reshape(-1)
@@ -104,7 +103,8 @@ def test_criterion_1_gradient_correctness():
     for op in ALL_OPS:
         for i in range(draws):
             tape, loss = _op_case(op, np.random.default_rng(3000 + i))
-            ok &= finite_difference_check(tape, loss, "p", 1e-6) < 1e-4
+            for name in tape.params:
+                ok &= finite_difference_check(tape, loss, name, 1e-6) < 1e-4
 
     # full sequence encoder, standalone embeddings (T=4, d=4)
     rng = np.random.default_rng(14)
@@ -113,7 +113,7 @@ def test_criterion_1_gradient_correctness():
     nodes = {name: tape.param(name, value)
              for name, value in enc_params.items()}
     embeds = tape.param("embeds", rng.normal(size=(4, 4)))
-    s_u = seq.build_sequence_encoder(tape, embeds, nodes, [4])
+    s_u = seq.build_sequence_encoder(tape, embeds, range(4), nodes, [4])
     enc_loss = tape.sum(tape.mul(s_u, tape.constant(rng.normal(size=(1, 4)))))
     for name in ["embeds", *enc_params]:
         ok &= finite_difference_check(tape, enc_loss, name, 1e-6) < 1e-4

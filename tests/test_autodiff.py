@@ -9,6 +9,7 @@ from metacsr.autodiff import (
     _BLOCK_FLOATS,
     RowGrad,
     _add_adjoints,
+    _scatter_rows,
     Segments,
     ShapeError,
     Tape,
@@ -28,7 +29,7 @@ from oracles import (
     unfused_pair_loss,
 )
 
-ENCODER_INPUTS = ("embeds", seq.ATT_SRC_W, seq.ATT_DST_W, seq.ATT_SCORE_W,
+ENCODER_INPUTS = ("items", seq.ATT_SRC_W, seq.ATT_DST_W, seq.ATT_SCORE_W,
                   seq.COMBINE_W, seq.COMBINE_B)
 
 
@@ -47,10 +48,10 @@ def _projection(t, x, w, b):
     bound (m, k) node ``x`` a sequence of length 1, whose attention output
     and pool are the row itself, under constant attention weights; ``w``
     is (d, 2k)."""
-    k = x.value.shape[1]
-    return t.encoder(x, *(t.constant(np.ones(shape))
-                          for shape in ((k, k), (k, k), (k, 1))),
-                     w, b, [1] * len(x.value))
+    m, k = x.value.shape
+    return t.encoder(x, np.arange(m), *(t.constant(np.ones(shape))
+                                        for shape in ((k, k), (k, k), (k, 1))),
+                     w, b, [1] * m)
 
 
 def test_relu_forward():
@@ -98,18 +99,29 @@ def _conv_of(t, features, inherent, latent_width=2, rows=(0,)):
                   t.leaf("mw", np.ones((2, 4))), t.leaf("mb", np.ones(2)))
 
 
-def _encoder_of(t, embeds_shape, lengths=(2, 1, 2), w_shape=(3, 3),
-                score_shape=(3, 1), combine_shape=(3, 6), bias_shape=(3,)):
-    """An encoder node over leaves of ones of the given shapes."""
-    shapes = (embeds_shape, w_shape, w_shape, score_shape, combine_shape,
+def _encoder_of(t, items_shape, lengths=(2, 1, 2), w_shape=(3, 3),
+                score_shape=(3, 1), combine_shape=(3, 6), bias_shape=(3,),
+                ids=None):
+    """An encoder node over leaves of ones of the given shapes, reading
+    items 0, 1, ... in order unless ``ids`` are given."""
+    shapes = (items_shape, w_shape, w_shape, score_shape, combine_shape,
               bias_shape)
-    return t.encoder(*(t.leaf(name, np.ones(shape))
-                       for name, shape in zip(ENCODER_INPUTS, shapes)),
-                     lengths)
+    items, *weights = (t.leaf(name, np.ones(shape))
+                       for name, shape in zip(ENCODER_INPUTS, shapes))
+    return t.encoder(items, np.arange(sum(lengths)) if ids is None else ids,
+                     *weights, lengths)
+
+
+def _live_rows(lengths):
+    """The ids that read, for sequences of ``lengths`` padded to the
+    longest, the rows of their blocks' live positions."""
+    lengths = np.asarray(lengths)
+    return np.flatnonzero(np.arange(lengths.max()) < lengths[:, None])
 
 
 def _encoder_values(rng, rows, d):
-    """Random encoder inputs: (rows, d) embeddings and the five weights."""
+    """Random encoder inputs: a (rows, d) item table and the five
+    weights."""
     return [rng.normal(size=(rows, d)),
             *(rng.normal(size=(d, d)) for _ in range(2)),
             rng.normal(size=(d, 1)), rng.normal(size=(d, 2 * d)),
@@ -136,10 +148,10 @@ def test_sigmoid_gradient_at_zero():
     prefs = t.param("prefs", [[1.0, -2.0]])
     loss = t.pair_loss(items, prefs, [2, 0], 1)
     t.forward()
-    t.backward(loss)
-    np.testing.assert_allclose(t.grads["items"],
+    grads = t.backward(loss)
+    np.testing.assert_allclose(grads["items"],
                                [[0.125, -0.25], [0.0, 0.0], [-0.125, 0.25]])
-    np.testing.assert_array_equal(t.grads["prefs"], [[0.0, 0.0]])
+    np.testing.assert_array_equal(grads["prefs"], [[0.0, 0.0]])
 
 
 def test_relu_gradient_flat_region():
@@ -148,8 +160,7 @@ def test_relu_gradient_flat_region():
     loss = t.sum(_projection(t, x, t.constant([[1.0, 0.0]]),
                              t.constant([0.0])))
     t.forward()
-    t.backward(loss)
-    np.testing.assert_array_equal(t.grads["x"], [[0.0]])
+    np.testing.assert_array_equal(t.backward(loss)["x"], [[0.0]])
 
 
 def test_linear_layer_gradient_nearly_exact():
@@ -162,31 +173,34 @@ def test_linear_layer_gradient_nearly_exact():
     assert finite_difference_check(t, loss, "w") < 1e-8
 
 
-def _fused_rule_case(t, rng, live, lengths=(2, 1, 2)):
-    """An encoder node whose inputs named in ``live`` (e: the embeddings,
-    s: src_w, d: dst_w, w: score_w, c: combine_w, b: combine_b) read the
-    param p and whose others are leaves; a combine_b leaf is large, so
-    that most projected rows pass the relu."""
-    a = t.param("p", rng.normal(size=(len(lengths) * max(lengths), 3)))
+def _fused_rule_case(t, rng, live, lengths=(2, 1, 2), ids=None):
+    """An encoder node whose inputs named in ``live`` (e: the item table,
+    s: src_w, d: dst_w, w: score_w, c: combine_w, b: combine_b) read
+    params and whose others are leaves. The item table is the param p,
+    src_w and dst_w read rows of it through unit-count segment means, and
+    each other live input is a param of its own; a combine_b leaf is
+    large, so that most projected rows pass the relu. The sequences read
+    ``ids``, by default the rows of their padded blocks' live positions."""
+    table = rng.normal(size=(len(lengths) * max(lengths), 3))
+    a = t.param("p", table) if set(live) & set("esd") else None
     reads = {
         "e": lambda: a,
-        "s": lambda: t.lookup(a, [0, 2, 4]),
-        "d": lambda: t.mul(t.lookup(a, [5, 1, 3]),
+        "s": lambda: t.segment_mean(a, [0, 2, 4], [1, 1, 1]),
+        "d": lambda: t.mul(t.segment_mean(a, [5, 1, 3], [1, 1, 1]),
                            t.leaf("x", rng.normal(size=(3, 3)))),
-        "w": lambda: t.lookup(t.lookup(a, 1), [[0], [2], [1]]),
-        "c": lambda: t.lookup(t.lookup(a, 3), np.arange(18).reshape(3, 6) % 3),
-        "b": lambda: t.lookup(a, 4),
     }
-    leaves = {"e": a.value.shape, "s": (3, 3), "d": (3, 3), "w": (3, 1),
+    shapes = {"e": table.shape, "s": (3, 3), "d": (3, 3), "w": (3, 1),
               "c": (3, 6), "b": (3,)}
-    inputs = [reads[k]() if k in live else
-              t.leaf(k, rng.normal(size=leaves[k]) + 10.0 * (k == "b"))
+    inputs = [reads[k]() if k in live and k in reads else
+              t.param(f"p/{k}", rng.normal(size=shapes[k])) if k in live else
+              t.leaf(k, rng.normal(size=shapes[k]) + 10.0 * (k == "b"))
               for k in "esdwcb"]
-    return t.encoder(*inputs, lengths)
+    return t.encoder(inputs[0], _live_rows(lengths) if ids is None else ids,
+                     *inputs[1:], lengths)
 
 
-# The ops the ``encoder`` node fused, each kept as a case of it whose param
-# reaches the inputs that op's gradient rule differentiates (see
+# The ops the ``encoder`` node fused, each kept as a case of it whose params
+# reach the inputs that op's gradient rule differentiates (see
 # _fused_rule_case), over lengths that exercise the rule: (live, lengths)
 FUSED_RULES = {
     # the projection weights, each read transposed
@@ -211,13 +225,16 @@ FUSED_RULES = {
 
 
 def _op_case(name, rng):
-    """Build (tape, loss) for one op kind with a random parameter input."""
+    """Build (tape, loss) for one op kind whose inputs read random
+    params."""
     t = Tape()
     if name in FUSED_RULES:
         out = _fused_rule_case(t, rng, *FUSED_RULES[name])
     elif name == "encoder":
-        # p reaches every input
-        out = _fused_rule_case(t, rng, "esdwcb")
+        # params reach every input; items repeat within and across
+        # sequences and padded slots read row 0, so the gather's gradient
+        # sums rows
+        out = _fused_rule_case(t, rng, "esdwcb", ids=[1, 4, 1, 5, 1])
     elif name == "add_same":
         a = t.param("p", rng.normal(size=(3, 4)))
         out = t.add(a, t.leaf("x", rng.normal(size=(3, 4))))
@@ -228,22 +245,21 @@ def _op_case(name, rng):
         # p reaches items and prefs; repeated candidates and prefs rows;
         # k_neg of 1 (3 rows) and of 3 (2 rows)
         a = t.param("p", rng.normal(size=(6, 3)))
-        prefs = t.mul(t.lookup(a, [1, 4, 1]),
+        prefs = t.mul(t.segment_mean(a, [1, 4, 1], [1, 1, 1]),
                       t.leaf("x", rng.normal(size=(3, 3))))
         out = t.add(t.pair_loss(a, prefs, [0, 2, 2, 5, 1, 2], 1),
-                    t.pair_loss(a, t.lookup(prefs, [2, 1]),
+                    t.pair_loss(a, t.segment_mean(prefs, [2, 1], [1, 1]),
                                 [4, 0, 4, 3, 2, 2, 5, 0], 3))
     elif name == "conv":
         # p is the pooled table and the inherent table (a layer 0) and
-        # reaches every weight; repeated ids and an empty segment
+        # reaches latent_w; the other weights are params of their own;
+        # repeated ids and an empty segment
         a = t.param("p", rng.normal(size=(6, 3)) + 0.2)
         out = t.conv(a, a, [0, 2, 5], [0, 2, 2, 5, 1], [3, 0, 2],
-                     t.lookup(a, [0, 2, 5]), t.lookup(a, 1),
-                     t.lookup(t.lookup(a, 3), np.arange(18).reshape(3, 6) % 3),
-                     t.lookup(a, 4))
-    elif name == "lookup":
-        a = t.param("p", rng.normal(size=(6, 3)))
-        out = t.lookup(a, [0, 2, 2, 5])
+                     t.segment_mean(a, [0, 2, 5], [1, 1, 1]),
+                     *(t.param(f"p/{k}", rng.normal(size=shape))
+                       for k, shape in (("lb", (3,)), ("mw", (3, 6)),
+                                        ("mb", (3,)))))
     elif name == "segment_mean":
         a = t.param("p", rng.normal(size=(6, 3)))
         # repeated ids within and across segments, and an empty segment
@@ -264,8 +280,7 @@ def out_shape(tape, node):
 
 
 ALL_OPS = [
-    "add_same", "mul", "encoder", "pair_loss", "conv", "lookup",
-    "segment_mean", "sum",
+    "add_same", "mul", "encoder", "pair_loss", "conv", "segment_mean", "sum",
 ]
 
 
@@ -274,7 +289,9 @@ def test_every_op_gradient_against_finite_differences(op):
     # 5 random draws per op; the acceptance suite runs the 100-draw sweep
     for seed in range(5):
         t, loss = _op_case(op, np.random.default_rng(1000 + seed))
-        assert finite_difference_check(t, loss, "p", epsilon=1e-6) < 1e-4, op
+        for name in t.params:
+            assert finite_difference_check(t, loss, name,
+                                           epsilon=1e-6) < 1e-4, (op, name)
 
 
 @pytest.mark.parametrize("op", ALL_OPS + list(FUSED_RULES))
@@ -288,9 +305,10 @@ def test_backward_releases_each_consumed_adjoint(op):
     assert all(node.adjoint is None for node in t.nodes
                if node.op not in ("leaf", "const"))
     assert all(node.adjoint is not None for node in leaves)
-    t.backward(loss)
-    assert set(t.grads) == set(first) == {"p"}
-    np.testing.assert_array_equal(t.grads["p"], first["p"])
+    second = t.backward(loss)
+    assert set(second) == set(first) == set(t.params)
+    for name, grad in first.items():
+        np.testing.assert_array_equal(second[name], grad)
 
 
 @pytest.mark.parametrize("op", ALL_OPS + list(FUSED_RULES))
@@ -327,7 +345,7 @@ def test_backward_writes_only_arrays_it_made(op):
     assert np.array_equal(seed.view(np.uint64), bits)
     second = t.backward(root, seed)
     assert rules and second is not first
-    assert second.keys() == first.keys() == {"p"}
+    assert second.keys() == first.keys() == t.params.keys()
     for name, g in kept.items():
         assert _same_bits(second[name], g) and _same_bits(first[name], g)
 
@@ -386,26 +404,27 @@ def test_shape_mismatch_names_node():
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
-    ((2, 2), (5, 3)),   # 5 rows are not 2 blocks of 2
-    ((3, 2), (4, 3)),   # 4 rows for 3 blocks of 2
-    ((2, 2), (6, 3)),   # 6 rows are 3 blocks of 2, one more than named
-    ((1, 1), (0, 3)),   # no rows for a block of 1
+    ((2, 2), (5, 3)),   # 5 ids are not 2 blocks of 2
+    ((3, 2), (4, 3)),   # 4 ids for 3 blocks of 2
+    ((2, 2), (6, 3)),   # 6 ids are 3 blocks of 2, one more than named
+    ((1, 1), (0, 3)),   # no ids for a block of 1
 ])
 def test_block_matmul_rejects_bad_shapes(a_shape, b_shape):
-    """The block products inside ``encoder`` refuse embeddings
-    (``b_shape``) whose rows are not the blocks that the lengths name (n
-    sequences padded to T rows, ``a_shape`` = (n, T))."""
-    t = Tape()
+    """The block products inside ``encoder`` read the blocks it gathers
+    for n sequences of T items (``a_shape`` = (n, T)); ids that are not
+    the sequences' n * T items (here one per row of a table of
+    ``b_shape``) are refused when the node is built."""
     n, t_len = a_shape
-    c = _encoder_of(t, b_shape, lengths=[t_len] * n)
-    with pytest.raises(ShapeError, match=f"node {c.idx}"):
-        t.forward()
+    with pytest.raises(ValueError, match=f"{b_shape[0]} item ids for "
+                                         f"sequences of {n * t_len} items"):
+        _encoder_of(Tape(), b_shape, lengths=[t_len] * n,
+                    ids=np.arange(b_shape[0]))
 
 
 def test_encoder_refuses_empty_lengths():
     for lengths in ([], [2, 0], [[2]]):
         with pytest.raises(ValueError, match="lengths"):
-            Tape().encoder(*(None,) * 6, lengths)
+            Tape().encoder(None, [], *(None,) * 5, lengths)
 
 
 def test_forward_reruns_with_new_param_binding():
@@ -462,21 +481,21 @@ def test_stable_sigmoid_is_the_two_branch_form_bit_for_bit():
                           two_branch(x).view(np.uint64))
 
 
-def _const_lookup_tape():
+def _const_gather_tape():
     rng = np.random.default_rng(7)
     t = Tape()
     table = t.constant(rng.normal(size=(50, 3)))
-    rows = t.lookup(table, [4, 9, 4])
+    rows = t.segment_mean(table, [4, 9, 4], [1, 1, 1])
     w = t.param("w", rng.normal(size=(3, 3)))
     x = t.leaf("x", rng.normal(size=(3, 3)))
     h = t.mul(t.add(rows, x), w)
-    loss = t.sum(t.mul(h, t.lookup(t.constant(rng.normal(size=(9, 3))),
-                                   [0, 3, 8])))
+    loss = t.sum(t.mul(h, t.segment_mean(
+        t.constant(rng.normal(size=(9, 3))), [0, 3, 8], [1, 1, 1])))
     return t, loss, table, rows, x
 
 
 def test_backward_skips_nodes_no_param_or_leaf_feeds():
-    t, loss, table, rows, x = _const_lookup_tape()
+    t, loss, table, rows, x = _const_gather_tape()
     t.forward()
     t.backward(loss)
     assert not table.live and not rows.live and x.live
@@ -489,17 +508,16 @@ def test_backward_skips_nodes_no_param_or_leaf_feeds():
         return original(node, adj)
 
     t._input_grads = spy
-    t.backward(loss)
-    assert "lookup" not in differentiated
-    skipped = dict(t.grads), x.adjoint.copy()
+    skipped = t.backward(loss), x.adjoint.copy()
+    assert "segment_mean" not in differentiated
 
     for node in t.nodes:
         node.live = True
-    t.backward(loss)
-    assert "lookup" in differentiated and table.adjoint is not None
+    grads = t.backward(loss)
+    assert "segment_mean" in differentiated and table.adjoint is not None
     assert all(node.adjoint is None for node in t.nodes
                if node.op not in ("leaf", "const"))
-    np.testing.assert_array_equal(skipped[0]["w"], t.grads["w"])
+    np.testing.assert_array_equal(skipped[0]["w"], grads["w"])
     np.testing.assert_array_equal(skipped[1], x.adjoint)
 
 
@@ -512,20 +530,16 @@ def test_segment_mean_equals_chained_add_and_scale_bit_for_bit():
     t = Tape()
     node = t.leaf("table", table)
     pooled = t.segment_mean(node, ids, counts)
-    chained = []
-    start = 0
-    for count in counts:
-        if count == 0:
-            chained.append(None)
-            continue
-        acc = t.lookup(node, int(ids[start]))
-        for j in range(1, count):
-            acc = t.add(acc, t.lookup(node, int(ids[start + j])))
-        chained.append((acc, 1.0 / count))
-        start += count
     t.forward()
-    for i, row in enumerate(chained):
-        want = np.zeros(7) if row is None else row[0].value * row[1]
+    start = 0
+    for i, count in enumerate(counts):
+        want = np.zeros(7)
+        if count:
+            acc = table[ids[start]]
+            for j in range(1, count):
+                acc = acc + table[ids[start + j]]
+            want = acc * (1.0 / count)
+        start += count
         assert np.array_equal(pooled.value[i], want), i
 
 
@@ -539,12 +553,21 @@ def test_segment_mean_rejects_counts_that_do_not_cover_ids():
 @pytest.mark.parametrize("bad", [-1, -3, 3, 7])
 def test_segment_ids_outside_the_table_are_refused_by_name(bad):
     """A negative id would read a row from the end of the table and one
-    past it would raise numpy's IndexError; both name the node."""
+    past it would raise numpy's IndexError; both name the node, in every
+    op that gathers rows by id: a segment mean, a diffusion layer's pool,
+    an encoder's items (its padded slot reads row 0) and a pair loss's
+    candidates."""
     for build in (lambda t, x: t.segment_mean(x, [0, bad, 2], [2, 1]),
                   lambda t, x: t.conv(x, x, [0, 1], [0, bad, 2], [2, 1],
                                       *(t.constant(v) for v in (
                                           np.ones((2, 2)), np.ones(2),
-                                          np.ones((2, 4)), np.ones(2))))):
+                                          np.ones((2, 4)), np.ones(2)))),
+                  lambda t, x: t.encoder(x, [0, bad, 2],
+                                         *(t.constant(np.ones(shape)) for
+                                           shape in ((2, 2), (2, 2), (2, 1),
+                                                     (2, 4), (2,))), [2, 1]),
+                  lambda t, x: t.pair_loss(x, t.constant(np.ones((2, 2))),
+                                           [0, bad, 2, 0], 1)):
         t = Tape()
         node = build(t, t.leaf("x", np.ones((3, 2))))
         with pytest.raises(ShapeError, match=f"node {node.idx} .*"
@@ -627,11 +650,8 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
         out = _projection(t, t.leaf("x", x.T), p, t.constant(np.zeros(3)))
         loss = t.sum(t.mul(out, t.constant(weights.T)))
         t.forward()
-        if seeded:
-            t.backward(out, weights.T)
-        else:
-            t.backward(loss)
-        return t.grads["p"]
+        return (t.backward(out, weights.T) if seeded
+                else t.backward(loss))["p"]
 
     np.testing.assert_array_equal(grads(True), grads(False))
     t = Tape()
@@ -643,18 +663,17 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
 
 
 def test_lookup_gradient_equals_add_at_bit_for_bit():
-    """The scatter sums each cell in id order from 0.0, as np.add.at does:
-    repeated ids, strictly increasing ids, rows nothing reads, 1-d and 2-d
-    tables, 2-d ids on a 1-d table, a single id and -0.0 adjoints."""
+    """The gather's gradient rule, ``_scatter_rows``, sums each cell in id
+    order from 0.0, as np.add.at does: repeated ids (a batch's candidates,
+    an encoder's items and padding), strictly increasing ids (a diffusion
+    layer's inherent rows), rows nothing reads, 1-d and 2-d tables, 2-d
+    ids on a 1-d table (an encoder's logit slots) and -0.0 adjoints."""
     rng = np.random.default_rng(13)
     for draw in range(200):
         n_rows = int(rng.integers(1, 30))
         width = int(rng.integers(1, 9))
         shape = (n_rows,) if draw % 3 == 0 else (n_rows, width)
-        if draw % 7 == 0:
-            ids = np.asarray(rng.integers(n_rows))
-        elif draw % 5 == 0:
-            # strictly increasing, as a diffusion layer's inherent rows
+        if draw % 5 == 0:
             ids = np.flatnonzero(rng.random(n_rows) < 0.5)
         else:
             # few distinct ids, so repeats are many and most rows go unread
@@ -662,16 +681,11 @@ def test_lookup_gradient_equals_add_at_bit_for_bit():
             ids = rng.choice(pool, size=int(rng.integers(0, 60)))
             if len(shape) == 1 and draw % 2:
                 ids = ids[: ids.size // 4 * 4].reshape(-1, 4)
-        t = Tape()
-        table = t.param("t", rng.normal(size=shape))
-        out = t.lookup(table, ids)
-        t.forward()
-        adj = rng.normal(size=out.value.shape)
+        adj = rng.normal(size=ids.shape + shape[1:])
         adj[rng.random(adj.shape) < 0.2] = -0.0
-        t.backward(out, adj)
         want = np.zeros(shape)
         np.add.at(want, ids, adj)
-        assert _same_bits(t.grads["t"], want), draw
+        assert _same_bits(_scatter_rows(shape, ids, adj), want), draw
 
 
 def test_l2norm_value_and_gradient_equal_masked_forms():
@@ -711,8 +725,7 @@ def test_product_rules_skip_inputs_that_are_not_live(monkeypatch):
         t.forward()
         adj = rng.normal(size=out.value.shape)
         assert t._input_grads(out, adj)[inputs.index(c)] is None
-        t.backward(out, adj)
-        assert np.array_equal(t.grads["p"], adj * c.value)
+        assert np.array_equal(t.backward(out, adj)["p"], adj * c.value)
 
     lengths, t_len, d = [3, 2], 3, 4
     values = _encoder_values(rng, len(lengths) * t_len, d)
@@ -720,7 +733,7 @@ def test_product_rules_skip_inputs_that_are_not_live(monkeypatch):
         t = Tape()
         nodes = [t.constant(v) if i in dead else t.param(n, v)
                  for i, (n, v) in enumerate(zip(ENCODER_INPUTS, values))]
-        out = t.encoder(*nodes, lengths)
+        out = t.encoder(nodes[0], _live_rows(lengths), *nodes[1:], lengths)
         t.forward()
         adj = rng.normal(size=out.value.shape)
         dense_live.clear()
@@ -732,12 +745,13 @@ def test_product_rules_skip_inputs_that_are_not_live(monkeypatch):
                                5 not in dead)] + [
             (0 not in dead, 2 not in dead, False),
             (0 not in dead, 1 not in dead, False)] * (len(dead) == 1), dead
-        t.backward(out, adj)
-        want = unfused_encoder(*values, lengths, out.aux[:4], adj)[1:]
-        assert set(t.grads) == {ENCODER_INPUTS[i] for i in range(6)} - {
+        got = t.backward(out, adj)
+        want = unfused_encoder(values[0], _live_rows(lengths), *values[1:],
+                               lengths, out.aux[:4], adj)[1:]
+        assert set(got) == {ENCODER_INPUTS[i] for i in range(6)} - {
             ENCODER_INPUTS[i] for i in dead}
         for name, grad in zip(ENCODER_INPUTS, want):
-            assert name not in t.grads or _same_bits(t.grads[name], grad), \
+            assert name not in got or _same_bits(got[name], grad), \
                 (dead, name)
 
 
@@ -753,15 +767,18 @@ def _bind(tape, name, value, live):
 
 def _check_encoder(values, lengths, live, adj, draw):
     """An encoder node over ``values`` (each input a leaf if ``live``
-    marks it, else a constant): its value and every live input's gradient
-    for the adjoint ``adj`` equal the unfused chain's bit for bit, and an
-    input that is not live gets no gradient computed."""
+    marks it, else a constant), whose sequences read the item table's
+    rows of their padded blocks' live positions: its value and every live
+    input's gradient for the adjoint ``adj`` equal the unfused chain's bit
+    for bit, and an input that is not live gets no gradient computed."""
     t = Tape()
     nodes = [_bind(t, n, v, on)
              for n, v, on in zip(ENCODER_INPUTS, values, live)]
-    out = t.encoder(*nodes, lengths)
+    ids = _live_rows(lengths)
+    out = t.encoder(nodes[0], ids, *nodes[1:], lengths)
     t.forward()
-    want = unfused_encoder(*values, lengths, out.aux[:4], adj)
+    want = unfused_encoder(values[0], ids, *values[1:], lengths,
+                           out.aux[:4], adj)
     assert _same_bits(out.value, want[0]), draw
     if not any(live):
         return
@@ -1123,13 +1140,15 @@ def _aliasing_tapes(rng):
 
     def encoder_twice(t, x, z):
         # z is both projection weights of one sequence of length 3
-        h = t.encoder(x, z, z, *(t.constant(rng.normal(size=shape))
-                                 for shape in ((3, 1), (3, 6), (3,))), [3])
-        return t.add(t.add(h, t.add(h, h)), t.lookup(h, [0]))
+        h = t.encoder(x, [0, 1, 2], z, z,
+                      *(t.constant(rng.normal(size=shape))
+                        for shape in ((3, 1), (3, 6), (3,))), [3])
+        return t.add(t.add(h, t.add(h, h)), t.segment_mean(h, [0], [1]))
 
     def chained_adds(t, x, z):
         h = t.add(x, z)
-        r = t.add(t.add(h, h), t.lookup(t.add(h, x), [1, 2, 0]))
+        r = t.add(t.add(h, h),
+                  t.segment_mean(t.add(h, x), [1, 2, 0], [1, 1, 1]))
         return t.add(r, t.mul(h, t.add(h, z)))
 
     def three_consumers(t, x, z):
@@ -1158,10 +1177,10 @@ def test_in_place_adjoint_sums_equal_the_out_of_place_ones():
         values = [n.value.copy() for n in t.nodes]
         grads, leaves = out_of_place_backward(t, out, adj)
         t.forward()
-        t.backward(out, adj.copy())
-        assert t.grads.keys() == grads.keys()
+        got = t.backward(out, adj.copy())
+        assert got.keys() == grads.keys()
         for name, grad in grads.items():
-            assert _same_bits(t.grads[name], grad), name
+            assert _same_bits(got[name], grad), name
         for node in t.nodes:
             if node.op == "leaf":
                 assert _same_bits(node.adjoint, leaves[node.name])

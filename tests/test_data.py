@@ -258,10 +258,8 @@ def test_degenerate_single_chain_follows_cycle():
                               seq_len_min=10, seq_len_max=10, seed=3)
     world = generate_synthetic_world(spec)
     chain = world.transitions[0]
-    per_user = {}
-    for r in world.records:
-        per_user.setdefault(r.user, []).append(r.item)
-    for items in per_user.values():
+    assert list(world.histories) == [0, 1, 2]
+    for items in world.histories.values():
         for a, b in zip(items, items[1:]):
             (succ,) = chain[a].keys()
             assert b == succ
@@ -272,7 +270,7 @@ def test_empirical_transitions_converge_to_spec_rows():
                               mix_weight=1.0, successors=2,
                               seq_len_min=10000, seq_len_max=10000, seed=17)
     world = generate_synthetic_world(spec)
-    items = [r.item for r in world.records]
+    items, = world.histories.values()
     counts = np.zeros((3, 3))
     for a, b in zip(items, items[1:]):
         counts[a, b] += 1
@@ -315,12 +313,12 @@ def test_synthetic_world_deterministic():
                               seq_len_min=8, seq_len_max=12, seed=11)
     a = generate_synthetic_world(spec)
     b = generate_synthetic_world(spec)
-    assert a.records == b.records
+    assert a.histories == b.histories
     assert a.user_chain == b.user_chain
 
 
 def test_synthetic_world_draws_the_choice_loops_stream():
-    """Records, chains and users' chains equal those of one
+    """Histories, chains and users' chains equal those of one
     ``Generator.choice`` call per chain step, over both chain kinds, one
     chain (no hop) and several, mix weights 0, 1 and between, one
     successor and several, no regular or no new users, and length-1
@@ -340,8 +338,13 @@ def test_synthetic_world_draws_the_choice_loops_stream():
     for spec in specs:
         world = generate_synthetic_world(spec)
         records, transitions, user_chain = reference_synthetic_world(spec)
-        assert [(r.user, r.item, r.rating, r.timestamp)
-                for r in world.records] == records, spec
+        histories = {}
+        for user, item, rating, step in records:
+            assert rating is None and step == len(histories.setdefault(
+                user, [])), spec
+            histories[user].append(item)
+        assert world.histories == histories, spec
+        assert list(world.histories) == list(histories), spec
         assert world.transitions == transitions, spec
         assert world.user_chain == user_chain, spec
 
@@ -354,6 +357,10 @@ def test_synthetic_split_truncates_new_users():
     assert set(regular) == {0, 1, 2}
     assert set(new) == {3, 4}
     assert all(len(items) <= 10 for items in new.values())
+    # the split's lists are copies: a dataset never edits its world
+    for user, items in {**regular, **new}.items():
+        assert items == world.histories[user][:len(items)]
+        assert items is not world.histories[user]
 
 
 # ------------------------------------------------------------ dataset dirs

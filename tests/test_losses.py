@@ -25,9 +25,8 @@ def test_pairwise_gradient_signs():
     prefs = t.leaf("prefs", [[1.0, 0.5]])
     loss = t.pair_loss(items, prefs, [0, 1], 1)
     t.forward()
-    t.backward(loss)
     # the loss's slope along each candidate's score
-    d_pos, d_neg = t.grads["items"] @ prefs.value[0]
+    d_pos, d_neg = t.backward(loss)["items"] @ prefs.value[0]
     assert d_pos < 0 < d_neg
     assert finite_difference_check(t, loss, "items") < 1e-8
 
@@ -100,11 +99,9 @@ def test_grouped_encoder_matches_per_sequence_path():
     ]
     tape = Tape()
     nodes = {k: tape.leaf(k, v) for k, v in params.theta2.items()}
-    ids = np.full((len(seqs), 3), losses.PAD_ITEM)
-    for row, s in enumerate(seqs):
-        ids[row, : len(s.items)] = s.items
-    embeds = tape.lookup(tape.constant(feats), ids.reshape(-1))
-    prefs = seq.build_sequence_encoder(tape, embeds, nodes, [3, 3, 2])
+    prefs = seq.build_sequence_encoder(
+        tape, tape.constant(feats), [i for s in seqs for i in s.items],
+        nodes, [3, 3, 2])
     tape.forward()
     for row, s in enumerate(seqs):
         expected = seq.encode_sequence(feats[list(s.items)], params.theta2)
@@ -138,19 +135,40 @@ def _batch_tape(params, feats, seqs, use_sequence=True, k_neg=2):
 
 def test_batch_loss_node_count_independent_of_distinct_lengths():
     """The node count grows with neither distinct lengths nor k_neg: a
-    batch loss is three nodes, the padded sequence rows' lookup, one
-    ``encoder`` node for the preferences and one ``pair_loss`` node for
-    the ranking loss."""
+    batch loss is two nodes, one ``encoder`` node that gathers the
+    sequences' rows and encodes them to preferences (without the sequence
+    encoder, one ``segment_mean`` node that averages them) and one
+    ``pair_loss`` node for the ranking loss."""
     g, params, _ = _tiny_setup()
     feats = np.zeros((g.n_items, params.dim))
-    one = _batch_tape(params, feats, _mixed_batch([5] * 7))[0]
-    seven = _batch_tape(params, feats, _mixed_batch(range(2, 9)))[0]
-    assert len(seven.nodes) == len(one.nodes)
-    k1, k4 = (_batch_tape(params, feats, _mixed_batch([2, 5, 3]),
-                          k_neg=k_neg)[0].nodes for k_neg in (1, 4))
-    assert len(k1) == len(k4)
-    assert [node.op for node in k1 if node.op != "param"] == [
-        "lookup", "encoder", "pair_loss"]
+    for use_sequence, pool in ((True, "encoder"), (False, "segment_mean")):
+        one, seven = (_batch_tape(params, feats, _mixed_batch(lengths),
+                                  use_sequence)[0]
+                      for lengths in ([5] * 7, range(2, 9)))
+        assert len(seven.nodes) == len(one.nodes)
+        k1, k4 = (_batch_tape(params, feats, _mixed_batch([2, 5, 3]),
+                              use_sequence, k_neg=k_neg)[0].nodes
+                  for k_neg in (1, 4))
+        assert len(k1) == len(k4)
+        assert [node.op for node in k1 if node.op != "param"] == [
+            pool, "pair_loss"]
+
+
+@pytest.mark.parametrize("use_sequence", [True, False])
+def test_batch_loss_refuses_item_ids_outside_the_table(use_sequence):
+    """A sequence item or a target at or beyond ``n_items``, or below 0,
+    is a ValueError that names the node reading it, not numpy's
+    IndexError or a row read from the table's end."""
+    g, params, _ = _tiny_setup()
+    feats = np.zeros((g.n_items, params.dim))
+    for items, target in (((0, g.n_items), 1), ((0, 1), g.n_items),
+                          ((-1, 1), 2)):
+        seqs = [BehaviorSequence(user=0, items=(2, 3, 1), target=4),
+                BehaviorSequence(user=0, items=items, target=target)]
+        tape, _ = _batch_tape(params, feats, seqs, use_sequence)
+        with pytest.raises(ValueError, match="ids span .* outside the "
+                                             f"table's {g.n_items} rows"):
+            tape.forward()
 
 
 def test_mixed_length_batch_gradients_pass_finite_differences():
@@ -161,19 +179,23 @@ def test_mixed_length_batch_gradients_pass_finite_differences():
         assert finite_difference_check(tape, loss, name, 1e-6) < 1e-4, name
 
 
-@pytest.mark.parametrize("use_sequence", [True, False])
-def test_padding_filler_leaves_loss_and_gradients_unchanged(
-        monkeypatch, use_sequence):
+def test_padding_filler_leaves_loss_and_gradients_unchanged():
+    """The row that the encoder's padded slots read, row 0 or any other,
+    changes neither the loss nor any gradient."""
     g, params, _ = _tiny_setup()
     feats = np.random.default_rng(9).normal(size=(g.n_items, params.dim))
     seqs = _mixed_batch([2, 6, 3, 4])
     runs = []
     for filler in (0, 5, 2):
-        monkeypatch.setattr(losses, "PAD_ITEM", filler)
-        tape, loss = _batch_tape(params, feats, seqs, use_sequence)
+        tape, loss = _batch_tape(params, feats, seqs)
+        encoder, = (node for node in tape.nodes if node.op == "encoder")
+        *_, segments, gather = encoder.aux
+        padded = np.ones(gather.size, dtype=bool)
+        padded[segments.ids] = False
+        assert padded.any()
+        gather[padded] = filler
         tape.forward()
-        tape.backward(loss)
-        runs.append((loss.value, tape.grads))
+        runs.append((loss.value, tape.backward(loss)))
     for value, grads in runs[1:]:
         assert value == runs[0][0]
         assert grads.keys() == runs[0][1].keys()
@@ -341,7 +363,8 @@ def test_ablation_no_diffusion_uses_inherent_features():
 
 def _item_pass(g, theta1, config, plan, adjoint, prune):
     """Item rows and theta1 gradients for ``adjoint``: through
-    ``item_feature_node``, or a lookup into the every-entity diffusion."""
+    ``item_feature_node``, or a unit-count segment mean (a gather) over
+    the every-entity diffusion."""
     tape = Tape()
     nodes = {name: tape.param(name, value) for name, value in theta1.items()}
     if prune:
@@ -349,7 +372,8 @@ def _item_pass(g, theta1, config, plan, adjoint, prune):
     else:
         diffused = gr.build_diffusion(tape, plan, nodes,
                                       config.diffusion_depth)
-        out = tape.lookup(diffused, np.arange(g.n_users, g.n_entities))
+        out = tape.segment_mean(diffused, np.arange(g.n_users, g.n_entities),
+                                np.ones(g.n_items))
     tape.forward()
     return out.value, tape.backward(out, adjoint)
 

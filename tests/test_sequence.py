@@ -17,22 +17,27 @@ from oracles import (
 
 
 def _encoder_node(embeds, params, lengths):
-    """The encoder node over leaves, after a forward."""
+    """The encoder node over leaves, after a forward: sequence i reads
+    the first ``lengths[i]`` rows of block i of ``embeds``, whose blocks
+    are ``max(lengths)`` rows each."""
+    lengths = np.asarray(lengths)
     tape = Tape()
     node = seq.build_sequence_encoder(
         tape, tape.leaf("e", embeds),
+        np.flatnonzero(np.arange(lengths.max()) < lengths[:, None]),
         {k: tape.leaf(k, v) for k, v in params.items()}, lengths)
     tape.forward()
     return node
 
 
-def _attention_table(node, embeds, params):
+def _attention_table(node, params):
     """The attention table ``[forward | backward]`` that an encoder node
-    pooled, recomputed over its layout; its weights are the node's."""
-    table, _, atts = _attention(embeds, params[seq.ATT_SRC_W],
+    pooled, recomputed from its gathered rows over its layout; its
+    weights are the node's."""
+    table, _, atts = _attention(node.saved[0], params[seq.ATT_SRC_W],
                                 params[seq.ATT_DST_W], params[seq.ATT_SCORE_W],
                                 *node.aux[:4])
-    assert all(np.array_equal(a, b) for a, b in zip(atts, node.saved[1]))
+    assert all(np.array_equal(a, b) for a, b in zip(atts, node.saved[2]))
     return table
 
 
@@ -46,9 +51,9 @@ def attention(direction, embeds, params):
     forward, 1: backward) inside its encoder node."""
     node = _encoder_node(embeds, params, [len(embeds)])
     d = embeds.shape[1]
-    table = _attention_table(node, embeds, params)
+    table = _attention_table(node, params)
     return (table[:, direction * d: (direction + 1) * d],
-            node.saved[1][direction])
+            node.saved[2][direction])
 
 
 def position_masks(t_len):
@@ -118,9 +123,9 @@ def test_stacked_attention_blocks_match_single_sequence_and_reference(
     lengths, t_len = [4, 2, 3], 4
     embeds = rng.normal(size=(len(lengths) * t_len, 4))
     node = _encoder_node(embeds, params4, lengths)
-    table = _attention_table(node, embeds, params4)
+    table = _attention_table(node, params4)
     # content logits: only the pairs inside each sequence, once
-    sigmoids, atts, pooled = node.saved
+    _, sigmoids, atts, pooled = node.saved
     assert sigmoids.shape == (sum(n * n for n in lengths), 4)
     assert table.shape == (len(lengths) * t_len, 8)
     assert node.value.shape == pooled.shape[:1] + (4,) == (3, 4)
@@ -158,7 +163,8 @@ def _encoder_node_count(t_len, n_seq=3, dim=4):
     nodes = {k: tape.param(k, v) for k, v in params.items()}
     embeds = tape.leaf("e", np.zeros((n_seq * t_len, dim)))
     before = len(tape.nodes)
-    seq.build_sequence_encoder(tape, embeds, nodes, [t_len] * n_seq)
+    seq.build_sequence_encoder(tape, embeds, np.arange(n_seq * t_len), nodes,
+                               [t_len] * n_seq)
     return len(tape.nodes) - before
 
 
@@ -201,7 +207,7 @@ def test_preference_zero_inputs(params4):
     """Zero embeddings attend to zero rows, so the pool is zero and so is
     the projection without a bias."""
     prefs = tape_value(
-        lambda t, e, p: seq.build_sequence_encoder(t, e, p, [3]),
+        lambda t, e, p: seq.build_sequence_encoder(t, e, range(3), p, [3]),
         np.zeros((3, 4)), {**params4, seq.COMBINE_B: np.zeros(4)})[0]
     np.testing.assert_array_equal(prefs, np.zeros(4))
 
@@ -210,8 +216,9 @@ def test_preference_single_row_meanpool_is_identity(params4):
     """A length-1 sequence attends to itself in both directions, and the
     mean of one row is that row."""
     e = np.random.default_rng(6).normal(size=(1, 4))
-    got = tape_value(lambda t, x, p: seq.build_sequence_encoder(t, x, p, [1]),
-                     e, params4)[0]
+    got = tape_value(
+        lambda t, x, p: seq.build_sequence_encoder(t, x, [0], p, [1]),
+        e, params4)[0]
     pooled = np.concatenate([e[0], e[0]])
     expected = np.maximum(params4[seq.COMBINE_W] @ pooled
                           + params4[seq.COMBINE_B], 0.0)
@@ -225,7 +232,7 @@ def test_preference_matches_scalar_reference(params4):
     lengths, t_len = [4, 1, 3], 4
     embeds = rng.normal(size=(len(lengths) * t_len, 4))
     node = _encoder_node(embeds, params4, lengths)
-    table = _attention_table(node, embeds, params4)
+    table = _attention_table(node, params4)
     for i, n in enumerate(lengths):
         rows = table[i * t_len: i * t_len + n]
         expected = reference_preference(rows[:, :4], rows[:, 4:],
@@ -257,7 +264,8 @@ def test_encoder_gradient_finite_differences():
     tape = Tape()
     nodes = {name: tape.param(name, value) for name, value in params.items()}
     embeds = tape.param("embeds", rng.normal(size=(t_len, dim)))
-    s_u = seq.build_sequence_encoder(tape, embeds, nodes, [t_len])
+    s_u = seq.build_sequence_encoder(tape, embeds, range(t_len), nodes,
+                                     [t_len])
     loss = tape.sum(tape.mul(s_u, tape.constant(rng.normal(size=(1, dim)))))
     for name in ["embeds", seq.ATT_SCORE_W, seq.ATT_SRC_W, seq.ATT_DST_W,
                  seq.COMBINE_W, seq.COMBINE_B]:
