@@ -2,9 +2,10 @@
 
 A :class:`Tape` records a directed acyclic graph of numpy operations. Nodes
 are appended in construction order, so the node list is always a valid
-topological order. ``forward`` evaluates every node from the bound leaves and
-parameters; ``backward`` sums adjoints in reverse order and returns each
-parameter's gradient.
+topological order. A tape's inputs are params, which are differentiated, and
+constants. ``forward`` evaluates every node from their bound values;
+``backward`` sums adjoints in reverse order and returns each param's
+gradient.
 
 All values are float64 ndarrays of rank 0, 1 or 2. There is no implicit
 broadcasting: ``add`` and ``mul`` take operands of one shape, and the fused
@@ -13,7 +14,9 @@ auditable. Each op that reads rows of a table by id gathers them itself
 (``encoder``, ``pair_loss``, ``segment_mean``, ``conv``), and refuses ids
 outside the table by name.
 
-Each backward returns the gradients of one pass.
+Each backward returns the gradients of one pass, and no adjoint outlives
+it: a tape holds values and what its gradient rules read, never gradient
+state.
 """
 
 from __future__ import annotations
@@ -31,16 +34,16 @@ class Node:
     ``idx`` is the position in the tape's node list (node id), ``op`` the
     operation kind, ``inputs`` the producing nodes, ``aux`` any static
     operation attribute (ids, a segment or encoder layout). ``value``
-    caches the most recent forward result; ``adjoint`` the most recent
-    backward one for a leaf or const (see :meth:`Tape.backward`).
-    ``live`` marks a node that a param or leaf feeds: only live nodes get
-    adjoints. ``saved`` holds what a fused node's gradient rule reads
-    besides its inputs and its value, kept from forward to forward and
-    never written by a backward, so one forward serves many backwards.
+    caches the most recent forward result. ``live`` marks a node that a
+    param feeds: only live nodes get adjoints, and those live only inside
+    :meth:`Tape.backward`. ``saved`` holds what a fused node's gradient
+    rule reads besides its inputs and its value, kept from forward to
+    forward and never written by a backward, so one forward serves many
+    backwards.
     """
 
-    __slots__ = ("idx", "op", "inputs", "aux", "value", "adjoint", "live",
-                 "name", "saved")
+    __slots__ = ("idx", "op", "inputs", "aux", "value", "live", "name",
+                 "saved")
 
     def __init__(self, idx, op, inputs=(), aux=None, name=None):
         self.idx = idx
@@ -48,8 +51,7 @@ class Node:
         self.inputs = inputs
         self.aux = aux
         self.value = None
-        self.adjoint = None
-        self.live = op in ("param", "leaf") or any(i.live for i in inputs)
+        self.live = op == "param" or any(i.live for i in inputs)
         self.name = name
         self.saved = None
 
@@ -248,11 +250,12 @@ def _attention(embeds, src_w, dst_w, score_w, rows_a, rows_b, slot, masks):
 def _attention_grads(embeds, src_w, dst_w, score_w, layout, s, atts, live,
                      adj):
     """The gradients of :func:`_attention` w.r.t. embeds, src_w, dst_w and
-    score_w for the table's adjoint ``adj``: the rules of the nodes it
-    replaced in reverse node order, the last direction first. The
-    embeddings' gradient sums the directions' block products, then the
-    ``dst_w`` and the ``src_w`` products; an input ``live`` marks dead
-    gets none of its terms computed."""
+    score_w for the table's adjoint ``adj``, bit for bit the rules of
+    ``tests/oracles.unfused_attention`` (inside ``unfused_encoder``) in
+    reverse order, the last direction first. The embeddings' gradient sums
+    the directions' block products, then the ``dst_w`` and the ``src_w``
+    products; an input ``live`` marks dead gets none of its terms
+    computed."""
     rows_a, rows_b, slot, _ = layout
     e_live, src_live, dst_live, w_live = live
     t_len, width = slot.shape[1], embeds.shape[1]
@@ -272,7 +275,8 @@ def _attention_grads(embeds, src_w, dst_w, score_w, layout, s, atts, live,
         g = att * (g - (g * att).sum(axis=1, keepdims=True))
         g_shared = g if g_shared is None else \
             np.add(g_shared, g, out=g_shared)
-    # the logits' lookup, then pair_logits' rules
+    # the logits' gather by slot, then the pair sigmoid's and the
+    # projections' rules
     g = _scatter_rows((len(s),), slot, g_shared).reshape(-1, 1)
     g_score = s.T @ g if w_live else None
     g = _sigmoid_grad(g @ score_w.T, s) \
@@ -283,8 +287,8 @@ def _attention_grads(embeds, src_w, dst_w, score_w, layout, s, atts, live,
         g_x, g_w, _ = _dense_grads(
             embeds, w, _scatter_rows((len(embeds), len(w)), rows, g),
             (e_live, w_on, False)) if e_live or w_on else (None,) * 3
-        # in C order, as the replaced transpose's copy was, so that a
-        # sum over the gradient reads it in the same order
+        # a C-ordered copy of the transposed product, so that a sum over
+        # the gradient reads its cells in row order
         g_ws.append(None if g_w is None else g_w.copy())
         if g_x is not None:
             g_embeds += g_x
@@ -375,22 +379,16 @@ class Tape:
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
 
-    # ------------------------------------------------------------------ leaves
+    # ------------------------------------------------------------------ inputs
 
     def _append(self, op, inputs=(), aux=None, name=None):
         node = Node(len(self.nodes), op, tuple(inputs), aux, name)
         self.nodes.append(node)
         return node
 
-    def leaf(self, name, value):
-        """An input node bound to ``value``; assign ``node.value`` to
-        rebind it."""
-        node = self._append("leaf", name=name)
-        node.value = _as_f64(value)
-        return node
-
     def param(self, name, value):
-        """A named trainable leaf. Names must be unique per tape."""
+        """A named input that :meth:`backward` differentiates. Names must be
+        unique per tape."""
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
         node = self._append("param", name=name)
@@ -399,6 +397,7 @@ class Tape:
         return node
 
     def constant(self, value):
+        """An input that is never differentiated."""
         node = self._append("const")
         node.value = _as_f64(value)
         return node
@@ -431,9 +430,9 @@ class Tape:
         rows. Each sequence's mean over its positions of the two outputs
         side by side goes through ``relu(. @ combine_w.T + combine_b)`` for
         a (d, 2k) ``combine_w`` and a length-d ``combine_b``: the (n, d)
-        value. Bit for bit the ``lookup``, ``attention``, ``segment_mean``
-        and ``dense`` chain, keeping the gathered rows, the pairs' sigmoid
-        table, each direction's weights and the pooled rows."""
+        value. Bit for bit ``tests/oracles.unfused_encoder``, keeping the
+        gathered rows, the pairs' sigmoid table, each direction's weights
+        and the pooled rows."""
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
             raise ValueError(f"sequence lengths must be >= 1, not {lengths}")
@@ -466,8 +465,8 @@ class Tape:
     def pair_loss(self, items, prefs, cand_ids, k_neg):
         """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
         sigmoid(d * mean(items[c] * prefs[row]))``, for candidates in groups
-        of ``1 + k_neg`` per prefs row, positive first: bit for bit the
-        twelve-node scoring chain and pairwise tail, keeping only the loss."""
+        of ``1 + k_neg`` per prefs row, positive first: bit for bit
+        ``tests/oracles.unfused_pair_loss``, keeping only the loss."""
         return self._append("pair_loss", (items, prefs),
                             aux=(np.asarray(cand_ids, dtype=np.intp), k_neg))
 
@@ -490,9 +489,8 @@ class Tape:
         (as :meth:`segment_mean`), projects the pool with ``relu(pool @
         latent_w.T + latent_b)``, concatenates ``inherent[rows[i]]`` and
         that latent row, merges them with ``relu(. @ merge_w.T + merge_b)``
-        and L2-normalizes the row (zero rows stay zero). Bit for bit the
-        ``lookup``, ``segment_mean``, ``dense``, ``concat``, ``dense`` and
-        row-normalization chain. Between passes it keeps the pool, the
+        and L2-normalizes the row (zero rows stay zero). Bit for bit
+        ``tests/oracles.unfused_conv``. Between passes it keeps the pool, the
         merge rows' norms and the merge output's mask ``> 0`` beside its
         value; its backward rebuilds the concatenation. Its gradient
         w.r.t. ``inherent`` is a :class:`RowGrad` while ``rows`` are
@@ -511,15 +509,11 @@ class Tape:
                           f"{', ' + node.name if node.name else ''}): {msg}")
 
     def forward(self):
-        """Evaluate every node in topological order.
-
-        Returns the list of cached values indexed by node id. Deterministic
-        given the leaf and parameter bindings.
-        """
+        """Evaluate every node in topological order into its ``value``;
+        deterministic given the param and constant bindings."""
         for node in self.nodes:
-            if node.op not in ("param", "const", "leaf"):
+            if node.op not in ("param", "const"):
                 node.value = self._compute(node)
-        return [n.value for n in self.nodes]
 
     def _compute(self, node):
         op = node.op
@@ -556,8 +550,8 @@ class Tape:
         raise self._err(node, "unknown op")
 
     def _dense(self, node, x, w, b):
-        """``relu(x @ w.T + b)``, in the operations of the chained
-        ``transpose``, ``matmul`` and ``add`` nodes and the relu."""
+        """``relu(x @ w.T + b)``, in the operations of
+        ``tests/oracles.unfused_dense``."""
         if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] \
                 or b.shape != w.shape[:1]:
             raise self._err(node, f"dense shapes {x.shape} x {w.shape}.T"
@@ -568,8 +562,8 @@ class Tape:
 
     def _encoder(self, node, items, src_w, dst_w, score_w, combine_w,
                  combine_b):
-        """The forward of an ``encoder`` node: the replaced nodes'
-        operations in order. Saves the gathered rows, the pairs' sigmoid
+        """The forward of an ``encoder`` node: the operations of
+        ``tests/oracles.unfused_encoder`` in order. Saves the gathered rows, the pairs' sigmoid
         table, each direction's weights and the pooled rows, all its
         backward reads besides the inputs; the attention table is dropped
         once pooled."""
@@ -609,8 +603,8 @@ class Tape:
 
     def _conv(self, node, features, inherent, latent_w, latent_b, merge_w,
               merge_b):
-        """The forward of a ``conv`` node: the replaced nodes' operations
-        in order. Saves the pool, the merge rows' norms and the merge
+        """The forward of a ``conv`` node: the operations of
+        ``tests/oracles.unfused_conv`` in order. Saves the pool, the merge rows' norms and the merge
         output's mask ``> 0``: all its backward reads of the merge output,
         and what rebuilds the concatenation."""
         segments, rows = node.aux
@@ -635,18 +629,18 @@ class Tape:
         param the pass reaches to its gradient.
 
         Any node can seed the pass with a given ``adjoint`` of its shape,
-        e.g. one another tape computed for a leaf fed from its value.
-        Adjoints are propagated in reverse topological order, to live nodes
-        only: a node no param or leaf feeds (a segment mean over a constant
-        table, say) gets no adjoint and runs no gradient rule. Each other
-        node's adjoint is released (``None``) once its rule has handed it
-        to the inputs, or once its param takes it as its gradient; leaf and
-        const adjoints stay readable until the next backward. Gradients are
-        summed in arrival order, in place: every rule returns new arrays,
-        so the pass writes only arrays it made, and it reads the caller's
-        seed. A :class:`RowGrad` stays row-sparse until it meets a dense
-        gradient or reaches its node, where it becomes a dense table.
-        Forward values stay.
+        e.g. one another tape computed for a param fed from its value.
+        Adjoints live in a list local to the call, indexed by node id, and
+        are propagated in reverse topological order to live nodes only: a
+        node no param feeds (a segment mean over a constant table, say)
+        gets no adjoint and runs no gradient rule, and a root no param
+        feeds gives ``{}``. Each adjoint is released once its rule has
+        handed it to the inputs, or once its param takes it as its
+        gradient. Gradients are summed in arrival order, in place: every
+        rule returns new arrays, so the pass writes only arrays it made,
+        and it reads the caller's seed. A :class:`RowGrad` stays row-sparse
+        until it meets a dense gradient or reaches its node, where it
+        becomes a dense table. Forward values stay.
         """
         if loss.value is None:
             raise ValueError("run forward() before backward()")
@@ -656,32 +650,31 @@ class Tape:
         if adjoint is not None and np.shape(adjoint) != loss.value.shape:
             raise ValueError(f"adjoint shape {np.shape(adjoint)} does not "
                              f"match node {loss.idx} shape {loss.value.shape}")
-        for node in self.nodes:
-            node.adjoint = None
-        loss.adjoint = np.ones_like(loss.value) if adjoint is None \
+        if not loss.live:
+            return {}
+        adjoints = [None] * (loss.idx + 1)
+        adjoints[-1] = np.ones_like(loss.value) if adjoint is None \
             else _as_f64(adjoint)
         grads = {}
         for node in reversed(self.nodes[: loss.idx + 1]):
-            adj = node.adjoint
+            # consumed below; nothing reads it again
+            adj, adjoints[node.idx] = adjoints[node.idx], None
             if adj is None:
                 continue
             if isinstance(adj, RowGrad):
-                adj = node.adjoint = adj.dense(node.value.shape)
+                adj = adj.dense(node.value.shape)
             if node.op == "param":
-                node.adjoint = None
                 # a param appears once per tape, so this is its whole
                 # gradient; a param root's is the caller's seed, so a copy
                 grads[node.name] = adj.copy() if node is loss else adj
                 continue
-            if node.op in ("leaf", "const"):
-                continue
-            node.adjoint = None     # consumed below; nothing reads it again
             in_grads = self._input_grads(node, adj)
             del adj     # freed before the sums below
             for inp, grad in zip(node.inputs, in_grads):
                 if grad is not None and inp.live:
-                    inp.adjoint = grad if inp.adjoint is None else \
-                        _add_adjoints(inp.adjoint, grad, inp.value.shape)
+                    i = inp.idx
+                    adjoints[i] = grad if adjoints[i] is None else \
+                        _add_adjoints(adjoints[i], grad, inp.value.shape)
         return grads
 
     def _input_grads(self, node, adj):
@@ -700,7 +693,7 @@ class Tape:
         if op == "pair_loss":
             (items, prefs), (cand, k_neg) = vals, node.aux
             c, p, rows, s, pos, neg, x = _pair_terms(items, prefs, cand, k_neg)
-            # the replaced chain's rules, in reverse node order
+            # tests/oracles.unfused_pair_loss's rules, in reverse order
             g = np.broadcast_to(adj / x.size, x.shape) * stable_sigmoid(x)
             gp = _scatter_rows(s.shape, neg, g) + \
                 _scatter_rows(s.shape, pos, g * -1.0)
@@ -721,8 +714,8 @@ class Tape:
 
     @staticmethod
     def _encoder_grads(node, vals, adj):
-        """An ``encoder`` node's input gradients: the replaced nodes' rules
-        in reverse node order. The projection's; the block mean's, as the
+        """An ``encoder`` node's input gradients: the rules of
+        ``tests/oracles.unfused_encoder`` in reverse order. The projection's; the block mean's, as the
         attention table's adjoint: ``adj / count`` in each sequence's live
         rows, zero elsewhere; the attention's; the gather's, which scatters
         the gathered rows' gradient into the table. An input that is not
@@ -746,11 +739,11 @@ class Tape:
                 g_cb]
 
     def _conv_grads(self, node, vals, adj):
-        """A ``conv`` node's input gradients: the replaced nodes' rules in
-        reverse node order, each temporary dropped once used; the features
-        gradient comes before the inherent one, as the pool's node came
-        after the lookup's, and the inherent one is a :class:`RowGrad` for
-        strictly increasing rows. The concatenation is rebuilt as the
+        """A ``conv`` node's input gradients: the rules of
+        ``tests/oracles.unfused_conv`` in reverse order, each temporary
+        dropped once used; the features gradient comes before the inherent
+        one, as the oracle pools after it gathers the inherent rows, and the
+        inherent one is a :class:`RowGrad` for strictly increasing rows. The concatenation is rebuilt as the
         forward built it and freed once the merge weights' gradients and
         the latent mask are taken."""
         (features, inherent, latent_w, latent_b, merge_w, _), \
@@ -770,8 +763,9 @@ class Tape:
         del merged
         g_merged = g @ merge_w if i_live or latent_live else None
         del g
-        # the concatenation's halves: the latent dense's, and the lookup's
-        # as a copy, so that g_merged is freed before the pool's backward
+        # the concatenation's halves: the latent dense's, and the inherent
+        # rows' as a copy, so that g_merged is freed before the pool's
+        # backward
         g = g_merged[:, width:] * latent_on if latent_live else None
         g_looked = g_merged[:, :width].copy() if i_live else None
         del g_merged

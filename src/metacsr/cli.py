@@ -40,7 +40,7 @@ def _parse_overrides(args) -> dict:
     overrides = {}
     for item in args.overrides:
         if "=" not in item:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key] = value
     if args.seed is not None:

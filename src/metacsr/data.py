@@ -162,7 +162,7 @@ def positive_histories(records, spec) -> dict[int, list[InteractionRecord]]:
     return {u: h for u, h in histories.items() if len(h) >= 2}
 
 
-def split_users(records, spec, rng):
+def split_users(records, spec):
     """Partition retained users into regular and new histories.
 
     by-activity: users ranked by interaction count (ties broken by user

@@ -101,8 +101,7 @@ def run_prepare(config: RunConfig) -> Path:
         fmt = "movielens-dcolon" if dcfg.source == "movielens" else "tsv"
         parsed = datamod.parse_interactions(dcfg.path, fmt=fmt,
                                             time_range=dcfg.time_range)
-        regular, new = datamod.split_users(parsed.records, dcfg.split,
-                                           component_rng(config.seed, "split"))
+        regular, new = datamod.split_users(parsed.records, dcfg.split)
         dataset = datamod.Dataset(regular=regular, new=new,
                                   n_items=parsed.stats.n_items,
                                   split_spec=dcfg.split, seed=config.seed,

@@ -9,8 +9,8 @@ nodes: one ``encoder`` node (or, without the sequence encoder, one
 feature table and pools them to preferences, and one ``pair_loss`` node
 scores every candidate and reduces the pairs. The item features enter
 it as a node: :class:`ItemFeatures` is the one differentiable pass from
-theta1 (a loss tape reads its value through a leaf and hands the leaf's
-adjoint back), and ``cached_item_features`` is the value-only table for
+theta1 (a loss tape reads its value as a param and hands that param's
+gradient back), and ``cached_item_features`` is the value-only table for
 evaluation.
 """
 
@@ -77,13 +77,14 @@ class ItemFeatures:
     """One forward pass of the item-feature table from theta1.
 
     Draws a neighbor plan from ``rng`` when diffusion is on and keeps the
-    pass on its own tape, so a loss built over ``value`` (through a leaf)
-    can push its gradient w.r.t. the table back to theta1. theta1 must not
-    change between the pass and :meth:`theta1_grads`. The tape computes
-    only the rows that reach the item rows (see :func:`item_feature_node`)
-    and keeps what their backward reads (see :meth:`Tape.conv`); the plan
-    is dropped once the tape is built. In a backward, the inherent table's
-    gradient stays row-sparse until its param sums it into one table.
+    pass on its own tape, so a loss built over ``value`` (read as a param
+    of the loss's tape) can push its gradient w.r.t. the table back to
+    theta1. theta1 must not change between the pass and
+    :meth:`theta1_grads`. The tape computes only the rows that reach the
+    item rows (see :func:`item_feature_node`) and keeps what their
+    backward reads (see :meth:`Tape.conv`); the plan is dropped once the
+    tape is built. In a backward, the inherent table's gradient stays
+    row-sparse until its param sums it into one table.
     """
 
     def __init__(self, graph_, params, rng):

@@ -16,8 +16,8 @@ a single inner step, and makes the first-order approximation auditable.
 
 Each outer step runs the item-feature pass once. Every loss that needs
 theta1 gradients goes through :func:`query_grads`, which reads the
-features through a leaf and pushes the leaf's adjoint back through the
-pass.
+features as a param of its tape and pushes that param's gradient back
+through the pass.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ ADAM_EPS = 1e-8
 WINDOW_STEPS = 20
 PLATEAU_TOL = 1e-4
 HVP_SCALE = 1e-5    # finite-difference radius per unit of (1 + |theta2|)
+# the query tape's feature-table param; no "{b}/{name}" theta2 param has it
+FEATURES = "item_features"
 # numbers per block of an Adam step: its two buffers stay in cache
 ADAM_BLOCK_FLOATS = 32768
 
@@ -188,19 +190,20 @@ def query_grads(features, batches, cfg, histories, model_config):
 
     ``features`` is a :class:`losses.ItemFeatures`; ``batches`` holds
     (theta2, sequences, rng) triples, one batch loss each, all on one tape
-    that reads the table through a leaf. Returns (loss, theta1 gradients
-    from the leaf's adjoint pushed through the pass, one theta2 gradient
-    mapping per batch, zero where none reach). The query tape is freed
-    before the push, so the two backwards never hold both tapes.
+    that reads the table as the param ``FEATURES``. Returns (loss, theta1
+    gradients from that param's gradient pushed through the pass, one
+    theta2 gradient mapping per batch, zero where none reach). The query
+    tape is freed before the push, so the two backwards never hold both
+    tapes.
     """
     tape = Tape()
-    leaf = tape.leaf("item_features", features.value)
+    table = tape.param(FEATURES, features.value)
     total = None
     for b, (theta2, sequences, rng) in enumerate(batches):
         nodes = {name: tape.param(f"{b}/{name}", value)
                  for name, value in theta2.items()}
         loss = losses.build_batch_loss(
-            tape, leaf, nodes, list(sequences), cfg.k_neg, rng,
+            tape, table, nodes, list(sequences), cfg.k_neg, rng,
             histories, features.value.shape[0],
             use_sequence=model_config.use_sequence)
         total = loss if total is None else tape.add(total, loss)
@@ -209,9 +212,9 @@ def query_grads(features, batches, cfg, histories, model_config):
     g2 = [{name: grads.get(f"{b}/{name}", np.zeros_like(value))
            for name, value in theta2.items()}
           for b, (theta2, _, _) in enumerate(batches)]
-    value, adjoint = float(total.value), leaf.adjoint
-    del tape, leaf, total, loss, nodes      # every reference to the tape
-    return value, features.theta1_grads(adjoint), g2
+    value = float(total.value)
+    del tape, table, total, loss, nodes     # every reference to the tape
+    return value, features.theta1_grads(grads.pop(FEATURES)), g2
 
 
 def sum_grads(grads):

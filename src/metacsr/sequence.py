@@ -52,8 +52,8 @@ def encode_sequence(seq_embeds, params):
     """Value-level full encoder for one sequence."""
     seq_embeds = np.asarray(seq_embeds, dtype=np.float64)
     tape = Tape()
-    nodes = {name: tape.leaf(name, value) for name, value in params.items()}
-    node = build_sequence_encoder(tape, tape.leaf("e", seq_embeds),
+    nodes = {name: tape.constant(value) for name, value in params.items()}
+    node = build_sequence_encoder(tape, tape.constant(seq_embeds),
                                   np.arange(len(seq_embeds)), nodes,
                                   [len(seq_embeds)])
     tape.forward()

@@ -6,7 +6,7 @@ implementations they check. The exceptions are the tape helpers:
 :func:`tape_value` (the forward value of one package builder over plain
 arrays, through which tests reach the builders the program runs),
 :func:`full_stack_tape` (the package's builders composed on a single
-tape, against which the feature-leaf route is compared and finite
+tape, against which the feature-param route is compared and finite
 differences are taken), :func:`feature_loss` (one batch loss over a
 constant item-feature table, against which adaptation is checked). The
 unfused chains :func:`unfused_encoder` (through :func:`unfused_attention`
@@ -292,14 +292,14 @@ def neighbor_plan(graph, config, rng):
 
 
 def tape_value(build, *arrays):
-    """Forward value of ``build(tape, *leaves)`` on a fresh tape, each of
-    ``arrays`` bound as a leaf (a dict as a dict of leaves); a tuple of
-    nodes gives a tuple of values."""
+    """Forward value of ``build(tape, *constants)`` on a fresh tape, each
+    of ``arrays`` bound as a constant (a dict as a dict of constants); a
+    tuple of nodes gives a tuple of values."""
     from metacsr.autodiff import Tape
 
     tape = Tape()
-    out = build(tape, *({k: tape.leaf(k, v) for k, v in a.items()}
-                        if isinstance(a, dict) else tape.leaf("x", a)
+    out = build(tape, *({k: tape.constant(v) for k, v in a.items()}
+                        if isinstance(a, dict) else tape.constant(a)
                         for a in arrays))
     tape.forward()
     return tuple(n.value for n in out) if isinstance(out, tuple) else out.value
@@ -618,26 +618,19 @@ def unfused_conv(features, inherent, rows, ids, counts, latent_w, latent_b,
 
 def out_of_place_backward(tape, loss, adjoint):
     """``tape.backward(loss, adjoint)`` with every adjoint sum and every
-    parameter gradient a new array; returns (gradients, each live leaf's
-    adjoint by name)."""
-    for node in tape.nodes:
-        node.adjoint = None
+    parameter gradient a new array, the adjoints kept in a dict by node
+    id; returns the gradients by param name."""
+    adjoints = {loss.idx: np.asarray(adjoint, dtype=np.float64)}
     grads = {}
-    loss.adjoint = np.asarray(adjoint, dtype=np.float64)
     for node in reversed(tape.nodes[: loss.idx + 1]):
-        adj, node.adjoint = node.adjoint, None
+        adj = adjoints.pop(node.idx, None)
         if adj is None or node.op == "const":
             continue
-        if node.op == "leaf":
-            node.adjoint = adj
-            continue
         if node.op == "param":
-            grads[node.name] = adj.copy() if node.name not in grads \
-                else grads[node.name] + adj
+            grads[node.name] = adj.copy()
             continue
         for inp, grad in zip(node.inputs, tape._input_grads(node, adj)):
             if grad is not None and inp.live:
-                inp.adjoint = grad if inp.adjoint is None \
-                    else inp.adjoint + grad
-    return grads, {n.name: n.adjoint for n in tape.nodes
-                   if n.op == "leaf" and n.live}
+                adjoints[inp.idx] = grad if inp.idx not in adjoints \
+                    else adjoints[inp.idx] + grad
+    return grads

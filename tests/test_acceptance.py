@@ -96,14 +96,14 @@ def test_criterion_1_gradient_correctness():
     ledger for the numerical analysis.
     """
     started = time.time()
-    from test_autodiff import ALL_OPS, _op_case
+    from test_autodiff import ALL_OPS, _checked_params, _op_case
 
     ok = True
     draws = max(1, 100 // len(ALL_OPS) + 1)
     for op in ALL_OPS:
         for i in range(draws):
             tape, loss = _op_case(op, np.random.default_rng(3000 + i))
-            for name in tape.params:
+            for name in _checked_params(tape):
                 ok &= finite_difference_check(tape, loss, name, 1e-6) < 1e-4
 
     # full sequence encoder, standalone embeddings (T=4, d=4)
@@ -470,8 +470,7 @@ def test_criterion_8_pipeline_fidelity():
         parsed = parse_interactions(real)
         ok &= parsed.stats.n_users == 6040
         ok &= parsed.stats.max_raw_item_id == 3952
-        regular, new = split_users(parsed.records, SplitSpec(),
-                                   np.random.default_rng(0))
+        regular, new = split_users(parsed.records, SplitSpec())
         ok &= len(regular) == 4832 and len(new) == 1208
         scope = "full ML-1M file"
     else:
@@ -489,15 +488,14 @@ def test_criterion_8_pipeline_fidelity():
     for user in range(6040):
         for j in range(2 + user % 7):
             records.append(InteractionRecord(user, (user + j) % 200, None, j))
-    regular, new = split_users(records, SplitSpec(), np.random.default_rng(0))
+    regular, new = split_users(records, SplitSpec())
     ok &= len(regular) == 4832 and len(new) == 1208
     ok &= all(len(items) <= 10 for items in new.values())
 
     # new-user truncation keeps the earliest behaviors
     records = [InteractionRecord(0, i, None, i) for i in range(30)]
     records += [InteractionRecord(1, i, None, i) for i in range(40)]
-    _, truncated = split_users(records, SplitSpec(regular_fraction=0.5),
-                               np.random.default_rng(0))
+    _, truncated = split_users(records, SplitSpec(regular_fraction=0.5))
     (items,) = truncated.values()
     ok &= items == list(range(10))
 

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def _projection(t, x, w, b):
 
 def test_relu_forward():
     t = Tape()
-    x = t.leaf("x", [[-1.0, 0.0, 2.0]])
+    x = t.constant([[-1.0, 0.0, 2.0]])
     y = _projection(t, x, t.constant(np.eye(3, 6)), t.constant(np.zeros(3)))
     t.forward()
     np.testing.assert_array_equal(y.value, [[0.0, 0.0, 2.0]])
@@ -65,8 +66,8 @@ def test_relu_forward():
 def test_sigmoid_at_zero():
     """All-zero scores: every probability is 0.5, every pair softplus(0)."""
     t = Tape()
-    items = t.leaf("items", np.zeros((4, 3)))
-    prefs = t.leaf("prefs", np.ones((2, 3)))
+    items = t.constant(np.zeros((4, 3)))
+    prefs = t.constant(np.ones((2, 3)))
     loss = t.pair_loss(items, prefs, [0, 1, 2, 3, 3, 2, 1, 0], 3)
     t.forward()
     assert loss.value.shape == ()
@@ -81,7 +82,7 @@ def test_dense_matches_triple_loop():
     w = rng.normal(size=(4, 6))
     b = rng.normal(size=4)
     t = Tape()
-    c = _projection(t, t.leaf("x", x), t.leaf("w", w), t.leaf("b", b))
+    c = _projection(t, t.constant(x), t.constant(w), t.constant(b))
     t.forward()
     assert c.value.shape == (2, 4)
     np.testing.assert_allclose(
@@ -90,24 +91,23 @@ def test_dense_matches_triple_loop():
 
 
 def _conv_of(t, features, inherent, latent_width=2, rows=(0,)):
-    """A conv node over leaves: each of ``rows`` pools features rows 0 and
-    1; weights for a 2-wide inherent table."""
-    return t.conv(t.leaf("f", features), t.leaf("i", inherent), rows,
+    """A conv node over constants: each of ``rows`` pools features rows 0
+    and 1; weights for a 2-wide inherent table."""
+    return t.conv(t.constant(features), t.constant(inherent), rows,
                   [0, 1] * len(rows), [2] * len(rows),
-                  t.leaf("lw", np.ones((latent_width, 2))),
-                  t.leaf("lb", np.ones(latent_width)),
-                  t.leaf("mw", np.ones((2, 4))), t.leaf("mb", np.ones(2)))
+                  t.constant(np.ones((latent_width, 2))),
+                  t.constant(np.ones(latent_width)),
+                  t.constant(np.ones((2, 4))), t.constant(np.ones(2)))
 
 
 def _encoder_of(t, items_shape, lengths=(2, 1, 2), w_shape=(3, 3),
                 score_shape=(3, 1), combine_shape=(3, 6), bias_shape=(3,),
                 ids=None):
-    """An encoder node over leaves of ones of the given shapes, reading
+    """An encoder node over constants of ones of the given shapes, reading
     items 0, 1, ... in order unless ``ids`` are given."""
-    shapes = (items_shape, w_shape, w_shape, score_shape, combine_shape,
-              bias_shape)
-    items, *weights = (t.leaf(name, np.ones(shape))
-                       for name, shape in zip(ENCODER_INPUTS, shapes))
+    items, *weights = (t.constant(np.ones(shape)) for shape in (
+        items_shape, w_shape, w_shape, score_shape, combine_shape,
+        bias_shape))
     return t.encoder(items, np.arange(sum(lengths)) if ids is None else ids,
                      *weights, lengths)
 
@@ -168,32 +168,33 @@ def test_linear_layer_gradient_nearly_exact():
     rng = np.random.default_rng(3)
     t = Tape()
     w = t.param("w", np.abs(rng.normal(size=(4, 10))))
-    x = t.leaf("x", np.abs(rng.normal(size=(1, 5))) + 0.5)
+    x = t.param("x", np.abs(rng.normal(size=(1, 5))) + 0.5)
     loss = t.sum(_projection(t, x, w, t.constant(np.zeros(4))))
     assert finite_difference_check(t, loss, "w") < 1e-8
 
 
 def _fused_rule_case(t, rng, live, lengths=(2, 1, 2), ids=None):
     """An encoder node whose inputs named in ``live`` (e: the item table,
-    s: src_w, d: dst_w, w: score_w, c: combine_w, b: combine_b) read
-    params and whose others are leaves. The item table is the param p,
-    src_w and dst_w read rows of it through unit-count segment means, and
-    each other live input is a param of its own; a combine_b leaf is
-    large, so that most projected rows pass the relu. The sequences read
-    ``ids``, by default the rows of their padded blocks' live positions."""
+    s: src_w, d: dst_w, w: score_w, c: combine_w, b: combine_b) read the
+    param p and whose others are params named by their letter. The item
+    table is p, src_w and dst_w read rows of it through unit-count segment
+    means, and each other input in ``live`` is a param p/<letter>; a
+    combine_b outside ``live`` is large, so that most projected rows pass
+    the relu. The sequences read ``ids``, by default the rows of their
+    padded blocks' live positions."""
     table = rng.normal(size=(len(lengths) * max(lengths), 3))
     a = t.param("p", table) if set(live) & set("esd") else None
     reads = {
         "e": lambda: a,
         "s": lambda: t.segment_mean(a, [0, 2, 4], [1, 1, 1]),
         "d": lambda: t.mul(t.segment_mean(a, [5, 1, 3], [1, 1, 1]),
-                           t.leaf("x", rng.normal(size=(3, 3)))),
+                           t.param("x", rng.normal(size=(3, 3)))),
     }
     shapes = {"e": table.shape, "s": (3, 3), "d": (3, 3), "w": (3, 1),
               "c": (3, 6), "b": (3,)}
     inputs = [reads[k]() if k in live and k in reads else
               t.param(f"p/{k}", rng.normal(size=shapes[k])) if k in live else
-              t.leaf(k, rng.normal(size=shapes[k]) + 10.0 * (k == "b"))
+              t.param(k, rng.normal(size=shapes[k]) + 10.0 * (k == "b"))
               for k in "esdwcb"]
     return t.encoder(inputs[0], _live_rows(lengths) if ids is None else ids,
                      *inputs[1:], lengths)
@@ -237,16 +238,16 @@ def _op_case(name, rng):
         out = _fused_rule_case(t, rng, "esdwcb", ids=[1, 4, 1, 5, 1])
     elif name == "add_same":
         a = t.param("p", rng.normal(size=(3, 4)))
-        out = t.add(a, t.leaf("x", rng.normal(size=(3, 4))))
+        out = t.add(a, t.param("x", rng.normal(size=(3, 4))))
     elif name == "mul":
         a = t.param("p", rng.normal(size=(2, 5)))
-        out = t.mul(a, t.leaf("x", rng.normal(size=(2, 5))))
+        out = t.mul(a, t.param("x", rng.normal(size=(2, 5))))
     elif name == "pair_loss":
         # p reaches items and prefs; repeated candidates and prefs rows;
         # k_neg of 1 (3 rows) and of 3 (2 rows)
         a = t.param("p", rng.normal(size=(6, 3)))
         prefs = t.mul(t.segment_mean(a, [1, 4, 1], [1, 1, 1]),
-                      t.leaf("x", rng.normal(size=(3, 3))))
+                      t.param("x", rng.normal(size=(3, 3))))
         out = t.add(t.pair_loss(a, prefs, [0, 2, 2, 5, 1, 2], 1),
                     t.pair_loss(a, t.segment_mean(prefs, [2, 1], [1, 1]),
                                 [4, 0, 4, 3, 2, 2, 5, 0], 3))
@@ -274,6 +275,13 @@ def _op_case(name, rng):
     return t, t.sum(t.mul(out, w))
 
 
+def _checked_params(tape):
+    """The params an op case differentiates on purpose, p and p/<input>;
+    the others keep their inputs live, so that every rule runs."""
+    return [name for name in tape.params
+            if name == "p" or name.startswith("p/")]
+
+
 def out_shape(tape, node):
     tape.forward()
     return node.value.shape
@@ -289,22 +297,38 @@ def test_every_op_gradient_against_finite_differences(op):
     # 5 random draws per op; the acceptance suite runs the 100-draw sweep
     for seed in range(5):
         t, loss = _op_case(op, np.random.default_rng(1000 + seed))
-        for name in t.params:
+        for name in _checked_params(t):
             assert finite_difference_check(t, loss, name,
                                            epsilon=1e-6) < 1e-4, (op, name)
 
 
 @pytest.mark.parametrize("op", ALL_OPS + list(FUSED_RULES))
 def test_backward_releases_each_consumed_adjoint(op):
-    """Every adjoint but a leaf's or a const's is gone after backward, and
-    a second backward gives the same gradients."""
-    t, loss = _op_case(op, np.random.default_rng(11))
+    """Every ndarray adjoint a gradient rule consumed is freed before the
+    next rule runs, and the last one before backward returns, from the
+    loss and from a seeded inner node; the caller's seed is exempt, and
+    numpy scalars (0-d products), which take no weak reference, are
+    skipped. A second backward gives the same gradients."""
+    rng = np.random.default_rng(11)
+    t, loss = _op_case(op, rng)
+    root = loss if op == "sum" else loss.inputs[0].inputs[0]
     t.forward()
+    seed = rng.normal(size=root.value.shape)
+    original = t._input_grads
+    consumed = []
+
+    def spy(node, adj):
+        assert all(ref() is None for ref in consumed), node
+        if isinstance(adj, np.ndarray) and adj is not seed:
+            consumed.append(weakref.ref(adj))
+        return original(node, adj)
+
+    t._input_grads = spy
     first = {name: g.copy() for name, g in t.backward(loss).items()}
-    leaves = [node for node in t.nodes if node.op == "leaf" and node.live]
-    assert all(node.adjoint is None for node in t.nodes
-               if node.op not in ("leaf", "const"))
-    assert all(node.adjoint is not None for node in leaves)
+    assert consumed and all(ref() is None for ref in consumed)
+    consumed.clear()
+    t.backward(root, seed)
+    assert all(ref() is None for ref in consumed)
     second = t.backward(loss)
     assert set(second) == set(first) == set(t.params)
     for name, grad in first.items():
@@ -397,8 +421,7 @@ def test_shape_mismatch_names_node():
     """No op broadcasts: an ``add`` of a matrix and a row vector fails."""
     for b_shape in ((4, 2), (3,)):
         t = Tape()
-        a = t.leaf("a", np.ones((2, 3)))
-        c = t.add(a, t.leaf("b", np.ones(b_shape)))
+        c = t.add(t.constant(np.ones((2, 3))), t.constant(np.ones(b_shape)))
         with pytest.raises(ShapeError, match=f"node {c.idx}"):
             t.forward()
 
@@ -487,19 +510,20 @@ def _const_gather_tape():
     table = t.constant(rng.normal(size=(50, 3)))
     rows = t.segment_mean(table, [4, 9, 4], [1, 1, 1])
     w = t.param("w", rng.normal(size=(3, 3)))
-    x = t.leaf("x", rng.normal(size=(3, 3)))
+    x = t.param("x", rng.normal(size=(3, 3)))
     h = t.mul(t.add(rows, x), w)
     loss = t.sum(t.mul(h, t.segment_mean(
         t.constant(rng.normal(size=(9, 3))), [0, 3, 8], [1, 1, 1])))
     return t, loss, table, rows, x
 
 
-def test_backward_skips_nodes_no_param_or_leaf_feeds():
+def test_backward_skips_nodes_no_param_feeds():
+    """A segment mean over a constant table runs no gradient rule, and the
+    params' gradients are those of a pass that differentiates it; a root
+    that no param feeds, a constant or an op over one, gives {}."""
     t, loss, table, rows, x = _const_gather_tape()
     t.forward()
-    t.backward(loss)
     assert not table.live and not rows.live and x.live
-    assert table.adjoint is None and rows.adjoint is None
     differentiated = []
     original = t._input_grads
 
@@ -508,17 +532,20 @@ def test_backward_skips_nodes_no_param_or_leaf_feeds():
         return original(node, adj)
 
     t._input_grads = spy
-    skipped = t.backward(loss), x.adjoint.copy()
+    skipped = {name: g.copy() for name, g in t.backward(loss).items()}
+    assert "segment_mean" not in differentiated
+    assert skipped.keys() == {"w", "x"}
+    assert t.backward(table, np.ones(table.value.shape)) == {}
+    assert t.backward(rows, np.ones(rows.value.shape)) == {}
     assert "segment_mean" not in differentiated
 
     for node in t.nodes:
-        node.live = True
+        node.live = node.op != "const"
     grads = t.backward(loss)
-    assert "segment_mean" in differentiated and table.adjoint is not None
-    assert all(node.adjoint is None for node in t.nodes
-               if node.op not in ("leaf", "const"))
-    np.testing.assert_array_equal(skipped[0]["w"], grads["w"])
-    np.testing.assert_array_equal(skipped[1], x.adjoint)
+    assert "segment_mean" in differentiated
+    assert grads.keys() == skipped.keys()
+    for name, grad in skipped.items():
+        np.testing.assert_array_equal(grads[name], grad)
 
 
 def test_segment_mean_equals_chained_add_and_scale_bit_for_bit():
@@ -528,8 +555,7 @@ def test_segment_mean_equals_chained_add_and_scale_bit_for_bit():
     counts[3] = 0
     ids = rng.integers(0, 40, size=int(counts.sum()))
     t = Tape()
-    node = t.leaf("table", table)
-    pooled = t.segment_mean(node, ids, counts)
+    pooled = t.segment_mean(t.constant(table), ids, counts)
     t.forward()
     start = 0
     for i, count in enumerate(counts):
@@ -545,7 +571,7 @@ def test_segment_mean_equals_chained_add_and_scale_bit_for_bit():
 
 def test_segment_mean_rejects_counts_that_do_not_cover_ids():
     t = Tape()
-    table = t.leaf("x", np.ones((3, 2)))
+    table = t.constant(np.ones((3, 2)))
     with pytest.raises(ValueError, match="counts"):
         t.segment_mean(table, [0, 1, 2], [1, 1])
 
@@ -569,7 +595,7 @@ def test_segment_ids_outside_the_table_are_refused_by_name(bad):
                   lambda t, x: t.pair_loss(x, t.constant(np.ones((2, 2))),
                                            [0, bad, 2, 0], 1)):
         t = Tape()
-        node = build(t, t.leaf("x", np.ones((3, 2))))
+        node = build(t, t.constant(np.ones((3, 2))))
         with pytest.raises(ShapeError, match=f"node {node.idx} .*"
                                              f"span \\[{min(bad, 0)}, "
                                              f"{max(bad, 2)}\\]"):
@@ -647,7 +673,7 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
     def grads(seeded):
         t = Tape()
         p = t.param("p", np.arange(24.0).reshape(3, 8) / 20 - 0.5)
-        out = _projection(t, t.leaf("x", x.T), p, t.constant(np.zeros(3)))
+        out = _projection(t, t.param("x", x.T), p, t.constant(np.zeros(3)))
         loss = t.sum(t.mul(out, t.constant(weights.T)))
         t.forward()
         return (t.backward(out, weights.T) if seeded
@@ -762,15 +788,15 @@ def _same_bits(a, b):
 
 
 def _bind(tape, name, value, live):
-    return tape.leaf(name, value) if live else tape.constant(value)
+    return tape.param(name, value) if live else tape.constant(value)
 
 
 def _check_encoder(values, lengths, live, adj, draw):
-    """An encoder node over ``values`` (each input a leaf if ``live``
+    """An encoder node over ``values`` (each input a param if ``live``
     marks it, else a constant), whose sequences read the item table's
     rows of their padded blocks' live positions: its value and every live
     input's gradient for the adjoint ``adj`` equal the unfused chain's bit
-    for bit, and an input that is not live gets no gradient computed."""
+    for bit, and an input that is not live gets no gradient."""
     t = Tape()
     nodes = [_bind(t, n, v, on)
              for n, v, on in zip(ENCODER_INPUTS, values, live)]
@@ -780,12 +806,10 @@ def _check_encoder(values, lengths, live, adj, draw):
     want = unfused_encoder(values[0], ids, *values[1:], lengths,
                            out.aux[:4], adj)
     assert _same_bits(out.value, want[0]), draw
-    if not any(live):
-        return
-    t.backward(out, adj)
-    for node, on, grad in zip(nodes, live, want[1:]):
-        assert node.adjoint is None if not on \
-            else _same_bits(node.adjoint, grad), (draw, node.name)
+    got = t.backward(out, adj)
+    assert got.keys() == {n for n, on in zip(ENCODER_INPUTS, live) if on}
+    for name, grad in zip(ENCODER_INPUTS, want[1:]):
+        assert name not in got or _same_bits(got[name], grad), (draw, name)
 
 
 def test_dense_equals_the_unfused_chain_bit_for_bit():
@@ -883,12 +907,11 @@ def test_pair_loss_equals_the_unfused_chain_bit_for_bit():
         loss = t.pair_loss(*inputs, cand, k_neg)
         t.forward()
         assert _same_bits(loss.value, want[0]), draw
-        if not any(live):
-            continue
-        t.backward(loss)
-        for node, on, grad in zip(inputs, live, want[1:]):
-            assert node.adjoint is None if not on \
-                else _same_bits(node.adjoint, grad), draw
+        got = t.backward(loss)
+        assert got.keys() == {n for n, on in zip(("items", "prefs"), live)
+                              if on}, draw
+        for name, grad in zip(("items", "prefs"), want[1:]):
+            assert name not in got or _same_bits(got[name], grad), draw
 
 
 def test_fused_ops_reject_mismatched_shapes():
@@ -897,11 +920,11 @@ def test_fused_ops_reject_mismatched_shapes():
                   lambda t: _encoder_of(t, (6, 2)),
                   lambda t: _encoder_of(t, (6, 3), score_shape=(3, 2)),
                   lambda t: _encoder_of(t, (6, 3), w_shape=(3,)),
-                  lambda t: t.pair_loss(t.leaf("items", np.ones((4, 3))),
-                                        t.leaf("prefs", np.ones((2, 2))),
+                  lambda t: t.pair_loss(t.constant(np.ones((4, 3))),
+                                        t.constant(np.ones((2, 2))),
                                         [0, 1, 2, 3], 1),
-                  lambda t: t.pair_loss(t.leaf("items", np.ones((4, 3))),
-                                        t.leaf("prefs", np.ones((2, 3))),
+                  lambda t: t.pair_loss(t.constant(np.ones((4, 3))),
+                                        t.constant(np.ones((2, 3))),
                                         [0, 1, 2, 3, 0], 1),
                   lambda t: _conv_of(t, np.ones((2, 2)), np.ones((2, 2)), 3),
                   lambda t: _conv_of(t, np.ones((2, 3)), np.ones((2, 2))),
@@ -963,8 +986,8 @@ def test_every_op_has_a_builder_a_forward_and_a_gradient_rule():
     built = built_ops(tree)
     computed = _dispatched_ops(methods["_compute"])
     differentiated = _dispatched_ops(methods["_input_grads"])
-    sources = {"leaf", "param", "const"}    # bound, not computed
-    assert sources <= built
+    sources = built - computed      # bound, not computed
+    assert sources == {"param", "const"}, sources
     assert computed == built - sources, computed ^ (built - sources)
     assert differentiated == built - sources, \
         differentiated ^ (built - sources)
@@ -1012,13 +1035,15 @@ def test_conv_equals_the_six_node_chain_bit_for_bit():
         out = t.conv(nodes[0], nodes[1], rows, ids, counts, *nodes[2:])
         t.forward()
         assert _same_bits(out.value, want[0]), draw
-        t.backward(out, adj)
+        got = t.backward(out, adj)
         grads = list(want[1:])
         if layer0:
             grads[1] = grads[0] + grads[1]
-        for node, on, grad in list(zip(nodes, live, grads))[layer0:]:
-            assert node.adjoint is None if not on \
-                else _same_bits(node.adjoint, grad), (draw, node.name)
+        assert got.keys() == {name for name, on in list(zip(
+            names, live))[layer0:] if on}, draw
+        for name, grad in list(zip(names, grads))[layer0:]:
+            assert name not in got or _same_bits(got[name], grad), \
+                (draw, name)
 
 
 def test_two_conv_layers_sharing_inherent_equal_the_chained_rules():
@@ -1026,10 +1051,10 @@ def test_two_conv_layers_sharing_inherent_equal_the_chained_rules():
     inherent gradient ``(A + G_pool) + G_rows`` (layer 1's rows, then
     layer 0's pool and rows) and every weight gradient equal two chained
     unfused layers', bit for bit. Overlapping and disjoint row sets, -0.0
-    adjoints, unsorted or repeated rows (a dense scatter), ``inherent`` as
-    a param or as a leaf (whose adjoint is a dense ndarray), and a second
-    backward, which gives the same bits in a new mapping and leaves the
-    first call's arrays as they were."""
+    adjoints, unsorted or repeated rows (a dense scatter), the inherent
+    gradient a dense ndarray, and a second backward, which gives the same
+    bits in a new mapping and leaves the first call's arrays as they
+    were."""
     rng = np.random.default_rng(23)
     names = ("latent_w", "latent_b", "merge_w", "merge_b")
 
@@ -1074,9 +1099,7 @@ def test_two_conv_layers_sharing_inherent_equal_the_chained_rules():
             want.update({f"{layer}/{k}": g for k, g in zip(names, grads)})
 
         t = Tape()
-        as_param = draw % 3 != 0
-        inh = t.param("inherent", inherent) if as_param \
-            else t.leaf("inherent", inherent)
+        inh = t.param("inherent", inherent)
         nodes = [[t.param(f"{layer}/{k}", v) for k, v in zip(names, w)]
                  for layer, w in enumerate(weights)]
         c0 = t.conv(inh, inh, rows0, ids0, counts0, *nodes[0])
@@ -1087,10 +1110,7 @@ def test_two_conv_layers_sharing_inherent_equal_the_chained_rules():
         for _ in range(2):
             got = t.backward(c1, adj)
             assert got is not first, draw
-            if not as_param:
-                assert type(inh.adjoint) is np.ndarray, draw
-                assert _same_bits(inh.adjoint, want["inherent"]), draw
-                got = {**got, "inherent": want["inherent"]}
+            assert type(got["inherent"]) is np.ndarray, draw
             assert got.keys() == want.keys()
             for name, grad in want.items():
                 assert _same_bits(got[name], grad), (draw, name)
@@ -1133,7 +1153,7 @@ def test_row_sparse_sums_equal_the_dense_sums():
 
 def _aliasing_tapes(rng):
     """Graphs where a node sums several gradients: two from one
-    ``add(x, x)``, two from one ``encoder`` that reads a leaf twice, or
+    ``add(x, x)``, two from one ``encoder`` that reads a param twice, or
     ones ``add`` rules handed on beside other rules'."""
     def add_twice(t, x, z):
         return t.add(t.add(x, x), t.add(x, z))       # add(x, x); x and z
@@ -1162,26 +1182,23 @@ def _aliasing_tapes(rng):
     for build in (add_twice, encoder_twice, chained_adds, three_consumers):
         t = Tape()
         x = t.param("x", rng.normal(size=(3, 3)))
-        z = t.leaf("z", rng.normal(size=(3, 3)))
+        z = t.param("z", rng.normal(size=(3, 3)))
         out = build(t, x, z)
         t.forward()
         yield t, out, rng.normal(size=out.value.shape)
 
 
 def test_in_place_adjoint_sums_equal_the_out_of_place_ones():
-    """Parameter gradients and leaf adjoints equal a backward that makes
-    every sum a new array, bit for bit, on graphs where ``add`` rules hand
-    one adjoint to several inputs; no value changes."""
+    """Parameter gradients equal a backward that makes every sum a new
+    array, bit for bit, on graphs where ``add`` rules hand one adjoint to
+    several inputs; no value changes."""
     rng = np.random.default_rng(21)
     for t, out, adj in _aliasing_tapes(rng):
         values = [n.value.copy() for n in t.nodes]
-        grads, leaves = out_of_place_backward(t, out, adj)
+        grads = out_of_place_backward(t, out, adj)
         t.forward()
         got = t.backward(out, adj.copy())
-        assert got.keys() == grads.keys()
+        assert got.keys() == grads.keys() == {"x", "z"}
         for name, grad in grads.items():
             assert _same_bits(got[name], grad), name
-        for node in t.nodes:
-            if node.op == "leaf":
-                assert _same_bits(node.adjoint, leaves[node.name])
         assert all(_same_bits(n.value, v) for n, v in zip(t.nodes, values))

@@ -9,7 +9,6 @@ from metacsr.data import (SplitSpec, SyntheticWorldSpec,
                           split_users, synthetic_split)
 from metacsr.evaluation import ModelScorer, evaluate_model
 from metacsr.params import ModelConfig, init_model
-from metacsr.seeding import component_rng
 
 from oracles import all_params, bpr_probe_loss
 
@@ -98,8 +97,7 @@ def test_bpr_new_users_inside_the_factor_table_use_the_fallback():
     # factor table (sized by the largest regular id) holds rows BPR never
     # trained for most new users
     parsed = parse_interactions(FIXTURE)
-    regular, new = split_users(parsed.records, SplitSpec(),
-                               component_rng(7, "split"))
+    regular, new = split_users(parsed.records, SplitSpec())
     n_users = max(regular) + 1
     assert sum(u < n_users for u in new) == 8
     model = baselines.train_bpr(regular, n_users, parsed.stats.n_items,

@@ -345,12 +345,12 @@ def test_cli_train_refuses_a_negative_step_cap(tmp_path, mode):
     assert main(["train", *flags, "--steps", "0"]) == 0
 
 
-@pytest.mark.parametrize("command", ["eval-bpr", "export"])
+@pytest.mark.parametrize("command", ["eval-bpr", "export", "set"])
 def test_cli_refusals_end_as_one_line(tmp_path, command):
     """A refused input ends the program with one line on stderr that names
     the problem and exit status 1, not a traceback: BPR over a 3-item
-    catalog that a user has seen all of, and an export of a directory
-    without ``record.json``."""
+    catalog that a user has seen all of, an export of a directory without
+    ``record.json``, and a ``--set`` without ``=``."""
     out = tmp_path / "run"
     flags = ["--out", str(out)]
     for key, value in tiny_overrides(out, **{
@@ -361,6 +361,9 @@ def test_cli_refusals_end_as_one_line(tmp_path, command):
         argv = ["export", "--records", str(tmp_path), "--out",
                 str(tmp_path / "tidy.csv")]
         named = "record.json"
+    elif command == "set":
+        argv = ["prepare", *flags, "--set", "foo"]
+        named = "--set expects KEY=VALUE, got 'foo'"
     else:
         assert main(["prepare", *flags]) == 0
         argv, named = ["eval", "--scorer", "bpr", *flags], "all 3 items"

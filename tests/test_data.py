@@ -126,8 +126,7 @@ def test_split_by_activity_6040_users():
         count = 2 + (user % 9)
         for j in range(count):
             records.append(rec(user, (user + j) % 50, None, j))
-    regular, new = split_users(records, SplitSpec(),
-                               np.random.default_rng(0))
+    regular, new = split_users(records, SplitSpec())
     assert len(regular) == 4832
     assert len(new) == 1208
     assert set(regular) | set(new) == set(range(6040))
@@ -141,8 +140,7 @@ def test_split_tie_break_by_user_id():
     records = []
     for user in range(10):
         records.extend([rec(user, 0, None, 0), rec(user, 1, None, 1)])
-    regular, new = split_users(records, SplitSpec(regular_fraction=0.8),
-                               np.random.default_rng(0))
+    regular, new = split_users(records, SplitSpec(regular_fraction=0.8))
     assert sorted(regular) == list(range(8))
     assert sorted(new) == [8, 9]
 
@@ -150,8 +148,7 @@ def test_split_tie_break_by_user_id():
 def test_new_user_histories_truncated_to_earliest():
     records = [rec(0, i, None, i) for i in range(30)]
     records += [rec(1, i, None, i) for i in range(40)]
-    regular, new = split_users(records, SplitSpec(regular_fraction=0.5),
-                               np.random.default_rng(0))
+    regular, new = split_users(records, SplitSpec(regular_fraction=0.5))
     (new_user, items), = new.items()
     assert len(items) == 10
     assert items == list(range(10))  # earliest by timestamp
@@ -164,7 +161,7 @@ def test_count_range_mode():
     for j in range(6):
         records.append(rec(1, j, None, j))
     spec = SplitSpec(mode="by-count-range", count_range=(2, 5))
-    regular, new = split_users(records, spec, np.random.default_rng(0))
+    regular, new = split_users(records, spec)
     assert 0 in new and 1 in regular
 
 

@@ -22,7 +22,7 @@ def test_pairwise_gradient_signs():
     """The loss pulls the positive's score up and the negative's down."""
     t = Tape()
     items = t.param("items", [[0.4, 0.1], [0.7, -0.2]])
-    prefs = t.leaf("prefs", [[1.0, 0.5]])
+    prefs = t.constant([[1.0, 0.5]])
     loss = t.pair_loss(items, prefs, [0, 1], 1)
     t.forward()
     # the loss's slope along each candidate's score
@@ -98,7 +98,7 @@ def test_grouped_encoder_matches_per_sequence_path():
         BehaviorSequence(user=2, items=(3, 0), target=1),
     ]
     tape = Tape()
-    nodes = {k: tape.leaf(k, v) for k, v in params.theta2.items()}
+    nodes = {k: tape.constant(v) for k, v in params.theta2.items()}
     prefs = seq.build_sequence_encoder(
         tape, tape.constant(feats), [i for s in seqs for i in s.items],
         nodes, [3, 3, 2])

@@ -548,7 +548,7 @@ def test_query_tape_is_dead_when_the_feature_backward_starts(
             grads = super().backward(loss, adjoint)
             built.extend([weakref.ref(self)] + [
                 weakref.ref(node.value) for node in self.nodes
-                if node.op not in ("leaf", "param", "const")
+                if node.op not in ("param", "const")
                 and isinstance(node.value, np.ndarray)])
             return grads
 

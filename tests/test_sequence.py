@@ -17,15 +17,15 @@ from oracles import (
 
 
 def _encoder_node(embeds, params, lengths):
-    """The encoder node over leaves, after a forward: sequence i reads
+    """The encoder node over constants, after a forward: sequence i reads
     the first ``lengths[i]`` rows of block i of ``embeds``, whose blocks
     are ``max(lengths)`` rows each."""
     lengths = np.asarray(lengths)
     tape = Tape()
     node = seq.build_sequence_encoder(
-        tape, tape.leaf("e", embeds),
+        tape, tape.constant(embeds),
         np.flatnonzero(np.arange(lengths.max()) < lengths[:, None]),
-        {k: tape.leaf(k, v) for k, v in params.items()}, lengths)
+        {k: tape.constant(v) for k, v in params.items()}, lengths)
     tape.forward()
     return node
 
@@ -161,7 +161,7 @@ def _encoder_node_count(t_len, n_seq=3, dim=4):
     params = seq.init_seq_params(dim, np.random.default_rng(0))
     tape = Tape()
     nodes = {k: tape.param(k, v) for k, v in params.items()}
-    embeds = tape.leaf("e", np.zeros((n_seq * t_len, dim)))
+    embeds = tape.constant(np.zeros((n_seq * t_len, dim)))
     before = len(tape.nodes)
     seq.build_sequence_encoder(tape, embeds, np.arange(n_seq * t_len), nodes,
                                [t_len] * n_seq)
