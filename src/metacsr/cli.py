@@ -54,6 +54,11 @@ def _load_config(args) -> RunConfig:
     file_dict = None
     if args.config is not None:
         file_dict = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_dict, dict):
+            kind = {list: "an array", str: "a string", bool: "a boolean",
+                    type(None): "null"}.get(type(file_dict), "a number")
+            raise ValueError(f"config file {str(args.config)!r} must hold a "
+                             f"JSON object, not {kind}")
     return resolve_config(file_dict, _parse_overrides(args))
 
 
@@ -126,11 +131,12 @@ def main(argv=None) -> int:
 
 def run(argv=None) -> int:
     """The console entry: :func:`main`, with a refused input (a
-    ``ValueError`` or a missing file) ending the program as one line on
-    stderr and exit status 1, not a traceback."""
+    ``ValueError``, a missing file or a directory where a file belongs)
+    ending the program as one line on stderr and exit status 1, not a
+    traceback."""
     try:
         return main(argv)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         raise SystemExit(f"metacsr: error: {exc}") from None
 
 

@@ -199,29 +199,33 @@ def usable_sequence_count(history_len, t_min=2) -> int:
     return max(0, history_len - t_min)
 
 
-def window_sequence(history, t_min, t_max, rng, user=-1, target_index=None):
-    """Draw one training window from a user history (list of item ids).
+def window_sequence(history, t_min, t_max, rng, user=-1, targets=None):
+    """Draw training windows from a user history (list of item ids).
 
     Length T is uniform over [t_min, min(t_max, available)]; the window is
     contiguous and the target is the interaction immediately after it.
-    When ``target_index`` is given, the window ends right before it.
+    Without ``targets``, returns one window anywhere in the history. With
+    ``targets`` (target indices), returns one window per target, each
+    ending right before it, their lengths from one draw: the stream the
+    same per-target scalar draws would take.
     """
     n = len(history)
     if n < t_min + 1:
         raise ValueError(f"history of length {n} cannot form a window"
                          f" of {t_min} plus a target")
-    if target_index is None:
+    if targets is None:
         t_len = int(rng.integers(t_min, min(t_max, n - 1) + 1))
         start = int(rng.integers(0, n - t_len))
-        target_index = start + t_len
-    else:
-        if target_index < t_min:
-            raise ValueError("target index leaves no room for a window")
-        t_len = int(rng.integers(t_min, min(t_max, target_index) + 1))
-        start = target_index - t_len
-    return BehaviorSequence(user=user,
-                            items=tuple(history[start:start + t_len]),
-                            target=history[target_index])
+        return BehaviorSequence(user=user,
+                                items=tuple(history[start:start + t_len]),
+                                target=history[start + t_len])
+    ends = np.asarray(targets, dtype=np.int64)
+    if ends.size and ends.min() < t_min:
+        raise ValueError("target index leaves no room for a window")
+    lengths = rng.integers(t_min, np.minimum(t_max, ends) + 1)
+    return [BehaviorSequence(user=user, items=tuple(history[end - t_len:end]),
+                             target=history[end])
+            for end, t_len in zip(ends.tolist(), lengths.tolist())]
 
 
 def build_eval_candidates(history, n_catalog, n_neg, rng):

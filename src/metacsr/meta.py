@@ -127,12 +127,11 @@ def sample_task(histories, eligible, cfg, rng, t_min=2,
         user = eligible[idx]
         users.append(user)
         history = histories[user]
-        targets = np.arange(t_min, len(history))
-        chosen = rng.choice(len(targets), size=need, replace=False)
-        for j, pick in enumerate(chosen):
-            window = window_sequence(history, t_min, t_max, rng, user=user,
-                                     target_index=int(targets[pick]))
-            (support if j < cfg.k_support else query).append(window)
+        chosen = rng.choice(len(history) - t_min, size=need, replace=False)
+        windows = window_sequence(history, t_min, t_max, rng, user=user,
+                                  targets=chosen + t_min)
+        support += windows[: cfg.k_support]
+        query += windows[cfg.k_support:]
     return MetaTask(users=tuple(users), support=tuple(support),
                     query=tuple(query))
 

@@ -14,7 +14,8 @@ and :func:`unfused_dense`), :func:`unfused_pair_loss` and
 :func:`unfused_conv` replay the rules of the nodes their fused ops
 replaced in numpy, scattering with ``np.add.at``;
 :func:`out_of_place_backward` replays the tape's backward with every
-adjoint sum a new array. :func:`bpr_probe_loss` watches a BPR model
+adjoint sum a new array. :func:`per_window_task` draws an episode's
+windows one scalar draw each. :func:`bpr_probe_loss` watches a BPR model
 converge. The read accessors :func:`neighbors`,
 :func:`degree`, :func:`all_params` and :func:`report_from_json` serve
 only the tests, and :func:`neighbor_plan` draws the plan that an
@@ -331,6 +332,29 @@ def scalar_negatives(excluded, n_items, k, rng):
                 picked.append(draw)
         out.append(picked)
     return out
+
+
+def per_window_task(histories, eligible, cfg, rng, t_min, t_max):
+    """One episode as ``meta.sample_task`` drew it one window at a time:
+    ``n_way`` sorted users, then per user ``k_support + k_query`` distinct
+    targets and, per target, its window length from its own scalar
+    ``rng.integers``. Returns (users, support, query), each window a
+    (user, items, target) triple."""
+    need = cfg.k_support + cfg.k_query
+    picked = sorted(rng.choice(len(eligible), size=cfg.n_way, replace=False))
+    users, support, query = [], [], []
+    for idx in picked:
+        user = eligible[idx]
+        users.append(user)
+        history = histories[user]
+        targets = np.arange(t_min, len(history))
+        chosen = rng.choice(len(targets), size=need, replace=False)
+        for j, pick in enumerate(chosen):
+            end = int(targets[pick])
+            t_len = int(rng.integers(t_min, min(t_max, end) + 1))
+            window = (user, tuple(history[end - t_len:end]), history[end])
+            (support if j < cfg.k_support else query).append(window)
+    return users, support, query
 
 
 def drawn_negatives(sequences, k_neg, rng, histories, n_items):

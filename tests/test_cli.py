@@ -345,12 +345,26 @@ def test_cli_train_refuses_a_negative_step_cap(tmp_path, mode):
     assert main(["train", *flags, "--steps", "0"]) == 0
 
 
-@pytest.mark.parametrize("command", ["eval-bpr", "export", "set"])
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "an array"),
+                                        ("null", "null"),
+                                        ('"x"', "a string")])
+def test_cli_refuses_a_config_file_that_is_not_an_object(tmp_path, text,
+                                                         kind):
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text(text)
+    with pytest.raises(ValueError, match=f"'{cfg_file}' must hold a JSON "
+                                         f"object, not {kind}"):
+        main(["prepare", "--config", str(cfg_file)])
+
+
+@pytest.mark.parametrize("command", ["eval-bpr", "export", "set",
+                                     "config-dir"])
 def test_cli_refusals_end_as_one_line(tmp_path, command):
     """A refused input ends the program with one line on stderr that names
     the problem and exit status 1, not a traceback: BPR over a 3-item
     catalog that a user has seen all of, an export of a directory without
-    ``record.json``, and a ``--set`` without ``=``."""
+    ``record.json``, a ``--set`` without ``=``, and a directory given as
+    the config file."""
     out = tmp_path / "run"
     flags = ["--out", str(out)]
     for key, value in tiny_overrides(out, **{
@@ -364,6 +378,9 @@ def test_cli_refusals_end_as_one_line(tmp_path, command):
     elif command == "set":
         argv = ["prepare", *flags, "--set", "foo"]
         named = "--set expects KEY=VALUE, got 'foo'"
+    elif command == "config-dir":
+        argv, named = ["prepare", *flags, "--config", str(tmp_path)], \
+            str(tmp_path)
     else:
         assert main(["prepare", *flags]) == 0
         argv, named = ["eval", "--scorer", "bpr", *flags], "all 3 items"

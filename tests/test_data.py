@@ -198,10 +198,19 @@ def test_window_too_short_history_raises():
 
 
 def test_window_fixed_target_index():
+    """The ``targets`` form ends one window right before each target, in
+    order, and refuses a target with fewer than ``t_min`` items before
+    it."""
     rng = np.random.default_rng(3)
-    seq = window_sequence(list(range(20)), 2, 5, rng, target_index=7)
-    assert seq.target == 7
-    assert seq.items[-1] == 6
+    seqs = window_sequence(list(range(20)), 2, 5, rng, user=4,
+                           targets=[7, 2, 19])
+    assert [s.target for s in seqs] == [7, 2, 19]
+    assert [s.items[-1] for s in seqs] == [6, 1, 18]
+    assert seqs[1].items == (0, 1)
+    assert all(2 <= len(s.items) <= 5 and s.user == 4 for s in seqs)
+    assert window_sequence(list(range(20)), 2, 5, rng, targets=[]) == []
+    with pytest.raises(ValueError, match="no room"):
+        window_sequence(list(range(20)), 2, 5, rng, targets=[7, 1])
 
 
 def test_usable_sequence_count():

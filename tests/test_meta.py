@@ -14,7 +14,7 @@ from metacsr.evaluation import ModelScorer
 from metacsr.params import ModelConfig, init_model
 from metacsr.seeding import component_rng
 from oracles import (all_params, feature_loss, full_stack_tape,
-                     neighbor_plan, sigmoid)
+                     neighbor_plan, per_window_task, sigmoid)
 
 
 def small_cfg(**kw):
@@ -110,6 +110,31 @@ def test_trainer_sample_tasks_equal_per_call_sample_task(tiny_world):
                              cfg, rng, params.config.t_min,
                              params.config.t_max)
             for _ in range(cfg.task_batch)]
+
+
+def test_sample_task_draws_each_users_windows_as_the_per_window_loop():
+    """One length draw per user takes the windows, and leaves the stream,
+    exactly where one scalar draw per window did: over 400 tasks on 40
+    seeds, with histories so short that some targets allow one length
+    only (a draw over a single value takes nothing from the stream) and
+    ``t_max`` above some histories' lengths."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        histories = {u: rng.integers(0, 50, size=int(rng.integers(
+            6, 30))).tolist() for u in range(12)}
+        cfg = small_cfg(n_way=4, k_support=2, k_query=2)
+        t_min, t_max = int(rng.integers(2, 4)), int(rng.integers(3, 32))
+        eligible = meta.eligible_users(histories, cfg, t_min)
+        ours, theirs = (np.random.default_rng(seed + 1000) for _ in range(2))
+        for _ in range(10):
+            task = meta.sample_task(histories, eligible, cfg, ours, t_min,
+                                    t_max)
+            assert [list(task.users), *(
+                [(s.user, s.items, s.target) for s in part]
+                for part in (task.support, task.query))] == list(
+                    per_window_task(histories, eligible, cfg, theirs, t_min,
+                                    t_max))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_trainer_keeps_no_per_user_copy_of_the_histories():
