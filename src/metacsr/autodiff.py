@@ -21,6 +21,8 @@ state.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -37,9 +39,11 @@ class Node:
     caches the most recent forward result. ``live`` marks a node that a
     param feeds: only live nodes get adjoints, and those live only inside
     :meth:`Tape.backward`. ``saved`` holds what a fused node's gradient
-    rule reads besides its inputs and its value, kept from forward to
-    forward and never written by a backward, so one forward serves many
-    backwards.
+    rule reads besides its inputs and its value (an ``encoder``'s gathered
+    rows, pair sigmoids, attention weights and pool, a ``pair_loss``'s
+    probabilities and pairs, a ``conv``'s pool, norms and mask), kept from
+    forward to forward and never written by a backward, so one forward
+    serves many backwards.
     """
 
     __slots__ = ("idx", "op", "inputs", "aux", "value", "live", "name",
@@ -67,10 +71,12 @@ def _as_f64(x):
 def stable_sigmoid(x, out=None):
     """Numerically stable logistic function, elementwise: one division,
     with the IEEE operations of ``1/(1+e)`` for x >= 0 and ``e/(1+e)``,
-    written into ``out`` if given (which may be ``x``)."""
+    written into ``out`` if given (which may be ``x``). As ``e =
+    exp(-|x|)`` is at most 1, the numerator ``max(e, x >= 0)`` is 1.0 or
+    ``e`` without a select, whose random sign mask mispredicts."""
     x = _as_f64(x)
     e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 def masked_softmax_rows(z):
@@ -81,10 +87,13 @@ def masked_softmax_rows(z):
     """
     z = _as_f64(z)
     finite = np.isfinite(z)
+    # entries that are not finite count as -inf, which they all are unless
+    # one is NaN or +inf (the max is then not below inf)
+    if not z.max(initial=-np.inf) < np.inf:
+        z = np.where(finite, z, -np.inf)
     # a max is exact in any order: reduce the columns of a contiguous
     # transpose, which is much faster than a short-row max(axis=1)
-    rowmax = np.maximum.reduce(
-        np.ascontiguousarray(np.where(finite, z, -np.inf).T), axis=0)
+    rowmax = np.maximum.reduce(np.ascontiguousarray(z.T), axis=0)
     rowmax[rowmax == -np.inf] = 0.0     # all-masked rows
     # masked entries enter exp as 0, not -inf (a slow path), and leave as 0
     e = np.where(finite, z - rowmax[:, None], 0.0)
@@ -181,15 +190,65 @@ def _scatter_rows(shape, ids, adj):
                        minlength=shape[0] * width).reshape(shape)
 
 
-def _pair_terms(items, prefs, cand, k_neg):
-    """A ``pair_loss`` node's gathers, each candidate's prefs row, the
-    probabilities, each pair's positive and negative, ``p_neg - p_pos``."""
-    groups = np.arange(cand.size).reshape(len(prefs), 1 + k_neg)
-    rows = np.repeat(np.arange(len(prefs)), 1 + k_neg)
-    pos, neg = np.repeat(groups[:, 0], k_neg), groups[:, 1:].reshape(-1)
-    c, p = items.take(cand, axis=0), prefs.take(rows, axis=0)
-    s = stable_sigmoid(np.asarray((c * p).mean(axis=1)) * float(c.shape[1]))
-    return c, p, rows, s, pos, neg, s[neg] + s[pos] * -1.0
+def _pair_terms(items, prefs, cand):
+    """A ``pair_loss`` node's (prefs rows, 1 + k_neg) probabilities and its
+    pairs' ``p_neg - p_pos``, one row per prefs row, flat in pair order."""
+    c = items.take(cand, axis=0).reshape(len(prefs), -1, items.shape[1])
+    s = stable_sigmoid(np.asarray((c * prefs[:, None]).mean(axis=2))
+                       * float(items.shape[1]))
+    return s, (s[:, 1:] + s[:, :1] * -1.0).reshape(-1)
+
+
+def _group_sum(groups):
+    """``0.0 + groups[:, 0] + groups[:, 1] + ...``, left to right, as a
+    scatter that sums each row's terms in order from 0.0."""
+    out = groups[:, 0] + 0.0
+    for j in range(1, groups.shape[1]):
+        out += groups[:, j]
+    return out
+
+
+def _pair_grads(items, prefs, cand, s, x, adj, live):
+    """The gradients of a ``pair_loss`` node w.r.t. items and prefs for
+    its adjoint ``adj``, from its forward's probabilities ``s`` and pairs
+    ``x``: bit for bit ``tests/oracles.unfused_pair_loss``'s rules in
+    reverse order. Each gather's scatter is a grouped sum in candidate
+    order: a positive's over its k_neg pairs, a prefs row's over its
+    1 + k_neg candidates. Writes neither ``s`` nor ``x``; None for an
+    input ``live`` marks dead."""
+    n_rows, dim = s.shape[0], items.shape[1]
+    g = (np.broadcast_to(adj / x.size, x.shape) * stable_sigmoid(x)
+         ).reshape(n_rows, -1)
+    gp = np.empty(s.shape)
+    gp[:, 0] = _group_sum(g * -1.0)
+    np.add(g, 0.0, out=gp[:, 1:])
+    gp = gp * s * (1.0 - s) * float(dim)
+    gm = (gp / dim)[:, :, None]
+    items_live, prefs_live = live
+    g_items = _scatter_rows(items.shape, cand, (prefs[:, None] * gm)
+                            .reshape(-1, dim)) if items_live else None
+    if not prefs_live:
+        return [g_items, None]
+    c = items.take(cand, axis=0).reshape(n_rows, -1, dim)
+    return [g_items, _group_sum(np.multiply(c, gm, out=c))]
+
+
+@functools.lru_cache(maxsize=64)
+def _encoder_template(t_len):
+    """What every ``encoder`` layout of blocks of T = ``t_len`` rows reads,
+    read-only: the (T, T) table ``m <= n`` at [n, m], whose row L - 1
+    also marks the positions of a sequence of L items, and the (2, T, T)
+    [n, m] logit biases of the forward and the backward direction,
+    ``-exp(|m - n|)`` where n attends to m (m <= n forward, m >= n
+    backward) and -inf elsewhere."""
+    pos = np.arange(t_len)
+    before = pos <= pos[:, None]
+    decay = -np.exp(np.abs(pos[:, None] - pos[None, :]).astype(np.float64))
+    bias = np.stack([np.where(before, decay, -np.inf),
+                     np.where(before.T, decay, -np.inf)])
+    before.setflags(write=False)
+    bias.setflags(write=False)
+    return before, bias
 
 
 # a block holds _BLOCK_FLOATS // d rows of d floats: 256 KiB, so a block
@@ -233,51 +292,66 @@ def _blocks(x, t_len):
 
 def _attention(embeds, src_w, dst_w, score_w, rows_a, rows_b, slot, masks):
     """An ``encoder`` node's attention over blocks of T = ``slot.shape[1]``
-    rows (see :meth:`Tape.encoder`): the (n * T, len(masks) * k) table of
-    the directions' outputs side by side, the pairs' sigmoid table and each
-    direction's (n * T, T) weights. Row r of a direction's logits reads the
-    pairs ``slot[r]`` plus its mask."""
-    t_len = slot.shape[1]
+    rows (see :meth:`Tape.encoder`), both directions in one pass: the
+    (n * T, 2k) table of the forward and the backward outputs side by
+    side, the pairs' sigmoid table and the (2, n * T, T) weights. Row r of
+    direction j's logits reads the pairs ``slot[r]`` plus ``masks[j][r]``:
+    one softmax over the stacked rows, one block product per block and
+    direction."""
+    t_len, width = slot.shape[1], embeds.shape[1]
     s = _pair_sigmoid(embeds @ src_w.T, embeds @ dst_w.T, rows_a, rows_b)
-    shared = (s @ score_w).reshape(-1).take(slot)
-    atts = [masked_softmax_rows(shared + mask) for mask in masks]
-    blocks = _blocks(embeds, t_len)
-    return np.concatenate(
-        [np.matmul(_blocks(att, t_len), blocks).reshape(embeds.shape)
-         for att in atts], axis=1), s, atts
+    logits = masks + (s @ score_w).reshape(-1).take(slot)
+    atts = masked_softmax_rows(logits.reshape(-1, t_len)).reshape(masks.shape)
+    table = np.empty((len(embeds) // t_len, t_len, 2, width))
+    np.matmul(atts.reshape(2, -1, t_len, t_len), _blocks(embeds, t_len),
+              out=table.transpose(2, 0, 1, 3))
+    return table.reshape(len(embeds), 2 * width), s, atts
+
+
+def _position_mean(table, inside):
+    """Row i: the mean of the rows of block i of ``table`` that
+    ``inside[i]`` marks, a prefix of the block: a segment mean over those
+    rows, bit for bit, summed in position order from the first row and
+    scaled by ``1 / count``."""
+    blocks = table.reshape(inside.shape + table.shape[1:])
+    out = blocks[:, 0].copy()
+    for j in range(1, inside.shape[1]):
+        np.add(out, blocks[:, j], out=out, where=inside[:, j, None])
+    out *= 1.0 / inside.sum(axis=1, keepdims=True)
+    return out
 
 
 def _attention_grads(embeds, src_w, dst_w, score_w, layout, s, atts, live,
                      adj):
     """The gradients of :func:`_attention` w.r.t. embeds, src_w, dst_w and
-    score_w for the table's adjoint ``adj``, bit for bit the rules of
-    ``tests/oracles.unfused_attention`` (inside ``unfused_encoder``) in
-    reverse order, the last direction first. The embeddings' gradient sums
-    the directions' block products, then the ``dst_w`` and the ``src_w``
-    products; an input ``live`` marks dead gets none of its terms
-    computed."""
-    rows_a, rows_b, slot, _ = layout
+    score_w for the (2, n * T, k) adjoint ``adj`` of its two directions'
+    outputs, bit for bit the rules of ``tests/oracles.unfused_attention``
+    (inside ``unfused_encoder``) in reverse order. Both directions' block
+    products and softmax rules run stacked, and each sums the backward
+    direction's term and the forward's; the embeddings' gradient then adds
+    the ``dst_w`` and the ``src_w`` products. The logits' gather by slot
+    reads each pair once, at its live cell ``cells``, and the masked cells
+    it also reads hold zero weights, so its gradient is that cell's plus
+    0.0. An input ``live`` marks dead gets none of its terms computed."""
+    rows_a, rows_b, slot, _, cells = layout
     e_live, src_live, dst_live, w_live = live
-    t_len, width = slot.shape[1], embeds.shape[1]
+    t_len = slot.shape[1]
     blocks = _blocks(embeds, t_len)
-    g_embeds = g_shared = None
-    for k in reversed(range(len(atts))):
-        att = atts[k]
-        g = _blocks(np.ascontiguousarray(
-            adj[:, k * width: (k + 1) * width]), t_len)
-        # the block product's rules, then the softmax's
-        if e_live:
-            g_e = np.matmul(_blocks(att, t_len).transpose(0, 2, 1),
-                            g).reshape(embeds.shape)
-            g_embeds = g_e if g_embeds is None else \
-                np.add(g_embeds, g_e, out=g_embeds)
-        g = np.matmul(g, blocks.transpose(0, 2, 1)).reshape(att.shape)
-        g = att * (g - (g * att).sum(axis=1, keepdims=True))
-        g_shared = g if g_shared is None else \
-            np.add(g_shared, g, out=g_shared)
-    # the logits' gather by slot, then the pair sigmoid's and the
-    # projections' rules
-    g = _scatter_rows((len(s),), slot, g_shared).reshape(-1, 1)
+    adj = adj.reshape(2, -1, t_len, adj.shape[-1])
+    # the block products' rules, then the softmax's
+    g_embeds = None
+    if e_live:
+        g_e = np.matmul(atts.reshape(adj.shape[:2] + (t_len, t_len))
+                        .transpose(0, 1, 3, 2), adj)
+        g_embeds = np.add(g_e[1], g_e[0]).reshape(embeds.shape)
+        del g_e
+    g = np.matmul(adj, blocks.transpose(0, 2, 1)).reshape(-1, t_len)
+    flat = atts.reshape(g.shape)
+    g = flat * (g - (g * flat).sum(axis=1, keepdims=True))
+    # the gather by slot, then the pair sigmoid's and the projections'
+    # rules
+    g = g.reshape(2, -1).take(cells, axis=1)
+    g = (g[1] + g[0] + 0.0).reshape(-1, 1)
     g_score = s.T @ g if w_live else None
     g = _sigmoid_grad(g @ score_w.T, s) \
         if e_live or src_live or dst_live else None
@@ -431,8 +505,14 @@ class Tape:
         side by side goes through ``relu(. @ combine_w.T + combine_b)`` for
         a (d, 2k) ``combine_w`` and a length-d ``combine_b``: the (n, d)
         value. Bit for bit ``tests/oracles.unfused_encoder``, keeping the
-        gathered rows, the pairs' sigmoid table, each direction's weights
-        and the pooled rows."""
+        gathered rows, the pairs' sigmoid table, both directions' weights
+        as one (2, n * T, T) array and the pooled rows.
+
+        The layout is built here, once: the pairs' rows and slots, the
+        live cell of each pair, the (2, n * T, T) masks from the biases
+        cached per T, the (n, T) positions the sequences fill, and the
+        gathered ids' span, which each forward checks against the table's
+        rows."""
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
             raise ValueError(f"sequence lengths must be >= 1, not {lengths}")
@@ -441,34 +521,37 @@ class Tape:
             raise ValueError(f"{ids.size} item ids for sequences of "
                              f"{lengths.sum()} items")
         t_len = int(lengths.max())
-        pos = np.arange(t_len)
-        inside = pos < lengths[:, None]
-        # [sequence, n, m]: the pairs inside a sequence, one slot each
+        before, bias = _encoder_template(t_len)
+        inside = before[lengths - 1]
+        # [sequence, n, m]: the pairs inside a sequence, one slot each, in
+        # the order of their cells
         live = inside[:, :, None] & inside[:, None, :]
-        seq_i, pos_n, pos_m = np.nonzero(live)
-        slot = np.zeros(live.shape, dtype=np.intp)
-        slot[live] = np.arange(seq_i.size)
-        decay = -np.exp(np.abs(pos[:, None] - pos[None, :]).astype(np.float64))
-        masks = tuple(
-            np.where(live & attends, decay, -np.inf).reshape(-1, t_len)
-            for attends in (pos <= pos[:, None], pos >= pos[:, None]))
-        live_rows = np.flatnonzero(inside)
+        cells = np.flatnonzero(live)
+        slot = np.zeros(live.size, dtype=np.intp)
+        slot[cells] = np.arange(cells.size)
+        # pair i attends from source m to target n: rows_b holds block row
+        # n, rows_a block row m
+        rows_b, pos_m = np.divmod(cells, t_len)
+        rows_a = rows_b - rows_b % t_len + pos_m
+        masks = np.where(live, bias[:, None], -np.inf).reshape(2, -1, t_len)
         gather = np.zeros(inside.size, dtype=np.intp)
-        gather[live_rows] = ids
-        # pair i attends from source m to target n
+        gather[inside.reshape(-1)] = ids
         return self._append(
             "encoder", (items, src_w, dst_w, score_w, combine_w, combine_b),
-            aux=(seq_i * t_len + pos_m, seq_i * t_len + pos_n,
-                 slot.reshape(-1, t_len), masks, Segments(live_rows, lengths),
-                 gather))
+            aux=(rows_a, rows_b, slot.reshape(-1, t_len), masks, cells,
+                 _span(gather), inside, gather))
 
     def pair_loss(self, items, prefs, cand_ids, k_neg):
         """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
         sigmoid(d * mean(items[c] * prefs[row]))``, for candidates in groups
         of ``1 + k_neg`` per prefs row, positive first: bit for bit
-        ``tests/oracles.unfused_pair_loss``, keeping only the loss."""
+        ``tests/oracles.unfused_pair_loss``. Keeps the (rows, 1 + k_neg)
+        probabilities and the pairs' ``p_neg - p_pos``, which its backward
+        reads; the candidates' span is taken here and checked by each
+        forward."""
+        cand = np.asarray(cand_ids, dtype=np.intp)
         return self._append("pair_loss", (items, prefs),
-                            aux=(np.asarray(cand_ids, dtype=np.intp), k_neg))
+                            aux=(cand, k_neg, _span(cand)))
 
     def sum(self, a):
         return self._append("sum", (a,))
@@ -531,15 +614,15 @@ class Tape:
         if op == "encoder":
             return self._encoder(node, *vals)
         if op == "pair_loss":
-            (items, prefs), (cand, k_neg) = vals, node.aux
+            (items, prefs), (cand, k_neg, span) = vals, node.aux
             if items.ndim != 2 or prefs.shape[1:] != items.shape[1:] or \
                     k_neg < 1 or cand.shape != (len(prefs) * (1 + k_neg),):
                 raise self._err(node, f"pair_loss shapes {items.shape}, "
                                       f"{prefs.shape}, {cand.shape} at k_neg "
                                       f"{k_neg}")
-            self._check_span(node, "candidate", _span(cand), items)
-            x = _pair_terms(items, prefs, cand, k_neg)[-1]
-            return np.asarray(np.logaddexp(0.0, x).mean(axis=0))
+            self._check_span(node, "candidate", span, items)
+            node.saved = _pair_terms(items, prefs, cand)
+            return np.asarray(np.logaddexp(0.0, node.saved[1]).mean(axis=0))
         if op == "sum":
             return np.asarray(vals[0].sum())
         if op == "segment_mean":
@@ -549,35 +632,36 @@ class Tape:
             return self._conv(node, *vals)
         raise self._err(node, "unknown op")
 
-    def _dense(self, node, x, w, b):
+    def _dense(self, node, x, w, b, out=None):
         """``relu(x @ w.T + b)``, in the operations of
-        ``tests/oracles.unfused_dense``."""
+        ``tests/oracles.unfused_dense``, written into ``out`` if given."""
         if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] \
                 or b.shape != w.shape[:1]:
             raise self._err(node, f"dense shapes {x.shape} x {w.shape}.T"
                                   f" + {b.shape}")
-        y = x @ w.T
+        y = np.matmul(x, w.T, out=out)
         y += b
         return np.maximum(y, 0.0, out=y)
 
     def _encoder(self, node, items, src_w, dst_w, score_w, combine_w,
                  combine_b):
         """The forward of an ``encoder`` node: the operations of
-        ``tests/oracles.unfused_encoder`` in order. Saves the gathered rows, the pairs' sigmoid
-        table, each direction's weights and the pooled rows, all its
-        backward reads besides the inputs; the attention table is dropped
-        once pooled."""
-        *layout, segments, gather = node.aux
+        ``tests/oracles.unfused_encoder`` in order. Saves the gathered
+        rows, the pairs' sigmoid table, both directions' weights and the
+        pooled rows, all its backward reads besides the inputs; the
+        attention table is dropped once pooled."""
+        layout, span, (inside, gather) = \
+            node.aux[:4], node.aux[5], node.aux[6:]
         if items.ndim != 2 or src_w.ndim != 2 or dst_w.shape != src_w.shape \
                 or src_w.shape[1:] != items.shape[1:] or \
                 score_w.shape != (src_w.shape[0], 1):
             raise self._err(node, f"encoder shapes {items.shape}, "
                                   f"{src_w.shape}, {dst_w.shape}, "
                                   f"{score_w.shape}")
-        self._check_span(node, "item", _span(gather), items)
+        self._check_span(node, "item", span, items)
         embeds = items.take(gather, axis=0)
         table, s, atts = _attention(embeds, src_w, dst_w, score_w, *layout)
-        pooled = segments.forward(table)
+        pooled = _position_mean(table, inside)
         node.saved = embeds, s, atts, pooled
         return self._dense(node, pooled, combine_w, combine_b)
 
@@ -596,10 +680,14 @@ class Tape:
 
     def _merge_input(self, node, inherent, pooled, latent_w, latent_b):
         """A ``conv`` node's concatenation of its inherent rows and the
-        latent dense of its pool."""
-        return np.concatenate(
-            [inherent.take(node.aux[1], axis=0),
-             self._dense(node, pooled, latent_w, latent_b)], axis=1)
+        latent dense of its pool, each written into its half of one
+        buffer. The forward has checked that the rows are the table's."""
+        rows, width = node.aux[1], inherent.shape[1]
+        merged = np.empty((rows.size, width + latent_w.shape[0]))
+        # "clip" fills the strided half unbuffered
+        np.take(inherent, rows, axis=0, out=merged[:, :width], mode="clip")
+        self._dense(node, pooled, latent_w, latent_b, out=merged[:, width:])
+        return merged
 
     def _conv(self, node, features, inherent, latent_w, latent_b, merge_w,
               merge_b):
@@ -691,19 +779,8 @@ class Tape:
         if op == "encoder":
             return self._encoder_grads(node, vals, adj)
         if op == "pair_loss":
-            (items, prefs), (cand, k_neg) = vals, node.aux
-            c, p, rows, s, pos, neg, x = _pair_terms(items, prefs, cand, k_neg)
-            # tests/oracles.unfused_pair_loss's rules, in reverse order
-            g = np.broadcast_to(adj / x.size, x.shape) * stable_sigmoid(x)
-            gp = _scatter_rows(s.shape, neg, g) + \
-                _scatter_rows(s.shape, pos, g * -1.0)
-            gp = gp * s * (1.0 - s) * float(items.shape[1])
-            gm = (gp / items.shape[1])[:, None]
-            # gm * p and gm * c, each in its gather's buffer
-            return [_scatter_rows(v.shape, ids,
-                                  np.multiply(other, gm, out=other))
-                    if i.live else None for i, v, ids, other in
-                    zip(node.inputs, vals, (cand, rows), (p, c))]
+            return _pair_grads(*vals, node.aux[0], *node.saved, adj,
+                               [i.live for i in node.inputs])
         if op == "sum":
             return [np.full(vals[0].shape, float(adj))]
         if op == "segment_mean":
@@ -721,7 +798,7 @@ class Tape:
         the gathered rows' gradient into the table. An input that is not
         live gets none of its terms computed."""
         items, src_w, dst_w, score_w, combine_w, _ = vals
-        *layout, segments, gather = node.aux
+        layout, (inside, gather) = node.aux[:5], node.aux[6:]
         embeds, s, atts, pooled = node.saved
         live = [i.live for i in node.inputs]
         attended = any(live[:4])
@@ -729,9 +806,11 @@ class Tape:
                                      (attended, *live[4:]))
         if not attended:
             return [None] * 4 + [g_cw, g_cb]
-        g *= segments.inverse_counts
-        table = np.zeros((len(embeds), g.shape[1]))
-        table[segments.ids] = np.repeat(g, segments.counts, axis=0)
+        g *= 1.0 / inside.sum(axis=1, keepdims=True)
+        # each direction's half of the table's adjoint, in its live rows
+        table = np.zeros((2,) + inside.shape + embeds.shape[1:])
+        np.copyto(table, g.reshape(len(g), 2, 1, -1).transpose(1, 0, 2, 3),
+                  where=inside[:, :, None])
         g_embeds, *g_ws = _attention_grads(embeds, src_w, dst_w, score_w,
                                            layout, s, atts, live[:4], table)
         return [None if g_embeds is None else

@@ -53,7 +53,12 @@ def _parse_overrides(args) -> dict:
 def _load_config(args) -> RunConfig:
     file_dict = None
     if args.config is not None:
-        file_dict = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            file_dict = json.loads(
+                Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {str(args.config)!r} is not valid "
+                             f"JSON: {exc}") from None
         if not isinstance(file_dict, dict):
             kind = {list: "an array", str: "a string", bool: "a boolean",
                     type(None): "null"}.get(type(file_dict), "a number")

@@ -208,8 +208,8 @@ def query_grads(features, batches, cfg, histories, model_config):
         total = loss if total is None else tape.add(total, loss)
     tape.forward()
     grads = tape.backward(total)
-    g2 = [{name: grads.get(f"{b}/{name}", np.zeros_like(value))
-           for name, value in theta2.items()}
+    g2 = [{name: grads[key] if (key := f"{b}/{name}") in grads
+           else np.zeros_like(value) for name, value in theta2.items()}
           for b, (theta2, _, _) in enumerate(batches)]
     value = float(total.value)
     del tape, table, total, loss, nodes     # every reference to the tape

@@ -358,13 +358,13 @@ def test_cli_refuses_a_config_file_that_is_not_an_object(tmp_path, text,
 
 
 @pytest.mark.parametrize("command", ["eval-bpr", "export", "set",
-                                     "config-dir"])
+                                     "config-dir", "config-json"])
 def test_cli_refusals_end_as_one_line(tmp_path, command):
     """A refused input ends the program with one line on stderr that names
     the problem and exit status 1, not a traceback: BPR over a 3-item
     catalog that a user has seen all of, an export of a directory without
-    ``record.json``, a ``--set`` without ``=``, and a directory given as
-    the config file."""
+    ``record.json``, a ``--set`` without ``=``, a directory given as the
+    config file, and a config file that is not valid JSON."""
     out = tmp_path / "run"
     flags = ["--out", str(out)]
     for key, value in tiny_overrides(out, **{
@@ -381,6 +381,11 @@ def test_cli_refusals_end_as_one_line(tmp_path, command):
     elif command == "config-dir":
         argv, named = ["prepare", *flags, "--config", str(tmp_path)], \
             str(tmp_path)
+    elif command == "config-json":
+        cfg_file = tmp_path / "cut.json"
+        cfg_file.write_text('{"seed": ')
+        argv = ["prepare", *flags, "--config", str(cfg_file)]
+        named = f"config file '{cfg_file}' is not valid JSON: Expecting value"
     else:
         assert main(["prepare", *flags]) == 0
         argv, named = ["eval", "--scorer", "bpr", *flags], "all 3 items"

@@ -189,9 +189,8 @@ def test_padding_filler_leaves_loss_and_gradients_unchanged():
     for filler in (0, 5, 2):
         tape, loss = _batch_tape(params, feats, seqs)
         encoder, = (node for node in tape.nodes if node.op == "encoder")
-        *_, segments, gather = encoder.aux
-        padded = np.ones(gather.size, dtype=bool)
-        padded[segments.ids] = False
+        *_, inside, gather = encoder.aux
+        padded = ~inside.reshape(-1)
         assert padded.any()
         gather[padded] = filler
         tape.forward()
