@@ -177,25 +177,28 @@ def _add_adjoints(held, grad, shape):
 
 
 def _scatter_rows(shape, ids, adj):
-    """Gradient of ``table[ids]`` for a table of ``shape`` and the adjoint
-    ``adj``: each cell sums its adjoints in id order from 0.0, as
-    np.add.at does. Strictly increasing ids read each row once, so ``adj``
-    goes straight to its rows (see :class:`RowGrad`); other ids go through
-    one weighted bincount over the (row, column) cells read."""
-    if ids.ndim == 1 and _increasing(ids):
-        return RowGrad(ids, adj).dense(shape)
-    width = shape[1] if len(shape) == 2 else 1
-    cells = ids.reshape(-1, 1) * width + np.arange(width)
+    """Gradient of ``table[ids]`` for 1-d ``ids`` into a table of the 2-d
+    ``shape`` and the adjoint ``adj``: each cell sums its adjoints in id
+    order from 0.0, as np.add.at does, in one weighted bincount over the
+    (row, column) cells read."""
+    cells = ids.reshape(-1, 1) * shape[1] + np.arange(shape[1])
     return np.bincount(cells.reshape(-1), weights=adj.reshape(-1),
-                       minlength=shape[0] * width).reshape(shape)
+                       minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def pair_probabilities(cands, prefs):
+    """``sigmoid(d * mean(cands * prefs))`` over the last axis, of length
+    d: the one scoring rule, of ``pair_loss`` and of cold ranking
+    (``sequence.score_candidates``)."""
+    return stable_sigmoid(np.asarray((cands * prefs).mean(axis=-1))
+                          * float(cands.shape[-1]))
 
 
 def _pair_terms(items, prefs, cand):
     """A ``pair_loss`` node's (prefs rows, 1 + k_neg) probabilities and its
     pairs' ``p_neg - p_pos``, one row per prefs row, flat in pair order."""
     c = items.take(cand, axis=0).reshape(len(prefs), -1, items.shape[1])
-    s = stable_sigmoid(np.asarray((c * prefs[:, None]).mean(axis=2))
-                       * float(items.shape[1]))
+    s = pair_probabilities(c, prefs[:, None])
     return s, (s[:, 1:] + s[:, :1] * -1.0).reshape(-1)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
+from . import losses, metrics
 from . import meta as meta_mod
 from .autodiff import stable_sigmoid
 from .data import window_sequence
@@ -34,8 +34,8 @@ class PopularityModel:
         return cls(counts=counts)
 
     def rank(self, user, history, candidates):
-        scored = [(item, float(self.counts[item])) for item in candidates]
-        return sorted(scored, key=lambda p: (-p[1], p[0]))
+        return metrics.ranked(candidates,
+                              [self.counts[item] for item in candidates])
 
 
 @dataclass
@@ -51,9 +51,8 @@ class BprMfModel:
             vector = self.user_factors[user]
         else:
             vector = self.item_factors[history[:-1]].mean(axis=0)
-        scores = self.item_factors[np.asarray(candidates)] @ vector
-        scored = list(zip(candidates, scores.tolist()))
-        return sorted(scored, key=lambda p: (-p[1], p[0]))
+        return metrics.ranked(
+            candidates, self.item_factors[np.asarray(candidates)] @ vector)
 
 
 def train_bpr(histories, n_users, n_items, rng, dim=32, epochs=20,

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import meta, metrics
 from . import sequence as seq
+from .autodiff import Segments
 from .data import BehaviorSequence, build_eval_candidates
 from .seeding import component_rng
 
@@ -51,8 +52,10 @@ class ModelScorer:
         the last ``t_max`` items before the held-out behavior and score
         ``candidates``. Negatives for the updates come from the user's
         ``fine-tune/{user}`` stream and avoid ``set(history)``, passed as
-        ``{user: history}``. Returns (item, score) pairs in descending
-        score order, ties broken by ascending item id."""
+        ``{user: history}``. Without the sequence encoder the window pools
+        as a ``segment_mean`` node does, and candidates score by
+        ``pair_loss``'s rule. Returns (item, score) pairs in
+        :func:`metrics.rank_order`."""
         config = self.params.config
         support = support_sequences(user, history, config.t_min,
                                     config.t_max) \
@@ -61,12 +64,13 @@ class ModelScorer:
             self.params, support, self.features, self.cfg,
             component_rng(self.seed, f"fine-tune/{user}"),
             {user: history}, self.fine_tune_steps)
-        window = self.features[list(history[:-1])[-config.t_max:]]
-        s_u = seq.encode_sequence(window, theta2) if config.use_sequence \
-            else window.mean(axis=0)
-        scores = seq.score_candidates(s_u, self.features[list(candidates)])
-        ranked = sorted(zip(candidates, scores), key=lambda p: (-p[1], p[0]))
-        return [(int(item), float(value)) for item, value in ranked]
+        window = list(history[:-1])[-config.t_max:]
+        if config.use_sequence:
+            s_u = seq.encode_sequence(self.features[window], theta2)
+        else:
+            s_u = Segments(window, [len(window)]).forward(self.features)[0]
+        return metrics.ranked(candidates, seq.score_candidates(
+            s_u, self.features[list(candidates)]))
 
 
 def evaluate_model(scorer, test_histories, n_items, n_neg=100, seed=0,
@@ -85,13 +89,11 @@ def evaluate_model(scorer, test_histories, n_items, n_neg=100, seed=0,
         rng = component_rng(seed, f"candidates/{user}")
         positive, negatives = build_eval_candidates(history, n_items, n_neg,
                                                     rng)
-        ranked = scorer.rank(user, history, [positive] + negatives)
-        items = [item for item, _ in ranked]
-        scores = [value for _, value in ranked]
-        relevant = [item == positive for item in items]
-        query = metrics.RankedQuery(scores=tuple(scores),
-                                    relevant=tuple(relevant),
-                                    item_ids=tuple(items))
+        items, scores = zip(*scorer.rank(user, history,
+                                         [positive] + negatives))
+        query = metrics.RankedQuery(
+            scores=scores, relevant=tuple(item == positive for item in items),
+            item_ids=items)
         queries.append(query)
         per_user.append((user, items.index(positive) + 1, metrics.auc([query])))
     if not queries:

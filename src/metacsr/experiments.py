@@ -328,14 +328,18 @@ def run_export(record_dirs, out_path) -> Path:
     """Merge run artifacts into tidy plot-ready CSV rows.
 
     All records must share one config core hash; clashing hashes abort.
+    A malformed record, trace or report is a ValueError that names it.
     """
     rows = []
     seen_hash = None
     for record_dir in record_dirs:
         record_dir = Path(record_dir)
-        record = json.loads((record_dir / "record.json")
-                            .read_text(encoding="utf-8"))
-        config_hash = record["config_hash"]
+        record_path = record_dir / "record.json"
+        try:
+            config_hash = json.loads(
+                record_path.read_text(encoding="utf-8"))["config_hash"]
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{record_path}: bad record ({err!r})") from None
         if seen_hash is None:
             seen_hash = config_hash
         elif seen_hash != config_hash:
@@ -344,20 +348,28 @@ def run_export(record_dirs, out_path) -> Path:
                 f"{seen_hash}; refusing to merge")
         trace = record_dir / "traces" / "train_loss.csv"
         if trace.exists():
-            for line in trace.read_text(encoding="utf-8").splitlines()[2:]:
-                step, value = line.split(",")
+            lines = trace.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines[2:], start=3):
+                try:
+                    step, value = line.split(",")
+                except ValueError:
+                    raise ValueError(f"{trace}: line {number} is not "
+                                     f"step,query_loss: {line!r}") from None
                 rows.append((config_hash, "train", "query_loss", step, value))
-        reports = record_dir / "reports"
-        if reports.exists():
-            for report_file in sorted(reports.glob("metrics_*.json")):
+        for report_file in sorted((record_dir / "reports")
+                                  .glob("metrics_*.json")):
+            tag = report_file.stem[len("metrics_"):]
+            try:
                 report = json.loads(report_file.read_text(encoding="utf-8"))
-                tag = report_file.stem[len("metrics_"):]
                 rows.append((config_hash, tag, "auc", "", repr(report["auc"])))
                 rows.append((config_hash, tag, "map", "", repr(report["map"])))
                 for metric in ("hit", "ndcg"):
                     for n, value in sorted(report[metric].items(),
                                            key=lambda kv: int(kv[0])):
                         rows.append((config_hash, tag, metric, n, repr(value)))
+            except (AttributeError, KeyError, TypeError, ValueError) as err:
+                raise ValueError(f"{report_file}: bad report ({err!r})") \
+                    from None
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with out_path.open("w", encoding="utf-8", newline="") as fh:

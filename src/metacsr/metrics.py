@@ -1,9 +1,10 @@
 """Ranking-quality metrics over per-user candidate lists.
 
 AUC counts ordered (positive, negative) score pairs with ties worth 0.5, so
-a constant scorer lands exactly at 0.5. List metrics (MAP, Hit@N, NDCG@N)
-rank candidates by descending score with ties broken by ascending item id,
-which keeps reports deterministic.
+a constant scorer lands exactly at 0.5. One tie rule, :func:`rank_order`,
+orders candidates by descending score with ties broken by ascending item
+id, which keeps reports deterministic: every scorer's ``rank`` and the
+list metrics (MAP, Hit@N, NDCG@N) read it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+
+def rank_order(scores, ids):
+    """The positions of ``scores`` in rank order: descending score, ties
+    broken by ascending id ``ids[i]``, then by position."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], ids[i]))
+
+
+def ranked(items, scores):
+    """(int item, float score) pairs of the candidates ``items`` in
+    :func:`rank_order`."""
+    items, scores = list(map(int, items)), np.asarray(scores, float).tolist()
+    return [(items[i], scores[i]) for i in rank_order(scores, items)]
 
 
 @dataclass(frozen=True)
@@ -42,9 +56,8 @@ class RankedQuery:
 
     @cached_property
     def _ranking(self):
-        order = sorted(range(len(self.scores)),
-                       key=lambda i: (-self.scores[i], self.ids[i]))
-        return tuple(self.relevant[i] for i in order)
+        return tuple(self.relevant[i]
+                     for i in rank_order(self.scores, self.ids))
 
     @cached_property
     def _gains(self):

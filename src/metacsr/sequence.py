@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tape, stable_sigmoid
+from .autodiff import Tape, pair_probabilities
 
 # theta2 parameter names
 ATT_SCORE_W = "seq.att_score_w"   # d x 1
@@ -61,7 +61,7 @@ def encode_sequence(seq_embeds, params):
 
 
 def score_candidates(preference, item_embeds):
-    """Engagement probabilities: sigmoid(item_embeds @ preference)."""
-    preference = np.asarray(preference, dtype=np.float64)
-    item_embeds = np.asarray(item_embeds, dtype=np.float64)
-    return stable_sigmoid(item_embeds @ preference)
+    """Engagement probabilities of the rows ``item_embeds`` for one
+    ``preference``: ``pair_loss``'s rule (:func:`autodiff.pair_probabilities`),
+    bit for bit the probabilities a ``pair_loss`` node gives those rows."""
+    return pair_probabilities(item_embeds, preference)

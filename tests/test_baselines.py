@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metacsr import baselines, graph as gr, losses, meta
+from metacsr import baselines, graph as gr, losses, meta, metrics
 from metacsr.data import (SplitSpec, SyntheticWorldSpec,
                           generate_synthetic_world, parse_interactions,
                           split_users, synthetic_split)
@@ -123,6 +123,37 @@ def test_bpr_refuses_a_user_who_has_seen_every_item():
     with pytest.raises(ValueError, match="user 0 has interacted with all 3"):
         baselines.train_bpr({1: [2], 0: [2, 0, 1]}, 2, 3,
                             np.random.default_rng(0))
+
+
+def test_every_scorer_orders_tied_candidates_by_the_metrics_rule():
+    """Popularity, BPR-MF, the meta model and a RankedQuery all order tied
+    scores by :func:`metrics.rank_order`: descending score, then ascending
+    item id, whatever order the candidates come in."""
+    rng = np.random.default_rng(2)
+    cands = [5, 0, 3, 2, 1, 4]
+    # items 0 and 5 share a row, and so do 1, 2 and 3: each group ties
+    rows = rng.normal(size=(2, 4))[[0, 1, 1, 1, 0, 0]]
+    rows[4] = rng.normal(size=4)
+    params = init_model(6, ModelConfig(dim=4, t_min=2, t_max=3),
+                        np.random.default_rng(0))
+    scorers = [baselines.PopularityModel(np.array([2., 5., 5., 5., 0., 2.])),
+               baselines.BprMfModel(rng.normal(size=(1, 4)), rows,
+                                    frozenset({0})),
+               ModelScorer(params=params, features=rows,
+                           cfg=meta.MetaConfig())]
+    for scorer in scorers:
+        ranked = scorer.rank(0, [4, 1, 3], cands)
+        scores = dict(ranked)
+        assert len(set(scores.values())) == 3, scorer
+        order = metrics.rank_order([scores[c] for c in cands], cands)
+        assert ranked == [(cands[i], scores[cands[i]]) for i in order]
+        groups = [[item for item, _ in ranked if scores[item] == s]
+                  for s in dict.fromkeys(scores[item] for item, _ in ranked)]
+        assert sorted(groups) == [[0, 5], [1, 2, 3], [4]], scorer
+        query = metrics.RankedQuery(
+            scores=tuple(scores[c] for c in cands),
+            relevant=tuple(c == 2 for c in cands), item_ids=tuple(cands))
+        assert query.ranking() == [item == 2 for item, _ in ranked]
 
 
 def test_joint_train_deterministic(world_data):

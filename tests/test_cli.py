@@ -357,14 +357,36 @@ def test_cli_refuses_a_config_file_that_is_not_an_object(tmp_path, text,
         main(["prepare", "--config", str(cfg_file)])
 
 
+# malformed export inputs: the files of a record directory, the file the
+# refusal names and what it says of it
+RECORD = {"record.json": '{"config_hash": "h"}'}
+EXPORT_INPUTS = {
+    "export-hash": ({"record.json": '{"stage": "train"}'}, "record.json",
+                    "bad record (KeyError('config_hash'))"),
+    "export-json": ({"record.json": '{"config_hash": '}, "record.json",
+                    "bad record (JSONDecodeError("),
+    "export-trace": ({**RECORD, "traces/train_loss.csv":
+                      "# config_hash=h\nstep,query_loss\n0,0.5\n1,0.4,9\n"},
+                     "traces/train_loss.csv",
+                     "line 4 is not step,query_loss: '1,0.4,9'"),
+    "export-report": ({**RECORD, "reports/metrics_cold.json":
+                       '{"map": 0.5, "hit": {}, "ndcg": {}}'},
+                      "reports/metrics_cold.json",
+                      "bad report (KeyError('auc'))"),
+}
+
+
 @pytest.mark.parametrize("command", ["eval-bpr", "export", "set",
-                                     "config-dir", "config-json"])
+                                     "config-dir", "config-json",
+                                     *EXPORT_INPUTS])
 def test_cli_refusals_end_as_one_line(tmp_path, command):
     """A refused input ends the program with one line on stderr that names
     the problem and exit status 1, not a traceback: BPR over a 3-item
     catalog that a user has seen all of, an export of a directory without
     ``record.json``, a ``--set`` without ``=``, a directory given as the
-    config file, and a config file that is not valid JSON."""
+    config file, a config file that is not valid JSON, and an export of a
+    record without a config hash or that is not JSON, of a trace line
+    with three fields and of a report without an AUC."""
     out = tmp_path / "run"
     flags = ["--out", str(out)]
     for key, value in tiny_overrides(out, **{
@@ -386,6 +408,14 @@ def test_cli_refusals_end_as_one_line(tmp_path, command):
         cfg_file.write_text('{"seed": ')
         argv = ["prepare", *flags, "--config", str(cfg_file)]
         named = f"config file '{cfg_file}' is not valid JSON: Expecting value"
+    elif command in EXPORT_INPUTS:
+        files, bad, problem = EXPORT_INPUTS[command]
+        for name, text in files.items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text(text)
+        named = f"{out / bad}: {problem}"
+        argv = ["export", "--records", str(out), "--out",
+                str(tmp_path / "tidy.csv")]
     else:
         assert main(["prepare", *flags]) == 0
         argv, named = ["eval", "--scorer", "bpr", *flags], "all 3 items"

@@ -502,6 +502,33 @@ def test_fine_tune_zero_steps_scores_with_initialization(tiny_world):
         assert value == pytest.approx(expected[item], rel=1e-12)
 
 
+def test_rank_without_the_sequence_encoder_pools_as_segment_mean(
+        tiny_world, monkeypatch):
+    """The no-sequence arm's preference for a window is the value of a
+    ``segment_mean`` node over it, as in training, bit for bit."""
+    world, regular, new, graph = tiny_world
+    params = fresh_params(graph, dim=24, use_sequence=False)
+    features = losses.cached_item_features(graph, params,
+                                           np.random.default_rng(0))
+    scorer = ModelScorer(params=params, features=features, cfg=small_cfg())
+    prefs = []
+    score = seq.score_candidates
+    monkeypatch.setattr(seq, "score_candidates",
+                        lambda pref, rows: prefs.append(pref) or
+                        score(pref, rows))
+    rng = np.random.default_rng(4)
+    windows = [rng.integers(graph.n_items, size=int(rng.integers(
+        2, params.config.t_max + 1))) for _ in range(100)]
+    for window in windows:
+        scorer.rank(0, [*window, 0], [1, 2])
+    for window, pref in zip(windows, prefs):
+        tape = Tape()
+        node = tape.segment_mean(tape.constant(features), window,
+                                 [len(window)])
+        tape.forward()
+        assert np.array_equal(pref, node.value[0]), window
+
+
 def test_fine_tune_changes_theta2_not_theta1(tiny_world):
     world, regular, new, graph = tiny_world
     params = fresh_params(graph)

@@ -85,3 +85,35 @@ def test_cached_item_features_reaches_diffuse_all_once_per_call(perfbench):
     names = [span[tracer_mod.NAME] for span in tracer.spans]
     assert names.count("graph.diffuse_all") == 3
     assert names.count("graph.build") == 3
+
+
+@pytest.mark.parametrize("use_sequence", [True, False])
+def test_rank_reaches_encode_and_score_once_per_user(perfbench, use_sequence):
+    """A cold user's rank goes through the two functions the tracer times
+    for ``sequence.score_ms`` and ``sequence.encode_ms``: score once per
+    user, and encode once per user in the sequence arm, so those metrics
+    cannot silently read 0."""
+    import numpy as np
+    from metacsr import graph, losses, meta
+    from metacsr.evaluation import ModelScorer
+    from metacsr.params import ModelConfig, init_model
+
+    tracer_mod, _ = perfbench
+    g = graph.build_interaction_graph([(0, 0), (0, 1), (1, 1), (2, 2)], 3, 6)
+    config = ModelConfig(dim=4, diffusion_depth=1, neighbor_cap=1,
+                         use_sequence=use_sequence)
+    params = init_model(g.n_entities, config, np.random.default_rng(0))
+    features = losses.cached_item_features(g, params,
+                                           np.random.default_rng(1))
+    scorer = ModelScorer(params=params, features=features,
+                         cfg=meta.MetaConfig(), fine_tune_steps=1)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for user in range(3):
+            scorer.rank(user, [0, 1, 2, 3], [3, 4, 5])
+    finally:
+        tracer.uninstall()
+    names = [span[tracer_mod.NAME] for span in tracer.spans]
+    assert names.count("sequence.score") == 3
+    assert names.count("sequence.encode") == (3 if use_sequence else 0)

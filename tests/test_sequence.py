@@ -257,6 +257,23 @@ def test_score_candidates_vectorizes():
                                rtol=1e-12)
 
 
+def test_score_candidates_is_pair_loss_rule_bit_for_bit():
+    """Cold ranking scores with training's rule: the probabilities of a
+    ``pair_loss`` node over the same rows, bit for bit."""
+    rng = np.random.default_rng(11)
+    for draw in range(100):
+        dim, k_neg = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+        table = rng.normal(size=(50, dim))
+        pref = rng.normal(size=dim)
+        cands = rng.integers(50, size=1 + k_neg)
+        tape = Tape()
+        node = tape.pair_loss(tape.constant(table), tape.constant(pref[None]),
+                              cands, k_neg)
+        tape.forward()
+        assert np.array_equal(seq.score_candidates(pref, table[cands]),
+                              node.saved[0][0]), draw
+
+
 def test_encoder_gradient_finite_differences():
     rng = np.random.default_rng(14)
     dim, t_len = 4, 4
