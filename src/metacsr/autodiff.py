@@ -21,6 +21,7 @@ state.
 
 from __future__ import annotations
 
+import bisect
 import functools
 
 import numpy as np
@@ -176,12 +177,15 @@ def _add_adjoints(held, grad, shape):
     return held
 
 
-def _scatter_rows(shape, ids, adj):
-    """Gradient of ``table[ids]`` for 1-d ``ids`` into a table of the 2-d
-    ``shape`` and the adjoint ``adj``: each cell sums its adjoints in id
-    order from 0.0, as np.add.at does, in one weighted bincount over the
-    (row, column) cells read."""
-    cells = ids.reshape(-1, 1) * shape[1] + np.arange(shape[1])
+def _scatter_rows(shape, ids, adj, first=0):
+    """Gradient of ``table[ids]`` for 1-d ``ids`` and the adjoint ``adj``
+    w.r.t. the rows ``first`` to ``first + shape[0] - 1`` of the table, of
+    the 2-d ``shape``, that ``ids`` read: each cell sums its adjoints in
+    id order from 0.0, as np.add.at does, in one weighted bincount over
+    the (row, column) cells read."""
+    width = shape[1]
+    cells = ids.reshape(-1, 1) * width + np.arange(-first * width,
+                                                   (1 - first) * width)
     return np.bincount(cells.reshape(-1), weights=adj.reshape(-1),
                        minlength=shape[0] * shape[1]).reshape(shape)
 
@@ -277,17 +281,6 @@ def _pair_sigmoid(a, b, rows_a, rows_b):
     return s
 
 
-def _sigmoid_grad(g, s):
-    """``g * s * (1.0 - s)`` for the sigmoid table ``s``, written into
-    ``g`` one block of rows at a time."""
-    size = _block_rows(s.shape[1])
-    for lo in range(0, len(s), size):
-        block, sig = g[lo: lo + size], s[lo: lo + size]
-        block *= sig
-        block *= np.subtract(1.0, sig)
-    return g
-
-
 def _blocks(x, t_len):
     """View an (n * t_len, k) matrix as n stacked (t_len, k) blocks."""
     return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
@@ -324,23 +317,29 @@ def _position_mean(table, inside):
     return out
 
 
-def _attention_grads(embeds, src_w, dst_w, score_w, layout, s, atts, live,
-                     adj):
+def _attention_grads(embeds, src_w, dst_w, score_w, layout, inside, s, atts,
+                     live, g_pooled):
     """The gradients of :func:`_attention` w.r.t. embeds, src_w, dst_w and
-    score_w for the (2, n * T, k) adjoint ``adj`` of its two directions'
-    outputs, bit for bit the rules of ``tests/oracles.unfused_attention``
-    (inside ``unfused_encoder``) in reverse order. Both directions' block
-    products and softmax rules run stacked, and each sums the backward
-    direction's term and the forward's; the embeddings' gradient then adds
-    the ``dst_w`` and the ``src_w`` products. The logits' gather by slot
-    reads each pair once, at its live cell ``cells``, and the masked cells
-    it also reads hold zero weights, so its gradient is that cell's plus
-    0.0. An input ``live`` marks dead gets none of its terms computed."""
-    rows_a, rows_b, slot, _, cells = layout
+    score_w for the (n, 2k) adjoint ``g_pooled`` of its two directions'
+    position means, already times ``1 / count``: bit for bit the rules of
+    ``tests/oracles.unfused_attention`` (inside ``unfused_encoder``) in
+    reverse order. The (2, n, T, k) table adjoint, ``g_pooled`` in the rows
+    ``inside`` marks, is freed once both directions' stacked block products
+    are taken. The logits' gather by slot reads each pair once, at its live
+    cell ``cells``, and the masked cells it also reads hold zero weights,
+    so its gradient is that cell's plus 0.0. The pairs' (pairs, h) gradient
+    is then formed one block of whole sequences at a time (about
+    ``_BLOCK_FLOATS // h`` pairs, cut at the pair ``offsets``), bincounted
+    into those sequences' own rows of the ``dst_w`` and ``src_w`` tables
+    and freed: each cell still sums its adjoints in pair order from 0.0.
+    Each table is freed once its products are taken. An input ``live``
+    marks dead gets none of its terms computed."""
+    rows_a, rows_b, slot, _, cells, offsets = layout
     e_live, src_live, dst_live, w_live = live
-    t_len = slot.shape[1]
-    blocks = _blocks(embeds, t_len)
-    adj = adj.reshape(2, -1, t_len, adj.shape[-1])
+    t_len, width = slot.shape[1], embeds.shape[1]
+    adj = np.zeros((2,) + inside.shape + (width,))
+    np.copyto(adj, g_pooled.reshape(len(g_pooled), 2, 1, -1)
+              .transpose(1, 0, 2, 3), where=inside[:, :, None])
     # the block products' rules, then the softmax's
     g_embeds = None
     if e_live:
@@ -348,22 +347,40 @@ def _attention_grads(embeds, src_w, dst_w, score_w, layout, s, atts, live,
                         .transpose(0, 1, 3, 2), adj)
         g_embeds = np.add(g_e[1], g_e[0]).reshape(embeds.shape)
         del g_e
-    g = np.matmul(adj, blocks.transpose(0, 2, 1)).reshape(-1, t_len)
+    g = np.matmul(adj, _blocks(embeds, t_len).transpose(0, 2, 1)
+                  ).reshape(-1, t_len)
+    del adj
     flat = atts.reshape(g.shape)
     g = flat * (g - (g * flat).sum(axis=1, keepdims=True))
-    # the gather by slot, then the pair sigmoid's and the projections'
-    # rules
+    # the gather by slot, then the pair sigmoid's and the pair gathers'
+    # rules, a block of sequences at a time, and the projections'
     g = g.reshape(2, -1).take(cells, axis=1)
     g = (g[1] + g[0] + 0.0).reshape(-1, 1)
     g_score = s.T @ g if w_live else None
-    g = _sigmoid_grad(g @ score_w.T, s) \
-        if e_live or src_live or dst_live else None
+    h, projections = len(score_w), ((dst_w, rows_b, dst_live),
+                                    (src_w, rows_a, src_live))
+    tables = [np.empty((len(embeds), h)) if e_live or w_on else None
+              for _, _, w_on in projections]
+    size, first = _block_rows(h), 0
+    n_seq = len(offsets) - 1 if e_live or src_live or dst_live else 0
+    while first < n_seq:
+        last = max(first + 1,
+                   bisect.bisect_right(offsets, offsets[first] + size) - 1)
+        lo, hi = offsets[first], offsets[last]
+        r0, r1 = first * t_len, last * t_len
+        block, sig = g[lo: hi] @ score_w.T, s[lo: hi]
+        block *= sig
+        block *= np.subtract(1.0, sig)
+        for table, (_, rows, _) in zip(tables, projections):
+            if table is not None:
+                table[r0: r1] = _scatter_rows((r1 - r0, h), rows[lo: hi],
+                                              block, r0)
+        first = last
     g_ws = []
-    for w, rows, w_on in ((dst_w, rows_b, dst_live),
-                          (src_w, rows_a, src_live)):
-        g_x, g_w, _ = _dense_grads(
-            embeds, w, _scatter_rows((len(embeds), len(w)), rows, g),
-            (e_live, w_on, False)) if e_live or w_on else (None,) * 3
+    for w, _, w_on in projections:
+        table = tables.pop(0)       # freed when the next one is taken
+        g_x, g_w, _ = _dense_grads(embeds, w, table, (e_live, w_on, False)) \
+            if table is not None else (None,) * 3
         # a C-ordered copy of the transposed product, so that a sum over
         # the gradient reads its cells in row order
         g_ws.append(None if g_w is None else g_w.copy())
@@ -512,10 +529,14 @@ class Tape:
         as one (2, n * T, T) array and the pooled rows.
 
         The layout is built here, once: the pairs' rows and slots, the
-        live cell of each pair, the (2, n * T, T) masks from the biases
-        cached per T, the (n, T) positions the sequences fill, and the
-        gathered ids' span, which each forward checks against the table's
-        rows."""
+        live cell of each pair, each sequence's first pair (the cumulative
+        sum of L^2), the (2, n * T, T) masks from the biases cached per T,
+        the (n, T) positions the sequences fill, and the gathered ids'
+        span, which each forward checks against the table's rows.
+
+        Its backward frees the (2, n, T, k) table adjoint once used, and
+        forms and scatters the pairs' gradient one block of whole sequences
+        at a time (:func:`_attention_grads`)."""
         lengths = np.asarray(lengths, dtype=np.intp)
         if lengths.ndim != 1 or not lengths.size or lengths.min() < 1:
             raise ValueError(f"sequence lengths must be >= 1, not {lengths}")
@@ -536,13 +557,15 @@ class Tape:
         # n, rows_a block row m
         rows_b, pos_m = np.divmod(cells, t_len)
         rows_a = rows_b - rows_b % t_len + pos_m
+        # sequence i's pairs are pairs offsets[i] to offsets[i + 1]
+        offsets = [0] + np.cumsum(lengths * lengths).tolist()
         masks = np.where(live, bias[:, None], -np.inf).reshape(2, -1, t_len)
         gather = np.zeros(inside.size, dtype=np.intp)
         gather[inside.reshape(-1)] = ids
         return self._append(
             "encoder", (items, src_w, dst_w, score_w, combine_w, combine_b),
             aux=(rows_a, rows_b, slot.reshape(-1, t_len), masks, cells,
-                 _span(gather), inside, gather))
+                 offsets, _span(gather), inside, gather))
 
     def pair_loss(self, items, prefs, cand_ids, k_neg):
         """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
@@ -654,7 +677,7 @@ class Tape:
         pooled rows, all its backward reads besides the inputs; the
         attention table is dropped once pooled."""
         layout, span, (inside, gather) = \
-            node.aux[:4], node.aux[5], node.aux[6:]
+            node.aux[:4], node.aux[6], node.aux[7:]
         if items.ndim != 2 or src_w.ndim != 2 or dst_w.shape != src_w.shape \
                 or src_w.shape[1:] != items.shape[1:] or \
                 score_w.shape != (src_w.shape[0], 1):
@@ -795,13 +818,14 @@ class Tape:
     @staticmethod
     def _encoder_grads(node, vals, adj):
         """An ``encoder`` node's input gradients: the rules of
-        ``tests/oracles.unfused_encoder`` in reverse order. The projection's; the block mean's, as the
-        attention table's adjoint: ``adj / count`` in each sequence's live
-        rows, zero elsewhere; the attention's; the gather's, which scatters
-        the gathered rows' gradient into the table. An input that is not
-        live gets none of its terms computed."""
+        ``tests/oracles.unfused_encoder`` in reverse order. The
+        projection's; the block mean's, ``adj / count``, which
+        :func:`_attention_grads` spreads over each sequence's live rows as
+        the attention table's adjoint; the attention's; the gather's, which
+        scatters the gathered rows' gradient into the table. An input that
+        is not live gets none of its terms computed."""
         items, src_w, dst_w, score_w, combine_w, _ = vals
-        layout, (inside, gather) = node.aux[:5], node.aux[6:]
+        layout, (inside, gather) = node.aux[:6], node.aux[7:]
         embeds, s, atts, pooled = node.saved
         live = [i.live for i in node.inputs]
         attended = any(live[:4])
@@ -810,12 +834,9 @@ class Tape:
         if not attended:
             return [None] * 4 + [g_cw, g_cb]
         g *= 1.0 / inside.sum(axis=1, keepdims=True)
-        # each direction's half of the table's adjoint, in its live rows
-        table = np.zeros((2,) + inside.shape + embeds.shape[1:])
-        np.copyto(table, g.reshape(len(g), 2, 1, -1).transpose(1, 0, 2, 3),
-                  where=inside[:, :, None])
         g_embeds, *g_ws = _attention_grads(embeds, src_w, dst_w, score_w,
-                                           layout, s, atts, live[:4], table)
+                                           layout, inside, s, atts, live[:4],
+                                           g)
         return [None if g_embeds is None else
                 _scatter_rows(items.shape, gather, g_embeds), *g_ws, g_cw,
                 g_cb]

@@ -222,6 +222,9 @@ def window_sequence(history, t_min, t_max, rng, user=-1, targets=None):
     ends = np.asarray(targets, dtype=np.int64)
     if ends.size and ends.min() < t_min:
         raise ValueError("target index leaves no room for a window")
+    if ends.size and ends.max() >= n:
+        raise ValueError(f"target index {ends.max()} is outside the history "
+                         f"of length {n}")
     lengths = rng.integers(t_min, np.minimum(t_max, ends) + 1)
     return [BehaviorSequence(user=user, items=tuple(history[end - t_len:end]),
                              target=history[end])

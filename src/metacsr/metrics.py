@@ -93,10 +93,14 @@ def auc_from_rank(rank, n_candidates) -> float:
     """Single-positive AUC recovered from the positive's tie-aware rank.
 
     ``rank`` is the 1-based position of the positive when ties are counted
-    as half above, half below (the same 0.5 tie rule as :func:`auc`).
+    as half above, half below (the same 0.5 tie rule as :func:`auc`): a
+    rank in [1, n_candidates], among at least two candidates, or a
+    ValueError.
     """
-    n_neg = n_candidates - 1
-    return (n_candidates - rank) / n_neg
+    if n_candidates < 2 or not 1 <= rank <= n_candidates:
+        raise ValueError(f"rank {rank} is not a place among "
+                         f"{n_candidates} candidates (at least 2)")
+    return (n_candidates - rank) / (n_candidates - 1)
 
 
 def mean_average_precision(queries) -> float:

@@ -213,6 +213,20 @@ def test_window_fixed_target_index():
         window_sequence(list(range(20)), 2, 5, rng, targets=[7, 1])
 
 
+def test_window_refuses_a_target_past_the_history_before_drawing():
+    """A target index at or past the end of the history is refused by
+    name, before the window lengths are drawn: the rng is left as it was,
+    so the calls that follow keep their stream."""
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for targets in ([10], [3, 12, 5]):
+        with pytest.raises(ValueError, match=f"target index {max(targets)} "
+                                             "is outside the history of "
+                                             "length 10"):
+            window_sequence(list(range(10)), 2, 5, rng, targets=targets)
+    assert rng.bit_generator.state == state
+
+
 def test_usable_sequence_count():
     assert usable_sequence_count(3) == 1
     assert usable_sequence_count(22) == 20

@@ -155,6 +155,24 @@ def test_pair_auc_equals_rank_auc_for_single_positive():
             auc_from_rank(rank, len(scores)), abs=1e-12)
 
 
+def test_auc_from_rank_of_the_end_and_tied_places():
+    assert auc_from_rank(1, 101) == 1.0
+    assert auc_from_rank(101, 101) == 0.0
+    assert auc_from_rank(1.5, 2) == 0.5
+
+
+@pytest.mark.parametrize("rank, n_candidates", [(1, 1), (102, 101),
+                                                (0, 101), (0.5, 2)])
+def test_auc_from_rank_refuses_a_rank_outside_the_candidates(
+        rank, n_candidates):
+    """A rank outside [1, n_candidates], or fewer than two candidates,
+    is refused by name, not read as an AUC outside [0, 1] or divided by
+    zero."""
+    with pytest.raises(ValueError, match=f"rank {rank} is not a place "
+                                         f"among {n_candidates} candidates"):
+        auc_from_rank(rank, n_candidates)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=3, max_size=15),
        st.integers(min_value=0, max_value=2))
