@@ -8,8 +8,8 @@ constants. ``forward`` evaluates every node from their bound values;
 gradient.
 
 All values are float64 ndarrays of rank 0, 1 or 2. There is no implicit
-broadcasting: ``add`` and ``mul`` take operands of one shape, and the fused
-ops check their operands' shapes by name, which keeps every gradient rule
+broadcasting: ``mul`` takes operands of one shape, and the fused ops check
+their operands' shapes by name, which keeps every gradient rule
 auditable. Each op that reads rows of a table by id gathers them itself
 (``encoder``, ``pair_loss``, ``segment_mean``, ``conv``), and refuses ids
 outside the table by name.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,18 +287,42 @@ def _blocks(x, t_len):
     return x.reshape(x.shape[0] // t_len, t_len, x.shape[1])
 
 
-def _attention(embeds, src_w, dst_w, score_w, rows_a, rows_b, slot, masks):
-    """An ``encoder`` node's attention over blocks of T = ``slot.shape[1]``
-    rows (see :meth:`Tape.encoder`), both directions in one pass: the
-    (n * T, 2k) table of the forward and the backward outputs side by
-    side, the pairs' sigmoid table and the (2, n * T, T) weights. Row r of
-    direction j's logits reads the pairs ``slot[r]`` plus ``masks[j][r]``:
-    one softmax over the stacked rows, one block product per block and
+class EncoderLayout(NamedTuple):
+    """What an ``encoder`` node over n sequences padded to blocks of T rows
+    reads of their lengths and ids, built once with the node: pair i
+    attends from block row ``rows_a[i]`` to ``rows_b[i]``; row r of the
+    (n * T, T) ``slot`` holds the pairs that row's logits read, and
+    ``masks`` the (2, n * T, T) biases of both directions (-inf outside a
+    sequence); ``cells`` is each pair's live cell of ``slot``, and
+    sequence i's pairs run from ``offsets[i]`` to ``offsets[i + 1]``. The
+    (n, T) ``inside`` marks the positions a sequence fills, ``gather`` is
+    the item id of each block row (0 on padded rows) and ``span`` the
+    smallest and largest of them."""
+    rows_a: np.ndarray
+    rows_b: np.ndarray
+    slot: np.ndarray
+    masks: np.ndarray
+    cells: np.ndarray
+    offsets: list
+    span: tuple
+    inside: np.ndarray
+    gather: np.ndarray
+
+
+def _attention(embeds, src_w, dst_w, score_w, layout):
+    """An ``encoder`` node's attention over blocks of T rows (see
+    :class:`EncoderLayout`), both directions in one pass: the (n * T, 2k)
+    table of the forward and the backward outputs side by side, the
+    pairs' sigmoid table and the (2, n * T, T) weights. Row r of direction
+    j's logits reads the pairs ``slot[r]`` plus ``masks[j][r]``: one
+    softmax over the stacked rows, one block product per block and
     direction."""
-    t_len, width = slot.shape[1], embeds.shape[1]
-    s = _pair_sigmoid(embeds @ src_w.T, embeds @ dst_w.T, rows_a, rows_b)
-    logits = masks + (s @ score_w).reshape(-1).take(slot)
-    atts = masked_softmax_rows(logits.reshape(-1, t_len)).reshape(masks.shape)
+    t_len, width = layout.slot.shape[1], embeds.shape[1]
+    s = _pair_sigmoid(embeds @ src_w.T, embeds @ dst_w.T, layout.rows_a,
+                      layout.rows_b)
+    logits = layout.masks + (s @ score_w).reshape(-1).take(layout.slot)
+    atts = masked_softmax_rows(logits.reshape(-1, t_len)).reshape(
+        layout.masks.shape)
     table = np.empty((len(embeds) // t_len, t_len, 2, width))
     np.matmul(atts.reshape(2, -1, t_len, t_len), _blocks(embeds, t_len),
               out=table.transpose(2, 0, 1, 3))
@@ -317,26 +342,26 @@ def _position_mean(table, inside):
     return out
 
 
-def _attention_grads(embeds, src_w, dst_w, score_w, layout, inside, s, atts,
-                     live, g_pooled):
+def _attention_grads(embeds, src_w, dst_w, score_w, layout, s, atts, live,
+                     g_pooled):
     """The gradients of :func:`_attention` w.r.t. embeds, src_w, dst_w and
     score_w for the (n, 2k) adjoint ``g_pooled`` of its two directions'
     position means, already times ``1 / count``: bit for bit the rules of
     ``tests/oracles.unfused_attention`` (inside ``unfused_encoder``) in
     reverse order. The (2, n, T, k) table adjoint, ``g_pooled`` in the rows
-    ``inside`` marks, is freed once both directions' stacked block products
-    are taken. The logits' gather by slot reads each pair once, at its live
-    cell ``cells``, and the masked cells it also reads hold zero weights,
-    so its gradient is that cell's plus 0.0. The pairs' (pairs, h) gradient
-    is then formed one block of whole sequences at a time (about
-    ``_BLOCK_FLOATS // h`` pairs, cut at the pair ``offsets``), bincounted
-    into those sequences' own rows of the ``dst_w`` and ``src_w`` tables
-    and freed: each cell still sums its adjoints in pair order from 0.0.
-    Each table is freed once its products are taken. An input ``live``
-    marks dead gets none of its terms computed."""
-    rows_a, rows_b, slot, _, cells, offsets = layout
+    ``layout.inside`` marks, is freed once both directions' stacked block
+    products are taken. The logits' gather by slot reads each pair once,
+    at its live cell ``cells``, and the masked cells it also reads hold
+    zero weights, so its gradient is that cell's plus 0.0. The pairs'
+    (pairs, h) gradient is then formed one block of whole sequences at a
+    time (about ``_BLOCK_FLOATS // h`` pairs, cut at the pair ``offsets``),
+    bincounted into those sequences' own rows of the ``dst_w`` and
+    ``src_w`` tables and freed: each cell still sums its adjoints in pair
+    order from 0.0. Each table is freed once its products are taken. An
+    input ``live`` marks dead gets none of its terms computed."""
+    inside, offsets = layout.inside, layout.offsets
     e_live, src_live, dst_live, w_live = live
-    t_len, width = slot.shape[1], embeds.shape[1]
+    t_len, width = layout.slot.shape[1], embeds.shape[1]
     adj = np.zeros((2,) + inside.shape + (width,))
     np.copyto(adj, g_pooled.reshape(len(g_pooled), 2, 1, -1)
               .transpose(1, 0, 2, 3), where=inside[:, :, None])
@@ -354,11 +379,11 @@ def _attention_grads(embeds, src_w, dst_w, score_w, layout, inside, s, atts,
     g = flat * (g - (g * flat).sum(axis=1, keepdims=True))
     # the gather by slot, then the pair sigmoid's and the pair gathers'
     # rules, a block of sequences at a time, and the projections'
-    g = g.reshape(2, -1).take(cells, axis=1)
+    g = g.reshape(2, -1).take(layout.cells, axis=1)
     g = (g[1] + g[0] + 0.0).reshape(-1, 1)
     g_score = s.T @ g if w_live else None
-    h, projections = len(score_w), ((dst_w, rows_b, dst_live),
-                                    (src_w, rows_a, src_live))
+    h, projections = len(score_w), ((dst_w, layout.rows_b, dst_live),
+                                    (src_w, layout.rows_a, src_live))
     tables = [np.empty((len(embeds), h)) if e_live or w_on else None
               for _, _, w_on in projections]
     size, first = _block_rows(h), 0
@@ -502,9 +527,6 @@ class Tape:
 
     # --------------------------------------------------------------- operators
 
-    def add(self, a, b):
-        return self._append("add", (a, b))
-
     def mul(self, a, b):
         return self._append("mul", (a, b))
 
@@ -528,11 +550,9 @@ class Tape:
         gathered rows, the pairs' sigmoid table, both directions' weights
         as one (2, n * T, T) array and the pooled rows.
 
-        The layout is built here, once: the pairs' rows and slots, the
-        live cell of each pair, each sequence's first pair (the cumulative
-        sum of L^2), the (2, n * T, T) masks from the biases cached per T,
-        the (n, T) positions the sequences fill, and the gathered ids'
-        span, which each forward checks against the table's rows.
+        Its :class:`EncoderLayout` is built here, once, its masks from the
+        biases cached per T; each forward checks its ids' span against the
+        table's rows.
 
         Its backward frees the (2, n, T, k) table adjoint once used, and
         forms and scatters the pairs' gradient one block of whole sequences
@@ -564,8 +584,8 @@ class Tape:
         gather[inside.reshape(-1)] = ids
         return self._append(
             "encoder", (items, src_w, dst_w, score_w, combine_w, combine_b),
-            aux=(rows_a, rows_b, slot.reshape(-1, t_len), masks, cells,
-                 offsets, _span(gather), inside, gather))
+            aux=EncoderLayout(rows_a, rows_b, slot.reshape(-1, t_len), masks,
+                              cells, offsets, _span(gather), inside, gather))
 
     def pair_loss(self, items, prefs, cand_ids, k_neg):
         """Mean over (row, negative) of ``softplus(p_neg - p_pos)``, ``p =
@@ -585,8 +605,8 @@ class Tape:
     def segment_mean(self, table, ids, counts):
         """Row i is the mean of ``table[ids[o_i : o_i + counts[i]]]`` (see
         :class:`Segments`); empty segments give zero rows. It sums in list
-        order, then multiplies by ``1 / count`` (chained ``add`` nodes and
-        a product, bit for bit); its gradient is one scatter of
+        order, then multiplies by ``1 / count`` (a chain of sums and a
+        product, bit for bit); its gradient is one scatter of
         ``adjoint / count``.
         """
         return self._append("segment_mean", (table,),
@@ -627,11 +647,6 @@ class Tape:
     def _compute(self, node):
         op = node.op
         vals = [i.value for i in node.inputs]
-        if op == "add":
-            a, b = vals
-            if a.shape != b.shape:
-                raise self._err(node, f"add shapes {a.shape} + {b.shape}")
-            return a + b
         if op == "mul":
             a, b = vals
             if a.shape != b.shape:
@@ -676,18 +691,17 @@ class Tape:
         rows, the pairs' sigmoid table, both directions' weights and the
         pooled rows, all its backward reads besides the inputs; the
         attention table is dropped once pooled."""
-        layout, span, (inside, gather) = \
-            node.aux[:4], node.aux[6], node.aux[7:]
+        layout = node.aux
         if items.ndim != 2 or src_w.ndim != 2 or dst_w.shape != src_w.shape \
                 or src_w.shape[1:] != items.shape[1:] or \
                 score_w.shape != (src_w.shape[0], 1):
             raise self._err(node, f"encoder shapes {items.shape}, "
                                   f"{src_w.shape}, {dst_w.shape}, "
                                   f"{score_w.shape}")
-        self._check_span(node, "item", span, items)
-        embeds = items.take(gather, axis=0)
-        table, s, atts = _attention(embeds, src_w, dst_w, score_w, *layout)
-        pooled = _position_mean(table, inside)
+        self._check_span(node, "item", layout.span, items)
+        embeds = items.take(layout.gather, axis=0)
+        table, s, atts = _attention(embeds, src_w, dst_w, score_w, layout)
+        pooled = _position_mean(table, layout.inside)
         node.saved = embeds, s, atts, pooled
         return self._dense(node, pooled, combine_w, combine_b)
 
@@ -738,39 +752,50 @@ class Tape:
 
     # ------------------------------------------------------------------- backward
 
-    def backward(self, loss, adjoint=None):
-        """The gradients of a scalar loss node, a new mapping from each
-        param the pass reaches to its gradient.
+    def backward(self, *roots, adjoint=None):
+        """The gradients of the sum of the scalar ``roots``: a new mapping
+        from each param the pass reaches to its gradient. Each root is
+        seeded with ones, or one root alone with a given ``adjoint`` of its
+        shape (a gradient another tape computed for its value, say).
 
-        Any node can seed the pass with a given ``adjoint`` of its shape,
-        e.g. one another tape computed for a param fed from its value.
         Adjoints live in a list local to the call, indexed by node id, and
         are propagated in reverse topological order to live nodes only: a
-        node no param feeds (a segment mean over a constant table, say)
-        gets no adjoint and runs no gradient rule, and a root no param
-        feeds gives ``{}``. Each adjoint is released once its rule has
-        handed it to the inputs, or once its param takes it as its
-        gradient. Gradients are summed in arrival order, in place: every
-        rule returns new arrays, so the pass writes only arrays it made,
-        and it reads the caller's seed. A :class:`RowGrad` stays row-sparse
-        until it meets a dense gradient or reaches its node, where it
-        becomes a dense table. Forward values stay.
-        """
-        if loss.value is None:
-            raise ValueError("run forward() before backward()")
-        if adjoint is None and loss.value.size != 1:
-            raise ValueError(
-                f"loss node {loss.idx} is not scalar (shape {loss.value.shape})")
-        if adjoint is not None and np.shape(adjoint) != loss.value.shape:
+        node no param feeds (a segment mean over a constant table, say) gets
+        no adjoint and runs no gradient rule, and roots no param feeds give
+        ``{}``. Each adjoint is released once its rule has handed it to the
+        inputs, or once its param takes it as its gradient. Gradients are
+        summed in arrival order, in place, so an input several roots reach
+        sums theirs from the last root back. Every rule returns new arrays,
+        so the pass writes only arrays it made; it reads the caller's seed.
+        A :class:`RowGrad` stays row-sparse until it meets a dense gradient
+        or reaches its node, where it becomes a dense table. Forward values
+        stay."""
+        if not roots:
+            raise ValueError("backward() needs at least one root node")
+        if adjoint is not None and len(roots) > 1:
+            raise ValueError(f"an adjoint seeds one root, not {len(roots)}")
+        if not all(isinstance(root, Node) for root in roots):
+            raise TypeError("roots are nodes; pass a seed as adjoint=")
+        for k, root in enumerate(roots):
+            if root.value is None:
+                raise ValueError("run forward() before backward()")
+            if root in roots[:k]:
+                raise ValueError(f"root node {root.idx} is given twice")
+            if adjoint is None and root.value.size != 1:
+                raise ValueError(f"root node {root.idx} is not scalar "
+                                 f"(shape {root.value.shape})")
+        if adjoint is not None and np.shape(adjoint) != roots[0].value.shape:
             raise ValueError(f"adjoint shape {np.shape(adjoint)} does not "
-                             f"match node {loss.idx} shape {loss.value.shape}")
-        if not loss.live:
+                             f"match root shape {roots[0].value.shape}")
+        roots = [root for root in roots if root.live]
+        if not roots:
             return {}
-        adjoints = [None] * (loss.idx + 1)
-        adjoints[-1] = np.ones_like(loss.value) if adjoint is None \
-            else _as_f64(adjoint)
+        adjoints = [None] * (max(root.idx for root in roots) + 1)
+        for root in roots:
+            adjoints[root.idx] = np.ones_like(root.value) if adjoint is None \
+                else _as_f64(adjoint)
         grads = {}
-        for node in reversed(self.nodes[: loss.idx + 1]):
+        for node in reversed(self.nodes[: len(adjoints)]):
             # consumed below; nothing reads it again
             adj, adjoints[node.idx] = adjoints[node.idx], None
             if adj is None:
@@ -779,8 +804,8 @@ class Tape:
                 adj = adj.dense(node.value.shape)
             if node.op == "param":
                 # a param appears once per tape, so this is its whole
-                # gradient; a param root's is the caller's seed, so a copy
-                grads[node.name] = adj.copy() if node is loss else adj
+                # gradient; the caller's seed of a param root, a copy
+                grads[node.name] = adj.copy() if adj is adjoint else adj
                 continue
             in_grads = self._input_grads(node, adj)
             del adj     # freed before the sums below
@@ -796,8 +821,6 @@ class Tape:
         (None) an input that is not live."""
         op = node.op
         vals = [i.value for i in node.inputs]
-        if op == "add":
-            return [adj.copy(), adj.copy()]
         if op == "mul":
             a, b = vals
             a_live, b_live = (i.live for i in node.inputs)
@@ -825,21 +848,19 @@ class Tape:
         scatters the gathered rows' gradient into the table. An input that
         is not live gets none of its terms computed."""
         items, src_w, dst_w, score_w, combine_w, _ = vals
-        layout, (inside, gather) = node.aux[:6], node.aux[7:]
-        embeds, s, atts, pooled = node.saved
+        layout, (embeds, s, atts, pooled) = node.aux, node.saved
         live = [i.live for i in node.inputs]
         attended = any(live[:4])
         g, g_cw, g_cb = _dense_grads(pooled, combine_w, adj * (node.value > 0),
                                      (attended, *live[4:]))
         if not attended:
             return [None] * 4 + [g_cw, g_cb]
-        g *= 1.0 / inside.sum(axis=1, keepdims=True)
+        g *= 1.0 / layout.inside.sum(axis=1, keepdims=True)
         g_embeds, *g_ws = _attention_grads(embeds, src_w, dst_w, score_w,
-                                           layout, inside, s, atts, live[:4],
-                                           g)
+                                           layout, s, atts, live[:4], g)
         return [None if g_embeds is None else
-                _scatter_rows(items.shape, gather, g_embeds), *g_ws, g_cw,
-                g_cb]
+                _scatter_rows(items.shape, layout.gather, g_embeds), *g_ws,
+                g_cw, g_cb]
 
     def _conv_grads(self, node, vals, adj):
         """A ``conv`` node's input gradients: the rules of

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import experiments
 from .config import RunConfig, resolve_config
+from .data import utf8_lines
 
 
 def _common(parser):
@@ -54,8 +55,7 @@ def _load_config(args) -> RunConfig:
     file_dict = None
     if args.config is not None:
         try:
-            file_dict = json.loads(
-                Path(args.config).read_text(encoding="utf-8"))
+            file_dict = json.loads("".join(utf8_lines(args.config)))
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {str(args.config)!r} is not valid "
                              f"JSON: {exc}") from None

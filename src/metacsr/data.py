@@ -85,6 +85,21 @@ class ParseResult:
     stats: ParseStats
 
 
+def utf8_lines(path):
+    """The lines of the text file ``path``, each with its line ending. A
+    line that is not UTF-8 is a ValueError that names the file and the
+    line."""
+    with Path(path).open("rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{path}: line {number} is not UTF-8 (byte "
+                    f"{raw[exc.start]:#04x} at column {exc.start + 1}: "
+                    f"{exc.reason})") from None
+
+
 def parse_interactions(path, fmt="movielens-dcolon",
                        time_range=None) -> ParseResult:
     """Parse an interaction log into dense-id records.
@@ -100,26 +115,25 @@ def parse_interactions(path, fmt="movielens-dcolon",
     raw_rows = []
     n_lines = 0
     n_bad = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n_lines += 1
-            fields = line.split("::") if fmt == "movielens-dcolon" \
-                else line.split("\t")
-            try:
-                if len(fields) == 4:
-                    user, item, rating, ts = fields
-                    rating = float(rating)
-                elif len(fields) == 3 and fmt == "tsv":
-                    user, item, ts = fields
-                    rating = None
-                else:
-                    raise ValueError
-                raw_rows.append((int(user), int(item), rating, int(ts)))
-            except ValueError:
-                n_bad += 1
+    for line in utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        n_lines += 1
+        fields = line.split("::") if fmt == "movielens-dcolon" \
+            else line.split("\t")
+        try:
+            if len(fields) == 4:
+                user, item, rating, ts = fields
+                rating = float(rating)
+            elif len(fields) == 3 and fmt == "tsv":
+                user, item, ts = fields
+                rating = None
+            else:
+                raise ValueError
+            raw_rows.append((int(user), int(item), rating, int(ts)))
+        except ValueError:
+            n_bad += 1
     if n_lines and n_bad / n_lines > 0.01:
         raise ValueError(
             f"{path}: {n_bad}/{n_lines} malformed lines exceeds the 1% budget")

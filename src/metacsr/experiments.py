@@ -348,7 +348,7 @@ def run_export(record_dirs, out_path) -> Path:
                 f"{seen_hash}; refusing to merge")
         trace = record_dir / "traces" / "train_loss.csv"
         if trace.exists():
-            lines = trace.read_text(encoding="utf-8").splitlines()
+            lines = "".join(datamod.utf8_lines(trace)).splitlines()
             for number, line in enumerate(lines[2:], start=3):
                 try:
                     step, value = line.split(",")

@@ -104,7 +104,7 @@ class ItemFeatures:
     def theta1_grads(self, adjoint):
         """theta1 gradients of a loss whose gradient w.r.t. the table is
         ``adjoint``; a fresh mapping per call."""
-        return self._tape.backward(self._out, adjoint)
+        return self._tape.backward(self._out, adjoint=adjoint)
 
 
 def cached_item_features(graph_, params, rng):

@@ -189,30 +189,29 @@ def query_grads(features, batches, cfg, histories, model_config):
 
     ``features`` is a :class:`losses.ItemFeatures`; ``batches`` holds
     (theta2, sequences, rng) triples, one batch loss each, all on one tape
-    that reads the table as the param ``FEATURES``. Returns (loss, theta1
+    that reads the table as the param ``FEATURES``, and all roots of one
+    backward. Returns (loss: their values summed in batch order, theta1
     gradients from that param's gradient pushed through the pass, one
     theta2 gradient mapping per batch, zero where none reach). The query
-    tape is freed before the push, so the two backwards never hold both
-    tapes.
+    tape is freed before the push, so neither backward holds both tapes.
     """
     tape = Tape()
     table = tape.param(FEATURES, features.value)
-    total = None
+    roots = []
     for b, (theta2, sequences, rng) in enumerate(batches):
         nodes = {name: tape.param(f"{b}/{name}", value)
                  for name, value in theta2.items()}
-        loss = losses.build_batch_loss(
+        roots.append(losses.build_batch_loss(
             tape, table, nodes, list(sequences), cfg.k_neg, rng,
             histories, features.value.shape[0],
-            use_sequence=model_config.use_sequence)
-        total = loss if total is None else tape.add(total, loss)
+            use_sequence=model_config.use_sequence))
     tape.forward()
-    grads = tape.backward(total)
+    grads = tape.backward(*roots)
     g2 = [{name: grads[key] if (key := f"{b}/{name}") in grads
            else np.zeros_like(value) for name, value in theta2.items()}
           for b, (theta2, _, _) in enumerate(batches)]
-    value = float(total.value)
-    del tape, table, total, loss, nodes     # every reference to the tape
+    value = sum(float(root.value) for root in roots)
+    del tape, table, roots, nodes       # every reference to the tape
     return value, features.theta1_grads(grads.pop(FEATURES)), g2
 
 

@@ -640,13 +640,15 @@ def unfused_conv(features, inherent, rows, ids, counts, latent_w, latent_b,
             g_merge_b)
 
 
-def out_of_place_backward(tape, loss, adjoint):
-    """``tape.backward(loss, adjoint)`` with every adjoint sum and every
-    parameter gradient a new array, the adjoints kept in a dict by node
-    id; returns the gradients by param name."""
-    adjoints = {loss.idx: np.asarray(adjoint, dtype=np.float64)}
+def out_of_place_backward(tape, *roots, adjoint=None):
+    """``tape.backward(*roots, adjoint=adjoint)`` with every adjoint sum and
+    every parameter gradient a new array, the adjoints kept in a dict by
+    node id and each root seeded with ones unless ``adjoint`` is given;
+    returns the gradients by param name."""
+    adjoints = {root.idx: np.ones_like(root.value) if adjoint is None
+                else np.asarray(adjoint, dtype=np.float64) for root in roots}
     grads = {}
-    for node in reversed(tape.nodes[: loss.idx + 1]):
+    for node in reversed(tape.nodes[: max(adjoints) + 1]):
         adj = adjoints.pop(node.idx, None)
         if adj is None or node.op == "const":
             continue

@@ -237,21 +237,20 @@ def _op_case(name, rng):
         # sequences and padded slots read row 0, so the gather's gradient
         # sums rows
         out = _fused_rule_case(t, rng, "esdwcb", ids=[1, 4, 1, 5, 1])
-    elif name == "add_same":
-        a = t.param("p", rng.normal(size=(3, 4)))
-        out = t.add(a, t.param("x", rng.normal(size=(3, 4))))
     elif name == "mul":
         a = t.param("p", rng.normal(size=(2, 5)))
         out = t.mul(a, t.param("x", rng.normal(size=(2, 5))))
-    elif name == "pair_loss":
+    elif name in ("pair_loss", "pair_loss_k3"):
         # p reaches items and prefs; repeated candidates and prefs rows;
-        # k_neg of 1 (3 rows) and of 3 (2 rows)
+        # k_neg of 1 (3 rows) or of 3 (2 rows)
         a = t.param("p", rng.normal(size=(6, 3)))
         prefs = t.mul(t.segment_mean(a, [1, 4, 1], [1, 1, 1]),
                       t.param("x", rng.normal(size=(3, 3))))
-        out = t.add(t.pair_loss(a, prefs, [0, 2, 2, 5, 1, 2], 1),
-                    t.pair_loss(a, t.segment_mean(prefs, [2, 1], [1, 1]),
-                                [4, 0, 4, 3, 2, 2, 5, 0], 3))
+        if name == "pair_loss":
+            out = t.pair_loss(a, prefs, [0, 2, 2, 5, 1, 2], 1)
+        else:
+            out = t.pair_loss(a, t.segment_mean(prefs, [2, 1], [1, 1]),
+                              [4, 0, 4, 3, 2, 2, 5, 0], 3)
     elif name == "conv":
         # p is the pooled table and the inherent table (a layer 0) and
         # reaches latent_w; the other weights are params of their own;
@@ -289,7 +288,8 @@ def out_shape(tape, node):
 
 
 ALL_OPS = [
-    "add_same", "mul", "encoder", "pair_loss", "conv", "segment_mean", "sum",
+    "mul", "encoder", "pair_loss", "pair_loss_k3", "conv", "segment_mean",
+    "sum",
 ]
 
 
@@ -328,7 +328,7 @@ def test_backward_releases_each_consumed_adjoint(op):
     first = {name: g.copy() for name, g in t.backward(loss).items()}
     assert consumed and all(ref() is None for ref in consumed)
     consumed.clear()
-    t.backward(root, seed)
+    t.backward(root, adjoint=seed)
     assert all(ref() is None for ref in consumed)
     second = t.backward(loss)
     assert set(second) == set(first) == set(t.params)
@@ -365,10 +365,10 @@ def test_backward_writes_only_arrays_it_made(op):
     seed = np.asarray(rng.normal(size=root.value.shape))
     seed[rng.random(seed.shape) < 0.3] = -0.0
     bits = seed.view(np.uint64).copy()
-    first = t.backward(root, seed)
+    first = t.backward(root, adjoint=seed)
     kept = {name: g.copy() for name, g in first.items()}
     assert np.array_equal(seed.view(np.uint64), bits)
-    second = t.backward(root, seed)
+    second = t.backward(root, adjoint=seed)
     assert rules and second is not first
     assert second.keys() == first.keys() == t.params.keys()
     for name, g in kept.items():
@@ -418,11 +418,54 @@ def test_non_scalar_loss_rejected():
         t.backward(y)
 
 
+def test_several_roots_sum_their_gradients_from_the_last_root_back():
+    """Three scalar roots that share a param: its gradient sums each
+    root's own as the reverse pass meets them, ``(g3 + g2) + g1`` bit for
+    bit, in a draw where ``(g1 + g2) + g3`` differs. The order the roots
+    are passed in does not matter, and a root no param feeds adds
+    nothing."""
+    rng = np.random.default_rng(0)
+    t = Tape()
+    p = t.param("p", rng.normal(size=(6, 4)))
+    roots = [t.pair_loss(p, t.constant(rng.normal(size=(3, 4))),
+                         rng.integers(6, size=6), 1) for _ in range(3)]
+    dead = t.pair_loss(t.constant(np.ones((2, 4))),
+                       t.constant(np.ones((1, 4))), [0, 1], 1)
+    t.forward()
+    g1, g2, g3 = (t.backward(root)["p"] for root in roots)
+    want = (g3 + g2) + g1
+    assert not _same_bits(want, (g1 + g2) + g3)
+    for order in (roots, roots[::-1], [roots[1], dead, roots[2], roots[0]]):
+        got = t.backward(*order)
+        assert got.keys() == {"p"} and _same_bits(got["p"], want)
+    assert t.backward(dead) == {}
+
+
+def test_backward_refuses_roots_by_name():
+    """No root, a root given twice, a non-scalar root without an adjoint,
+    an adjoint with several roots, and an adjoint passed where a root
+    belongs each fail with a message that names the problem."""
+    t = Tape()
+    p = t.param("p", [[1.0, 2.0]])
+    loss = t.sum(t.mul(p, p))
+    out = t.mul(p, p)
+    t.forward()
+    for roots, seed, problem in (
+            ((), None, "at least one root"),
+            ((loss, loss), None, f"root node {loss.idx} is given twice"),
+            ((loss, out), None, f"root node {out.idx} is not scalar"),
+            ((loss, out), np.ones(()), "an adjoint seeds one root, not 2")):
+        with pytest.raises(ValueError, match=problem):
+            t.backward(*roots, adjoint=seed)
+    with pytest.raises(TypeError, match="adjoint="):
+        t.backward(out, np.ones((1, 2)))
+
+
 def test_shape_mismatch_names_node():
-    """No op broadcasts: an ``add`` of a matrix and a row vector fails."""
+    """No op broadcasts: a ``mul`` of a matrix and a row vector fails."""
     for b_shape in ((4, 2), (3,)):
         t = Tape()
-        c = t.add(t.constant(np.ones((2, 3))), t.constant(np.ones(b_shape)))
+        c = t.mul(t.constant(np.ones((2, 3))), t.constant(np.ones(b_shape)))
         with pytest.raises(ShapeError, match=f"node {c.idx}"):
             t.forward()
 
@@ -512,7 +555,7 @@ def _const_gather_tape():
     rows = t.segment_mean(table, [4, 9, 4], [1, 1, 1])
     w = t.param("w", rng.normal(size=(3, 3)))
     x = t.param("x", rng.normal(size=(3, 3)))
-    h = t.mul(t.add(rows, x), w)
+    h = t.mul(t.mul(rows, x), w)
     loss = t.sum(t.mul(h, t.segment_mean(
         t.constant(rng.normal(size=(9, 3))), [0, 3, 8], [1, 1, 1])))
     return t, loss, table, rows, x
@@ -536,8 +579,8 @@ def test_backward_skips_nodes_no_param_feeds():
     skipped = {name: g.copy() for name, g in t.backward(loss).items()}
     assert "segment_mean" not in differentiated
     assert skipped.keys() == {"w", "x"}
-    assert t.backward(table, np.ones(table.value.shape)) == {}
-    assert t.backward(rows, np.ones(rows.value.shape)) == {}
+    assert t.backward(table, adjoint=np.ones(table.value.shape)) == {}
+    assert t.backward(rows, adjoint=np.ones(rows.value.shape)) == {}
     assert "segment_mean" not in differentiated
 
     for node in t.nodes:
@@ -677,7 +720,7 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
         out = _projection(t, t.param("x", x.T), p, t.constant(np.zeros(3)))
         loss = t.sum(t.mul(out, t.constant(weights.T)))
         t.forward()
-        return (t.backward(out, weights.T) if seeded
+        return (t.backward(out, adjoint=weights.T) if seeded
                 else t.backward(loss))["p"]
 
     np.testing.assert_array_equal(grads(True), grads(False))
@@ -686,7 +729,7 @@ def test_backward_from_non_scalar_node_with_given_adjoint():
     y = t.mul(p, p)
     t.forward()
     with pytest.raises(ValueError, match="shape"):
-        t.backward(y, np.ones(3))
+        t.backward(y, adjoint=np.ones(3))
 
 
 def test_lookup_gradient_equals_add_at_bit_for_bit():
@@ -747,7 +790,7 @@ def test_product_rules_skip_inputs_that_are_not_live(monkeypatch):
         t.forward()
         adj = rng.normal(size=out.value.shape)
         assert t._input_grads(out, adj)[inputs.index(c)] is None
-        assert np.array_equal(t.backward(out, adj)["p"], adj * c.value)
+        assert np.array_equal(t.backward(out, adjoint=adj)["p"], adj * c.value)
 
     lengths, t_len, d = [3, 2], 3, 4
     values = _encoder_values(rng, len(lengths) * t_len, d)
@@ -767,7 +810,7 @@ def test_product_rules_skip_inputs_that_are_not_live(monkeypatch):
                                5 not in dead)] + [
             (0 not in dead, 2 not in dead, False),
             (0 not in dead, 1 not in dead, False)] * (len(dead) == 1), dead
-        got = t.backward(out, adj)
+        got = t.backward(out, adjoint=adj)
         want = unfused_encoder(values[0], _live_rows(lengths), *values[1:],
                                lengths, out.aux[:4], adj)[1:]
         assert set(got) == {ENCODER_INPUTS[i] for i in range(6)} - {
@@ -802,7 +845,7 @@ def _check_encoder(values, lengths, live, adj, draw):
     want = unfused_encoder(values[0], ids, *values[1:], lengths,
                            out.aux[:4], adj)
     assert _same_bits(out.value, want[0]), draw
-    got = t.backward(out, adj)
+    got = t.backward(out, adjoint=adj)
     assert got.keys() == {n for n, on in zip(ENCODER_INPUTS, live) if on}
     for name, grad in zip(ENCODER_INPUTS, want[1:]):
         assert name not in got or _same_bits(got[name], grad), (draw, name)
@@ -918,7 +961,7 @@ def test_encoder_backward_holds_no_pair_gradient():
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        grads = t.backward(out, adj)
+        grads = t.backward(out, adjoint=adj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -983,7 +1026,7 @@ def test_backwards_leave_the_saved_state_as_the_forward_left_it(op):
     t.forward()
     saved = [(a.shape, a.dtype, a.tobytes()) for a in out.saved]
     adj = rng.normal(size=out.value.shape)
-    first, second = t.backward(out, adj), t.backward(out, adj)
+    first, second = t.backward(out, adjoint=adj), t.backward(out, adjoint=adj)
     assert first.keys() == second.keys() == t.params.keys()
     for name, grad in first.items():
         assert _same_bits(second[name], grad), name
@@ -1111,7 +1154,7 @@ def test_conv_equals_the_six_node_chain_bit_for_bit():
         out = t.conv(nodes[0], nodes[1], rows, ids, counts, *nodes[2:])
         t.forward()
         assert _same_bits(out.value, want[0]), draw
-        got = t.backward(out, adj)
+        got = t.backward(out, adjoint=adj)
         grads = list(want[1:])
         if layer0:
             grads[1] = grads[0] + grads[1]
@@ -1184,7 +1227,7 @@ def test_two_conv_layers_sharing_inherent_equal_the_chained_rules():
         assert _same_bits(c1.value, out1), draw
         first = None
         for _ in range(2):
-            got = t.backward(c1, adj)
+            got = t.backward(c1, adjoint=adj)
             assert got is not first, draw
             assert type(got["inherent"]) is np.ndarray, draw
             assert got.keys() == want.keys()
@@ -1229,51 +1272,59 @@ def test_row_sparse_sums_equal_the_dense_sums():
 
 def _aliasing_tapes(rng):
     """Graphs where a node sums several gradients: two from one
-    ``add(x, x)``, two from one ``encoder`` that reads a param twice, or
-    ones ``add`` rules handed on beside other rules'."""
-    def add_twice(t, x, z):
-        return t.add(t.add(x, x), t.add(x, z))       # add(x, x); x and z
+    ``mul(x, x)``, several from ``mul`` nodes that read one output twice
+    or beside other rules, three from one ``conv``, or the seeds of
+    several scalar roots, two of which are also inputs of the third.
+    Yields (tape, roots, adjoint), the adjoint None for several roots."""
+    def mul_twice(t, x, z):
+        return t.mul(t.mul(x, x), t.mul(x, z))       # mul(x, x); x and z
 
     def encoder_twice(t, x, z):
         # z is both projection weights of one sequence of length 3
         h = t.encoder(x, [0, 1, 2], z, z,
                       *(t.constant(rng.normal(size=shape))
                         for shape in ((3, 1), (3, 6), (3,))), [3])
-        return t.add(t.add(h, t.add(h, h)), t.segment_mean(h, [0], [1]))
+        return t.mul(t.mul(h, t.mul(h, h)), t.segment_mean(h, [0], [1]))
 
-    def chained_adds(t, x, z):
-        h = t.add(x, z)
-        r = t.add(t.add(h, h),
-                  t.segment_mean(t.add(h, x), [1, 2, 0], [1, 1, 1]))
-        return t.add(r, t.mul(h, t.add(h, z)))
+    def several_roots(t, x, z):
+        h = t.mul(x, z)
+        first = t.pair_loss(h, x, [0, 1, 2, 0, 1, 1], 1)
+        second = t.pair_loss(x, t.segment_mean(h, [1, 2, 0], [1, 1, 1]),
+                             [2, 2, 0, 1, 1, 0], 1)
+        return first, second, t.sum(t.mul(first, second))
 
     def three_consumers(t, x, z):
         # x is the pooled and the inherent table of a conv; unsorted rows
         conv = t.conv(x, x, [2, 0, 1], [0, 2, 1, 1, 2], [2, 1, 2], z,
                       *(t.constant(rng.normal(size=shape))
                         for shape in ((3,), (3, 6), (3,))))
-        return t.add(t.add(t.mul(x, z), conv),
+        return t.mul(t.mul(t.mul(x, z), conv),
                      t.segment_mean(x, [0, 2, 1, 1], [2, 1, 1]))
 
-    for build in (add_twice, encoder_twice, chained_adds, three_consumers):
+    for build in (mul_twice, encoder_twice, several_roots, three_consumers):
         t = Tape()
         x = t.param("x", rng.normal(size=(3, 3)))
         z = t.param("z", rng.normal(size=(3, 3)))
         out = build(t, x, z)
         t.forward()
-        yield t, out, rng.normal(size=out.value.shape)
+        if isinstance(out, tuple):
+            yield t, out, None
+        else:
+            yield t, (out,), rng.normal(size=out.value.shape)
 
 
 def test_in_place_adjoint_sums_equal_the_out_of_place_ones():
     """Parameter gradients equal a backward that makes every sum a new
-    array, bit for bit, on graphs where ``add`` rules hand one adjoint to
-    several inputs; no value changes."""
+    array, bit for bit, on graphs where a node hands gradients to one
+    input several times or several roots reach one node; no value
+    changes."""
     rng = np.random.default_rng(21)
-    for t, out, adj in _aliasing_tapes(rng):
+    for t, roots, adj in _aliasing_tapes(rng):
         values = [n.value.copy() for n in t.nodes]
-        grads = out_of_place_backward(t, out, adj)
+        grads = out_of_place_backward(t, *roots, adjoint=adj)
         t.forward()
-        got = t.backward(out, adj.copy())
+        got = t.backward(*roots,
+                         adjoint=None if adj is None else adj.copy())
         assert got.keys() == grads.keys() == {"x", "z"}
         for name, grad in grads.items():
             assert _same_bits(got[name], grad), name

@@ -373,20 +373,27 @@ EXPORT_INPUTS = {
                        '{"map": 0.5, "hit": {}, "ndcg": {}}'},
                       "reports/metrics_cold.json",
                       "bad report (KeyError('auc'))"),
+    "export-trace-utf8": ({**RECORD, "traces/train_loss.csv":
+                           b"# config_hash=h\nstep,query_loss\n0,0.5\n"
+                           b"1,0.\xff4\n"}, "traces/train_loss.csv",
+                          "line 4 is not UTF-8 (byte 0xff at column 5"),
 }
 
 
 @pytest.mark.parametrize("command", ["eval-bpr", "export", "set",
                                      "config-dir", "config-json",
+                                     "config-utf8", "log-utf8",
                                      *EXPORT_INPUTS])
 def test_cli_refusals_end_as_one_line(tmp_path, command):
     """A refused input ends the program with one line on stderr that names
     the problem and exit status 1, not a traceback: BPR over a 3-item
     catalog that a user has seen all of, an export of a directory without
     ``record.json``, a ``--set`` without ``=``, a directory given as the
-    config file, a config file that is not valid JSON, and an export of a
-    record without a config hash or that is not JSON, of a trace line
-    with three fields and of a report without an AUC."""
+    config file, a config file that is not valid JSON, a config file or a
+    movielens log that is not UTF-8 (named with its line), and an export
+    of a record without a config hash or that is not JSON, of a trace
+    line with three fields or that is not UTF-8 and of a report without an
+    AUC."""
     out = tmp_path / "run"
     flags = ["--out", str(out)]
     for key, value in tiny_overrides(out, **{
@@ -408,11 +415,23 @@ def test_cli_refusals_end_as_one_line(tmp_path, command):
         cfg_file.write_text('{"seed": ')
         argv = ["prepare", *flags, "--config", str(cfg_file)]
         named = f"config file '{cfg_file}' is not valid JSON: Expecting value"
+    elif command == "config-utf8":
+        cfg_file = tmp_path / "latin1.json"
+        cfg_file.write_bytes(b'{"seed": 1,\n "out_dir": "caf\xe9"}')
+        argv = ["prepare", *flags, "--config", str(cfg_file)]
+        named = f"{cfg_file}: line 2 is not UTF-8 (byte 0xe9 at column 17"
+    elif command == "log-utf8":
+        log = tmp_path / "ratings.dat"
+        log.write_bytes(b"1::1::5::100\n1::2::4::101\n2::\xff1::3::102\n")
+        argv = ["prepare", *flags, "--set", "data.source=movielens",
+                "--set", f"data.path={log}"]
+        named = f"{log}: line 3 is not UTF-8 (byte 0xff at column 4"
     elif command in EXPORT_INPUTS:
         files, bad, problem = EXPORT_INPUTS[command]
         for name, text in files.items():
             (out / name).parent.mkdir(parents=True, exist_ok=True)
-            (out / name).write_text(text)
+            (out / name).write_bytes(text if isinstance(text, bytes)
+                                     else text.encode())
         named = f"{out / bad}: {problem}"
         argv = ["export", "--records", str(out), "--out",
                 str(tmp_path / "tidy.csv")]

@@ -374,7 +374,7 @@ def _item_pass(g, theta1, config, plan, adjoint, prune):
         out = tape.segment_mean(diffused, np.arange(g.n_users, g.n_entities),
                                 np.ones(g.n_items))
     tape.forward()
-    return out.value, tape.backward(out, adjoint)
+    return out.value, tape.backward(out, adjoint=adjoint)
 
 
 def _assert_item_routes_equal(g, dim, depth, cap, rng, grads=None):

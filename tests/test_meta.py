@@ -596,8 +596,8 @@ def test_query_tape_is_dead_when_the_feature_backward_starts(
     alive = []
 
     class Recorded(Tape):
-        def backward(self, loss, adjoint=None):
-            grads = super().backward(loss, adjoint)
+        def backward(self, *roots, adjoint=None):
+            grads = super().backward(*roots, adjoint=adjoint)
             built.extend([weakref.ref(self)] + [
                 weakref.ref(node.value) for node in self.nodes
                 if node.op not in ("param", "const")
@@ -669,16 +669,19 @@ def test_theta1_grads_through_kept_feature_tape_equal_single_tape(
                          trainer._rng("neighbor-plan", 0))
     items = losses.item_feature_node(tape, graph, theta1, before.config,
                                      plan=plan)
-    total = None
+    task_losses = []
     for t, (task, theta2) in enumerate(zip(tasks, adapted)):
         nodes = {k: tape.param(f"task{t}/{k}", v) for k, v in theta2.items()}
-        task_loss = losses.build_batch_loss(
+        task_losses.append(losses.build_batch_loss(
             tape, items, nodes, list(task.query), cfg.k_neg,
-            trainer._rng("query-neg", 0, t), trainer.histories, graph.n_items)
-        total = task_loss if total is None else tape.add(total, task_loss)
+            trainer._rng("query-neg", 0, t), trainer.histories,
+            graph.n_items))
     tape.forward()
-    want_grads = tape.backward(total)
-    assert loss == float(total.value) / len(tasks)
+    want_grads = tape.backward(*task_losses)
+    total = float(task_losses[0].value)
+    for task_loss in task_losses[1:]:
+        total += float(task_loss.value)
+    assert loss == total / len(tasks)
     assert set(g1) == set(before.theta1)
     for name in before.theta1:
         assert np.array_equal(g1[name], want_grads[name]), name

@@ -36,7 +36,7 @@ def _attention_table(node, params):
     weights are the node's."""
     table, _, atts = _attention(node.saved[0], params[seq.ATT_SRC_W],
                                 params[seq.ATT_DST_W], params[seq.ATT_SCORE_W],
-                                *node.aux[:4])
+                                node.aux)
     assert all(np.array_equal(a, b) for a, b in zip(atts, node.saved[2]))
     return table
 
