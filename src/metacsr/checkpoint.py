@@ -10,7 +10,6 @@ so identical models produce identical bytes.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import fields
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_json, write_json
 from .graph import INHERENT
 from .params import ModelConfig, ModelParams, init_model
 
@@ -85,9 +85,7 @@ def save_model(path, params: ModelParams, config_hash=None, train_mode=None):
                        ("train_mode", train_mode)):
         if value is not None:
             meta[key] = value
-    with Path(str(path) + ".meta.json").open("w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(str(path) + ".meta.json"), meta)
 
 
 def load_model(path, config_hash=None):
@@ -101,8 +99,8 @@ def load_model(path, config_hash=None):
     config = ModelConfig()
     n_entities = stored_hash = None
     if meta_path.exists():
+        meta = read_json(meta_path)
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
             unknown = sorted(set(meta) - SIDECAR_KEYS)
             if unknown:
                 raise ValueError(f"unknown key {unknown[0]!r}")

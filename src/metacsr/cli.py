@@ -16,14 +16,13 @@ apply left to right and always win over the file.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import experiments
 from .config import RunConfig, resolve_config
-from .data import utf8_lines
+from .data import read_json
 
 
 def _common(parser):
@@ -52,18 +51,7 @@ def _parse_overrides(args) -> dict:
 
 
 def _load_config(args) -> RunConfig:
-    file_dict = None
-    if args.config is not None:
-        try:
-            file_dict = json.loads("".join(utf8_lines(args.config)))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {str(args.config)!r} is not valid "
-                             f"JSON: {exc}") from None
-        if not isinstance(file_dict, dict):
-            kind = {list: "an array", str: "a string", bool: "a boolean",
-                    type(None): "null"}.get(type(file_dict), "a number")
-            raise ValueError(f"config file {str(args.config)!r} must hold a "
-                             f"JSON object, not {kind}")
+    file_dict = None if args.config is None else read_json(args.config)
     return resolve_config(file_dict, _parse_overrides(args))
 
 

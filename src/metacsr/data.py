@@ -8,7 +8,8 @@ and evaluate against one held-out positive plus sampled negatives.
 
 A canonical dataset directory consists of ``interactions.tsv`` (dense ids),
 ``users.map`` / ``items.map`` (raw-to-dense, two columns) and ``split.json``
-(regular/new id lists plus the split spec and seed).
+(regular/new id lists plus the split spec and seed). Every JSON file the
+program keeps is written by :func:`write_json` and read by :func:`read_json`.
 """
 
 from __future__ import annotations
@@ -98,6 +99,28 @@ def utf8_lines(path):
                     f"{path}: line {number} is not UTF-8 (byte "
                     f"{raw[exc.start]:#04x} at column {exc.start + 1}: "
                     f"{exc.reason})") from None
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file ``path``. A line that is not UTF-8,
+    text that is not JSON or a top level that is not an object is a
+    ValueError that names the file and the problem."""
+    try:
+        value = json.loads("".join(utf8_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno} is not valid JSON "
+                         f"({exc.msg} at column {exc.colno})") from None
+    if not isinstance(value, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean",
+                type(None): "null"}.get(type(value), "a number")
+        raise ValueError(f"{path}: must hold a JSON object, not {kind}")
+    return value
+
+
+def write_json(path, value):
+    """Write ``value`` to ``path`` as UTF-8 JSON, one sorted key per line."""
+    Path(path).write_text(json.dumps(value, indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def parse_interactions(path, fmt="movielens-dcolon",
@@ -467,21 +490,19 @@ def write_dataset_dir(out_dir, dataset, user_map=None, item_map=None):
         "split_spec": asdict(dataset.split_spec),
     }
     payload.update(dataset.extras)
-    with (out / "split.json").open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "split.json", payload)
     return out
 
 
 def read_dataset_dir(path) -> Dataset:
     """The dataset :func:`write_dataset_dir` wrote under ``path``; a
-    malformed ``split.json`` or ``interactions.tsv``, or an item id outside
-    ``[0, n_items)``, is a ValueError that names the file."""
+    malformed ``split.json``, or an ``interactions.tsv`` line that is
+    malformed or holds an item id outside ``[0, n_items)``, is a ValueError
+    that names the file (and the line)."""
     path = Path(path)
     split_path = path / "split.json"
+    info = read_json(split_path)
     try:
-        with split_path.open("r", encoding="utf-8") as fh:
-            info = json.load(fh)
         regular_ids = set(info["regular"])
         spec = SplitSpec(**{**info["split_spec"], "count_range": tuple(
             info["split_spec"]["count_range"])})
@@ -492,17 +513,16 @@ def read_dataset_dir(path) -> Dataset:
         raise ValueError(f"{split_path}: bad split file ({err!r})") from None
     histories: dict[int, list[tuple[int, int]]] = {}
     tsv_path = path / "interactions.tsv"
-    try:
-        with tsv_path.open("r", encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                user, item, ts = line.strip().split("\t")
-                if not 0 <= int(item) < n_items:
-                    raise ValueError(f"line {number}: item id {item} outside "
-                                     f"[0, {n_items})")
-                histories.setdefault(int(user), []).append(
-                    (int(ts), int(item)))
-    except ValueError as err:
-        raise ValueError(f"{tsv_path}: bad interaction line ({err})") from None
+    for number, line in enumerate(utf8_lines(tsv_path), 1):
+        try:
+            user, item, ts = map(int, line.strip().split("\t"))
+        except ValueError:
+            raise ValueError(f"{tsv_path}: line {number} is not user<TAB>"
+                             f"item<TAB>timestamp: {line!r}") from None
+        if not 0 <= item < n_items:
+            raise ValueError(f"{tsv_path}: line {number}: item id {item} "
+                             f"outside [0, {n_items})")
+        histories.setdefault(user, []).append((ts, item))
     regular = {}
     new = {}
     for user, rows in histories.items():

@@ -11,7 +11,8 @@ Artifact layout under the configured output directory:
     reports/metrics_<tag>.json  MetricsReport (+ .csv, per-user csv)
 
 Every artifact embeds the config core hash; evaluation refuses checkpoints
-whose hash or dimensions disagree with the active config.
+whose hash or dimensions disagree with the active config. The JSON files go
+through ``data.write_json`` and ``data.read_json``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
-import json
 import logging
 import time
 from pathlib import Path
@@ -29,6 +29,7 @@ import numpy as np
 from . import baselines, checkpoint, data as datamod, graph as gr, losses, meta
 from .config import RunConfig, resolve_config
 from .evaluation import ModelScorer, evaluate_model
+from .metrics import report_rows
 from .params import init_model
 from .seeding import component_rng
 
@@ -61,13 +62,9 @@ def _write_csv(path, config_hash, header, rows) -> Path:
 
 
 def _write_record(config, **fields):
-    out = _out(config)
-    record = {"config_hash": config.core_hash(),
-              "config": config.to_dict()}
-    record.update(fields)
-    (out / "record.json").write_text(
-        json.dumps(record, indent=1, sort_keys=True, default=str) + "\n",
-        encoding="utf-8")
+    datamod.write_json(_out(config) / "record.json", {
+        "config_hash": config.core_hash(), "config": config.to_dict(),
+        **fields})
 
 
 # ------------------------------------------------------------------ prepare
@@ -91,12 +88,9 @@ def run_prepare(config: RunConfig) -> Path:
         path = datamod.write_dataset_dir(out, dataset)
         chains = [{str(state): dist for state, dist in chain.items()}
                   for chain in world.transitions]
-        (path / "chains.json").write_text(
-            json.dumps({"transitions": chains,
-                        "user_chain": {str(u): c for u, c
-                                       in world.user_chain.items()}},
-                       sort_keys=True),
-            encoding="utf-8")
+        datamod.write_json(path / "chains.json", {
+            "transitions": chains,
+            "user_chain": {str(u): c for u, c in world.user_chain.items()}})
     else:
         fmt = "movielens-dcolon" if dcfg.source == "movielens" else "tsv"
         parsed = datamod.parse_interactions(dcfg.path, fmt=fmt,
@@ -245,7 +239,7 @@ def run_evaluate(config: RunConfig, ckpt_path=None, scorer_kind="metacsr",
     out.mkdir(exist_ok=True)
     tag = tag or f"{config.scenario}_{model_name}"
     report_path = out / f"metrics_{tag}.json"
-    report_path.write_text(report.to_json(), encoding="utf-8")
+    datamod.write_json(report_path, report.to_dict())
     (out / f"metrics_{tag}.csv").write_text(report.to_csv(), encoding="utf-8")
     _write_csv(out / f"per_user_{tag}.csv", config.core_hash(),
                ["user", "positive_rank", "auc"],
@@ -276,8 +270,7 @@ def _run_variants(config, variants, max_steps):
         variant.out_dir = str(Path(config.out_dir) / subdir)
         run_prepare(variant)
         run_train(variant, max_steps=max_steps, quiet=True)
-        report_path = run_evaluate(variant, tag="cold")
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report = datamod.read_json(run_evaluate(variant, tag="cold"))
         rows.append((key, report["auc"], report["map"]))
         log.info("variant %s: AUC %.4f", subdir, report["auc"])
     return rows
@@ -336,9 +329,8 @@ def run_export(record_dirs, out_path) -> Path:
         record_dir = Path(record_dir)
         record_path = record_dir / "record.json"
         try:
-            config_hash = json.loads(
-                record_path.read_text(encoding="utf-8"))["config_hash"]
-        except (KeyError, TypeError, ValueError) as err:
+            config_hash = datamod.read_json(record_path)["config_hash"]
+        except KeyError as err:
             raise ValueError(f"{record_path}: bad record ({err!r})") from None
         if seen_hash is None:
             seen_hash = config_hash
@@ -352,6 +344,7 @@ def run_export(record_dirs, out_path) -> Path:
             for number, line in enumerate(lines[2:], start=3):
                 try:
                     step, value = line.split(",")
+                    int(step), float(value)     # both must be numbers
                 except ValueError:
                     raise ValueError(f"{trace}: line {number} is not "
                                      f"step,query_loss: {line!r}") from None
@@ -359,14 +352,10 @@ def run_export(record_dirs, out_path) -> Path:
         for report_file in sorted((record_dir / "reports")
                                   .glob("metrics_*.json")):
             tag = report_file.stem[len("metrics_"):]
+            report = datamod.read_json(report_file)
             try:
-                report = json.loads(report_file.read_text(encoding="utf-8"))
-                rows.append((config_hash, tag, "auc", "", repr(report["auc"])))
-                rows.append((config_hash, tag, "map", "", repr(report["map"])))
-                for metric in ("hit", "ndcg"):
-                    for n, value in sorted(report[metric].items(),
-                                           key=lambda kv: int(kv[0])):
-                        rows.append((config_hash, tag, metric, n, repr(value)))
+                rows += [(config_hash, tag, *row)
+                         for row in report_rows(report)]
             except (AttributeError, KeyError, TypeError, ValueError) as err:
                 raise ValueError(f"{report_file}: bad report ({err!r})") \
                     from None
@@ -375,6 +364,5 @@ def run_export(record_dirs, out_path) -> Path:
     with out_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["config_hash", "run", "metric", "step_or_n", "value"])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return out_path

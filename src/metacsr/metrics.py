@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,10 +155,11 @@ class MetricsReport:
     scenario: str | None = None
     model: str | None = None
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON payload of ``reports/metrics_*.json`` (N keys as text)."""
         meta = {"seed": self.seed, "config_hash": self.config_hash,
                 "scenario": self.scenario, "model": self.model}
-        payload = {
+        return {
             "auc": self.auc,
             "map": self.map,
             "hit": {str(n): v for n, v in sorted(self.hit.items())},
@@ -167,20 +167,25 @@ class MetricsReport:
             "users": self.n_users,
             "meta": {k: v for k, v in meta.items() if v is not None},
         }
-        return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         """Flat ``metric,N,value`` rows for plotting."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["metric", "N", "value"])
-        writer.writerow(["auc", "", repr(self.auc)])
-        writer.writerow(["map", "", repr(self.map)])
-        for n in sorted(self.hit):
-            writer.writerow(["hit", n, repr(self.hit[n])])
-        for n in sorted(self.ndcg):
-            writer.writerow(["ndcg", n, repr(self.ndcg[n])])
+        writer.writerows(report_rows(self.to_dict()))
         return buf.getvalue()
+
+
+def report_rows(payload):
+    """The (metric, N, value) rows of a report's JSON payload: auc, map (no
+    N), then hit@N and ndcg@N by ascending N; each value as its ``repr``."""
+    rows = [("auc", "", repr(payload["auc"])),
+            ("map", "", repr(payload["map"]))]
+    for metric in ("hit", "ndcg"):
+        rows += [(metric, n, repr(value)) for n, value in
+                 sorted(payload[metric].items(), key=lambda kv: int(kv[0]))]
+    return rows
 
 
 def build_report(queries, top_n=range(1, 21), **meta) -> MetricsReport:

@@ -268,7 +268,8 @@ def all_params(params):
 
 
 def report_from_json(text):
-    """The ``MetricsReport`` whose ``to_json`` gave ``text``."""
+    """The ``MetricsReport`` a ``reports/metrics_*.json`` file's ``text``
+    holds."""
     from metacsr.metrics import MetricsReport
 
     raw = json.loads(text)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,10 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from metacsr import experiments
+from metacsr import checkpoint, experiments
+from metacsr import data as datamod
 from metacsr import graph as gr
 from metacsr.cli import main
 from metacsr.config import RunConfig, resolve_config
+from metacsr.params import ModelConfig, init_model
 
 from oracles import report_from_json
 
@@ -299,6 +302,10 @@ def test_export_trace_and_reports(tmp_path):
     steps = [int(r.split(",")[3]) for r in train_rows]
     assert steps == sorted(steps)
     assert any(",cold_metaCSR,auc," in l for l in lines)
+    # the report's rows, as its own metric,N,value CSV holds them
+    report_csv = out / "reports" / "metrics_cold_metaCSR.csv"
+    assert [l.split(",", 2)[2] for l in lines if ",cold_metaCSR," in l] \
+        == report_csv.read_text().splitlines()[1:]
 
 
 def test_export_rejects_clashing_hashes(tmp_path):
@@ -352,7 +359,7 @@ def test_cli_refuses_a_config_file_that_is_not_an_object(tmp_path, text,
                                                          kind):
     cfg_file = tmp_path / "bad.json"
     cfg_file.write_text(text)
-    with pytest.raises(ValueError, match=f"'{cfg_file}' must hold a JSON "
+    with pytest.raises(ValueError, match=f"{cfg_file}: must hold a JSON "
                                          f"object, not {kind}"):
         main(["prepare", "--config", str(cfg_file)])
 
@@ -364,11 +371,15 @@ EXPORT_INPUTS = {
     "export-hash": ({"record.json": '{"stage": "train"}'}, "record.json",
                     "bad record (KeyError('config_hash'))"),
     "export-json": ({"record.json": '{"config_hash": '}, "record.json",
-                    "bad record (JSONDecodeError("),
+                    "line 1 is not valid JSON (Expecting value at column 17)"),
     "export-trace": ({**RECORD, "traces/train_loss.csv":
                       "# config_hash=h\nstep,query_loss\n0,0.5\n1,0.4,9\n"},
                      "traces/train_loss.csv",
                      "line 4 is not step,query_loss: '1,0.4,9'"),
+    "export-trace-text": ({**RECORD, "traces/train_loss.csv":
+                           "# config_hash=h\nstep,query_loss\n0,0.5\n7,abc\n"},
+                          "traces/train_loss.csv",
+                          "line 4 is not step,query_loss: '7,abc'"),
     "export-report": ({**RECORD, "reports/metrics_cold.json":
                        '{"map": 0.5, "hit": {}, "ndcg": {}}'},
                       "reports/metrics_cold.json",
@@ -392,8 +403,8 @@ def test_cli_refusals_end_as_one_line(tmp_path, command):
     config file, a config file that is not valid JSON, a config file or a
     movielens log that is not UTF-8 (named with its line), and an export
     of a record without a config hash or that is not JSON, of a trace
-    line with three fields or that is not UTF-8 and of a report without an
-    AUC."""
+    line with three fields, that is not numbers or that is not UTF-8 and of
+    a report without an AUC."""
     out = tmp_path / "run"
     flags = ["--out", str(out)]
     for key, value in tiny_overrides(out, **{
@@ -414,7 +425,7 @@ def test_cli_refusals_end_as_one_line(tmp_path, command):
         cfg_file = tmp_path / "cut.json"
         cfg_file.write_text('{"seed": ')
         argv = ["prepare", *flags, "--config", str(cfg_file)]
-        named = f"config file '{cfg_file}' is not valid JSON: Expecting value"
+        named = f"{cfg_file}: line 1 is not valid JSON (Expecting value"
     elif command == "config-utf8":
         cfg_file = tmp_path / "latin1.json"
         cfg_file.write_bytes(b'{"seed": 1,\n "out_dir": "caf\xe9"}')
@@ -448,6 +459,66 @@ def test_cli_refusals_end_as_one_line(tmp_path, command):
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
     assert lines[0].startswith("metacsr: error: ") and named in lines[0]
+    assert '"seed"' not in lines[0]     # config-utf8's file text
+
+
+def _json_reader(tmp_path, site):
+    """The path of a JSON file the program reads, and a call that reads
+    it: a config file, a record, a report, a checkpoint sidecar or a
+    dataset's ``split.json``."""
+    def export():
+        experiments.run_export([tmp_path], tmp_path / "tidy.csv")
+
+    if site == "config":
+        path = tmp_path / "run.json"
+        return path, lambda: main(["prepare", "--config", str(path),
+                                   "--out", str(tmp_path / "run")])
+    if site == "record":
+        return tmp_path / "record.json", export
+    if site == "report":
+        (tmp_path / "record.json").write_text('{"config_hash": "h"}')
+        (tmp_path / "reports").mkdir()
+        return tmp_path / "reports" / "metrics_cold.json", export
+    if site == "sidecar":
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save_model(ckpt, init_model(
+            3, ModelConfig(dim=3, diffusion_depth=1),
+            np.random.default_rng(0)))
+        return Path(f"{ckpt}.meta.json"), lambda: checkpoint.load_model(ckpt)
+    out = datamod.write_dataset_dir(tmp_path / "ds", datamod.Dataset(
+        regular={0: [1, 2]}, new={1: [2, 0]}, n_items=3,
+        split_spec=datamod.SplitSpec(), seed=1))
+    return out / "split.json", lambda: datamod.read_dataset_dir(out)
+
+
+# a malformed JSON file (each holding a marker string) and what its
+# refusal says of it
+JSON_FAULTS = {
+    "utf8": (b'{\n "marker": "SECRET",\n "x": "caf\xe9"\n}\n',
+             "line 3 is not UTF-8 (byte 0xe9 at column 11"),
+    "truncated": (b'{\n "marker": "SECRET",\n "x": ',
+                  "line 3 is not valid JSON (Expecting value at column 7)"),
+    "array": (b'["SECRET"]\n', "must hold a JSON object, not an array"),
+}
+
+
+# a config file that is not UTF-8 is the ``config-utf8`` case above
+@pytest.mark.parametrize("site, fault", [
+    case for case in itertools.product(
+        ["config", "record", "report", "sidecar", "split"], JSON_FAULTS)
+    if case != ("config", "utf8")])
+def test_every_json_file_is_refused_by_name(tmp_path, site, fault):
+    """A JSON file that is not UTF-8, not JSON or not an object is refused
+    in one line that names the file, the line and the problem, and holds
+    none of the file's other text."""
+    path, read = _json_reader(tmp_path, site)
+    content, problem = JSON_FAULTS[fault]
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as err:
+        read()
+    message = str(err.value)
+    assert f"{path}: {problem}" in message and "\n" not in message
+    assert "SECRET" not in message
 
 
 def test_sweep_fraction_csv(tmp_path):

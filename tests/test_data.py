@@ -440,11 +440,13 @@ def _corrupt_split(out, edit):
 
 
 @pytest.mark.parametrize("case", ["split-no-n-items", "split-text-n-items",
-                                  "split-unknown-key", "tsv-two-fields"])
+                                  "split-unknown-key", "tsv-two-fields",
+                                  "tsv-utf8"])
 def test_dataset_dir_malformed_file_names_it(tmp_path, case):
     dataset = data.Dataset(regular={0: [1, 2, 3]}, new={1: [2, 3]},
                            n_items=4, split_spec=SplitSpec(), seed=1)
     out = data.write_dataset_dir(tmp_path / "ds", dataset)
+    line = ""       # the line a refusal of interactions.tsv names
     if case == "split-no-n-items":
         bad = _corrupt_split(out, lambda info: info.pop("n_items"))
     elif case == "split-text-n-items":
@@ -452,9 +454,14 @@ def test_dataset_dir_malformed_file_names_it(tmp_path, case):
     elif case == "split-unknown-key":
         bad = _corrupt_split(
             out, lambda info: info["split_spec"].update(shuffle=True))
-    else:
+    elif case == "tsv-two-fields":
         bad = out / "interactions.tsv"
         bad.write_text(bad.read_text() + "0\t3\n")
+        line = "line 6 is not user<TAB>item<TAB>timestamp: '0\\t3\\n'"
+    else:
+        bad = out / "interactions.tsv"
+        bad.write_bytes(bad.read_bytes().replace(b"0\t3\t2", b"0\t\xe9\t2"))
+        line = "line 3 is not UTF-8 (byte 0xe9 at column 3"
     with pytest.raises(ValueError) as err:
         data.read_dataset_dir(out)
-    assert str(bad) in str(err.value)
+    assert f"{bad}: {line}" in str(err.value)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metacsr.data import write_json
 from metacsr.metrics import (
     RankedQuery,
     auc,
@@ -206,15 +207,18 @@ def test_ranking_tie_break_ascending_item_id():
     assert q.ranking() == [True, False, False]
 
 
-def test_report_roundtrip_and_determinism():
+def test_report_roundtrip_and_determinism(tmp_path):
     rng = np.random.default_rng(45)
     queries = _random_queries(rng, 20)
-    report = build_report(queries, top_n=range(1, 21), seed=3,
-                          config_hash="abc", scenario="cold", model="metaCSR")
-    text = report.to_json()
-    assert text == build_report(queries, top_n=range(1, 21), seed=3,
-                                config_hash="abc", scenario="cold",
-                                model="metaCSR").to_json()
+    texts = []
+    for name in ("a.json", "b.json"):
+        report = build_report(queries, top_n=range(1, 21), seed=3,
+                              config_hash="abc", scenario="cold",
+                              model="metaCSR")
+        write_json(tmp_path / name, report.to_dict())
+        texts.append((tmp_path / name).read_text(encoding="utf-8"))
+    text = texts[0]
+    assert text == texts[1]
     back = report_from_json(text)
     assert back.auc == report.auc
     assert back.hit == report.hit

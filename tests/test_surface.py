@@ -53,3 +53,35 @@ def test_every_console_script_imports_and_is_callable():
         module, _, attr = target.partition(":")
         entry = getattr(importlib.import_module(module), attr, None)
         assert callable(entry), (name, target)
+
+
+# the functions that may call json.loads or json.dumps: the file helpers,
+# the config hash (a digest, not a file) and the parse of one flag's text
+JSON_CALLERS = {"data.read_json", "data.write_json", "config.core_hash",
+                "config._coerce"}
+
+
+def test_json_files_are_read_and_written_in_one_place():
+    """No module calls ``json.load`` or ``json.dump``, and only
+    ``JSON_CALLERS`` call ``json.loads`` or ``json.dumps``: one module
+    decides how a JSON file is encoded and how a bad one is refused."""
+    stray = []
+    for path in sorted((ROOT / "src" / "metacsr").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = sorted((node.lineno, node.end_lineno, node.name)
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                stray.append(f"{path.stem}:{node.lineno} imports from json")
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                    and node.attr in ("load", "dump", "loads", "dumps")):
+                continue
+            inner = [name for start, end, name in funcs
+                     if start <= node.lineno <= end]
+            where = f"{path.stem}.{inner[-1] if inner else '<module>'}"
+            if node.attr in ("load", "dump") or where not in JSON_CALLERS:
+                stray.append(f"{where}:{node.lineno} calls json.{node.attr}")
+    assert not stray, stray
